@@ -8,7 +8,8 @@ requires gradients, so inference-style forward passes run at plain numpy
 speed with no caching.
 
 Not supported on purpose: higher-order gradients, in-place ops, dtype
-promotion games. Everything is float64.
+promotion games. float32 and float64 data keep their dtype, so float32
+training graphs stay float32; any other input becomes float64.
 """
 
 from __future__ import annotations

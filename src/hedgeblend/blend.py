@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -42,12 +42,7 @@ class BlendParams:
         return self.moneyness_coef is not None
 
     def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "uncertainty_coef": self.uncertainty_coef,
-            "moneyness_coef": self.moneyness_coef,
-            "time_coef": self.time_coef,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlendParams":

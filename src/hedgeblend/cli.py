@@ -12,17 +12,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .blend import blend_features, blend_schedules, train_eval_split
+from . import evaluation as ev
+from .accounting import compute_pnl
+from .blend import BlendParams, train_eval_split
 from .config import RunConfig
-from .errors import (
-    HedgeblendError,
-    NumericalDivergenceError,
-    ParameterError,
-    StageError,
-)
-from .market import save_paths_npz, simulate_gbm, write_paths_csv
+from .ensemble import aggregate
+from .errors import HedgeblendError, NumericalDivergenceError, StageError
+from .market import save_paths_npz, simulate_gbm, simulate_heston, write_paths_csv
 from . import pipeline
 
 EXIT_OK = 0
@@ -64,8 +60,6 @@ def cmd_simulate(args) -> int:
     if args.gbm:
         paths = simulate_gbm(config.gbm_vol, config.grid, n_paths, seed=config.eval_seeds[0])
     else:
-        from .market import simulate_heston
-
         paths = simulate_heston(
             config.heston_params(), config.grid, n_paths, seed=config.eval_seeds[0]
         )
@@ -88,59 +82,45 @@ def cmd_train_ensemble(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit_blend(args) -> int:
-    config = _load_config(args)
-    members = pipeline.load_members(args.out)
-    from .ensemble import aggregate
-
+def _evaluation_inputs(config: RunConfig, out_dir: str) -> tuple:
+    """Saved members on the run's eval paths, as the pipeline's stages see them:
+    (paths, ensemble output, classical schedules, train indices, test indices)."""
+    members = pipeline.load_members(out_dir)
     paths = pipeline.simulate_eval_paths(config)
     ens = aggregate(members, paths, config.strike)
     classical = pipeline.classical_schedules(config, paths)
-    train_idx, _ = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
+    train_idx, test_idx = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
+    return paths, ens, classical, train_idx, test_idx
+
+
+def cmd_fit_blend(args) -> int:
+    config = _load_config(args)
     if args.objective != "both":
         config.objectives = [args.objective]
     config.extended_blend = args.extended or config.extended_blend
+    paths, ens, classical, train_idx, _ = _evaluation_inputs(config, args.out)
     fits = pipeline.fit_blends(config, paths, ens, classical["bs_delta_fixed"], train_idx)
-    for kind, fit in fits.items():
-        target = os.path.join(args.out, f"blend_{kind}.json")
-        with open(target, "w") as fh:
-            fh.write(fit.to_json())
-            fh.write("\n")
-        print(f"{kind}: params {fit.params.to_dict()} -> {target}")
+    for kind, target in pipeline.write_fits(args.out, fits).items():
+        print(f"{kind}: params {fits[kind].params.to_dict()} -> {target}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     """Evaluate saved members (and any saved blends) on fresh eval paths."""
     config = _load_config(args)
-    from .accounting import compute_pnl
-    from .blend import BlendFit, BlendParams
-    from .ensemble import aggregate
-    from . import evaluation as ev
-    from .risk import RiskSpec
-
-    members = pipeline.load_members(args.out)
-    paths = pipeline.simulate_eval_paths(config)
-    ens = aggregate(members, paths, config.strike)
-    schedules = pipeline.classical_schedules(config, paths)
-    schedules["ensemble_mean"] = ens.mean_hedge
+    paths, ens, classical, _, test_idx = _evaluation_inputs(config, args.out)
+    params = {}
     for kind in config.objectives:
         blend_file = os.path.join(args.out, f"blend_{kind}.json")
-        if not os.path.exists(blend_file):
-            continue
-        with open(blend_file) as fh:
-            params = BlendParams.from_dict(json.load(fh)["params"])
-        features = blend_features(paths, config.strike) if params.extended else None
-        schedules[f"blend_{kind}"] = blend_schedules(
-            ens.mean_hedge, schedules["bs_delta_fixed"], ens.disagreement, params, features
-        )
-    _, test_idx = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
-    reports = []
-    for name, sched in schedules.items():
-        sched.strategy_label = name
-        reports.append(
-            compute_pnl(paths.take(test_idx), sched.take(test_idx), config.cost(), config.strike)
-        )
+        if os.path.exists(blend_file):
+            with open(blend_file) as fh:
+                params[kind] = BlendParams.from_dict(json.load(fh)["params"])
+    schedules = pipeline.strategy_schedules(paths, ens, classical, params, config.strike)
+    test_paths = paths.take(test_idx)
+    reports = [
+        compute_pnl(test_paths, sched.take(test_idx), config.cost(), config.strike)
+        for sched in schedules.values()
+    ]
     rows = ev.strategy_comparison(reports, level=config.cvar_level)
     ev.write_comparison_csv(os.path.join(args.out, "table4_comparison.csv"), rows)
     for row in rows:
@@ -224,7 +204,7 @@ def main(argv=None) -> int:
     except NumericalDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ParameterError, HedgeblendError, json.JSONDecodeError) as exc:
+    except (HedgeblendError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

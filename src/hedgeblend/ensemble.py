@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class EnsembleOutput:
     disagreement: np.ndarray
     avg_disagreement: np.ndarray
 
-    @property
-    def n_members(self) -> int:
-        return len(self.member_hedges)
-
     def take(self, indices: np.ndarray) -> "EnsembleOutput":
         return EnsembleOutput(
             member_hedges=[h.take(indices) for h in self.member_hedges],
@@ -54,11 +50,18 @@ def member_seed(root_seed: int, index: int) -> int:
 def _train_member(args) -> HedgerModel:
     index, config, market, grid, cost, strike = args
     try:
+        return train_hedger(config, market, grid, cost, strike, label=f"member {index}")
+    except NumericalDivergenceError as exc:
+        raise NumericalDivergenceError(f"member {index} diverged: {exc}") from exc
+
+
+def _one_blas_thread() -> None:
+    """Worker initialiser: one BLAS thread each, so workers do not oversubscribe."""
+    try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return train_hedger(config, market, grid, cost, strike, label=f"member {index}")
-    with threadpool_limits(limits=1):
-        return train_hedger(config, market, grid, cost, strike, label=f"member {index}")
+        return
+    threadpool_limits(limits=1)
 
 
 def train_ensemble(
@@ -69,44 +72,22 @@ def train_ensemble(
     cost: CostSpec,
     strike: float,
     workers: int = 1,
-    member_seeds: list[int] | None = None,
 ) -> list[HedgerModel]:
     """Train M independent members; seeds derived from config.seed and index.
 
-    ``member_seeds`` overrides the derived seeds (test hook for degenerate
-    ensembles). ``workers`` bounds process parallelism without affecting
-    results: each member's training is self-contained and deterministic.
+    ``workers`` bounds process parallelism without affecting results: each
+    member's training is self-contained and deterministic.
     """
     if m < 2:
         raise ParameterError("an ensemble needs at least 2 members")
-    if member_seeds is None:
-        member_seeds = [member_seed(config.seed, i) for i in range(m)]
-    elif len(member_seeds) != m:
-        raise ParameterError("member_seeds must have length m")
-
-    configs = [
-        TrainConfig(
-            epochs=config.epochs,
-            paths_per_epoch=config.paths_per_epoch,
-            step_size=config.step_size,
-            adam_betas=config.adam_betas,
-            risk_aversion=config.risk_aversion,
-            seed=member_seeds[i],
-        )
+    jobs = [
+        (i, replace(config, seed=member_seed(config.seed, i)), market, grid, cost, strike)
         for i in range(m)
     ]
-    jobs = [(i, configs[i], market, grid, cost, strike) for i in range(m)]
-
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             return list(pool.map(_train_member, jobs))
-    models = []
-    for job in jobs:
-        try:
-            models.append(train_hedger(job[1], market, grid, cost, strike, label=f"member {job[0]}"))
-        except NumericalDivergenceError as exc:
-            raise NumericalDivergenceError(f"member {job[0]} diverged: {exc}") from exc
-    return models
+    return [_train_member(job) for job in jobs]
 
 
 def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> EnsembleOutput:
@@ -125,16 +106,6 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
         disagreement=spread,
         avg_disagreement=spread.mean(axis=1),
     )
-
-
-def write_disagreement_csv(output: EnsembleOutput, file) -> None:
-    """Per-(path, step) dump: path_id, step, mean_delta, disagreement."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(["path_id", "step", "mean_delta", "disagreement"])
-    mean = output.mean_hedge.delta
-    for p in range(mean.shape[0]):
-        for t in range(mean.shape[1]):
-            writer.writerow([p, t, f"{mean[p, t]:.12g}", f"{output.disagreement[p, t]:.12g}"])
 
 
 def write_path_uncertainty_csv(output: EnsembleOutput, file) -> None:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -230,9 +230,7 @@ def paired_bootstrap(
     while done < resamples:
         m = min(block, resamples - done)
         idx = gen.integers(0, n, size=(m, n))
-        stat_a = _row_metric(pnl_a[idx], metric)
-        stat_b = _row_metric(pnl_b[idx], metric)
-        d = stat_a - stat_b
+        d = metric.evaluate(pnl_a[idx]) - metric.evaluate(pnl_b[idx])
         diffs[done : done + m] = d if metric.higher_is_better else -d
         done += m
 
@@ -246,23 +244,6 @@ def paired_bootstrap(
     )
 
 
-def _row_metric(samples: np.ndarray, metric: RiskSpec) -> np.ndarray:
-    """Metric per row of a (resamples, n) matrix."""
-    if metric.measure == "mean":
-        return samples.mean(axis=1)
-    if metric.measure == "std":
-        return samples.std(axis=1, ddof=1)
-    if metric.measure == "cvar":
-        n = samples.shape[1]
-        k = int(np.ceil(metric.level * n))
-        if k >= n:
-            return samples.mean(axis=1)
-        return np.partition(samples, k - 1, axis=1)[:, :k].mean(axis=1)
-    x = -metric.a * samples
-    m = x.max(axis=1, keepdims=True)
-    return (m[:, 0] + np.log(np.mean(np.exp(x - m), axis=1))) / metric.a
-
-
 # -- CSV / manifest emitters ----------------------------------------------------
 
 
@@ -272,11 +253,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_rows_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_rows_csv(path: str, header: list[str], rows: list) -> None:
+    """One CSV line per row; a dataclass row gives its fields in order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
+            if is_dataclass(row):
+                row = [getattr(row, f.name) for f in fields(row)]
             writer.writerow([_fmt(v) for v in row])
 
 
@@ -284,7 +268,7 @@ def write_quintiles_csv(path: str, rows: list[QuintileRow]) -> None:
     write_rows_csv(
         path,
         ["quintile", "win_rate", "mean_advantage", "avg_uncertainty", "n_paths"],
-        [[r.label, r.win_rate, r.mean_advantage, r.avg_uncertainty, r.n_paths] for r in rows],
+        rows,
     )
 
 
@@ -334,7 +318,7 @@ def write_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
     write_rows_csv(
         path,
         ["strategy", "mean_pnl", "std_pnl", "cvar_5pct"],
-        [[r.strategy, r.mean_pnl, r.std_pnl, r.cvar] for r in rows],
+        rows,
     )
 
 
@@ -366,26 +350,11 @@ def write_bootstrap_csv(path: str, entries: list[tuple[str, str, BootstrapResult
 
 
 def write_decomposition_csv(path: str, reports: list[PnLReport], baseline: int = 0) -> None:
-    rows = []
-    for row in decompose_pnl(reports, baseline=baseline):
-        rows.append(
-            [
-                row.strategy,
-                row.mean_gains,
-                row.mean_costs,
-                row.mean_payoff,
-                row.mean_net,
-                row.diff_gains,
-                row.diff_costs,
-                row.diff_payoff,
-                row.diff_net,
-            ]
-        )
     write_rows_csv(
         path,
         ["strategy", "mean_hedge_gains", "mean_transaction_costs", "mean_payoff",
          "mean_net_pnl", "diff_gains", "diff_costs", "diff_payoff", "diff_net"],
-        rows,
+        decompose_pnl(reports, baseline=baseline),
     )
 
 

@@ -65,9 +65,6 @@ class HedgerModel:
     seed: int = 0
     loss_history: list[float] = field(default_factory=list)
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def copy(self) -> "HedgerModel":
         return HedgerModel(
             params={k: v.copy() for k, v in self.params.items()},
@@ -155,7 +152,6 @@ def train_hedger(
     cost: CostSpec,
     strike: float,
     label: str = "",
-    dtype=np.float32,
     callback=None,
 ) -> HedgerModel:
     """Train one hedger; deterministic for a fixed config.
@@ -166,16 +162,15 @@ def train_hedger(
     GBMSpec. Raises NumericalDivergenceError naming the epoch if the loss
     leaves the reals.
 
-    Training runs in float32 by default (the rollout is the hot loop; the
-    objective tolerances sit far above single precision); pass
-    ``dtype=np.float64`` for double-precision training. Gradient checks are
-    always performed in float64 regardless.
+    Training runs in float32 (the rollout is the hot loop; the objective
+    tolerances sit far above single precision). Gradient checks are always
+    performed in float64.
 
     ``callback(epoch, model)``, when given, fires after each update; useful
     for periodic checkpoint evaluation.
     """
     model = init_model(config.seed)
-    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
     tensors = _param_tensors(model, requires_grad=True)
     model.params = {k: t.data for k, t in tensors.items()}
     order = [tensors[k] for k in PARAM_NAMES]
@@ -193,17 +188,14 @@ def train_hedger(
                 pnl_on_tape(delta, paths.spot, cost.cost_rate, strike), a
             )
             loss = float(loss_t.data)
-            if not np.isfinite(loss):
-                raise NumericalDivergenceError(
-                    f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
-                )
-            ad.backward(loss_t)
+            if np.isfinite(loss):
+                ad.backward(loss_t)
         else:
             loss = _chunked_backward(tensors, paths, cost, strike, a, model.hidden)
-            if not np.isfinite(loss):
-                raise NumericalDivergenceError(
-                    f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
-                )
+        if not np.isfinite(loss):
+            raise NumericalDivergenceError(
+                f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
+            )
         adam.step()
         adam.zero_grad()
         model.loss_history.append(loss)

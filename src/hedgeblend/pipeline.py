@@ -3,11 +3,12 @@
 Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte. On a stage failure the run
 directory keeps whatever was already written plus a FAILED marker naming
-the stage.
+the stage; a marker left by an earlier run is removed when a run starts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation as ev
-from .accounting import PnLReport, compute_pnl, write_pnl_csv
+from .accounting import CostSpec, HedgeSchedule, PnLReport, compute_pnl, write_pnl_csv
 from .blend import (
     BlendFit,
     BlendObjective,
+    BlendParams,
     alpha_weight,
     blend_features,
     blend_schedules,
@@ -47,7 +49,11 @@ from .risk import RiskSpec, cvar
 
 
 class _Stage:
-    """Context manager that tags failures with the stage name."""
+    """Context manager that tags failures with the stage name.
+
+    Any exit by exception writes the FAILED marker; errors are re-raised as
+    StageError, while KeyboardInterrupt and other non-errors pass unchanged.
+    """
 
     def __init__(self, name: str, out_dir: str):
         self.name = name
@@ -65,6 +71,8 @@ class _Stage:
                 fh.write(f"{self.name}: {exc}\n")
         except OSError:
             pass
+        if not isinstance(exc, Exception):
+            return False
         raise StageError(self.name, str(exc)) from exc
 
 
@@ -75,16 +83,13 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
     analytic delta on fresh paths, and the gap between the indifference
     price and the analytic option price.
     """
-    from .accounting import CostSpec
-    from .classical import bs_delta_strategy as bs_strategy
-
     vol = config.gbm_vol
     zero_cost = CostSpec(0.0)
     model = train_hedger(config.train, GBMSpec(vol=vol), config.grid, zero_cost, config.strike)
 
     test_paths = simulate_gbm(vol, config.grid, config.eval_paths, seed=config.eval_seeds[0])
     learned = forward_rollout(model, test_paths, config.strike)
-    reference = bs_strategy(test_paths, config.strike, VolMode.fixed(vol))
+    reference = bs_delta_strategy(test_paths, config.strike, VolMode.fixed(vol))
     mae = float(np.abs(learned.delta - reference.delta).mean())
 
     price = network_price(model, test_paths, zero_cost, config.strike, config.train.risk_aversion)
@@ -155,8 +160,10 @@ def train_members(config: RunConfig, out_dir: str | None = None) -> list[HedgerM
 
 
 def load_members(out_dir: str) -> list[HedgerModel]:
+    """Members saved by :func:`train_members`, in member-index order."""
     member_dir = os.path.join(out_dir, "members")
-    names = sorted(f for f in os.listdir(member_dir) if f.endswith(".npz"))
+    names = [f for f in os.listdir(member_dir) if f.startswith("member_") and f.endswith(".npz")]
+    names.sort(key=lambda name: int(name[len("member_"):-len(".npz")]))
     return [load_model(os.path.join(member_dir, name)) for name in names]
 
 
@@ -193,9 +200,45 @@ def fit_blends(
     return fits
 
 
+def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> dict[str, str]:
+    """Write each fit to ``blend_<objective>.json``; returns the file per objective."""
+    targets = {}
+    for kind, fit in fits.items():
+        targets[kind] = os.path.join(out_dir, f"blend_{kind}.json")
+        with open(targets[kind], "w") as fh:
+            fh.write(fit.to_json())
+            fh.write("\n")
+    return targets
+
+
+def strategy_schedules(
+    paths: MarketPaths,
+    ens: EnsembleOutput,
+    classical: dict[str, HedgeSchedule],
+    params_by_kind: dict[str, BlendParams],
+    strike: float,
+) -> dict[str, HedgeSchedule]:
+    """Labelled schedules in table order: the ensemble mean, the classical
+    strategies, then one blend of the ensemble with ``bs_delta_fixed`` per
+    objective. Moneyness and time features are built only for extended blends.
+    """
+    extended = any(params.extended for params in params_by_kind.values())
+    features = blend_features(paths, strike) if extended else None
+    schedules = {"ensemble_mean": ens.mean_hedge, **classical}
+    for kind, params in params_by_kind.items():
+        schedules[f"blend_{kind}"] = blend_schedules(
+            ens.mean_hedge, classical["bs_delta_fixed"], ens.disagreement, params, features
+        )
+    for name, sched in schedules.items():
+        sched.strategy_label = name
+    return schedules
+
+
 def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
     """Run every stage and export all table/figure CSVs plus the manifest."""
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "FAILED"))
     config.save_json(os.path.join(out_dir, "config.json"))
     cost = config.cost()
     strike = config.strike
@@ -222,35 +265,18 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
 
     with _Stage("fit_blend", out_dir):
         fits = fit_blends(config, eval_paths, ens, classical["bs_delta_fixed"], train_idx)
-        for kind, fit in fits.items():
-            with open(os.path.join(out_dir, f"blend_{kind}.json"), "w") as fh:
-                fh.write(fit.to_json())
-                fh.write("\n")
+        write_fits(out_dir, fits)
 
     with _Stage("evaluate", out_dir):
-        features = blend_features(eval_paths, strike) if config.extended_blend else None
-        schedules = dict(classical)
-        schedules["ensemble_mean"] = ens.mean_hedge
-        for kind, fit in fits.items():
-            blended = blend_schedules(
-                ens.mean_hedge, classical["bs_delta_fixed"], ens.disagreement,
-                fit.params, features,
-            )
-            blended.strategy_label = f"blend_{kind}"
-            schedules[f"blend_{kind}"] = blended
-
-        strategy_order = [
-            "ensemble_mean", "bs_delta_fixed", "bs_delta_true", "whalley_wilmott",
-        ] + [f"blend_{kind}" for kind in config.objectives]
+        schedules = strategy_schedules(
+            eval_paths, ens, classical, {kind: fit.params for kind, fit in fits.items()}, strike
+        )
         reports_all = {}
         reports_test = {}
-        for name in strategy_order:
-            sched = schedules[name]
-            sched.strategy_label = name
+        test_paths = eval_paths.take(test_idx)
+        for name, sched in schedules.items():
             reports_all[name] = compute_pnl(eval_paths, sched, cost, strike)
-            reports_test[name] = compute_pnl(
-                eval_paths.take(test_idx), sched.take(test_idx), cost, strike
-            )
+            reports_test[name] = compute_pnl(test_paths, sched.take(test_idx), cost, strike)
             with open(os.path.join(out_dir, f"pnl_{name}.csv"), "w", newline="") as fh:
                 write_pnl_csv(reports_all[name], fh)
 
@@ -281,9 +307,7 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
         )
         ev.write_heatmap_csv(os.path.join(out_dir, "fig2_heatmap.csv"), heatmap)
 
-        comparison = ev.strategy_comparison(
-            [reports_test[name] for name in strategy_order], level=config.cvar_level
-        )
+        comparison = ev.strategy_comparison(list(reports_test.values()), level=config.cvar_level)
         ev.write_comparison_csv(os.path.join(out_dir, "table4_comparison.csv"), comparison)
 
         cvar_spec = RiskSpec("cvar", level=config.cvar_level)
@@ -306,22 +330,18 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
 
         ev.write_decomposition_csv(
             os.path.join(out_dir, "table6_decomposition.csv"),
-            [reports_all[name] for name in strategy_order],
-            baseline=strategy_order.index("bs_delta_fixed"),
+            list(reports_all.values()),
+            baseline=list(reports_all).index("bs_delta_fixed"),
         )
         ev.write_trade_stats_csv(
-            os.path.join(out_dir, "trade_stats.csv"),
-            [reports_all[name] for name in strategy_order],
+            os.path.join(out_dir, "trade_stats.csv"), list(reports_all.values())
         )
 
         psi_grid = np.linspace(0.0, max(float(ens.disagreement.max()), 1e-6), 101)
-        curves = {}
-        for kind, fit in fits.items():
-            if fit.params.extended:
-                rep = (np.ones_like(psi_grid), np.full_like(psi_grid, 0.5))
-                curves[kind] = alpha_weight(psi_grid, fit.params, rep)
-            else:
-                curves[kind] = alpha_weight(psi_grid, fit.params)
+        # Extended blends are drawn at the money, halfway to expiry.
+        at_the_money = (np.ones_like(psi_grid), np.full_like(psi_grid, 0.5))
+        curves = {kind: alpha_weight(psi_grid, fit.params, at_the_money)
+                  for kind, fit in fits.items()}
         ev.write_blend_curves_csv(os.path.join(out_dir, "fig3_blend_curves.csv"), psi_grid, curves)
 
         ev.write_cvar_bars_csv(
@@ -330,7 +350,7 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
         )
 
     with _Stage("seed_stability", out_dir):
-        seed_rows = _seed_stability(config, members, fits)
+        seed_rows = _seed_stability(config, members, fits, reports_all)
         ev.write_rows_csv(
             os.path.join(out_dir, "seed_stability.csv"),
             ["seed", "blend_cvar", "bs_delta_cvar", "improvement_bps"],
@@ -360,22 +380,31 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
     )
 
 
-def _seed_stability(config: RunConfig, members, fits) -> list[list]:
-    """Blend-vs-BS CVaR per evaluation seed, on the full path set of each."""
+def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]:
+    """Blend-vs-BS CVaR per evaluation seed, on the full path set of each.
+
+    The first seed's paths are the main evaluation's, so its P&L is taken
+    from ``reports_all`` rather than computed again.
+    """
     kind = "cvar" if "cvar" in fits else next(iter(fits))
-    fit = fits[kind]
+    blend_name = f"blend_{kind}"
     cost = config.cost()
     rows = []
     for seed in config.eval_seeds:
-        paths = simulate_eval_paths(config, seed=seed)
-        ens = aggregate(members, paths, config.strike)
-        bs = bs_delta_strategy(paths, config.strike, VolMode.fixed(config.fixed_vol_value()))
-        features = blend_features(paths, config.strike) if fit.params.extended else None
-        blended = blend_schedules(ens.mean_hedge, bs, ens.disagreement, fit.params, features)
-        blend_pnl = compute_pnl(paths, blended, cost, config.strike).pnl
-        bs_pnl = compute_pnl(paths, bs, cost, config.strike).pnl
-        c_blend = cvar(blend_pnl, config.cvar_level)
-        c_bs = cvar(bs_pnl, config.cvar_level)
+        reports = reports_all
+        if seed != config.eval_seeds[0]:
+            paths = simulate_eval_paths(config, seed=seed)
+            ens = aggregate(members, paths, config.strike)
+            bs = bs_delta_strategy(paths, config.strike, VolMode.fixed(config.fixed_vol_value()))
+            schedules = strategy_schedules(
+                paths, ens, {"bs_delta_fixed": bs}, {kind: fits[kind].params}, config.strike
+            )
+            reports = {
+                name: compute_pnl(paths, schedules[name], cost, config.strike)
+                for name in (blend_name, "bs_delta_fixed")
+            }
+        c_blend = cvar(reports[blend_name].pnl, config.cvar_level)
+        c_bs = cvar(reports["bs_delta_fixed"].pnl, config.cvar_level)
         rows.append([seed, c_blend, c_bs, (c_blend - c_bs) * 1e4])
     return rows
 

@@ -121,6 +121,19 @@ class TestRiskSpec:
             entropic_risk(pnl, 1.0)
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [RiskSpec("mean"), RiskSpec("std"), RiskSpec("cvar", level=0.1),
+         RiskSpec("cvar", level=1.0), RiskSpec("entropic", a=2.0)],
+        ids=lambda spec: f"{spec.measure}",
+    )
+    def test_rows_of_a_matrix_match_vectors_exactly(self, spec, rng_np):
+        samples = rng_np.normal(0.0, 0.3, size=(7, 50))
+        per_row = spec.evaluate(samples)
+        assert per_row.shape == (7,)
+        assert per_row.tolist() == [spec.evaluate(row) for row in samples]
+        assert isinstance(spec.evaluate(samples[0]), float)
+
     def test_orientation(self):
         assert RiskSpec("cvar").higher_is_better
         assert RiskSpec("mean").higher_is_better
