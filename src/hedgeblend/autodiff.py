@@ -1,9 +1,9 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
 Just enough machinery to backpropagate through a recurrent hedging rollout
-and through the blending objectives: elementwise arithmetic with
-broadcasting, matmul, the usual activations, reductions, concat/slice,
-row gather, and a fused LSTM cell. Graphs are built only when an input
+and its entropic P&L objective: elementwise arithmetic with broadcasting,
+matmul, the usual activations, reductions, concat/slice, and a fused LSTM
+cell. Graphs are built only when an input
 requires gradients, so inference-style forward passes run at plain numpy
 speed with no caching.
 
@@ -195,18 +195,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         return tuple(grads)
 
     return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
-
-
-def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 1-D tensor; backward scatter-adds into place."""
-    indices = np.asarray(indices)
-
-    def vjp(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, indices, g)
-        return (full,)
-
-    return Tensor._node(t.data[indices], (t,), vjp)
 
 
 def lstm_cell(xh: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:

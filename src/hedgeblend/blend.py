@@ -3,7 +3,10 @@
 The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
 alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
 terms]). Coefficients are fitted by full-batch Adam on precomputed hedges:
-only the blend weights move, never the underlying strategies.
+only the blend weights move, never the underlying strategies. The fit's
+gradient is derived by hand (entropic softmax weights or the CVaR tail
+subgradient, through the P&L with costs and the sigmoid) rather than taped,
+and keeps the taped gradient's operand order, so it matches it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from scipy.special import expit
 from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
-from .autodiff import Tensor
+from .autodiff import Tensor, _sigmoid_inplace
 from .ensemble import EnsembleOutput
 from .errors import DimensionError, NumericalDivergenceError, ParameterError
 from .market import MarketPaths
-from .objectives import cvar_objective, entropic_objective, pnl_on_tape
 
 FIT_ITERATIONS = 2000
 FIT_STEP_SIZE = 0.01
@@ -152,6 +154,34 @@ class BlendFit:
         )
 
 
+def _objective_and_grad(pnl: np.ndarray, objective: BlendObjective, g_pnl: np.ndarray) -> float:
+    """Objective value of the P&L vector; writes d objective / d pnl into ``g_pnl``.
+
+    Entropic: (1/a) log mean exp(-a pnl), shifted by its max, whose gradient
+    is minus the softmax weights of -a pnl. CVaR: minus the mean of the
+    k = ceil(level n) worst paths; tail membership is frozen at the current
+    values, so the gradient is -1/k on the tail and 0 elsewhere (the
+    empirical expected-shortfall subgradient). Products are grouped as the
+    reverse sweep of the expression would group them, so the values match a
+    taped gradient bit for bit.
+    """
+    n = pnl.size
+    if objective.kind == "entropic":
+        a = objective.a
+        x = pnl * (-a)
+        m = float(x.max())
+        e = np.exp(x - m)
+        mean = e.sum() * (1.0 / n)
+        np.multiply(e, (1.0 / a) / mean * (1.0 / n), out=g_pnl)
+        g_pnl *= -a
+        return float((np.log(mean) + m) * (1.0 / a))
+    k = math.ceil(objective.level * n)
+    tail = np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)
+    g_pnl.fill(0.0)
+    g_pnl[tail] = -(1.0 / k)
+    return float(-(pnl[tail].sum() * (1.0 / k)))
+
+
 def fit_blend(
     train_paths: MarketPaths,
     ens: EnsembleOutput,
@@ -167,43 +197,93 @@ def fit_blend(
     """Fit the blend coefficients by Adam on the precomputed training batch.
 
     All hedge ratios and disagreement values are held fixed; each iteration
-    recomputes the blended schedule, its P&L, and the objective, then steps
-    the coefficients. The CVaR subgradient fixes tail membership within each
-    iteration. The fit itself is deterministic (coefficients start at the
-    uninformative 50/50 blend); ``seed`` is recorded for provenance only.
+    recomputes the blended schedule, its P&L and the objective, then steps
+    the coefficients along the closed-form gradient, with G = d obj / d pnl
+    from :func:`_objective_and_grad` (the CVaR tail subgradient included),
+    dd_t = delta_t - delta_{t-1} the position changes for t = 0..n (entry
+    and unwind included) and c the cost rate:
+
+        d obj / d delta_t = G (dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}))
+        d obj / d z       = (g_delta delta_BS - g_delta delta_ens) alpha (1 - alpha)
+
+    Each coefficient's gradient is the sum of d obj / d z times its feature
+    (1, disagreement, moneyness, time fraction). Every product and sum keeps
+    the operand order of the reverse sweep through the expression, so the
+    trajectory is bit-identical to differentiating it on the autodiff tape
+    (a zero may differ in sign, which no sum or Adam step can see).
+    The fit itself is deterministic (coefficients start at the uninformative
+    50/50 blend); ``seed`` is recorded for provenance only.
     """
     shape = (train_paths.n_paths, train_paths.n_steps)
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
         raise DimensionError("ensemble/bs schedules do not match the training paths")
 
     ens_delta = ens.mean_hedge.delta
-    bs_delta_arr = bs.delta
-    psi = ens.disagreement
-    moneyness, tau_frac = blend_features(train_paths, strike)
+    bs_delta = bs.delta
+    features = [ens.disagreement]
+    if extended:
+        features.extend(blend_features(train_paths, strike))
+    spot = np.asarray(train_paths.spot, dtype=float)
+    d_spot = np.diff(spot, axis=1)
+    cost_spot = cost.cost_rate * spot
+    payoff = np.maximum(spot[:, -1] - strike, 0.0)
 
-    n_coefs = 4 if extended else 2
-    coefs = [Tensor(np.zeros(()), requires_grad=True) for _ in range(n_coefs)]
+    n_paths, n = shape
+    alpha, one_minus, delta, work = (np.empty(shape) for _ in range(4))
+    changes, work_ch = np.empty((n_paths, n + 1)), np.empty((n_paths, n + 1))
+    g_pnl = np.empty(n_paths)
+
+    coefs = [Tensor(np.zeros(()), requires_grad=True) for _ in range(1 + len(features))]
     adam = ad.Adam(coefs, lr=step_size)
 
     trajectory: list[float] = []
     for iteration in range(iterations):
-        z = coefs[0] + coefs[1] * psi
-        if extended:
-            z = z + coefs[2] * moneyness + coefs[3] * tau_frac
-        alpha = ad.sigmoid(z)
-        delta = (1.0 - alpha) * ens_delta + alpha * bs_delta_arr
-        pnl = pnl_on_tape(delta, train_paths.spot, cost.cost_rate, strike)
-        if objective.kind == "entropic":
-            loss = entropic_objective(pnl, objective.a)
-        else:
-            loss = cvar_objective(pnl, objective.level)
-        value = float(loss.data)
+        # Forward: alpha = sigmoid(c0 + c1 psi [+ c2 moneyness + c3 tau]).
+        np.multiply(coefs[1].data, features[0], out=alpha)
+        np.add(coefs[0].data, alpha, out=alpha)
+        for coef, feature in zip(coefs[2:], features[1:]):
+            np.multiply(coef.data, feature, out=work)
+            alpha += work
+        _sigmoid_inplace(alpha)
+        np.subtract(1.0, alpha, out=one_minus)
+        np.multiply(one_minus, ens_delta, out=delta)
+        np.multiply(alpha, bs_delta, out=work)
+        delta += work
+
+        # P&L, accounted as in accounting.compute_pnl.
+        np.multiply(delta, d_spot, out=work)
+        gains = work.sum(axis=1)
+        changes[:, 0] = delta[:, 0]
+        np.subtract(delta[:, 1:], delta[:, :-1], out=changes[:, 1:n])
+        np.subtract(0.0, delta[:, -1], out=changes[:, n])
+        np.abs(changes, out=work_ch)
+        work_ch *= cost_spot
+        pnl = gains - work_ch.sum(axis=1) - payoff
+
+        value = _objective_and_grad(pnl, objective, g_pnl)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
-        ad.backward(loss)
+
+        # Backward: d obj / d delta into work, d obj / d z into delta.
+        # Both objectives fall as P&L rises, so -G c S >= 0 and its product
+        # with sgn(changes) is copysign, except where the position is unchanged.
+        np.multiply(-g_pnl[:, None], cost_spot, out=work_ch)
+        np.copysign(work_ch, changes, out=work_ch)
+        work_ch[changes == 0.0] = 0.0
+        np.multiply(g_pnl[:, None], d_spot, out=work)
+        work += work_ch[:, :n]
+        work -= work_ch[:, 1:]
+        np.multiply(work, bs_delta, out=delta)
+        work *= ens_delta
+        delta -= work
+        delta *= alpha
+        delta *= one_minus
+        coefs[0].grad = delta.sum()
+        for coef, feature in zip(coefs[1:], features):
+            np.multiply(delta, feature, out=work)
+            coef.grad = work.sum()
         adam.step()
-        adam.zero_grad()
 
     params = BlendParams(
         intercept=float(coefs[0].data),

@@ -17,7 +17,7 @@ from .accounting import compute_pnl
 from .blend import BlendParams, train_eval_split
 from .config import RunConfig
 from .ensemble import aggregate
-from .errors import HedgeblendError, NumericalDivergenceError, StageError
+from .errors import HedgeblendError, NumericalDivergenceError, ParameterError, StageError
 from .market import save_paths_npz, simulate_gbm, simulate_heston, write_paths_csv
 from . import pipeline
 
@@ -27,8 +27,14 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig.from_json(args.config) if args.config else RunConfig()
+def _load_config(args, saved_run: bool = False) -> RunConfig:
+    """``--config``, else with ``saved_run`` the run directory's own
+    config.json if there is one, else the defaults; then the CLI overrides."""
+    path = args.config
+    if path is None and saved_run:
+        saved = os.path.join(args.out, "config.json")
+        path = saved if os.path.exists(saved) else None
+    config = RunConfig.from_json(path) if path else RunConfig()
     if getattr(args, "scale", None):
         config.apply_scale(args.scale)
     if getattr(args, "seed", None) is not None:
@@ -39,7 +45,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run configuration (defaults used if omitted)")
+    parser.add_argument("--config", help="JSON run configuration; if omitted, evaluate and "
+                        "fit-blend read <out>/config.json, and other commands use defaults")
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--workers", type=int, help="bound process parallelism (results unchanged)")
@@ -94,7 +101,7 @@ def _evaluation_inputs(config: RunConfig, out_dir: str) -> tuple:
 
 
 def cmd_fit_blend(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, saved_run=True)
     if args.objective != "both":
         config.objectives = [args.objective]
     config.extended_blend = args.extended or config.extended_blend
@@ -107,14 +114,18 @@ def cmd_fit_blend(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Evaluate saved members (and any saved blends) on fresh eval paths."""
-    config = _load_config(args)
+    config = _load_config(args, saved_run=True)
     paths, ens, classical, _, test_idx = _evaluation_inputs(config, args.out)
     params = {}
     for kind in config.objectives:
         blend_file = os.path.join(args.out, f"blend_{kind}.json")
         if os.path.exists(blend_file):
             with open(blend_file) as fh:
-                params[kind] = BlendParams.from_dict(json.load(fh)["params"])
+                saved = json.load(fh)
+            try:
+                params[kind] = BlendParams.from_dict(saved["params"])
+            except (KeyError, TypeError) as exc:
+                raise ParameterError(f"{blend_file} holds no blend params: {exc!r}") from exc
     schedules = pipeline.strategy_schedules(paths, ens, classical, params, config.strike)
     test_paths = paths.take(test_idx)
     reports = [

@@ -1,12 +1,10 @@
-"""Differentiable P&L accounting and risk objectives for gradient-based fits.
+"""Differentiable P&L accounting and the entropic objective for hedger training.
 
 Tape mirrors of :mod:`hedgeblend.accounting` and :mod:`hedgeblend.risk`;
 the numpy versions serve as independent oracles for these in the tests.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,17 +43,3 @@ def entropic_weights(pnl: np.ndarray, a: float) -> np.ndarray:
     e = np.exp(x)
     return e / e.sum()
 
-
-def cvar_objective(pnl: Tensor, level: float) -> Tensor:
-    """Negative tail mean, minimised to improve CVaR.
-
-    Tail membership (the k = ceil(level*n) worst paths) is fixed from the
-    current values, then the mean of that subset is differentiated: the
-    standard empirical expected-shortfall subgradient.
-    """
-    n = pnl.data.size
-    k = math.ceil(level * n)
-    if k >= n:
-        return -ad.tmean(pnl)
-    tail = np.argpartition(pnl.data, k - 1)[:k]
-    return -ad.tmean(ad.gather_rows(pnl, tail))

@@ -3,7 +3,8 @@
 Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte. On a stage failure the run
 directory keeps whatever was already written plus a FAILED marker naming
-the stage; a marker left by an earlier run is removed when a run starts.
+the stage. A marker left by an earlier run is removed when a run starts,
+and so are the blend outputs of objectives the new run does not fit.
 """
 
 from __future__ import annotations
@@ -234,11 +235,23 @@ def strategy_schedules(
     return schedules
 
 
+def _remove_stale_outputs(config: RunConfig, out_dir: str) -> None:
+    """Delete what an earlier run may have left that this run would not
+    rewrite, and so would hash into its manifest: the FAILED marker and the
+    blend outputs of objectives that are not configured now."""
+    stale = ["FAILED"]
+    for kind in ("entropic", "cvar"):
+        if kind not in config.objectives:
+            stale += [f"blend_{kind}.json", f"pnl_blend_{kind}.csv"]
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+
+
 def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
     """Run every stage and export all table/figure CSVs plus the manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "FAILED"))
+    _remove_stale_outputs(config, out_dir)
     config.save_json(os.path.join(out_dir, "config.json"))
     cost = config.cost()
     strike = config.strike

@@ -93,18 +93,6 @@ class TestShapeOps:
         check_op(lambda a: a[:, 1:3], [(3, 5)])
         check_op(lambda a: a[1], [(3, 5)])
 
-    def test_gather_rows(self):
-        idx = np.array([0, 2, 2, 4])
-
-        def build(a):
-            return ad.gather_rows(a, idx)
-
-        check_op(build, [(6,)])
-        # duplicated index accumulates
-        t = Tensor(np.arange(5.0), requires_grad=True)
-        ad.backward(ad.tsum(ad.gather_rows(t, idx)))
-        assert np.array_equal(t.grad, [1.0, 0.0, 2.0, 0.0, 1.0])
-
 
 class TestLstmCell:
     def test_gradients_match_finite_differences(self):

@@ -7,13 +7,8 @@ from hedgeblend import autodiff as ad
 from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
 from hedgeblend.autodiff import Tensor
 from hedgeblend.market import MarketPaths, PathGrid
-from hedgeblend.objectives import (
-    cvar_objective,
-    entropic_objective,
-    entropic_weights,
-    pnl_on_tape,
-)
-from hedgeblend.risk import cvar, entropic_risk
+from hedgeblend.objectives import entropic_objective, entropic_weights, pnl_on_tape
+from hedgeblend.risk import entropic_risk
 
 
 @pytest.fixture
@@ -71,24 +66,3 @@ class TestEntropicObjective:
         assert np.allclose(t.grad, -entropic_weights(pnl, 1.3), atol=1e-12)
         assert t.grad.sum() == pytest.approx(-1.0, abs=1e-10)
 
-
-class TestCvarObjective:
-    def test_value_is_negative_cvar(self, rng_np):
-        pnl = rng_np.normal(0, 1, size=200)
-        value = float(cvar_objective(Tensor(pnl), 0.05).data)
-        assert value == pytest.approx(-cvar(pnl, 0.05), abs=1e-12)
-
-    def test_gradient_hits_only_the_tail(self, rng_np):
-        pnl = rng_np.normal(0, 1, size=40)
-        t = Tensor(pnl, requires_grad=True)
-        ad.backward(cvar_objective(t, 0.1))
-        k = 4  # ceil(0.1 * 40)
-        tail = np.argsort(pnl)[:k]
-        expected = np.zeros_like(pnl)
-        expected[tail] = -1.0 / k
-        assert np.allclose(t.grad, expected, atol=1e-12)
-
-    def test_full_level_reduces_to_mean(self, rng_np):
-        pnl = rng_np.normal(0, 1, size=10)
-        value = float(cvar_objective(Tensor(pnl), 1.0).data)
-        assert value == pytest.approx(-pnl.mean(), abs=1e-12)

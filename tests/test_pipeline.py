@@ -76,6 +76,17 @@ class TestFullPipeline:
         assert not (tmp_path / "FAILED").exists()
         assert result.manifest == read_manifest(run_dir[0])
 
+    def test_stale_blend_of_an_unconfigured_objective_is_removed(self, tmp_path):
+        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
+            (tmp_path / name).write_text("left by an earlier run\n")
+        config = mini_config()
+        config.objectives = ["cvar"]
+        artifacts = pipeline.full_pipeline(config, str(tmp_path)).manifest["artifacts"]
+        assert "blend_cvar.json" in artifacts
+        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
+            assert name not in artifacts
+            assert not (tmp_path / name).exists()
+
     def test_interrupt_propagates_and_marks_the_stage(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -111,6 +122,21 @@ class TestCliOnSavedRun:
         )
         for name, digest in read_manifest(out)["artifacts"].items():
             assert file_sha256(os.path.join(out, name)) == digest, name
+
+    def test_evaluate_without_config_reads_the_run_config(self, run_dir, tmp_path):
+        out = copy_run(run_dir[0], tmp_path)
+        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_OK
+        assert file_sha256(os.path.join(out, "table4_comparison.csv")) == file_sha256(
+            os.path.join(run_dir[0], "table4_comparison.csv")
+        )
+
+    def test_blend_file_without_params_is_a_validation_error(self, run_dir, tmp_path, capsys):
+        out = copy_run(run_dir[0], tmp_path)
+        blend_file = os.path.join(out, "blend_cvar.json")
+        with open(blend_file, "w") as fh:
+            json.dump({"objective": {"kind": "cvar"}}, fh)
+        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
+        assert blend_file in capsys.readouterr().err
 
     def test_fit_blend_reproduces_the_pipeline_fits(self, run_dir, config_file, tmp_path):
         out = copy_run(run_dir[0], tmp_path)
