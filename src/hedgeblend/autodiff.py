@@ -2,10 +2,9 @@
 
 Just enough machinery to backpropagate through a recurrent hedging rollout
 and its entropic P&L objective: elementwise arithmetic with broadcasting,
-matmul, the usual activations, reductions, concat/slice, and a fused LSTM
-cell. Graphs are built only when an input
-requires gradients, so inference-style forward passes run at plain numpy
-speed with no caching.
+matmul, exp, log and abs, reductions, concat/slice, and a fused LSTM
+cell. Graphs are built only when an input requires gradients, so
+inference-style forward passes run at plain numpy speed with no caching.
 
 Not supported on purpose: higher-order gradients, in-place ops, dtype
 promotion games. float32 and float64 data keep their dtype, so float32
@@ -140,16 +139,6 @@ def as_tensor(x) -> Tensor:
 # -- activations and elementwise functions ------------------------------------
 
 
-def tanh(t: Tensor) -> Tensor:
-    out_data = np.tanh(t.data)
-    return Tensor._node(out_data, (t,), lambda g: (g * (1.0 - out_data**2),))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out_data = _sigmoid_inplace(t.data.copy())
-    return Tensor._node(out_data, (t,), lambda g: (g * out_data * (1.0 - out_data),))
-
-
 def exp(t: Tensor) -> Tensor:
     out_data = np.exp(t.data)
     return Tensor._node(out_data, (t,), lambda g: (g * out_data,))
@@ -197,18 +186,25 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
-def lstm_cell(xh: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+def lstm_cell(inputs: list[Tensor], c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; returns (h_new, c_new). Gate order i, f, o, g.
 
-    ``xh`` is the step input with the previous hidden state appended as its
-    trailing columns, and ``w`` the matching stacked weight block, so the
-    whole pre-activation is one GEMM. Fused into a single node (packed
-    [h | c] output) so a long rollout tapes one backward closure per step;
-    the hand-derived backward is validated against finite differences in
-    the test suite.
+    ``inputs`` are the column pieces of the cell input, the previous hidden
+    state last, and ``w`` the matching stacked weight block, so the whole
+    pre-activation is one GEMM on their concatenation ``xh``. Fused into a
+    single node (packed [h | c] output) so a long rollout tapes one backward
+    closure per step; the hand-derived backward is validated against finite
+    differences in the test suite.
+
+    Per path the tape keeps only what the backward reads: the gates i, f, o,
+    g and tanh(c) (5·H values) and the packed output (2·H). The
+    pre-activation and ``xh`` are not kept. The backward rebuilds ``xh`` for
+    the weight gradient by concatenating the inputs' data again, which the
+    tape holds anyway, so one concatenation per step replaces a stored
+    (B, in+H) copy.
     """
     hidden = c_prev.shape[1]
-    pre = xh.data @ w.data
+    pre = np.concatenate([t.data for t in inputs], axis=1) @ w.data
     pre += b.data
     # Contiguous copies of the gate blocks: every later product touches them,
     # and strided views defeat SIMD.
@@ -221,29 +217,34 @@ def lstm_cell(xh: Tensor, c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor,
     c_new += i * g_
     tc = np.tanh(c_new)
 
-    if not (xh.requires_grad or c_prev.requires_grad or w.requires_grad or b.requires_grad):
+    parents = (*inputs, c_prev, w, b)
+    if not any(p.requires_grad for p in parents):
         return Tensor(o * tc), Tensor(c_new)
 
-    packed_data = np.empty((pre.shape[0], 2 * hidden), dtype=pre.dtype)
+    n_paths, dtype = pre.shape[0], pre.dtype
+    packed_data = np.empty((n_paths, 2 * hidden), dtype=dtype)
     np.multiply(o, tc, out=packed_data[:, :hidden])
     packed_data[:, hidden:] = c_new
+    offsets = np.cumsum([0] + [t.shape[1] for t in inputs])
 
     def vjp(grad):
         dh = np.ascontiguousarray(grad[:, :hidden])
         dc = grad[:, hidden:] + dh * o * (1.0 - tc**2)
-        d_pre = np.empty_like(pre)
+        d_pre = np.empty((n_paths, 4 * hidden), dtype=dtype)
         d_pre[:, :hidden] = dc * g_ * (i * (1.0 - i))                     # input gate
         d_pre[:, hidden : 2 * hidden] = dc * c_prev.data * (f * (1.0 - f))  # forget gate
         d_pre[:, 2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))     # output gate
         d_pre[:, 3 * hidden :] = dc * i * (1.0 - g_**2)                   # candidate
+        d_xh = d_pre @ w.data.T
+        xh = np.concatenate([t.data for t in inputs], axis=1)
         return (
-            d_pre @ w.data.T,
+            *(d_xh[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])),
             dc * f,
-            xh.data.T @ d_pre,
+            xh.T @ d_pre,
             d_pre.sum(axis=0),
         )
 
-    packed = Tensor._node(packed_data, (xh, c_prev, w, b), vjp)
+    packed = Tensor._node(packed_data, parents, vjp)
     return packed[:, :hidden], packed[:, hidden:]
 
 

@@ -8,8 +8,10 @@ sample standard deviation across members is well defined path by path.
 from __future__ import annotations
 
 import csv
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -55,11 +57,29 @@ def _train_member(args) -> HedgerModel:
         raise NumericalDivergenceError(f"member {index} diverged: {exc}") from exc
 
 
+def _openblas_function(symbol: str):
+    """``symbol`` from the OpenBLAS that numpy ships in ``numpy.libs``, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            return fn
+    return None
+
+
 def _one_blas_thread() -> None:
-    """Worker initialiser: one BLAS thread each, so workers do not oversubscribe."""
+    """Worker initialiser: one BLAS thread each, so workers do not oversubscribe.
+
+    Uses threadpoolctl when it is installed, else the thread setter of the
+    OpenBLAS that numpy ships; with neither, the thread count is left alone.
+    """
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        set_threads = _openblas_function("scipy_openblas_set_num_threads64_")
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
         return
     threadpool_limits(limits=1)
 

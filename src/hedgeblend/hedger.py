@@ -28,8 +28,10 @@ INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
 N_LAYERS = 2
 
-# Largest per-epoch batch taped in one pass; bigger batches use the exact
-# two-pass chunked gradient (see train_hedger).
+# Largest per-epoch batch taped in one pass; bigger batches use the
+# two-pass chunked gradient (see train_hedger). The tape holds about 7.5·H
+# float32 values per path per LSTM cell: 0.24 MB per path on the default
+# 126-step grid (H = 32, two layers), so about 1.5 GB at this limit.
 TAPE_BATCH_LIMIT = 6144
 
 PARAM_NAMES = ("w_ih_0", "w_hh_0", "b_0", "w_ih_1", "w_hh_1", "b_1", "w_out", "b_out")
@@ -129,8 +131,9 @@ def _rollout(
         x = Tensor(consts[t])
         for layer in range(N_LAYERS):
             pieces = [x, delta_prev] if layer == 0 else [x]
-            xh = ad.concat(pieces + [h[layer]], axis=1)
-            h[layer], c[layer] = ad.lstm_cell(xh, c[layer], stacked[layer], params[f"b_{layer}"])
+            h[layer], c[layer] = ad.lstm_cell(
+                pieces + [h[layer]], c[layer], stacked[layer], params[f"b_{layer}"]
+            )
             x = h[layer]
         delta_prev = x @ params["w_out"] + params["b_out"]
         if check_finite and not np.isfinite(delta_prev.data).all():
@@ -212,12 +215,13 @@ def _chunked_backward(
     a: float,
     hidden: int,
 ) -> float:
-    """Exact full-batch entropic gradient in bounded memory.
+    """Full-batch entropic gradient in bounded memory.
 
     Pass one (no tape) computes every path's P&L, giving the loss and the
     softmax weights w with d loss/d pnl_i = -w_i; pass two re-rolls each chunk
     on the tape and backpropagates sum(-w_i * pnl_i), accumulating into the
-    parameter grads. The result is identical to one full-batch backward.
+    parameter grads. The result equals one full-batch backward up to float
+    summation order, since each chunk's sums are added to the grads in turn.
     """
     frozen = {k: Tensor(t.data) for k, t in tensors.items()}
     pnl_chunks = []

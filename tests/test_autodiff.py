@@ -65,9 +65,7 @@ class TestElementwiseOps:
     def test_matmul(self):
         check_op(lambda a, b: a @ b, [(4, 3), (3, 5)])
 
-    def test_tanh_sigmoid_exp_log(self):
-        check_op(lambda a: ad.tanh(a), [(3, 4)])
-        check_op(lambda a: ad.sigmoid(a), [(3, 4)])
+    def test_exp_log(self):
         check_op(lambda a: ad.exp(a), [(3, 4)])
         check_op(lambda a: ad.log(ad.exp(a) + 1.0), [(3, 4)])
 
@@ -96,13 +94,14 @@ class TestShapeOps:
 
 class TestLstmCell:
     def test_gradients_match_finite_differences(self):
+        """Two input pieces, so the split input gradient is checked too."""
         B, inp, H = 5, 3, 4
 
-        def build(xh, c_prev, w, b):
-            h_new, c_new = ad.lstm_cell(xh, c_prev, w, b)
+        def build(x, h_prev, c_prev, w, b):
+            h_new, c_new = ad.lstm_cell([x, h_prev], c_prev, w, b)
             return ad.concat([h_new, c_new], axis=1)
 
-        check_op(build, [(B, inp + H), (B, H), (inp + H, 4 * H), (4 * H,)], tol=1e-5)
+        check_op(build, [(B, inp), (B, H), (B, H), (inp + H, 4 * H), (4 * H,)], tol=1e-5)
 
     def test_forward_matches_reference_equations(self):
         gen = np.random.default_rng(1)
@@ -111,7 +110,8 @@ class TestLstmCell:
         c_prev = gen.normal(size=(B, H))
         w = gen.normal(size=(inp + H, 4 * H))
         b = gen.normal(size=4 * H)
-        h_new, c_new = ad.lstm_cell(Tensor(xh), Tensor(c_prev), Tensor(w), Tensor(b))
+        pieces = [Tensor(xh[:, :inp]), Tensor(xh[:, inp:])]
+        h_new, c_new = ad.lstm_cell(pieces, Tensor(c_prev), Tensor(w), Tensor(b))
         pre = xh @ w + b
         i, f, o = expit(pre[:, :H]), expit(pre[:, H : 2 * H]), expit(pre[:, 2 * H : 3 * H])
         g = np.tanh(pre[:, 3 * H :])
@@ -122,7 +122,7 @@ class TestLstmCell:
     def test_no_grad_inputs_build_no_graph(self):
         gen = np.random.default_rng(2)
         h_new, c_new = ad.lstm_cell(
-            Tensor(gen.normal(size=(2, 7))),
+            [Tensor(gen.normal(size=(2, 3))), Tensor(gen.normal(size=(2, 4)))],
             Tensor(gen.normal(size=(2, 4))),
             Tensor(gen.normal(size=(7, 16))),
             Tensor(gen.normal(size=16)),
@@ -140,7 +140,7 @@ class TestEngine:
 
     def test_constant_graph_requires_no_grad(self):
         a = Tensor(np.ones((2, 2)))
-        out = ad.tanh(a @ a + 1.0)
+        out = ad.exp(a @ a + 1.0)
         assert not out.requires_grad and out._parents == ()
 
     def test_backward_requires_scalar(self):
@@ -150,7 +150,7 @@ class TestEngine:
 
     def test_float32_graph_stays_float32(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        y = ad.tanh(x * np.float32(2.0))
+        y = ad.exp(x * np.float32(2.0))
         assert y.data.dtype == np.float32
         ad.backward(ad.tsum(y))
         assert x.grad.dtype == np.float32
@@ -160,7 +160,7 @@ class TestEngine:
 
     def test_sigmoid_matches_scipy(self):
         x = np.linspace(-30, 30, 1001)
-        assert np.allclose(ad.sigmoid(Tensor(x)).data, expit(x), atol=1e-12)
+        assert np.allclose(ad._sigmoid_inplace(x.copy()), expit(x), atol=1e-12)
 
 
 class TestAdam:

@@ -1,0 +1,145 @@
+"""The hedger's taped gradient: pinned values, its checks, its tape memory, checkpoints.
+
+The pinned hashes were recorded from the fused LSTM cell while it still kept
+its whole pre-activation and a separate concatenated input on the tape; the
+lean cell must reproduce them bit for bit.
+"""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hedgeblend import autodiff as ad
+from hedgeblend import hedger
+from hedgeblend.accounting import CostSpec
+from hedgeblend.autodiff import Tensor
+from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
+from hedgeblend.objectives import entropic_objective, pnl_on_tape
+
+COST = CostSpec(5e-4)
+STRIKE = 1.0
+GRID = PathGrid(n_steps=16, maturity=0.5)
+
+
+def heston_paths(n_paths, seed=2026, grid=GRID):
+    return simulate_heston(CALIBRATIONS["baseline"], grid, n_paths, seed=seed)
+
+
+def taped_parameters(dtype, seed=7, hidden=hedger.HIDDEN):
+    model = hedger.init_model(seed, hidden=hidden)
+    return {k: Tensor(v.astype(dtype), requires_grad=True) for k, v in model.params.items()}
+
+
+def single_tape_grads(tensors, paths, hidden=hedger.HIDDEN):
+    """One taped rollout and backward of the entropic loss, as train_hedger runs it."""
+    delta = hedger._rollout(tensors, paths, STRIKE, hidden)
+    ad.backward(entropic_objective(pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE), 1.0))
+    return [tensors[k].grad for k in hedger.PARAM_NAMES]
+
+
+def chunked_grads(tensors, paths, hidden=hedger.HIDDEN):
+    hedger._chunked_backward(tensors, paths, COST, STRIKE, 1.0, hidden)
+    return [tensors[k].grad for k in hedger.PARAM_NAMES]
+
+
+def sha256(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def paths_300():
+    return heston_paths(300)
+
+
+# (dtype, chunked) -> sha256 of the parameter gradients in PARAM_NAMES order
+PINNED_GRADS = {
+    ("float32", False):
+        "f7f707f79656785515c69f1bf4de83a6ff9e7549c4cac1b8dd042dfbc45742ef",
+    ("float64", False):
+        "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
+    ("float32", True):
+        "dc3be8d48793efe936c081470b7bc1583f3b1df89f97e0a3d94aa3a472a938a3",
+    ("float64", True):
+        "c64266efea85bc08f271b36b41c0de340ec7ec44096422d3e8349aac00619e2b",
+}
+# sha256 of the parameters and of the loss history after 4 float32 epochs
+PINNED_TRAINED = (
+    "5f070d437a1eddaf5a9c1361b08d603153e8990711fb30721ff06f7d2e7ef71e",
+    "f8e371d2daea01596ebc71765e81f888b6d17695e610bb13a5aea3109bf89087",
+)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("chunked", [False, True], ids=["single_tape", "chunked"])
+def test_pinned_gradients(paths_300, monkeypatch, dtype, chunked):
+    tensors = taped_parameters(np.dtype(dtype))
+    if chunked:
+        monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 64)
+        grads = chunked_grads(tensors, paths_300)
+    else:
+        grads = single_tape_grads(tensors, paths_300)
+    assert sha256(grads) == PINNED_GRADS[dtype, chunked]
+
+
+def test_pinned_training_trajectory():
+    model = hedger.train_hedger(hedger.TrainConfig(epochs=4, paths_per_epoch=300, seed=5),
+                                CALIBRATIONS["baseline"], GRID, COST, STRIKE)
+    params = sha256(model.params[k] for k in hedger.PARAM_NAMES)
+    losses = sha256([np.array(model.loss_history)])
+    assert (params, losses) == PINNED_TRAINED
+
+
+def test_chunked_gradient_equals_single_tape_up_to_summation_order(monkeypatch):
+    """64 paths x 8 steps in 4 chunks, float64, relative to each parameter's max|g|."""
+    paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
+    full = single_tape_grads(taped_parameters(np.float64), paths)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 16)
+    chunked = chunked_grads(taped_parameters(np.float64), paths)
+    for name, g_full, g_chunk in zip(hedger.PARAM_NAMES, full, chunked):
+        assert np.abs(g_chunk - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
+
+
+def test_gradient_check_on_tiny_float64_model():
+    model = hedger.init_model(3, hidden=4)
+    paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
+    worst = hedger.gradient_check(model, paths, COST, STRIKE, n_params_sampled=40)
+    assert worst < 1e-3
+
+
+def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
+    """Bytes a taped float32 rollout and its loss hold before backward."""
+    n_paths = 512
+    paths = heston_paths(n_paths, seed=3)
+    tensors = taped_parameters(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
+        loss = entropic_objective(pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE), 1.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = GRID.n_steps * hedger.N_LAYERS
+    values_per_path_cell = held / (4 * n_paths * cells)
+    assert values_per_path_cell <= 8 * hedger.HIDDEN
+    ad.backward(loss)  # the measured tape is a complete, working one
+    assert all(np.isfinite(t.grad).all() for t in tensors.values())
+
+
+def test_checkpoint_round_trip(tmp_path):
+    model = hedger.train_hedger(hedger.TrainConfig(epochs=2, paths_per_epoch=32, seed=9),
+                                CALIBRATIONS["baseline"], GRID, COST, STRIKE)
+    filename = str(tmp_path / "member.npz")
+    hedger.save_model(model, filename)
+    loaded = hedger.load_model(filename)
+    assert loaded.params.keys() == model.params.keys()
+    for name, value in model.params.items():
+        assert loaded.params[name].dtype == value.dtype
+        assert np.array_equal(loaded.params[name], value), name
+    assert loaded.loss_history == model.loss_history
+    assert (loaded.hidden, loaded.n_layers, loaded.seed) == (model.hidden, model.n_layers, model.seed)
