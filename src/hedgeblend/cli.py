@@ -8,6 +8,7 @@ failure (bad config or a failed check), 2 numerical divergence, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ def _load_config(args, saved_run: bool = False) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         config.train.seed = args.seed
     if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
+        config = dataclasses.replace(config, workers=args.workers)  # validates it
     return config
 
 
@@ -49,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "fit-blend read <out>/config.json, and other commands use defaults")
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, help="bound process parallelism (results unchanged)")
+    parser.add_argument("--workers", type=int, help="processes that train members (results "
+                        "unchanged); the blend fit uses one thread per objective")
     parser.add_argument("--scale", choices=["desk", "paper"], help="training scale preset")
 
 

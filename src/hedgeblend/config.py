@@ -7,12 +7,13 @@ Scales: "desk" trains 100 epochs x 5,000 paths per member, "paper" 500 x
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .accounting import CostSpec
 from .errors import ParameterError
+from .evaluation import MIN_BOOTSTRAP_RESAMPLES
 from .hedger import TrainConfig
 from .market import CALIBRATIONS, HestonParams, PathGrid
 
@@ -22,9 +23,26 @@ SCALES = {
 }
 
 
+def _construct(cls, values: dict, what: str):
+    """``cls(**values)``, raising ParameterError instead of TypeError for
+    unknown or missing keys and for values of the wrong type."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ParameterError(f"unknown {what} keys: {sorted(unknown)}")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ParameterError(f"invalid {what}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs; serialisable to/from JSON."""
+    """Everything a pipeline run needs; serialisable to/from JSON.
+
+    ``workers`` bounds the processes that train ensemble members and nothing
+    else; it does not change any result. Invalid values raise
+    :class:`ParameterError` at construction, before any work starts.
+    """
 
     calibration: str | dict = "baseline"
     grid: PathGrid = field(default_factory=lambda: PathGrid(n_steps=126, maturity=0.5))
@@ -56,9 +74,18 @@ class RunConfig:
             raise ParameterError("eval_paths must be >= 10")
         if not self.eval_seeds:
             raise ParameterError("eval_seeds must be non-empty")
+        if not self.objectives:
+            raise ParameterError("objectives must be non-empty")
         for obj in self.objectives:
             if obj not in ("entropic", "cvar"):
                 raise ParameterError(f"unknown objective {obj!r}")
+        if len(set(self.objectives)) != len(self.objectives):
+            raise ParameterError(f"objectives must not repeat: {self.objectives}")
+        if self.workers < 1:
+            raise ParameterError("workers must be >= 1")
+        for name in ("bootstrap_resamples", "mean_bootstrap_resamples"):
+            if getattr(self, name) < MIN_BOOTSTRAP_RESAMPLES:
+                raise ParameterError(f"{name} must be >= {MIN_BOOTSTRAP_RESAMPLES}")
         self.heston_params()  # validates named/custom calibration
 
     def heston_params(self) -> HestonParams:
@@ -70,7 +97,7 @@ class RunConfig:
                     f"unknown calibration {self.calibration!r}; "
                     f"expected one of {sorted(CALIBRATIONS)} or a parameter mapping"
                 ) from None
-        return HestonParams(**self.calibration)
+        return _construct(HestonParams, self.calibration, "calibration")
 
     def cost(self) -> CostSpec:
         return CostSpec(self.cost_rate)
@@ -102,16 +129,13 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
         if "grid" in d:
-            d["grid"] = PathGrid(**d["grid"])
+            d["grid"] = _construct(PathGrid, d["grid"], "grid")
         if "train" in d:
             t = dict(d["train"])
             if "adam_betas" in t:
                 t["adam_betas"] = tuple(t["adam_betas"])
-            d["train"] = TrainConfig(**t)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+            d["train"] = _construct(TrainConfig, t, "train")
+        return _construct(cls, d, "config")
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":

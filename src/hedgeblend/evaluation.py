@@ -27,6 +27,8 @@ from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
 
 N_QUINTILES = 5
+# Fewest resamples a paired bootstrap accepts; RunConfig checks it up front.
+MIN_BOOTSTRAP_RESAMPLES = 100
 
 
 @dataclass
@@ -220,8 +222,8 @@ def paired_bootstrap(
     pnl_b = np.asarray(pnl_b, dtype=float)
     if pnl_a.shape != pnl_b.shape:
         raise DimensionError("pnl vectors must have equal length")
-    if resamples < 100:
-        raise ParameterError("resamples must be >= 100")
+    if resamples < MIN_BOOTSTRAP_RESAMPLES:
+        raise ParameterError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
     n = pnl_a.size
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_BOOTSTRAP))
 

@@ -2,18 +2,20 @@
 
 One module-scoped run (8 steps, 2 members, one 64-path epoch, 100 eval
 paths, 100 bootstrap resamples) takes a couple of seconds and backs the
-reproducibility, CLI and evaluate/fit-blend checks.
+reproducibility, CLI, evaluate/fit-blend and concurrent blend-fit checks.
 """
 
 import json
 import os
 import shutil
+import threading
 
 import pytest
 
 from hedgeblend import cli, ensemble, pipeline
+from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
-from hedgeblend.errors import NumericalDivergenceError
+from hedgeblend.errors import NumericalDivergenceError, StageError
 from hedgeblend.evaluation import file_sha256
 from hedgeblend.hedger import TrainConfig, init_model, save_model
 from hedgeblend.market import PathGrid
@@ -148,6 +150,107 @@ class TestCliOnSavedRun:
             assert file_sha256(os.path.join(out, name)) == file_sha256(
                 os.path.join(run_dir[0], name)
             )
+
+
+@pytest.fixture(scope="module")
+def blend_inputs(run_dir):
+    """The fit_blend stage's inputs, rebuilt from the mini run's saved members:
+    (eval paths, ensemble output, BS schedule, training indices)."""
+    config = mini_config()
+    paths = pipeline.simulate_eval_paths(config)
+    ens = ensemble.aggregate(pipeline.load_members(run_dir[0]), paths, config.strike)
+    bs = pipeline.classical_schedules(config, paths)["bs_delta_fixed"]
+    train_idx, _ = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
+    return paths, ens, bs, train_idx
+
+
+def record_fit_threads(monkeypatch) -> dict:
+    """Replace pipeline.fit_blend by a stand-in that records the calling
+    thread per objective. Both stand-ins wait until the other has started,
+    so the fits must overlap, and the CVaR one returns only after the
+    entropic one, so they finish against the default objective order."""
+    threads = {}
+    both_started = threading.Barrier(2, timeout=30)
+    entropic_done = threading.Event()
+
+    def stand_in(paths, ens, bs, cost, strike, objective, **kwargs):
+        threads[objective.kind] = threading.get_ident()
+        both_started.wait()
+        if objective.kind == "cvar":
+            assert entropic_done.wait(timeout=30)
+        else:
+            entropic_done.set()
+        return objective.kind
+
+    monkeypatch.setattr(pipeline, "fit_blend", stand_in)
+    return threads
+
+
+class TestConcurrentBlendFits:
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_equal_to_serial_fits_byte_for_byte(self, blend_inputs, extended):
+        paths, ens, bs, train_idx = blend_inputs
+        config = mini_config()
+        config.extended_blend = extended
+        fits = pipeline.fit_blends(config, paths, ens, bs, train_idx)
+        assert list(fits) == config.objectives
+        for kind in config.objectives:
+            objective = BlendObjective(kind=kind, a=config.train.risk_aversion,
+                                       level=config.cvar_level)
+            serial = fit_blend(
+                paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
+                config.cost(), config.strike, objective,
+                extended=extended, seed=config.train.seed,
+            )
+            assert fits[kind].to_json() == serial.to_json(), kind
+
+    def test_fits_come_back_in_configured_order(self, blend_inputs, monkeypatch):
+        record_fit_threads(monkeypatch)
+        config = mini_config()
+        assert list(pipeline.fit_blends(config, *blend_inputs)) == ["entropic", "cvar"]
+        config.objectives = ["cvar", "entropic"]
+        fits = pipeline.fit_blends(config, *blend_inputs)
+        assert list(fits) == ["cvar", "entropic"]
+        assert fits == {"cvar": "cvar", "entropic": "entropic"}
+
+    def test_each_objective_fits_on_its_own_thread(self, blend_inputs, monkeypatch):
+        threads = record_fit_threads(monkeypatch)
+        pipeline.fit_blends(mini_config(), *blend_inputs)
+        assert set(threads) == {"entropic", "cvar"}
+        assert threads["entropic"] != threads["cvar"]
+        assert threading.get_ident() not in threads.values()
+
+    def test_divergence_in_one_fit_fails_the_stage(self, config_file, tmp_path, monkeypatch):
+        def cvar_diverges(paths, ens, bs, cost, strike, objective, **kwargs):
+            if objective.kind == "cvar":
+                raise NumericalDivergenceError("blend objective diverged at iteration 3")
+            return fit_blend(paths, ens, bs, cost, strike, objective, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_blend", cvar_diverges)
+        with pytest.raises(StageError) as info:
+            pipeline.full_pipeline(mini_config(), str(tmp_path / "direct"))
+        assert info.value.stage == "fit_blend"
+        assert isinstance(info.value.__cause__, NumericalDivergenceError)
+        assert (tmp_path / "direct" / "FAILED").read_text().startswith("fit_blend:")
+
+        out = tmp_path / "cli"
+        code = cli.main(["full-pipeline", "--config", config_file, "--out", str(out)])
+        assert code == cli.EXIT_DIVERGENCE
+        assert (out / "FAILED").read_text().startswith("fit_blend:")
+
+    def test_interrupt_in_a_fit_propagates_and_marks_the_stage(self, tmp_path, monkeypatch):
+        interrupt = KeyboardInterrupt("stop")
+
+        def interrupted(paths, ens, bs, cost, strike, objective, **kwargs):
+            if objective.kind == "entropic":
+                raise interrupt
+            return fit_blend(paths, ens, bs, cost, strike, objective, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_blend", interrupted)
+        with pytest.raises(KeyboardInterrupt) as info:
+            pipeline.full_pipeline(mini_config(), str(tmp_path))
+        assert info.value is interrupt
+        assert (tmp_path / "FAILED").read_text().startswith("fit_blend:")
 
 
 class TestExitCodes:
