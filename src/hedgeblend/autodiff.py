@@ -7,8 +7,12 @@ cell. Graphs are built only when an input requires gradients, so
 inference-style forward passes run at plain numpy speed with no caching.
 
 Not supported on purpose: higher-order gradients, in-place ops, dtype
-promotion games. float32 and float64 data keep their dtype, so float32
-training graphs stay float32; any other input becomes float64.
+promotion games. A Tensor keeps float32 or float64 data as given and makes
+anything else float64; each op then follows numpy's promotion. So a float32
+graph stays float32 only while no float64 operand enters it: the hedger's
+float32 training graph does not, because ``entropic_objective`` shifts by a
+Python float, which makes the loss and the output head's gradients float64
+(tested in ``tests/test_hedger.py``; ROADMAP item 3's float32 kernel ends it).
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Array node on the tape. ``_vjp`` maps the output gradient to parent gradients.
 
-    Float dtypes are preserved (float32 graphs stay float32); anything else
-    is promoted to float64.
+    float32 and float64 data keep their dtype; anything else is promoted to
+    float64. Ops follow numpy's promotion (see the module docstring).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from concurrent.futures import CancelledError
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -193,6 +195,8 @@ def fit_blend(
     seed: int = 0,
     iterations: int = FIT_ITERATIONS,
     step_size: float = FIT_STEP_SIZE,
+    *,
+    stop: threading.Event | None = None,
 ) -> BlendFit:
     """Fit the blend coefficients by Adam on the precomputed training batch.
 
@@ -212,7 +216,8 @@ def fit_blend(
     trajectory is bit-identical to differentiating it on the autodiff tape
     (a zero may differ in sign, which no sum or Adam step can see).
     The fit itself is deterministic (coefficients start at the uninformative
-    50/50 blend); ``seed`` is recorded for provenance only.
+    50/50 blend); ``seed`` is recorded for provenance only. When ``stop`` is
+    set, checked once per iteration, the fit raises ``CancelledError``.
     """
     shape = (train_paths.n_paths, train_paths.n_steps)
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
@@ -238,6 +243,8 @@ def fit_blend(
 
     trajectory: list[float] = []
     for iteration in range(iterations):
+        if stop is not None and stop.is_set():
+            raise CancelledError(f"blend fit stopped at iteration {iteration}")
         # Forward: alpha = sigmoid(c0 + c1 psi [+ c2 moneyness + c3 tau]).
         np.multiply(coefs[1].data, features[0], out=alpha)
         np.add(coefs[0].data, alpha, out=alpha)

@@ -50,8 +50,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "fit-blend read <out>/config.json, and other commands use defaults")
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, help="processes that train members (results "
-                        "unchanged); the blend fit uses one thread per objective")
+    parser.add_argument("--workers", type=int, help="processes that train members, and "
+                        "nothing else (results unchanged); the member rollouts use up to one "
+                        "thread per usable CPU and the blend fit one thread per objective")
     parser.add_argument("--scale", choices=["desk", "paper"], help="training scale preset")
 
 

@@ -40,7 +40,8 @@ class RunConfig:
     """Everything a pipeline run needs; serialisable to/from JSON.
 
     ``workers`` bounds the processes that train ensemble members and nothing
-    else; it does not change any result. Invalid values raise
+    else (rollouts and blend fits size their own thread pools); it does not
+    change any result. Invalid values raise
     :class:`ParameterError` at construction, before any work starts.
     """
 

@@ -20,6 +20,7 @@ from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError
 from .hedger import HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import MarketPaths, PathGrid
+from .threads import run_threads, usable_cpus
 
 
 @dataclass
@@ -111,12 +112,23 @@ def train_ensemble(
 
 
 def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> EnsembleOutput:
-    """Per-step ensemble mean and sample-std disagreement on shared paths."""
+    """Per-step ensemble mean and sample-std disagreement on shared paths.
+
+    The members roll out concurrently on ``min(len(members), usable CPUs)``
+    threads (:func:`hedgeblend.threads.run_threads`) and their hedges are
+    stacked in member order, so every output is identical to rolling them
+    out one after the other. A failing rollout or a Ctrl-C cancels the
+    rollouts that have not started.
+    """
     if len(members) == 0:
         raise ParameterError("aggregate requires at least one member")
     if len(members) == 1:
         raise ParameterError("disagreement is undefined for a single member")
-    hedges = [forward_rollout(model, paths, strike) for model in members]
+    hedges = run_threads(
+        lambda model: forward_rollout(model, paths, strike),
+        members,
+        workers=min(len(members), usable_cpus()),
+    )
     stacked = np.stack([h.delta for h in hedges])
     mean = stacked.mean(axis=0)
     spread = stacked.std(axis=0, ddof=1)

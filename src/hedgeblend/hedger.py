@@ -6,6 +6,11 @@ sees (log moneyness, time to expiry, instantaneous vol, previous hedge) and
 carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included, by reverse-mode differentiation
 through the whole rollout.
+
+Inference (:func:`forward_rollout`, :func:`training_loss`) runs a tape-free
+kernel that reuses its buffers at every step and gives the taped rollout's
+hedge ratios bit for bit. ``ensemble.aggregate`` runs it for the members on
+threads, at most one per usable CPU, with results identical to a serial loop.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
-from .autodiff import Tensor
+from .autodiff import Tensor, _sigmoid_inplace
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
 from .objectives import entropic_objective, entropic_weights, pnl_on_tape
@@ -99,16 +104,12 @@ def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
     return HedgerModel(params=params, hidden=hidden, seed=seed)
 
 
-def _param_tensors(model: HedgerModel, requires_grad: bool) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in model.params.items()}
+def _param_tensors(model: HedgerModel) -> dict[str, Tensor]:
+    return {k: Tensor(v, requires_grad=True) for k, v in model.params.items()}
 
 
 def _rollout(
-    params: dict[str, Tensor],
-    paths: MarketPaths,
-    strike: float,
-    hidden: int,
-    check_finite: bool = False,
+    params: dict[str, Tensor], paths: MarketPaths, strike: float, hidden: int
 ) -> Tensor:
     """Hedge ratios (B, n_steps) as a tape tensor; state never crosses paths."""
     n_paths, n = paths.n_paths, paths.n_steps
@@ -136,16 +137,96 @@ def _rollout(
             )
             x = h[layer]
         delta_prev = x @ params["w_out"] + params["b_out"]
-        if check_finite and not np.isfinite(delta_prev.data).all():
-            raise NumericalDivergenceError(f"non-finite hedge ratio at step {t}")
         columns.append(delta_prev)
     return ad.concat(columns, axis=1)
 
 
+def _infer(
+    params: dict[str, np.ndarray],
+    paths: MarketPaths,
+    strike: float,
+    hidden: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Hedge ratios (B, n_steps) of :func:`_rollout`, bit for bit, without the tape.
+
+    Every buffer is allocated once per call and overwritten at each step:
+    per layer the GEMM operand ``xh`` ([x | delta_prev | h] below, [h_below |
+    h] above) and the cell state c; shared by the layers, the pre-activation
+    and the gates i, f, o, g (h reuses i's buffer); one float64 column for
+    the step's inputs, computed as the tape computes them for all steps at
+    once and then cast; and the (B, n_steps) output. So no (n_steps, B)
+    input array and no large float64 temporary is ever held, and a worker
+    thread's malloc arena does not keep them after the call (``aggregate``'s
+    peak RSS). The arithmetic is the fused cell's: one GEMM of the contiguous
+    operand with the stacked weight, the bias added in place, sigmoid and
+    tanh on contiguous gate copies, c = f c + i g, h = o tanh(c), and the
+    head h @ w_out + b_out on a contiguous h. A training forward would save
+    i, f, o, g, tanh(c), h and c per step here instead of overwriting them.
+
+    ``out``, when given, is a (B, n_steps) array that receives the hedge
+    ratios, cast to its dtype; otherwise one in the parameters' dtype is made.
+    Raises NumericalDivergenceError naming the first step whose hedge ratio
+    is not finite.
+    """
+    n_paths, n = paths.n_paths, paths.n_steps
+    dtype = params["w_out"].dtype
+    taus = paths.grid.taus().astype(dtype)
+    stacked = [
+        np.concatenate([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
+        for layer in range(N_LAYERS)
+    ]
+    # Layer 0 sees the step inputs and the previous hedge, the others h below.
+    widths = [INPUT_DIM] + [hidden] * (N_LAYERS - 1)
+    xh = [np.zeros((n_paths, width + hidden), dtype=dtype) for width in widths]
+    c = [np.zeros((n_paths, hidden), dtype=dtype) for _ in range(N_LAYERS)]
+    pre = np.empty((n_paths, 4 * hidden), dtype=dtype)
+    i, f, o, g = (np.empty((n_paths, hidden), dtype=dtype) for _ in range(4))
+    head = np.empty((n_paths, 1), dtype=dtype)
+    column = np.empty(n_paths)  # one step's float64 input, before its cast
+    if out is None:
+        out = np.empty((n_paths, n), dtype=dtype)
+
+    for t in range(n):
+        np.divide(paths.spot[:, t], strike, out=column)
+        xh[0][:, 0] = np.log(column, out=column)
+        xh[0][:, 1] = taus[t]
+        xh[0][:, 2] = np.sqrt(paths.variance[:, t], out=column)
+        for layer in range(N_LAYERS):
+            np.matmul(xh[layer], stacked[layer], out=pre)
+            pre += params[f"b_{layer}"]
+            for k, gate in enumerate((i, f, o)):
+                np.copyto(gate, pre[:, k * hidden : (k + 1) * hidden])
+                _sigmoid_inplace(gate)
+            np.copyto(g, pre[:, 3 * hidden :])
+            np.tanh(g, out=g)
+            c[layer] *= f
+            i *= g
+            c[layer] += i
+            h = i  # i is spent; its buffer takes h = o tanh(c)
+            np.tanh(c[layer], out=g)
+            np.multiply(o, g, out=h)
+            xh[layer][:, -hidden:] = h  # recurrent input of the next step
+            if layer + 1 < N_LAYERS:
+                xh[layer + 1][:, :hidden] = h
+        np.matmul(h, params["w_out"], out=head)
+        head += params["b_out"]
+        if not np.isfinite(head).all():
+            raise NumericalDivergenceError(f"non-finite hedge ratio at step {t}")
+        out[:, t] = head[:, 0]
+        xh[0][:, INPUT_DIM - 1] = head[:, 0]
+    return out
+
+
 def forward_rollout(model: HedgerModel, paths: MarketPaths, strike: float) -> HedgeSchedule:
-    """Inference-only rollout (no gradients taped)."""
-    delta = _rollout(_param_tensors(model, False), paths, strike, model.hidden, check_finite=True)
-    return HedgeSchedule(delta.data, f"hedger_{model.seed}")
+    """Inference-only rollout through :func:`_infer`; no tape, no gradients.
+
+    Reads the model and allocates its own buffers, so concurrent calls on
+    threads are safe (``ensemble.aggregate`` makes them).
+    """
+    delta = np.empty((paths.n_paths, paths.n_steps))  # the schedule's float64, cast per step
+    _infer(model.params, paths, strike, model.hidden, out=delta)
+    return HedgeSchedule(delta, f"hedger_{model.seed}")
 
 
 def train_hedger(
@@ -174,7 +255,7 @@ def train_hedger(
     """
     model = init_model(config.seed)
     model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
-    tensors = _param_tensors(model, requires_grad=True)
+    tensors = _param_tensors(model)
     model.params = {k: t.data for k, t in tensors.items()}
     order = [tensors[k] for k in PARAM_NAMES]
     adam = ad.Adam(order, lr=config.step_size, betas=config.adam_betas)
@@ -222,6 +303,11 @@ def _chunked_backward(
     on the tape and backpropagates sum(-w_i * pnl_i), accumulating into the
     parameter grads. The result equals one full-batch backward up to float
     summation order, since each chunk's sums are added to the grads in turn.
+
+    Pass one runs :func:`_rollout` on frozen, no-grad tensors rather than
+    :func:`_infer`, so both passes count as tape passes, and it is the last
+    caller of the tape's no-grad branch; a hand-written training forward
+    (ROADMAP item 3) replaces both.
     """
     frozen = {k: Tensor(t.data) for k, t in tensors.items()}
     pnl_chunks = []
@@ -246,11 +332,10 @@ def _chunked_backward(
 def training_loss(
     model: HedgerModel, paths: MarketPaths, cost: CostSpec, strike: float, a: float = 1.0
 ) -> float:
-    """Entropic training objective of the model on a fixed batch (no gradients)."""
-    delta = _rollout(_param_tensors(model, False), paths, strike, model.hidden)
-    return entropic_risk(
-        pnl_on_tape(delta, paths.spot, cost.cost_rate, strike).data, a
-    )
+    """Entropic training objective of the model on a fixed batch, rolled out by
+    :func:`_infer` (no tape); equal bit for bit to the taped loss's value."""
+    delta = Tensor(_infer(model.params, paths, strike, model.hidden))
+    return entropic_risk(pnl_on_tape(delta, paths.spot, cost.cost_rate, strike).data, a)
 
 
 def gradient_check(
@@ -274,7 +359,7 @@ def gradient_check(
         n_layers=model.n_layers,
         seed=model.seed,
     )
-    tensors = _param_tensors(model, requires_grad=True)
+    tensors = _param_tensors(model)
     delta = _rollout(tensors, paths, strike, model.hidden)
     loss_t = entropic_objective(pnl_on_tape(delta, paths.spot, cost.cost_rate, strike), a)
     ad.backward(loss_t)

@@ -1,12 +1,13 @@
 """End-to-end orchestration: simulate, train, blend, evaluate, export.
 
 Every stage is seeded from the run configuration, so a rerun with the same
-config reproduces every artifact byte for byte. The blend objectives are
-fitted concurrently, one thread each, with results identical to fitting them
-one after the other. On a stage failure the run directory keeps whatever was
-already written plus a FAILED marker naming the stage. A marker left by an
-earlier run is removed when a run starts, and so are the blend outputs of
-objectives the new run does not fit.
+config reproduces every artifact byte for byte. The ensemble members roll
+out concurrently on at most as many threads as the process has usable CPUs,
+and the blend objectives are fitted concurrently, one thread each; both give
+results identical to running them one after the other. On a stage failure
+the run directory keeps whatever was already written plus a FAILED marker
+naming the stage. A marker left by an earlier run is removed when a run
+starts, and so are the blend outputs of objectives the new run does not fit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from .hedger import (
 )
 from .market import GBMSpec, MarketPaths, simulate_gbm, simulate_heston
 from .risk import RiskSpec, cvar
+from .threads import run_threads
 
 
 class _Stage:
@@ -196,24 +198,27 @@ def fit_blends(
     The objectives are fitted concurrently, one thread each. A fit owns its
     buffers and its optimiser and only reads the shared training arrays, and
     numpy releases the GIL inside its array operations, so the fits overlap
-    and their results are identical to fitting them one after the other. The
-    first failing fit's exception, in objective order, is raised once every
-    fit has ended.
+    and their results are identical to fitting them one after the other.
+    When a fit fails or the caller is interrupted, the other fits stop at
+    their next iteration (``fit_blend``'s ``stop`` event). Once every fit has
+    ended, the first failing fit's own error, in objective order, is raised,
+    never the ``CancelledError`` of a fit that was stopped.
     """
     sub_paths = paths.take(train_idx)
     sub_ens = ens.take(train_idx)
     sub_bs = bs.take(train_idx)
 
+    stop = threading.Event()
+
     def fit(kind: str) -> BlendFit:
         objective = BlendObjective(kind=kind, a=config.train.risk_aversion, level=config.cvar_level)
         return fit_blend(
             sub_paths, sub_ens, sub_bs, config.cost(), config.strike,
-            objective, extended=config.extended_blend, seed=config.train.seed,
+            objective, extended=config.extended_blend, seed=config.train.seed, stop=stop,
         )
 
-    with ThreadPoolExecutor(max_workers=len(config.objectives)) as pool:
-        futures = {kind: pool.submit(fit, kind) for kind in config.objectives}
-    return {kind: future.result() for kind, future in futures.items()}
+    fits = run_threads(fit, config.objectives, workers=len(config.objectives), stop=stop)
+    return dict(zip(config.objectives, fits))
 
 
 def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> dict[str, str]:

@@ -1,0 +1,63 @@
+"""Thread pools whose jobs stop early when one fails or the caller is interrupted.
+
+The rollouts of an ensemble and the blend fits run on threads: their work is
+numpy array operations, which release the GIL, and each job owns its
+buffers and only reads shared arrays, so results equal a serial loop's.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
+
+# Longest wait between checks for a Ctrl-C while the jobs run: a blocked wait
+# would not see one raised by ``_thread.interrupt_main``.
+POLL_SECONDS = 0.1
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_threads(fn, items, workers: int, stop: threading.Event | None = None) -> list:
+    """``[fn(item) for item in items]`` on at most ``workers`` threads, in item order.
+
+    The first exception, in a job or in the calling thread while it waits
+    (Ctrl-C included), sets ``stop``: queued jobs are cancelled, jobs not
+    yet started are skipped, and a running job that checks ``stop`` can end
+    early by raising ``CancelledError``. The call returns or raises once
+    every started job has ended. A job's own error is raised before the
+    ``CancelledError`` of a job that ``stop`` ended; among those, the first in
+    item order.
+    """
+    stop = threading.Event() if stop is None else stop
+
+    def job(item):
+        if stop.is_set():
+            raise CancelledError("skipped: an earlier job failed or the caller was interrupted")
+        try:
+            return fn(item)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(job, item) for item in items]
+        pending = futures
+        while pending:
+            pending = wait(pending, timeout=POLL_SECONDS).not_done
+        errors = [e for e in (f.exception() for f in futures) if e is not None]
+        if errors:
+            raise next((e for e in errors if not isinstance(e, CancelledError)), errors[0])
+        return [f.result() for f in futures]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

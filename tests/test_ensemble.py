@@ -1,11 +1,21 @@
-"""Process-pool training workers: the BLAS thread limit of their initialiser."""
+"""Process-pool training workers: the BLAS thread limit of their initialiser;
+and the concurrent member rollouts of ``aggregate``."""
 
 import ctypes
+import os
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
-from hedgeblend import ensemble
+from hedgeblend import ensemble, threads
+from hedgeblend.accounting import HedgeSchedule
+from hedgeblend.errors import NumericalDivergenceError
+from hedgeblend.hedger import forward_rollout, init_model
+from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 
 
 def openblas(symbol, argtypes, restype):
@@ -30,3 +40,127 @@ def test_pool_initialiser_leaves_each_worker_one_blas_thread():
             assert pool.submit(worker_blas_threads).result(timeout=60) == 1
     finally:
         set_threads(before)
+
+
+# -- concurrent rollouts -----------------------------------------------------------
+
+GRID = PathGrid(n_steps=32, maturity=0.5)
+
+
+def float32_members(m):
+    members = []
+    for i in range(m):
+        model = init_model(ensemble.member_seed(11, i))
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        members.append(model)
+    return members
+
+
+def index_of(members, model):
+    return next(i for i, member in enumerate(members) if member is model)
+
+
+@pytest.fixture(scope="module")
+def paths():
+    return simulate_heston(CALIBRATIONS["baseline"], GRID, 3000, seed=21)
+
+
+@pytest.mark.parametrize("stress", [False, True], ids=["usable_cpus", "stress"])
+def test_aggregate_equals_a_serial_loop_bit_for_bit(paths, monkeypatch, stress):
+    """Run with whatever BLAS thread count the process has; nothing is forced.
+    The stress case runs one thread per member, more than the cores, with the
+    interpreter switching threads every microsecond."""
+    members = float32_members(5)
+    interval = sys.getswitchinterval()
+    if stress:
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: len(members))
+        sys.setswitchinterval(1e-6)
+    try:
+        out = ensemble.aggregate(members, paths, 1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [forward_rollout(model, paths, 1.0) for model in members]
+    stacked = np.stack([h.delta for h in serial])
+    assert [h.strategy_label for h in out.member_hedges] == [h.strategy_label for h in serial]
+    for got, want in zip(out.member_hedges, serial):
+        assert got.delta.tobytes() == want.delta.tobytes()
+    assert out.mean_hedge.delta.tobytes() == stacked.mean(axis=0).tobytes()
+    spread = stacked.std(axis=0, ddof=1)
+    assert out.disagreement.tobytes() == spread.tobytes()
+    assert out.avg_disagreement.tobytes() == spread.mean(axis=1).tobytes()
+
+
+def recording_rollout(monkeypatch, pause=0.05):
+    """Replace ensemble.forward_rollout by a stand-in that records the thread of
+    each call and holds it for ``pause`` seconds, so calls overlap."""
+    calls = []
+
+    def stand_in(model, paths, strike):
+        calls.append((model.seed, threading.get_ident()))
+        time.sleep(pause)
+        return HedgeSchedule(np.full((paths.n_paths, paths.n_steps), float(model.seed)), "m")
+
+    monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
+    return calls
+
+
+@pytest.mark.parametrize("members, cpus", [(5, 1), (5, 2), (3, 8), (2, 2)])
+def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, members, cpus):
+    pools = []
+
+    class Spy(threads.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
+    calls = recording_rollout(monkeypatch)
+    models = float32_members(members)
+    out = ensemble.aggregate(models, paths, 1.0)
+    assert pools == [min(members, cpus)]
+    assert len({ident for _, ident in calls}) <= min(members, cpus)
+    assert sorted(seed for seed, _ in calls) == sorted(m.seed for m in models)
+    assert [h.delta[0, 0] for h in out.member_hedges] == [float(m.seed) for m in models]
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    assert threads.usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
+    """Member 0 raises KeyboardInterrupt once member 1 runs on the second
+    worker; members 2-4 are then skipped or cancelled, never rolled out."""
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    members = float32_members(5)
+    started = []
+    second_running = threading.Event()
+    interrupt = KeyboardInterrupt("stop")
+
+    def stand_in(model, paths, strike):
+        index = index_of(members, model)
+        started.append(index)
+        if index == 0:
+            assert second_running.wait(timeout=5)
+            raise interrupt
+        second_running.set()
+        time.sleep(0.2)
+        return HedgeSchedule(np.zeros((paths.n_paths, paths.n_steps)), "m")
+
+    monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
+    with pytest.raises(KeyboardInterrupt) as info:
+        ensemble.aggregate(members, paths, 1.0)
+    assert info.value is interrupt
+    assert sorted(started) == [0, 1]
+
+
+def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    members = float32_members(4)
+
+    def stand_in(model, paths, strike):
+        raise NumericalDivergenceError(f"member {index_of(members, model)}")
+
+    monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
+    with pytest.raises(NumericalDivergenceError, match="member 0"):
+        ensemble.aggregate(members, paths, 1.0)

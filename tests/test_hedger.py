@@ -1,10 +1,12 @@
-"""The hedger's taped gradient: pinned values, its checks, its tape memory, checkpoints.
+"""The hedger's taped gradient: pinned values, its checks, its tape memory,
+checkpoints; and the tape-free inference kernel against the tape.
 
 The pinned hashes were recorded from the fused LSTM cell while it still kept
 its whole pre-activation and a separate concatenated input on the tape; the
 lean cell must reproduce them bit for bit.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -15,8 +17,10 @@ from hedgeblend import autodiff as ad
 from hedgeblend import hedger
 from hedgeblend.accounting import CostSpec
 from hedgeblend.autodiff import Tensor
+from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 from hedgeblend.objectives import entropic_objective, pnl_on_tape
+from hedgeblend.risk import entropic_risk
 
 COST = CostSpec(5e-4)
 STRIKE = 1.0
@@ -143,3 +147,90 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.params[name], value), name
     assert loaded.loss_history == model.loss_history
     assert (loaded.hidden, loaded.n_layers, loaded.seed) == (model.hidden, model.n_layers, model.seed)
+
+
+def model_in(dtype, seed=7):
+    model = hedger.init_model(seed)
+    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    return model
+
+
+def taped_no_grad_rollout(model, paths):
+    """What forward_rollout computed before the kernel: the tape's no-grad branch."""
+    frozen = {k: Tensor(v) for k, v in model.params.items()}
+    return hedger._rollout(frozen, paths, STRIKE, model.hidden).data
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n_steps", [16, 126])
+@pytest.mark.parametrize("n_paths", [1, 7, 500, 1000])
+def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
+    paths = heston_paths(n_paths, seed=n_paths, grid=PathGrid(n_steps=n_steps, maturity=0.5))
+    model = model_in(np.dtype(dtype))
+    taped = taped_no_grad_rollout(model, paths)
+    delta = hedger._infer(model.params, paths, STRIKE, model.hidden)
+    assert delta.dtype == taped.dtype and delta.shape == taped.shape == (n_paths, n_steps)
+    assert delta.flags.c_contiguous
+    assert delta.tobytes() == taped.tobytes()
+    schedule = hedger.forward_rollout(model, paths, STRIKE).delta
+    assert schedule.tobytes() == np.asarray(taped, dtype=float).tobytes()
+
+
+def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
+    model = model_in(np.float64)
+    pnl = pnl_on_tape(Tensor(taped_no_grad_rollout(model, paths_300)), paths_300.spot,
+                      COST.cost_rate, STRIKE)
+    assert hedger.training_loss(model, paths_300, COST, STRIKE) == entropic_risk(pnl.data, 1.0)
+
+
+def with_nan_spot(paths, column):
+    spot = paths.spot.copy()
+    spot[3, column] = np.nan
+    return dataclasses.replace(paths, spot=spot)
+
+
+@pytest.mark.parametrize("where, step", [("w_out", 0), ("spot", 5)])
+def test_non_finite_hedge_names_its_step(paths_300, where, step):
+    model = model_in(np.float32)
+    paths = paths_300
+    if where == "spot":
+        paths = with_nan_spot(paths_300, step)
+    else:
+        model.params[where][1, 0] = np.nan
+    with pytest.raises(NumericalDivergenceError, match=f"non-finite hedge ratio at step {step}$"):
+        hedger.forward_rollout(model, paths, STRIKE)
+
+
+def test_rollout_peak_memory_per_path():
+    """tracemalloc peak of one float32 rollout, 2,000 paths x 126 steps.
+
+    The kernel holds its buffers and the schedule's float64 output: about
+    2.7 kB per path. The tape's no-grad branch it replaced peaked at about
+    4.0 kB per path (its (n_steps, B, 3) inputs, per-step temporaries and
+    output columns).
+    """
+    n_paths = 2000
+    paths = heston_paths(n_paths, seed=8, grid=PathGrid(n_steps=126, maturity=0.5))
+    model = model_in(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hedger.forward_rollout(model, paths, STRIKE)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / n_paths <= 3000
+
+
+def test_float32_training_leaks_float64_into_the_loss_and_the_head(paths_300):
+    """What the autodiff docstring states: the entropic objective's Python-float
+    shift makes the loss and the head's gradients float64; the LSTM's stay float32."""
+    tensors = taped_parameters(np.float32)
+    delta = hedger._rollout(tensors, paths_300, STRIKE, hedger.HIDDEN)
+    loss = entropic_objective(pnl_on_tape(delta, paths_300.spot, COST.cost_rate, STRIKE), 1.0)
+    assert delta.data.dtype == np.float32
+    assert loss.data.dtype == np.float64
+    ad.backward(loss)
+    dtypes = {k: tensors[k].grad.dtype for k in hedger.PARAM_NAMES}
+    assert {k for k, d in dtypes.items() if d == np.float64} == {"w_out", "b_out"}
+    assert all(d == np.float32 for k, d in dtypes.items() if k not in ("w_out", "b_out"))

@@ -5,16 +5,22 @@ paths, 100 bootstrap resamples) takes a couple of seconds and backs the
 reproducibility, CLI, evaluate/fit-blend and concurrent blend-fit checks.
 """
 
+import _thread
 import json
 import os
 import shutil
 import threading
+import time
+from concurrent.futures import CancelledError
 
+import numpy as np
 import pytest
 
 from hedgeblend import cli, ensemble, pipeline
+from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
+from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import NumericalDivergenceError, StageError
 from hedgeblend.evaluation import file_sha256
 from hedgeblend.hedger import TrainConfig, init_model, save_model
@@ -251,6 +257,89 @@ class TestConcurrentBlendFits:
             pipeline.full_pipeline(mini_config(), str(tmp_path))
         assert info.value is interrupt
         assert (tmp_path / "FAILED").read_text().startswith("fit_blend:")
+
+
+@pytest.fixture(scope="module")
+def large_blend_inputs():
+    """A 2,000 x 126 blend problem whose fits take seconds: BS deltas, a
+    noisy ensemble mean around them and a positive disagreement."""
+    config = RunConfig(eval_paths=2000)
+    paths = pipeline.simulate_eval_paths(config)
+    bs = pipeline.classical_schedules(config, paths)["bs_delta_fixed"]
+    gen = np.random.default_rng(5)
+    noise = gen.normal(0.0, 0.05, size=bs.delta.shape)
+    spread = np.abs(gen.normal(0.0, 0.05, size=bs.delta.shape))
+    ens = EnsembleOutput(
+        member_hedges=[],
+        mean_hedge=HedgeSchedule(bs.delta + noise, "ensemble_mean"),
+        disagreement=spread,
+        avg_disagreement=spread.mean(axis=1),
+    )
+    return config, paths, ens, bs, np.arange(paths.n_paths)
+
+
+def record_real_fits(monkeypatch) -> dict:
+    """Wrap pipeline.fit_blend, recording each fit's thread and outcome."""
+    record = {}
+
+    def wrapper(*args, **kwargs):
+        kind = args[5].kind
+        record[kind] = [threading.current_thread(), None]
+        try:
+            return fit_blend(*args, **kwargs)
+        except BaseException as exc:
+            record[kind][1] = exc
+            raise
+
+    monkeypatch.setattr(pipeline, "fit_blend", wrapper)
+    return record
+
+
+class TestInterruptibleBlendFits:
+    def test_interrupt_main_ends_both_fits_within_a_second(self, large_blend_inputs, monkeypatch):
+        record = record_real_fits(monkeypatch)
+        timer = threading.Timer(0.5, _thread.interrupt_main)
+        started = time.perf_counter()
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.fit_blends(*large_blend_inputs)
+        finally:
+            timer.join(timeout=5)
+        assert not timer.is_alive()
+        waited = time.perf_counter() - started - 0.5
+        assert waited < 1.0
+        assert set(record) == {"entropic", "cvar"}
+        for thread, exc in record.values():
+            assert not thread.is_alive()
+            assert isinstance(exc, CancelledError)
+
+    def test_a_failing_fit_stops_the_other(self, large_blend_inputs, monkeypatch):
+        record = record_real_fits(monkeypatch)
+        real = pipeline.fit_blend
+
+        def cvar_diverges(*args, **kwargs):
+            if args[5].kind == "cvar":
+                time.sleep(0.3)
+                raise NumericalDivergenceError("blend objective diverged at iteration 3")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_blend", cvar_diverges)
+        with pytest.raises(NumericalDivergenceError):
+            pipeline.fit_blends(*large_blend_inputs)
+        thread, exc = record["entropic"]
+        assert not thread.is_alive()
+        assert isinstance(exc, CancelledError)
+        assert "stopped at iteration" in str(exc)
+
+    def test_a_set_stop_event_cancels_the_fit(self, blend_inputs):
+        paths, ens, bs, train_idx = blend_inputs
+        config = mini_config()
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(CancelledError, match="stopped at iteration 0"):
+            fit_blend(paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
+                      config.cost(), config.strike, BlendObjective(kind="cvar"), stop=stop)
 
 
 class TestExitCodes:
