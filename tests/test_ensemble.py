@@ -90,20 +90,6 @@ def test_aggregate_equals_a_serial_loop_bit_for_bit(paths, monkeypatch, stress):
     assert out.avg_disagreement.tobytes() == spread.mean(axis=1).tobytes()
 
 
-def recording_rollout(monkeypatch, pause=0.05):
-    """Replace ensemble.forward_rollout by a stand-in that records the thread of
-    each call and holds it for ``pause`` seconds, so calls overlap."""
-    calls = []
-
-    def stand_in(model, paths, strike):
-        calls.append((model.seed, threading.get_ident()))
-        time.sleep(pause)
-        return HedgeSchedule(np.full((paths.n_paths, paths.n_steps), float(model.seed)), "m")
-
-    monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
-    return calls
-
-
 @pytest.mark.parametrize("members, cpus", [(5, 1), (5, 2), (3, 8), (2, 2)])
 def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, members, cpus):
     pools = []
@@ -113,9 +99,17 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    calls = []
+
+    def stand_in(model, paths, strike):
+        """Records the calling thread and holds it, so that calls overlap."""
+        calls.append((model.seed, threading.get_ident()))
+        time.sleep(0.05)
+        return HedgeSchedule(np.full((paths.n_paths, paths.n_steps), float(model.seed)), "m")
+
     monkeypatch.setattr(threads, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
-    calls = recording_rollout(monkeypatch)
+    monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     models = float32_members(members)
     out = ensemble.aggregate(models, paths, 1.0)
     assert pools == [min(members, cpus)]

@@ -183,18 +183,14 @@ def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
     assert hedger.training_loss(model, paths_300, COST, STRIKE) == entropic_risk(pnl.data, 1.0)
 
 
-def with_nan_spot(paths, column):
-    spot = paths.spot.copy()
-    spot[3, column] = np.nan
-    return dataclasses.replace(paths, spot=spot)
-
-
 @pytest.mark.parametrize("where, step", [("w_out", 0), ("spot", 5)])
 def test_non_finite_hedge_names_its_step(paths_300, where, step):
     model = model_in(np.float32)
     paths = paths_300
     if where == "spot":
-        paths = with_nan_spot(paths_300, step)
+        spot = paths_300.spot.copy()
+        spot[3, step] = np.nan
+        paths = dataclasses.replace(paths_300, spot=spot)
     else:
         model.params[where][1, 0] = np.nan
     with pytest.raises(NumericalDivergenceError, match=f"non-finite hedge ratio at step {step}$"):
