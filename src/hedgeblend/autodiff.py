@@ -9,10 +9,12 @@ inference-style forward passes run at plain numpy speed with no caching.
 Not supported on purpose: higher-order gradients, in-place ops, dtype
 promotion games. A Tensor keeps float32 or float64 data as given and makes
 anything else float64; each op then follows numpy's promotion. So a float32
-graph stays float32 only while no float64 operand enters it: the hedger's
-float32 training graph does not, because ``entropic_objective`` shifts by a
-Python float, which makes the loss and the output head's gradients float64
-(tested in ``tests/test_hedger.py``; ROADMAP item 3's float32 kernel ends it).
+graph stays float32 only while no float64 operand enters it. Only the
+hedger's single-tape epochs let one in: ``entropic_objective`` shifts by a
+Python float, which makes the loss and the output head's gradients float64.
+Sharded epochs backpropagate float32 P&L weights instead and keep every
+gradient float32 (both tested in ``tests/test_hedger.py``; ROADMAP item 3's
+float32 kernel ends the leak).
 """
 
 from __future__ import annotations

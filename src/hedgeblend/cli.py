@@ -51,8 +51,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--workers", type=int, help="processes that train members, and "
-                        "nothing else (results unchanged); the member rollouts use up to one "
-                        "thread per usable CPU and the blend fit one thread per objective")
+                        "nothing else (results unchanged); each process also tapes an epoch's "
+                        "path shards on up to one thread per usable CPU, so on 2 vCPUs "
+                        "workers=1 trains about as fast as workers=2 (6.8-7.5 s vs 6.6-6.9 s "
+                        "for 2 members x 2 epochs x 5,000 paths) with half the memory; the "
+                        "member rollouts use up to one thread per usable CPU and the blend fit "
+                        "one thread per objective")
     parser.add_argument("--scale", choices=["desk", "paper"], help="training scale preset")
 
 

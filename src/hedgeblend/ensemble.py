@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -97,7 +98,9 @@ def train_ensemble(
     """Train M independent members; seeds derived from config.seed and index.
 
     ``workers`` bounds process parallelism without affecting results: each
-    member's training is self-contained and deterministic.
+    member's training is self-contained and deterministic, and each process
+    tapes a large epoch's path shards on threads of its own
+    (:func:`hedgeblend.hedger.train_hedger`).
     """
     if m < 2:
         raise ParameterError("an ensemble needs at least 2 members")
@@ -118,16 +121,19 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     threads (:func:`hedgeblend.threads.run_threads`) and their hedges are
     stacked in member order, so every output is identical to rolling them
     out one after the other. A failing rollout or a Ctrl-C cancels the
-    rollouts that have not started.
+    rollouts that have not started and stops the running ones at their
+    next step.
     """
     if len(members) == 0:
         raise ParameterError("aggregate requires at least one member")
     if len(members) == 1:
         raise ParameterError("disagreement is undefined for a single member")
+    stop = threading.Event()
     hedges = run_threads(
-        lambda model: forward_rollout(model, paths, strike),
+        lambda model: forward_rollout(model, paths, strike, stop=stop),
         members,
         workers=min(len(members), usable_cpus()),
+        stop=stop,
     )
     stacked = np.stack([h.delta for h in hedges])
     mean = stacked.mean(axis=0)

@@ -255,8 +255,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_rows_csv(path: str, header: list[str], rows: list) -> None:
-    """One CSV line per row; a dataclass row gives its fields in order."""
+def write_rows_csv(path: str, header: list[str] | type, rows: list) -> None:
+    """One CSV line per row; a dataclass row gives its fields in order, and a
+    dataclass type as ``header`` names the columns after its fields."""
+    if isinstance(header, type):
+        header = [f.name for f in fields(header)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -290,30 +293,26 @@ def write_correlations_csv(path: str, corr_moneyness: float, corr_vol: float) ->
     )
 
 
+@dataclass
+class HeatmapRow:
+    time_bin: int
+    moneyness_bin: int
+    time_center: float
+    moneyness_center: float
+    mean_disagreement: float
+    count: int
+
+
 def write_heatmap_csv(path: str, data: HeatmapData) -> None:
     """Populated bins only: absent bins are omitted rather than zero-filled."""
-    rows = []
-    t_bins, m_bins = data.grid.shape
-    for ti in range(t_bins):
-        for mi in range(m_bins):
-            if data.counts[ti, mi] == 0:
-                continue
-            rows.append(
-                [
-                    ti,
-                    mi,
-                    float((data.time_edges[ti] + data.time_edges[ti + 1]) / 2),
-                    float((data.moneyness_edges[mi] + data.moneyness_edges[mi + 1]) / 2),
-                    float(data.grid[ti, mi]),
-                    int(data.counts[ti, mi]),
-                ]
-            )
-    write_rows_csv(
-        path,
-        ["time_bin", "moneyness_bin", "time_center", "moneyness_center",
-         "mean_disagreement", "count"],
-        rows,
-    )
+    t_mid = (data.time_edges[:-1] + data.time_edges[1:]) / 2
+    m_mid = (data.moneyness_edges[:-1] + data.moneyness_edges[1:]) / 2
+    rows = [
+        HeatmapRow(int(ti), int(mi), float(t_mid[ti]), float(m_mid[mi]),
+                   float(data.grid[ti, mi]), int(data.counts[ti, mi]))
+        for ti, mi in zip(*np.nonzero(data.counts))
+    ]
+    write_rows_csv(path, HeatmapRow, rows)
 
 
 def write_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
@@ -324,31 +323,30 @@ def write_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
     )
 
 
+@dataclass
+class BootstrapRow:
+    comparison: str
+    metric: str
+    mean_diff: float
+    mean_diff_bps: float
+    ci_low: float
+    ci_high: float
+    ci_low_bps: float
+    ci_high_bps: float
+    win_fraction: float
+    significant: int
+    resamples: int
+
+
 def write_bootstrap_csv(path: str, entries: list[tuple[str, str, BootstrapResult]]) -> None:
     """Rows of (comparison label, metric, result); diffs also given in bps."""
-    rows = []
-    for label, metric, res in entries:
-        rows.append(
-            [
-                label,
-                metric,
-                res.mean_diff,
-                res.mean_diff * 1e4,
-                res.ci_low,
-                res.ci_high,
-                res.ci_low * 1e4,
-                res.ci_high * 1e4,
-                res.win_fraction,
-                int(res.significant),
-                res.resamples,
-            ]
-        )
-    write_rows_csv(
-        path,
-        ["comparison", "metric", "mean_diff", "mean_diff_bps", "ci_low", "ci_high",
-         "ci_low_bps", "ci_high_bps", "win_fraction", "significant", "resamples"],
-        rows,
-    )
+    rows = [
+        BootstrapRow(label, metric, r.mean_diff, r.mean_diff * 1e4, r.ci_low, r.ci_high,
+                     r.ci_low * 1e4, r.ci_high * 1e4, r.win_fraction, int(r.significant),
+                     r.resamples)
+        for label, metric, r in entries
+    ]
+    write_rows_csv(path, BootstrapRow, rows)
 
 
 def write_decomposition_csv(path: str, reports: list[PnLReport], baseline: int = 0) -> None:
@@ -360,15 +358,17 @@ def write_decomposition_csv(path: str, reports: list[PnLReport], baseline: int =
     )
 
 
+@dataclass
+class TradeStatsRow:
+    strategy: str
+    average_trade_size: float
+    mean_transaction_costs: float
+
+
 def write_trade_stats_csv(path: str, reports: list[PnLReport]) -> None:
-    write_rows_csv(
-        path,
-        ["strategy", "average_trade_size", "mean_transaction_costs"],
-        [
-            [r.strategy_label, average_trade_size(r), float(r.transaction_costs.mean())]
-            for r in reports
-        ],
-    )
+    rows = [TradeStatsRow(r.strategy_label, average_trade_size(r), float(r.transaction_costs.mean()))
+            for r in reports]
+    write_rows_csv(path, TradeStatsRow, rows)
 
 
 def write_blend_curves_csv(path: str, psi_grid: np.ndarray, curves: dict[str, np.ndarray]) -> None:
@@ -383,11 +383,7 @@ def write_blend_curves_csv(path: str, psi_grid: np.ndarray, curves: dict[str, np
 
 def write_cvar_bars_csv(path: str, entries: list[tuple[str, str, float]]) -> None:
     """(calibration, strategy, cvar) rows for bar-chart data."""
-    write_rows_csv(
-        path,
-        ["calibration", "strategy", "cvar_5pct"],
-        [[c, s, v] for c, s, v in entries],
-    )
+    write_rows_csv(path, ["calibration", "strategy", "cvar_5pct"], entries)
 
 
 def file_sha256(path: str) -> str:

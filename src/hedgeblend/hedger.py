@@ -7,6 +7,13 @@ carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included, by reverse-mode differentiation
 through the whole rollout.
 
+An epoch of more than ``min(SHARD_PATHS, TAPE_BATCH_LIMIT)`` paths is split
+into a fixed number of contiguous path shards, which depends only on the
+batch size. The shards are taped on threads, and their gradients are summed
+in shard order, so a run's results do not depend on the CPU count, the
+thread count or the timing (see :func:`_chunked_backward`). Smaller epochs
+take one tape on the calling thread.
+
 Inference (:func:`forward_rollout`, :func:`training_loss`) runs a tape-free
 kernel that reuses its buffers at every step and gives the taped rollout's
 hedge ratios bit for bit. ``ensemble.aggregate`` runs it for the members on
@@ -16,7 +23,9 @@ threads, at most one per usable CPU, with results identical to a serial loop.
 from __future__ import annotations
 
 import json
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -28,16 +37,27 @@ from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
 from .objectives import entropic_objective, entropic_weights, pnl_on_tape
 from .risk import entropic_risk
+from .threads import run_threads, usable_cpus
 
 INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
 N_LAYERS = 2
 
-# Largest per-epoch batch taped in one pass; bigger batches use the
-# two-pass chunked gradient (see train_hedger). The tape holds about 7.5·H
-# float32 values per path per LSTM cell: 0.24 MB per path on the default
-# 126-step grid (H = 32, two layers), so about 1.5 GB at this limit.
+# Most paths taped at once, on any CPU count. An epoch of at most this many
+# paths keeps its shards' forward tapes for the backward; a larger one rolls
+# its shards out without a tape and re-tapes them for the backward, on at
+# most TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape
+# holds about 7.5·H float32 values per path per LSTM cell: 0.24 MB per path
+# on the default 126-step grid (H = 32, two layers), so about 1.5 GB here.
 TAPE_BATCH_LIMIT = 6144
+
+# Paths per training shard; an epoch of more than min(SHARD_PATHS,
+# TAPE_BATCH_LIMIT) paths is split into ceil(B / shard) contiguous shards
+# taped on threads. 2,500 splits the 5,000-path desk epoch and the 20,000-path
+# paper epoch into shard counts that two threads share evenly. On a 2-vCPU
+# host with one BLAS thread, two 5,000-path epochs took 3.7 s in 2,500-path
+# shards against 3.9-4.8 s in 1,250-path and 4.2-4.3 s in 1,000-path ones.
+SHARD_PATHS = 2500
 
 PARAM_NAMES = ("w_ih_0", "w_hh_0", "b_0", "w_ih_1", "w_hh_1", "b_1", "w_out", "b_out")
 
@@ -147,6 +167,8 @@ def _infer(
     strike: float,
     hidden: int,
     out: np.ndarray | None = None,
+    *,
+    stop=None,
 ) -> np.ndarray:
     """Hedge ratios (B, n_steps) of :func:`_rollout`, bit for bit, without the tape.
 
@@ -167,7 +189,8 @@ def _infer(
     ``out``, when given, is a (B, n_steps) array that receives the hedge
     ratios, cast to its dtype; otherwise one in the parameters' dtype is made.
     Raises NumericalDivergenceError naming the first step whose hedge ratio
-    is not finite.
+    is not finite, and ``CancelledError`` at the next step once the
+    ``threading.Event`` ``stop``, when given, is set.
     """
     n_paths, n = paths.n_paths, paths.n_steps
     dtype = params["w_out"].dtype
@@ -188,6 +211,8 @@ def _infer(
         out = np.empty((n_paths, n), dtype=dtype)
 
     for t in range(n):
+        if stop is not None and stop.is_set():
+            raise CancelledError(f"rollout stopped at step {t}")
         np.divide(paths.spot[:, t], strike, out=column)
         xh[0][:, 0] = np.log(column, out=column)
         xh[0][:, 1] = taus[t]
@@ -218,14 +243,17 @@ def _infer(
     return out
 
 
-def forward_rollout(model: HedgerModel, paths: MarketPaths, strike: float) -> HedgeSchedule:
+def forward_rollout(
+    model: HedgerModel, paths: MarketPaths, strike: float, *, stop=None
+) -> HedgeSchedule:
     """Inference-only rollout through :func:`_infer`; no tape, no gradients.
 
     Reads the model and allocates its own buffers, so concurrent calls on
-    threads are safe (``ensemble.aggregate`` makes them).
+    threads are safe (``ensemble.aggregate`` makes them). A set ``stop``
+    event ends the rollout at its next step with ``CancelledError``.
     """
     delta = np.empty((paths.n_paths, paths.n_steps))  # the schedule's float64, cast per step
-    _infer(model.params, paths, strike, model.hidden, out=delta)
+    _infer(model.params, paths, strike, model.hidden, out=delta, stop=stop)
     return HedgeSchedule(delta, f"hedger_{model.seed}")
 
 
@@ -245,6 +273,14 @@ def train_hedger(
     of the entropic risk of terminal P&L. ``market`` is a HestonParams or
     GBMSpec. Raises NumericalDivergenceError naming the epoch if the loss
     leaves the reals.
+
+    An epoch of at most ``min(SHARD_PATHS, TAPE_BATCH_LIMIT)`` paths is taped
+    once on the calling thread. A larger one is split into
+    ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards taped
+    on threads, whose gradients are summed in shard order
+    (:func:`_chunked_backward`): the loss and the parameters do not depend on
+    the CPU count, and no more than ``TAPE_BATCH_LIMIT`` paths are taped at
+    once.
 
     Training runs in float32 (the rollout is the hot loop; the objective
     tolerances sit far above single precision). Gradient checks are always
@@ -266,7 +302,7 @@ def train_hedger(
             market, grid, config.paths_per_epoch,
             seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch),
         )
-        if config.paths_per_epoch <= TAPE_BATCH_LIMIT:
+        if config.paths_per_epoch <= min(SHARD_PATHS, TAPE_BATCH_LIMIT):
             delta = _rollout(tensors, paths, strike, model.hidden)
             loss_t = entropic_objective(
                 pnl_on_tape(delta, paths.spot, cost.cost_rate, strike), a
@@ -296,36 +332,56 @@ def _chunked_backward(
     a: float,
     hidden: int,
 ) -> float:
-    """Full-batch entropic gradient in bounded memory.
+    """Full-batch entropic loss and gradient of sharded paths, taped on threads.
 
-    Pass one (no tape) computes every path's P&L, giving the loss and the
-    softmax weights w with d loss/d pnl_i = -w_i; pass two re-rolls each chunk
-    on the tape and backpropagates sum(-w_i * pnl_i), accumulating into the
-    parameter grads. The result equals one full-batch backward up to float
-    summation order, since each chunk's sums are added to the grads in turn.
+    The batch is split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))``
+    contiguous shards. Each shard is taped by :func:`_rollout` on its own
+    leaf tensors, which share the parameter arrays, so no two threads write
+    one ``.grad``. Pass one gives every path's P&L, hence the loss
+    (``entropic_risk`` of the concatenated P&L) and the softmax weights w
+    with d loss/d pnl_i = -w_i. Pass two backpropagates sum(-w_i * pnl_i)
+    per shard. The shard gradients are then summed in shard order into the
+    parameters' ``.grad``: the result equals one full-batch backward up to
+    float summation order and does not depend on the thread count or timing.
 
-    Pass one runs :func:`_rollout` on frozen, no-grad tensors rather than
-    :func:`_infer`, so both passes count as tape passes, and it is the last
-    caller of the tape's no-grad branch; a hand-written training forward
-    (ROADMAP item 3) replaces both.
+    The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
+    shard)`` threads. When ``B <= TAPE_BATCH_LIMIT`` pass one tapes the
+    shards and the backward reuses those tapes, the memory of one full-batch
+    tape. Otherwise pass one rolls them out with no grad (still through
+    :func:`_rollout`, so both passes count as tape passes) and pass two
+    re-tapes each shard, so at most ``TAPE_BATCH_LIMIT`` paths are taped at
+    once. float32 parameters give float32 gradients, since the weights keep
+    the P&L's dtype. A hand-written training forward (ROADMAP item 3) can
+    run per shard in place of the tape.
     """
-    frozen = {k: Tensor(t.data) for k, t in tensors.items()}
-    pnl_chunks = []
-    bounds = list(range(0, paths.n_paths, TAPE_BATCH_LIMIT)) + [paths.n_paths]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sub = paths.take(np.arange(lo, hi))
-        delta = _rollout(frozen, sub, strike, hidden)
-        pnl_chunks.append(pnl_on_tape(delta, sub.spot, cost.cost_rate, strike).data)
-    pnl = np.concatenate(pnl_chunks)
+    n_paths = paths.n_paths
+    size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
+    shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    workers = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
+    keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's tapes serve the backward
+
+    def tape(shard, requires_grad=True):
+        sub = paths.take(np.arange(*shard))
+        leaves = {k: Tensor(t.data, requires_grad=requires_grad) for k, t in tensors.items()}
+        delta = _rollout(leaves, sub, strike, hidden)
+        return leaves, pnl_on_tape(delta, sub.spot, cost.cost_rate, strike)
+
+    taped = run_threads(lambda shard: tape(shard, keep), shards, workers)
+    pnl = np.concatenate([pnl_t.data for _, pnl_t in taped])
     loss = entropic_risk(pnl, a)
     if not np.isfinite(loss):
         return loss
     weights = entropic_weights(pnl, a)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sub = paths.take(np.arange(lo, hi))
-        delta = _rollout(tensors, sub, strike, hidden)
-        pnl_t = pnl_on_tape(delta, sub.spot, cost.cost_rate, strike)
+
+    def shard_grads(k):
+        lo, hi = shards[k]
+        leaves, pnl_t = taped[k] if keep else tape(shards[k])
         ad.backward(ad.tsum(pnl_t * (-weights[lo:hi])))
+        return [leaves[name].grad for name in PARAM_NAMES]
+
+    grads = run_threads(shard_grads, range(len(shards)), workers)
+    for name, per_shard in zip(PARAM_NAMES, zip(*grads)):
+        tensors[name].grad = reduce(np.add, per_shard)
     return loss
 
 

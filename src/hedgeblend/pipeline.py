@@ -1,10 +1,11 @@
 """End-to-end orchestration: simulate, train, blend, evaluate, export.
 
 Every stage is seeded from the run configuration, so a rerun with the same
-config reproduces every artifact byte for byte. The ensemble members roll
-out concurrently on at most as many threads as the process has usable CPUs,
-and the blend objectives are fitted concurrently, one thread each; both give
-results identical to running them one after the other. On a stage failure
+config reproduces every artifact byte for byte. The path shards of a large
+training epoch are taped, and the ensemble members roll out, concurrently on
+at most as many threads as the process has usable CPUs, and the blend
+objectives are fitted concurrently, one thread each; all give results
+identical to running them one after the other. On a stage failure
 the run directory keeps whatever was already written plus a FAILED marker
 naming the stage. A marker left by an earlier run is removed when a run
 starts, and so are the blend outputs of objectives the new run does not fit.

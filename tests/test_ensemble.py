@@ -1,12 +1,13 @@
 """Process-pool training workers: the BLAS thread limit of their initialiser;
 and the concurrent member rollouts of ``aggregate``."""
 
+import _thread
 import ctypes
 import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
 
     calls = []
 
-    def stand_in(model, paths, strike):
+    def stand_in(model, paths, strike, *, stop=None):
         """Records the calling thread and holds it, so that calls overlap."""
         calls.append((model.seed, threading.get_ident()))
         time.sleep(0.05)
@@ -131,7 +132,7 @@ def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
     second_running = threading.Event()
     interrupt = KeyboardInterrupt("stop")
 
-    def stand_in(model, paths, strike):
+    def stand_in(model, paths, strike, *, stop=None):
         index = index_of(members, model)
         started.append(index)
         if index == 0:
@@ -152,9 +153,50 @@ def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
     members = float32_members(4)
 
-    def stand_in(model, paths, strike):
+    def stand_in(model, paths, strike, *, stop=None):
         raise NumericalDivergenceError(f"member {index_of(members, model)}")
 
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     with pytest.raises(NumericalDivergenceError, match="member 0"):
         ensemble.aggregate(members, paths, 1.0)
+
+
+def test_a_set_stop_event_cancels_the_rollout(paths):
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(CancelledError, match="rollout stopped at step 0"):
+        forward_rollout(float32_members(2)[0], paths, 1.0, stop=stop)
+
+
+def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
+    """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (several seconds of
+    rollouts) raises within 0.3 s: the running rollouts stop at their next
+    step, and no rollout thread is left alive."""
+    paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
+                            10000, seed=22)
+    members = float32_members(5)
+    record = []
+
+    def recorded(model, paths, strike, *, stop=None):
+        entry = [threading.current_thread(), None]
+        record.append(entry)
+        try:
+            return forward_rollout(model, paths, strike, stop=stop)
+        except BaseException as exc:
+            entry[1] = exc
+            raise
+
+    monkeypatch.setattr(ensemble, "forward_rollout", recorded)
+    timer = threading.Timer(0.3, _thread.interrupt_main)
+    started = time.perf_counter()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            ensemble.aggregate(members, paths, 1.0)
+    finally:
+        timer.join(timeout=5)
+    assert time.perf_counter() - started - 0.3 < 0.3
+    assert record
+    for thread, exc in record:
+        assert not thread.is_alive()
+        assert isinstance(exc, CancelledError)

@@ -1,13 +1,17 @@
 """The hedger's taped gradient: pinned values, its checks, its tape memory,
-checkpoints; and the tape-free inference kernel against the tape.
+its sharded epochs on threads, checkpoints; and the tape-free inference
+kernel against the tape.
 
-The pinned hashes were recorded from the fused LSTM cell while it still kept
-its whole pre-activation and a separate concatenated input on the tape; the
-lean cell must reproduce them bit for bit.
+The single-tape hashes were recorded from the fused LSTM cell while it still
+kept its whole pre-activation and a separate concatenated input on the tape;
+the lean cell must reproduce them bit for bit. The chunked hashes are those
+of the sharded gradient, whose shard sums are added in shard order.
 """
 
 import dataclasses
 import hashlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -67,9 +71,9 @@ PINNED_GRADS = {
     ("float64", False):
         "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
     ("float32", True):
-        "dc3be8d48793efe936c081470b7bc1583f3b1df89f97e0a3d94aa3a472a938a3",
+        "ace0433c4e451e6d7874a1f26c9c92de379fe1f72b6a4c3b9da158fdc9e1994b",
     ("float64", True):
-        "c64266efea85bc08f271b36b41c0de340ec7ec44096422d3e8349aac00619e2b",
+        "bbc6afd4eca0c9d71273a2232c971072112118e3b3d3658c13ece5038b5564ee",
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
@@ -106,6 +110,93 @@ def test_chunked_gradient_equals_single_tape_up_to_summation_order(monkeypatch):
     chunked = chunked_grads(taped_parameters(np.float64), paths)
     for name, g_full, g_chunk in zip(hedger.PARAM_NAMES, full, chunked):
         assert np.abs(g_chunk - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
+
+
+def count_rollouts(monkeypatch, hold=0.0):
+    """Wrap hedger._rollout; count no-grad and taped shard rollouts, and the
+    paths whose tapes are live between a taped rollout and its backward on
+    the same thread (the re-roll mode's pass two). ``hold`` sleeps in each
+    taped rollout, so that the threads overlap."""
+    counts = {"no_grad": 0, "taped": 0, "live": 0, "peak": 0, "threads": set()}
+    lock, local = threading.Lock(), threading.local()
+    rollout, backward = hedger._rollout, ad.backward
+
+    def counted_rollout(params, paths, strike, hidden):
+        taped = params["w_out"].requires_grad
+        with lock:
+            counts["taped" if taped else "no_grad"] += 1
+            counts["threads"].add(threading.get_ident())
+            if taped:
+                local.paths = paths.n_paths
+                counts["live"] += paths.n_paths
+                counts["peak"] = max(counts["peak"], counts["live"])
+        time.sleep(hold if taped else 0.0)
+        return rollout(params, paths, strike, hidden)
+
+    def counted_backward(loss):
+        backward(loss)
+        with lock:
+            counts["live"] -= getattr(local, "paths", 0)
+            local.paths = 0
+
+    monkeypatch.setattr(hedger, "_rollout", counted_rollout)
+    monkeypatch.setattr(ad, "backward", counted_backward)
+    return counts
+
+
+@pytest.mark.parametrize("limit, no_grad", [(64, 0), (32, 4)], ids=["kept_tapes", "re_rolled"])
+def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, no_grad):
+    """64 paths x 8 steps in four 16-path shards, float64, relative to each
+    parameter's max|g|. At a 64-path tape limit pass one's tapes are kept;
+    at 32 pass one rolls the shards out with no grad and pass two re-tapes them."""
+    paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
+    full = single_tape_grads(taped_parameters(np.float64), paths)
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    counts = count_rollouts(monkeypatch)
+    sharded = chunked_grads(taped_parameters(np.float64), paths)
+    assert (counts["no_grad"], counts["taped"]) == (no_grad, 4)
+    for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
+        assert g_shard.dtype == np.float64
+        assert np.abs(g_shard - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
+
+
+@pytest.mark.parametrize("limit", [6144, 128], ids=["kept_tapes", "re_rolled"])
+def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatch, limit):
+    """300 float32 paths in five 64-path shards (the last one 44)."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    results = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(hedger, "usable_cpus", lambda: cpus)
+        tensors = taped_parameters(np.float32)
+        loss = hedger._chunked_backward(tensors, paths_300, COST, STRIKE, 1.0, hedger.HIDDEN)
+        results.append((loss, sha256(tensors[k].grad for k in hedger.PARAM_NAMES)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
+    """16 usable CPUs, 160 paths in ten 16-path shards, a 48-path tape limit:
+    pass two runs on at most 3 threads, so at most 48 paths are taped at once."""
+    paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
+    monkeypatch.setattr(hedger, "usable_cpus", lambda: 16)
+    counts = count_rollouts(monkeypatch, hold=0.02)
+    chunked_grads(taped_parameters(np.float32), paths)
+    assert (counts["no_grad"], counts["taped"]) == (10, 10)
+    assert counts["live"] == 0
+    assert 16 <= counts["peak"] <= 48
+    assert len(counts["threads"]) <= 3
+
+
+def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
+    """Only the single tape leaks float64 (see the test below): the shards
+    backpropagate float32 weights, so every parameter's gradient is float32."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    tensors = taped_parameters(np.float32)
+    hedger._chunked_backward(tensors, paths_300, COST, STRIKE, 1.0, hedger.HIDDEN)
+    assert {tensors[k].grad.dtype for k in hedger.PARAM_NAMES} == {np.dtype(np.float32)}
 
 
 def test_gradient_check_on_tiny_float64_model():

@@ -7,6 +7,7 @@ reproducibility, CLI, evaluate/fit-blend and concurrent blend-fit checks.
 
 import _thread
 import json
+import multiprocessing
 import os
 import shutil
 import threading
@@ -16,7 +17,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from hedgeblend import cli, ensemble, pipeline
+from hedgeblend import cli, ensemble, hedger, pipeline
 from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
@@ -376,6 +377,23 @@ def test_workers_do_not_change_members():
     parallel = ensemble.train_ensemble(2, config.train, *args, workers=2)
     for a, b in zip(serial, parallel):
         assert a.seed == b.seed
+        assert a.loss_history == b.loss_history
+        for name in a.params:
+            assert a.params[name].tobytes() == b.params[name].tobytes(), name
+
+
+def test_workers_do_not_change_sharded_members(monkeypatch):
+    """Two 64-path epochs, each in four 16-path shards taped on threads in
+    every training process (forked, so the worker processes see the patch)."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("worker processes would not inherit the patched shard size")
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    config = mini_config()
+    config.train.epochs = 2
+    args = (config.heston_params(), config.grid, config.cost(), config.strike)
+    serial = ensemble.train_ensemble(2, config.train, *args, workers=1)
+    parallel = ensemble.train_ensemble(2, config.train, *args, workers=2)
+    for a, b in zip(serial, parallel):
         assert a.loss_history == b.loss_history
         for name in a.params:
             assert a.params[name].tobytes() == b.params[name].tobytes(), name
