@@ -1,20 +1,19 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
 Just enough machinery to backpropagate through a recurrent hedging rollout
-and its entropic P&L objective: elementwise arithmetic with broadcasting,
-matmul, exp, log and abs, reductions, concat/slice, and a fused LSTM
-cell. Graphs are built only when an input requires gradients, so
-inference-style forward passes run at plain numpy speed with no caching.
+and its P&L: addition, subtraction and multiplication with broadcasting,
+matmul, abs, sums, concat/slice, and a fused LSTM cell. The hedger
+backpropagates the P&L weighted by the entropic objective's softmax
+weights, which it computes in numpy. Graphs are built only when an input
+requires gradients, so inference-style forward passes run at plain numpy
+speed with no caching.
 
 Not supported on purpose: higher-order gradients, in-place ops, dtype
 promotion games. A Tensor keeps float32 or float64 data as given and makes
-anything else float64; each op then follows numpy's promotion. So a float32
-graph stays float32 only while no float64 operand enters it. Only the
-hedger's single-tape epochs let one in: ``entropic_objective`` shifts by a
-Python float, which makes the loss and the output head's gradients float64.
-Sharded epochs backpropagate float32 P&L weights instead and keep every
-gradient float32 (both tested in ``tests/test_hedger.py``; ROADMAP item 3's
-float32 kernel ends the leak).
+anything else float64; each op then follows numpy's promotion, so a float32
+graph stays float32 while no float64 operand enters it. The hedger's
+training graphs take none: their P&L weights keep the P&L's dtype (tested
+in ``tests/test_hedger.py``).
 """
 
 from __future__ import annotations
@@ -89,8 +88,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         return Tensor._node(
@@ -98,9 +95,6 @@ class Tensor:
             (self, other),
             lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
         )
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -112,14 +106,6 @@ class Tensor:
                 _unbroadcast(g * self.data, other.shape),
             ),
         )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Tensor._node(-self.data, (self,), lambda g: (-g,))
-
-    def __truediv__(self, scalar):
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -142,16 +128,7 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# -- activations and elementwise functions ------------------------------------
-
-
-def exp(t: Tensor) -> Tensor:
-    out_data = np.exp(t.data)
-    return Tensor._node(out_data, (t,), lambda g: (g * out_data,))
-
-
-def log(t: Tensor) -> Tensor:
-    return Tensor._node(np.log(t.data), (t,), lambda g: (g / t.data,))
+# -- elementwise functions ------------------------------------------------------
 
 
 def absolute(t: Tensor) -> Tensor:
@@ -169,11 +146,6 @@ def tsum(t: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), t.shape).copy(),)
 
     return Tensor._node(t.data.sum(axis=axis), (t,), vjp)
-
-
-def tmean(t: Tensor, axis=None) -> Tensor:
-    n = t.data.size if axis is None else t.shape[axis]
-    return tsum(t, axis=axis) * (1.0 / n)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:

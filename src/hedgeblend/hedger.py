@@ -7,12 +7,12 @@ carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included, by reverse-mode differentiation
 through the whole rollout.
 
-An epoch of more than ``min(SHARD_PATHS, TAPE_BATCH_LIMIT)`` paths is split
-into a fixed number of contiguous path shards, which depends only on the
-batch size. The shards are taped on threads, and their gradients are summed
-in shard order, so a run's results do not depend on the CPU count, the
-thread count or the timing (see :func:`_chunked_backward`). Smaller epochs
-take one tape on the calling thread.
+Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
+TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
+the batch size. The shards are taped on threads, and their gradients are
+summed in shard order, so a run's results do not depend on the CPU count,
+the thread count or the timing (see :func:`_chunked_backward`). An epoch of
+one shard is taped on the calling thread.
 
 Inference (:func:`forward_rollout`, :func:`training_loss`) runs a tape-free
 kernel that reuses its buffers at every step and gives the taped rollout's
@@ -31,11 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .accounting import CostSpec, HedgeSchedule
+from .accounting import CostSpec, HedgeSchedule, compute_pnl
 from .autodiff import Tensor, _sigmoid_inplace
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
-from .objectives import entropic_objective, entropic_weights, pnl_on_tape
 from .risk import entropic_risk
 from .threads import run_threads, usable_cpus
 
@@ -43,20 +42,22 @@ INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
 N_LAYERS = 2
 
-# Most paths taped at once, on any CPU count. An epoch of at most this many
-# paths keeps its shards' forward tapes for the backward; a larger one rolls
-# its shards out without a tape and re-tapes them for the backward, on at
-# most TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape
-# holds about 7.5·H float32 values per path per LSTM cell: 0.24 MB per path
-# on the default 126-step grid (H = 32, two layers), so about 1.5 GB here.
+# Most paths taped at once, on any CPU count. Every epoch is taped in shards
+# (see SHARD_PATHS). An epoch of at most this many paths keeps its shards'
+# forward tapes for the backward; a larger one rolls its shards out without a
+# tape and re-tapes them for the backward, on at most TAPE_BATCH_LIMIT //
+# shard threads (see _chunked_backward). The tape holds about 7.5·H float32
+# values per path per LSTM cell: 0.24 MB per path on the default 126-step
+# grid (H = 32, two layers), so about 1.5 GB here.
 TAPE_BATCH_LIMIT = 6144
 
-# Paths per training shard; an epoch of more than min(SHARD_PATHS,
-# TAPE_BATCH_LIMIT) paths is split into ceil(B / shard) contiguous shards
-# taped on threads. 2,500 splits the 5,000-path desk epoch and the 20,000-path
-# paper epoch into shard counts that two threads share evenly. On a 2-vCPU
-# host with one BLAS thread, two 5,000-path epochs took 3.7 s in 2,500-path
-# shards against 3.9-4.8 s in 1,250-path and 4.2-4.3 s in 1,000-path ones.
+# Paths per training shard: every epoch of B paths is split into
+# ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, taped on
+# threads, or on the calling thread when there is one. 2,500 splits the
+# 5,000-path desk epoch and the 20,000-path paper epoch into shard counts
+# that two threads share evenly. On a 2-vCPU host with one BLAS thread, two
+# 5,000-path epochs took 3.7 s in 2,500-path shards against 3.9-4.8 s in
+# 1,250-path and 4.2-4.3 s in 1,000-path ones.
 SHARD_PATHS = 2500
 
 PARAM_NAMES = ("w_ih_0", "w_hh_0", "b_0", "w_ih_1", "w_hh_1", "b_1", "w_out", "b_out")
@@ -274,17 +275,16 @@ def train_hedger(
     GBMSpec. Raises NumericalDivergenceError naming the epoch if the loss
     leaves the reals.
 
-    An epoch of at most ``min(SHARD_PATHS, TAPE_BATCH_LIMIT)`` paths is taped
-    once on the calling thread. A larger one is split into
-    ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards taped
-    on threads, whose gradients are summed in shard order
-    (:func:`_chunked_backward`): the loss and the parameters do not depend on
-    the CPU count, and no more than ``TAPE_BATCH_LIMIT`` paths are taped at
-    once.
+    Every epoch of B paths goes through :func:`_chunked_backward`: it is
+    split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
+    shards, taped on threads (one shard on the calling thread), whose
+    gradients are summed in shard order. The loss and the parameters do not
+    depend on the CPU count, and no more than ``TAPE_BATCH_LIMIT`` paths are
+    taped at once.
 
-    Training runs in float32 (the rollout is the hot loop; the objective
-    tolerances sit far above single precision). Gradient checks are always
-    performed in float64.
+    Training runs in float32, gradients included (the rollout is the hot
+    loop; the objective tolerances sit far above single precision). Gradient
+    checks are always performed in float64.
 
     ``callback(epoch, model)``, when given, fires after each update; useful
     for periodic checkpoint evaluation.
@@ -302,16 +302,7 @@ def train_hedger(
             market, grid, config.paths_per_epoch,
             seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch),
         )
-        if config.paths_per_epoch <= min(SHARD_PATHS, TAPE_BATCH_LIMIT):
-            delta = _rollout(tensors, paths, strike, model.hidden)
-            loss_t = entropic_objective(
-                pnl_on_tape(delta, paths.spot, cost.cost_rate, strike), a
-            )
-            loss = float(loss_t.data)
-            if np.isfinite(loss):
-                ad.backward(loss_t)
-        else:
-            loss = _chunked_backward(tensors, paths, cost, strike, a, model.hidden)
+        loss = _chunked_backward(tensors, paths, cost, strike, a, model.hidden)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(
                 f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
@@ -324,6 +315,31 @@ def train_hedger(
     return model
 
 
+def pnl_on_tape(delta: Tensor, spot: np.ndarray, cost_rate: float, strike: float) -> Tensor:
+    """Terminal P&L of a short call for a (B, n) hedge tensor on (B, n+1) spots.
+
+    Same accounting as :func:`hedgeblend.accounting.compute_pnl`: entry from a
+    flat book, unwind at maturity, proportional costs on every change.
+    """
+    n_paths = delta.shape[0]
+    dtype = delta.data.dtype
+    spot = np.asarray(spot, dtype=dtype)
+    gains = ad.tsum(delta * np.diff(spot, axis=1), axis=1)
+    zero_col = Tensor(np.zeros((n_paths, 1), dtype=dtype))
+    changes = ad.concat([delta, zero_col], axis=1) - ad.concat([zero_col, delta], axis=1)
+    costs = ad.tsum(ad.absolute(changes) * (cost_rate * spot), axis=1)
+    payoff = np.maximum(spot[:, -1] - strike, 0.0)
+    return gains - costs - Tensor(payoff)
+
+
+def entropic_weights(pnl: np.ndarray, a: float) -> np.ndarray:
+    """Softmax weights w_i with d entropic_risk / d pnl_i = -w_i; they sum to 1."""
+    x = -a * pnl
+    x = x - x.max()
+    e = np.exp(x)
+    return e / e.sum()
+
+
 def _chunked_backward(
     tensors: dict[str, Tensor],
     paths: MarketPaths,
@@ -334,25 +350,28 @@ def _chunked_backward(
 ) -> float:
     """Full-batch entropic loss and gradient of sharded paths, taped on threads.
 
-    The batch is split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))``
-    contiguous shards. Each shard is taped by :func:`_rollout` on its own
-    leaf tensors, which share the parameter arrays, so no two threads write
-    one ``.grad``. Pass one gives every path's P&L, hence the loss
-    (``entropic_risk`` of the concatenated P&L) and the softmax weights w
-    with d loss/d pnl_i = -w_i. Pass two backpropagates sum(-w_i * pnl_i)
-    per shard. The shard gradients are then summed in shard order into the
-    parameters' ``.grad``: the result equals one full-batch backward up to
-    float summation order and does not depend on the thread count or timing.
+    The one gradient of training and of :func:`gradient_check`. Every batch
+    of B paths is split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))``
+    contiguous shards; a batch of at most that many paths is one shard. Each
+    shard is taped by :func:`_rollout` on its own leaf tensors, which share
+    the parameter arrays, so no two threads write one ``.grad``. Pass one
+    gives every path's P&L, hence the loss (``entropic_risk`` of the
+    concatenated P&L) and the softmax weights w with d loss/d pnl_i = -w_i.
+    Pass two backpropagates sum(-w_i * pnl_i) per shard. The shard gradients
+    are then summed in shard order into the parameters' ``.grad``: the result
+    equals one full-batch backward up to float summation order and does not
+    depend on the thread count or timing.
 
     The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
-    shard)`` threads. When ``B <= TAPE_BATCH_LIMIT`` pass one tapes the
-    shards and the backward reuses those tapes, the memory of one full-batch
-    tape. Otherwise pass one rolls them out with no grad (still through
-    :func:`_rollout`, so both passes count as tape passes) and pass two
-    re-tapes each shard, so at most ``TAPE_BATCH_LIMIT`` paths are taped at
-    once. float32 parameters give float32 gradients, since the weights keep
-    the P&L's dtype. A hand-written training forward (ROADMAP item 3) can
-    run per shard in place of the tape.
+    shard)`` threads, so one shard runs on the calling thread. When ``B <=
+    TAPE_BATCH_LIMIT`` pass one tapes the shards and the backward reuses
+    those tapes, the memory of one full-batch tape. Otherwise pass one rolls
+    them out with no grad (still through :func:`_rollout`, so both passes
+    count as tape passes) and pass two re-tapes each shard, so at most
+    ``TAPE_BATCH_LIMIT`` paths are taped at once. float32 parameters give
+    float32 gradients, since the weights keep the P&L's dtype; only the
+    returned loss is float64. A hand-written training forward (ROADMAP item
+    3) can run per shard in place of the tape.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
@@ -407,7 +426,9 @@ def gradient_check(
     """Max relative error of reverse-mode vs. central finite differences.
 
     Samples ``n_params_sampled`` coordinates of the flattened parameter
-    vector and compares d(entropic loss)/d(theta).
+    vector and compares d(entropic loss)/d(theta). The reverse-mode gradient
+    is training's, :func:`_chunked_backward`. Raises NumericalDivergenceError
+    if the model's loss on ``paths`` is not finite.
     """
     model = HedgerModel(
         params={k: v.astype(np.float64) for k, v in model.params.items()},
@@ -416,9 +437,8 @@ def gradient_check(
         seed=model.seed,
     )
     tensors = _param_tensors(model)
-    delta = _rollout(tensors, paths, strike, model.hidden)
-    loss_t = entropic_objective(pnl_on_tape(delta, paths.spot, cost.cost_rate, strike), a)
-    ad.backward(loss_t)
+    if not np.isfinite(_chunked_backward(tensors, paths, cost, strike, a, model.hidden)):
+        raise NumericalDivergenceError("gradient check: the loss is not finite")
 
     sizes = [model.params[k].size for k in PARAM_NAMES]
     total = sum(sizes)
@@ -455,8 +475,6 @@ def network_price(
     The cash that zeroes the entropic risk of (price + P&L); by translation
     this is exactly the entropic risk of the hedged P&L itself.
     """
-    from .accounting import compute_pnl  # local to avoid cycle at import time
-
     schedule = forward_rollout(model, paths, strike)
     report = compute_pnl(paths, schedule, cost, strike)
     return entropic_risk(report.pnl, a)
@@ -476,11 +494,16 @@ def save_model(model: HedgerModel, filename: str) -> None:
 
 
 def load_model(filename: str) -> HedgerModel:
-    data = np.load(filename)
-    meta = json.loads(bytes(data["meta"]).decode())
+    """Read a :func:`save_model` checkpoint; ParameterError names a file that
+    lacks the metadata or a parameter array."""
+    with np.load(filename) as data:
+        missing = [name for name in ("meta", *PARAM_NAMES) if name not in data.files]
+        if missing:
+            raise ParameterError(f"{filename} is not a hedger checkpoint: no {', '.join(missing)}")
+        meta = json.loads(bytes(data["meta"]).decode())
+        params = {name: data[name].copy() for name in PARAM_NAMES}
     if meta.get("format") != "hedgeblend-checkpoint-v1":
         raise ParameterError(f"{filename} is not a hedger checkpoint")
-    params = {name: data[name].copy() for name in PARAM_NAMES}
     return HedgerModel(
         params=params,
         hidden=int(meta["hidden"]),

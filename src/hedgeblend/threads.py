@@ -35,6 +35,12 @@ def run_threads(fn, items, workers: int, stop: threading.Event | None = None) ->
     every started job has ended. A job's own error is raised before the
     ``CancelledError`` of a job that ``stop`` ended; among those, the first in
     item order.
+
+    With one worker the jobs run in item order on the calling thread and no
+    pool is made: a job that fails sets ``stop`` and the later jobs do not
+    run. This is for memory: the tiny pipeline's one-shard training epochs
+    peaked at 272-365 MB RSS on a one-thread pool and at 234-235 MB on the
+    calling thread (2 vCPUs, one BLAS thread).
     """
     stop = threading.Event() if stop is None else stop
 
@@ -47,6 +53,8 @@ def run_threads(fn, items, workers: int, stop: threading.Event | None = None) ->
             stop.set()
             raise
 
+    if workers == 1:
+        return [job(item) for item in items]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(job, item) for item in items]

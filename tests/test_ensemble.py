@@ -113,10 +113,34 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     models = float32_members(members)
     out = ensemble.aggregate(models, paths, 1.0)
-    assert pools == [min(members, cpus)]
-    assert len({ident for _, ident in calls}) <= min(members, cpus)
+    workers = min(members, cpus)
+    if workers == 1:  # no pool: every rollout runs on the calling thread
+        assert pools == []
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+    else:
+        assert pools == [workers]
+        assert len({ident for _, ident in calls}) <= workers
     assert sorted(seed for seed, _ in calls) == sorted(m.seed for m in models)
     assert [h.delta[0, 0] for h in out.member_hedges] == [float(m.seed) for m in models]
+
+
+def test_one_worker_runs_the_jobs_in_order_on_the_calling_thread():
+    """A failing job sets stop, and the jobs after it do not run."""
+    ran = []
+
+    def job(item):
+        ran.append((item, threading.get_ident()))
+        if item == 2:
+            raise ValueError("job 2")
+        return item
+
+    caller = threading.get_ident()
+    assert threads.run_threads(job, [0, 1], workers=1) == [0, 1]
+    stop = threading.Event()
+    with pytest.raises(ValueError, match="job 2"):
+        threads.run_threads(job, range(5), workers=1, stop=stop)
+    assert stop.is_set()
+    assert ran == [(item, caller) for item in (0, 1, 0, 1, 2)]
 
 
 def test_usable_cpus_is_the_affinity_mask():
@@ -171,7 +195,9 @@ def test_a_set_stop_event_cancels_the_rollout(paths):
 def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
     """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (several seconds of
     rollouts) raises within 0.3 s: the running rollouts stop at their next
-    step, and no rollout thread is left alive."""
+    step, and no rollout thread is left alive. Two usable CPUs, so that the
+    rollouts run on pool threads on any host."""
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
                             10000, seed=22)
     members = float32_members(5)

@@ -2,10 +2,10 @@
 its sharded epochs on threads, checkpoints; and the tape-free inference
 kernel against the tape.
 
-The single-tape hashes were recorded from the fused LSTM cell while it still
-kept its whole pre-activation and a separate concatenated input on the tape;
-the lean cell must reproduce them bit for bit. The chunked hashes are those
-of the sharded gradient, whose shard sums are added in shard order.
+Every training gradient is the sharded one. The single-tape hashes pin a
+300-path batch, which is one shard and so one tape on the calling thread;
+the chunked hashes pin the same batch in five shards, whose sums are added
+in shard order.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from hedgeblend.accounting import CostSpec
 from hedgeblend.autodiff import Tensor
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
-from hedgeblend.objectives import entropic_objective, pnl_on_tape
 from hedgeblend.risk import entropic_risk
 
 COST = CostSpec(5e-4)
@@ -40,11 +39,12 @@ def taped_parameters(dtype, seed=7, hidden=hedger.HIDDEN):
     return {k: Tensor(v.astype(dtype), requires_grad=True) for k, v in model.params.items()}
 
 
-def single_tape_grads(tensors, paths, hidden=hedger.HIDDEN):
-    """One taped rollout and backward of the entropic loss, as train_hedger runs it."""
-    delta = hedger._rollout(tensors, paths, STRIKE, hidden)
-    ad.backward(entropic_objective(pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE), 1.0))
-    return [tensors[k].grad for k in hedger.PARAM_NAMES]
+def weighted_pnl(tensors, paths):
+    """One full-batch tape of sum(pnl * -w), w the entropic softmax weights:
+    its gradient is the entropic loss's."""
+    delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
+    pnl = hedger.pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE)
+    return ad.tsum(pnl * -hedger.entropic_weights(pnl.data, 1.0))
 
 
 def chunked_grads(tensors, paths, hidden=hedger.HIDDEN):
@@ -67,9 +67,9 @@ def paths_300():
 # (dtype, chunked) -> sha256 of the parameter gradients in PARAM_NAMES order
 PINNED_GRADS = {
     ("float32", False):
-        "f7f707f79656785515c69f1bf4de83a6ff9e7549c4cac1b8dd042dfbc45742ef",
+        "074ab95e0835a4d585d6f87777dbfb564f3168efa548c7a3b2c6d32a981808d3",
     ("float64", False):
-        "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
+        "cfcc94653fd6219d1e6879fa2c9128d560e4ef22178c040e863602394c49cdfe",
     ("float32", True):
         "ace0433c4e451e6d7874a1f26c9c92de379fe1f72b6a4c3b9da158fdc9e1994b",
     ("float64", True):
@@ -77,8 +77,8 @@ PINNED_GRADS = {
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
-    "5f070d437a1eddaf5a9c1361b08d603153e8990711fb30721ff06f7d2e7ef71e",
-    "f8e371d2daea01596ebc71765e81f888b6d17695e610bb13a5aea3109bf89087",
+    "f5ea3473a3e92292b275ebf75641337ff7e987b14f7bf38159761b46199d8c0c",
+    "977d477f77a83e81bd897e1c5238305156b08e481797fb660d7a396b9b270878",
 )
 
 
@@ -88,10 +88,7 @@ def test_pinned_gradients(paths_300, monkeypatch, dtype, chunked):
     tensors = taped_parameters(np.dtype(dtype))
     if chunked:
         monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 64)
-        grads = chunked_grads(tensors, paths_300)
-    else:
-        grads = single_tape_grads(tensors, paths_300)
-    assert sha256(grads) == PINNED_GRADS[dtype, chunked]
+    assert sha256(chunked_grads(tensors, paths_300)) == PINNED_GRADS[dtype, chunked]
 
 
 def test_pinned_training_trajectory():
@@ -100,16 +97,6 @@ def test_pinned_training_trajectory():
     params = sha256(model.params[k] for k in hedger.PARAM_NAMES)
     losses = sha256([np.array(model.loss_history)])
     assert (params, losses) == PINNED_TRAINED
-
-
-def test_chunked_gradient_equals_single_tape_up_to_summation_order(monkeypatch):
-    """64 paths x 8 steps in 4 chunks, float64, relative to each parameter's max|g|."""
-    paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
-    full = single_tape_grads(taped_parameters(np.float64), paths)
-    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 16)
-    chunked = chunked_grads(taped_parameters(np.float64), paths)
-    for name, g_full, g_chunk in zip(hedger.PARAM_NAMES, full, chunked):
-        assert np.abs(g_chunk - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
 
 
 def count_rollouts(monkeypatch, hold=0.0):
@@ -150,7 +137,9 @@ def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, 
     parameter's max|g|. At a 64-path tape limit pass one's tapes are kept;
     at 32 pass one rolls the shards out with no grad and pass two re-tapes them."""
     paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
-    full = single_tape_grads(taped_parameters(np.float64), paths)
+    tensors = taped_parameters(np.float64)
+    ad.backward(weighted_pnl(tensors, paths))
+    full = [tensors[k].grad for k in hedger.PARAM_NAMES]
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     counts = count_rollouts(monkeypatch)
@@ -191,8 +180,8 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
 
 
 def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
-    """Only the single tape leaks float64 (see the test below): the shards
-    backpropagate float32 weights, so every parameter's gradient is float32."""
+    """The shards backpropagate float32 weights, so every parameter's
+    gradient is float32."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
     tensors = taped_parameters(np.float32)
     hedger._chunked_backward(tensors, paths_300, COST, STRIKE, 1.0, hedger.HIDDEN)
@@ -206,6 +195,14 @@ def test_gradient_check_on_tiny_float64_model():
     assert worst < 1e-3
 
 
+def test_gradient_check_of_a_diverged_model_raises():
+    model = hedger.init_model(3, hidden=4)
+    model.params["w_out"][0, 0] = np.nan
+    paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
+    with pytest.raises(NumericalDivergenceError):
+        hedger.gradient_check(model, paths, COST, STRIKE)
+
+
 def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
     """Bytes a taped float32 rollout and its loss hold before backward."""
     n_paths = 512
@@ -214,8 +211,7 @@ def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
-        loss = entropic_objective(pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE), 1.0)
+        loss = weighted_pnl(tensors, paths)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -269,8 +265,8 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
 
 def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
     model = model_in(np.float64)
-    pnl = pnl_on_tape(Tensor(taped_no_grad_rollout(model, paths_300)), paths_300.spot,
-                      COST.cost_rate, STRIKE)
+    pnl = hedger.pnl_on_tape(Tensor(taped_no_grad_rollout(model, paths_300)), paths_300.spot,
+                             COST.cost_rate, STRIKE)
     assert hedger.training_loss(model, paths_300, COST, STRIKE) == entropic_risk(pnl.data, 1.0)
 
 
@@ -309,15 +305,18 @@ def test_rollout_peak_memory_per_path():
     assert peak / n_paths <= 3000
 
 
-def test_float32_training_leaks_float64_into_the_loss_and_the_head(paths_300):
-    """What the autodiff docstring states: the entropic objective's Python-float
-    shift makes the loss and the head's gradients float64; the LSTM's stay float32."""
-    tensors = taped_parameters(np.float32)
-    delta = hedger._rollout(tensors, paths_300, STRIKE, hedger.HIDDEN)
-    loss = entropic_objective(pnl_on_tape(delta, paths_300.spot, COST.cost_rate, STRIKE), 1.0)
-    assert delta.data.dtype == np.float32
-    assert loss.data.dtype == np.float64
-    ad.backward(loss)
-    dtypes = {k: tensors[k].grad.dtype for k in hedger.PARAM_NAMES}
-    assert {k for k, d in dtypes.items() if d == np.float64} == {"w_out", "b_out"}
-    assert all(d == np.float32 for k, d in dtypes.items() if k not in ("w_out", "b_out"))
+@pytest.mark.parametrize("shard", [hedger.SHARD_PATHS, 64], ids=["one_shard", "five_shards"])
+def test_float32_training_hands_adam_float32_gradients(monkeypatch, shard):
+    """300-path epochs: every gradient Adam.step reads is float32."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
+    seen = []
+    step = ad.Adam.step
+
+    def recording_step(self):
+        seen.extend(p.grad.dtype for p in self.params)
+        step(self)
+
+    monkeypatch.setattr(ad.Adam, "step", recording_step)
+    hedger.train_hedger(hedger.TrainConfig(epochs=1, paths_per_epoch=300, seed=5),
+                        CALIBRATIONS["baseline"], GRID, COST, STRIKE)
+    assert seen == [np.dtype(np.float32)] * len(hedger.PARAM_NAMES)

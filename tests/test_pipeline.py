@@ -147,6 +147,18 @@ class TestCliOnSavedRun:
         assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
         assert blend_file in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropped", ["meta", "w_out"])
+    def test_checkpoint_missing_an_array_is_a_validation_error(self, run_dir, tmp_path,
+                                                                capsys, dropped):
+        out = copy_run(run_dir[0], tmp_path)
+        member = os.path.join(out, "members", "member_1.npz")
+        with np.load(member) as data:
+            kept = {name: data[name] for name in data.files if name != dropped}
+        np.savez(member, **kept)
+        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and member in err and dropped in err
+
     def test_fit_blend_reproduces_the_pipeline_fits(self, run_dir, config_file, tmp_path):
         out = copy_run(run_dir[0], tmp_path)
         for kind in ("entropic", "cvar"):
