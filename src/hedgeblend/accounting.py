@@ -110,6 +110,50 @@ def compute_pnl(
     )
 
 
+class HedgePnL:
+    """P&L of (B, n) hedge arrays on fixed (B, n+1) spots, and its VJP.
+
+    The differentiable accounting of training and the blend fit: the P&L of
+    :func:`compute_pnl` up to rounding (costs sum |change| * (c S)), in the
+    dtype of ``spot``, in buffers allocated once and reused by every call.
+    """
+
+    def __init__(self, spot: np.ndarray, cost_rate: float, strike: float):
+        self.d_spot = np.diff(spot, axis=1)
+        self.cost_spot = cost_rate * spot
+        self.payoff = np.maximum(spot[:, -1] - strike, 0.0)
+        self.changes = np.empty_like(spot)  # dd_t = delta_t - delta_{t-1}, t = 0..n
+        self._work = np.empty_like(self.d_spot)
+        self._work_ch = np.empty_like(spot)
+
+    def pnl(self, delta: np.ndarray) -> np.ndarray:
+        """P&L per path; keeps the position changes for :meth:`vjp`."""
+        n, work, changes, costs = delta.shape[1], self._work, self.changes, self._work_ch
+        np.multiply(delta, self.d_spot, out=work)
+        gains = work.sum(axis=1)
+        changes[:, 0] = delta[:, 0]
+        np.subtract(delta[:, 1:], delta[:, :-1], out=changes[:, 1:n])
+        np.subtract(0.0, delta[:, -1], out=changes[:, n])
+        np.abs(changes, out=costs)
+        costs *= self.cost_spot
+        return gains - costs.sum(axis=1) - self.payoff
+
+    def vjp(self, g_pnl: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d sum(g_pnl * pnl) / d delta_t = g (dS_t - c S_t sgn(dd_t) + c S_{t+1}
+        sgn(dd_{t+1})) at the last :meth:`pnl` call, sgn(0) = 0, into ``out``
+        (by default a new array of the buffers' dtype)."""
+        n = self.d_spot.shape[1]
+        out = np.empty_like(self.d_spot) if out is None else out
+        part = self._work_ch
+        np.copysign(self.cost_spot, self.changes, out=part)  # c S >= 0
+        part[self.changes == 0.0] = 0.0
+        part *= -g_pnl[:, None]
+        np.multiply(g_pnl[:, None], self.d_spot, out=out)
+        out += part[:, :n]
+        out -= part[:, 1:]
+        return out
+
+
 def average_trade_size(report: PnLReport) -> float:
     """Mean |position change| over all paths and steps t=0..n."""
     return float(report.trades.mean())

@@ -1,10 +1,11 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
-Just enough machinery to backpropagate through a recurrent hedging rollout
-and its P&L: addition, subtraction and multiplication with broadcasting,
-matmul, abs, sums, concat/slice, and a fused LSTM cell. The hedger
-backpropagates the P&L weighted by the entropic objective's softmax
-weights, which it computes in numpy. Graphs are built only when an input
+Just enough machinery to backpropagate through a recurrent hedging rollout:
+addition and multiplication with broadcasting, matmul, a full sum,
+concat/slice, and a fused LSTM cell. The tape covers the rollout only: the
+hedger backpropagates sum(delta * g_delta), with g_delta the closed-form
+gradient of the entropic loss in the hedge ratios (``accounting.HedgePnL``
+and ``risk._objective_and_grad``). Graphs are built only when an input
 requires gradients, so inference-style forward passes run at plain numpy
 speed with no caching.
 
@@ -12,7 +13,7 @@ Not supported on purpose: higher-order gradients, in-place ops, dtype
 promotion games. A Tensor keeps float32 or float64 data as given and makes
 anything else float64; each op then follows numpy's promotion, so a float32
 graph stays float32 while no float64 operand enters it. The hedger's
-training graphs take none: their P&L weights keep the P&L's dtype (tested
+training graphs take none: g_delta is cast to the parameters' dtype (tested
 in ``tests/test_hedger.py``).
 """
 
@@ -88,14 +89,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
         )
 
-    def __sub__(self, other):
-        other = as_tensor(other)
-        return Tensor._node(
-            self.data - other.data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-        )
-
     def __mul__(self, other):
         other = as_tensor(other)
         return Tensor._node(
@@ -128,24 +121,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# -- elementwise functions ------------------------------------------------------
-
-
-def absolute(t: Tensor) -> Tensor:
-    """|t| with subgradient 0 at 0 (np.sign(0) == 0)."""
-    return Tensor._node(np.abs(t.data), (t,), lambda g: (g * np.sign(t.data),))
-
-
 # -- reductions and shape ops --------------------------------------------------
 
 
-def tsum(t: Tensor, axis=None) -> Tensor:
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, t.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), t.shape).copy(),)
-
-    return Tensor._node(t.data.sum(axis=axis), (t,), vjp)
+def tsum(t: Tensor) -> Tensor:
+    return Tensor._node(t.data.sum(), (t,), lambda g: (np.broadcast_to(g, t.shape).copy(),))
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:

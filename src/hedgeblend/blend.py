@@ -4,9 +4,11 @@ The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
 alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
 terms]). Coefficients are fitted by full-batch Adam on precomputed hedges:
 only the blend weights move, never the underlying strategies. The fit's
-gradient is derived by hand (entropic softmax weights or the CVaR tail
-subgradient, through the P&L with costs and the sigmoid) rather than taped,
-and keeps the taped gradient's operand order, so it matches it bit for bit.
+gradient is closed-form, not taped: the P&L, its VJP and the objective
+gradient (entropic softmax weights or the CVaR tail subgradient) are the
+code hedger training uses, ``accounting.HedgePnL`` and
+``risk._objective_and_grad``; only the sigmoid step is the fit's own. It
+keeps a taped gradient's operand order, so it matches one bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import rng
-from .accounting import CostSpec, HedgeSchedule
+from .accounting import CostSpec, HedgePnL, HedgeSchedule
 from .autodiff import Tensor, _sigmoid_inplace
 from .ensemble import EnsembleOutput
 from .errors import DimensionError, NumericalDivergenceError, ParameterError
 from .market import MarketPaths
+from .risk import _objective_and_grad
 
 FIT_ITERATIONS = 2000
 FIT_STEP_SIZE = 0.01
@@ -156,34 +159,6 @@ class BlendFit:
         )
 
 
-def _objective_and_grad(pnl: np.ndarray, objective: BlendObjective, g_pnl: np.ndarray) -> float:
-    """Objective value of the P&L vector; writes d objective / d pnl into ``g_pnl``.
-
-    Entropic: (1/a) log mean exp(-a pnl), shifted by its max, whose gradient
-    is minus the softmax weights of -a pnl. CVaR: minus the mean of the
-    k = ceil(level n) worst paths; tail membership is frozen at the current
-    values, so the gradient is -1/k on the tail and 0 elsewhere (the
-    empirical expected-shortfall subgradient). Products are grouped as the
-    reverse sweep of the expression would group them, so the values match a
-    taped gradient bit for bit.
-    """
-    n = pnl.size
-    if objective.kind == "entropic":
-        a = objective.a
-        x = pnl * (-a)
-        m = float(x.max())
-        e = np.exp(x - m)
-        mean = e.sum() * (1.0 / n)
-        np.multiply(e, (1.0 / a) / mean * (1.0 / n), out=g_pnl)
-        g_pnl *= -a
-        return float((np.log(mean) + m) * (1.0 / a))
-    k = math.ceil(objective.level * n)
-    tail = np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)
-    g_pnl.fill(0.0)
-    g_pnl[tail] = -(1.0 / k)
-    return float(-(pnl[tail].sum() * (1.0 / k)))
-
-
 def fit_blend(
     train_paths: MarketPaths,
     ens: EnsembleOutput,
@@ -202,13 +177,11 @@ def fit_blend(
 
     All hedge ratios and disagreement values are held fixed; each iteration
     recomputes the blended schedule, its P&L and the objective, then steps
-    the coefficients along the closed-form gradient, with G = d obj / d pnl
-    from :func:`_objective_and_grad` (the CVaR tail subgradient included),
-    dd_t = delta_t - delta_{t-1} the position changes for t = 0..n (entry
-    and unwind included) and c the cost rate:
+    the coefficients along the closed-form gradient: G = d obj / d pnl from
+    ``risk._objective_and_grad`` (the CVaR tail subgradient included),
+    g_delta = d obj / d delta from ``accounting.HedgePnL.vjp``, and
 
-        d obj / d delta_t = G (dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}))
-        d obj / d z       = (g_delta delta_BS - g_delta delta_ens) alpha (1 - alpha)
+        d obj / d z = (g_delta delta_BS - g_delta delta_ens) alpha (1 - alpha)
 
     Each coefficient's gradient is the sum of d obj / d z times its feature
     (1, disagreement, moneyness, time fraction). Every product and sum keeps
@@ -228,15 +201,9 @@ def fit_blend(
     features = [ens.disagreement]
     if extended:
         features.extend(blend_features(train_paths, strike))
-    spot = np.asarray(train_paths.spot, dtype=float)
-    d_spot = np.diff(spot, axis=1)
-    cost_spot = cost.cost_rate * spot
-    payoff = np.maximum(spot[:, -1] - strike, 0.0)
-
-    n_paths, n = shape
+    account = HedgePnL(np.asarray(train_paths.spot, dtype=float), cost.cost_rate, strike)
     alpha, one_minus, delta, work = (np.empty(shape) for _ in range(4))
-    changes, work_ch = np.empty((n_paths, n + 1)), np.empty((n_paths, n + 1))
-    g_pnl = np.empty(n_paths)
+    g_pnl = np.empty(shape[0])
 
     coefs = [Tensor(np.zeros(()), requires_grad=True) for _ in range(1 + len(features))]
     adam = ad.Adam(coefs, lr=step_size)
@@ -257,30 +224,15 @@ def fit_blend(
         np.multiply(alpha, bs_delta, out=work)
         delta += work
 
-        # P&L, accounted as in accounting.compute_pnl.
-        np.multiply(delta, d_spot, out=work)
-        gains = work.sum(axis=1)
-        changes[:, 0] = delta[:, 0]
-        np.subtract(delta[:, 1:], delta[:, :-1], out=changes[:, 1:n])
-        np.subtract(0.0, delta[:, -1], out=changes[:, n])
-        np.abs(changes, out=work_ch)
-        work_ch *= cost_spot
-        pnl = gains - work_ch.sum(axis=1) - payoff
-
-        value = _objective_and_grad(pnl, objective, g_pnl)
+        pnl = account.pnl(delta)
+        value = _objective_and_grad(pnl, objective.kind, g_pnl, a=objective.a,
+                                    level=objective.level)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
 
         # Backward: d obj / d delta into work, d obj / d z into delta.
-        # Both objectives fall as P&L rises, so -G c S >= 0 and its product
-        # with sgn(changes) is copysign, except where the position is unchanged.
-        np.multiply(-g_pnl[:, None], cost_spot, out=work_ch)
-        np.copysign(work_ch, changes, out=work_ch)
-        work_ch[changes == 0.0] = 0.0
-        np.multiply(g_pnl[:, None], d_spot, out=work)
-        work += work_ch[:, :n]
-        work -= work_ch[:, 1:]
+        account.vjp(g_pnl, out=work)
         np.multiply(work, bs_delta, out=delta)
         work *= ens_delta
         delta -= work

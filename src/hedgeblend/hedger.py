@@ -4,8 +4,10 @@ Architecture: two stacked LSTM layers (32 hidden units each) and an affine
 scalar head emitting an unconstrained hedge ratio. At each step the network
 sees (log moneyness, time to expiry, instantaneous vol, previous hedge) and
 carries hidden state across the path. Training minimises the entropic risk
-of terminal P&L, transaction costs included, by reverse-mode differentiation
-through the whole rollout.
+of terminal P&L, transaction costs included. The P&L and the loss are
+differentiated in closed form, by the code the blend fit uses
+(``accounting.HedgePnL``, ``risk._objective_and_grad``); the autodiff tape
+differentiates only the LSTM rollout.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
@@ -23,6 +25,7 @@ threads, at most one per usable CPU, with results identical to a serial loop.
 from __future__ import annotations
 
 import json
+import zipfile
 from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
 from functools import reduce
@@ -31,11 +34,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .accounting import CostSpec, HedgeSchedule, compute_pnl
+from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .autodiff import Tensor, _sigmoid_inplace
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
-from .risk import entropic_risk
+from .risk import _objective_and_grad, entropic_risk
 from .threads import run_threads, usable_cpus
 
 INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
@@ -81,6 +84,8 @@ class TrainConfig:
             raise ParameterError("step_size must be positive")
         if self.risk_aversion <= 0:
             raise ParameterError("risk_aversion must be positive")
+        if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
+            raise ParameterError(f"adam_betas must be two values in [0, 1), got {self.adam_betas}")
 
 
 @dataclass
@@ -270,8 +275,9 @@ def train_hedger(
     """Train one hedger; deterministic for a fixed config.
 
     Each epoch simulates a fresh batch (seed mixed from config.seed and the
-    epoch index), rolls the network through it, and applies one Adam update
-    of the entropic risk of terminal P&L. ``market`` is a HestonParams or
+    epoch index), rolls the network through it on the tape, and applies one
+    Adam update of the entropic risk of terminal P&L, whose gradient in the
+    hedge ratios is closed-form. ``market`` is a HestonParams or
     GBMSpec. Raises NumericalDivergenceError naming the epoch if the loss
     leaves the reals.
 
@@ -283,8 +289,9 @@ def train_hedger(
     taped at once.
 
     Training runs in float32, gradients included (the rollout is the hot
-    loop; the objective tolerances sit far above single precision). Gradient
-    checks are always performed in float64.
+    loop; the objective tolerances sit far above single precision); only the
+    loss and its gradient in the P&L are float64. Gradient checks are always
+    performed in float64.
 
     ``callback(epoch, model)``, when given, fires after each update; useful
     for periodic checkpoint evaluation.
@@ -315,31 +322,6 @@ def train_hedger(
     return model
 
 
-def pnl_on_tape(delta: Tensor, spot: np.ndarray, cost_rate: float, strike: float) -> Tensor:
-    """Terminal P&L of a short call for a (B, n) hedge tensor on (B, n+1) spots.
-
-    Same accounting as :func:`hedgeblend.accounting.compute_pnl`: entry from a
-    flat book, unwind at maturity, proportional costs on every change.
-    """
-    n_paths = delta.shape[0]
-    dtype = delta.data.dtype
-    spot = np.asarray(spot, dtype=dtype)
-    gains = ad.tsum(delta * np.diff(spot, axis=1), axis=1)
-    zero_col = Tensor(np.zeros((n_paths, 1), dtype=dtype))
-    changes = ad.concat([delta, zero_col], axis=1) - ad.concat([zero_col, delta], axis=1)
-    costs = ad.tsum(ad.absolute(changes) * (cost_rate * spot), axis=1)
-    payoff = np.maximum(spot[:, -1] - strike, 0.0)
-    return gains - costs - Tensor(payoff)
-
-
-def entropic_weights(pnl: np.ndarray, a: float) -> np.ndarray:
-    """Softmax weights w_i with d entropic_risk / d pnl_i = -w_i; they sum to 1."""
-    x = -a * pnl
-    x = x - x.max()
-    e = np.exp(x)
-    return e / e.sum()
-
-
 def _chunked_backward(
     tensors: dict[str, Tensor],
     paths: MarketPaths,
@@ -352,15 +334,17 @@ def _chunked_backward(
 
     The one gradient of training and of :func:`gradient_check`. Every batch
     of B paths is split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))``
-    contiguous shards; a batch of at most that many paths is one shard. Each
-    shard is taped by :func:`_rollout` on its own leaf tensors, which share
-    the parameter arrays, so no two threads write one ``.grad``. Pass one
-    gives every path's P&L, hence the loss (``entropic_risk`` of the
-    concatenated P&L) and the softmax weights w with d loss/d pnl_i = -w_i.
-    Pass two backpropagates sum(-w_i * pnl_i) per shard. The shard gradients
-    are then summed in shard order into the parameters' ``.grad``: the result
-    equals one full-batch backward up to float summation order and does not
-    depend on the thread count or timing.
+    contiguous shards; a batch of at most that many paths is one shard. The
+    tape covers only each shard's rollout by :func:`_rollout`, on its own
+    leaf tensors, which share the parameter arrays, so no two threads write
+    one ``.grad``. Pass one gives every shard's P&L (``accounting.HedgePnL``
+    in the parameters' dtype); the loss and g = d loss / d pnl come from
+    ``risk._objective_and_grad`` on the concatenated P&L's float64 cast.
+    Pass two maps each shard's g through the P&L's VJP to g_delta = d loss /
+    d delta in the parameters' dtype and backpropagates sum(delta * g_delta)
+    on the shard's tape. The shard gradients are summed in shard order into
+    the parameters' ``.grad``: the result equals one full-batch backward up
+    to float summation order and does not depend on the thread count or timing.
 
     The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
     shard)`` threads, so one shard runs on the calling thread. When ``B <=
@@ -369,9 +353,8 @@ def _chunked_backward(
     them out with no grad (still through :func:`_rollout`, so both passes
     count as tape passes) and pass two re-tapes each shard, so at most
     ``TAPE_BATCH_LIMIT`` paths are taped at once. float32 parameters give
-    float32 gradients, since the weights keep the P&L's dtype; only the
-    returned loss is float64. A hand-written training forward (ROADMAP item
-    3) can run per shard in place of the tape.
+    float32 gradients; only the loss and g are float64. A hand-written
+    LSTM backward (ROADMAP item 3) can replace the tape per shard.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
@@ -383,19 +366,22 @@ def _chunked_backward(
         sub = paths.take(np.arange(*shard))
         leaves = {k: Tensor(t.data, requires_grad=requires_grad) for k, t in tensors.items()}
         delta = _rollout(leaves, sub, strike, hidden)
-        return leaves, pnl_on_tape(delta, sub.spot, cost.cost_rate, strike)
+        account = HedgePnL(sub.spot.astype(delta.data.dtype), cost.cost_rate, strike)
+        return leaves, delta, account, account.pnl(delta.data)
 
-    taped = run_threads(lambda shard: tape(shard, keep), shards, workers)
-    pnl = np.concatenate([pnl_t.data for _, pnl_t in taped])
-    loss = entropic_risk(pnl, a)
+    passes = run_threads(lambda shard: tape(shard, keep), shards, workers)
+    pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
+    if not keep:
+        passes = None  # pass two re-tapes every shard
+    g_pnl = np.empty(n_paths)
+    loss = _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl, a=a)
     if not np.isfinite(loss):
         return loss
-    weights = entropic_weights(pnl, a)
 
     def shard_grads(k):
         lo, hi = shards[k]
-        leaves, pnl_t = taped[k] if keep else tape(shards[k])
-        ad.backward(ad.tsum(pnl_t * (-weights[lo:hi])))
+        leaves, delta, account, _ = passes[k] if keep else tape(shards[k])
+        ad.backward(ad.tsum(delta * account.vjp(g_pnl[lo:hi])))
         return [leaves[name].grad for name in PARAM_NAMES]
 
     grads = run_threads(shard_grads, range(len(shards)), workers)
@@ -408,9 +394,11 @@ def training_loss(
     model: HedgerModel, paths: MarketPaths, cost: CostSpec, strike: float, a: float = 1.0
 ) -> float:
     """Entropic training objective of the model on a fixed batch, rolled out by
-    :func:`_infer` (no tape); equal bit for bit to the taped loss's value."""
-    delta = Tensor(_infer(model.params, paths, strike, model.hidden))
-    return entropic_risk(pnl_on_tape(delta, paths.spot, cost.cost_rate, strike).data, a)
+    :func:`_infer` (no tape); on one shard, equal bit for bit to the loss
+    :func:`_chunked_backward` returns."""
+    delta = _infer(model.params, paths, strike, model.hidden)
+    pnl = HedgePnL(paths.spot.astype(delta.dtype), cost.cost_rate, strike).pnl(delta)
+    return _objective_and_grad(pnl.astype(np.float64), "entropic", np.empty(pnl.size), a=a)
 
 
 def gradient_check(
@@ -495,19 +483,21 @@ def save_model(model: HedgerModel, filename: str) -> None:
 
 def load_model(filename: str) -> HedgerModel:
     """Read a :func:`save_model` checkpoint; ParameterError names a file that
-    lacks the metadata or a parameter array."""
-    with np.load(filename) as data:
-        missing = [name for name in ("meta", *PARAM_NAMES) if name not in data.files]
-        if missing:
-            raise ParameterError(f"{filename} is not a hedger checkpoint: no {', '.join(missing)}")
-        meta = json.loads(bytes(data["meta"]).decode())
-        params = {name: data[name].copy() for name in PARAM_NAMES}
-    if meta.get("format") != "hedgeblend-checkpoint-v1":
-        raise ParameterError(f"{filename} is not a hedger checkpoint")
-    return HedgerModel(
-        params=params,
-        hidden=int(meta["hidden"]),
-        n_layers=int(meta["n_layers"]),
-        seed=int(meta["seed"]),
-        loss_history=[float(x) for x in meta["loss_history"]],
-    )
+    is not a readable archive or lacks the metadata or a parameter array."""
+    try:
+        with np.load(filename) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            params = {name: data[name].copy() for name in PARAM_NAMES}
+        if meta.get("format") == "hedgeblend-checkpoint-v1":
+            return HedgerModel(
+                params=params,
+                hidden=int(meta["hidden"]),
+                n_layers=int(meta["n_layers"]),
+                seed=int(meta["seed"]),
+                loss_history=[float(x) for x in meta["loss_history"]],
+            )
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
+            AttributeError) as exc:
+        # ValueError: numpy refuses to unpickle a non-archive; bad JSON or numbers.
+        raise ParameterError(f"{filename} is not a hedger checkpoint: {exc!r}") from exc
+    raise ParameterError(f"{filename} is not a hedger checkpoint")

@@ -52,6 +52,35 @@ def cvar(pnl, level: float):
     return _scalar(np.partition(pnl, k - 1, axis=-1)[..., :k].mean(axis=-1))
 
 
+def _objective_and_grad(pnl: np.ndarray, kind: str, g_pnl: np.ndarray, *,
+                        a: float = 1.0, level: float = 0.05) -> float:
+    """The loss to minimise over a P&L vector; writes d loss / d pnl into ``g_pnl``.
+
+    ``kind`` "entropic": :func:`entropic_risk`, shifted by its max, whose
+    gradient is minus the softmax weights of -a pnl. "cvar": minus
+    :func:`cvar`, the mean of the k = ceil(level n) worst paths; tail
+    membership is frozen at the current values, so the gradient is -1/k on
+    the tail and 0 elsewhere (the empirical expected-shortfall subgradient).
+    Both gradients are <= 0. Products are grouped as the reverse sweep of the
+    expression would group them, so the blend fit matches a taped gradient
+    bit for bit.
+    """
+    n = pnl.size
+    if kind == "entropic":
+        x = pnl * (-a)
+        m = float(x.max())
+        e = np.exp(x - m)
+        mean = e.sum() * (1.0 / n)
+        np.multiply(e, (1.0 / a) / mean * (1.0 / n), out=g_pnl)
+        g_pnl *= -a
+        return float((np.log(mean) + m) * (1.0 / a))
+    k = math.ceil(level * n)
+    tail = np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)
+    g_pnl.fill(0.0)
+    g_pnl[tail] = -(1.0 / k)
+    return float(-(pnl[tail].sum() * (1.0 / k)))
+
+
 def summary(pnl) -> tuple[float, float]:
     """(mean, sample standard deviation with n-1 denominator)."""
     pnl = np.asarray(pnl, dtype=float)

@@ -16,7 +16,6 @@ from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
 from hedgeblend.blend import (
     BlendObjective,
     BlendParams,
-    _objective_and_grad,
     blend_features,
     blend_schedules,
     fit_blend,
@@ -134,34 +133,6 @@ def test_gradient_matches_central_differences(problem, kind, extended, monkeypat
             fd = (objective_at(problem, up, objective, tail)[0]
                   - objective_at(problem, down, objective, tail)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), (kind, i)
-
-
-class TestObjectiveAndGrad:
-    def test_entropic_value_and_softmax_gradient(self, rng_np):
-        pnl = rng_np.normal(-0.05, 0.1, size=500)
-        g = np.empty_like(pnl)
-        value = _objective_and_grad(pnl, BlendObjective("entropic", a=1.3), g)
-        assert value == pytest.approx(entropic_risk(pnl, 1.3), abs=1e-12)
-        x = -1.3 * pnl
-        weights = np.exp(x - x.max())
-        assert np.allclose(g, -weights / weights.sum(), atol=1e-15)
-
-    def test_cvar_gradient_is_minus_one_over_k_on_the_tail(self, rng_np):
-        pnl = rng_np.normal(0, 1, size=40)
-        g = np.empty_like(pnl)
-        value = _objective_and_grad(pnl, BlendObjective("cvar", level=0.1), g)
-        k = 4  # ceil(0.1 * 40)
-        expected = np.zeros_like(pnl)
-        expected[np.argsort(pnl)[:k]] = -1.0 / k
-        assert np.array_equal(g, expected)
-        assert value == pytest.approx(-cvar(pnl, 0.1), abs=1e-12)
-
-    def test_cvar_over_the_whole_sample_is_minus_the_mean(self, rng_np):
-        pnl = rng_np.normal(0, 1, size=10)
-        g = np.empty_like(pnl)
-        value = _objective_and_grad(pnl, BlendObjective("cvar", level=0.95), g)  # k = 10
-        assert value == pytest.approx(-pnl.mean(), abs=1e-12)
-        assert np.array_equal(g, np.full_like(pnl, -0.1))
 
 
 def test_fit_never_builds_a_tape(problem, monkeypatch):

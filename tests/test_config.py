@@ -112,6 +112,25 @@ class TestValidation:
             evaluation.paired_bootstrap(pnl, pnl[::-1], RiskSpec("mean"), resamples=floor - 1)
 
 
+INVALID_BETAS = [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (0.9, 0.999, 0.5), (0.9,)]
+INVALID_BETAS_IDS = ["beta1-one", "beta2-one", "negative", "three-values", "one-value"]
+
+
+class TestAdamBetas:
+    @pytest.mark.parametrize("betas", INVALID_BETAS, ids=INVALID_BETAS_IDS)
+    def test_invalid_betas_are_rejected_at_construction(self, betas):
+        with pytest.raises(ParameterError, match="adam_betas"):
+            TrainConfig(adam_betas=betas)
+        record = RunConfig().to_dict()
+        record["train"]["adam_betas"] = list(betas)
+        with pytest.raises(ParameterError, match="adam_betas"):
+            RunConfig.from_dict(record)
+
+    def test_boundary_betas_are_accepted(self):
+        TrainConfig(adam_betas=(0.0, 0.0))
+        TrainConfig(adam_betas=(0.999999, 0.999999))
+
+
 class TestCliRejectsBeforeTraining:
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
@@ -127,6 +146,18 @@ class TestCliRejectsBeforeTraining:
         out = tmp_path / "out"
         code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betas", INVALID_BETAS, ids=INVALID_BETAS_IDS)
+    def test_invalid_adam_betas(self, tmp_path, capsys, betas):
+        record = RunConfig().to_dict()
+        record["train"]["adam_betas"] = list(betas)
+        config_file = tmp_path / "bad.json"
+        config_file.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert "adam_betas" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])

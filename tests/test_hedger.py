@@ -1,11 +1,12 @@
-"""The hedger's taped gradient: pinned values, its checks, its tape memory,
-its sharded epochs on threads, checkpoints; and the tape-free inference
-kernel against the tape.
+"""The hedger's gradient: pinned values, its checks, its tape memory, its
+sharded epochs on threads, checkpoints; and the tape-free inference kernel
+against the tape.
 
-Every training gradient is the sharded one. The single-tape hashes pin a
-300-path batch, which is one shard and so one tape on the calling thread;
-the chunked hashes pin the same batch in five shards, whose sums are added
-in shard order.
+Every training gradient is the sharded one: the tape covers each shard's
+LSTM rollout, and the P&L and loss gradients are closed-form. The
+single-tape hashes pin a 300-path batch, which is one shard and so one tape
+on the calling thread; the chunked hashes pin the same batch in five
+shards, whose sums are added in shard order.
 """
 
 import dataclasses
@@ -19,11 +20,11 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend import hedger
-from hedgeblend.accounting import CostSpec
+from hedgeblend.accounting import CostSpec, HedgePnL
 from hedgeblend.autodiff import Tensor
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
-from hedgeblend.risk import entropic_risk
+from hedgeblend.risk import _objective_and_grad
 
 COST = CostSpec(5e-4)
 STRIKE = 1.0
@@ -40,11 +41,15 @@ def taped_parameters(dtype, seed=7, hidden=hedger.HIDDEN):
 
 
 def weighted_pnl(tensors, paths):
-    """One full-batch tape of sum(pnl * -w), w the entropic softmax weights:
-    its gradient is the entropic loss's."""
+    """One full-batch rollout tape of sum(delta * g_delta), g_delta the
+    closed-form gradient of the entropic loss in the hedge ratios: its
+    gradient is the entropic loss's."""
     delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
-    pnl = hedger.pnl_on_tape(delta, paths.spot, COST.cost_rate, STRIKE)
-    return ad.tsum(pnl * -hedger.entropic_weights(pnl.data, 1.0))
+    account = HedgePnL(paths.spot.astype(delta.data.dtype), COST.cost_rate, STRIKE)
+    pnl = account.pnl(delta.data)
+    g_pnl = np.empty(pnl.size)
+    _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl)
+    return ad.tsum(delta * account.vjp(g_pnl))
 
 
 def chunked_grads(tensors, paths, hidden=hedger.HIDDEN):
@@ -67,18 +72,18 @@ def paths_300():
 # (dtype, chunked) -> sha256 of the parameter gradients in PARAM_NAMES order
 PINNED_GRADS = {
     ("float32", False):
-        "074ab95e0835a4d585d6f87777dbfb564f3168efa548c7a3b2c6d32a981808d3",
+        "55535d0c7f27f192612dea886cc34e9585f5e31bfa711ac8b8781b8fc2031428",
     ("float64", False):
-        "cfcc94653fd6219d1e6879fa2c9128d560e4ef22178c040e863602394c49cdfe",
+        "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
     ("float32", True):
-        "ace0433c4e451e6d7874a1f26c9c92de379fe1f72b6a4c3b9da158fdc9e1994b",
+        "070c30112523be4665267964b4cb15335a9887a7722a13d0610211ca7634be46",
     ("float64", True):
-        "bbc6afd4eca0c9d71273a2232c971072112118e3b3d3658c13ece5038b5564ee",
+        "ffed72851201798185b2133d4086752f336adb9954c7a4c1a2ce34bb0285ac95",
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
-    "f5ea3473a3e92292b275ebf75641337ff7e987b14f7bf38159761b46199d8c0c",
-    "977d477f77a83e81bd897e1c5238305156b08e481797fb660d7a396b9b270878",
+    "81aa3d5421a1866b9294e761cc9fbf5fe26349b3bafa434db749d3fa741ce692",
+    "6a5ae6a9b51f53b83874f88321248fb1c2e15b975a66692e9d2e4d607a1ee7e5",
 )
 
 
@@ -100,19 +105,22 @@ def test_pinned_training_trajectory():
 
 
 def count_rollouts(monkeypatch, hold=0.0):
-    """Wrap hedger._rollout; count no-grad and taped shard rollouts, and the
-    paths whose tapes are live between a taped rollout and its backward on
-    the same thread (the re-roll mode's pass two). ``hold`` sleeps in each
-    taped rollout, so that the threads overlap."""
-    counts = {"no_grad": 0, "taped": 0, "live": 0, "peak": 0, "threads": set()}
+    """Wrap hedger._rollout; count no-grad and taped shard rollouts, the
+    threads that make each kind, and the paths whose tapes are live between
+    a taped rollout and its backward on the same thread (the re-roll mode's
+    pass two). ``hold`` sleeps in each taped rollout, so that the threads
+    overlap."""
+    counts = {"no_grad": 0, "taped": 0, "live": 0, "peak": 0,
+              "threads": {"no_grad": set(), "taped": set()}}
     lock, local = threading.Lock(), threading.local()
     rollout, backward = hedger._rollout, ad.backward
 
     def counted_rollout(params, paths, strike, hidden):
         taped = params["w_out"].requires_grad
+        kind = "taped" if taped else "no_grad"
         with lock:
-            counts["taped" if taped else "no_grad"] += 1
-            counts["threads"].add(threading.get_ident())
+            counts[kind] += 1
+            counts["threads"][kind].add(threading.get_ident())
             if taped:
                 local.paths = paths.n_paths
                 counts["live"] += paths.n_paths
@@ -166,7 +174,8 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
 
 def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     """16 usable CPUs, 160 paths in ten 16-path shards, a 48-path tape limit:
-    pass two runs on at most 3 threads, so at most 48 paths are taped at once."""
+    each pass runs on at most 3 threads, so at most 48 paths are taped at once.
+    The passes use separate pools, whose threads need not share idents."""
     paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
@@ -176,7 +185,8 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     assert (counts["no_grad"], counts["taped"]) == (10, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 48
-    assert len(counts["threads"]) <= 3
+    assert 1 <= len(counts["threads"]["no_grad"]) <= 3
+    assert 1 <= len(counts["threads"]["taped"]) <= 3
 
 
 def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
@@ -264,10 +274,12 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
 
 
 def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
-    model = model_in(np.float64)
-    pnl = hedger.pnl_on_tape(Tensor(taped_no_grad_rollout(model, paths_300)), paths_300.spot,
-                             COST.cost_rate, STRIKE)
-    assert hedger.training_loss(model, paths_300, COST, STRIKE) == entropic_risk(pnl.data, 1.0)
+    """The tape-free training_loss is the loss of one-shard training."""
+    for dtype in (np.float32, np.float64):
+        model = model_in(dtype)
+        taped = hedger._chunked_backward(hedger._param_tensors(model), paths_300, COST, STRIKE,
+                                         1.0, model.hidden)
+        assert hedger.training_loss(model, paths_300, COST, STRIKE) == taped
 
 
 @pytest.mark.parametrize("where, step", [("w_out", 0), ("spot", 5)])

@@ -1,15 +1,15 @@
-"""The training objective's tape-side P&L, its entropic weights and its value
-against their numpy oracles in ``accounting`` and ``risk``."""
+"""The closed-form P&L and objective gradients that training and the blend fit
+share (``accounting.HedgePnL``, ``risk._objective_and_grad``) against their
+numpy oracles ``accounting.compute_pnl``, ``risk.entropic_risk`` and
+``risk.cvar``; and the training loss against the same oracles."""
 
 import numpy as np
 import pytest
 
-from hedgeblend import autodiff as ad
 from hedgeblend import hedger
-from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
-from hedgeblend.autodiff import Tensor
+from hedgeblend.accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from hedgeblend.market import CALIBRATIONS, MarketPaths, PathGrid, simulate_heston
-from hedgeblend.risk import entropic_risk
+from hedgeblend.risk import _objective_and_grad, cvar, entropic_risk
 
 
 @pytest.fixture
@@ -28,20 +28,23 @@ def numpy_pnl(spot, delta):
     return compute_pnl(paths, HedgeSchedule(delta), CostSpec(5e-4), strike=1.0).pnl
 
 
-class TestPnlOnTape:
-    def test_matches_numpy_accounting(self, random_case):
+class TestHedgePnL:
+    def test_matches_compute_pnl(self, random_case):
         spot, delta = random_case
-        taped = hedger.pnl_on_tape(Tensor(delta), spot, 5e-4, 1.0)
-        assert np.allclose(taped.data, numpy_pnl(spot, delta), atol=1e-12)
+        account = HedgePnL(spot, 5e-4, 1.0)
+        assert np.allclose(account.pnl(delta), numpy_pnl(spot, delta), rtol=0, atol=1e-12)
+        flat = np.zeros_like(delta)  # unchanged positions: zero costs between entry and unwind
+        assert np.allclose(account.pnl(flat), numpy_pnl(spot, flat), rtol=0, atol=1e-12)
 
-    def test_gradient_matches_finite_differences(self, random_case):
-        """The VJP of a fixed linear functional u . pnl against central
-        differences of the numpy accounting."""
+    def test_vjp_matches_central_differences(self, random_case):
+        """The VJP of a fixed linear functional u . pnl, u of either sign,
+        against central differences of compute_pnl."""
         spot, delta = random_case
         h = 1e-6
         u = np.random.default_rng(1).normal(size=delta.shape[0])
-        t = Tensor(delta.copy(), requires_grad=True)
-        ad.backward(ad.tsum(hedger.pnl_on_tape(t, spot, 5e-4, 1.0) * u))
+        account = HedgePnL(spot, 5e-4, 1.0)
+        account.pnl(delta)
+        grad = account.vjp(u)
         flat = delta.reshape(-1)
         gen = np.random.default_rng(0)
         for idx in gen.choice(flat.size, size=25, replace=False):
@@ -52,8 +55,43 @@ class TestPnlOnTape:
             down = u @ numpy_pnl(spot, delta)
             flat[idx] = original
             fd = (up - down) / (2 * h)
-            got = t.grad.reshape(-1)[idx]
+            got = grad.reshape(-1)[idx]
             assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got), 1e-3)
+
+    def test_float32_spot_keeps_float32(self, random_case):
+        spot, delta = random_case
+        account = HedgePnL(spot.astype(np.float32), 5e-4, 1.0)
+        pnl = account.pnl(delta.astype(np.float32))
+        assert pnl.dtype == np.float32
+        assert account.vjp(np.ones(pnl.size)).dtype == np.float32
+
+
+class TestObjectiveAndGrad:
+    def test_entropic_value_and_softmax_gradient(self, rng_np):
+        pnl = rng_np.normal(-0.05, 0.1, size=500)
+        g = np.empty_like(pnl)
+        value = _objective_and_grad(pnl, "entropic", g, a=1.3)
+        assert value == pytest.approx(entropic_risk(pnl, 1.3), abs=1e-12)
+        x = -1.3 * pnl
+        weights = np.exp(x - x.max())
+        assert np.allclose(g, -weights / weights.sum(), atol=1e-15)
+
+    def test_cvar_gradient_is_minus_one_over_k_on_the_tail(self, rng_np):
+        pnl = rng_np.normal(0, 1, size=40)
+        g = np.empty_like(pnl)
+        value = _objective_and_grad(pnl, "cvar", g, level=0.1)
+        k = 4  # ceil(0.1 * 40)
+        expected = np.zeros_like(pnl)
+        expected[np.argsort(pnl)[:k]] = -1.0 / k
+        assert np.array_equal(g, expected)
+        assert value == pytest.approx(-cvar(pnl, 0.1), abs=1e-12)
+
+    def test_cvar_over_the_whole_sample_is_minus_the_mean(self, rng_np):
+        pnl = rng_np.normal(0, 1, size=10)
+        g = np.empty_like(pnl)
+        value = _objective_and_grad(pnl, "cvar", g, level=0.95)  # k = 10
+        assert value == pytest.approx(-pnl.mean(), abs=1e-12)
+        assert np.array_equal(g, np.full_like(pnl, -0.1))
 
 
 class TestEntropicObjective:
@@ -71,7 +109,8 @@ class TestEntropicObjective:
         assert loss == pytest.approx(entropic_risk(pnl, 1.0), abs=1e-12)
 
     def test_gradient_is_negative_softmax(self, rng_np):
-        """-entropic_weights against central differences of risk.entropic_risk."""
+        """The entropic gradient against central differences of
+        risk.entropic_risk; minus the softmax weights, so it sums to -1."""
         pnl = rng_np.normal(0, 1, size=64)
         h = 1e-6
         fd = np.empty_like(pnl)
@@ -80,6 +119,7 @@ class TestEntropicObjective:
             up[i] += h
             down[i] -= h
             fd[i] = (entropic_risk(up, 1.3) - entropic_risk(down, 1.3)) / (2 * h)
-        weights = hedger.entropic_weights(pnl, 1.3)
-        assert np.allclose(-weights, fd, atol=1e-8)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        g = np.empty_like(pnl)
+        _objective_and_grad(pnl, "entropic", g, a=1.3)
+        assert np.allclose(g, fd, atol=1e-8)
+        assert g.sum() == pytest.approx(-1.0, abs=1e-12)

@@ -159,6 +159,28 @@ class TestCliOnSavedRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and member in err and dropped in err
 
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "meta_without_hidden",
+                                        "meta_not_an_object"])
+    def test_malformed_checkpoint_is_a_validation_error(self, run_dir, tmp_path, capsys, damage):
+        out = copy_run(run_dir[0], tmp_path)
+        member = os.path.join(out, "members", "member_1.npz")
+        with open(member, "rb") as fh:
+            raw = fh.read()
+        if damage.startswith("meta"):
+            with np.load(member) as data:
+                kept = {name: data[name] for name in data.files}
+            meta = json.loads(bytes(kept["meta"]).decode())
+            del meta["hidden"]
+            meta = meta if damage == "meta_without_hidden" else list(meta)
+            kept["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(member, **kept)
+        else:
+            with open(member, "wb") as fh:
+                fh.write(raw[: len(raw) // 2] if damage == "truncated" else b"not a checkpoint")
+        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and member in err
+
     def test_fit_blend_reproduces_the_pipeline_fits(self, run_dir, config_file, tmp_path):
         out = copy_run(run_dir[0], tmp_path)
         for kind in ("entropic", "cvar"):
