@@ -11,7 +11,6 @@ pays cost_rate * S_t * |change|.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,16 +201,9 @@ def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[Decomposi
 
 
 def write_pnl_csv(report: PnLReport, file) -> None:
-    """Per-path export: path_id, pnl, gains, costs, payoff."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(["path_id", "pnl", "hedge_gains", "transaction_costs", "payoff"])
-    for p in range(report.n_paths):
-        writer.writerow(
-            [
-                p,
-                f"{report.pnl[p]:.12g}",
-                f"{report.hedge_gains[p]:.12g}",
-                f"{report.transaction_costs[p]:.12g}",
-                f"{report.payoff[p]:.12g}",
-            ]
-        )
+    """Per-path export: path_id, pnl, gains, costs, payoff; one write of the whole file."""
+    columns = (report.pnl, report.hedge_gains, report.transaction_costs, report.payoff)
+    file.write("path_id,pnl,hedge_gains,transaction_costs,payoff\n" + "".join(
+        f"{p},{pnl:.12g},{gains:.12g},{costs:.12g},{payoff:.12g}\n"
+        for p, (pnl, gains, costs, payoff) in enumerate(zip(*(c.tolist() for c in columns)))
+    ))

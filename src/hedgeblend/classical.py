@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .accounting import HedgeSchedule
 from .errors import BoundaryError, ParameterError
@@ -42,6 +42,13 @@ class VolMode:
         return cls(mode="true")
 
 
+def _norm_pdf(x):
+    """Standard normal density, as ``scipy.stats.norm.pdf`` computes it; the
+    cdf is ``scipy.special.ndtr``. ``scipy.stats`` itself is not imported:
+    it was 0.8 s of the package's 1.3 s import."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _d1(spot, strike, vol, tau):
     return (np.log(spot / strike) + 0.5 * vol**2 * tau) / (vol * np.sqrt(tau))
 
@@ -64,7 +71,7 @@ def bs_delta(spot, strike, vol, tau):
     safe_vol = np.where(live, vol, 1.0)
     safe_tau = np.where(live, tau, 1.0)
     with np.errstate(divide="ignore"):
-        value = norm.cdf(_d1(spot, strike, safe_vol, safe_tau))
+        value = ndtr(_d1(spot, strike, safe_vol, safe_tau))
     out = np.where(live, value, indicator)
     return out if out.ndim else float(out)
 
@@ -80,7 +87,7 @@ def bs_price(spot, strike, vol, tau):
     safe_tau = np.where(live, tau, 1.0)
     d1 = _d1(spot, strike, vol, safe_tau)
     d2 = d1 - vol * np.sqrt(safe_tau)
-    value = spot * norm.cdf(d1) - strike * norm.cdf(d2)
+    value = spot * ndtr(d1) - strike * ndtr(d2)
     out = np.where(live, value, intrinsic)
     return out if out.ndim else float(out)
 
@@ -96,7 +103,7 @@ def bs_gamma(spot, strike, vol, tau):
     safe_vol = np.where(live, vol, 1.0)
     out = np.where(
         live,
-        norm.pdf(_d1(spot, strike, safe_vol, tau)) / (spot * safe_vol * np.sqrt(tau)),
+        _norm_pdf(_d1(spot, strike, safe_vol, tau)) / (spot * safe_vol * np.sqrt(tau)),
         0.0,
     )
     return out if out.ndim else float(out)

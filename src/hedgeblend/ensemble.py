@@ -7,7 +7,6 @@ sample standard deviation across members is well defined path by path.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ import numpy as np
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError
-from .hedger import HedgerModel, TrainConfig, forward_rollout, train_hedger
+from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import MarketPaths, PathGrid
 from .threads import run_threads, usable_cpus
 
@@ -114,30 +113,66 @@ def train_ensemble(
     return [_train_member(job) for job in jobs]
 
 
+# Path blocks start at multiples of this many rows, so that every row keeps
+# its place in the row groups of OpenBLAS's matrix-vector product, which
+# rounds a trailing group of 1-3 rows differently (see hedger._infer).
+_BLOCK_ALIGN = 16
+
+
+def _path_blocks(n_paths: int) -> list[tuple[int, int]]:
+    """``ceil(n_paths / SHARD_PATHS)`` contiguous (lo, hi) row blocks.
+
+    Every block but the last holds the same multiple of 16 rows and the last
+    takes the remainder (10,000 paths: 2,496 + 2,496 + 2,496 + 2,512), so the
+    blocks depend only on the path count and a batch of at most
+    ``SHARD_PATHS`` paths is one block.
+    """
+    count = -(-n_paths // SHARD_PATHS)
+    size = n_paths // count // _BLOCK_ALIGN * _BLOCK_ALIGN
+    bounds = [k * size for k in range(count)] + [n_paths]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> EnsembleOutput:
     """Per-step ensemble mean and sample-std disagreement on shared paths.
 
-    The members roll out concurrently on ``min(len(members), usable CPUs)``
-    threads (:func:`hedgeblend.threads.run_threads`) and their hedges are
-    stacked in member order, so every output is identical to rolling them
-    out one after the other. A failing rollout or a Ctrl-C cancels the
-    rollouts that have not started and stops the running ones at their
-    next step.
+    The paths are cut into row blocks that depend only on their count
+    (:func:`_path_blocks`), and each (member, block) pair is one job: a
+    :func:`hedgeblend.hedger.forward_rollout` of the member on a row view of
+    the block's paths, written into the block's rows of one (members,
+    paths, steps) float64 array, whose member rows become the member
+    schedules. The jobs run in member-major order on ``min(jobs, usable
+    CPUs)`` threads (:func:`hedgeblend.threads.run_threads`), so 5 members
+    on 2 CPUs leave no CPU idle through a last round of whole members.
+
+    Every output is identical bit for bit to rolling the members out one
+    after the other on the full batch: each block starts at a multiple of 16
+    rows and is a multiple of 16 long or runs to the end, which keeps every
+    row's rounding (see :func:`hedgeblend.hedger._infer`). A failing
+    rollout or a Ctrl-C cancels the jobs that have not started and stops the
+    running ones at their next step; a failure is raised in member order.
     """
     if len(members) == 0:
         raise ParameterError("aggregate requires at least one member")
     if len(members) == 1:
         raise ParameterError("disagreement is undefined for a single member")
+    blocks = _path_blocks(paths.n_paths)
+    jobs = [(m, block) for m in range(len(members)) for block in blocks]
+    deltas = np.empty((len(members), paths.n_paths, paths.n_steps))
     stop = threading.Event()
-    hedges = run_threads(
-        lambda model: forward_rollout(model, paths, strike, stop=stop),
-        members,
-        workers=min(len(members), usable_cpus()),
-        stop=stop,
-    )
-    stacked = np.stack([h.delta for h in hedges])
-    mean = stacked.mean(axis=0)
-    spread = stacked.std(axis=0, ddof=1)
+
+    def roll(job):
+        m, (lo, hi) = job
+        return forward_rollout(members[m], paths.rows(lo, hi), strike,
+                               stop=stop, out=deltas[m, lo:hi])
+
+    schedules = run_threads(roll, jobs, workers=min(len(jobs), usable_cpus()), stop=stop)
+    hedges = [
+        HedgeSchedule(delta, schedules[m * len(blocks)].strategy_label)
+        for m, delta in enumerate(deltas)
+    ]
+    mean = deltas.mean(axis=0)
+    spread = deltas.std(axis=0, ddof=1)
     return EnsembleOutput(
         member_hedges=hedges,
         mean_hedge=HedgeSchedule(mean, "ensemble_mean"),
@@ -147,8 +182,7 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
 
 
 def write_path_uncertainty_csv(output: EnsembleOutput, file) -> None:
-    """Per-path summary: path_id, avg_disagreement."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(["path_id", "avg_disagreement"])
-    for p, value in enumerate(output.avg_disagreement):
-        writer.writerow([p, f"{value:.12g}"])
+    """Per-path summary: path_id, avg_disagreement; one write of the whole file."""
+    file.write("path_id,avg_disagreement\n" + "".join(
+        f"{p},{value:.12g}\n" for p, value in enumerate(output.avg_disagreement.tolist())
+    ))

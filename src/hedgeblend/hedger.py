@@ -18,13 +18,15 @@ one shard is taped on the calling thread.
 
 Inference (:func:`forward_rollout`, :func:`training_loss`) runs a tape-free
 kernel that reuses its buffers at every step and gives the taped rollout's
-hedge ratios bit for bit. ``ensemble.aggregate`` runs it for the members on
-threads, at most one per usable CPU, with results identical to a serial loop.
+hedge ratios bit for bit. ``ensemble.aggregate`` runs it on threads, at most
+one per usable CPU, as (member, path-block) jobs whose blocks are cut at
+multiples of 16 rows, with results identical to a serial full-batch loop.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import zipfile
 from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
-from .autodiff import Tensor, _sigmoid_inplace
+from .autodiff import Tensor
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
 from .risk import _objective_and_grad, entropic_risk
@@ -60,7 +62,8 @@ TAPE_BATCH_LIMIT = 6144
 # 5,000-path desk epoch and the 20,000-path paper epoch into shard counts
 # that two threads share evenly. On a 2-vCPU host with one BLAS thread, two
 # 5,000-path epochs took 3.7 s in 2,500-path shards against 3.9-4.8 s in
-# 1,250-path and 4.2-4.3 s in 1,000-path ones.
+# 1,250-path and 4.2-4.3 s in 1,000-path ones. ensemble.aggregate cuts its
+# inference batches into as many path blocks (aligned to 16 rows).
 SHARD_PATHS = 2500
 
 PARAM_NAMES = ("w_ih_0", "w_hh_0", "b_0", "w_ih_1", "w_hh_1", "b_1", "w_out", "b_out")
@@ -135,9 +138,13 @@ def _param_tensors(model: HedgerModel) -> dict[str, Tensor]:
 
 
 def _rollout(
-    params: dict[str, Tensor], paths: MarketPaths, strike: float, hidden: int
+    params: dict[str, Tensor], paths: MarketPaths, strike: float, hidden: int, *, stop=None
 ) -> Tensor:
-    """Hedge ratios (B, n_steps) as a tape tensor; state never crosses paths."""
+    """Hedge ratios (B, n_steps) as a tape tensor; state never crosses paths.
+
+    Raises ``CancelledError`` at the next step once the ``threading.Event``
+    ``stop``, when given, is set (a failed shard or a Ctrl-C in training).
+    """
     n_paths, n = paths.n_paths, paths.n_steps
     dtype = params["w_out"].data.dtype
     consts = np.empty((n, n_paths, 3), dtype=dtype)
@@ -155,6 +162,8 @@ def _rollout(
     delta_prev = Tensor(np.zeros((n_paths, 1), dtype=dtype))
     columns = []
     for t in range(n):
+        if stop is not None and stop.is_set():
+            raise CancelledError(f"rollout stopped at step {t}")
         x = Tensor(consts[t])
         for layer in range(N_LAYERS):
             pieces = [x, delta_prev] if layer == 0 else [x]
@@ -179,18 +188,38 @@ def _infer(
     """Hedge ratios (B, n_steps) of :func:`_rollout`, bit for bit, without the tape.
 
     Every buffer is allocated once per call and overwritten at each step:
-    per layer the GEMM operand ``xh`` ([x | delta_prev | h] below, [h_below |
-    h] above) and the cell state c; shared by the layers, the pre-activation
-    and the gates i, f, o, g (h reuses i's buffer); one float64 column for
-    the step's inputs, computed as the tape computes them for all steps at
-    once and then cast; and the (B, n_steps) output. So no (n_steps, B)
+    one GEMM operand buffer [x | delta_prev | h_0 | h_1], of which layer 0
+    reads the columns [x | delta_prev | h_0] and layer 1 the columns [h_0 |
+    h_1], so each h is written once, straight into it; per layer the cell
+    state c; shared by the layers, the gates i, f, o, g; one float64 column
+    for the step's inputs, computed as the tape computes them for all steps
+    at once and then cast; and the (B, n_steps) output. So no (n_steps, B)
     input array and no large float64 temporary is ever held, and a worker
     thread's malloc arena does not keep them after the call (``aggregate``'s
-    peak RSS). The arithmetic is the fused cell's: one GEMM of the contiguous
-    operand with the stacked weight, the bias added in place, sigmoid and
-    tanh on contiguous gate copies, c = f c + i g, h = o tanh(c), and the
-    head h @ w_out + b_out on a contiguous h. A training forward would save
-    i, f, o, g, tanh(c), h and c per step here instead of overwriting them.
+    peak RSS).
+
+    The arithmetic is the fused cell's. Each gate's columns of the stacked
+    weight [w_ih; w_hh] are a GEMM of their own, written into the gate's
+    contiguous buffer; the bias is added, then tanh, and for the sigmoid
+    gates +1 and ×0.5. The sigmoid's first halving, sigmoid(x) = (tanh(x/2)
+    + 1) / 2, is folded into the i, f and o columns of the weights and bias
+    once per call: halving is exact and commutes with the rounding of every
+    product, FMA and sum (barring subnormals), so these are the bits of the
+    fused cell, which halves pre + b (``_sigmoid_inplace``). Then c = f c +
+    i g, h = o tanh(c), and the head h @ w_out + b_out. A training forward
+    would save i, f, o, g, tanh(c), h and c per step here instead of
+    overwriting them.
+
+    A gate's columns do not depend on the other columns (the per-gate GEMMs
+    rely on this; the kernel's bit-for-bit test against the tape checks
+    it), and a row's bits do not depend on the other rows, with one
+    exception: OpenBLAS's matrix-vector product, which the head h @ w_out
+    is, takes the rows in groups of 4 and rounds a trailing group of 1-3
+    rows differently (numpy's one-row GEMM is such a product too). Row
+    blocks of 1, 2, 7, 250 and 1,250 paths did not reproduce the full
+    batch's hedge ratios; a block whose length is a multiple of 4, or that
+    starts at a multiple of 4 and runs to the batch's end, does. So
+    ``ensemble.aggregate``'s blocks start at multiples of 16 rows.
 
     ``out``, when given, is a (B, n_steps) array that receives the hedge
     ratios, cast to its dtype; otherwise one in the parameters' dtype is made.
@@ -201,16 +230,23 @@ def _infer(
     n_paths, n = paths.n_paths, paths.n_steps
     dtype = params["w_out"].dtype
     taus = paths.grid.taus().astype(dtype)
-    stacked = [
-        np.concatenate([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
-        for layer in range(N_LAYERS)
+    columns = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, o, g
+    scales = (0.5, 0.5, 0.5, 1.0)  # the sigmoid's halving, folded in
+    weights, biases = [], []  # per layer, one contiguous block per gate
+    for layer in range(N_LAYERS):
+        stacked = np.concatenate([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
+        weights.append([stacked[:, cols] * scale for cols, scale in zip(columns, scales)])
+        biases.append([params[f"b_{layer}"][cols] * scale for cols, scale in zip(columns, scales)])
+    operand = np.zeros((n_paths, INPUT_DIM + N_LAYERS * hidden), dtype=dtype)
+    h = [operand[:, INPUT_DIM + k * hidden : INPUT_DIM + (k + 1) * hidden]
+         for k in range(N_LAYERS)]
+    reads = [operand[:, : INPUT_DIM + hidden]] + [
+        operand[:, INPUT_DIM + (k - 1) * hidden : INPUT_DIM + (k + 1) * hidden]
+        for k in range(1, N_LAYERS)
     ]
-    # Layer 0 sees the step inputs and the previous hedge, the others h below.
-    widths = [INPUT_DIM] + [hidden] * (N_LAYERS - 1)
-    xh = [np.zeros((n_paths, width + hidden), dtype=dtype) for width in widths]
     c = [np.zeros((n_paths, hidden), dtype=dtype) for _ in range(N_LAYERS)]
-    pre = np.empty((n_paths, 4 * hidden), dtype=dtype)
-    i, f, o, g = (np.empty((n_paths, hidden), dtype=dtype) for _ in range(4))
+    gates = [np.empty((n_paths, hidden), dtype=dtype) for _ in range(4)]
+    i, f, o, g = gates
     head = np.empty((n_paths, 1), dtype=dtype)
     column = np.empty(n_paths)  # one step's float64 input, before its cast
     if out is None:
@@ -220,47 +256,50 @@ def _infer(
         if stop is not None and stop.is_set():
             raise CancelledError(f"rollout stopped at step {t}")
         np.divide(paths.spot[:, t], strike, out=column)
-        xh[0][:, 0] = np.log(column, out=column)
-        xh[0][:, 1] = taus[t]
-        xh[0][:, 2] = np.sqrt(paths.variance[:, t], out=column)
+        operand[:, 0] = np.log(column, out=column)
+        operand[:, 1] = taus[t]
+        operand[:, 2] = np.sqrt(paths.variance[:, t], out=column)
         for layer in range(N_LAYERS):
-            np.matmul(xh[layer], stacked[layer], out=pre)
-            pre += params[f"b_{layer}"]
-            for k, gate in enumerate((i, f, o)):
-                np.copyto(gate, pre[:, k * hidden : (k + 1) * hidden])
-                _sigmoid_inplace(gate)
-            np.copyto(g, pre[:, 3 * hidden :])
-            np.tanh(g, out=g)
+            for gate, w, b in zip(gates, weights[layer], biases[layer]):
+                np.matmul(reads[layer], w, out=gate)
+                gate += b
+                np.tanh(gate, out=gate)
+            for gate in (i, f, o):
+                gate += 1.0
+                gate *= 0.5
             c[layer] *= f
             i *= g
             c[layer] += i
-            h = i  # i is spent; its buffer takes h = o tanh(c)
             np.tanh(c[layer], out=g)
-            np.multiply(o, g, out=h)
-            xh[layer][:, -hidden:] = h  # recurrent input of the next step
-            if layer + 1 < N_LAYERS:
-                xh[layer + 1][:, :hidden] = h
-        np.matmul(h, params["w_out"], out=head)
+            np.multiply(o, g, out=h[layer])  # the next layer's and step's input
+        np.matmul(h[-1], params["w_out"], out=head)
         head += params["b_out"]
         if not np.isfinite(head).all():
             raise NumericalDivergenceError(f"non-finite hedge ratio at step {t}")
         out[:, t] = head[:, 0]
-        xh[0][:, INPUT_DIM - 1] = head[:, 0]
+        operand[:, INPUT_DIM - 1] = head[:, 0]
     return out
 
 
 def forward_rollout(
-    model: HedgerModel, paths: MarketPaths, strike: float, *, stop=None
+    model: HedgerModel, paths: MarketPaths, strike: float, *, stop=None, out=None
 ) -> HedgeSchedule:
     """Inference-only rollout through :func:`_infer`; no tape, no gradients.
 
     Reads the model and allocates its own buffers, so concurrent calls on
-    threads are safe (``ensemble.aggregate`` makes them). A set ``stop``
-    event ends the rollout at its next step with ``CancelledError``.
+    threads are safe (``ensemble.aggregate`` makes one per member and block
+    of paths). A block of paths gives the full batch's rows bit for bit when
+    it starts at a multiple of 4 rows and is a multiple of 4 long or runs to
+    the end (see :func:`_infer`). ``out``, when given, is a float64 (B,
+    n_steps) array, possibly a row view of a larger one, that receives the
+    hedge ratios and becomes the schedule's ``delta``; otherwise one is
+    made. A set ``stop`` event ends the rollout at its next step with
+    ``CancelledError``.
     """
-    delta = np.empty((paths.n_paths, paths.n_steps))  # the schedule's float64, cast per step
-    _infer(model.params, paths, strike, model.hidden, out=delta, stop=stop)
-    return HedgeSchedule(delta, f"hedger_{model.seed}")
+    if out is None:
+        out = np.empty((paths.n_paths, paths.n_steps))  # the schedule's float64, cast per step
+    _infer(model.params, paths, strike, model.hidden, out=out, stop=stop)
+    return HedgeSchedule(out, f"hedger_{model.seed}")
 
 
 def train_hedger(
@@ -355,21 +394,27 @@ def _chunked_backward(
     ``TAPE_BATCH_LIMIT`` paths are taped at once. float32 parameters give
     float32 gradients; only the loss and g are float64. A hand-written
     LSTM backward (ROADMAP item 3) can replace the tape per shard.
+
+    A failing shard or a Ctrl-C sets both passes' ``run_threads`` stop
+    event: shard rollouts that are running stop at their next step, and
+    shards not yet started are skipped; a backward that has begun runs to
+    its end.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     workers = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
     keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's tapes serve the backward
+    stop = threading.Event()
 
     def tape(shard, requires_grad=True):
-        sub = paths.take(np.arange(*shard))
+        sub = paths.rows(*shard)
         leaves = {k: Tensor(t.data, requires_grad=requires_grad) for k, t in tensors.items()}
-        delta = _rollout(leaves, sub, strike, hidden)
+        delta = _rollout(leaves, sub, strike, hidden, stop=stop)
         account = HedgePnL(sub.spot.astype(delta.data.dtype), cost.cost_rate, strike)
         return leaves, delta, account, account.pnl(delta.data)
 
-    passes = run_threads(lambda shard: tape(shard, keep), shards, workers)
+    passes = run_threads(lambda shard: tape(shard, keep), shards, workers, stop=stop)
     pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
     if not keep:
         passes = None  # pass two re-tapes every shard
@@ -384,7 +429,7 @@ def _chunked_backward(
         ad.backward(ad.tsum(delta * account.vjp(g_pnl[lo:hi])))
         return [leaves[name].grad for name in PARAM_NAMES]
 
-    grads = run_threads(shard_grads, range(len(shards)), workers)
+    grads = run_threads(shard_grads, range(len(shards)), workers, stop=stop)
     for name, per_shard in zip(PARAM_NAMES, zip(*grads)):
         tensors[name].grad = reduce(np.add, per_shard)
     return loss

@@ -125,6 +125,10 @@ class MarketPaths:
     def n_steps(self) -> int:
         return self.grid.n_steps
 
+    def rows(self, lo: int, hi: int) -> "MarketPaths":
+        """Paths lo..hi-1 as views of these arrays (no copy, same grid/seed)."""
+        return MarketPaths(self.spot[lo:hi], self.variance[lo:hi], self.grid, self.seed)
+
     def take(self, indices: np.ndarray) -> "MarketPaths":
         """Subset of paths at the given indices (copies, same grid/seed)."""
         return MarketPaths(

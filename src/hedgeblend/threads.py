@@ -1,7 +1,7 @@
 """Thread pools whose jobs stop early when one fails or the caller is interrupted.
 
-The rollouts of an ensemble, the blend fits and the path shards of a
-training epoch run on threads: their work is numpy array operations, which
+The (member, path-block) rollouts of an ensemble, the blend fits and the
+path shards of a training epoch run on threads: their work is numpy array operations, which
 release the GIL, and each job owns its buffers and only reads shared arrays,
 so results equal a serial loop's.
 """

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +172,29 @@ def test_pnl_csv_export(tmp_path, baseline_paths, cost):
     assert len(lines) == 1 + baseline_paths.n_paths
     values = lines[1].split(",")
     assert float(values[1]) == pytest.approx(report.pnl[0], rel=1e-10)
+
+
+def csv_writer_pnl(report):
+    """The export as csv.writer wrote it, one call per row."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["path_id", "pnl", "hedge_gains", "transaction_costs", "payoff"])
+    for p in range(report.n_paths):
+        writer.writerow([p] + [f"{column[p]:.12g}" for column in (
+            report.pnl, report.hedge_gains, report.transaction_costs, report.payoff)])
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pnl_csv_equals_the_csv_writer_output(dtype):
+    """Signs, zeros, tiny and huge magnitudes, non-finite values, float32."""
+    gen = np.random.default_rng(4)
+    lo, hi = (-320, 300) if dtype is np.float64 else (-45, 38)
+    values = np.concatenate([
+        gen.normal(0.0, 0.1, 400), 10.0 ** gen.uniform(lo, hi, 400) * gen.choice([-1, 1], 400),
+        [0.0, -0.0, 1.0, 1e16, 1 / 3, np.inf, -np.inf, np.nan]]).astype(dtype)
+    columns = [np.roll(values, k) for k in range(4)]
+    report = PnLReport(*columns, trades=np.zeros((values.size, 2)), strategy_label="x")
+    fh = io.StringIO()
+    write_pnl_csv(report, fh)
+    assert fh.getvalue() == csv_writer_pnl(report)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hedgeblend
+from hedgeblend import classical
 from hedgeblend.accounting import position_changes
 from hedgeblend.classical import (
     VolMode,
@@ -174,3 +181,36 @@ class TestWwStrategy:
         count_ww = (np.abs(position_changes(ww.delta)) > 1e-12).sum(axis=1)
         count_bs = (np.abs(position_changes(bs.delta)) > 1e-12).sum(axis=1)
         assert np.all(count_ww <= count_bs)
+
+
+def test_importing_the_package_leaves_scipy_stats_out():
+    """scipy.stats was most of the package's import time."""
+    code = "import sys, hedgeblend; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(hedgeblend.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_closed_forms_equal_the_scipy_stats_oracle_bit_for_bit():
+    """ndtr and the density formula are what scipy.stats.norm computes, on
+    spots, vols and taus spanning deep out of the money to deep in it, and at
+    the expiry and zero-vol boundaries; the oracle's NaN differs from numpy's
+    only in its sign bit."""
+    norm = pytest.importorskip("scipy.stats").norm
+    gen = np.random.default_rng(3)
+    spot = np.exp(gen.normal(0.0, 0.5, 100_000))
+    vol = gen.uniform(0.0, 1.0, spot.size)
+    tau = gen.uniform(0.0, 1.0, spot.size)
+    live = (tau > 0) & (vol > 0)
+    d1 = (np.log(spot) + 0.5 * vol**2 * tau) / (vol * np.sqrt(tau))
+    d2 = d1 - vol * np.sqrt(tau)
+    assert bs_delta(spot, 1.0, vol, tau).tobytes() == np.where(live, norm.cdf(d1), 0.0).tobytes()
+    price = np.where(live, spot * norm.cdf(d1) - norm.cdf(d2), 0.0)
+    assert bs_price(spot, 1.0, vol, tau).tobytes() == price.tobytes()
+    gamma = norm.pdf(d1) / (spot * vol * np.sqrt(tau))
+    assert bs_gamma(spot, 1.0, vol, tau).tobytes() == gamma.tobytes()
+    edges = np.array([-np.inf, -40.0, -0.0, 0.0, 40.0, np.inf, np.nan])
+    assert classical.ndtr(edges).tobytes() == norm.cdf(edges).tobytes()
+    assert np.array_equal(classical._norm_pdf(edges), norm.pdf(edges), equal_nan=True)

@@ -1,8 +1,10 @@
 """Process-pool training workers: the BLAS thread limit of their initialiser;
-and the concurrent member rollouts of ``aggregate``."""
+and the concurrent (member, path-block) rollouts of ``aggregate``."""
 
 import _thread
+import csv
 import ctypes
+import io
 import os
 import sys
 import threading
@@ -12,7 +14,7 @@ from concurrent.futures import CancelledError, ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from hedgeblend import ensemble, threads
+from hedgeblend import ensemble, hedger, threads
 from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.hedger import forward_rollout, init_model
@@ -91,8 +93,72 @@ def test_aggregate_equals_a_serial_loop_bit_for_bit(paths, monkeypatch, stress):
     assert out.avg_disagreement.tobytes() == spread.mean(axis=1).tobytes()
 
 
+def test_path_blocks_depend_only_on_the_path_count():
+    assert ensemble._path_blocks(10000) == [(0, 2496), (2496, 4992), (4992, 7488), (7488, 10000)]
+    assert ensemble._path_blocks(1000) == [(0, 1000)]
+    assert ensemble._path_blocks(hedger.SHARD_PATHS) == [(0, hedger.SHARD_PATHS)]
+    for n_paths in (2501, 3000, 5003, 10000, 20001):
+        blocks = ensemble._path_blocks(n_paths)
+        assert len(blocks) == -(-n_paths // hedger.SHARD_PATHS)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(lo % 16 == 0 and (hi - lo) % 16 == 0 for lo, hi in blocks[:-1])
+        assert blocks[-1][0] % 16 == 0
+
+
+@pytest.fixture(scope="module")
+def full_batch_rollouts():
+    """n_paths -> (paths, members, serial full-batch schedules), made once."""
+    made = {}
+
+    def make(n_paths):
+        if n_paths not in made:
+            paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=16, maturity=0.5),
+                                    n_paths, seed=n_paths)
+            members = float32_members(2)
+            made[n_paths] = paths, members, [forward_rollout(m, paths, 1.0) for m in members]
+        return made[n_paths]
+
+    return make
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("n_paths", [2501, 5003, 10000])
+def test_blocked_aggregate_equals_full_batch_rollouts_bit_for_bit(
+    full_batch_rollouts, monkeypatch, n_paths, cpus
+):
+    """Row blocks whose last one ends in a 1-3-row remainder group of the
+    head's matrix-vector product (2,501 and 5,003 paths are not multiples of
+    4) reproduce the full batch on any CPU count."""
+    paths, members, serial = full_batch_rollouts(n_paths)
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
+    rolled = []
+
+    def counted(model, paths, strike, **kwargs):
+        rolled.append(paths.n_paths)
+        return forward_rollout(model, paths, strike, **kwargs)
+
+    monkeypatch.setattr(ensemble, "forward_rollout", counted)
+    out = ensemble.aggregate(members, paths, 1.0)
+    blocks = ensemble._path_blocks(n_paths)
+    assert sorted(rolled) == sorted([hi - lo for lo, hi in blocks] * len(members))
+    for got, want in zip(out.member_hedges, serial):
+        assert got.strategy_label == want.strategy_label
+        assert got.delta.tobytes() == want.delta.tobytes()
+    stacked = np.stack([h.delta for h in serial])
+    assert out.mean_hedge.delta.tobytes() == stacked.mean(axis=0).tobytes()
+    assert out.disagreement.tobytes() == stacked.std(axis=0, ddof=1).tobytes()
+
+
+def filled(model, paths, strike, *, stop=None, out=None):
+    """A rollout stand-in that writes the member's seed into its block."""
+    out[:] = float(model.seed)
+    return HedgeSchedule(out, f"hedger_{model.seed}")
+
+
 @pytest.mark.parametrize("members, cpus", [(5, 1), (5, 2), (3, 8), (2, 2)])
 def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, members, cpus):
+    """3,000 paths are two blocks, so there are twice as many jobs as members."""
     pools = []
 
     class Spy(threads.ThreadPoolExecutor):
@@ -102,26 +168,31 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
 
     calls = []
 
-    def stand_in(model, paths, strike, *, stop=None):
+    def stand_in(model, paths, strike, *, stop=None, out=None):
         """Records the calling thread and holds it, so that calls overlap."""
-        calls.append((model.seed, threading.get_ident()))
+        calls.append((model.seed, paths.n_paths, threading.get_ident()))
         time.sleep(0.05)
-        return HedgeSchedule(np.full((paths.n_paths, paths.n_steps), float(model.seed)), "m")
+        return filled(model, paths, strike, out=out)
 
     monkeypatch.setattr(threads, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     models = float32_members(members)
     out = ensemble.aggregate(models, paths, 1.0)
-    workers = min(members, cpus)
+    blocks = ensemble._path_blocks(paths.n_paths)
+    assert len(blocks) == 2
+    workers = min(members * len(blocks), cpus)
     if workers == 1:  # no pool: every rollout runs on the calling thread
         assert pools == []
-        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert {ident for *_, ident in calls} == {threading.get_ident()}
     else:
         assert pools == [workers]
-        assert len({ident for _, ident in calls}) <= workers
-    assert sorted(seed for seed, _ in calls) == sorted(m.seed for m in models)
-    assert [h.delta[0, 0] for h in out.member_hedges] == [float(m.seed) for m in models]
+        assert len({ident for *_, ident in calls}) <= workers
+    assert sorted((seed, n) for seed, n, _ in calls) == sorted(
+        (m.seed, hi - lo) for m in models for lo, hi in blocks)
+    for hedge, model in zip(out.member_hedges, models):
+        assert hedge.strategy_label == f"hedger_{model.seed}"
+        assert (hedge.delta == float(model.seed)).all()
 
 
 def test_one_worker_runs_the_jobs_in_order_on_the_calling_thread():
@@ -148,41 +219,54 @@ def test_usable_cpus_is_the_affinity_mask():
 
 
 def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
-    """Member 0 raises KeyboardInterrupt once member 1 runs on the second
-    worker; members 2-4 are then skipped or cancelled, never rolled out."""
+    """The job of member 0's first block raises KeyboardInterrupt once the
+    next job (member 0's second block) runs on the second worker; the other
+    eight jobs are then skipped or cancelled, never rolled out."""
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
     members = float32_members(5)
+    first, second = (hi - lo for lo, hi in ensemble._path_blocks(paths.n_paths))
     started = []
     second_running = threading.Event()
     interrupt = KeyboardInterrupt("stop")
 
-    def stand_in(model, paths, strike, *, stop=None):
-        index = index_of(members, model)
-        started.append(index)
-        if index == 0:
+    def stand_in(model, paths, strike, *, stop=None, out=None):
+        job = (index_of(members, model), paths.n_paths)
+        started.append(job)
+        if job == (0, first):
             assert second_running.wait(timeout=5)
             raise interrupt
         second_running.set()
         time.sleep(0.2)
-        return HedgeSchedule(np.zeros((paths.n_paths, paths.n_steps)), "m")
+        return filled(model, paths, strike, out=out)
 
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     with pytest.raises(KeyboardInterrupt) as info:
         ensemble.aggregate(members, paths, 1.0)
     assert info.value is interrupt
-    assert sorted(started) == [0, 1]
+    assert sorted(started) == sorted([(0, first), (0, second)])
 
 
 def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
+    """Member 1 fails first, while member 0's second block is still running;
+    member 0's later failure is the one raised."""
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
     members = float32_members(4)
+    first, _ = ensemble._path_blocks(paths.n_paths)
+    failed = []
 
-    def stand_in(model, paths, strike, *, stop=None):
-        raise NumericalDivergenceError(f"member {index_of(members, model)}")
+    def stand_in(model, paths, strike, *, stop=None, out=None):
+        index = index_of(members, model)
+        if index == 0 and paths.n_paths == first[1] - first[0]:
+            return filled(model, paths, strike, out=out)
+        if index == 0:
+            time.sleep(0.2)
+        failed.append(index)
+        raise NumericalDivergenceError(f"member {index}")
 
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     with pytest.raises(NumericalDivergenceError, match="member 0"):
         ensemble.aggregate(members, paths, 1.0)
+    assert failed == [1, 0]
 
 
 def test_a_set_stop_event_cancels_the_rollout(paths):
@@ -193,21 +277,22 @@ def test_a_set_stop_event_cancels_the_rollout(paths):
 
 
 def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
-    """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (several seconds of
-    rollouts) raises within 0.3 s: the running rollouts stop at their next
-    step, and no rollout thread is left alive. Two usable CPUs, so that the
-    rollouts run on pool threads on any host."""
+    """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (20 block rollouts and
+    several seconds of work) raises within 0.3 s: the rollouts running then
+    stop at their next step, none starts after it, and no rollout thread is
+    left alive. Two usable CPUs, so that the rollouts run on pool threads
+    on any host."""
     monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
                             10000, seed=22)
     members = float32_members(5)
     record = []
 
-    def recorded(model, paths, strike, *, stop=None):
+    def recorded(model, paths, strike, *, stop=None, out=None):
         entry = [threading.current_thread(), None]
         record.append(entry)
         try:
-            return forward_rollout(model, paths, strike, stop=stop)
+            return forward_rollout(model, paths, strike, stop=stop, out=out)
         except BaseException as exc:
             entry[1] = exc
             raise
@@ -222,7 +307,23 @@ def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
     finally:
         timer.join(timeout=5)
     assert time.perf_counter() - started - 0.3 < 0.3
-    assert record
+    assert 0 < len(record) < 20
     for thread, exc in record:
         assert not thread.is_alive()
-        assert isinstance(exc, CancelledError)
+        assert exc is None or isinstance(exc, CancelledError)
+    assert any(exc is not None for _, exc in record)
+
+
+def test_path_uncertainty_csv_equals_the_csv_writer_output():
+    gen = np.random.default_rng(5)
+    avg = np.concatenate([gen.exponential(0.02, 1000), [0.0, 1e-300, 123456789.125, np.nan]])
+    output = ensemble.EnsembleOutput([], HedgeSchedule(np.zeros((avg.size, 1))),
+                                     np.zeros((avg.size, 1)), avg)
+    fh = io.StringIO()
+    ensemble.write_path_uncertainty_csv(output, fh)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["path_id", "avg_disagreement"])
+    for p, value in enumerate(avg):
+        writer.writerow([p, f"{value:.12g}"])
+    assert fh.getvalue() == want.getvalue()
