@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: validate-gbm, simulate, train-ensemble, evaluate, fit-blend,
-full-pipeline, cross-calibration. Exit codes: 0 success, 1 validation
-failure (bad config or a failed check), 2 numerical divergence, 3 I/O error.
+Subcommands: validate-gbm, simulate, train-ensemble, full-pipeline,
+cross-calibration. ``--resume`` reruns every stage after training on the
+members a directory already holds (see :mod:`hedgeblend.pipeline`). Exit
+codes: 0 success, 1 validation failure (bad config, a failed check, or a
+directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ import json
 import os
 import sys
 
-from . import evaluation as ev
-from .accounting import compute_pnl
-from .blend import BlendParams, train_eval_split
 from .config import RunConfig
-from .ensemble import aggregate
-from .errors import HedgeblendError, NumericalDivergenceError, ParameterError, StageError
+from .errors import HedgeblendError, NumericalDivergenceError, StageError
 from .market import save_paths_npz, simulate_gbm, simulate_heston, write_paths_csv
 from . import pipeline
 
@@ -46,8 +44,8 @@ def _load_config(args, saved_run: bool = False) -> RunConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run configuration; if omitted, evaluate and "
-                        "fit-blend read <out>/config.json, and other commands use defaults")
+    parser.add_argument("--config", help="JSON run configuration; if omitted, --resume "
+                        "reads <out>/config.json, and otherwise the defaults are used")
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--workers", type=int, help="processes that train members, and "
@@ -70,7 +68,7 @@ def cmd_validate_gbm(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    n_paths = args.paths or config.eval_paths
+    n_paths = config.eval_paths if args.paths is None else args.paths
     if args.gbm:
         paths = simulate_gbm(config.gbm_vol, config.grid, n_paths, seed=config.eval_seeds[0])
     else:
@@ -96,66 +94,16 @@ def cmd_train_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _evaluation_inputs(config: RunConfig, out_dir: str) -> tuple:
-    """Saved members on the run's eval paths, as the pipeline's stages see them:
-    (paths, ensemble output, classical schedules, train indices, test indices)."""
-    members = pipeline.load_members(out_dir)
-    paths = pipeline.simulate_eval_paths(config)
-    ens = aggregate(members, paths, config.strike)
-    classical = pipeline.classical_schedules(config, paths)
-    train_idx, test_idx = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
-    return paths, ens, classical, train_idx, test_idx
-
-
-def cmd_fit_blend(args) -> int:
-    config = _load_config(args, saved_run=True)
-    if args.objective != "both":
-        config.objectives = [args.objective]
-    config.extended_blend = args.extended or config.extended_blend
-    paths, ens, classical, train_idx, _ = _evaluation_inputs(config, args.out)
-    fits = pipeline.fit_blends(config, paths, ens, classical["bs_delta_fixed"], train_idx)
-    for kind, target in pipeline.write_fits(args.out, fits).items():
-        print(f"{kind}: params {fits[kind].params.to_dict()} -> {target}")
-    return EXIT_OK
-
-
-def cmd_evaluate(args) -> int:
-    """Evaluate saved members (and any saved blends) on fresh eval paths."""
-    config = _load_config(args, saved_run=True)
-    paths, ens, classical, _, test_idx = _evaluation_inputs(config, args.out)
-    params = {}
-    for kind in config.objectives:
-        blend_file = os.path.join(args.out, f"blend_{kind}.json")
-        if os.path.exists(blend_file):
-            with open(blend_file) as fh:
-                saved = json.load(fh)
-            try:
-                params[kind] = BlendParams.from_dict(saved["params"])
-            except (KeyError, TypeError) as exc:
-                raise ParameterError(f"{blend_file} holds no blend params: {exc!r}") from exc
-    schedules = pipeline.strategy_schedules(paths, ens, classical, params, config.strike)
-    test_paths = paths.take(test_idx)
-    reports = [
-        compute_pnl(test_paths, sched.take(test_idx), config.cost(), config.strike)
-        for sched in schedules.values()
-    ]
-    rows = ev.strategy_comparison(reports, level=config.cvar_level)
-    ev.write_comparison_csv(os.path.join(args.out, "table4_comparison.csv"), rows)
-    for row in rows:
-        print(f"{row.strategy}: mean {row.mean_pnl:.5f}  std {row.std_pnl:.5f}  cvar {row.cvar:.5f}")
-    return EXIT_OK
-
-
 def cmd_full_pipeline(args) -> int:
-    config = _load_config(args)
-    result = pipeline.full_pipeline(config, args.out)
+    config = _load_config(args, saved_run=args.resume)
+    result = pipeline.full_pipeline(config, args.out, resume=args.resume)
     print(f"run complete: {len(result.manifest['artifacts'])} artifacts in {args.out}")
     return EXIT_OK
 
 
 def cmd_cross_calibration(args) -> int:
-    config = _load_config(args)
-    rows = pipeline.cross_calibration(config, args.out)
+    config = _load_config(args, saved_run=args.resume)
+    rows = pipeline.cross_calibration(config, args.out, resume=args.resume)
     for row in rows:
         print(
             f"{row['calibration']}: improvement {row['improvement_bps']:.1f} bps, "
@@ -187,23 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_train_ensemble)
 
-    p = sub.add_parser("fit-blend", help="fit blend coefficients from saved checkpoints")
-    _add_common(p)
-    p.add_argument("--objective", choices=["entropic", "cvar", "both"], default="both")
-    p.add_argument("--extended", action="store_true", help="include moneyness/time terms")
-    p.set_defaults(func=cmd_fit_blend)
-
-    p = sub.add_parser("evaluate", help="compare strategies from saved checkpoints")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("full-pipeline", help="run every stage and export all artifacts")
-    _add_common(p)
-    p.set_defaults(func=cmd_full_pipeline)
-
-    p = sub.add_parser("cross-calibration", help="full pipeline per named calibration")
-    _add_common(p)
-    p.set_defaults(func=cmd_cross_calibration)
+    for name, func, text in (
+        ("full-pipeline", cmd_full_pipeline, "run every stage and export all artifacts"),
+        ("cross-calibration", cmd_cross_calibration, "full pipeline per named calibration"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--resume", action="store_true",
+                       help="reuse the members trained in <out>; exits 1 unless their training "
+                       "record matches the config's calibration, grid, cost_rate, strike, "
+                       "ensemble_size and train")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -9,6 +9,13 @@ identical to running them one after the other. On a stage failure
 the run directory keeps whatever was already written plus a FAILED marker
 naming the stage. A marker left by an earlier run is removed when a run
 starts, and so are the blend outputs of objectives the new run does not fit.
+
+Training saves ``members/member_<i>.npz`` and then, last, the training record
+``members/training.json`` (the config's ``TRAINING_FIELDS``); it deletes the
+record first, so a failed or interrupted training is never resumable. With
+``resume`` a run loads those members instead of training, once the record
+equals the config's training fields, and reruns every later stage as a fresh
+run does. Reuse is opt-in because the record does not name the code version.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .ensemble import (
     train_ensemble,
     write_path_uncertainty_csv,
 )
-from .errors import StageError
+from .errors import ParameterError, StageError
 from .hedger import (
     HedgerModel,
     forward_rollout,
@@ -148,7 +155,23 @@ def simulate_eval_paths(config: RunConfig, seed: int | None = None) -> MarketPat
     )
 
 
+TRAINING_FIELDS = ("calibration", "grid", "cost_rate", "strike", "ensemble_size", "train")
+
+
+def _training_record(config: RunConfig) -> dict:
+    d = config.to_dict()
+    return {name: d[name] for name in TRAINING_FIELDS}
+
+
 def train_members(config: RunConfig, out_dir: str | None = None) -> list[HedgerModel]:
+    """Train the ensemble; with ``out_dir``, save it as ``members/member_<i>.npz``,
+    remove checkpoints of members beyond ``ensemble_size`` and then write the
+    training record. Without ``out_dir`` nothing is written."""
+    if out_dir is not None:
+        member_dir = os.path.join(out_dir, "members")
+        record_file = os.path.join(member_dir, "training.json")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(record_file)
     members = train_ensemble(
         config.ensemble_size,
         config.train,
@@ -159,19 +182,46 @@ def train_members(config: RunConfig, out_dir: str | None = None) -> list[HedgerM
         workers=config.workers,
     )
     if out_dir is not None:
-        member_dir = os.path.join(out_dir, "members")
         os.makedirs(member_dir, exist_ok=True)
-        for i, model in enumerate(members):
-            save_model(model, os.path.join(member_dir, f"member_{i}.npz"))
+        saved = [f"member_{i}.npz" for i in range(len(members))]
+        for name, model in zip(saved, members):
+            save_model(model, os.path.join(member_dir, name))
+        for name in os.listdir(member_dir):
+            if name.startswith("member_") and name.endswith(".npz") and name not in saved:
+                os.remove(os.path.join(member_dir, name))
+        with open(record_file, "w") as fh:
+            json.dump(_training_record(config), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return members
 
 
-def load_members(out_dir: str) -> list[HedgerModel]:
-    """Members saved by :func:`train_members`, in member-index order."""
-    member_dir = os.path.join(out_dir, "members")
-    names = [f for f in os.listdir(member_dir) if f.startswith("member_") and f.endswith(".npz")]
-    names.sort(key=lambda name: int(name[len("member_"):-len(".npz")]))
-    return [load_model(os.path.join(member_dir, name)) for name in names]
+def load_members(out_dir: str, count: int) -> list[HedgerModel]:
+    """Members 0 to ``count - 1`` saved by :func:`train_members`; a missing
+    or unreadable checkpoint is a ParameterError naming the file."""
+    members = []
+    for i in range(count):
+        filename = os.path.join(out_dir, "members", f"member_{i}.npz")
+        if not os.path.isfile(filename):
+            raise ParameterError(f"{filename} is missing")
+        members.append(load_model(filename))
+    return members
+
+
+def _resumed_members(config: RunConfig, out_dir: str) -> list[HedgerModel]:
+    """The saved members, if the directory's training record matches ``config``;
+    else a ParameterError naming the differing fields or the missing file."""
+    record_file = os.path.join(out_dir, "members", "training.json")
+    if not os.path.isfile(record_file):
+        raise ParameterError(f"cannot resume: {record_file} is missing, so no training "
+                             "finished in this directory")
+    with open(record_file) as fh:
+        record = json.load(fh)
+    wanted = _training_record(config)
+    differing = [name for name in TRAINING_FIELDS if record.get(name) != wanted[name]]
+    if differing:
+        raise ParameterError(f"cannot resume: the config differs from the training record "
+                             f"{record_file} in fields: {', '.join(differing)}")
+    return load_members(out_dir, config.ensemble_size)
 
 
 def classical_schedules(config: RunConfig, paths: MarketPaths) -> dict:
@@ -222,15 +272,12 @@ def fit_blends(
     return dict(zip(config.objectives, fits))
 
 
-def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> dict[str, str]:
-    """Write each fit to ``blend_<objective>.json``; returns the file per objective."""
-    targets = {}
+def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> None:
+    """Write each fit to ``blend_<objective>.json``."""
     for kind, fit in fits.items():
-        targets[kind] = os.path.join(out_dir, f"blend_{kind}.json")
-        with open(targets[kind], "w") as fh:
+        with open(os.path.join(out_dir, f"blend_{kind}.json"), "w") as fh:
             fh.write(fit.to_json())
             fh.write("\n")
-    return targets
 
 
 def strategy_schedules(
@@ -269,8 +316,14 @@ def _remove_stale_outputs(config: RunConfig, out_dir: str) -> None:
             os.remove(os.path.join(out_dir, name))
 
 
-def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
-    """Run every stage and export all table/figure CSVs plus the manifest."""
+def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> PipelineResult:
+    """Run every stage and export all table/figure CSVs plus the manifest.
+
+    With ``resume``, reuse the members saved in ``out_dir``. A training record
+    that is missing or differs from ``config``, or a missing or unreadable
+    checkpoint, raises ParameterError before anything in ``out_dir`` changes.
+    """
+    members = _resumed_members(config, out_dir) if resume else None
     os.makedirs(out_dir, exist_ok=True)
     _remove_stale_outputs(config, out_dir)
     config.save_json(os.path.join(out_dir, "config.json"))
@@ -281,8 +334,9 @@ def full_pipeline(config: RunConfig, out_dir: str) -> PipelineResult:
     with _Stage("simulate", out_dir):
         eval_paths = simulate_eval_paths(config)
 
-    with _Stage("train", out_dir):
-        members = train_members(config, out_dir)
+    if not resume:
+        with _Stage("train", out_dir):
+            members = train_members(config, out_dir)
 
     with _Stage("aggregate", out_dir):
         ens = aggregate(members, eval_paths, strike)
@@ -443,13 +497,14 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
     return rows
 
 
-def cross_calibration(config: RunConfig, out_dir: str) -> list[dict]:
-    """Run the pipeline per named calibration and emit a summary CSV."""
+def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> list[dict]:
+    """Run the pipeline per named calibration, in ``out_dir/<calibration>``,
+    and emit a summary CSV; ``resume`` is passed to each :func:`full_pipeline`."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for name in ("baseline", "high_vov", "low_corr"):
         sub_config = config.with_calibration(name)
-        result = full_pipeline(sub_config, os.path.join(out_dir, name))
+        result = full_pipeline(sub_config, os.path.join(out_dir, name), resume=resume)
         by_name = {row.strategy: row for row in result.comparison}
         boot = next(
             (res for lbl, metric, res in result.bootstrap

@@ -1,8 +1,8 @@
 """End-to-end checks of the pipeline and the CLI on a mini configuration.
 
 One module-scoped run (8 steps, 2 members, one 64-path epoch, 100 eval
-paths, 100 bootstrap resamples) takes a couple of seconds and backs the
-reproducibility, CLI, evaluate/fit-blend and concurrent blend-fit checks.
+paths, 100 bootstrap resamples) takes about a second and backs the
+reproducibility, CLI, resume and concurrent blend-fit checks.
 """
 
 import _thread
@@ -22,7 +22,7 @@ from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
 from hedgeblend.ensemble import EnsembleOutput
-from hedgeblend.errors import NumericalDivergenceError, StageError
+from hedgeblend.errors import NumericalDivergenceError, ParameterError, StageError
 from hedgeblend.evaluation import file_sha256
 from hedgeblend.hedger import TrainConfig, init_model, save_model
 from hedgeblend.market import PathGrid
@@ -65,6 +65,26 @@ def copy_run(run_dir, tmp_path) -> str:
     target = str(tmp_path / "copy")
     shutil.copytree(run_dir, target)
     return target
+
+
+def snapshot(out_dir) -> dict:
+    """Relative path -> SHA-256 of every file under ``out_dir``."""
+    return {
+        os.path.relpath(os.path.join(root, name), out_dir): file_sha256(os.path.join(root, name))
+        for root, _, names in os.walk(out_dir) for name in names
+    }
+
+
+def forbid_training(monkeypatch) -> None:
+    def fail(*args, **kwargs):
+        raise AssertionError("a resumed run trained a member")
+
+    monkeypatch.setattr(ensemble, "train_hedger", fail)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    forbid_training(monkeypatch)
 
 
 class TestFullPipeline:
@@ -123,29 +143,22 @@ class TestFullPipeline:
 
 
 class TestCliOnSavedRun:
-    def test_evaluate_keeps_table4_and_manifest(self, run_dir, config_file, tmp_path):
-        out = copy_run(run_dir[0], tmp_path)
-        assert cli.main(["evaluate", "--config", config_file, "--out", out]) == cli.EXIT_OK
-        assert file_sha256(os.path.join(out, "table4_comparison.csv")) == file_sha256(
-            os.path.join(run_dir[0], "table4_comparison.csv")
-        )
-        for name, digest in read_manifest(out)["artifacts"].items():
-            assert file_sha256(os.path.join(out, name)) == digest, name
+    """``full-pipeline --resume`` on a copy of the mini run."""
 
-    def test_evaluate_without_config_reads_the_run_config(self, run_dir, tmp_path):
+    def test_resume_reproduces_the_fresh_manifest(self, run_dir, config_file, tmp_path,
+                                                  no_training):
         out = copy_run(run_dir[0], tmp_path)
-        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_OK
-        assert file_sha256(os.path.join(out, "table4_comparison.csv")) == file_sha256(
-            os.path.join(run_dir[0], "table4_comparison.csv")
-        )
+        for name in os.listdir(out):
+            if os.path.isfile(os.path.join(out, name)):
+                os.remove(os.path.join(out, name))
+        code = cli.main(["full-pipeline", "--resume", "--config", config_file, "--out", out])
+        assert code == cli.EXIT_OK
+        assert read_manifest(out) == read_manifest(run_dir[0])
 
-    def test_blend_file_without_params_is_a_validation_error(self, run_dir, tmp_path, capsys):
+    def test_resume_without_config_reads_the_run_config(self, run_dir, tmp_path, no_training):
         out = copy_run(run_dir[0], tmp_path)
-        blend_file = os.path.join(out, "blend_cvar.json")
-        with open(blend_file, "w") as fh:
-            json.dump({"objective": {"kind": "cvar"}}, fh)
-        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
-        assert blend_file in capsys.readouterr().err
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
+        assert read_manifest(out) == read_manifest(run_dir[0])
 
     @pytest.mark.parametrize("dropped", ["meta", "w_out"])
     def test_checkpoint_missing_an_array_is_a_validation_error(self, run_dir, tmp_path,
@@ -155,9 +168,11 @@ class TestCliOnSavedRun:
         with np.load(member) as data:
             kept = {name: data[name] for name in data.files if name != dropped}
         np.savez(member, **kept)
-        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
+        before = snapshot(out)
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and member in err and dropped in err
+        assert snapshot(out) == before
 
     @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "meta_without_hidden",
                                         "meta_not_an_object"])
@@ -177,20 +192,111 @@ class TestCliOnSavedRun:
         else:
             with open(member, "wb") as fh:
                 fh.write(raw[: len(raw) // 2] if damage == "truncated" else b"not a checkpoint")
-        assert cli.main(["evaluate", "--out", out]) == cli.EXIT_VALIDATION
+        before = snapshot(out)
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and member in err
+        assert snapshot(out) == before
 
-    def test_fit_blend_reproduces_the_pipeline_fits(self, run_dir, config_file, tmp_path):
+    def test_resume_with_one_objective_reproduces_its_blend(self, run_dir, tmp_path,
+                                                           no_training):
         out = copy_run(run_dir[0], tmp_path)
-        for kind in ("entropic", "cvar"):
-            os.remove(os.path.join(out, f"blend_{kind}.json"))
-        assert cli.main(["fit-blend", "--config", config_file, "--out", out]) == cli.EXIT_OK
-        for kind in ("entropic", "cvar"):
-            name = f"blend_{kind}.json"
-            assert file_sha256(os.path.join(out, name)) == file_sha256(
-                os.path.join(run_dir[0], name)
-            )
+        config = mini_config()
+        config.objectives = ["cvar"]
+        config.save_json(os.path.join(out, "config.json"))
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
+        assert file_sha256(os.path.join(out, "blend_cvar.json")) == file_sha256(
+            os.path.join(run_dir[0], "blend_cvar.json")
+        )
+        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+
+    @pytest.mark.parametrize("field, value", [
+        ("train", {**mini_config().to_dict()["train"], "seed": 8}),
+        ("ensemble_size", 3),
+        ("calibration", "high_vov"),
+        ("cost_rate", 1e-3),
+    ])
+    def test_changed_training_field_is_refused(self, run_dir, tmp_path, capsys, monkeypatch,
+                                               field, value):
+        out = copy_run(run_dir[0], tmp_path)
+        config_file = tmp_path / "changed.json"
+        config_file.write_text(json.dumps({**mini_config().to_dict(), field: value}))
+        trained = []
+        monkeypatch.setattr(ensemble, "train_hedger", lambda *a, **k: trained.append(a))
+        before = snapshot(out)
+        code = cli.main(["full-pipeline", "--resume", "--config", str(config_file), "--out", out])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.rstrip().endswith(f"in fields: {field}")
+        assert trained == []
+        assert snapshot(out) == before
+
+    def test_other_fields_may_change_on_resume(self, run_dir, tmp_path, no_training):
+        """Fields outside the training record may change on resume."""
+        out = copy_run(run_dir[0], tmp_path)
+        config = mini_config()
+        config.workers = 2
+        config.bootstrap_resamples = 200
+        config.save_json(os.path.join(out, "config.json"))
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
+        assert read_manifest(out)["config"]["bootstrap_resamples"] == 200
+
+    def test_failed_checkpoint_save_leaves_the_directory_unresumable(self, run_dir, tmp_path,
+                                                                     capsys, monkeypatch):
+        out = copy_run(run_dir[0], tmp_path)
+        real_save = pipeline.save_model
+
+        def fail_on_member_1(model, filename):
+            if filename.endswith("member_1.npz"):
+                raise OSError(f"{filename}: disk full")
+            real_save(model, filename)
+
+        monkeypatch.setattr(pipeline, "save_model", fail_on_member_1)
+        with pytest.raises(StageError, match="disk full"):
+            pipeline.full_pipeline(mini_config(), out)
+        monkeypatch.undo()
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_VALIDATION
+        assert os.path.join(out, "members", "training.json") in capsys.readouterr().err
+
+    def test_train_ensemble_then_resume_gives_the_fresh_manifest(self, run_dir, config_file,
+                                                                 tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        assert cli.main(["train-ensemble", "--config", config_file, "--out", out]) == cli.EXIT_OK
+        forbid_training(monkeypatch)
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
+        assert read_manifest(out) == read_manifest(run_dir[0])
+
+    def test_cross_calibration_resume_reuses_each_calibrations_members(self, config_file,
+                                                                       tmp_path, monkeypatch):
+        out = str(tmp_path / "cross")
+        args = ["cross-calibration", "--config", config_file, "--out", out]
+        assert cli.main(args) == cli.EXIT_OK
+        fresh = snapshot(out)
+        forbid_training(monkeypatch)
+        assert cli.main(args + ["--resume"]) == cli.EXIT_OK
+        assert snapshot(out) == fresh
+        assert {name.split(os.sep)[0] for name in fresh if "members" in name} == {
+            "baseline", "high_vov", "low_corr"}
+
+
+class TestStaleCheckpoints:
+    def test_fewer_members_remove_the_surplus_checkpoints(self, tmp_path, monkeypatch):
+        config = mini_config()
+        config.ensemble_size = 3
+        pipeline.train_members(config, str(tmp_path))
+        config.ensemble_size = 2
+        pipeline.train_members(config, str(tmp_path))
+        assert sorted(os.listdir(tmp_path / "members")) == [
+            "member_0.npz", "member_1.npz", "training.json"]
+        forbid_training(monkeypatch)
+        result = pipeline.full_pipeline(config, str(tmp_path), resume=True)
+        assert len(result.members) == 2
+        assert len(result.ensemble.member_hedges) == 2
+
+    def test_training_without_a_directory_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pipeline.train_members(mini_config())
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +305,8 @@ def blend_inputs(run_dir):
     (eval paths, ensemble output, BS schedule, training indices)."""
     config = mini_config()
     paths = pipeline.simulate_eval_paths(config)
-    ens = ensemble.aggregate(pipeline.load_members(run_dir[0]), paths, config.strike)
+    members = pipeline.load_members(run_dir[0], config.ensemble_size)
+    ens = ensemble.aggregate(members, paths, config.strike)
     bs = pipeline.classical_schedules(config, paths)["bs_delta_fixed"]
     train_idx, _ = train_eval_split(paths, config.train_fraction, seed=config.eval_seeds[0])
     return paths, ens, bs, train_idx
@@ -393,15 +500,29 @@ class TestExitCodes:
         assert code == cli.EXIT_DIVERGENCE
         assert "member 0 diverged" in (tmp_path / "FAILED").read_text()
 
-    def test_missing_members(self, tmp_path):
-        assert cli.main(["evaluate", "--out", str(tmp_path)]) == cli.EXIT_IO
+    def test_missing_members(self, tmp_path, capsys):
+        """A resume of an empty directory: no training record."""
+        assert cli.main(["full-pipeline", "--resume", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert os.path.join(str(tmp_path), "members", "training.json") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("gbm", [False, True])
+    def test_zero_simulated_paths(self, tmp_path, capsys, gbm):
+        args = ["simulate", "--paths", "0", "--out", str(tmp_path)] + (["--gbm"] if gbm else [])
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert "n_paths must be >= 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 def test_members_load_in_index_order(tmp_path):
     os.makedirs(tmp_path / "members")
     for i in range(11):
         save_model(init_model(seed=i, hidden=4), str(tmp_path / "members" / f"member_{i}.npz"))
-    assert [m.seed for m in pipeline.load_members(str(tmp_path))] == list(range(11))
+    assert [m.seed for m in pipeline.load_members(str(tmp_path), 11)] == list(range(11))
+    assert [m.seed for m in pipeline.load_members(str(tmp_path), 3)] == [0, 1, 2]
+    missing = str(tmp_path / "members" / "member_11.npz")
+    with pytest.raises(ParameterError, match=f"{missing} is missing"):
+        pipeline.load_members(str(tmp_path), 12)
 
 
 def test_workers_do_not_change_members():
