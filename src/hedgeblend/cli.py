@@ -3,8 +3,8 @@
 Subcommands: validate-gbm, simulate, train-ensemble, full-pipeline,
 cross-calibration. ``--resume`` reruns every stage after training on the
 members a directory already holds (see :mod:`hedgeblend.pipeline`). Exit
-codes: 0 success, 1 validation failure (bad config, a failed check, or a
-directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
+codes: 0 success, 1 validation failure (a bad flag or config, a failed check,
+or a directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ def _load_config(args, saved_run: bool = False) -> RunConfig:
     if getattr(args, "scale", None):
         config.apply_scale(args.scale)
     if getattr(args, "seed", None) is not None:
-        config.train.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        config = dataclasses.replace(config, workers=args.workers)  # validates it
+        config.train = dataclasses.replace(config.train, seed=args.seed)  # validates it
     return config
 
 
@@ -48,13 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         "reads <out>/config.json, and otherwise the defaults are used")
     parser.add_argument("--seed", type=int, help="override the training seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, help="processes that train members, and "
-                        "nothing else (results unchanged); each process also tapes an epoch's "
-                        "path shards on up to one thread per usable CPU, so on 2 vCPUs "
-                        "workers=1 trains about as fast as workers=2 (6.8-7.5 s vs 6.6-6.9 s "
-                        "for 2 members x 2 epochs x 5,000 paths) with half the memory; the "
-                        "member rollouts use up to one thread per usable CPU and the blend fit "
-                        "one thread per objective")
     parser.add_argument("--scale", choices=["desk", "paper"], help="training scale preset")
 
 
@@ -150,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a bad flag
+        return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
         return args.func(args)
     except StageError as exc:

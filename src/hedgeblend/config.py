@@ -39,15 +39,8 @@ def _construct(cls, values: dict, what: str):
 class RunConfig:
     """Everything a pipeline run needs; serialisable to/from JSON.
 
-    ``workers`` bounds the processes that train ensemble members and nothing
-    else (rollouts, blend fits and training shards size their own thread
-    pools); it does not change any result. Each training process also tapes
-    an epoch's path shards on up to one thread per usable CPU, so one
-    process already keeps two CPUs busy: 2 members x 2 epochs x 5,000 paths
-    took 6.8-7.5 s with ``workers=1`` (one 1.4 GB process) and 6.6-6.9 s with
-    ``workers=2`` (two of about 1.5 GB each) on a 2-vCPU host with one BLAS
-    thread. Invalid values raise
-    :class:`ParameterError` at construction, before any work starts.
+    Invalid values raise :class:`ParameterError` at construction, before any
+    work starts.
     """
 
     calibration: str | dict = "baseline"
@@ -69,7 +62,6 @@ class RunConfig:
     winrate_window: int = 500
     heatmap_moneyness_bins: int = 12
     heatmap_time_bins: int = 8
-    workers: int = 1
 
     def __post_init__(self):
         if self.ensemble_size < 2:
@@ -80,6 +72,8 @@ class RunConfig:
             raise ParameterError("eval_paths must be >= 10")
         if not self.eval_seeds:
             raise ParameterError("eval_seeds must be non-empty")
+        if min(self.eval_seeds) < 0:
+            raise ParameterError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
         if not self.objectives:
             raise ParameterError("objectives must be non-empty")
         for obj in self.objectives:
@@ -87,8 +81,6 @@ class RunConfig:
                 raise ParameterError(f"unknown objective {obj!r}")
         if len(set(self.objectives)) != len(self.objectives):
             raise ParameterError(f"objectives must not repeat: {self.objectives}")
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
         for name in ("bootstrap_resamples", "mean_bootstrap_resamples"):
             if getattr(self, name) < MIN_BOOTSTRAP_RESAMPLES:
                 raise ParameterError(f"{name} must be >= {MIN_BOOTSTRAP_RESAMPLES}")

@@ -7,11 +7,8 @@ sample standard deviation across members is well defined path by path.
 
 from __future__ import annotations
 
-import ctypes
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -50,41 +47,6 @@ def member_seed(root_seed: int, index: int) -> int:
     return rng.derive_seed(root_seed, rng.TAG_MEMBER, index)
 
 
-def _train_member(args) -> HedgerModel:
-    index, config, market, grid, cost, strike = args
-    try:
-        return train_hedger(config, market, grid, cost, strike, label=f"member {index}")
-    except NumericalDivergenceError as exc:
-        raise NumericalDivergenceError(f"member {index} diverged: {exc}") from exc
-
-
-def _openblas_function(symbol: str):
-    """``symbol`` from the OpenBLAS that numpy ships in ``numpy.libs``, or None."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
-        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
-        if fn is not None:
-            return fn
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Worker initialiser: one BLAS thread each, so workers do not oversubscribe.
-
-    Uses threadpoolctl when it is installed, else the thread setter of the
-    OpenBLAS that numpy ships; with neither, the thread count is left alone.
-    """
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        set_threads = _openblas_function("scipy_openblas_set_num_threads64_")
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
-        return
-    threadpool_limits(limits=1)
-
-
 def train_ensemble(
     m: int,
     config: TrainConfig,
@@ -94,23 +56,26 @@ def train_ensemble(
     strike: float,
     workers: int = 1,
 ) -> list[HedgerModel]:
-    """Train M independent members; seeds derived from config.seed and index.
+    """Train M independent members one after the other; member i trains with
+    seed ``member_seed(config.seed, i)``.
 
-    ``workers`` bounds process parallelism without affecting results: each
-    member's training is self-contained and deterministic, and each process
-    tapes a large epoch's path shards on threads of its own
-    (:func:`hedgeblend.hedger.train_hedger`).
+    Each member tapes a large epoch's path shards on threads of its own
+    (:func:`hedgeblend.hedger.train_hedger`), so one member at a time already
+    keeps the CPUs busy, and two in flight would hold two tapes at once.
     """
+    # Only perfbench/workloads.py passes workers; ROADMAP item 2 removes it.
+    if workers != 1:
+        raise ParameterError(f"workers must be 1, got {workers}")
     if m < 2:
         raise ParameterError("an ensemble needs at least 2 members")
-    jobs = [
-        (i, replace(config, seed=member_seed(config.seed, i)), market, grid, cost, strike)
-        for i in range(m)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            return list(pool.map(_train_member, jobs))
-    return [_train_member(job) for job in jobs]
+    members = []
+    for i in range(m):
+        try:
+            members.append(train_hedger(replace(config, seed=member_seed(config.seed, i)),
+                                        market, grid, cost, strike, label=f"member {i}"))
+        except NumericalDivergenceError as exc:
+            raise NumericalDivergenceError(f"member {i} diverged: {exc}") from exc
+    return members
 
 
 # Path blocks start at multiples of this many rows, so that every row keeps

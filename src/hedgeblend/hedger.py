@@ -89,6 +89,8 @@ class TrainConfig:
             raise ParameterError("risk_aversion must be positive")
         if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
             raise ParameterError(f"adam_betas must be two values in [0, 1), got {self.adam_betas}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -403,7 +405,7 @@ def _chunked_backward(
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
+    n_threads = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
     keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's tapes serve the backward
     stop = threading.Event()
 
@@ -414,7 +416,7 @@ def _chunked_backward(
         account = HedgePnL(sub.spot.astype(delta.data.dtype), cost.cost_rate, strike)
         return leaves, delta, account, account.pnl(delta.data)
 
-    passes = run_threads(lambda shard: tape(shard, keep), shards, workers, stop=stop)
+    passes = run_threads(lambda shard: tape(shard, keep), shards, n_threads, stop=stop)
     pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
     if not keep:
         passes = None  # pass two re-tapes every shard
@@ -429,7 +431,7 @@ def _chunked_backward(
         ad.backward(ad.tsum(delta * account.vjp(g_pnl[lo:hi])))
         return [leaves[name].grad for name in PARAM_NAMES]
 
-    grads = run_threads(shard_grads, range(len(shards)), workers, stop=stop)
+    grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
     for name, per_shard in zip(PARAM_NAMES, zip(*grads)):
         tensors[name].grad = reduce(np.add, per_shard)
     return loss

@@ -99,7 +99,7 @@ class MarketPaths:
     """Simulated spot and variance trajectories on a fixed grid.
 
     spot, variance: arrays of shape (n_paths, n_steps+1); read-only after
-    construction and safe to share across workers.
+    construction, so threads may share them.
     """
 
     spot: np.ndarray

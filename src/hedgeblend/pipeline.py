@@ -179,7 +179,6 @@ def train_members(config: RunConfig, out_dir: str | None = None) -> list[HedgerM
         config.grid,
         config.cost(),
         config.strike,
-        workers=config.workers,
     )
     if out_dir is not None:
         os.makedirs(member_dir, exist_ok=True)
@@ -499,8 +498,12 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
 
 def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> list[dict]:
     """Run the pipeline per named calibration, in ``out_dir/<calibration>``,
-    and emit a summary CSV; ``resume`` is passed to each :func:`full_pipeline`."""
+    and emit a summary CSV; ``resume`` is passed to each :func:`full_pipeline`.
+    ``out_dir/config.json``, which a resume without a config file reads, is
+    written first by a fresh run and only at the end by a resume."""
     os.makedirs(out_dir, exist_ok=True)
+    if not resume:
+        config.save_json(os.path.join(out_dir, "config.json"))
     rows = []
     for name in ("baseline", "high_vov", "low_corr"):
         sub_config = config.with_calibration(name)
@@ -539,4 +542,5 @@ def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> 
         header,
         [[r[h] for h in header] for r in rows],
     )
+    config.save_json(os.path.join(out_dir, "config.json"))
     return rows

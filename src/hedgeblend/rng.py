@@ -3,8 +3,8 @@
 Every stochastic component of the library draws from a Philox counter-based
 generator whose 128-bit key is mixed from a root seed plus a tuple of integer
 indices (purpose tag, member index, epoch index, ...). The same
-(seed, indices) always maps to the same stream, independent of call order,
-process layout, or worker count.
+(seed, indices) always maps to the same stream, independent of call order
+or thread layout.
 
 Path simulation uses uniform draws mapped through the inverse normal CDF.
 A uniform double consumes exactly one 64-bit counter word, so a draw of shape

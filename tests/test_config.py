@@ -25,7 +25,6 @@ def custom_config() -> RunConfig:
         extended_blend=True,
         eval_seeds=[5, 6],
         fixed_vol=0.21,
-        workers=2,
     )
 
 
@@ -56,14 +55,17 @@ class TestRoundTrip:
 
 
 class TestUnknownKeys:
-    @pytest.mark.parametrize("record", [
-        {"no_such_key": 1},
-        {"train": {"no_such_key": 1}},
-        {"grid": {"n_steps": 8, "maturity": 0.5, "no_such_key": 1}},
-        {"calibration": {**CUSTOM_CALIBRATION, "no_such_key": 1}},
-    ], ids=["top", "train", "grid", "calibration"])
-    def test_unknown_key_is_a_parameter_error(self, record):
-        with pytest.raises(ParameterError, match="no_such_key"):
+    @pytest.mark.parametrize("record, key", [
+        ({"no_such_key": 1}, "no_such_key"),
+        ({"train": {"no_such_key": 1}}, "no_such_key"),
+        ({"grid": {"n_steps": 8, "maturity": 0.5, "no_such_key": 1}}, "no_such_key"),
+        ({"calibration": {**CUSTOM_CALIBRATION, "no_such_key": 1}}, "no_such_key"),
+        ({"workers": 2}, "workers"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -1}, "workers"),
+    ], ids=["top", "train", "grid", "calibration", "workers", "zero-workers", "negative-workers"])
+    def test_unknown_key_is_a_parameter_error(self, record, key):
+        with pytest.raises(ParameterError, match=f"unknown .*keys: \\['{key}'\\]"):
             RunConfig.from_dict(record)
 
     @pytest.mark.parametrize("record", [
@@ -79,27 +81,28 @@ class TestUnknownKeys:
 INVALID_FIELDS = [
     {"objectives": []},
     {"objectives": ["cvar", "cvar"]},
-    {"workers": 0},
-    {"workers": -2},
     {"bootstrap_resamples": evaluation.MIN_BOOTSTRAP_RESAMPLES - 1},
     {"mean_bootstrap_resamples": evaluation.MIN_BOOTSTRAP_RESAMPLES - 1},
+    {"train": {**RunConfig().to_dict()["train"], "seed": -1}},
+    {"eval_seeds": [99, -1]},
 ]
-INVALID_IDS = ["no-objectives", "repeated-objective", "zero-workers", "negative-workers",
-               "few-resamples", "few-mean-resamples"]
+INVALID_IDS = ["no-objectives", "repeated-objective", "few-resamples", "few-mean-resamples",
+               "negative-train-seed", "negative-eval-seed"]
 
 
 class TestValidation:
     @pytest.mark.parametrize("fields", INVALID_FIELDS, ids=INVALID_IDS)
     def test_invalid_field_is_rejected_at_construction(self, fields):
         with pytest.raises(ParameterError):
-            RunConfig(**fields)
+            RunConfig(**{k: TrainConfig(**v) if k == "train" else v for k, v in fields.items()})
         with pytest.raises(ParameterError):
             RunConfig.from_dict({**RunConfig().to_dict(), **fields})
 
     def test_boundary_values_are_accepted(self):
         RunConfig(
             objectives=["cvar", "entropic"],
-            workers=1,
+            train=TrainConfig(seed=0),
+            eval_seeds=[0],
             bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,
             mean_bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,
         )
@@ -160,9 +163,21 @@ class TestCliRejectsBeforeTraining:
         assert "adam_betas" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_invalid_workers_flag(self, tmp_path, workers):
+    @pytest.mark.parametrize("command", ["train-ensemble", "full-pipeline"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        code = cli.main(["full-pipeline", "--workers", workers, "--out", str(out)])
-        assert code == cli.EXIT_VALIDATION
+        assert cli.main([command, "--seed", "-3", "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--workers", "2"], ["--bogus"]], ids=["workers", "bogus"])
+    def test_usage_error_is_a_validation_error(self, tmp_path, capsys, flags):
+        """argparse exits 2 on a bad flag, which would read as numerical divergence."""
+        out = tmp_path / "out"
+        assert cli.main(["full-pipeline", *flags, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "error: unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["full-pipeline", "--help"]) == cli.EXIT_OK
+        assert "--resume" in capsys.readouterr().out

@@ -7,12 +7,12 @@ reproducibility, CLI, resume and concurrent blend-fit checks.
 
 import _thread
 import json
-import multiprocessing
 import os
 import shutil
 import threading
 import time
 from concurrent.futures import CancelledError
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,7 +235,6 @@ class TestCliOnSavedRun:
         """Fields outside the training record may change on resume."""
         out = copy_run(run_dir[0], tmp_path)
         config = mini_config()
-        config.workers = 2
         config.bootstrap_resamples = 200
         config.save_json(os.path.join(out, "config.json"))
         assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
@@ -266,14 +265,18 @@ class TestCliOnSavedRun:
         assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
         assert read_manifest(out) == read_manifest(run_dir[0])
 
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "saved-config"])
     def test_cross_calibration_resume_reuses_each_calibrations_members(self, config_file,
-                                                                       tmp_path, monkeypatch):
+                                                                       tmp_path, monkeypatch,
+                                                                       with_config):
+        """Without --config, the resume reads the config saved in <out>."""
         out = str(tmp_path / "cross")
         args = ["cross-calibration", "--config", config_file, "--out", out]
         assert cli.main(args) == cli.EXIT_OK
         fresh = snapshot(out)
         forbid_training(monkeypatch)
-        assert cli.main(args + ["--resume"]) == cli.EXIT_OK
+        resume = args if with_config else ["cross-calibration", "--out", out]
+        assert cli.main(resume + ["--resume"]) == cli.EXIT_OK
         assert snapshot(out) == fresh
         assert {name.split(os.sep)[0] for name in fresh if "members" in name} == {
             "baseline", "high_vov", "low_corr"}
@@ -525,30 +528,33 @@ def test_members_load_in_index_order(tmp_path):
         pipeline.load_members(str(tmp_path), 12)
 
 
-def test_workers_do_not_change_members():
-    config = mini_config()
+def assert_members_equal_members_trained_alone(config):
     args = (config.heston_params(), config.grid, config.cost(), config.strike)
-    serial = ensemble.train_ensemble(2, config.train, *args, workers=1)
-    parallel = ensemble.train_ensemble(2, config.train, *args, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.seed == b.seed
-        assert a.loss_history == b.loss_history
-        for name in a.params:
-            assert a.params[name].tobytes() == b.params[name].tobytes(), name
+    members = ensemble.train_ensemble(2, config.train, *args)
+    for i, member in enumerate(members):
+        alone = hedger.train_hedger(
+            replace(config.train, seed=ensemble.member_seed(config.train.seed, i)), *args)
+        assert member.seed == alone.seed
+        assert member.loss_history == alone.loss_history
+        for name in alone.params:
+            assert member.params[name].tobytes() == alone.params[name].tobytes(), name
 
 
-def test_workers_do_not_change_sharded_members(monkeypatch):
-    """Two 64-path epochs, each in four 16-path shards taped on threads in
-    every training process (forked, so the worker processes see the patch)."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("worker processes would not inherit the patched shard size")
+def test_members_equal_members_trained_alone():
+    """Member i is ``train_hedger`` at ``member_seed(seed, i)``, bit for bit."""
+    assert_members_equal_members_trained_alone(mini_config())
+
+
+def test_sharded_members_equal_members_trained_alone(monkeypatch):
+    """The same, with two 64-path epochs of four 16-path shards each."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     config = mini_config()
     config.train.epochs = 2
+    assert_members_equal_members_trained_alone(config)
+
+
+def test_train_ensemble_accepts_only_one_worker():
+    config = mini_config()
     args = (config.heston_params(), config.grid, config.cost(), config.strike)
-    serial = ensemble.train_ensemble(2, config.train, *args, workers=1)
-    parallel = ensemble.train_ensemble(2, config.train, *args, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.loss_history == b.loss_history
-        for name in a.params:
-            assert a.params[name].tobytes() == b.params[name].tobytes(), name
+    with pytest.raises(ParameterError, match="workers must be 1"):
+        ensemble.train_ensemble(2, config.train, *args, workers=2)
