@@ -112,9 +112,11 @@ def compute_pnl(
 class HedgePnL:
     """P&L of (B, n) hedge arrays on fixed (B, n+1) spots, and its VJP.
 
-    The differentiable accounting of training and the blend fit: the P&L of
-    :func:`compute_pnl` up to rounding (costs sum |change| * (c S)), in the
-    dtype of ``spot``, in buffers allocated once and reused by every call.
+    The differentiable accounting of hedger training, its only caller: the
+    P&L of :func:`compute_pnl` up to rounding (costs sum |change| * (c S)), in
+    the dtype of ``spot``, in buffers allocated once and reused by every call.
+    (The blend fit differentiates in its own coefficients instead; see
+    ``blend._BlendProblem``.)
     """
 
     def __init__(self, spot: np.ndarray, cost_rate: float, strike: float):

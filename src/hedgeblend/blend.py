@@ -4,11 +4,13 @@ The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
 alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
 terms]). Coefficients are fitted by full-batch Adam on precomputed hedges:
 only the blend weights move, never the underlying strategies. The fit's
-gradient is closed-form, not taped: the P&L, its VJP and the objective
-gradient (entropic softmax weights or the CVaR tail subgradient) are the
-code hedger training uses, ``accounting.HedgePnL`` and
-``risk._objective_and_grad``; only the sigmoid step is the fit's own. It
-keeps a taped gradient's operand order, so it matches one bit for bit.
+gradient is closed-form, not taped. The objective gradient (entropic softmax
+weights or the CVaR tail subgradient) is ``risk._objective_and_grad``, which
+training shares; the P&L is differentiated in the blend coefficients
+directly, by the fit's own kernel (:class:`_BlendProblem`), which computes
+once what stays fixed during the fit. Its P&L equals
+``accounting.compute_pnl``'s, and the objectives it reports equal
+``risk.entropic_risk`` and ``-risk.cvar`` of that P&L, within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from . import rng
-from .accounting import CostSpec, HedgePnL, HedgeSchedule
-from .autodiff import Tensor, _sigmoid_inplace
+from .accounting import CostSpec, HedgeSchedule
+from .autodiff import Tensor
 from .ensemble import EnsembleOutput
 from .errors import DimensionError, NumericalDivergenceError, ParameterError
 from .market import MarketPaths
@@ -159,6 +161,94 @@ class BlendFit:
         )
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+class _BlendProblem:
+    """The blended P&L as a function of the blend coefficients, and its gradient.
+
+    With t = tanh(z / 2), alpha = (1 + t) / 2 and the blended hedge is
+    delta = mid + t half, where mid = (ens + bs) / 2 and half = (bs - ens) / 2.
+    The P&L of :func:`accounting.compute_pnl` is
+
+        pnl = rowdot(delta, dS) - rowdot(c S, |dd|) - (S_n - K)^+,
+
+    with dd_t = delta_t - delta_{t-1} the position changes t = 0..n of a book
+    that starts and ends flat. Everything but t, delta and dd is fixed during
+    a fit, so it is computed once, here. As dt/dz = (1 - t^2) / 2, the
+    gradient of sum(g pnl) in the coefficient of feature f (1 for the
+    intercept) is
+
+        1/2 sum_i g_i rowdot(v, f)_i,  v = (half - t (t half)) w,
+        w_t = dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}),  sgn(0) = 0,
+
+    summed over the paths where g is nonzero only: every path for the entropic
+    objective (bar softmax weights that underflow), the tail for CVaR.
+
+    Every per-step array has n + 1 columns, like the position changes: the
+    arrays of n columns (mid, half, dS, the features) get a zero column n, so
+    delta_n = 0 (the unwind) and column n adds nothing to the gains or the
+    gradient. The hedges are stored row after row in one flat buffer
+    behind a leading zero, so one subtraction of the buffer from itself,
+    shifted by one, gives every position change.
+    """
+
+    def __init__(self, spot, ens, bs, features, cost_rate: float, strike: float):
+        def padded(a):
+            return np.pad(a, ((0, 0), (0, 1)))
+
+        self.features = [padded(feature) for feature in features]
+        self.mid = padded((ens + bs) * 0.5)
+        self.half = padded((bs - ens) * 0.5)
+        self.d_spot = padded(np.diff(spot, axis=1))
+        self.payoff = np.maximum(spot[:, -1] - strike, 0.0)
+        self.cost_spot = cost_rate * spot
+        self.t, self.work, self.changes = (np.empty_like(spot) for _ in range(3))
+        self.flat_delta = np.zeros(spot.size + 1)  # 0, then each row's delta_0 .. delta_n
+
+    def pnl(self, coefs) -> np.ndarray:
+        """P&L per path at ``coefs`` (the intercept, then one per feature);
+        keeps t and the position changes for :meth:`grad`."""
+        t, work = self.t, self.work
+        halved = [0.5 * c for c in coefs]  # z / 2, exactly
+        np.multiply(self.features[0], halved[1], out=t)
+        t += halved[0]
+        for coef, feature in zip(halved[2:], self.features[1:]):
+            np.multiply(feature, coef, out=work)
+            t += work
+        np.tanh(t, out=t)
+        delta = self.flat_delta[1:].reshape(t.shape)
+        np.multiply(t, self.half, out=delta)
+        delta += self.mid
+        np.subtract(self.flat_delta[1:], self.flat_delta[:-1], out=self.changes.reshape(-1))
+        trades = np.abs(self.changes, out=work)
+        return _rowdot(delta, self.d_spot) - _rowdot(self.cost_spot, trades) - self.payoff
+
+    def grad(self, g_pnl: np.ndarray) -> list:
+        """d sum(g_pnl pnl) / d coefs at the last :meth:`pnl` call."""
+        rows = np.flatnonzero(g_pnl)
+        if rows.size == g_pnl.size:
+            rows = slice(None)  # views: the backward overwrites the buffers
+        g, t, half, work = g_pnl[rows], self.t[rows], self.half[rows], self.work[rows]
+        signed_cost = self.changes[rows]
+        zero = signed_cost == 0.0
+        np.copysign(self.cost_spot[rows], signed_cost, out=signed_cost)
+        if zero.any():
+            signed_cost[zero] = 0.0
+        np.multiply(t, half, out=work)
+        t *= work
+        np.subtract(half, t, out=t)
+        np.subtract(self.d_spot[rows], signed_cost, out=work)
+        # + c S_{t+1} sgn(dd_{t+1}); column n takes the next row's first term,
+        # which v = 0 there cancels.
+        work.reshape(-1)[:-1] += signed_cost.reshape(-1)[1:]
+        t *= work
+        sums = [t.sum(axis=1)] + [_rowdot(t, feature[rows]) for feature in self.features]
+        return [0.5 * (g @ s) for s in sums]
+
+
 def fit_blend(
     train_paths: MarketPaths,
     ens: EnsembleOutput,
@@ -176,33 +266,30 @@ def fit_blend(
     """Fit the blend coefficients by Adam on the precomputed training batch.
 
     All hedge ratios and disagreement values are held fixed; each iteration
-    recomputes the blended schedule, its P&L and the objective, then steps
-    the coefficients along the closed-form gradient: G = d obj / d pnl from
-    ``risk._objective_and_grad`` (the CVaR tail subgradient included),
-    g_delta = d obj / d delta from ``accounting.HedgePnL.vjp``, and
-
-        d obj / d z = (g_delta delta_BS - g_delta delta_ens) alpha (1 - alpha)
-
-    Each coefficient's gradient is the sum of d obj / d z times its feature
-    (1, disagreement, moneyness, time fraction). Every product and sum keeps
-    the operand order of the reverse sweep through the expression, so the
-    trajectory is bit-identical to differentiating it on the autodiff tape
-    (a zero may differ in sign, which no sum or Adam step can see).
+    evaluates the blended P&L and the objective at the current coefficients,
+    then steps them along the closed-form gradient: G = d obj / d pnl from
+    ``risk._objective_and_grad`` (the CVaR tail subgradient included), then
+    d obj / d coefficient from :class:`_BlendProblem`, which differentiates
+    the P&L in the coefficients directly and only on the paths where G is
+    nonzero. The objective it reports at given coefficients equals
+    ``entropic_risk`` or ``-cvar`` of ``compute_pnl(blend_schedules(...))``
+    within 1e-12 relative; the operations are ordered differently, so values
+    agree to rounding, not bit for bit.
     The fit itself is deterministic (coefficients start at the uninformative
     50/50 blend); ``seed`` is recorded for provenance only. When ``stop`` is
     set, checked once per iteration, the fit raises ``CancelledError``.
     """
     shape = (train_paths.n_paths, train_paths.n_steps)
+    if shape[0] == 0:
+        raise DimensionError("fit_blend needs at least one training path")
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
         raise DimensionError("ensemble/bs schedules do not match the training paths")
 
-    ens_delta = ens.mean_hedge.delta
-    bs_delta = bs.delta
     features = [ens.disagreement]
     if extended:
         features.extend(blend_features(train_paths, strike))
-    account = HedgePnL(np.asarray(train_paths.spot, dtype=float), cost.cost_rate, strike)
-    alpha, one_minus, delta, work = (np.empty(shape) for _ in range(4))
+    problem = _BlendProblem(np.asarray(train_paths.spot, dtype=float), ens.mean_hedge.delta,
+                            bs.delta, features, cost.cost_rate, strike)
     g_pnl = np.empty(shape[0])
 
     coefs = [Tensor(np.zeros(()), requires_grad=True) for _ in range(1 + len(features))]
@@ -212,36 +299,14 @@ def fit_blend(
     for iteration in range(iterations):
         if stop is not None and stop.is_set():
             raise CancelledError(f"blend fit stopped at iteration {iteration}")
-        # Forward: alpha = sigmoid(c0 + c1 psi [+ c2 moneyness + c3 tau]).
-        np.multiply(coefs[1].data, features[0], out=alpha)
-        np.add(coefs[0].data, alpha, out=alpha)
-        for coef, feature in zip(coefs[2:], features[1:]):
-            np.multiply(coef.data, feature, out=work)
-            alpha += work
-        _sigmoid_inplace(alpha)
-        np.subtract(1.0, alpha, out=one_minus)
-        np.multiply(one_minus, ens_delta, out=delta)
-        np.multiply(alpha, bs_delta, out=work)
-        delta += work
-
-        pnl = account.pnl(delta)
+        pnl = problem.pnl([coef.data for coef in coefs])
         value = _objective_and_grad(pnl, objective.kind, g_pnl, a=objective.a,
                                     level=objective.level)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
-
-        # Backward: d obj / d delta into work, d obj / d z into delta.
-        account.vjp(g_pnl, out=work)
-        np.multiply(work, bs_delta, out=delta)
-        work *= ens_delta
-        delta -= work
-        delta *= alpha
-        delta *= one_minus
-        coefs[0].grad = delta.sum()
-        for coef, feature in zip(coefs[1:], features):
-            np.multiply(delta, feature, out=work)
-            coef.grad = work.sum()
+        for coef, grad in zip(coefs, problem.grad(g_pnl)):
+            coef.grad = grad
         adam.step()
 
     params = BlendParams(

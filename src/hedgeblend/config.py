@@ -70,6 +70,13 @@ class RunConfig:
             raise ParameterError("train_fraction must lie in (0, 1)")
         if self.eval_paths < 10:
             raise ParameterError("eval_paths must be >= 10")
+        n_train = int(round(self.train_fraction * self.eval_paths))  # as train_eval_split
+        if min(n_train, self.eval_paths - n_train) < 2:
+            raise ParameterError(
+                f"train_fraction {self.train_fraction} splits {self.eval_paths} eval_paths into "
+                f"{n_train} training and {self.eval_paths - n_train} test paths; "
+                "each side needs at least 2"
+            )
         if not self.eval_seeds:
             raise ParameterError("eval_seeds must be non-empty")
         if min(self.eval_seeds) < 0:

@@ -5,9 +5,9 @@ scalar head emitting an unconstrained hedge ratio. At each step the network
 sees (log moneyness, time to expiry, instantaneous vol, previous hedge) and
 carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included. The P&L and the loss are
-differentiated in closed form, by the code the blend fit uses
-(``accounting.HedgePnL``, ``risk._objective_and_grad``); the autodiff tape
-differentiates only the LSTM rollout.
+differentiated in closed form: the P&L by ``accounting.HedgePnL`` (training
+is its only caller), the loss by ``risk._objective_and_grad`` (shared with the
+blend fit); the autodiff tape differentiates only the LSTM rollout.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on

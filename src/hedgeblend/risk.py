@@ -62,8 +62,8 @@ def _objective_and_grad(pnl: np.ndarray, kind: str, g_pnl: np.ndarray, *,
     membership is frozen at the current values, so the gradient is -1/k on
     the tail and 0 elsewhere (the empirical expected-shortfall subgradient).
     Both gradients are <= 0. Products are grouped as the reverse sweep of the
-    expression would group them, so the blend fit matches a taped gradient
-    bit for bit.
+    expression would group them, which keeps the training gradients that
+    ``tests/test_hedger.py`` pins bit for bit.
     """
     n = pnl.size
     if kind == "entropic":

@@ -1,18 +1,22 @@
 """The blend fit: pinned trajectories, its closed-form gradient, and its errors.
 
-The pinned values were recorded from the fit when it still differentiated the
-blended P&L on the autodiff tape; the closed-form gradient must reproduce
-them bit for bit.
+``blend_pins.json`` holds each pinned fit's final coefficients and its whole
+trajectory. The 64 x 8 fits were recorded when the fit still differentiated
+the blended P&L on the autodiff tape, the 700 x 126 fits from the fit that
+differentiated it through ``accounting.HedgePnL`` (commit a655e7b). The fit
+now differentiates the P&L in the coefficients directly, in a different
+order of float operations, so it must reproduce them within 1e-12 relative.
 """
 
-import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hedgeblend import autodiff as ad
-from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
+from hedgeblend.accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from hedgeblend.blend import (
     BlendObjective,
     BlendParams,
@@ -23,7 +27,7 @@ from hedgeblend.blend import (
 from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import DimensionError, NumericalDivergenceError
 from hedgeblend.market import MarketPaths, PathGrid
-from hedgeblend.risk import cvar, entropic_risk
+from hedgeblend.risk import _objective_and_grad, cvar, entropic_risk
 
 COST = CostSpec(5e-3)
 STRIKE = 1.0
@@ -47,40 +51,48 @@ def problem():
     return synthetic_problem()
 
 
-def run_fit(problem, kind, extended, iterations=50):
+def run_fit(problem, kind, extended, iterations=50, a=1.0):
     paths, ens, bs = problem
-    return fit_blend(paths, ens, bs, COST, STRIKE, BlendObjective(kind), extended=extended,
-                     iterations=iterations, step_size=0.05)
+    return fit_blend(paths, ens, bs, COST, STRIKE, BlendObjective(kind, a=a),
+                     extended=extended, iterations=iterations, step_size=0.05)
 
 
-# (kind, extended) -> (params, final objective, sha256 of the float64 trajectory)
-PINNED = {
-    ("entropic", False): (
-        (2.07632988854372, 1.9708869411458783, None, None), 0.0572470307938006,
-        "ef4fa2dac781f19a98508ad8a911a91316586699396f9a216681e84f09980643"),
-    ("entropic", True): (
-        (1.564444357752383, 1.4300727872174648, 1.5349305457381537, 1.4151298271826267),
-        0.057149331161823635,
-        "622b4c1682552a3187e2d01cf11c49908605305aefd4487d27445e20f3966911"),
-    ("cvar", False): (
-        (2.0841028166589304, 2.1121791453559395, None, None), 0.15098247193556086,
-        "15621194d9bcc18f0b0495b82b16ba8f4a3094e37b2d844483f0cd53dd915626"),
-    ("cvar", True): (
-        (1.2479872120798545, 1.2902909508804723, 1.3081720147314304, 1.5401229431723287),
-        0.15067387063082094,
-        "29bced13cf071fcf161fb036a05ab5a3ba2372d5649aa3a84b6a081736bea495"),
-}
+PINS = json.loads(Path(__file__).with_name("blend_pins.json").read_text())
+PIN_RTOL = 1e-12
+CASES = [(kind, extended) for kind in ("cvar", "entropic") for extended in (False, True)]
 
 
-@pytest.mark.parametrize("kind, extended", sorted(PINNED))
+def assert_matches_pin(fit, name):
+    """The fit's coefficients and whole trajectory, the final objective
+    included, equal the pin's within PIN_RTOL."""
+    pin = PINS[name]
+    params = list(fit.params.to_dict().values())
+    assert [p is None for p in params] == [p is None for p in pin["params"]]
+    np.testing.assert_allclose([p for p in params if p is not None],
+                               [p for p in pin["params"] if p is not None],
+                               rtol=PIN_RTOL, atol=0.0)
+    assert len(fit.trajectory) == len(pin["trajectory"])
+    np.testing.assert_allclose(fit.trajectory, pin["trajectory"], rtol=PIN_RTOL, atol=0.0)
+
+
+def pin_name(shape, kind, extended):
+    return f"{shape}/{kind}/{'extended' if extended else 'plain'}"
+
+
+@pytest.mark.parametrize("kind, extended", CASES)
 def test_trajectory_matches_the_taped_fit_exactly(problem, kind, extended):
-    params, final, digest = PINNED[kind, extended]
-    fit = run_fit(problem, kind, extended)
-    got = fit.params
-    assert (got.intercept, got.uncertainty_coef, got.moneyness_coef, got.time_coef) == params
-    assert fit.final_objective == final
-    assert len(fit.trajectory) == 50
-    assert hashlib.sha256(np.array(fit.trajectory).tobytes()).hexdigest() == digest
+    assert_matches_pin(run_fit(problem, kind, extended), pin_name("64x8", kind, extended))
+
+
+@pytest.fixture(scope="module")
+def large_problem():
+    return synthetic_problem(700, 126)
+
+
+@pytest.mark.parametrize("kind, extended", CASES)
+def test_large_fit_matches_the_pinned_trajectory(large_problem, kind, extended):
+    fit = run_fit(large_problem, kind, extended, iterations=300)
+    assert_matches_pin(fit, pin_name("700x126", kind, extended))
 
 
 def objective_at(problem, coefs, objective, tail=None):
@@ -117,22 +129,87 @@ def gradients_during_fit(problem, objective, extended, monkeypatch, iterations=8
     return seen
 
 
-@pytest.mark.parametrize("kind", ["entropic", "cvar"])
-@pytest.mark.parametrize("extended", [False, True])
-def test_gradient_matches_central_differences(problem, kind, extended, monkeypatch):
-    objective = BlendObjective(kind)
+def assert_gradients_match_central_differences(problem, objective, extended, monkeypatch):
+    """Every third gradient of a short fit against central differences of the
+    oracle objective; returns the P&L at each checked point."""
     h = 1e-6
+    checked = []
     for coefs, grad in gradients_during_fit(problem, objective, extended, monkeypatch)[::3]:
         _, pnl = objective_at(problem, coefs, objective)
+        checked.append(pnl)
         k = math.ceil(objective.level * pnl.size)
-        tail = np.argsort(pnl)[:k] if kind == "cvar" else None
+        tail = np.argsort(pnl)[:k] if objective.kind == "cvar" else None
         for i in range(len(coefs)):
             up, down = list(coefs), list(coefs)
             up[i] += h
             down[i] -= h
             fd = (objective_at(problem, up, objective, tail)[0]
                   - objective_at(problem, down, objective, tail)[0]) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), (kind, i)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9), (objective.kind, i)
+    return checked
+
+
+@pytest.mark.parametrize("kind", ["entropic", "cvar"])
+@pytest.mark.parametrize("extended", [False, True])
+def test_gradient_matches_central_differences(problem, kind, extended, monkeypatch):
+    assert_gradients_match_central_differences(problem, BlendObjective(kind), extended,
+                                               monkeypatch)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_entropic_gradient_skips_paths_whose_weight_underflows(problem, extended,
+                                                               monkeypatch):
+    """At a = 1e4 most softmax weights exp(-a (pnl - min pnl)) are exactly 0,
+    so the backward runs on a few rows only; the gradient must not change."""
+    objective = BlendObjective("entropic", a=1e4)
+    checked = assert_gradients_match_central_differences(problem, objective, extended,
+                                                         monkeypatch)
+    for pnl in checked:
+        weights = np.exp(-objective.a * (pnl - pnl.min()))
+        assert 0 < np.count_nonzero(weights) < pnl.size
+    fit = run_fit(problem, "entropic", extended, iterations=200, a=objective.a)
+    assert np.isfinite(fit.trajectory).all()
+    assert np.isfinite([c for c in fit.params.to_dict().values() if c is not None]).all()
+
+
+@pytest.mark.parametrize("kind", ["entropic", "cvar"])
+def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monkeypatch):
+    """At the 50/50 start delta = (ens + bs) / 2, so steps 2 and 3 below hold
+    the same hedge while their halves differ: |dd_3| has a kink there. The
+    first gradient takes sgn(0) = 0, as ``accounting.HedgePnL.vjp`` does; the
+    expected value is the chain rule through it, alpha (1 - alpha) = 1/4."""
+    paths, ens, bs = problem
+    e, b = ens.mean_hedge.delta.copy(), bs.delta.copy()
+    e[:, 2], b[:, 2], e[:, 3], b[:, 3] = 0.25, 0.75, 0.375, 0.625
+    psi = ens.disagreement
+    kinked = (paths, EnsembleOutput([], HedgeSchedule(e), psi, psi.mean(axis=1)),
+              HedgeSchedule(b))
+    (coefs, grad), = gradients_during_fit(kinked, BlendObjective(kind), False, monkeypatch,
+                                          iterations=1)
+    assert coefs == [0.0, 0.0]
+    account = HedgePnL(paths.spot, COST.cost_rate, STRIKE)
+    pnl = account.pnl((e + b) * 0.5)
+    assert (account.changes[:, 3] == 0.0).all()
+    g_pnl = np.empty_like(pnl)
+    _objective_and_grad(pnl, kind, g_pnl)
+    g_z = account.vjp(g_pnl) * (b - e) * 0.25
+    assert grad == pytest.approx([g_z.sum(), (g_z * psi).sum()], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("size", ["problem", "large_problem"])
+@pytest.mark.parametrize("kind, extended", CASES)
+def test_reported_objective_equals_the_oracle(request, size, kind, extended):
+    """Iteration k of a fit reports the objective at the coefficients after
+    k steps, which must equal entropic_risk or -cvar of compute_pnl of the
+    blended schedule: the fit's P&L is the reports' P&L."""
+    problem = request.getfixturevalue(size)
+    objective = BlendObjective(kind)
+    for k in (0, 1, 7, 30):
+        params = run_fit(problem, kind, extended, iterations=k).params
+        coefs = [c for c in params.to_dict().values() if c is not None]
+        reported = run_fit(problem, kind, extended, iterations=k + 1).trajectory[-1]
+        assert reported == pytest.approx(objective_at(problem, coefs, objective)[0],
+                                         rel=1e-12, abs=0.0), k
 
 
 def test_fit_never_builds_a_tape(problem, monkeypatch):
@@ -152,6 +229,14 @@ def test_mismatched_shapes_raise(problem):
     with pytest.raises(DimensionError):
         fit_blend(paths, ens.take(np.arange(10)), bs, COST, STRIKE, BlendObjective("cvar"),
                   iterations=1)
+
+
+def test_no_training_paths_raise(problem):
+    paths, ens, bs = problem
+    none = np.arange(0)
+    with pytest.raises(DimensionError, match="at least one training path"):
+        fit_blend(paths.take(none), ens.take(none), bs.take(none), COST, STRIKE,
+                  BlendObjective("cvar"), iterations=1)
 
 
 def test_non_finite_objective_raises(problem):

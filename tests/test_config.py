@@ -85,9 +85,14 @@ INVALID_FIELDS = [
     {"mean_bootstrap_resamples": evaluation.MIN_BOOTSTRAP_RESAMPLES - 1},
     {"train": {**RunConfig().to_dict()["train"], "seed": -1}},
     {"eval_seeds": [99, -1]},
+    {"eval_paths": 10, "train_fraction": 0.99},
+    {"eval_paths": 10, "train_fraction": 0.01},
+    {"eval_paths": 10, "train_fraction": 0.9},
+    {"eval_paths": 10, "train_fraction": 0.1},
 ]
 INVALID_IDS = ["no-objectives", "repeated-objective", "few-resamples", "few-mean-resamples",
-               "negative-train-seed", "negative-eval-seed"]
+               "negative-train-seed", "negative-eval-seed", "no-test-paths", "no-training-paths",
+               "one-test-path", "one-training-path"]
 
 
 class TestValidation:
@@ -106,6 +111,8 @@ class TestValidation:
             bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,
             mean_bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,
         )
+        RunConfig(eval_paths=10, train_fraction=0.8)  # 8 training, 2 test paths
+        RunConfig(eval_paths=10, train_fraction=0.2)  # 2 training, 8 test paths
 
     def test_bootstrap_uses_the_same_floor(self):
         pnl = np.linspace(-1.0, 1.0, 50)

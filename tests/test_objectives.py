@@ -1,7 +1,9 @@
-"""The closed-form P&L and objective gradients that training and the blend fit
-share (``accounting.HedgePnL``, ``risk._objective_and_grad``) against their
-numpy oracles ``accounting.compute_pnl``, ``risk.entropic_risk`` and
-``risk.cvar``; and the training loss against the same oracles."""
+"""The closed-form P&L and objective gradients of training
+(``accounting.HedgePnL``, whose only caller is training, and
+``risk._objective_and_grad``, which the blend fit shares) against their numpy
+oracles ``accounting.compute_pnl``, ``risk.entropic_risk`` and ``risk.cvar``;
+and the training loss against the same oracles. The blend fit's own P&L
+kernel is tested in ``test_blend.py``."""
 
 import numpy as np
 import pytest
