@@ -35,6 +35,8 @@ from .risk import _objective_and_grad
 
 FIT_ITERATIONS = 2000
 FIT_STEP_SIZE = 0.01
+# The blend objectives every run fits, in table order.
+OBJECTIVES = ("entropic", "cvar")
 
 
 @dataclass
@@ -72,7 +74,7 @@ class BlendObjective:
     level: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("entropic", "cvar"):
+        if self.kind not in OBJECTIVES:
             raise ParameterError(f"unknown blend objective {self.kind!r}")
         if self.kind == "entropic" and self.a <= 0:
             raise ParameterError("entropic objective requires a > 0")

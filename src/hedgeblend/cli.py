@@ -61,7 +61,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     n_paths = config.eval_paths if args.paths is None else args.paths
     if args.gbm:
-        paths = simulate_gbm(config.gbm_vol, config.grid, n_paths, seed=config.eval_seeds[0])
+        paths = simulate_gbm(pipeline.GBM_VOL, config.grid, n_paths, seed=config.eval_seeds[0])
     else:
         paths = simulate_heston(
             config.heston_params(), config.grid, n_paths, seed=config.eval_seeds[0]

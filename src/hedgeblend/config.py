@@ -40,7 +40,12 @@ class RunConfig:
     """Everything a pipeline run needs; serialisable to/from JSON.
 
     Invalid values raise :class:`ParameterError` at construction, before any
-    work starts.
+    work starts. Every run shares these constants, which are not settable:
+    the blend objectives ``blend.OBJECTIVES`` (entropic and CVaR, both always
+    fitted), the baselines' fixed volatility sqrt(theta) of the calibration
+    (:meth:`fixed_vol_value`), ``pipeline.GBM_VOL``, the heatmap's
+    ``pipeline.HEATMAP_BINS`` and training's ``hedger.STEP_SIZE`` with
+    ``autodiff.Adam``'s default betas.
     """
 
     calibration: str | dict = "baseline"
@@ -49,7 +54,6 @@ class RunConfig:
     strike: float = 1.0
     ensemble_size: int = 5
     train: TrainConfig = field(default_factory=lambda: TrainConfig(seed=7))
-    objectives: list[str] = field(default_factory=lambda: ["entropic", "cvar"])
     extended_blend: bool = False
     train_fraction: float = 0.7
     eval_paths: int = 10000
@@ -57,11 +61,7 @@ class RunConfig:
     cvar_level: float = 0.05
     bootstrap_resamples: int = 5000
     mean_bootstrap_resamples: int = 10000
-    fixed_vol: float | None = None  # None -> sqrt(theta) of the calibration
-    gbm_vol: float = 0.2
     winrate_window: int = 500
-    heatmap_moneyness_bins: int = 12
-    heatmap_time_bins: int = 8
 
     def __post_init__(self):
         if self.ensemble_size < 2:
@@ -81,16 +81,16 @@ class RunConfig:
             raise ParameterError("eval_seeds must be non-empty")
         if min(self.eval_seeds) < 0:
             raise ParameterError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
-        if not self.objectives:
-            raise ParameterError("objectives must be non-empty")
-        for obj in self.objectives:
-            if obj not in ("entropic", "cvar"):
-                raise ParameterError(f"unknown objective {obj!r}")
-        if len(set(self.objectives)) != len(self.objectives):
-            raise ParameterError(f"objectives must not repeat: {self.objectives}")
+        if not 0.0 < self.cvar_level < 1.0:
+            raise ParameterError(f"cvar_level must lie in (0, 1), got {self.cvar_level}")
+        if self.strike <= 0:
+            raise ParameterError(f"strike must be positive, got {self.strike}")
+        if self.winrate_window < 1:
+            raise ParameterError(f"winrate_window must be >= 1, got {self.winrate_window}")
         for name in ("bootstrap_resamples", "mean_bootstrap_resamples"):
             if getattr(self, name) < MIN_BOOTSTRAP_RESAMPLES:
                 raise ParameterError(f"{name} must be >= {MIN_BOOTSTRAP_RESAMPLES}")
+        self.cost()  # validates cost_rate
         self.heston_params()  # validates named/custom calibration
 
     def heston_params(self) -> HestonParams:
@@ -108,8 +108,6 @@ class RunConfig:
         return CostSpec(self.cost_rate)
 
     def fixed_vol_value(self) -> float:
-        if self.fixed_vol is not None:
-            return self.fixed_vol
         return float(np.sqrt(self.heston_params().theta))
 
     def with_calibration(self, name: str) -> "RunConfig":
@@ -124,11 +122,7 @@ class RunConfig:
         self.train.paths_per_epoch = SCALES[scale]["paths_per_epoch"]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["grid"] = {"n_steps": self.grid.n_steps, "maturity": self.grid.maturity}
-        d["train"] = asdict(self.train)
-        d["train"]["adam_betas"] = list(self.train.adam_betas)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -136,10 +130,7 @@ class RunConfig:
         if "grid" in d:
             d["grid"] = _construct(PathGrid, d["grid"], "grid")
         if "train" in d:
-            t = dict(d["train"])
-            if "adam_betas" in t:
-                t["adam_betas"] = tuple(t["adam_betas"])
-            d["train"] = _construct(TrainConfig, t, "train")
+            d["train"] = _construct(TrainConfig, d["train"], "train")
         return _construct(cls, d, "config")
 
     @classmethod

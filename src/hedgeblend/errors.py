@@ -26,7 +26,7 @@ class BoundaryError(HedgeblendError, ValueError):
 
 
 class UndefinedCorrelationError(HedgeblendError, ValueError):
-    """Correlation requested against a zero-variance input."""
+    """Correlation requested against a constant input."""
 
 
 class NumericalDivergenceError(HedgeblendError, RuntimeError):

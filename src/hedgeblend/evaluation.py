@@ -100,9 +100,9 @@ def rolling_winrate(pnl_a, pnl_b, psi_bar, window: int) -> np.ndarray:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
-        raise UndefinedCorrelationError("correlation against a zero-variance input")
+    # A constant's float std may be ~1e-17 rather than 0, so test the range.
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise UndefinedCorrelationError("correlation against a constant input")
     return float(np.corrcoef(x, y)[0, 1])
 
 
@@ -315,12 +315,13 @@ def write_heatmap_csv(path: str, data: HeatmapData) -> None:
     write_rows_csv(path, HeatmapRow, rows)
 
 
-def write_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
-    write_rows_csv(
-        path,
-        ["strategy", "mean_pnl", "std_pnl", "cvar_5pct"],
-        rows,
-    )
+def _cvar_column(level: float) -> str:
+    """The CVaR column's name: ``cvar_5pct`` at level 0.05."""
+    return f"cvar_{100 * level:g}pct"
+
+
+def write_comparison_csv(path: str, rows: list[ComparisonRow], level: float = 0.05) -> None:
+    write_rows_csv(path, ["strategy", "mean_pnl", "std_pnl", _cvar_column(level)], rows)
 
 
 @dataclass
@@ -381,9 +382,10 @@ def write_blend_curves_csv(path: str, psi_grid: np.ndarray, curves: dict[str, np
     write_rows_csv(path, ["disagreement"] + [f"alpha_{n}" for n in names], rows)
 
 
-def write_cvar_bars_csv(path: str, entries: list[tuple[str, str, float]]) -> None:
+def write_cvar_bars_csv(path: str, entries: list[tuple[str, str, float]],
+                        level: float = 0.05) -> None:
     """(calibration, strategy, cvar) rows for bar-chart data."""
-    write_rows_csv(path, ["calibration", "strategy", "cvar_5pct"], entries)
+    write_rows_csv(path, ["calibration", "strategy", _cvar_column(level)], entries)
 
 
 def file_sha256(path: str) -> str:

@@ -66,6 +66,9 @@ TAPE_BATCH_LIMIT = 6144
 # inference batches into as many path blocks (aligned to 16 rows).
 SHARD_PATHS = 2500
 
+# Training's Adam step size; its betas are autodiff.Adam's defaults.
+STEP_SIZE = 1e-3
+
 PARAM_NAMES = ("w_ih_0", "w_hh_0", "b_0", "w_ih_1", "w_hh_1", "b_1", "w_out", "b_out")
 
 
@@ -75,20 +78,14 @@ class TrainConfig:
 
     epochs: int = 100
     paths_per_epoch: int = 5000
-    step_size: float = 1e-3
-    adam_betas: tuple[float, float] = (0.9, 0.999)
     risk_aversion: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.paths_per_epoch < 1:
             raise ParameterError("epochs and paths_per_epoch must be >= 1")
-        if self.step_size <= 0:
-            raise ParameterError("step_size must be positive")
         if self.risk_aversion <= 0:
             raise ParameterError("risk_aversion must be positive")
-        if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
-            raise ParameterError(f"adam_betas must be two values in [0, 1), got {self.adam_betas}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
@@ -342,7 +339,7 @@ def train_hedger(
     tensors = _param_tensors(model)
     model.params = {k: t.data for k, t in tensors.items()}
     order = [tensors[k] for k in PARAM_NAMES]
-    adam = ad.Adam(order, lr=config.step_size, betas=config.adam_betas)
+    adam = ad.Adam(order, lr=STEP_SIZE)
 
     a = config.risk_aversion
     for epoch in range(config.epochs):

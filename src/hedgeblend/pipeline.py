@@ -3,12 +3,12 @@
 Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte. The path shards of a large
 training epoch are taped, and the ensemble members roll out, concurrently on
-at most as many threads as the process has usable CPUs, and the blend
-objectives are fitted concurrently, one thread each; all give results
-identical to running them one after the other. On a stage failure
-the run directory keeps whatever was already written plus a FAILED marker
-naming the stage. A marker left by an earlier run is removed when a run
-starts, and so are the blend outputs of objectives the new run does not fit.
+at most as many threads as the process has usable CPUs, and the two blend
+objectives (``blend.OBJECTIVES``) are fitted concurrently, one thread each;
+all give results identical to running them one after the other. On a stage
+failure the run directory keeps whatever was already written plus a FAILED
+marker naming the stage. A marker left by an earlier run is removed when a
+run starts.
 
 Training saves ``members/member_<i>.npz`` and then, last, the training record
 ``members/training.json`` (the config's ``TRAINING_FIELDS``); it deletes the
@@ -31,6 +31,7 @@ import numpy as np
 from . import evaluation as ev
 from .accounting import CostSpec, HedgeSchedule, PnLReport, compute_pnl, write_pnl_csv
 from .blend import (
+    OBJECTIVES,
     BlendFit,
     BlendObjective,
     BlendParams,
@@ -60,6 +61,11 @@ from .hedger import (
 from .market import GBMSpec, MarketPaths, simulate_gbm, simulate_heston
 from .risk import RiskSpec, cvar
 from .threads import run_threads
+
+# Volatility of the GBM market that validate_gbm and ``simulate --gbm`` use.
+GBM_VOL = 0.2
+# Figure 2's heatmap grid: (moneyness bins, time bins).
+HEATMAP_BINS = (12, 8)
 
 
 class _Stage:
@@ -97,17 +103,16 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
     analytic delta on fresh paths, and the gap between the indifference
     price and the analytic option price.
     """
-    vol = config.gbm_vol
     zero_cost = CostSpec(0.0)
-    model = train_hedger(config.train, GBMSpec(vol=vol), config.grid, zero_cost, config.strike)
+    model = train_hedger(config.train, GBMSpec(vol=GBM_VOL), config.grid, zero_cost, config.strike)
 
-    test_paths = simulate_gbm(vol, config.grid, config.eval_paths, seed=config.eval_seeds[0])
+    test_paths = simulate_gbm(GBM_VOL, config.grid, config.eval_paths, seed=config.eval_seeds[0])
     learned = forward_rollout(model, test_paths, config.strike)
-    reference = bs_delta_strategy(test_paths, config.strike, VolMode.fixed(vol))
+    reference = bs_delta_strategy(test_paths, config.strike, VolMode.fixed(GBM_VOL))
     mae = float(np.abs(learned.delta - reference.delta).mean())
 
     price = network_price(model, test_paths, zero_cost, config.strike, config.train.risk_aversion)
-    analytic = bs_price(1.0, config.strike, vol, config.grid.maturity)
+    analytic = bs_price(1.0, config.strike, GBM_VOL, config.grid.maturity)
     report = {
         "delta_mae": mae,
         "network_price": price,
@@ -242,8 +247,8 @@ def fit_blends(
     bs,
     train_idx: np.ndarray,
 ) -> dict[str, BlendFit]:
-    """Fit each configured objective on the training subset; returns the fits
-    in ``config.objectives`` order.
+    """Fit both blend objectives on the training subset; returns the fits in
+    ``blend.OBJECTIVES`` order.
 
     The objectives are fitted concurrently, one thread each. A fit owns its
     buffers and its optimiser and only reads the shared training arrays, and
@@ -267,8 +272,8 @@ def fit_blends(
             objective, extended=config.extended_blend, seed=config.train.seed, stop=stop,
         )
 
-    fits = run_threads(fit, config.objectives, workers=len(config.objectives), stop=stop)
-    return dict(zip(config.objectives, fits))
+    fits = run_threads(fit, OBJECTIVES, workers=len(OBJECTIVES), stop=stop)
+    return dict(zip(OBJECTIVES, fits))
 
 
 def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> None:
@@ -302,19 +307,6 @@ def strategy_schedules(
     return schedules
 
 
-def _remove_stale_outputs(config: RunConfig, out_dir: str) -> None:
-    """Delete what an earlier run may have left that this run would not
-    rewrite, and so would hash into its manifest: the FAILED marker and the
-    blend outputs of objectives that are not configured now."""
-    stale = ["FAILED"]
-    for kind in ("entropic", "cvar"):
-        if kind not in config.objectives:
-            stale += [f"blend_{kind}.json", f"pnl_blend_{kind}.csv"]
-    for name in stale:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
-
-
 def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> PipelineResult:
     """Run every stage and export all table/figure CSVs plus the manifest.
 
@@ -324,7 +316,8 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
     """
     members = _resumed_members(config, out_dir) if resume else None
     os.makedirs(out_dir, exist_ok=True)
-    _remove_stale_outputs(config, out_dir)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "FAILED"))
     config.save_json(os.path.join(out_dir, "config.json"))
     cost = config.cost()
     strike = config.strike
@@ -388,31 +381,29 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             os.path.join(out_dir, "table3_correlations.csv"), *correlations
         )
 
-        heatmap = ev.heatmap_data(
-            ens.disagreement, eval_paths,
-            config.heatmap_moneyness_bins, config.heatmap_time_bins, strike,
-        )
+        heatmap = ev.heatmap_data(ens.disagreement, eval_paths, *HEATMAP_BINS, strike)
         ev.write_heatmap_csv(os.path.join(out_dir, "fig2_heatmap.csv"), heatmap)
 
         comparison = ev.strategy_comparison(list(reports_test.values()), level=config.cvar_level)
-        ev.write_comparison_csv(os.path.join(out_dir, "table4_comparison.csv"), comparison)
+        ev.write_comparison_csv(
+            os.path.join(out_dir, "table4_comparison.csv"), comparison, level=config.cvar_level
+        )
 
         cvar_spec = RiskSpec("cvar", level=config.cvar_level)
         bootstrap_entries = []
-        if "cvar" in fits:
-            for rival in ("bs_delta_fixed", "whalley_wilmott"):
-                res = ev.paired_bootstrap(
-                    reports_test["blend_cvar"].pnl, reports_test[rival].pnl,
-                    cvar_spec, resamples=config.bootstrap_resamples,
-                    seed=config.eval_seeds[0],
-                )
-                bootstrap_entries.append((f"blend_cvar_vs_{rival}", "cvar", res))
+        for rival in ("bs_delta_fixed", "whalley_wilmott"):
             res = ev.paired_bootstrap(
-                reports_test["blend_cvar"].pnl, reports_test["bs_delta_fixed"].pnl,
-                RiskSpec("mean"), resamples=config.mean_bootstrap_resamples,
+                reports_test["blend_cvar"].pnl, reports_test[rival].pnl,
+                cvar_spec, resamples=config.bootstrap_resamples,
                 seed=config.eval_seeds[0],
             )
-            bootstrap_entries.append(("blend_cvar_vs_bs_delta_fixed", "mean", res))
+            bootstrap_entries.append((f"blend_cvar_vs_{rival}", "cvar", res))
+        res = ev.paired_bootstrap(
+            reports_test["blend_cvar"].pnl, reports_test["bs_delta_fixed"].pnl,
+            RiskSpec("mean"), resamples=config.mean_bootstrap_resamples,
+            seed=config.eval_seeds[0],
+        )
+        bootstrap_entries.append(("blend_cvar_vs_bs_delta_fixed", "mean", res))
         ev.write_bootstrap_csv(os.path.join(out_dir, "table5_bootstrap.csv"), bootstrap_entries)
 
         ev.write_decomposition_csv(
@@ -434,6 +425,7 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         ev.write_cvar_bars_csv(
             os.path.join(out_dir, "fig4_cvar_bars.csv"),
             [(label, row.strategy, row.cvar) for row in comparison],
+            level=config.cvar_level,
         )
 
     with _Stage("seed_stability", out_dir):
@@ -473,8 +465,6 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
     The first seed's paths are the main evaluation's, so its P&L is taken
     from ``reports_all`` rather than computed again.
     """
-    kind = "cvar" if "cvar" in fits else next(iter(fits))
-    blend_name = f"blend_{kind}"
     cost = config.cost()
     rows = []
     for seed in config.eval_seeds:
@@ -484,13 +474,13 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
             ens = aggregate(members, paths, config.strike)
             bs = bs_delta_strategy(paths, config.strike, VolMode.fixed(config.fixed_vol_value()))
             schedules = strategy_schedules(
-                paths, ens, {"bs_delta_fixed": bs}, {kind: fits[kind].params}, config.strike
+                paths, ens, {"bs_delta_fixed": bs}, {"cvar": fits["cvar"].params}, config.strike
             )
             reports = {
                 name: compute_pnl(paths, schedules[name], cost, config.strike)
-                for name in (blend_name, "bs_delta_fixed")
+                for name in ("blend_cvar", "bs_delta_fixed")
             }
-        c_blend = cvar(reports[blend_name].pnl, config.cvar_level)
+        c_blend = cvar(reports["blend_cvar"].pnl, config.cvar_level)
         c_bs = cvar(reports["bs_delta_fixed"].pnl, config.cvar_level)
         rows.append([seed, c_blend, c_bs, (c_blend - c_bs) * 1e4])
     return rows
@@ -509,12 +499,9 @@ def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> 
         sub_config = config.with_calibration(name)
         result = full_pipeline(sub_config, os.path.join(out_dir, name), resume=resume)
         by_name = {row.strategy: row for row in result.comparison}
-        boot = next(
-            (res for lbl, metric, res in result.bootstrap
-             if lbl == "blend_cvar_vs_bs_delta_fixed" and metric == "cvar"),
-            None,
-        )
-        fit = result.fits.get("cvar") or next(iter(result.fits.values()))
+        boots = {(lbl, metric): res for lbl, metric, res in result.bootstrap}
+        boot = boots["blend_cvar_vs_bs_delta_fixed", "cvar"]
+        fit = result.fits["cvar"]
         features = (
             blend_features(result.eval_paths.take(result.test_idx), config.strike)
             if fit.params.extended else None
@@ -525,10 +512,10 @@ def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> 
         rows.append(
             {
                 "calibration": name,
-                "blend_cvar": by_name["blend_cvar"].cvar if "blend_cvar" in by_name else float("nan"),
+                "blend_cvar": by_name["blend_cvar"].cvar,
                 "bs_cvar": by_name["bs_delta_fixed"].cvar,
-                "improvement_bps": boot.mean_diff * 1e4 if boot else float("nan"),
-                "significant": int(boot.significant) if boot else 0,
+                "improvement_bps": boot.mean_diff * 1e4,
+                "significant": int(boot.significant),
                 "avg_alpha": float(np.mean(alpha)),
                 "ww_cvar": by_name["whalley_wilmott"].cvar,
                 "beta1_cvar_fit": fit.params.uncertainty_coef,

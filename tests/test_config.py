@@ -20,11 +20,9 @@ def custom_config() -> RunConfig:
     return RunConfig(
         calibration=dict(CUSTOM_CALIBRATION),
         grid=PathGrid(n_steps=16, maturity=0.25),
-        train=TrainConfig(epochs=3, paths_per_epoch=128, adam_betas=(0.8, 0.99), seed=11),
-        objectives=["cvar"],
+        train=TrainConfig(epochs=3, paths_per_epoch=128, risk_aversion=2.0, seed=11),
         extended_blend=True,
         eval_seeds=[5, 6],
-        fixed_vol=0.21,
     )
 
 
@@ -33,8 +31,6 @@ class TestRoundTrip:
         config = custom_config()
         again = RunConfig.from_dict(config.to_dict())
         assert again == config
-        assert again.train.adam_betas == (0.8, 0.99)
-        assert isinstance(again.train.adam_betas, tuple)
         assert again.heston_params() == config.heston_params()
 
     def test_json_round_trip(self, tmp_path):
@@ -43,7 +39,6 @@ class TestRoundTrip:
         config.save_json(str(first))
         again = RunConfig.from_json(str(first))
         assert again == config
-        assert isinstance(again.train.adam_betas, tuple)
         again.save_json(str(second))
         assert second.read_bytes() == first.read_bytes()
 
@@ -63,7 +58,16 @@ class TestUnknownKeys:
         ({"workers": 2}, "workers"),
         ({"workers": 0}, "workers"),
         ({"workers": -1}, "workers"),
-    ], ids=["top", "train", "grid", "calibration", "workers", "zero-workers", "negative-workers"])
+        ({"objectives": ["cvar"]}, "objectives"),
+        ({"fixed_vol": 0.2}, "fixed_vol"),
+        ({"gbm_vol": 0.2}, "gbm_vol"),
+        ({"heatmap_moneyness_bins": 12}, "heatmap_moneyness_bins"),
+        ({"heatmap_time_bins": 8}, "heatmap_time_bins"),
+        ({"train": {"step_size": 1e-3}}, "step_size"),
+        ({"train": {"adam_betas": [0.9, 0.999]}}, "adam_betas"),
+    ], ids=["top", "train", "grid", "calibration", "workers", "zero-workers", "negative-workers",
+            "objectives", "fixed-vol", "gbm-vol", "heatmap-moneyness-bins", "heatmap-time-bins",
+            "train-step-size", "train-adam-betas"])
     def test_unknown_key_is_a_parameter_error(self, record, key):
         with pytest.raises(ParameterError, match=f"unknown .*keys: \\['{key}'\\]"):
             RunConfig.from_dict(record)
@@ -79,8 +83,6 @@ class TestUnknownKeys:
 
 
 INVALID_FIELDS = [
-    {"objectives": []},
-    {"objectives": ["cvar", "cvar"]},
     {"bootstrap_resamples": evaluation.MIN_BOOTSTRAP_RESAMPLES - 1},
     {"mean_bootstrap_resamples": evaluation.MIN_BOOTSTRAP_RESAMPLES - 1},
     {"train": {**RunConfig().to_dict()["train"], "seed": -1}},
@@ -89,10 +91,17 @@ INVALID_FIELDS = [
     {"eval_paths": 10, "train_fraction": 0.01},
     {"eval_paths": 10, "train_fraction": 0.9},
     {"eval_paths": 10, "train_fraction": 0.1},
+    {"cvar_level": 1.5},
+    {"cvar_level": 0.0},
+    {"strike": -1.0},
+    {"strike": 0.0},
+    {"cost_rate": -0.001},
+    {"winrate_window": 0},
 ]
-INVALID_IDS = ["no-objectives", "repeated-objective", "few-resamples", "few-mean-resamples",
-               "negative-train-seed", "negative-eval-seed", "no-test-paths", "no-training-paths",
-               "one-test-path", "one-training-path"]
+INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "negative-eval-seed",
+               "no-test-paths", "no-training-paths", "one-test-path", "one-training-path",
+               "cvar-level-above-one", "zero-cvar-level", "negative-strike", "zero-strike",
+               "negative-cost-rate", "zero-winrate-window"]
 
 
 class TestValidation:
@@ -105,7 +114,8 @@ class TestValidation:
 
     def test_boundary_values_are_accepted(self):
         RunConfig(
-            objectives=["cvar", "entropic"],
+            cost_rate=0.0,
+            winrate_window=1,
             train=TrainConfig(seed=0),
             eval_seeds=[0],
             bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,
@@ -120,25 +130,6 @@ class TestValidation:
         evaluation.paired_bootstrap(pnl, pnl[::-1], RiskSpec("mean"), resamples=floor)
         with pytest.raises(ParameterError):
             evaluation.paired_bootstrap(pnl, pnl[::-1], RiskSpec("mean"), resamples=floor - 1)
-
-
-INVALID_BETAS = [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (0.9, 0.999, 0.5), (0.9,)]
-INVALID_BETAS_IDS = ["beta1-one", "beta2-one", "negative", "three-values", "one-value"]
-
-
-class TestAdamBetas:
-    @pytest.mark.parametrize("betas", INVALID_BETAS, ids=INVALID_BETAS_IDS)
-    def test_invalid_betas_are_rejected_at_construction(self, betas):
-        with pytest.raises(ParameterError, match="adam_betas"):
-            TrainConfig(adam_betas=betas)
-        record = RunConfig().to_dict()
-        record["train"]["adam_betas"] = list(betas)
-        with pytest.raises(ParameterError, match="adam_betas"):
-            RunConfig.from_dict(record)
-
-    def test_boundary_betas_are_accepted(self):
-        TrainConfig(adam_betas=(0.0, 0.0))
-        TrainConfig(adam_betas=(0.999999, 0.999999))
 
 
 class TestCliRejectsBeforeTraining:
@@ -156,18 +147,6 @@ class TestCliRejectsBeforeTraining:
         out = tmp_path / "out"
         code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_VALIDATION
-        assert not out.exists()
-
-    @pytest.mark.parametrize("betas", INVALID_BETAS, ids=INVALID_BETAS_IDS)
-    def test_invalid_adam_betas(self, tmp_path, capsys, betas):
-        record = RunConfig().to_dict()
-        record["train"]["adam_betas"] = list(betas)
-        config_file = tmp_path / "bad.json"
-        config_file.write_text(json.dumps(record))
-        out = tmp_path / "out"
-        code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
-        assert code == cli.EXIT_VALIDATION
-        assert "adam_betas" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-ensemble", "full-pipeline"])

@@ -1,11 +1,23 @@
-"""Property tests of the paired bootstrap and the uncertainty quintiles."""
+"""Property tests of the paired bootstrap and the uncertainty quintiles, and
+checks of the figure-1 win-rate curve, the figure-2 heatmap and the table-3
+correlations against direct computations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgeblend.evaluation import MIN_BOOTSTRAP_RESAMPLES, N_QUINTILES, paired_bootstrap, quintile_analysis
+from hedgeblend.errors import UndefinedCorrelationError
+from hedgeblend.evaluation import (
+    MIN_BOOTSTRAP_RESAMPLES,
+    N_QUINTILES,
+    heatmap_data,
+    paired_bootstrap,
+    quintile_analysis,
+    rolling_winrate,
+    uncertainty_correlations,
+)
+from hedgeblend.market import MarketPaths, PathGrid
 from hedgeblend.risk import RiskSpec
 
 METRICS = [RiskSpec("mean"), RiskSpec("std"), RiskSpec("cvar", level=0.2), RiskSpec("entropic")]
@@ -88,3 +100,76 @@ def test_overall_win_rate_is_the_count_weighted_quintile_mean(inputs):
     rows = quintile_analysis(*inputs)
     weighted = sum(row.n_paths * row.win_rate for row in rows[:N_QUINTILES]) / rows[-1].n_paths
     assert rows[-1].win_rate == pytest.approx(weighted, rel=1e-12, abs=1e-15)
+
+
+class TestHeatmap:
+    STRIKE = 1.05
+
+    @pytest.fixture
+    def heatmap(self, small_paths, rng_np):
+        psi = rng_np.uniform(0.0, 0.1, size=(small_paths.n_paths, small_paths.n_steps))
+        return psi, heatmap_data(psi, small_paths, 12, 8, self.STRIKE)
+
+    def test_counts_cover_every_path_step(self, small_paths, heatmap):
+        _, data = heatmap
+        assert data.counts.shape == data.grid.shape == (8, 12)
+        assert data.counts.sum() == small_paths.n_paths * small_paths.n_steps
+
+    def test_nan_exactly_in_the_empty_bins(self, heatmap):
+        _, data = heatmap
+        empty = data.counts == 0
+        assert empty.any() and not empty.all()
+        assert np.array_equal(np.isnan(data.grid), empty)
+
+    def test_each_bin_is_the_masked_mean(self, small_paths, heatmap):
+        psi, data = heatmap
+        n = small_paths.n_steps
+        moneyness = small_paths.spot[:, :n] / self.STRIKE
+        steps = np.broadcast_to(np.arange(n), moneyness.shape)
+        m_edges = np.linspace(moneyness.min(), moneyness.max(), 13)
+        t_edges = np.linspace(0, n, 9)
+        assert np.array_equal(data.moneyness_edges, m_edges)
+        assert np.array_equal(data.time_edges, t_edges)
+        for ti in range(8):
+            in_time = (steps >= t_edges[ti]) & (steps < t_edges[ti + 1])
+            for mi in range(12):
+                upper = moneyness <= m_edges[-1] if mi == 11 else moneyness < m_edges[mi + 1]
+                mask = in_time & (moneyness >= m_edges[mi]) & upper
+                assert data.counts[ti, mi] == mask.sum()
+                if mask.any():
+                    assert data.grid[ti, mi] == pytest.approx(psi[mask].mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_rolling_winrate_row_k_averages_sorted_paths_k_to_k_plus_window(rng_np, window):
+    n = 50
+    pnl_a, pnl_b = rng_np.normal(size=n), rng_np.normal(size=n)
+    psi = rng_np.permutation(n) / n
+    curve = rolling_winrate(pnl_a, pnl_b, psi, window)
+    assert curve.shape == (n - window + 1, 2)
+    order = np.argsort(psi)
+    wins = (pnl_a > pnl_b)[order]
+    for k, (mean_psi, win_rate) in enumerate(curve):
+        assert mean_psi == pytest.approx(psi[order][k : k + window].mean(), rel=1e-12)
+        assert win_rate == pytest.approx(wins[k : k + window].mean(), rel=1e-12, abs=1e-15)
+
+
+def built_paths(rng_np, n_paths=20) -> MarketPaths:
+    grid = PathGrid(n_steps=4, maturity=0.5)
+    spot = rng_np.uniform(0.8, 1.2, size=(n_paths, grid.n_steps + 1))
+    variance = rng_np.uniform(0.01, 0.09, size=spot.shape)
+    return MarketPaths(spot=spot, variance=variance, grid=grid, seed=0)
+
+
+def test_uncertainty_correlations_equal_corrcoef(rng_np):
+    paths = built_paths(rng_np)
+    psi = rng_np.uniform(0.0, 0.1, size=paths.n_paths)
+    moneyness, vol = uncertainty_correlations(psi, paths)
+    assert moneyness == np.corrcoef(psi, paths.spot[:, -1])[0, 1]
+    assert vol == np.corrcoef(psi, np.sqrt(paths.variance).mean(axis=1))[0, 1]
+
+
+def test_constant_uncertainty_has_no_correlation(rng_np):
+    paths = built_paths(rng_np)
+    with pytest.raises(UndefinedCorrelationError):
+        uncertainty_correlations(np.full(paths.n_paths, 0.03), paths)

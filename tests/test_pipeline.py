@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hedgeblend import cli, ensemble, hedger, pipeline
+from hedgeblend import blend, cli, ensemble, hedger, pipeline
 from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
@@ -105,16 +105,15 @@ class TestFullPipeline:
         assert not (tmp_path / "FAILED").exists()
         assert result.manifest == read_manifest(run_dir[0])
 
-    def test_stale_blend_of_an_unconfigured_objective_is_removed(self, tmp_path):
-        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
-            (tmp_path / name).write_text("left by an earlier run\n")
-        config = mini_config()
-        config.objectives = ["cvar"]
-        artifacts = pipeline.full_pipeline(config, str(tmp_path)).manifest["artifacts"]
-        assert "blend_cvar.json" in artifacts
-        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
-            assert name not in artifacts
-            assert not (tmp_path / name).exists()
+    def test_cvar_columns_name_the_configured_level(self, run_dir, tmp_path):
+        def last_column(out, name):
+            with open(os.path.join(out, name)) as fh:
+                return fh.readline().rstrip("\n").split(",")[-1]
+
+        pipeline.full_pipeline(replace(mini_config(), cvar_level=0.1), str(tmp_path))
+        for name in ("table4_comparison.csv", "fig4_cvar_bars.csv"):
+            assert last_column(run_dir[0], name) == "cvar_5pct"
+            assert last_column(str(tmp_path), name) == "cvar_10pct"
 
     def test_interrupt_propagates_and_marks_the_stage(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -197,19 +196,6 @@ class TestCliOnSavedRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and member in err
         assert snapshot(out) == before
-
-    def test_resume_with_one_objective_reproduces_its_blend(self, run_dir, tmp_path,
-                                                           no_training):
-        out = copy_run(run_dir[0], tmp_path)
-        config = mini_config()
-        config.objectives = ["cvar"]
-        config.save_json(os.path.join(out, "config.json"))
-        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
-        assert file_sha256(os.path.join(out, "blend_cvar.json")) == file_sha256(
-            os.path.join(run_dir[0], "blend_cvar.json")
-        )
-        for name in ("blend_entropic.json", "pnl_blend_entropic.csv"):
-            assert not os.path.exists(os.path.join(out, name))
 
     @pytest.mark.parametrize("field, value", [
         ("train", {**mini_config().to_dict()["train"], "seed": 8}),
@@ -319,7 +305,7 @@ def record_fit_threads(monkeypatch) -> dict:
     """Replace pipeline.fit_blend by a stand-in that records the calling
     thread per objective. Both stand-ins wait until the other has started,
     so the fits must overlap, and the CVaR one returns only after the
-    entropic one, so they finish against the default objective order."""
+    entropic one, so they finish against the ``blend.OBJECTIVES`` order."""
     threads = {}
     both_started = threading.Barrier(2, timeout=30)
     entropic_done = threading.Event()
@@ -344,8 +330,8 @@ class TestConcurrentBlendFits:
         config = mini_config()
         config.extended_blend = extended
         fits = pipeline.fit_blends(config, paths, ens, bs, train_idx)
-        assert list(fits) == config.objectives
-        for kind in config.objectives:
+        assert tuple(fits) == blend.OBJECTIVES
+        for kind in blend.OBJECTIVES:
             objective = BlendObjective(kind=kind, a=config.train.risk_aversion,
                                        level=config.cvar_level)
             serial = fit_blend(
@@ -357,12 +343,9 @@ class TestConcurrentBlendFits:
 
     def test_fits_come_back_in_configured_order(self, blend_inputs, monkeypatch):
         record_fit_threads(monkeypatch)
-        config = mini_config()
-        assert list(pipeline.fit_blends(config, *blend_inputs)) == ["entropic", "cvar"]
-        config.objectives = ["cvar", "entropic"]
-        fits = pipeline.fit_blends(config, *blend_inputs)
-        assert list(fits) == ["cvar", "entropic"]
-        assert fits == {"cvar": "cvar", "entropic": "entropic"}
+        fits = pipeline.fit_blends(mini_config(), *blend_inputs)
+        assert list(fits) == ["entropic", "cvar"]
+        assert fits == {"entropic": "entropic", "cvar": "cvar"}
 
     def test_each_objective_fits_on_its_own_thread(self, blend_inputs, monkeypatch):
         threads = record_fit_threads(monkeypatch)
