@@ -11,7 +11,7 @@ pays cost_rate * S_t * |change|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +76,15 @@ class PnLReport:
         return self.pnl.shape[0]
 
 
-def position_changes(delta: np.ndarray) -> np.ndarray:
-    """Signed position changes for t=0..n, including entry and final unwind."""
-    padded = np.pad(delta, ((0, 0), (1, 1)))
-    return np.diff(padded, axis=1)
-
-
 def compute_pnl(
     paths: MarketPaths, hedges: HedgeSchedule, cost: CostSpec, strike: float
 ) -> PnLReport:
-    """Terminal P&L of a short call hedged with ``hedges`` on ``paths``."""
+    """Terminal P&L of a short call hedged with ``hedges`` on ``paths``.
+
+    Validates the inputs, then runs the forward of :class:`HedgePnL`, the
+    accounting training differentiates, in float64; the report keeps its
+    per-path gains and costs and the |position changes|.
+    """
     if strike <= 0:
         raise ParameterError("strike must be positive")
     if hedges.delta.shape != (paths.n_paths, paths.n_steps):
@@ -93,18 +92,14 @@ def compute_pnl(
             f"hedge schedule shape {hedges.delta.shape} does not match "
             f"paths ({paths.n_paths} x {paths.n_steps})"
         )
-    spot = paths.spot
-    gains = np.sum(hedges.delta * np.diff(spot, axis=1), axis=1)
-    changes = position_changes(hedges.delta)
-    trades = np.abs(changes)
-    costs = cost.cost_rate * np.sum(spot * trades, axis=1)
-    payoff = np.maximum(spot[:, -1] - strike, 0.0)
+    account = HedgePnL(np.asarray(paths.spot, dtype=float), cost.cost_rate, strike)
+    pnl = account.pnl(hedges.delta)
     return PnLReport(
-        pnl=gains - costs - payoff,
-        hedge_gains=gains,
-        transaction_costs=costs,
-        payoff=payoff,
-        trades=trades,
+        pnl=pnl,
+        hedge_gains=account.gains,
+        transaction_costs=account.costs,
+        payoff=account.payoff,
+        trades=np.abs(account.changes, out=account.changes),  # account is not used again
         strategy_label=hedges.strategy_label,
     )
 
@@ -112,45 +107,47 @@ def compute_pnl(
 class HedgePnL:
     """P&L of (B, n) hedge arrays on fixed (B, n+1) spots, and its VJP.
 
-    The differentiable accounting of hedger training, its only caller: the
-    P&L of :func:`compute_pnl` up to rounding (costs sum |change| * (c S)), in
-    the dtype of ``spot``, in buffers allocated once and reused by every call.
-    (The blend fit differentiates in its own coefficients instead; see
+    The one accounting of the reports (:func:`compute_pnl` runs its forward)
+    and of hedger training, which also runs its VJP; costs sum |change| *
+    (c S). It works in the dtype of ``spot``, which it keeps, with two
+    (B, n+1) buffers allocated once and reused by every call. (The blend fit
+    differentiates in its own coefficients instead; see
     ``blend._BlendProblem``.)
     """
 
     def __init__(self, spot: np.ndarray, cost_rate: float, strike: float):
-        self.d_spot = np.diff(spot, axis=1)
-        self.cost_spot = cost_rate * spot
+        self.spot, self.cost_rate = spot, cost_rate
         self.payoff = np.maximum(spot[:, -1] - strike, 0.0)
         self.changes = np.empty_like(spot)  # dd_t = delta_t - delta_{t-1}, t = 0..n
-        self._work = np.empty_like(self.d_spot)
-        self._work_ch = np.empty_like(spot)
+        self._work = np.empty_like(spot)  # scratch of pnl and vjp
 
     def pnl(self, delta: np.ndarray) -> np.ndarray:
-        """P&L per path; keeps the position changes for :meth:`vjp`."""
-        n, work, changes, costs = delta.shape[1], self._work, self.changes, self._work_ch
-        np.multiply(delta, self.d_spot, out=work)
-        gains = work.sum(axis=1)
+        """P&L per path; keeps the per-path ``gains`` and ``costs``, and the
+        position changes for :meth:`vjp`."""
+        n, spot, work, changes = delta.shape[1], self.spot, self._work, self.changes
+        np.subtract(spot[:, 1:], spot[:, :-1], out=work[:, :n])  # dS_t
+        work[:, :n] *= delta
+        self.gains = work[:, :n].sum(axis=1)
         changes[:, 0] = delta[:, 0]
         np.subtract(delta[:, 1:], delta[:, :-1], out=changes[:, 1:n])
         np.subtract(0.0, delta[:, -1], out=changes[:, n])
-        np.abs(changes, out=costs)
-        costs *= self.cost_spot
-        return gains - costs.sum(axis=1) - self.payoff
+        np.multiply(spot, self.cost_rate, out=work)
+        work *= changes
+        self.costs = np.abs(work, out=work).sum(axis=1)  # |dd| c S, as c S >= 0
+        return self.gains - self.costs - self.payoff
 
-    def vjp(self, g_pnl: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def vjp(self, g_pnl: np.ndarray) -> np.ndarray:
         """d sum(g_pnl * pnl) / d delta_t = g (dS_t - c S_t sgn(dd_t) + c S_{t+1}
-        sgn(dd_{t+1})) at the last :meth:`pnl` call, sgn(0) = 0, into ``out``
-        (by default a new array of the buffers' dtype)."""
-        n = self.d_spot.shape[1]
-        out = np.empty_like(self.d_spot) if out is None else out
-        part = self._work_ch
-        np.copysign(self.cost_spot, self.changes, out=part)  # c S >= 0
+        sgn(dd_{t+1})) at the last :meth:`pnl` call, sgn(0) = 0, as a new
+        array of the buffers' dtype."""
+        spot, part = self.spot, self._work
+        np.multiply(spot, self.cost_rate, out=part)
+        np.copysign(part, self.changes, out=part)
         part[self.changes == 0.0] = 0.0
         part *= -g_pnl[:, None]
-        np.multiply(g_pnl[:, None], self.d_spot, out=out)
-        out += part[:, :n]
+        out = np.subtract(spot[:, 1:], spot[:, :-1])  # dS_t
+        out *= g_pnl[:, None]
+        out += part[:, :-1]
         out -= part[:, 1:]
         return out
 

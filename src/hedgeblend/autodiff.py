@@ -1,13 +1,13 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
 Just enough machinery to backpropagate through a recurrent hedging rollout:
-addition and multiplication with broadcasting, matmul, a full sum,
-concat/slice, and a fused LSTM cell. The tape covers the rollout only: the
-hedger backpropagates sum(delta * g_delta), with g_delta the closed-form
-gradient of the entropic loss in the hedge ratios (``accounting.HedgePnL``
-and ``risk._objective_and_grad``). Graphs are built only when an input
-requires gradients, so inference-style forward passes run at plain numpy
-speed with no caching.
+addition with broadcasting, matmul, concat/slice, and a fused LSTM cell. The
+tape covers the rollout only (``hedger._rollout``): the hedger seeds
+:func:`backward` at the hedge ratios with g_delta, the closed-form gradient
+of the entropic loss in them (``accounting.HedgePnL`` and
+``risk._objective_and_grad``). Graphs are built only when an input requires
+gradients, so inference-style forward passes run at plain numpy speed with
+no caching. :class:`Adam` updates plain arrays and knows nothing of the tape.
 
 Not supported on purpose: higher-order gradients, in-place ops, dtype
 promotion games. A Tensor keeps float32 or float64 data as given and makes
@@ -89,17 +89,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
         )
 
-    def __mul__(self, other):
-        other = as_tensor(other)
-        return Tensor._node(
-            self.data * other.data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
-            ),
-        )
-
     def __matmul__(self, other):
         other = as_tensor(other)
         return Tensor._node(
@@ -121,11 +110,7 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# -- reductions and shape ops --------------------------------------------------
-
-
-def tsum(t: Tensor) -> Tensor:
-    return Tensor._node(t.data.sum(), (t,), lambda g: (np.broadcast_to(g, t.shape).copy(),))
+# -- shape ops -----------------------------------------------------------------
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -209,17 +194,19 @@ def lstm_cell(inputs: list[Tensor], c_prev: Tensor, w: Tensor, b: Tensor) -> tup
 # -- backward ------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad leaf.
+def backward(root: Tensor, grad: np.ndarray) -> None:
+    """Accumulate d sum(grad * root) / d leaf into ``.grad`` of every
+    requires-grad leaf; ``grad`` must have the root's shape.
 
     Intermediate gradients and closures are released as soon as consumed, so
     peak memory stays near the forward tape's footprint.
     """
-    if loss.data.size != 1:
-        raise ValueError("backward expects a scalar loss")
+    grad = np.asarray(grad)
+    if grad.shape != root.shape:
+        raise ValueError(f"seed gradient of shape {grad.shape} for a root of shape {root.shape}")
     order: list[Tensor] = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -232,7 +219,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = grad
     for node in reversed(order):
         if node._vjp is None:
             continue
@@ -250,30 +237,27 @@ def backward(loss: Tensor) -> None:
 
 
 class Adam:
-    """Adam over a list of leaf tensors, reading their ``.grad`` fields."""
+    """Adam over a list of arrays, which :meth:`step` updates in place."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-3, betas=(0.9, 0.999),
+                 eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
-    def step(self) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One update from ``grads``, one per parameter and in its order."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g**2
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -2,15 +2,16 @@
 
 The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
 alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
-terms]). Coefficients are fitted by full-batch Adam on precomputed hedges:
-only the blend weights move, never the underlying strategies. The fit's
-gradient is closed-form, not taped. The objective gradient (entropic softmax
-weights or the CVaR tail subgradient) is ``risk._objective_and_grad``, which
-training shares; the P&L is differentiated in the blend coefficients
-directly, by the fit's own kernel (:class:`_BlendProblem`), which computes
-once what stays fixed during the fit. Its P&L equals
-``accounting.compute_pnl``'s, and the objectives it reports equal
-``risk.entropic_risk`` and ``-risk.cvar`` of that P&L, within 1e-12 relative.
+terms]). Coefficients are fitted by full-batch Adam (``autodiff.Adam``, which
+updates plain arrays) on precomputed hedges: only the blend weights move,
+never the underlying strategies. The fit's gradient is closed-form; no tape
+is built. The objective gradient (entropic softmax weights or the CVaR tail
+subgradient) is ``risk._objective_and_grad``, which training shares; the P&L
+is differentiated in the blend coefficients directly, by the fit's own
+kernel (:class:`_BlendProblem`), which computes once what stays fixed during
+the fit. Its P&L equals ``accounting.compute_pnl``'s, and the objectives it
+reports equal ``risk.entropic_risk`` and ``-risk.cvar`` of that P&L, within
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
-from .autodiff import Tensor
+from .autodiff import Adam
 from .ensemble import EnsembleOutput
 from .errors import DimensionError, NumericalDivergenceError, ParameterError
 from .market import MarketPaths
@@ -294,28 +294,26 @@ def fit_blend(
                             bs.delta, features, cost.cost_rate, strike)
     g_pnl = np.empty(shape[0])
 
-    coefs = [Tensor(np.zeros(()), requires_grad=True) for _ in range(1 + len(features))]
-    adam = ad.Adam(coefs, lr=step_size)
+    coefs = [np.zeros(()) for _ in range(1 + len(features))]
+    adam = Adam(coefs, lr=step_size)
 
     trajectory: list[float] = []
     for iteration in range(iterations):
         if stop is not None and stop.is_set():
             raise CancelledError(f"blend fit stopped at iteration {iteration}")
-        pnl = problem.pnl([coef.data for coef in coefs])
+        pnl = problem.pnl(coefs)
         value = _objective_and_grad(pnl, objective.kind, g_pnl, a=objective.a,
                                     level=objective.level)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
-        for coef, grad in zip(coefs, problem.grad(g_pnl)):
-            coef.grad = grad
-        adam.step()
+        adam.step(problem.grad(g_pnl))
 
     params = BlendParams(
-        intercept=float(coefs[0].data),
-        uncertainty_coef=float(coefs[1].data),
-        moneyness_coef=float(coefs[2].data) if extended else None,
-        time_coef=float(coefs[3].data) if extended else None,
+        intercept=float(coefs[0]),
+        uncertainty_coef=float(coefs[1]),
+        moneyness_coef=float(coefs[2]) if extended else None,
+        time_coef=float(coefs[3]) if extended else None,
     )
     return BlendFit(params=params, objective=objective, trajectory=trajectory,
                     extended=extended, seed=seed)

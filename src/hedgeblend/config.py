@@ -25,7 +25,10 @@ SCALES = {
 
 def _construct(cls, values: dict, what: str):
     """``cls(**values)``, raising ParameterError instead of TypeError for
-    unknown or missing keys and for values of the wrong type."""
+    ``values`` that are not a JSON object, for unknown or missing keys and
+    for values of the wrong type."""
+    if not isinstance(values, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(values).__name__}")
     unknown = set(values) - {f.name for f in fields(cls)}
     if unknown:
         raise ParameterError(f"unknown {what} keys: {sorted(unknown)}")
@@ -44,8 +47,8 @@ class RunConfig:
     the blend objectives ``blend.OBJECTIVES`` (entropic and CVaR, both always
     fitted), the baselines' fixed volatility sqrt(theta) of the calibration
     (:meth:`fixed_vol_value`), ``pipeline.GBM_VOL``, the heatmap's
-    ``pipeline.HEATMAP_BINS`` and training's ``hedger.STEP_SIZE`` with
-    ``autodiff.Adam``'s default betas.
+    ``pipeline.HEATMAP_BINS`` and training's Adam step ``hedger.STEP_SIZE``
+    with betas (0.9, 0.999).
     """
 
     calibration: str | dict = "baseline"
@@ -126,11 +129,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        if "grid" in d:
-            d["grid"] = _construct(PathGrid, d["grid"], "grid")
-        if "train" in d:
-            d["train"] = _construct(TrainConfig, d["train"], "train")
+        nested = {"grid": PathGrid, "train": TrainConfig}
+        if isinstance(d, dict):
+            d = {k: _construct(nested[k], v, k) if k in nested else v for k, v in d.items()}
         return _construct(cls, d, "config")
 
     @classmethod

@@ -277,7 +277,7 @@ def write_quintiles_csv(path: str, rows: list[QuintileRow]) -> None:
     )
 
 
-def write_winrate_curve_csv(path: str, curve: np.ndarray, window: int) -> None:
+def write_winrate_curve_csv(path: str, curve: np.ndarray) -> None:
     write_rows_csv(
         path,
         ["window_mean_uncertainty", "win_rate"],

@@ -5,9 +5,10 @@ scalar head emitting an unconstrained hedge ratio. At each step the network
 sees (log moneyness, time to expiry, instantaneous vol, previous hedge) and
 carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included. The P&L and the loss are
-differentiated in closed form: the P&L by ``accounting.HedgePnL`` (training
-is its only caller), the loss by ``risk._objective_and_grad`` (shared with the
-blend fit); the autodiff tape differentiates only the LSTM rollout.
+differentiated in closed form: the P&L by ``accounting.HedgePnL`` (whose
+forward is also the reports' ``compute_pnl``), the loss by
+``risk._objective_and_grad`` (shared with the blend fit); the autodiff tape
+differentiates only the LSTM rollout, inside :func:`_chunked_backward`.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
@@ -37,7 +38,6 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
-from .autodiff import Tensor
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
 from .risk import _objective_and_grad, entropic_risk
@@ -132,13 +132,9 @@ def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
     return HedgerModel(params=params, hidden=hidden, seed=seed)
 
 
-def _param_tensors(model: HedgerModel) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=True) for k, v in model.params.items()}
-
-
 def _rollout(
-    params: dict[str, Tensor], paths: MarketPaths, strike: float, hidden: int, *, stop=None
-) -> Tensor:
+    params: dict[str, ad.Tensor], paths: MarketPaths, strike: float, hidden: int, *, stop=None
+) -> ad.Tensor:
     """Hedge ratios (B, n_steps) as a tape tensor; state never crosses paths.
 
     Raises ``CancelledError`` at the next step once the ``threading.Event``
@@ -156,14 +152,14 @@ def _rollout(
         ad.concat([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
         for layer in range(N_LAYERS)
     ]
-    h = [Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
-    c = [Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
-    delta_prev = Tensor(np.zeros((n_paths, 1), dtype=dtype))
+    h = [ad.Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
+    c = [ad.Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
+    delta_prev = ad.Tensor(np.zeros((n_paths, 1), dtype=dtype))
     columns = []
     for t in range(n):
         if stop is not None and stop.is_set():
             raise CancelledError(f"rollout stopped at step {t}")
-        x = Tensor(consts[t])
+        x = ad.Tensor(consts[t])
         for layer in range(N_LAYERS):
             pieces = [x, delta_prev] if layer == 0 else [x]
             h[layer], c[layer] = ad.lstm_cell(
@@ -336,10 +332,7 @@ def train_hedger(
     """
     model = init_model(config.seed)
     model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
-    tensors = _param_tensors(model)
-    model.params = {k: t.data for k, t in tensors.items()}
-    order = [tensors[k] for k in PARAM_NAMES]
-    adam = ad.Adam(order, lr=STEP_SIZE)
+    adam = ad.Adam([model.params[k] for k in PARAM_NAMES], lr=STEP_SIZE)
 
     a = config.risk_aversion
     for epoch in range(config.epochs):
@@ -347,13 +340,12 @@ def train_hedger(
             market, grid, config.paths_per_epoch,
             seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch),
         )
-        loss = _chunked_backward(tensors, paths, cost, strike, a, model.hidden)
+        loss, grads = _chunked_backward(model.params, paths, cost, strike, a, model.hidden)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(
                 f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
             )
-        adam.step()
-        adam.zero_grad()
+        adam.step(grads)
         model.loss_history.append(loss)
         if callback is not None:
             callback(epoch, model)
@@ -361,28 +353,30 @@ def train_hedger(
 
 
 def _chunked_backward(
-    tensors: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     paths: MarketPaths,
     cost: CostSpec,
     strike: float,
     a: float,
     hidden: int,
-) -> float:
+) -> tuple[float, list[np.ndarray] | None]:
     """Full-batch entropic loss and gradient of sharded paths, taped on threads.
 
-    The one gradient of training and of :func:`gradient_check`. Every batch
-    of B paths is split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))``
-    contiguous shards; a batch of at most that many paths is one shard. The
-    tape covers only each shard's rollout by :func:`_rollout`, on its own
-    leaf tensors, which share the parameter arrays, so no two threads write
-    one ``.grad``. Pass one gives every shard's P&L (``accounting.HedgePnL``
-    in the parameters' dtype); the loss and g = d loss / d pnl come from
-    ``risk._objective_and_grad`` on the concatenated P&L's float64 cast.
-    Pass two maps each shard's g through the P&L's VJP to g_delta = d loss /
-    d delta in the parameters' dtype and backpropagates sum(delta * g_delta)
-    on the shard's tape. The shard gradients are summed in shard order into
-    the parameters' ``.grad``: the result equals one full-batch backward up
-    to float summation order and does not depend on the thread count or timing.
+    The one gradient of training and of :func:`gradient_check`: returns the
+    loss and the gradients in ``PARAM_NAMES`` order, or the loss and None
+    when it is not finite. Every batch of B paths is split into ``ceil(B /
+    min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a batch of at
+    most that many paths is one shard. The tape covers only each shard's
+    rollout by :func:`_rollout`, on its own leaf tensors, which share the
+    parameter arrays, so no two threads write one ``.grad``. Pass one gives
+    every shard's P&L (``accounting.HedgePnL`` in the parameters' dtype);
+    the loss and g = d loss / d pnl come from ``risk._objective_and_grad`` on
+    the concatenated P&L's float64 cast. Pass two maps each shard's g through
+    the P&L's VJP to g_delta = d loss / d delta in the parameters' dtype and
+    seeds the shard's backward at its hedge ratios with it. The shard
+    gradients are summed in shard order: the result equals one full-batch
+    backward up to float summation order and does not depend on the thread
+    count or timing.
 
     The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
     shard)`` threads, so one shard runs on the calling thread. When ``B <=
@@ -392,7 +386,7 @@ def _chunked_backward(
     count as tape passes) and pass two re-tapes each shard, so at most
     ``TAPE_BATCH_LIMIT`` paths are taped at once. float32 parameters give
     float32 gradients; only the loss and g are float64. A hand-written
-    LSTM backward (ROADMAP item 3) can replace the tape per shard.
+    LSTM backward (ROADMAP item 5) can replace the tape in ``tape`` below.
 
     A failing shard or a Ctrl-C sets both passes' ``run_threads`` stop
     event: shard rollouts that are running stop at their next step, and
@@ -408,7 +402,7 @@ def _chunked_backward(
 
     def tape(shard, requires_grad=True):
         sub = paths.rows(*shard)
-        leaves = {k: Tensor(t.data, requires_grad=requires_grad) for k, t in tensors.items()}
+        leaves = {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
         delta = _rollout(leaves, sub, strike, hidden, stop=stop)
         account = HedgePnL(sub.spot.astype(delta.data.dtype), cost.cost_rate, strike)
         return leaves, delta, account, account.pnl(delta.data)
@@ -420,18 +414,16 @@ def _chunked_backward(
     g_pnl = np.empty(n_paths)
     loss = _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl, a=a)
     if not np.isfinite(loss):
-        return loss
+        return loss, None
 
     def shard_grads(k):
         lo, hi = shards[k]
         leaves, delta, account, _ = passes[k] if keep else tape(shards[k])
-        ad.backward(ad.tsum(delta * account.vjp(g_pnl[lo:hi])))
+        ad.backward(delta, account.vjp(g_pnl[lo:hi]))
         return [leaves[name].grad for name in PARAM_NAMES]
 
     grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
-    for name, per_shard in zip(PARAM_NAMES, zip(*grads)):
-        tensors[name].grad = reduce(np.add, per_shard)
-    return loss
+    return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
 
 
 def training_loss(
@@ -468,8 +460,8 @@ def gradient_check(
         n_layers=model.n_layers,
         seed=model.seed,
     )
-    tensors = _param_tensors(model)
-    if not np.isfinite(_chunked_backward(tensors, paths, cost, strike, a, model.hidden)):
+    loss, grads = _chunked_backward(model.params, paths, cost, strike, a, model.hidden)
+    if not np.isfinite(loss):
         raise NumericalDivergenceError("gradient check: the loss is not finite")
 
     sizes = [model.params[k].size for k in PARAM_NAMES]
@@ -481,11 +473,11 @@ def gradient_check(
     worst = 0.0
     for flat_index in np.sort(coords):
         idx = int(flat_index)
-        for name, size in zip(PARAM_NAMES, sizes):
+        for name, size, grad in zip(PARAM_NAMES, sizes, grads):
             if idx < size:
                 break
             idx -= size
-        grad_ad = tensors[name].grad.reshape(-1)[idx]
+        grad_ad = grad.reshape(-1)[idx]
         theta = probe.params[name].reshape(-1)
         original = theta[idx]
         theta[idx] = original + step

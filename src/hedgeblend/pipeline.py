@@ -367,14 +367,13 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
         ev.write_quintiles_csv(os.path.join(out_dir, "table2_quintiles.csv"), quintiles)
 
-        window = min(config.winrate_window, config.eval_paths)
         curve = ev.rolling_winrate(
             reports_all["ensemble_mean"].pnl,
             reports_all["bs_delta_fixed"].pnl,
             ens.avg_disagreement,
-            window,
+            min(config.winrate_window, config.eval_paths),
         )
-        ev.write_winrate_curve_csv(os.path.join(out_dir, "fig1_winrate.csv"), curve, window)
+        ev.write_winrate_curve_csv(os.path.join(out_dir, "fig1_winrate.csv"), curve)
 
         correlations = ev.uncertainty_correlations(ens.avg_disagreement, eval_paths)
         ev.write_correlations_csv(

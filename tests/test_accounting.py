@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from hedgeblend.accounting import (
     CostSpec,
+    HedgePnL,
     HedgeSchedule,
     PnLReport,
     average_trade_size,
     compute_pnl,
     decompose_pnl,
-    position_changes,
     write_pnl_csv,
 )
 from hedgeblend.errors import DimensionError, ParameterError
@@ -104,10 +104,50 @@ class TestComputePnl:
         assert np.allclose(moved.pnl - base.pnl, 10 * 0.005, atol=1e-12)
 
 
+class TestOneAccounting:
+    """compute_pnl is HedgePnL's forward, which training differentiates."""
+
+    @staticmethod
+    def random_case(seed, n_paths=200, n_steps=30):
+        gen = np.random.default_rng(seed)
+        spot = np.exp(gen.normal(0, 0.02, size=(n_paths, n_steps + 1)).cumsum(axis=1))
+        delta = gen.normal(0.5, 0.3, size=(n_paths, n_steps))
+        delta[:, 3] = delta[:, 2]  # a step without a trade
+        return make_paths(spot), delta
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pnl_is_hedge_pnl_forward_bit_for_bit(self, seed):
+        paths, delta = self.random_case(seed)
+        report = compute_pnl(paths, HedgeSchedule(delta), CostSpec(5e-4), 1.0)
+        training = HedgePnL(paths.spot, 5e-4, 1.0).pnl(delta)
+        assert report.pnl.dtype == training.dtype == np.float64
+        assert report.pnl.tobytes() == training.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_equals_the_direct_formula(self, seed):
+        """Each field against gains sum(delta dS), costs c * sum(S |dd|) over
+        the position changes dd of a book that starts and ends flat, payoff
+        (S_n - K)^+ and pnl = gains - costs - payoff."""
+        paths, delta = self.random_case(seed)
+        spot, c = paths.spot, 5e-4
+        report = compute_pnl(paths, HedgeSchedule(delta), CostSpec(c), 1.0)
+        trades = np.abs(np.diff(np.pad(delta, ((0, 0), (1, 1))), axis=1))
+        gains = np.sum(delta * np.diff(spot, axis=1), axis=1)
+        costs = c * np.sum(spot * trades, axis=1)
+        payoff = np.maximum(spot[:, -1] - 1.0, 0.0)
+        expected = {"trades": trades, "hedge_gains": gains, "transaction_costs": costs,
+                    "payoff": payoff, "pnl": gains - costs - payoff}
+        for name, value in expected.items():
+            np.testing.assert_allclose(getattr(report, name), value, rtol=1e-12, atol=0,
+                                       err_msg=name)
+        assert (report.trades[:, 3] == 0.0).all()
+
+
 class TestTrades:
-    def test_position_changes_include_entry_and_unwind(self):
-        changes = position_changes(np.array([[0.5, 0.7]]))
-        assert np.allclose(changes, [[0.5, 0.2, -0.7]])
+    def test_trades_include_entry_and_unwind(self):
+        report = compute_pnl(make_paths([[1.0, 1.1, 1.2]]), HedgeSchedule(np.array([[0.5, 0.7]])),
+                             CostSpec(5e-4), strike=1.0)
+        assert np.allclose(report.trades, [[0.5, 0.2, 0.7]])
 
     def test_average_trade_size_zero_hedge(self, baseline_paths, cost):
         hedges = HedgeSchedule(np.zeros((baseline_paths.n_paths, baseline_paths.n_steps)))

@@ -8,7 +8,7 @@ import pytest
 
 import hedgeblend
 from hedgeblend import classical
-from hedgeblend.accounting import position_changes
+from hedgeblend.accounting import CostSpec, compute_pnl
 from hedgeblend.classical import (
     VolMode,
     bs_delta,
@@ -166,20 +166,22 @@ class TestWwStrategy:
             assert np.all(sched.delta[:, t] >= center - width - 1e-12)
             assert np.all(sched.delta[:, t] <= center + width + 1e-12)
 
+    @staticmethod
+    def trades(paths, schedule):
+        return compute_pnl(paths, schedule, CostSpec(5e-4), 1.0).trades
+
     def test_trades_less_volume_than_delta_hedging(self, baseline_paths):
         vmode = VolMode.fixed(0.2)
         ww = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=5e-4)
         bs = bs_delta_strategy(baseline_paths, 1.0, vmode)
-        vol_ww = np.abs(position_changes(ww.delta)).sum()
-        vol_bs = np.abs(position_changes(bs.delta)).sum()
-        assert vol_ww < vol_bs
+        assert self.trades(baseline_paths, ww).sum() < self.trades(baseline_paths, bs).sum()
 
     def test_trade_count_never_exceeds_delta_hedging(self, baseline_paths):
         vmode = VolMode.fixed(0.2)
         ww = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=5e-4)
         bs = bs_delta_strategy(baseline_paths, 1.0, vmode)
-        count_ww = (np.abs(position_changes(ww.delta)) > 1e-12).sum(axis=1)
-        count_bs = (np.abs(position_changes(bs.delta)) > 1e-12).sum(axis=1)
+        count_ww = (self.trades(baseline_paths, ww) > 1e-12).sum(axis=1)
+        count_bs = (self.trades(baseline_paths, bs) > 1e-12).sum(axis=1)
         assert np.all(count_ww <= count_bs)
 
 

@@ -49,6 +49,18 @@ class TestRoundTrip:
         assert named.to_dict() == unchanged
 
 
+# (config record, the part that is not a JSON object)
+NOT_OBJECTS = [
+    ([1, 2], "config"),
+    ("baseline", "config"),
+    ({**RunConfig().to_dict(), "grid": 5}, "grid"),
+    ({**RunConfig().to_dict(), "train": [1, 2]}, "train"),
+    ({**RunConfig().to_dict(), "calibration": 5}, "calibration"),
+]
+NOT_OBJECT_IDS = ["top-level-list", "top-level-string", "grid-number", "train-list",
+                  "calibration-number"]
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("record, key", [
         ({"no_such_key": 1}, "no_such_key"),
@@ -79,6 +91,11 @@ class TestUnknownKeys:
     ], ids=["missing-grid-key", "missing-calibration-key", "wrong-type"])
     def test_incomplete_or_mistyped_record_is_a_parameter_error(self, record):
         with pytest.raises(ParameterError):
+            RunConfig.from_dict(record)
+
+    @pytest.mark.parametrize("record, what", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_record_that_is_not_an_object_is_a_parameter_error(self, record, what):
+        with pytest.raises(ParameterError, match=f"^{what} must be a JSON object, got "):
             RunConfig.from_dict(record)
 
 
@@ -147,6 +164,18 @@ class TestCliRejectsBeforeTraining:
         out = tmp_path / "out"
         code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record, what", NOT_OBJECTS, ids=NOT_OBJECT_IDS)
+    def test_config_file_that_is_not_an_object(self, tmp_path, capsys, record, what):
+        """One error line and exit 1, not a TypeError's traceback."""
+        config_file = tmp_path / "bad.json"
+        config_file.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        code = cli.main(["full-pipeline", "--config", str(config_file), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} must be a JSON object") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-ensemble", "full-pipeline"])

@@ -37,26 +37,29 @@ def heston_paths(n_paths, seed=2026, grid=GRID):
     return simulate_heston(CALIBRATIONS["baseline"], grid, n_paths, seed=seed)
 
 
-def taped_parameters(dtype, seed=7, hidden=hedger.HIDDEN):
+def parameters(dtype, seed=7, hidden=hedger.HIDDEN):
     model = hedger.init_model(seed, hidden=hidden)
-    return {k: Tensor(v.astype(dtype), requires_grad=True) for k, v in model.params.items()}
+    return {k: v.astype(dtype) for k, v in model.params.items()}
 
 
-def weighted_pnl(tensors, paths):
-    """One full-batch rollout tape of sum(delta * g_delta), g_delta the
-    closed-form gradient of the entropic loss in the hedge ratios: its
-    gradient is the entropic loss's."""
+def leaves(params):
+    return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+
+
+def rollout_tape(tensors, paths):
+    """One full-batch rollout tape and its seed g_delta, the closed-form
+    gradient of the entropic loss in the hedge ratios: ``ad.backward`` of the
+    pair gives the entropic loss's gradient."""
     delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
     account = HedgePnL(paths.spot.astype(delta.data.dtype), COST.cost_rate, STRIKE)
     pnl = account.pnl(delta.data)
     g_pnl = np.empty(pnl.size)
     _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl)
-    return ad.tsum(delta * account.vjp(g_pnl))
+    return delta, account.vjp(g_pnl)
 
 
-def chunked_grads(tensors, paths, hidden=hedger.HIDDEN):
-    hedger._chunked_backward(tensors, paths, COST, STRIKE, 1.0, hidden)
-    return [tensors[k].grad for k in hedger.PARAM_NAMES]
+def chunked_grads(params, paths, hidden=hedger.HIDDEN):
+    return hedger._chunked_backward(params, paths, COST, STRIKE, 1.0, hidden)[1]
 
 
 def sha256(arrays):
@@ -92,10 +95,10 @@ PINNED_TRAINED = (
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["single_tape", "chunked"])
 def test_pinned_gradients(paths_300, monkeypatch, dtype, chunked):
-    tensors = taped_parameters(np.dtype(dtype))
+    params = parameters(np.dtype(dtype))
     if chunked:
         monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 64)
-    assert sha256(chunked_grads(tensors, paths_300)) == PINNED_GRADS[dtype, chunked]
+    assert sha256(chunked_grads(params, paths_300)) == PINNED_GRADS[dtype, chunked]
 
 
 def test_pinned_training_trajectory():
@@ -130,8 +133,8 @@ def count_rollouts(monkeypatch, hold=0.0):
         time.sleep(hold if taped else 0.0)
         return rollout(params, paths, strike, hidden, **kwargs)
 
-    def counted_backward(loss):
-        backward(loss)
+    def counted_backward(root, grad):
+        backward(root, grad)
         with lock:
             counts["live"] -= getattr(local, "paths", 0)
             local.paths = 0
@@ -147,13 +150,13 @@ def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, 
     parameter's max|g|. At a 64-path tape limit pass one's tapes are kept;
     at 32 pass one rolls the shards out with no grad and pass two re-tapes them."""
     paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
-    tensors = taped_parameters(np.float64)
-    ad.backward(weighted_pnl(tensors, paths))
+    tensors = leaves(parameters(np.float64))
+    ad.backward(*rollout_tape(tensors, paths))
     full = [tensors[k].grad for k in hedger.PARAM_NAMES]
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     counts = count_rollouts(monkeypatch)
-    sharded = chunked_grads(taped_parameters(np.float64), paths)
+    sharded = chunked_grads(parameters(np.float64), paths)
     assert (counts["no_grad"], counts["taped"]) == (no_grad, 4)
     for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
         assert g_shard.dtype == np.float64
@@ -168,9 +171,9 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
     results = []
     for cpus in (1, 2, 4):
         monkeypatch.setattr(hedger, "usable_cpus", lambda: cpus)
-        tensors = taped_parameters(np.float32)
-        loss = hedger._chunked_backward(tensors, paths_300, COST, STRIKE, 1.0, hedger.HIDDEN)
-        results.append((loss, sha256(tensors[k].grad for k in hedger.PARAM_NAMES)))
+        loss, grads = hedger._chunked_backward(parameters(np.float32), paths_300, COST, STRIKE,
+                                               1.0, hedger.HIDDEN)
+        results.append((loss, sha256(grads)))
     assert results[0] == results[1] == results[2]
 
 
@@ -183,7 +186,7 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
     monkeypatch.setattr(hedger, "usable_cpus", lambda: 16)
     counts = count_rollouts(monkeypatch, hold=0.02)
-    chunked_grads(taped_parameters(np.float32), paths)
+    chunked_grads(parameters(np.float32), paths)
     assert (counts["no_grad"], counts["taped"]) == (10, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 48
@@ -217,7 +220,7 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch):
     timer.start()
     try:
         with pytest.raises(KeyboardInterrupt):
-            chunked_grads(taped_parameters(np.float32), paths)
+            chunked_grads(parameters(np.float32), paths)
     finally:
         timer.join(timeout=5)
     assert time.perf_counter() - started - 0.2 < 0.3
@@ -231,9 +234,9 @@ def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
     """The shards backpropagate float32 weights, so every parameter's
     gradient is float32."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
-    tensors = taped_parameters(np.float32)
-    hedger._chunked_backward(tensors, paths_300, COST, STRIKE, 1.0, hedger.HIDDEN)
-    assert {tensors[k].grad.dtype for k in hedger.PARAM_NAMES} == {np.dtype(np.float32)}
+    grads = chunked_grads(parameters(np.float32), paths_300)
+    assert len(grads) == len(hedger.PARAM_NAMES)
+    assert {g.dtype for g in grads} == {np.dtype(np.float32)}
 
 
 def test_gradient_check_on_tiny_float64_model():
@@ -252,21 +255,21 @@ def test_gradient_check_of_a_diverged_model_raises():
 
 
 def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
-    """Bytes a taped float32 rollout and its loss hold before backward."""
+    """Bytes a taped float32 rollout and its seed gradient hold before backward."""
     n_paths = 512
     paths = heston_paths(n_paths, seed=3)
-    tensors = taped_parameters(np.float32)
+    tensors = leaves(parameters(np.float32))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = weighted_pnl(tensors, paths)
+        delta, g_delta = rollout_tape(tensors, paths)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     cells = GRID.n_steps * hedger.N_LAYERS
     values_per_path_cell = held / (4 * n_paths * cells)
     assert values_per_path_cell <= 8 * hedger.HIDDEN
-    ad.backward(loss)  # the measured tape is a complete, working one
+    ad.backward(delta, g_delta)  # the measured tape is a complete, working one
     assert all(np.isfinite(t.grad).all() for t in tensors.values())
 
 
@@ -315,8 +318,8 @@ def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
     """The tape-free training_loss is the loss of one-shard training."""
     for dtype in (np.float32, np.float64):
         model = model_in(dtype)
-        taped = hedger._chunked_backward(hedger._param_tensors(model), paths_300, COST, STRIKE,
-                                         1.0, model.hidden)
+        taped, _ = hedger._chunked_backward(model.params, paths_300, COST, STRIKE, 1.0,
+                                            model.hidden)
         assert hedger.training_loss(model, paths_300, COST, STRIKE) == taped
 
 
@@ -357,14 +360,14 @@ def test_rollout_peak_memory_per_path():
 
 @pytest.mark.parametrize("shard", [hedger.SHARD_PATHS, 64], ids=["one_shard", "five_shards"])
 def test_float32_training_hands_adam_float32_gradients(monkeypatch, shard):
-    """300-path epochs: every gradient Adam.step reads is float32."""
+    """300-path epochs: every gradient Adam.step receives is float32."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
     seen = []
     step = ad.Adam.step
 
-    def recording_step(self):
-        seen.extend(p.grad.dtype for p in self.params)
-        step(self)
+    def recording_step(self, grads):
+        seen.extend(g.dtype for g in grads)
+        step(self, grads)
 
     monkeypatch.setattr(ad.Adam, "step", recording_step)
     hedger.train_hedger(hedger.TrainConfig(epochs=1, paths_per_epoch=300, seed=5),

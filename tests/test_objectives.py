@@ -1,8 +1,8 @@
 """The closed-form P&L and objective gradients of training
-(``accounting.HedgePnL``, whose only caller is training, and
-``risk._objective_and_grad``, which the blend fit shares) against their numpy
-oracles ``accounting.compute_pnl``, ``risk.entropic_risk`` and ``risk.cvar``;
-and the training loss against the same oracles. The blend fit's own P&L
+(``accounting.HedgePnL``, whose forward is also ``accounting.compute_pnl``,
+and ``risk._objective_and_grad``, which the blend fit shares) against central
+differences of the reports' P&L and the oracles ``risk.entropic_risk`` and
+``risk.cvar``; and the training loss against the same oracles. The blend fit's own P&L
 kernel is tested in ``test_blend.py``."""
 
 import numpy as np
@@ -104,8 +104,8 @@ class TestEntropicObjective:
                                 seed=3)
         model = hedger.init_model(4, hidden=4)
         monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
-        loss = hedger._chunked_backward(hedger._param_tensors(model), paths, CostSpec(5e-4),
-                                        1.0, 1.0, model.hidden)
+        loss, _ = hedger._chunked_backward(model.params, paths, CostSpec(5e-4), 1.0, 1.0,
+                                           model.hidden)
         schedule = hedger.forward_rollout(model, paths, 1.0)
         pnl = compute_pnl(paths, schedule, CostSpec(5e-4), 1.0).pnl
         assert loss == pytest.approx(entropic_risk(pnl, 1.0), abs=1e-12)
