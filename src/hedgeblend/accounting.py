@@ -58,22 +58,31 @@ class CostSpec:
 
 @dataclass
 class PnLReport:
-    """Terminal P&L per path and its three-way decomposition.
+    """Terminal P&L per path, its three-way decomposition and the trade size.
 
-    transaction_costs and payoff are positive magnitudes; elementwise
-    pnl == hedge_gains - transaction_costs - payoff.
+    Every array holds one value per path. transaction_costs and payoff are
+    positive magnitudes; elementwise pnl == hedge_gains - transaction_costs -
+    payoff. trade_size is the path's mean |position change| over t = 0..n.
     """
 
     pnl: np.ndarray
     hedge_gains: np.ndarray
     transaction_costs: np.ndarray
     payoff: np.ndarray
-    trades: np.ndarray  # (n_paths, n_steps+1) of |position change|
+    trade_size: np.ndarray
     strategy_label: str = ""
 
     @property
     def n_paths(self) -> int:
         return self.pnl.shape[0]
+
+    def take(self, indices: np.ndarray) -> "PnLReport":
+        """The report of the paths ``indices``: each path's values depend
+        only on its own row, so these equal :func:`compute_pnl` on those rows."""
+        return PnLReport(
+            self.pnl[indices], self.hedge_gains[indices], self.transaction_costs[indices],
+            self.payoff[indices], self.trade_size[indices], self.strategy_label,
+        )
 
 
 def compute_pnl(
@@ -83,7 +92,7 @@ def compute_pnl(
 
     Validates the inputs, then runs the forward of :class:`HedgePnL`, the
     accounting training differentiates, in float64; the report keeps its
-    per-path gains and costs and the |position changes|.
+    per-path gains, costs and mean |position change|, not the per-step arrays.
     """
     if strike <= 0:
         raise ParameterError("strike must be positive")
@@ -99,7 +108,7 @@ def compute_pnl(
         hedge_gains=account.gains,
         transaction_costs=account.costs,
         payoff=account.payoff,
-        trades=np.abs(account.changes, out=account.changes),  # account is not used again
+        trade_size=np.abs(account.changes, out=account.changes).mean(axis=1),
         strategy_label=hedges.strategy_label,
     )
 
@@ -153,8 +162,9 @@ class HedgePnL:
 
 
 def average_trade_size(report: PnLReport) -> float:
-    """Mean |position change| over all paths and steps t=0..n."""
-    return float(report.trades.mean())
+    """Mean |position change| over all paths and steps t=0..n: the mean of
+    the per-path ``trade_size``."""
+    return float(report.trade_size.mean())
 
 
 @dataclass

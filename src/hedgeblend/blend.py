@@ -55,15 +55,6 @@ class BlendParams:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlendParams":
-        return cls(
-            intercept=d["intercept"],
-            uncertainty_coef=d["uncertainty_coef"],
-            moneyness_coef=d.get("moneyness_coef"),
-            time_coef=d.get("time_coef"),
-        )
-
 
 @dataclass(frozen=True)
 class BlendObjective:

@@ -22,20 +22,19 @@ from .threads import run_threads, usable_cpus
 
 @dataclass
 class EnsembleOutput:
-    """Member hedges plus the ensemble mean and disagreement fields.
+    """The ensemble mean hedge and how much the members disagree about it.
 
     disagreement: (n_paths, n_steps) sample std across members (M-1
-    denominator); avg_disagreement: its time average per path.
+    denominator); avg_disagreement: its time average per path. The members'
+    own schedules are not kept.
     """
 
-    member_hedges: list[HedgeSchedule]
     mean_hedge: HedgeSchedule
     disagreement: np.ndarray
     avg_disagreement: np.ndarray
 
     def take(self, indices: np.ndarray) -> "EnsembleOutput":
         return EnsembleOutput(
-            member_hedges=[h.take(indices) for h in self.member_hedges],
             mean_hedge=self.mean_hedge.take(indices),
             disagreement=self.disagreement[indices].copy(),
             avg_disagreement=self.avg_disagreement[indices].copy(),
@@ -105,17 +104,19 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     (:func:`_path_blocks`), and each (member, block) pair is one job: a
     :func:`hedgeblend.hedger.forward_rollout` of the member on a row view of
     the block's paths, written into the block's rows of one (members,
-    paths, steps) float64 array, whose member rows become the member
-    schedules. The jobs run in member-major order on ``min(jobs, usable
-    CPUs)`` threads (:func:`hedgeblend.threads.run_threads`), so 5 members
-    on 2 CPUs leave no CPU idle through a last round of whole members.
+    paths, steps) float64 array. Only the mean, the disagreement and its
+    path average are returned; the array goes when this returns. The jobs
+    run in member-major order on ``min(jobs, usable CPUs)`` threads
+    (:func:`hedgeblend.threads.run_threads`), so 5 members on 2 CPUs leave
+    no CPU idle through a last round of whole members.
 
-    Every output is identical bit for bit to rolling the members out one
-    after the other on the full batch: each block starts at a multiple of 16
-    rows and is a multiple of 16 long or runs to the end, which keeps every
-    row's rounding (see :func:`hedgeblend.hedger._infer`). A failing
-    rollout or a Ctrl-C cancels the jobs that have not started and stops the
-    running ones at their next step; a failure is raised in member order.
+    Every output is identical bit for bit to the one computed from rolling
+    the members out one after the other on the full batch: each block starts
+    at a multiple of 16 rows and is a multiple of 16 long or runs to the end,
+    which keeps every row's rounding (see :func:`hedgeblend.hedger._infer`).
+    A failing rollout or a Ctrl-C cancels the jobs that have not started and
+    stops the running ones at their next step; a failure is raised in member
+    order.
     """
     if len(members) == 0:
         raise ParameterError("aggregate requires at least one member")
@@ -131,15 +132,10 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
         return forward_rollout(members[m], paths.rows(lo, hi), strike,
                                stop=stop, out=deltas[m, lo:hi])
 
-    schedules = run_threads(roll, jobs, workers=min(len(jobs), usable_cpus()), stop=stop)
-    hedges = [
-        HedgeSchedule(delta, schedules[m * len(blocks)].strategy_label)
-        for m, delta in enumerate(deltas)
-    ]
+    run_threads(roll, jobs, workers=min(len(jobs), usable_cpus()), stop=stop)
     mean = deltas.mean(axis=0)
     spread = deltas.std(axis=0, ddof=1)
     return EnsembleOutput(
-        member_hedges=hedges,
         mean_hedge=HedgeSchedule(mean, "ensemble_mean"),
         disagreement=spread,
         avg_disagreement=spread.mean(axis=1),

@@ -310,6 +310,10 @@ def strategy_schedules(
 def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> PipelineResult:
     """Run every stage and export all table/figure CSVs plus the manifest.
 
+    Each strategy's P&L is computed once, on all evaluation paths
+    (``reports_all``); its held-out report (``reports_test``, tables 4-5) is
+    the rows ``test_idx`` of it.
+
     With ``resume``, reuse the members saved in ``out_dir``. A training record
     that is missing or differs from ``config``, or a missing or unreadable
     checkpoint, raises ParameterError before anything in ``out_dir`` changes.
@@ -353,10 +357,9 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
         reports_all = {}
         reports_test = {}
-        test_paths = eval_paths.take(test_idx)
         for name, sched in schedules.items():
             reports_all[name] = compute_pnl(eval_paths, sched, cost, strike)
-            reports_test[name] = compute_pnl(test_paths, sched.take(test_idx), cost, strike)
+            reports_test[name] = reports_all[name].take(test_idx)
             with open(os.path.join(out_dir, f"pnl_{name}.csv"), "w", newline="") as fh:
                 write_pnl_csv(reports_all[name], fh)
 
@@ -505,9 +508,7 @@ def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> 
             blend_features(result.eval_paths.take(result.test_idx), config.strike)
             if fit.params.extended else None
         )
-        alpha = alpha_weight(
-            result.ensemble.take(result.test_idx).disagreement, fit.params, features
-        )
+        alpha = alpha_weight(result.ensemble.disagreement[result.test_idx], fit.params, features)
         rows.append(
             {
                 "calibration": name,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestComputePnl:
         assert report.transaction_costs[0] == pytest.approx(7.8e-4, abs=1e-15)
         assert report.payoff[0] == pytest.approx(0.2, abs=1e-15)
         assert report.pnl[0] == pytest.approx(-0.08078, abs=1e-15)
-        assert np.allclose(report.trades[0], [0.5, 0.2, 0.7])
+        assert report.trade_size[0] == pytest.approx((0.5 + 0.2 + 0.7) / 3, abs=1e-15)
 
     def test_zero_hedge_is_minus_payoff(self, baseline_paths, cost):
         hedges = HedgeSchedule(np.zeros((baseline_paths.n_paths, baseline_paths.n_steps)))
@@ -132,22 +133,42 @@ class TestOneAccounting:
         spot, c = paths.spot, 5e-4
         report = compute_pnl(paths, HedgeSchedule(delta), CostSpec(c), 1.0)
         trades = np.abs(np.diff(np.pad(delta, ((0, 0), (1, 1))), axis=1))
+        assert (trades[:, 3] == 0.0).all()
         gains = np.sum(delta * np.diff(spot, axis=1), axis=1)
         costs = c * np.sum(spot * trades, axis=1)
         payoff = np.maximum(spot[:, -1] - 1.0, 0.0)
-        expected = {"trades": trades, "hedge_gains": gains, "transaction_costs": costs,
-                    "payoff": payoff, "pnl": gains - costs - payoff}
+        expected = {"trade_size": trades.mean(axis=1), "hedge_gains": gains,
+                    "transaction_costs": costs, "payoff": payoff, "pnl": gains - costs - payoff}
         for name, value in expected.items():
             np.testing.assert_allclose(getattr(report, name), value, rtol=1e-12, atol=0,
                                        err_msg=name)
-        assert (report.trades[:, 3] == 0.0).all()
+
+    def test_every_array_holds_one_value_per_path(self):
+        paths, delta = self.random_case(0)
+        report = compute_pnl(paths, HedgeSchedule(delta), CostSpec(5e-4), 1.0)
+        arrays = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                  if isinstance(getattr(report, f.name), np.ndarray)}
+        assert set(arrays) == {"pnl", "hedge_gains", "transaction_costs", "payoff", "trade_size"}
+        assert {name: a.shape for name, a in arrays.items()} == {
+            name: (paths.n_paths,) for name in arrays}
+
+    def test_take_equals_the_report_of_those_rows_bit_for_bit(self):
+        paths, delta = self.random_case(1)
+        rows = np.array([7, 0, 199, 42, 42])
+        taken = compute_pnl(paths, HedgeSchedule(delta, "x"), CostSpec(5e-4), 1.0).take(rows)
+        direct = compute_pnl(paths.take(rows), HedgeSchedule(delta[rows], "x"), CostSpec(5e-4), 1.0)
+        for f in dataclasses.fields(PnLReport):
+            assert np.array_equal(getattr(taken, f.name), getattr(direct, f.name)), f.name
 
 
 class TestTrades:
     def test_trades_include_entry_and_unwind(self):
+        """Entry 0.5 at S=1.0, rebalance 0.2 at S=1.1, unwind 0.7 at S=1.2."""
         report = compute_pnl(make_paths([[1.0, 1.1, 1.2]]), HedgeSchedule(np.array([[0.5, 0.7]])),
                              CostSpec(5e-4), strike=1.0)
-        assert np.allclose(report.trades, [[0.5, 0.2, 0.7]])
+        assert report.trade_size[0] == pytest.approx((0.5 + 0.2 + 0.7) / 3, abs=1e-15)
+        assert report.transaction_costs[0] == pytest.approx(
+            5e-4 * (0.5 * 1.0 + 0.2 * 1.1 + 0.7 * 1.2), abs=1e-15)
 
     def test_average_trade_size_zero_hedge(self, baseline_paths, cost):
         hedges = HedgeSchedule(np.zeros((baseline_paths.n_paths, baseline_paths.n_steps)))
@@ -187,7 +208,7 @@ class TestDecompose:
         short = PnLReport(
             pnl=full.pnl[:10], hedge_gains=full.hedge_gains[:10],
             transaction_costs=full.transaction_costs[:10], payoff=full.payoff[:10],
-            trades=full.trades[:10],
+            trade_size=full.trade_size[:10],
         )
         with pytest.raises(DimensionError):
             decompose_pnl([full, short])
@@ -234,7 +255,7 @@ def test_pnl_csv_equals_the_csv_writer_output(dtype):
         gen.normal(0.0, 0.1, 400), 10.0 ** gen.uniform(lo, hi, 400) * gen.choice([-1, 1], 400),
         [0.0, -0.0, 1.0, 1e16, 1 / 3, np.inf, -np.inf, np.nan]]).astype(dtype)
     columns = [np.roll(values, k) for k in range(4)]
-    report = PnLReport(*columns, trades=np.zeros((values.size, 2)), strategy_label="x")
+    report = PnLReport(*columns, trade_size=np.zeros(values.size), strategy_label="x")
     fh = io.StringIO()
     write_pnl_csv(report, fh)
     assert fh.getvalue() == csv_writer_pnl(report)

@@ -43,7 +43,7 @@ def synthetic_problem(n_paths=64, n_steps=8, seed=2026):
     bs = np.clip(gen.normal(0.55, 0.15, size=(n_paths, n_steps)), 0.0, 1.0)
     ens = np.clip(bs + gen.normal(0.0, 0.1, size=bs.shape), 0.0, 1.0)
     psi = np.abs(gen.normal(0.0, 0.05, size=bs.shape))
-    return paths, EnsembleOutput([], HedgeSchedule(ens), psi, psi.mean(axis=1)), HedgeSchedule(bs)
+    return paths, EnsembleOutput(HedgeSchedule(ens), psi, psi.mean(axis=1)), HedgeSchedule(bs)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monk
     e, b = ens.mean_hedge.delta.copy(), bs.delta.copy()
     e[:, 2], b[:, 2], e[:, 3], b[:, 3] = 0.25, 0.75, 0.375, 0.625
     psi = ens.disagreement
-    kinked = (paths, EnsembleOutput([], HedgeSchedule(e), psi, psi.mean(axis=1)),
+    kinked = (paths, EnsembleOutput(HedgeSchedule(e), psi, psi.mean(axis=1)),
               HedgeSchedule(b))
     (coefs, grad), = gradients_during_fit(kinked, BlendObjective(kind), False, monkeypatch,
                                           iterations=1)
@@ -244,6 +244,6 @@ def test_non_finite_objective_raises(problem):
     paths, ens, bs = problem
     psi = ens.disagreement.copy()
     psi[3, 2] = np.nan
-    broken = EnsembleOutput([], ens.mean_hedge, psi, psi.mean(axis=1))
+    broken = EnsembleOutput(ens.mean_hedge, psi, psi.mean(axis=1))
     with pytest.raises(NumericalDivergenceError, match="iteration 0"):
         fit_blend(paths, broken, bs, COST, STRIKE, BlendObjective("entropic"), iterations=5)

@@ -8,7 +8,6 @@ import pytest
 
 import hedgeblend
 from hedgeblend import classical
-from hedgeblend.accounting import CostSpec, compute_pnl
 from hedgeblend.classical import (
     VolMode,
     bs_delta,
@@ -168,7 +167,8 @@ class TestWwStrategy:
 
     @staticmethod
     def trades(paths, schedule):
-        return compute_pnl(paths, schedule, CostSpec(5e-4), 1.0).trades
+        """|position change| at t = 0..n of a book that starts and ends flat."""
+        return np.abs(np.diff(np.pad(schedule.delta, ((0, 0), (1, 1))), axis=1))
 
     def test_trades_less_volume_than_delta_hedging(self, baseline_paths):
         vmode = VolMode.fixed(0.2)

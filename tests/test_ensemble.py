@@ -2,6 +2,7 @@
 
 import _thread
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -53,15 +54,32 @@ def test_aggregate_equals_a_serial_loop_bit_for_bit(paths, monkeypatch, stress):
         out = ensemble.aggregate(members, paths, 1.0)
     finally:
         sys.setswitchinterval(interval)
-    serial = [forward_rollout(model, paths, 1.0) for model in members]
-    stacked = np.stack([h.delta for h in serial])
-    assert [h.strategy_label for h in out.member_hedges] == [h.strategy_label for h in serial]
-    for got, want in zip(out.member_hedges, serial):
-        assert got.delta.tobytes() == want.delta.tobytes()
+    stacked = np.stack([forward_rollout(model, paths, 1.0).delta for model in members])
     assert out.mean_hedge.delta.tobytes() == stacked.mean(axis=0).tobytes()
     spread = stacked.std(axis=0, ddof=1)
     assert out.disagreement.tobytes() == spread.tobytes()
     assert out.avg_disagreement.tobytes() == spread.mean(axis=1).tobytes()
+
+
+def held_arrays(value):
+    """The arrays an object keeps alive, each counted once by the buffer it
+    views: an ndarray, or one reached through dataclass fields and lists."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        return {id(value): value}
+    items = value if isinstance(value, (list, tuple)) else (
+        vars(value).values() if dataclasses.is_dataclass(value) else ())
+    return {key: a for item in items for key, a in held_arrays(item).items()}
+
+
+def test_aggregate_keeps_no_per_member_arrays(paths):
+    """The mean and the disagreement, B x n each, and its path average, B:
+    not the five members' B x n schedules."""
+    out = ensemble.aggregate(float32_members(5), paths, 1.0)
+    arrays = held_arrays(out).values()
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert sum(a.size for a in arrays) <= 2 * paths.n_paths * paths.n_steps + paths.n_paths
 
 
 def test_path_blocks_depend_only_on_the_path_count():
@@ -113,9 +131,6 @@ def test_blocked_aggregate_equals_full_batch_rollouts_bit_for_bit(
     out = ensemble.aggregate(members, paths, 1.0)
     blocks = ensemble._path_blocks(n_paths)
     assert sorted(rolled) == sorted([hi - lo for lo, hi in blocks] * len(members))
-    for got, want in zip(out.member_hedges, serial):
-        assert got.strategy_label == want.strategy_label
-        assert got.delta.tobytes() == want.delta.tobytes()
     stacked = np.stack([h.delta for h in serial])
     assert out.mean_hedge.delta.tobytes() == stacked.mean(axis=0).tobytes()
     assert out.disagreement.tobytes() == stacked.std(axis=0, ddof=1).tobytes()
@@ -161,9 +176,9 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
         assert len({ident for *_, ident in calls}) <= workers
     assert sorted((seed, n) for seed, n, _ in calls) == sorted(
         (m.seed, hi - lo) for m in models for lo, hi in blocks)
-    for hedge, model in zip(out.member_hedges, models):
-        assert hedge.strategy_label == f"hedger_{model.seed}"
-        assert (hedge.delta == float(model.seed)).all()
+    stacked = np.stack([np.full(out.mean_hedge.delta.shape, float(m.seed)) for m in models])
+    assert np.array_equal(out.mean_hedge.delta, stacked.mean(axis=0))
+    assert np.array_equal(out.disagreement, stacked.std(axis=0, ddof=1))
 
 
 def test_one_worker_runs_the_jobs_in_order_on_the_calling_thread():
@@ -288,7 +303,7 @@ def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
 def test_path_uncertainty_csv_equals_the_csv_writer_output():
     gen = np.random.default_rng(5)
     avg = np.concatenate([gen.exponential(0.02, 1000), [0.0, 1e-300, 123456789.125, np.nan]])
-    output = ensemble.EnsembleOutput([], HedgeSchedule(np.zeros((avg.size, 1))),
+    output = ensemble.EnsembleOutput(HedgeSchedule(np.zeros((avg.size, 1))),
                                      np.zeros((avg.size, 1)), avg)
     fh = io.StringIO()
     ensemble.write_path_uncertainty_csv(output, fh)
