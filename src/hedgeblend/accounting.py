@@ -117,9 +117,10 @@ class HedgePnL:
     """P&L of (B, n) hedge arrays on fixed (B, n+1) spots, and its VJP.
 
     The one accounting of the reports (:func:`compute_pnl` runs its forward)
-    and of hedger training, which also runs its VJP; costs sum |change| *
-    (c S). It works in the dtype of ``spot``, which it keeps, with two
-    (B, n+1) buffers allocated once and reused by every call. (The blend fit
+    and of hedger training, which also runs its VJP: its output g_delta is
+    where the LSTM's hand-written backward (``autodiff.backward``) starts.
+    Costs sum |change| * (c S). It works in the dtype of ``spot``, which it
+    keeps, with two (B, n+1) buffers allocated once and reused by every call. (The blend fit
     differentiates in its own coefficients instead; see
     ``blend._BlendProblem``.)
     """

@@ -1,20 +1,15 @@
-"""Minimal tape-based reverse-mode differentiation over numpy arrays.
+"""The hedger's LSTM step, its hand-written reverse sweep, and Adam.
 
-Just enough machinery to backpropagate through a recurrent hedging rollout:
-addition with broadcasting, matmul, concat/slice, and a fused LSTM cell. The
-tape covers the rollout only (``hedger._rollout``): the hedger seeds
-:func:`backward` at the hedge ratios with g_delta, the closed-form gradient
-of the entropic loss in them (``accounting.HedgePnL`` and
-``risk._objective_and_grad``). Graphs are built only when an input requires
-gradients, so inference-style forward passes run at plain numpy speed with
-no caching. :class:`Adam` updates plain arrays and knows nothing of the tape.
+:func:`lstm_cell` is the one cell step of ``hedger._infer``, the one rollout
+of inference and training. :func:`backward` is backpropagation through time
+by hand: from g_delta, the gradient of the loss in the hedge ratios (closed
+form, by ``accounting.HedgePnL`` and ``risk._objective_and_grad``), it sweeps
+the steps in reverse over the state a saving forward kept and returns the
+parameter gradients. :class:`Adam` updates plain arrays (training's and the
+blend fit's).
 
-Not supported on purpose: higher-order gradients, in-place ops, dtype
-promotion games. A Tensor keeps float32 or float64 data as given and makes
-anything else float64; each op then follows numpy's promotion, so a float32
-graph stays float32 while no float64 operand enters it. The hedger's
-training graphs take none: g_delta is cast to the parameters' dtype (tested
-in ``tests/test_hedger.py``).
+Everything stays in the parameters' dtype: float32 parameters, state and
+g_delta give float32 gradients.
 """
 
 from __future__ import annotations
@@ -22,218 +17,107 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """sigmoid via the tanh identity; numpy's tanh is SIMD-vectorised where
-    scipy's expit is not, and this is the rollout's hottest element-wise op."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-    return x
+def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
+    """One LSTM step of B paths, written into the (B, H) buffers it is handed.
 
+    ``xh`` is the (B, in + H) cell input, the previous hidden state last.
+    ``weights`` and ``biases`` hold, per gate in the order i, f, o, g, its
+    columns of the stacked weight [w_ih; w_hh] and of the bias, contiguous,
+    with the sigmoid gates' columns halved: sigmoid(x) = (tanh(x / 2) + 1) /
+    2, and halving is exact and commutes with the rounding of every product,
+    FMA and sum (barring subnormals). Each gate is its own GEMM into its
+    buffer; the bias is added, then tanh, and for the sigmoid gates +1 and
+    ×0.5. Then c = f c_prev + i g, tanh_c = tanh(c) and h = o tanh(c).
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-class Tensor:
-    """Array node on the tape. ``_vjp`` maps the output gradient to parent gradients.
-
-    float32 and float64 data keep their dtype; anything else is promoted to
-    float64. Ops follow numpy's promotion (see the module docstring).
+    ``c`` may be ``c_prev`` and ``tanh_c`` may be ``g``, so inference reuses
+    one set of buffers at every step; a saving forward hands step t's slices
+    of its workspaces instead (see ``hedger._infer``).
     """
-
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._vjp = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    # -- graph construction -------------------------------------------------
-
-    @staticmethod
-    def _node(data, parents, vjp) -> "Tensor":
-        if any(p.requires_grad for p in parents):
-            out = Tensor(data, requires_grad=True)
-            out._parents = tuple(parents)
-            out._vjp = vjp
-            return out
-        return Tensor(data)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        return Tensor._node(
-            self.data + other.data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
-        )
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        return Tensor._node(
-            self.data @ other.data,
-            (self, other),
-            lambda g: (g @ other.data.T, self.data.T @ g),
-        )
-
-    def __getitem__(self, key):
-        def vjp(g):
-            full = np.zeros_like(self.data)
-            full[key] = g
-            return (full,)
-
-        return Tensor._node(self.data[key], (self,), vjp)
+    for gate, w, b in zip((i, f, o, g), weights, biases):
+        np.matmul(xh, w, out=gate)
+        gate += b
+        np.tanh(gate, out=gate)
+    for gate in (i, f, o):
+        gate += 1.0
+        gate *= 0.5
+    np.multiply(c_prev, f, out=c)
+    np.multiply(i, g, out=tanh_c)
+    c += tanh_c
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum(g_delta * delta) in the parameters, in ``hedger.PARAM_NAMES`` order.
 
+    ``saved`` is what a saving forward of the (B, n_steps) hedge ratios
+    delta kept: the (n_steps, B, in) cell inputs of layer 0 (the step's
+    inputs and the previous hedge ratio), and per layer a (7, n_steps, B, H)
+    workspace of the gates i, f, o, g, tanh(c), c and h, in this order.
+    Per step, delta_t = h_top @ w_out + b_out.
 
-# -- shape ops -----------------------------------------------------------------
-
-
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    widths = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        slicer = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(slicer)])
-        return tuple(grads)
-
-    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
-
-
-def lstm_cell(inputs: list[Tensor], c_prev: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns (h_new, c_new). Gate order i, f, o, g.
-
-    ``inputs`` are the column pieces of the cell input, the previous hidden
-    state last, and ``w`` the matching stacked weight block, so the whole
-    pre-activation is one GEMM on their concatenation ``xh``. Fused into a
-    single node (packed [h | c] output) so a long rollout tapes one backward
-    closure per step; the hand-derived backward is validated against finite
-    differences in the test suite.
-
-    Per path the tape keeps only what the backward reads: the gates i, f, o,
-    g and tanh(c) (5·H values) and the packed output (2·H). The
-    pre-activation and ``xh`` are not kept. The backward rebuilds ``xh`` for
-    the weight gradient by concatenating the inputs' data again, which the
-    tape holds anyway, so one concatenation per step replaces a stored
-    (B, in+H) copy.
+    The sweep runs t = n-1 … 0, and within a step from the head down the
+    layers. The gradient into c starts at zeros. Per cell, with dh and dc
+    the incoming gradients:
+    dc += dh o (1 - tanh²c); d_pre = [dc g i(1-i) | dc c_prev f(1-f) |
+    dh tanh(c) o(1-o) | dc i (1-g²)]; the input's gradient is d_pre @ [w_ih;
+    w_hh].T, c_prev's is dc f, and the stacked weight's is one xh.T @ d_pre
+    GEMM on the contiguous xh = [input | h_prev], split into w_ih and w_hh at
+    the end. Each weight's per-step gradients are summed from t = n-1 down,
+    the first one taken as it is. The products are grouped as written, so
+    the gradients keep the bits the tests pin.
     """
-    hidden = c_prev.shape[1]
-    pre = np.concatenate([t.data for t in inputs], axis=1) @ w.data
-    pre += b.data
-    # Contiguous copies of the gate blocks: every later product touches them,
-    # and strided views defeat SIMD.
-    i = _sigmoid_inplace(pre[:, :hidden].copy())
-    f = _sigmoid_inplace(pre[:, hidden : 2 * hidden].copy())
-    o = _sigmoid_inplace(pre[:, 2 * hidden : 3 * hidden].copy())
-    g_ = pre[:, 3 * hidden :].copy()
-    np.tanh(g_, out=g_)
-    c_new = f * c_prev.data
-    c_new += i * g_
-    tc = np.tanh(c_new)
+    inputs, cells = saved
+    if g_delta.shape != inputs.shape[1::-1]:
+        raise ValueError(f"seed gradient of shape {g_delta.shape} for hedge ratios of "
+                         f"shape {inputs.shape[1::-1]}")
+    n_paths, n = g_delta.shape
+    n_layers, hidden = len(cells), cells[0].shape[-1]
+    stacked = [np.concatenate([params[f"w_ih_{k}"], params[f"w_hh_{k}"]])
+               for k in range(n_layers)]
+    w_out = params["w_out"]
+    zeros = np.zeros((n_paths, hidden), dtype=g_delta.dtype)
+    d_c = [zeros] * n_layers  # into c_k[t], from step t+1
+    d_h = [None] * n_layers  # into h_k[t] through step t+1's recurrent input
+    d_delta = None  # into delta[t] through step t+1's input
+    totals = None  # per layer d[w_ih; w_hh] and d b, then d w_out and d b_out
 
-    parents = (*inputs, c_prev, w, b)
-    if not any(p.requires_grad for p in parents):
-        return Tensor(o * tc), Tensor(c_new)
-
-    n_paths, dtype = pre.shape[0], pre.dtype
-    packed_data = np.empty((n_paths, 2 * hidden), dtype=dtype)
-    np.multiply(o, tc, out=packed_data[:, :hidden])
-    packed_data[:, hidden:] = c_new
-    offsets = np.cumsum([0] + [t.shape[1] for t in inputs])
-
-    def vjp(grad):
-        dh = np.ascontiguousarray(grad[:, :hidden])
-        dc = grad[:, hidden:] + dh * o * (1.0 - tc**2)
-        d_pre = np.empty((n_paths, 4 * hidden), dtype=dtype)
-        d_pre[:, :hidden] = dc * g_ * (i * (1.0 - i))                     # input gate
-        d_pre[:, hidden : 2 * hidden] = dc * c_prev.data * (f * (1.0 - f))  # forget gate
-        d_pre[:, 2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))     # output gate
-        d_pre[:, 3 * hidden :] = dc * i * (1.0 - g_**2)                   # candidate
-        d_xh = d_pre @ w.data.T
-        xh = np.concatenate([t.data for t in inputs], axis=1)
-        return (
-            *(d_xh[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])),
-            dc * f,
-            xh.T @ d_pre,
-            d_pre.sum(axis=0),
-        )
-
-    packed = Tensor._node(packed_data, parents, vjp)
-    return packed[:, :hidden], packed[:, hidden:]
-
-
-# -- backward ------------------------------------------------------------------
-
-
-def backward(root: Tensor, grad: np.ndarray) -> None:
-    """Accumulate d sum(grad * root) / d leaf into ``.grad`` of every
-    requires-grad leaf; ``grad`` must have the root's shape.
-
-    Intermediate gradients and closures are released as soon as consumed, so
-    peak memory stays near the forward tape's footprint.
-    """
-    grad = np.asarray(grad)
-    if grad.shape != root.shape:
-        raise ValueError(f"seed gradient of shape {grad.shape} for a root of shape {root.shape}")
-    order: list[Tensor] = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-
-    root.grad = grad
-    for node in reversed(order):
-        if node._vjp is None:
-            continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
-                continue
-            if parent.grad is None:
-                parent.grad = np.array(g, copy=True)
+    for t in range(n - 1, -1, -1):
+        d_head = g_delta[:, t : t + 1]
+        d_head = d_head.copy() if d_delta is None else d_head + d_delta
+        parts = [None] * (2 * n_layers) + [cells[-1][6, t].T @ d_head, d_head.sum(axis=0)]
+        dh = d_head @ w_out.T
+        for k in range(n_layers - 1, -1, -1):
+            if d_h[k] is not None:
+                dh = dh + d_h[k]
+            i, f, o, g, tc, _, _ = cells[k][:, t]
+            c_prev, h_prev = (cells[k][5, t - 1], cells[k][6, t - 1]) if t else (zeros, zeros)
+            dc = d_c[k] + dh * o * (1.0 - tc**2)
+            d_pre = np.empty((n_paths, 4 * hidden), dtype=g_delta.dtype)
+            d_pre[:, :hidden] = dc * g * (i * (1.0 - i))
+            d_pre[:, hidden : 2 * hidden] = dc * c_prev * (f * (1.0 - f))
+            d_pre[:, 2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))
+            d_pre[:, 3 * hidden :] = dc * i * (1.0 - g**2)
+            d_xh = d_pre @ stacked[k].T
+            below = inputs[t] if k == 0 else cells[k - 1][6, t]
+            xh = np.concatenate([below, h_prev], axis=1)
+            parts[2 * k : 2 * k + 2] = xh.T @ d_pre, d_pre.sum(axis=0)
+            d_c[k] = dc * f
+            d_h[k] = d_xh[:, below.shape[1] :]
+            if k:
+                dh = d_xh[:, :hidden]
             else:
-                parent.grad += g
-        node.grad = None
-        node._vjp = None
-        node._parents = ()
+                d_delta = d_xh[:, below.shape[1] - 1 : below.shape[1]]
+        if totals is None:
+            totals = parts
+        else:
+            for total, part in zip(totals, parts):
+                total += part
+
+    grads = []
+    for k in range(n_layers):
+        grads += [*np.split(totals[2 * k], [params[f"w_ih_{k}"].shape[0]]), totals[2 * k + 1]]
+    return grads + totals[2 * n_layers :]
 
 
 class Adam:

@@ -4,8 +4,8 @@ The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
 alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
 terms]). Coefficients are fitted by full-batch Adam (``autodiff.Adam``, which
 updates plain arrays) on precomputed hedges: only the blend weights move,
-never the underlying strategies. The fit's gradient is closed-form; no tape
-is built. The objective gradient (entropic softmax weights or the CVaR tail
+never the underlying strategies. The fit's gradient is closed-form; no LSTM
+is rolled out or backpropagated. The objective gradient (entropic softmax weights or the CVaR tail
 subgradient) is ``risk._objective_and_grad``, which training shares; the P&L
 is differentiated in the blend coefficients directly, by the fit's own
 kernel (:class:`_BlendProblem`), which computes once what stays fixed during

@@ -58,9 +58,10 @@ def train_ensemble(
     """Train M independent members one after the other; member i trains with
     seed ``member_seed(config.seed, i)``.
 
-    Each member tapes a large epoch's path shards on threads of its own
+    Each member trains a large epoch's path shards on threads of its own
     (:func:`hedgeblend.hedger.train_hedger`), so one member at a time already
-    keeps the CPUs busy, and two in flight would hold two tapes at once.
+    keeps the CPUs busy, and two in flight would hold two members' saved
+    rollout state at once.
     """
     # Only perfbench/workloads.py passes workers; ROADMAP item 2 removes it.
     if workers != 1:
@@ -105,7 +106,8 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     :func:`hedgeblend.hedger.forward_rollout` of the member on a row view of
     the block's paths, written into the block's rows of one (members,
     paths, steps) float64 array. Only the mean, the disagreement and its
-    path average are returned; the array goes when this returns. The jobs
+    path average are returned; the disagreement's squared deviations are
+    computed in that array, which goes when this returns. The jobs
     run in member-major order on ``min(jobs, usable CPUs)`` threads
     (:func:`hedgeblend.threads.run_threads`), so 5 members on 2 CPUs leave
     no CPU idle through a last round of whole members.
@@ -134,7 +136,11 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
 
     run_threads(roll, jobs, workers=min(len(jobs), usable_cpus()), stop=stop)
     mean = deltas.mean(axis=0)
-    spread = deltas.std(axis=0, ddof=1)
+    deltas -= mean  # std(axis=0, ddof=1), in place of a second (members, paths, steps) array
+    np.square(deltas, out=deltas)
+    spread = deltas.sum(axis=0)
+    spread /= len(members) - 1
+    np.sqrt(spread, out=spread)
     return EnsembleOutput(
         mean_hedge=HedgeSchedule(mean, "ensemble_mean"),
         disagreement=spread,

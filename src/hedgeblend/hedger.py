@@ -7,21 +7,25 @@ carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included. The P&L and the loss are
 differentiated in closed form: the P&L by ``accounting.HedgePnL`` (whose
 forward is also the reports' ``compute_pnl``), the loss by
-``risk._objective_and_grad`` (shared with the blend fit); the autodiff tape
-differentiates only the LSTM rollout, inside :func:`_chunked_backward`.
+``risk._objective_and_grad`` (shared with the blend fit), and the LSTM
+rollout by a hand-written backpropagation through time,
+``autodiff.backward``, inside :func:`_chunked_backward`.
+
+One rollout, :func:`_infer`, serves inference and training. Inference
+(:func:`forward_rollout`, :func:`training_loss`) reuses its buffers at every
+step; training's saving forward keeps each step's state, the tape that the
+backward reads, and gives the same hedge ratios bit for bit.
+``ensemble.aggregate`` runs inference on threads, at most one per usable
+CPU, as (member, path-block) jobs whose blocks are cut at multiples of 16
+rows, with results identical to a serial full-batch loop.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
-the batch size. The shards are taped on threads, and their gradients are
-summed in shard order, so a run's results do not depend on the CPU count,
-the thread count or the timing (see :func:`_chunked_backward`). An epoch of
-one shard is taped on the calling thread.
-
-Inference (:func:`forward_rollout`, :func:`training_loss`) runs a tape-free
-kernel that reuses its buffers at every step and gives the taped rollout's
-hedge ratios bit for bit. ``ensemble.aggregate`` runs it on threads, at most
-one per usable CPU, as (member, path-block) jobs whose blocks are cut at
-multiples of 16 rows, with results identical to a serial full-batch loop.
+the batch size. The shards are rolled out and backpropagated on threads,
+and their gradients are summed in shard order, so a run's results do not
+depend on the CPU count, the thread count or the timing (see
+:func:`_chunked_backward`). An epoch of one shard runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -47,23 +51,26 @@ INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
 N_LAYERS = 2
 
-# Most paths taped at once, on any CPU count. Every epoch is taped in shards
-# (see SHARD_PATHS). An epoch of at most this many paths keeps its shards'
-# forward tapes for the backward; a larger one rolls its shards out without a
-# tape and re-tapes them for the backward, on at most TAPE_BATCH_LIMIT //
-# shard threads (see _chunked_backward). The tape holds about 7.5·H float32
-# values per path per LSTM cell: 0.24 MB per path on the default 126-step
-# grid (H = 32, two layers), so about 1.5 GB here.
+# Most paths whose tape (the state a saving forward keeps for the backward)
+# is held at once, on any CPU count. Every epoch is rolled out in shards (see
+# SHARD_PATHS). An epoch of at most this many paths keeps its shards' tapes
+# from pass one for the backward; a larger one rolls its shards out without
+# saving and rolls them out again, saving, for the backward, on at most
+# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape holds
+# 906 bytes per path per LSTM cell in float32 (7·H values and the step's
+# inputs; tracemalloc, H = 32), 918 at the backward's peak: 0.23 MB per path
+# on the default 126-step grid (two layers), so about 1.4 GB here.
 TAPE_BATCH_LIMIT = 6144
 
 # Paths per training shard: every epoch of B paths is split into
-# ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, taped on
-# threads, or on the calling thread when there is one. 2,500 splits the
-# 5,000-path desk epoch and the 20,000-path paper epoch into shard counts
-# that two threads share evenly. On a 2-vCPU host with one BLAS thread, two
-# 5,000-path epochs took 3.7 s in 2,500-path shards against 3.9-4.8 s in
-# 1,250-path and 4.2-4.3 s in 1,000-path ones. ensemble.aggregate cuts its
-# inference batches into as many path blocks (aligned to 16 rows).
+# ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, rolled out
+# and backpropagated on threads, or on the calling thread when there is one.
+# 2,500 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
+# shard counts that two threads share evenly. On a 2-vCPU host with one BLAS
+# thread, two 5,000-path epochs took 3.7 s in 2,500-path shards against
+# 3.9-4.8 s in 1,250-path and 4.2-4.3 s in 1,000-path ones (measured with the
+# earlier autodiff tape). ensemble.aggregate cuts its inference batches into
+# as many path blocks (aligned to 16 rows).
 SHARD_PATHS = 2500
 
 # Training's Adam step size; its betas are autodiff.Adam's defaults.
@@ -132,45 +139,6 @@ def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
     return HedgerModel(params=params, hidden=hidden, seed=seed)
 
 
-def _rollout(
-    params: dict[str, ad.Tensor], paths: MarketPaths, strike: float, hidden: int, *, stop=None
-) -> ad.Tensor:
-    """Hedge ratios (B, n_steps) as a tape tensor; state never crosses paths.
-
-    Raises ``CancelledError`` at the next step once the ``threading.Event``
-    ``stop``, when given, is set (a failed shard or a Ctrl-C in training).
-    """
-    n_paths, n = paths.n_paths, paths.n_steps
-    dtype = params["w_out"].data.dtype
-    consts = np.empty((n, n_paths, 3), dtype=dtype)
-    consts[:, :, 0] = np.log(paths.spot[:, :n] / strike).T
-    consts[:, :, 1] = paths.grid.taus()[:, None]
-    consts[:, :, 2] = np.sqrt(paths.variance[:, :n]).T
-
-    # One stacked weight per layer: [input rows; recurrent rows].
-    stacked = [
-        ad.concat([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
-        for layer in range(N_LAYERS)
-    ]
-    h = [ad.Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
-    c = [ad.Tensor(np.zeros((n_paths, hidden), dtype=dtype)) for _ in range(N_LAYERS)]
-    delta_prev = ad.Tensor(np.zeros((n_paths, 1), dtype=dtype))
-    columns = []
-    for t in range(n):
-        if stop is not None and stop.is_set():
-            raise CancelledError(f"rollout stopped at step {t}")
-        x = ad.Tensor(consts[t])
-        for layer in range(N_LAYERS):
-            pieces = [x, delta_prev] if layer == 0 else [x]
-            h[layer], c[layer] = ad.lstm_cell(
-                pieces + [h[layer]], c[layer], stacked[layer], params[f"b_{layer}"]
-            )
-            x = h[layer]
-        delta_prev = x @ params["w_out"] + params["b_out"]
-        columns.append(delta_prev)
-    return ad.concat(columns, axis=1)
-
-
 def _infer(
     params: dict[str, np.ndarray],
     paths: MarketPaths,
@@ -179,39 +147,41 @@ def _infer(
     out: np.ndarray | None = None,
     *,
     stop=None,
+    saved=None,
 ) -> np.ndarray:
-    """Hedge ratios (B, n_steps) of :func:`_rollout`, bit for bit, without the tape.
+    """Hedge ratios (B, n_steps): the one rollout, of inference and training.
 
-    Every buffer is allocated once per call and overwritten at each step:
+    Per layer and step it calls ``autodiff.lstm_cell``. Without ``saved``
+    every buffer is allocated once per call and overwritten at each step:
     one GEMM operand buffer [x | delta_prev | h_0 | h_1], of which layer 0
     reads the columns [x | delta_prev | h_0] and layer 1 the columns [h_0 |
     h_1], so each h is written once, straight into it; per layer the cell
-    state c; shared by the layers, the gates i, f, o, g; one float64 column
-    for the step's inputs, computed as the tape computes them for all steps
-    at once and then cast; and the (B, n_steps) output. So no (n_steps, B)
-    input array and no large float64 temporary is ever held, and a worker
-    thread's malloc arena does not keep them after the call (``aggregate``'s
-    peak RSS).
+    state c; shared by the layers, the gates i, f, o, g, with tanh(c)
+    written over g; one float64 column for the step's inputs, computed and
+    then cast; and the (B, n_steps) output. So no (n_steps, B) input array
+    and no large float64 temporary is ever held, and a worker thread's
+    malloc arena does not keep them after the call (``aggregate``'s peak
+    RSS).
 
-    The arithmetic is the fused cell's. Each gate's columns of the stacked
-    weight [w_ih; w_hh] are a GEMM of their own, written into the gate's
-    contiguous buffer; the bias is added, then tanh, and for the sigmoid
-    gates +1 and ×0.5. The sigmoid's first halving, sigmoid(x) = (tanh(x/2)
-    + 1) / 2, is folded into the i, f and o columns of the weights and bias
-    once per call: halving is exact and commutes with the rounding of every
-    product, FMA and sum (barring subnormals), so these are the bits of the
-    fused cell, which halves pre + b (``_sigmoid_inplace``). Then c = f c +
-    i g, h = o tanh(c), and the head h @ w_out + b_out. A training forward
-    would save i, f, o, g, tanh(c), h and c per step here instead of
-    overwriting them.
+    ``saved``, when given, makes this the saving forward whose state
+    ``autodiff.backward`` reads: an (n_steps, B, INPUT_DIM) array that
+    receives each step's layer-0 inputs [x | delta_prev], and per layer a
+    (7, n_steps, B, H) workspace whose step-t slices the cell writes its i,
+    f, o, g, tanh(c), c and h into (h is then copied into the operand). The
+    values are those of the plain forward, bit for bit.
+
+    The halving of the sigmoid, sigmoid(x) = (tanh(x/2) + 1) / 2, is folded
+    into the i, f and o columns of the weights and bias once per call (see
+    ``autodiff.lstm_cell``). Then c = f c + i g, h = o tanh(c), and the head
+    h @ w_out + b_out.
 
     A gate's columns do not depend on the other columns (the per-gate GEMMs
-    rely on this; the kernel's bit-for-bit test against the tape checks
-    it), and a row's bits do not depend on the other rows, with one
-    exception: OpenBLAS's matrix-vector product, which the head h @ w_out
-    is, takes the rows in groups of 4 and rounds a trailing group of 1-3
-    rows differently (numpy's one-row GEMM is such a product too). Row
-    blocks of 1, 2, 7, 250 and 1,250 paths did not reproduce the full
+    rely on this; the gradients ``tests/test_hedger.py`` pins, recorded when
+    one GEMM made all four gates, check it), and a row's bits do not depend
+    on the other rows, with one exception: OpenBLAS's matrix-vector product,
+    which the head h @ w_out is, takes the rows in groups of 4 and rounds a
+    trailing group of 1-3 rows differently (numpy's one-row GEMM is such a
+    product too). Row blocks of 1, 2, 7, 250 and 1,250 paths did not reproduce the full
     batch's hedge ratios; a block whose length is a multiple of 4, or that
     starts at a multiple of 4 and runs to the batch's end, does. So
     ``ensemble.aggregate``'s blocks start at multiples of 16 rows.
@@ -240,8 +210,7 @@ def _infer(
         for k in range(1, N_LAYERS)
     ]
     c = [np.zeros((n_paths, hidden), dtype=dtype) for _ in range(N_LAYERS)]
-    gates = [np.empty((n_paths, hidden), dtype=dtype) for _ in range(4)]
-    i, f, o, g = gates
+    i, f, o, g = (np.empty((n_paths, hidden), dtype=dtype) for _ in range(4))
     head = np.empty((n_paths, 1), dtype=dtype)
     column = np.empty(n_paths)  # one step's float64 input, before its cast
     if out is None:
@@ -254,19 +223,17 @@ def _infer(
         operand[:, 0] = np.log(column, out=column)
         operand[:, 1] = taus[t]
         operand[:, 2] = np.sqrt(paths.variance[:, t], out=column)
+        if saved is not None:
+            saved[0][t] = operand[:, :INPUT_DIM]
         for layer in range(N_LAYERS):
-            for gate, w, b in zip(gates, weights[layer], biases[layer]):
-                np.matmul(reads[layer], w, out=gate)
-                gate += b
-                np.tanh(gate, out=gate)
-            for gate in (i, f, o):
-                gate += 1.0
-                gate *= 0.5
-            c[layer] *= f
-            i *= g
-            c[layer] += i
-            np.tanh(c[layer], out=g)
-            np.multiply(o, g, out=h[layer])  # the next layer's and step's input
+            if saved is None:
+                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
+                             i, f, o, g, g, c[layer], h[layer])
+            else:
+                state = saved[1][layer]
+                c_prev = state[5, t - 1] if t else c[layer]
+                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c_prev, *state[:, t])
+                h[layer][...] = state[6, t]
         np.matmul(h[-1], params["w_out"], out=head)
         head += params["b_out"]
         if not np.isfinite(head).all():
@@ -276,10 +243,19 @@ def _infer(
     return out
 
 
+def _workspaces(paths: MarketPaths, hidden: int, dtype) -> tuple:
+    """Empty state for a saving :func:`_infer` of ``paths``: (n_steps, B,
+    INPUT_DIM) inputs, and per layer (7, n_steps, B, H) for i, f, o, g,
+    tanh(c), c and h."""
+    shape = (paths.n_steps, paths.n_paths)
+    return (np.empty((*shape, INPUT_DIM), dtype),
+            [np.empty((7, *shape, hidden), dtype) for _ in range(N_LAYERS)])
+
+
 def forward_rollout(
     model: HedgerModel, paths: MarketPaths, strike: float, *, stop=None, out=None
 ) -> HedgeSchedule:
-    """Inference-only rollout through :func:`_infer`; no tape, no gradients.
+    """Inference-only rollout through :func:`_infer`; no saved state, no gradients.
 
     Reads the model and allocates its own buffers, so concurrent calls on
     threads are safe (``ensemble.aggregate`` makes one per member and block
@@ -309,18 +285,18 @@ def train_hedger(
     """Train one hedger; deterministic for a fixed config.
 
     Each epoch simulates a fresh batch (seed mixed from config.seed and the
-    epoch index), rolls the network through it on the tape, and applies one
-    Adam update of the entropic risk of terminal P&L, whose gradient in the
-    hedge ratios is closed-form. ``market`` is a HestonParams or
-    GBMSpec. Raises NumericalDivergenceError naming the epoch if the loss
-    leaves the reals.
+    epoch index), rolls the network through it, and applies one Adam update
+    of the entropic risk of terminal P&L, whose gradient in the hedge ratios
+    is closed-form. ``market`` is a HestonParams or GBMSpec. Raises
+    NumericalDivergenceError naming the epoch if the loss leaves the reals,
+    a non-finite hedge ratio included.
 
     Every epoch of B paths goes through :func:`_chunked_backward`: it is
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
-    shards, taped on threads (one shard on the calling thread), whose
-    gradients are summed in shard order. The loss and the parameters do not
-    depend on the CPU count, and no more than ``TAPE_BATCH_LIMIT`` paths are
-    taped at once.
+    shards, rolled out and backpropagated on threads (one shard on the
+    calling thread), whose gradients are summed in shard order. The loss and
+    the parameters do not depend on the CPU count, and no more than
+    ``TAPE_BATCH_LIMIT`` paths have their tapes held at once.
 
     Training runs in float32, gradients included (the rollout is the hot
     loop; the objective tolerances sit far above single precision); only the
@@ -360,33 +336,32 @@ def _chunked_backward(
     a: float,
     hidden: int,
 ) -> tuple[float, list[np.ndarray] | None]:
-    """Full-batch entropic loss and gradient of sharded paths, taped on threads.
+    """Full-batch entropic loss and gradient of sharded paths, on threads.
 
     The one gradient of training and of :func:`gradient_check`: returns the
     loss and the gradients in ``PARAM_NAMES`` order, or the loss and None
-    when it is not finite. Every batch of B paths is split into ``ceil(B /
-    min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a batch of at
-    most that many paths is one shard. The tape covers only each shard's
-    rollout by :func:`_rollout`, on its own leaf tensors, which share the
-    parameter arrays, so no two threads write one ``.grad``. Pass one gives
-    every shard's P&L (``accounting.HedgePnL`` in the parameters' dtype);
-    the loss and g = d loss / d pnl come from ``risk._objective_and_grad`` on
-    the concatenated P&L's float64 cast. Pass two maps each shard's g through
-    the P&L's VJP to g_delta = d loss / d delta in the parameters' dtype and
-    seeds the shard's backward at its hedge ratios with it. The shard
-    gradients are summed in shard order: the result equals one full-batch
-    backward up to float summation order and does not depend on the thread
-    count or timing.
+    when it is not finite (NaN when a shard's hedge ratio is not). Every
+    batch of B paths is split into ``ceil(B / min(SHARD_PATHS,
+    TAPE_BATCH_LIMIT))`` contiguous shards; a batch of at most that many
+    paths is one shard. Each shard is rolled out by :func:`_infer`, which
+    only reads the parameters. Pass one gives every shard's P&L
+    (``accounting.HedgePnL`` in the parameters' dtype); the loss and g = d
+    loss / d pnl come from ``risk._objective_and_grad`` on the concatenated
+    P&L's float64 cast. Pass two maps each shard's g through the P&L's VJP
+    to g_delta = d loss / d delta in the parameters' dtype, and
+    ``autodiff.backward`` sweeps the shard's saved state (its tape) back from
+    it. The shard gradients are summed in shard order: the result equals one
+    full-batch backward up to float summation order and does not depend on
+    the thread count or timing.
 
     The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
     shard)`` threads, so one shard runs on the calling thread. When ``B <=
-    TAPE_BATCH_LIMIT`` pass one tapes the shards and the backward reuses
-    those tapes, the memory of one full-batch tape. Otherwise pass one rolls
-    them out with no grad (still through :func:`_rollout`, so both passes
-    count as tape passes) and pass two re-tapes each shard, so at most
-    ``TAPE_BATCH_LIMIT`` paths are taped at once. float32 parameters give
-    float32 gradients; only the loss and g are float64. A hand-written
-    LSTM backward (ROADMAP item 5) can replace the tape in ``tape`` below.
+    TAPE_BATCH_LIMIT`` pass one is the saving forward and the backward reads
+    its tapes, the memory of one full-batch tape. Otherwise pass one rolls
+    the shards out without saving and pass two rolls each out again, saving,
+    so both passes count as tape passes and at most ``TAPE_BATCH_LIMIT``
+    paths have their tapes held at once. float32 parameters give float32
+    gradients; only the loss and g are float64.
 
     A failing shard or a Ctrl-C sets both passes' ``run_threads`` stop
     event: shard rollouts that are running stop at their next step, and
@@ -397,20 +372,24 @@ def _chunked_backward(
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     n_threads = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
-    keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's tapes serve the backward
+    keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's saved state serves the backward
     stop = threading.Event()
+    dtype = params["w_out"].dtype
 
-    def tape(shard, requires_grad=True):
+    def forward(shard, save):
         sub = paths.rows(*shard)
-        leaves = {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
-        delta = _rollout(leaves, sub, strike, hidden, stop=stop)
-        account = HedgePnL(sub.spot.astype(delta.data.dtype), cost.cost_rate, strike)
-        return leaves, delta, account, account.pnl(delta.data)
+        saved = _workspaces(sub, hidden, dtype) if save else None
+        delta = _infer(params, sub, strike, hidden, stop=stop, saved=saved)
+        account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
+        return saved, account, account.pnl(delta)
 
-    passes = run_threads(lambda shard: tape(shard, keep), shards, n_threads, stop=stop)
+    try:
+        passes = run_threads(lambda shard: forward(shard, keep), shards, n_threads, stop=stop)
+    except NumericalDivergenceError:  # a hedge ratio left the reals, and so did the loss
+        return float("nan"), None
     pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
     if not keep:
-        passes = None  # pass two re-tapes every shard
+        passes = None  # pass two rolls every shard out again, saving
     g_pnl = np.empty(n_paths)
     loss = _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl, a=a)
     if not np.isfinite(loss):
@@ -418,9 +397,8 @@ def _chunked_backward(
 
     def shard_grads(k):
         lo, hi = shards[k]
-        leaves, delta, account, _ = passes[k] if keep else tape(shards[k])
-        ad.backward(delta, account.vjp(g_pnl[lo:hi]))
-        return [leaves[name].grad for name in PARAM_NAMES]
+        saved, account, _ = passes[k] if keep else forward(shards[k], True)
+        return ad.backward(params, saved, account.vjp(g_pnl[lo:hi]))
 
     grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
     return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
@@ -430,8 +408,8 @@ def training_loss(
     model: HedgerModel, paths: MarketPaths, cost: CostSpec, strike: float, a: float = 1.0
 ) -> float:
     """Entropic training objective of the model on a fixed batch, rolled out by
-    :func:`_infer` (no tape); on one shard, equal bit for bit to the loss
-    :func:`_chunked_backward` returns."""
+    :func:`_infer` without saving; on one shard, equal bit for bit to the
+    loss :func:`_chunked_backward` returns."""
     delta = _infer(model.params, paths, strike, model.hidden)
     pnl = HedgePnL(paths.spot.astype(delta.dtype), cost.cost_rate, strike).pnl(delta)
     return _objective_and_grad(pnl.astype(np.float64), "entropic", np.empty(pnl.size), a=a)

@@ -2,13 +2,13 @@
 
 Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte. The path shards of a large
-training epoch are taped, and the ensemble members roll out, concurrently on
-at most as many threads as the process has usable CPUs, and the two blend
-objectives (``blend.OBJECTIVES``) are fitted concurrently, one thread each;
-all give results identical to running them one after the other. On a stage
-failure the run directory keeps whatever was already written plus a FAILED
-marker naming the stage. A marker left by an earlier run is removed when a
-run starts.
+training epoch are backpropagated, and the ensemble members roll out,
+concurrently on at most as many threads as the process has usable CPUs,
+and the two blend objectives (``blend.OBJECTIVES``) are fitted
+concurrently, one thread each; all give results identical to running them
+one after the other. On a stage failure the run directory keeps whatever
+was already written plus a FAILED marker naming the stage. A marker left
+by an earlier run is removed when a run starts.
 
 Training saves ``members/member_<i>.npz`` and then, last, the training record
 ``members/training.json`` (the config's ``TRAINING_FIELDS``); it deletes the

@@ -61,9 +61,12 @@ def _objective_and_grad(pnl: np.ndarray, kind: str, g_pnl: np.ndarray, *,
     :func:`cvar`, the mean of the k = ceil(level n) worst paths; tail
     membership is frozen at the current values, so the gradient is -1/k on
     the tail and 0 elsewhere (the empirical expected-shortfall subgradient).
-    Both gradients are <= 0. Products are grouped as the reverse sweep of the
-    expression would group them, which keeps the training gradients that
-    ``tests/test_hedger.py`` pins bit for bit.
+    Both gradients are <= 0. Training maps the gradient through
+    ``accounting.HedgePnL.vjp`` into the LSTM's backward
+    (``autodiff.backward``); the blend fit through its own P&L. Products are
+    grouped as a reverse sweep of the expression groups them, the order in
+    which the training gradients that ``tests/test_hedger.py`` pins were
+    recorded, so those bits hold.
     """
     n = pnl.size
     if kind == "entropic":

@@ -1,143 +1,101 @@
+"""The LSTM cell against the textbook equations, the hand-written reverse
+sweep against finite differences through a two-layer rollout, and Adam."""
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from hedgeblend import autodiff as ad
-from hedgeblend.autodiff import Adam, Tensor
+from hedgeblend import hedger
+from hedgeblend.autodiff import Adam
+from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
+
+STRIKE = 1.0
 
 
-def numerical_grad(fn, arrays, index, h=1e-6):
-    """Central finite differences of scalar fn w.r.t. arrays[index]."""
-    grad = np.zeros_like(arrays[index])
-    flat = arrays[index].reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        up = fn(arrays)
-        flat[i] = original - h
-        down = fn(arrays)
-        flat[i] = original
-        out[i] = (up - down) / (2 * h)
-    return grad
-
-
-def check_op(build, shapes, seed=0, tol=1e-6):
-    """Compare reverse-mode grads of a scalarised op against FD for each input."""
-    gen = np.random.default_rng(seed)
-    arrays = [gen.normal(0.5, 1.0, size=s) for s in shapes]
-    weights = None
-
-    def scalar_fn(arrs):
-        tensors = [Tensor(a) for a in arrs]
-        out = build(*tensors)
-        nonlocal weights
-        if weights is None:
-            weights = gen.normal(size=out.data.shape)
-        return float((out.data * weights).sum())
-
-    value = scalar_fn(arrays)  # fixes the projection weights
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = build(*tensors)
-    ad.backward(out, weights)
-    for i, t in enumerate(tensors):
-        fd = numerical_grad(scalar_fn, arrays, i)
-        assert np.allclose(t.grad, fd, atol=tol), f"input {i}: {t.grad} vs {fd}"
-    return value
-
-
-class TestElementwiseOps:
-    def test_add_with_broadcast(self):
-        check_op(lambda a, b: a + b, [(3, 4), (1, 4)])
-        check_op(lambda a, b: a + b, [(3, 4), ()])
-
-    def test_matmul(self):
-        check_op(lambda a, b: a @ b, [(4, 3), (3, 5)])
-
-
-class TestShapeOps:
-    def test_concat_axis0_and_axis1(self):
-        check_op(lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)])
-        check_op(lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (4, 3)])
-
-    def test_getitem(self):
-        check_op(lambda a: a[:, 1:3], [(3, 5)])
-        check_op(lambda a: a[1], [(3, 5)])
+def saving_rollout(params, n_paths, n_steps, hidden):
+    """Hedge ratios of a saving forward on fresh Heston paths, and its state."""
+    paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=n_steps, maturity=0.5),
+                            n_paths, seed=4)
+    saved = hedger._workspaces(paths, hidden, params["w_out"].dtype)
+    return paths, hedger._infer(params, paths, STRIKE, hidden, saved=saved), saved
 
 
 class TestLstmCell:
-    def test_gradients_match_finite_differences(self):
-        """Two input pieces, so the split input gradient is checked too."""
-        B, inp, H = 5, 3, 4
-
-        def build(x, h_prev, c_prev, w, b):
-            h_new, c_new = ad.lstm_cell([x, h_prev], c_prev, w, b)
-            return ad.concat([h_new, c_new], axis=1)
-
-        check_op(build, [(B, inp), (B, H), (B, H), (inp + H, 4 * H), (4 * H,)], tol=1e-5)
-
     def test_forward_matches_reference_equations(self):
+        """Every buffer the cell writes, in float64 against scipy's expit; then
+        inference's aliasing (c is c_prev, tanh(c) over g) gives the same c and h."""
         gen = np.random.default_rng(1)
         B, inp, H = 4, 3, 5
         xh = gen.normal(size=(B, inp + H))
         c_prev = gen.normal(size=(B, H))
         w = gen.normal(size=(inp + H, 4 * H))
         b = gen.normal(size=4 * H)
-        pieces = [Tensor(xh[:, :inp]), Tensor(xh[:, inp:])]
-        h_new, c_new = ad.lstm_cell(pieces, Tensor(c_prev), Tensor(w), Tensor(b))
-        pre = xh @ w + b
-        i, f, o = expit(pre[:, :H]), expit(pre[:, H : 2 * H]), expit(pre[:, 2 * H : 3 * H])
-        g = np.tanh(pre[:, 3 * H :])
-        c_ref = f * c_prev + i * g
-        assert np.allclose(c_new.data, c_ref, atol=1e-12)
-        assert np.allclose(h_new.data, o * np.tanh(c_ref), atol=1e-12)
+        scales = (0.5, 0.5, 0.5, 1.0)
+        weights = [w[:, k * H : (k + 1) * H] * s for k, s in enumerate(scales)]
+        biases = [b[k * H : (k + 1) * H] * s for k, s in enumerate(scales)]
+        i, f, o, g, tc, c, h = np.empty((7, B, H))
+        ad.lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tc, c, h)
 
-    def test_no_grad_inputs_build_no_graph(self):
-        gen = np.random.default_rng(2)
-        h_new, c_new = ad.lstm_cell(
-            [Tensor(gen.normal(size=(2, 3))), Tensor(gen.normal(size=(2, 4)))],
-            Tensor(gen.normal(size=(2, 4))),
-            Tensor(gen.normal(size=(7, 16))),
-            Tensor(gen.normal(size=16)),
-        )
-        assert not h_new.requires_grad and not c_new.requires_grad
-        assert h_new._parents == ()
+        pre = xh @ w + b
+        i_ref, f_ref, o_ref = (expit(pre[:, k * H : (k + 1) * H]) for k in range(3))
+        g_ref = np.tanh(pre[:, 3 * H :])
+        c_ref = f_ref * c_prev + i_ref * g_ref
+        for got, ref in ((i, i_ref), (f, f_ref), (o, o_ref), (g, g_ref), (c, c_ref),
+                         (tc, np.tanh(c_ref)), (h, o_ref * np.tanh(c_ref))):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+        c_reused, gates, h_reused = c_prev.copy(), np.empty((4, B, H)), np.empty((B, H))
+        ad.lstm_cell(xh, weights, biases, c_reused, *gates, gates[3], c_reused, h_reused)
+        assert c_reused.tobytes() == c.tobytes() and h_reused.tobytes() == h.tobytes()
+
+    def test_gradients_match_finite_differences(self):
+        """backward against central differences of sum(g_delta * delta) in every
+        parameter of a float64 two-layer, 4-unit hedger over 5 steps of 6 paths."""
+        hidden = 4
+        params = hedger.init_model(3, hidden=hidden).params
+        paths, _, saved = saving_rollout(params, 6, 5, hidden)
+        g_delta = np.random.default_rng(2).normal(size=(6, 5))
+        grads = ad.backward(params, saved, g_delta)
+        assert len(grads) == len(hedger.PARAM_NAMES)
+
+        def objective():
+            return float((g_delta * hedger._infer(params, paths, STRIKE, hidden)).sum())
+
+        step = 1e-6
+        for name, grad in zip(hedger.PARAM_NAMES, grads):
+            assert grad.shape == params[name].shape, name
+            theta, fd = params[name].reshape(-1), np.empty(params[name].size)
+            for k in range(theta.size):
+                original = theta[k]
+                theta[k] = original + step
+                up = objective()
+                theta[k] = original - step
+                down = objective()
+                theta[k] = original
+                fd[k] = (up - down) / (2 * step)
+            assert np.allclose(grad.reshape(-1), fd, rtol=1e-6, atol=1e-8), name
 
 
 class TestEngine:
-    def test_multi_consumer_accumulation(self):
-        x = Tensor(np.array([[1.0, 2.0, -1.0]]), requires_grad=True)
-        w = np.arange(9.0).reshape(3, 3)
-        y = x @ Tensor(w) + x
-        ad.backward(y, np.ones((1, 3)))
-        assert np.array_equal(x.grad, w.sum(axis=1)[None, :] + 1.0)
-
-    def test_constant_graph_requires_no_grad(self):
-        a = Tensor(np.ones((2, 2)))
-        out = (a @ a + 1.0) @ a
-        assert not out.requires_grad and out._parents == ()
-
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (3, 2)])
     def test_backward_rejects_a_seed_of_the_wrong_shape(self, shape):
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        y = x @ Tensor(np.ones((2, 3)))
+        """g_delta must have the (paths, steps) shape of the saved rollout's hedge ratios."""
+        params = hedger.init_model(3, hidden=4).params
+        _, delta, saved = saving_rollout(params, 3, 4, 4)
+        assert delta.shape == (3, 4)
         with pytest.raises(ValueError, match="seed gradient of shape"):
-            ad.backward(y, np.ones(shape))
-        assert x.grad is None
+            ad.backward(params, saved, np.ones(shape))
 
     def test_float32_graph_stays_float32(self):
-        x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        y = x @ x + x
-        assert y.data.dtype == np.float32
-        ad.backward(y, np.ones((2, 2), dtype=np.float32))
-        assert x.grad.dtype == np.float32
-
-    def test_integer_input_promoted_to_float64(self):
-        assert Tensor(np.arange(3)).data.dtype == np.float64
-
-    def test_sigmoid_matches_scipy(self):
-        x = np.linspace(-30, 30, 1001)
-        assert np.allclose(ad._sigmoid_inplace(x.copy()), expit(x), atol=1e-12)
+        """float32 parameters: the saving forward keeps float32 state, and
+        backward from a float32 g_delta gives float32 gradients."""
+        model = hedger.init_model(3, hidden=4)
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        _, delta, (inputs, cells) = saving_rollout(params, 3, 4, 4)
+        assert {a.dtype for a in (delta, inputs, *cells)} == {np.dtype(np.float32)}
+        grads = ad.backward(params, (inputs, cells), np.ones((3, 4), dtype=np.float32))
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
 
 
 class TestAdam:

@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -80,6 +81,26 @@ def test_aggregate_keeps_no_per_member_arrays(paths):
     arrays = held_arrays(out).values()
     assert all(a.dtype == np.float64 for a in arrays)
     assert sum(a.size for a in arrays) <= 2 * paths.n_paths * paths.n_steps + paths.n_paths
+
+
+def test_aggregate_peak_stays_under_members_plus_three_schedules(monkeypatch):
+    """tracemalloc peak of aggregate over 5 float32 members on 1,000 x 126
+    paths, one rollout at a time: the (members, paths, steps) array, the mean
+    and the disagreement, under (M + 3)·B·n float64 values. numpy's
+    std(ddof=1) held a second (members, paths, steps) array for the
+    deviations from the mean."""
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 1)
+    members = float32_members(5)
+    paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
+                            1000, seed=22)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ensemble.aggregate(members, paths, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(members) + 3) * paths.n_paths * paths.n_steps * 8
 
 
 def test_path_blocks_depend_only_on_the_path_count():

@@ -1,12 +1,13 @@
-"""The hedger's gradient: pinned values, its checks, its tape memory, its
-sharded epochs on threads, checkpoints; and the tape-free inference kernel
-against the tape.
+"""The hedger's gradient: pinned values, its checks, the memory of its tape
+(the state a saving forward keeps for the hand-written backward), its
+sharded epochs on threads, divergence, checkpoints; and the plain forward
+against the saving one.
 
-Every training gradient is the sharded one: the tape covers each shard's
-LSTM rollout, and the P&L and loss gradients are closed-form. The
-single-tape hashes pin a 300-path batch, which is one shard and so one tape
-on the calling thread; the chunked hashes pin the same batch in five
-shards, whose sums are added in shard order.
+Every training gradient is the sharded one: each shard's LSTM rollout is
+backpropagated by ``autodiff.backward``, and the P&L and loss gradients are
+closed-form. The single-tape hashes pin a 300-path batch, which is one
+shard and so one tape on the calling thread; the chunked hashes pin the
+same batch in five shards, whose sums are added in shard order.
 """
 
 import _thread
@@ -22,11 +23,9 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend import hedger
-from hedgeblend.accounting import CostSpec, HedgePnL
-from hedgeblend.autodiff import Tensor
+from hedgeblend.accounting import CostSpec
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
-from hedgeblend.risk import _objective_and_grad
 
 COST = CostSpec(5e-4)
 STRIKE = 1.0
@@ -42,20 +41,10 @@ def parameters(dtype, seed=7, hidden=hedger.HIDDEN):
     return {k: v.astype(dtype) for k, v in model.params.items()}
 
 
-def leaves(params):
-    return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
-
-
-def rollout_tape(tensors, paths):
-    """One full-batch rollout tape and its seed g_delta, the closed-form
-    gradient of the entropic loss in the hedge ratios: ``ad.backward`` of the
-    pair gives the entropic loss's gradient."""
-    delta = hedger._rollout(tensors, paths, STRIKE, hedger.HIDDEN)
-    account = HedgePnL(paths.spot.astype(delta.data.dtype), COST.cost_rate, STRIKE)
-    pnl = account.pnl(delta.data)
-    g_pnl = np.empty(pnl.size)
-    _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl)
-    return delta, account.vjp(g_pnl)
+def saving_forward(params, paths, hidden=hedger.HIDDEN):
+    """Hedge ratios of a full-batch saving forward, and the state it kept."""
+    saved = hedger._workspaces(paths, hidden, params["w_out"].dtype)
+    return hedger._infer(params, paths, STRIKE, hidden, saved=saved), saved
 
 
 def chunked_grads(params, paths, hidden=hedger.HIDDEN):
@@ -110,54 +99,54 @@ def test_pinned_training_trajectory():
 
 
 def count_rollouts(monkeypatch, hold=0.0):
-    """Wrap hedger._rollout; count no-grad and taped shard rollouts, the
-    threads that make each kind, and the paths whose tapes are live between
-    a taped rollout and its backward on the same thread (the re-roll mode's
-    pass two). ``hold`` sleeps in each taped rollout, so that the threads
+    """Wrap hedger._infer; count plain and saving shard rollouts, the threads
+    that make each kind, and the paths whose saved state is live between a
+    saving rollout and its backward on the same thread (the re-roll mode's
+    pass two). ``hold`` sleeps in each saving rollout, so that the threads
     overlap."""
-    counts = {"no_grad": 0, "taped": 0, "live": 0, "peak": 0,
-              "threads": {"no_grad": set(), "taped": set()}}
+    counts = {"plain": 0, "saving": 0, "live": 0, "peak": 0,
+              "threads": {"plain": set(), "saving": set()}}
     lock, local = threading.Lock(), threading.local()
-    rollout, backward = hedger._rollout, ad.backward
+    infer, backward = hedger._infer, ad.backward
 
-    def counted_rollout(params, paths, strike, hidden, **kwargs):
-        taped = params["w_out"].requires_grad
-        kind = "taped" if taped else "no_grad"
+    def counted_infer(params, paths, strike, hidden, **kwargs):
+        saving = kwargs.get("saved") is not None
+        kind = "saving" if saving else "plain"
         with lock:
             counts[kind] += 1
             counts["threads"][kind].add(threading.get_ident())
-            if taped:
+            if saving:
                 local.paths = paths.n_paths
                 counts["live"] += paths.n_paths
                 counts["peak"] = max(counts["peak"], counts["live"])
-        time.sleep(hold if taped else 0.0)
-        return rollout(params, paths, strike, hidden, **kwargs)
+        time.sleep(hold if saving else 0.0)
+        return infer(params, paths, strike, hidden, **kwargs)
 
-    def counted_backward(root, grad):
-        backward(root, grad)
+    def counted_backward(params, saved, g_delta):
+        grads = backward(params, saved, g_delta)
         with lock:
             counts["live"] -= getattr(local, "paths", 0)
             local.paths = 0
+        return grads
 
-    monkeypatch.setattr(hedger, "_rollout", counted_rollout)
+    monkeypatch.setattr(hedger, "_infer", counted_infer)
     monkeypatch.setattr(ad, "backward", counted_backward)
     return counts
 
 
-@pytest.mark.parametrize("limit, no_grad", [(64, 0), (32, 4)], ids=["kept_tapes", "re_rolled"])
-def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, no_grad):
-    """64 paths x 8 steps in four 16-path shards, float64, relative to each
-    parameter's max|g|. At a 64-path tape limit pass one's tapes are kept;
-    at 32 pass one rolls the shards out with no grad and pass two re-tapes them."""
+@pytest.mark.parametrize("limit, plain", [(64, 0), (32, 4)], ids=["kept_tapes", "re_rolled"])
+def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, plain):
+    """64 paths x 8 steps, float64: the one-shard gradient against four
+    16-path shards, relative to each parameter's max|g|. At a 64-path tape
+    limit pass one's saved state is kept; at 32 pass one rolls the shards out
+    without saving and pass two rolls them out again, saving."""
     paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
-    tensors = leaves(parameters(np.float64))
-    ad.backward(*rollout_tape(tensors, paths))
-    full = [tensors[k].grad for k in hedger.PARAM_NAMES]
+    full = chunked_grads(parameters(np.float64), paths)
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     counts = count_rollouts(monkeypatch)
     sharded = chunked_grads(parameters(np.float64), paths)
-    assert (counts["no_grad"], counts["taped"]) == (no_grad, 4)
+    assert (counts["plain"], counts["saving"]) == (plain, 4)
     for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
         assert g_shard.dtype == np.float64
         assert np.abs(g_shard - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
@@ -179,42 +168,43 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
 
 def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     """16 usable CPUs, 160 paths in ten 16-path shards, a 48-path tape limit:
-    each pass runs on at most 3 threads, so at most 48 paths are taped at once.
-    The passes use separate pools, whose threads need not share idents."""
+    each pass runs on at most 3 threads, so at most 48 paths have saved state
+    at once. The passes use separate pools, whose threads need not share
+    idents."""
     paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
     monkeypatch.setattr(hedger, "usable_cpus", lambda: 16)
     counts = count_rollouts(monkeypatch, hold=0.02)
     chunked_grads(parameters(np.float32), paths)
-    assert (counts["no_grad"], counts["taped"]) == (10, 10)
+    assert (counts["plain"], counts["saving"]) == (10, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 48
-    assert 1 <= len(counts["threads"]["no_grad"]) <= 3
-    assert 1 <= len(counts["threads"]["taped"]) <= 3
+    assert 1 <= len(counts["threads"]["plain"]) <= 3
+    assert 1 <= len(counts["threads"]["saving"]) <= 3
 
 
 def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch):
     """Ctrl-C 0.2 s into the gradient of a 5,000 x 126 float32 epoch (two
-    2,500-path shards taped on two threads, most of a second each) raises
-    within 0.3 s: both shard rollouts stop at their next step, and no shard
-    thread is left alive. Two usable CPUs, so that the shards run on pool
-    threads on any host."""
+    2,500-path shards rolled out, saving, on two threads, most of a second
+    each) raises within 0.3 s: both saving rollouts stop at their next step,
+    and no shard thread is left alive. Two usable CPUs, so that the shards
+    run on pool threads on any host."""
     monkeypatch.setattr(hedger, "usable_cpus", lambda: 2)
     paths = heston_paths(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
     record = []
-    rollout = hedger._rollout
+    infer = hedger._infer
 
     def recorded(*args, **kwargs):
-        entry = [threading.current_thread(), None]
+        entry = [threading.current_thread(), kwargs.get("saved") is not None, None]
         record.append(entry)
         try:
-            return rollout(*args, **kwargs)
+            return infer(*args, **kwargs)
         except BaseException as exc:
-            entry[1] = exc
+            entry[2] = exc
             raise
 
-    monkeypatch.setattr(hedger, "_rollout", recorded)
+    monkeypatch.setattr(hedger, "_infer", recorded)
     timer = threading.Timer(0.2, _thread.interrupt_main)
     started = time.perf_counter()
     timer.start()
@@ -225,7 +215,8 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch):
         timer.join(timeout=5)
     assert time.perf_counter() - started - 0.2 < 0.3
     assert len(record) == 2
-    for thread, exc in record:
+    for thread, saving, exc in record:
+        assert saving
         assert not thread.is_alive()
         assert isinstance(exc, CancelledError)
 
@@ -255,22 +246,51 @@ def test_gradient_check_of_a_diverged_model_raises():
 
 
 def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
-    """Bytes a taped float32 rollout and its seed gradient hold before backward."""
+    """Bytes a saving float32 forward holds when it returns: its hedge ratios
+    and the state the backward reads, 7·H values per path and cell plus the
+    step's inputs."""
     n_paths = 512
     paths = heston_paths(n_paths, seed=3)
-    tensors = leaves(parameters(np.float32))
+    params = parameters(np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        delta, g_delta = rollout_tape(tensors, paths)
+        delta, saved = saving_forward(params, paths)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     cells = GRID.n_steps * hedger.N_LAYERS
     values_per_path_cell = held / (4 * n_paths * cells)
-    assert values_per_path_cell <= 8 * hedger.HIDDEN
-    ad.backward(delta, g_delta)  # the measured tape is a complete, working one
-    assert all(np.isfinite(t.grad).all() for t in tensors.values())
+    assert 7 * hedger.HIDDEN <= values_per_path_cell <= 8 * hedger.HIDDEN
+    grads = ad.backward(params, saved, np.ones_like(delta))  # the state is complete
+    assert all(np.isfinite(g).all() for g in grads)
+
+
+@pytest.mark.parametrize("shard", [hedger.SHARD_PATHS, 16], ids=["one_shard", "four_shards"])
+def test_a_batch_that_leaves_the_reals_names_its_epoch(monkeypatch, shard):
+    """A NaN spot in epoch 2's batch makes a hedge ratio, and so the loss,
+    non-finite: train_hedger raises naming the epoch, whether the shard that
+    meets it runs on the calling thread or on a pool thread, and simulates
+    no later batch."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
+    monkeypatch.setattr(hedger, "usable_cpus", lambda: 2)
+    simulate, batches = hedger.simulate, []
+
+    def poisoned(*args, **kwargs):
+        paths = simulate(*args, **kwargs)
+        batches.append(paths)
+        if len(batches) == 3:
+            spot = paths.spot.copy()
+            spot[37, 5] = np.nan
+            paths = dataclasses.replace(paths, spot=spot)
+        return paths
+
+    monkeypatch.setattr(hedger, "simulate", poisoned)
+    message = "^hedger: training loss diverged at epoch 2$"
+    with pytest.raises(NumericalDivergenceError, match=message):
+        hedger.train_hedger(hedger.TrainConfig(epochs=5, paths_per_epoch=64, seed=5),
+                            CALIBRATIONS["baseline"], GRID, COST, STRIKE)
+    assert len(batches) == 3
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -293,19 +313,15 @@ def model_in(dtype, seed=7):
     return model
 
 
-def taped_no_grad_rollout(model, paths):
-    """What forward_rollout computed before the kernel: the tape's no-grad branch."""
-    frozen = {k: Tensor(v) for k, v in model.params.items()}
-    return hedger._rollout(frozen, paths, STRIKE, model.hidden).data
-
-
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("n_steps", [16, 126])
 @pytest.mark.parametrize("n_paths", [1, 7, 500, 1000])
 def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
+    """The plain forward, which reuses its buffers, gives the saving
+    forward's hedge ratios bit for bit, and so does forward_rollout."""
     paths = heston_paths(n_paths, seed=n_paths, grid=PathGrid(n_steps=n_steps, maturity=0.5))
     model = model_in(np.dtype(dtype))
-    taped = taped_no_grad_rollout(model, paths)
+    taped, _ = saving_forward(model.params, paths)
     delta = hedger._infer(model.params, paths, STRIKE, model.hidden)
     assert delta.dtype == taped.dtype and delta.shape == taped.shape == (n_paths, n_steps)
     assert delta.flags.c_contiguous
@@ -315,7 +331,7 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
 
 
 def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
-    """The tape-free training_loss is the loss of one-shard training."""
+    """training_loss, a plain forward, is the loss of one-shard training."""
     for dtype in (np.float32, np.float64):
         model = model_in(dtype)
         taped, _ = hedger._chunked_backward(model.params, paths_300, COST, STRIKE, 1.0,
