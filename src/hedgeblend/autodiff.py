@@ -4,8 +4,8 @@
 of inference and training. :func:`backward` is backpropagation through time
 by hand: from g_delta, the gradient of the loss in the hedge ratios (closed
 form, by ``accounting.HedgePnL`` and ``risk._objective_and_grad``), it sweeps
-the steps in reverse over the state a saving forward kept and returns the
-parameter gradients. :class:`Adam` updates plain arrays (training's and the
+the steps in reverse over the gates and cell states a saving forward kept,
+recomputing tanh(c) and h from them, and returns the parameter gradients. :class:`Adam` updates plain arrays (training's and the
 blend fit's).
 
 Everything stays in the parameters' dtype: float32 parameters, state and
@@ -31,7 +31,7 @@ def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
 
     ``c`` may be ``c_prev`` and ``tanh_c`` may be ``g``, so inference reuses
     one set of buffers at every step; a saving forward hands step t's slices
-    of its workspaces instead (see ``hedger._infer``).
+    of its workspaces for i, f, o, g and c instead (see ``hedger._infer``).
     """
     for gate, w, b in zip((i, f, o, g), weights, biases):
         np.matmul(xh, w, out=gate)
@@ -52,9 +52,18 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
 
     ``saved`` is what a saving forward of the (B, n_steps) hedge ratios
     delta kept: the (n_steps, B, in) cell inputs of layer 0 (the step's
-    inputs and the previous hedge ratio), and per layer a (7, n_steps, B, H)
-    workspace of the gates i, f, o, g, tanh(c), c and h, in this order.
+    inputs and the previous hedge ratio), and per layer a (5, n_steps, B, H)
+    workspace of the gates i, f, o, g and the cell state c, in this order.
     Per step, delta_t = h_top @ w_out + b_out.
+
+    tanh(c) and h = o tanh(c) are recomputed as the forward computed them
+    (``np.tanh`` of the contiguous c slice, then ``np.multiply(o, tanh_c)``),
+    so they are its values bit for bit. Each is computed once per layer and
+    step: at step t the sweep makes step t-1's, whose h is step t's recurrent
+    input h_prev, and carries them to step t-1, in two (2, B, H) buffers per
+    layer that swap roles every step. So the working memory beyond the
+    saved state and the gradients is a few (B, 4H) and (B, H) arrays,
+    whatever n_steps.
 
     The sweep runs t = n-1 … 0, and within a step from the head down the
     layers. The gradient into c starts at zeros. Per cell, with dh and dc
@@ -73,6 +82,16 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
                          f"shape {inputs.shape[1::-1]}")
     n_paths, n = g_delta.shape
     n_layers, hidden = len(cells), cells[0].shape[-1]
+    # per layer [tanh(c), h] at step t (now) and at step t-1 (then)
+    now = [np.empty((2, n_paths, hidden), dtype=cells[k].dtype) for k in range(n_layers)]
+    then = [np.empty_like(buffer) for buffer in now]
+
+    def recompute(k, t, into):
+        np.tanh(cells[k][4, t], out=into[0])
+        np.multiply(cells[k][2, t], into[0], out=into[1])
+
+    for k in range(n_layers):
+        recompute(k, n - 1, now[k])
     stacked = [np.concatenate([params[f"w_ih_{k}"], params[f"w_hh_{k}"]])
                for k in range(n_layers)]
     w_out = params["w_out"]
@@ -83,15 +102,19 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     totals = None  # per layer d[w_ih; w_hh] and d b, then d w_out and d b_out
 
     for t in range(n - 1, -1, -1):
+        if t:
+            for k in range(n_layers):
+                recompute(k, t - 1, then[k])
         d_head = g_delta[:, t : t + 1]
         d_head = d_head.copy() if d_delta is None else d_head + d_delta
-        parts = [None] * (2 * n_layers) + [cells[-1][6, t].T @ d_head, d_head.sum(axis=0)]
+        parts = [None] * (2 * n_layers) + [now[-1][1].T @ d_head, d_head.sum(axis=0)]
         dh = d_head @ w_out.T
         for k in range(n_layers - 1, -1, -1):
             if d_h[k] is not None:
                 dh = dh + d_h[k]
-            i, f, o, g, tc, _, _ = cells[k][:, t]
-            c_prev, h_prev = (cells[k][5, t - 1], cells[k][6, t - 1]) if t else (zeros, zeros)
+            i, f, o, g, _ = cells[k][:, t]
+            tc = now[k][0]
+            c_prev, h_prev = (cells[k][4, t - 1], then[k][1]) if t else (zeros, zeros)
             dc = d_c[k] + dh * o * (1.0 - tc**2)
             d_pre = np.empty((n_paths, 4 * hidden), dtype=g_delta.dtype)
             d_pre[:, :hidden] = dc * g * (i * (1.0 - i))
@@ -99,7 +122,7 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
             d_pre[:, 2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))
             d_pre[:, 3 * hidden :] = dc * i * (1.0 - g**2)
             d_xh = d_pre @ stacked[k].T
-            below = inputs[t] if k == 0 else cells[k - 1][6, t]
+            below = inputs[t] if k == 0 else now[k - 1][1]
             xh = np.concatenate([below, h_prev], axis=1)
             parts[2 * k : 2 * k + 2] = xh.T @ d_pre, d_pre.sum(axis=0)
             d_c[k] = dc * f
@@ -108,6 +131,7 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
                 dh = d_xh[:, :hidden]
             else:
                 d_delta = d_xh[:, below.shape[1] - 1 : below.shape[1]]
+        now, then = then, now
         if totals is None:
             totals = parts
         else:

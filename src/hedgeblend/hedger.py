@@ -13,8 +13,9 @@ rollout by a hand-written backpropagation through time,
 
 One rollout, :func:`_infer`, serves inference and training. Inference
 (:func:`forward_rollout`, :func:`training_loss`) reuses its buffers at every
-step; training's saving forward keeps each step's state, the tape that the
-backward reads, and gives the same hedge ratios bit for bit.
+step; training's saving forward keeps each step's gates and cell states,
+the tape that the backward reads (it recomputes tanh(c) and h from them),
+and gives the same hedge ratios bit for bit.
 ``ensemble.aggregate`` runs inference on threads, at most one per usable
 CPU, as (member, path-block) jobs whose blocks are cut at multiples of 16
 rows, with results identical to a serial full-batch loop.
@@ -57,9 +58,9 @@ N_LAYERS = 2
 # from pass one for the backward; a larger one rolls its shards out without
 # saving and rolls them out again, saving, for the backward, on at most
 # TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape holds
-# 906 bytes per path per LSTM cell in float32 (7·H values and the step's
-# inputs; tracemalloc, H = 32), 918 at the backward's peak: 0.23 MB per path
-# on the default 126-step grid (two layers), so about 1.4 GB here.
+# 650 bytes per path per LSTM cell in float32 (5·H values and the step's
+# inputs; tracemalloc, H = 32), 666 at the backward's peak: 0.16 MB per path
+# on the default 126-step grid (two layers), so about 1.0 GB here.
 TAPE_BATCH_LIMIT = 6144
 
 # Paths per training shard: every epoch of B paths is split into
@@ -166,9 +167,11 @@ def _infer(
     ``saved``, when given, makes this the saving forward whose state
     ``autodiff.backward`` reads: an (n_steps, B, INPUT_DIM) array that
     receives each step's layer-0 inputs [x | delta_prev], and per layer a
-    (7, n_steps, B, H) workspace whose step-t slices the cell writes its i,
-    f, o, g, tanh(c), c and h into (h is then copied into the operand). The
-    values are those of the plain forward, bit for bit.
+    (5, n_steps, B, H) workspace whose step-t slices the cell writes its i,
+    f, o, g and c into. tanh(c) goes into one scratch buffer reused at every
+    step, and h straight into the operand, as in the plain forward; the
+    backward recomputes both from o and c. The values are those of the plain
+    forward, bit for bit.
 
     The halving of the sigmoid, sigmoid(x) = (tanh(x/2) + 1) / 2, is folded
     into the i, f and o columns of the weights and bias once per call (see
@@ -229,11 +232,11 @@ def _infer(
             if saved is None:
                 ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
                              i, f, o, g, g, c[layer], h[layer])
-            else:
+            else:  # g, unused here, is the scratch that takes tanh(c)
                 state = saved[1][layer]
-                c_prev = state[5, t - 1] if t else c[layer]
-                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c_prev, *state[:, t])
-                h[layer][...] = state[6, t]
+                c_prev = state[4, t - 1] if t else c[layer]
+                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c_prev,
+                             *state[:4, t], g, state[4, t], h[layer])
         np.matmul(h[-1], params["w_out"], out=head)
         head += params["b_out"]
         if not np.isfinite(head).all():
@@ -245,11 +248,12 @@ def _infer(
 
 def _workspaces(paths: MarketPaths, hidden: int, dtype) -> tuple:
     """Empty state for a saving :func:`_infer` of ``paths``: (n_steps, B,
-    INPUT_DIM) inputs, and per layer (7, n_steps, B, H) for i, f, o, g,
-    tanh(c), c and h."""
+    INPUT_DIM) inputs, and per layer (5, n_steps, B, H) for i, f, o, g and
+    c. tanh(c) and h = o tanh(c) are not kept: ``autodiff.backward``
+    recomputes them from o and c, bit for bit."""
     shape = (paths.n_steps, paths.n_paths)
     return (np.empty((*shape, INPUT_DIM), dtype),
-            [np.empty((7, *shape, hidden), dtype) for _ in range(N_LAYERS)])
+            [np.empty((5, *shape, hidden), dtype) for _ in range(N_LAYERS)])
 
 
 def forward_rollout(

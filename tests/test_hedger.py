@@ -245,10 +245,10 @@ def test_gradient_check_of_a_diverged_model_raises():
         hedger.gradient_check(model, paths, COST, STRIKE)
 
 
-def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
+def test_tape_holds_at_most_six_hidden_widths_per_path_and_cell():
     """Bytes a saving float32 forward holds when it returns: its hedge ratios
-    and the state the backward reads, 7·H values per path and cell plus the
-    step's inputs."""
+    and the state the backward reads, 5·H values per path and cell (i, f, o,
+    g and c; the backward recomputes tanh(c) and h) plus the step's inputs."""
     n_paths = 512
     paths = heston_paths(n_paths, seed=3)
     params = parameters(np.float32)
@@ -261,9 +261,34 @@ def test_tape_holds_at_most_eight_hidden_widths_per_path_and_cell():
         tracemalloc.stop()
     cells = GRID.n_steps * hedger.N_LAYERS
     values_per_path_cell = held / (4 * n_paths * cells)
-    assert 7 * hedger.HIDDEN <= values_per_path_cell <= 8 * hedger.HIDDEN
+    assert 5 * hedger.HIDDEN <= values_per_path_cell <= 6 * hedger.HIDDEN
     grads = ad.backward(params, saved, np.ones_like(delta))  # the state is complete
     assert all(np.isfinite(g).all() for g in grads)
+
+
+def test_backward_working_memory_is_bounded_per_path_and_flat_in_the_steps():
+    """tracemalloc peak of autodiff.backward above the saved state, float32,
+    H = 32, 512 paths: its per-step temporaries and the recomputed tanh(c)
+    and h, at most 4.5 kB per path on a 16- and a 64-step grid (3.6 kB
+    measured), and the 64-step peak at most 0.5 kB per path above the
+    16-step one. A weight gradient gathered over all steps at once would hold
+    (n_steps, B, 4H) and fail the second bound."""
+    n_paths = 512
+    params = parameters(np.float32)
+    peaks = []
+    for n_steps in (16, 64):
+        paths = heston_paths(n_paths, seed=3, grid=PathGrid(n_steps=n_steps, maturity=0.5))
+        delta, saved = saving_forward(params, paths)
+        g_delta = np.ones_like(delta)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(params, saved, g_delta)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / n_paths)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4500
+    assert peaks[1] - peaks[0] <= 500
 
 
 @pytest.mark.parametrize("shard", [hedger.SHARD_PATHS, 16], ids=["one_shard", "four_shards"])
@@ -318,10 +343,19 @@ def model_in(dtype, seed=7):
 @pytest.mark.parametrize("n_paths", [1, 7, 500, 1000])
 def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     """The plain forward, which reuses its buffers, gives the saving
-    forward's hedge ratios bit for bit, and so does forward_rollout."""
+    forward's hedge ratios bit for bit, and so does forward_rollout. So does
+    the head on the top layer's h = o tanh(c), recomputed from the saved
+    state as autodiff.backward recomputes it."""
     paths = heston_paths(n_paths, seed=n_paths, grid=PathGrid(n_steps=n_steps, maturity=0.5))
     model = model_in(np.dtype(dtype))
-    taped, _ = saving_forward(model.params, paths)
+    taped, (_, cells) = saving_forward(model.params, paths)
+    recomputed = np.empty_like(taped)
+    for t in range(n_steps):
+        h_top = np.multiply(cells[-1][2, t], np.tanh(cells[-1][4, t]))
+        head = h_top @ model.params["w_out"]
+        head += model.params["b_out"]
+        recomputed[:, t] = head[:, 0]
+    assert recomputed.tobytes() == taped.tobytes()
     delta = hedger._infer(model.params, paths, STRIKE, model.hidden)
     assert delta.dtype == taped.dtype and delta.shape == taped.shape == (n_paths, n_steps)
     assert delta.flags.c_contiguous
