@@ -17,7 +17,6 @@ from .accounting import (
     decompose_pnl,
 )
 from .blend import (
-    BlendObjective,
     BlendParams,
     alpha_weight,
     blend_schedules,

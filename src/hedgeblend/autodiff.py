@@ -3,10 +3,10 @@
 :func:`lstm_cell` is the one cell step of ``hedger._infer``, the one rollout
 of inference and training. :func:`backward` is backpropagation through time
 by hand: from g_delta, the gradient of the loss in the hedge ratios (closed
-form, by ``accounting.HedgePnL`` and ``risk._objective_and_grad``), it sweeps
+form, by ``accounting.HedgePnL`` and ``risk.entropic_risk``), it sweeps
 the steps in reverse over the gates and cell states a saving forward kept,
-recomputing tanh(c) and h from them, and returns the parameter gradients. :class:`Adam` updates plain arrays (training's and the
-blend fit's).
+recomputing tanh(c) and h from them, and returns the parameter gradients.
+:class:`Adam` updates plain arrays (training's and the blend fit's).
 
 Everything stays in the parameters' dtype: float32 parameters, state and
 g_delta give float32 gradients.

@@ -5,11 +5,12 @@ alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
 terms]). Coefficients are fitted by full-batch Adam (``autodiff.Adam``, which
 updates plain arrays) on precomputed hedges: only the blend weights move,
 never the underlying strategies. The fit's gradient is closed-form; no LSTM
-is rolled out or backpropagated. The objective gradient (entropic softmax weights or the CVaR tail
-subgradient) is ``risk._objective_and_grad``, which training shares; the P&L
-is differentiated in the blend coefficients directly, by the fit's own
-kernel (:class:`_BlendProblem`), which computes once what stays fixed during
-the fit. Its P&L equals ``accounting.compute_pnl``'s, and the objectives it
+is rolled out or backpropagated. The objective and its gradient in the P&L
+(entropic softmax weights or the CVaR tail subgradient) come from
+``risk.RiskSpec.loss``, whose entropic case is training's loss; the P&L is
+differentiated in the blend coefficients directly, by the fit's own kernel
+(:class:`_BlendProblem`), which computes once what stays fixed during the
+fit. Its P&L equals ``accounting.compute_pnl``'s, and the objectives it
 reports equal ``risk.entropic_risk`` and ``-risk.cvar`` of that P&L, within
 1e-12 relative.
 """
@@ -31,7 +32,7 @@ from .autodiff import Adam
 from .ensemble import EnsembleOutput
 from .errors import DimensionError, NumericalDivergenceError, ParameterError
 from .market import MarketPaths
-from .risk import _objective_and_grad
+from .risk import RiskSpec
 
 FIT_ITERATIONS = 2000
 FIT_STEP_SIZE = 0.01
@@ -54,23 +55,6 @@ class BlendParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class BlendObjective:
-    """Fit criterion: entropic risk (a=1) or CVaR at the 5% tail."""
-
-    kind: str  # "entropic" | "cvar"
-    a: float = 1.0
-    level: float = 0.05
-
-    def __post_init__(self):
-        if self.kind not in OBJECTIVES:
-            raise ParameterError(f"unknown blend objective {self.kind!r}")
-        if self.kind == "entropic" and self.a <= 0:
-            raise ParameterError("entropic objective requires a > 0")
-        if self.kind == "cvar" and not 0.0 < self.level < 1.0:
-            raise ParameterError("cvar level must lie in (0, 1)")
 
 
 def blend_features(paths: MarketPaths, strike: float) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +114,7 @@ class BlendFit:
     """Fitted coefficients plus optimisation diagnostics."""
 
     params: BlendParams
-    objective: BlendObjective
+    objective: RiskSpec
     trajectory: list[float]
     extended: bool
     seed: int
@@ -248,7 +232,7 @@ def fit_blend(
     bs: HedgeSchedule,
     cost: CostSpec,
     strike: float,
-    objective: BlendObjective,
+    objective: RiskSpec,
     extended: bool = False,
     seed: int = 0,
     iterations: int = FIT_ITERATIONS,
@@ -261,7 +245,7 @@ def fit_blend(
     All hedge ratios and disagreement values are held fixed; each iteration
     evaluates the blended P&L and the objective at the current coefficients,
     then steps them along the closed-form gradient: G = d obj / d pnl from
-    ``risk._objective_and_grad`` (the CVaR tail subgradient included), then
+    ``objective.loss`` (the CVaR tail subgradient included), then
     d obj / d coefficient from :class:`_BlendProblem`, which differentiates
     the P&L in the coefficients directly and only on the paths where G is
     nonzero. The objective it reports at given coefficients equals
@@ -270,8 +254,11 @@ def fit_blend(
     agree to rounding, not bit for bit.
     The fit itself is deterministic (coefficients start at the uninformative
     50/50 blend); ``seed`` is recorded for provenance only. When ``stop`` is
-    set, checked once per iteration, the fit raises ``CancelledError``.
+    set, checked once per iteration, the fit raises ``CancelledError``. An
+    ``objective`` whose kind is not one of ``OBJECTIVES`` is a ParameterError.
     """
+    if objective.kind not in OBJECTIVES:
+        raise ParameterError(f"unknown blend objective {objective.kind!r}")
     shape = (train_paths.n_paths, train_paths.n_steps)
     if shape[0] == 0:
         raise DimensionError("fit_blend needs at least one training path")
@@ -293,8 +280,7 @@ def fit_blend(
         if stop is not None and stop.is_set():
             raise CancelledError(f"blend fit stopped at iteration {iteration}")
         pnl = problem.pnl(coefs)
-        value = _objective_and_grad(pnl, objective.kind, g_pnl, a=objective.a,
-                                    level=objective.level)
+        value = objective.loss(pnl, g_pnl)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)

@@ -47,8 +47,8 @@ class RunConfig:
     the blend objectives ``blend.OBJECTIVES`` (entropic and CVaR, both always
     fitted), the baselines' fixed volatility sqrt(theta) of the calibration
     (:meth:`fixed_vol_value`), ``pipeline.GBM_VOL``, the heatmap's
-    ``pipeline.HEATMAP_BINS`` and training's Adam step ``hedger.STEP_SIZE``
-    with betas (0.9, 0.999).
+    ``pipeline.HEATMAP_BINS``, figure 1's ``pipeline.WINRATE_WINDOW`` and
+    training's Adam step ``hedger.STEP_SIZE`` with betas (0.9, 0.999).
     """
 
     calibration: str | dict = "baseline"
@@ -64,7 +64,6 @@ class RunConfig:
     cvar_level: float = 0.05
     bootstrap_resamples: int = 5000
     mean_bootstrap_resamples: int = 10000
-    winrate_window: int = 500
 
     def __post_init__(self):
         if self.ensemble_size < 2:
@@ -88,8 +87,6 @@ class RunConfig:
             raise ParameterError(f"cvar_level must lie in (0, 1), got {self.cvar_level}")
         if self.strike <= 0:
             raise ParameterError(f"strike must be positive, got {self.strike}")
-        if self.winrate_window < 1:
-            raise ParameterError(f"winrate_window must be >= 1, got {self.winrate_window}")
         for name in ("bootstrap_resamples", "mean_bootstrap_resamples"):
             if getattr(self, name) < MIN_BOOTSTRAP_RESAMPLES:
                 raise ParameterError(f"{name} must be >= {MIN_BOOTSTRAP_RESAMPLES}")

@@ -7,7 +7,7 @@ carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included. The P&L and the loss are
 differentiated in closed form: the P&L by ``accounting.HedgePnL`` (whose
 forward is also the reports' ``compute_pnl``), the loss by
-``risk._objective_and_grad`` (shared with the blend fit), and the LSTM
+``risk.entropic_risk`` (the blend fit's entropic objective too), and the LSTM
 rollout by a hand-written backpropagation through time,
 ``autodiff.backward``, inside :func:`_chunked_backward`.
 
@@ -45,7 +45,7 @@ from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths, PathGrid, simulate
-from .risk import _objective_and_grad, entropic_risk
+from .risk import entropic_risk
 from .threads import run_threads, usable_cpus
 
 INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
@@ -118,25 +118,30 @@ class HedgerModel:
         )
 
 
-def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
-    """Uniform(-k, k) blocks with k = 1/sqrt(fan_in); forget-gate bias 1."""
-    gen = rng.generator(rng.derive_seed(seed, rng.TAG_INIT))
-
-    def block(fan_in: int, shape) -> np.ndarray:
-        k = 1.0 / np.sqrt(fan_in)
-        return gen.uniform(-k, k, size=shape)
-
-    params: dict[str, np.ndarray] = {}
-    in_dim = INPUT_DIM
+def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple]:
+    """The shape of each parameter array, in ``PARAM_NAMES`` order."""
+    shapes, in_dim = {}, input_dim
     for layer in range(N_LAYERS):
-        params[f"w_ih_{layer}"] = block(in_dim, (in_dim, 4 * hidden))
-        params[f"w_hh_{layer}"] = block(hidden, (hidden, 4 * hidden))
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0
-        params[f"b_{layer}"] = bias
+        shapes[f"w_ih_{layer}"] = (in_dim, 4 * hidden)
+        shapes[f"w_hh_{layer}"] = (hidden, 4 * hidden)
+        shapes[f"b_{layer}"] = (4 * hidden,)
         in_dim = hidden
-    params["w_out"] = block(hidden, (hidden, 1))
-    params["b_out"] = np.zeros(1)
+    return {**shapes, "w_out": (hidden, 1), "b_out": (1,)}
+
+
+def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
+    """Uniform(-k, k) weights with k = 1/sqrt(fan_in), drawn in ``PARAM_NAMES``
+    order; zero biases but the LSTM forget gates', which are 1."""
+    gen = rng.generator(rng.derive_seed(seed, rng.TAG_INIT))
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(INPUT_DIM, hidden).items():
+        if name.startswith("w_"):
+            k = 1.0 / np.sqrt(shape[0])  # the fan-in
+            params[name] = gen.uniform(-k, k, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+            if name != "b_out":
+                params[name][hidden : 2 * hidden] = 1.0
     return HedgerModel(params=params, hidden=hidden, seed=seed)
 
 
@@ -350,7 +355,7 @@ def _chunked_backward(
     paths is one shard. Each shard is rolled out by :func:`_infer`, which
     only reads the parameters. Pass one gives every shard's P&L
     (``accounting.HedgePnL`` in the parameters' dtype); the loss and g = d
-    loss / d pnl come from ``risk._objective_and_grad`` on the concatenated
+    loss / d pnl come from ``risk.entropic_risk`` on the concatenated
     P&L's float64 cast. Pass two maps each shard's g through the P&L's VJP
     to g_delta = d loss / d delta in the parameters' dtype, and
     ``autodiff.backward`` sweeps the shard's saved state (its tape) back from
@@ -395,7 +400,7 @@ def _chunked_backward(
     if not keep:
         passes = None  # pass two rolls every shard out again, saving
     g_pnl = np.empty(n_paths)
-    loss = _objective_and_grad(pnl.astype(np.float64), "entropic", g_pnl, a=a)
+    loss = entropic_risk(pnl.astype(np.float64), a, grad=g_pnl)
     if not np.isfinite(loss):
         return loss, None
 
@@ -416,7 +421,7 @@ def training_loss(
     loss :func:`_chunked_backward` returns."""
     delta = _infer(model.params, paths, strike, model.hidden)
     pnl = HedgePnL(paths.spot.astype(delta.dtype), cost.cost_rate, strike).pnl(delta)
-    return _objective_and_grad(pnl.astype(np.float64), "entropic", np.empty(pnl.size), a=a)
+    return entropic_risk(pnl.astype(np.float64), a)
 
 
 def gradient_check(
@@ -501,21 +506,29 @@ def save_model(model: HedgerModel, filename: str) -> None:
 
 def load_model(filename: str) -> HedgerModel:
     """Read a :func:`save_model` checkpoint; ParameterError names a file that
-    is not a readable archive or lacks the metadata or a parameter array."""
+    is not a readable archive, lacks the metadata or a parameter array, or
+    whose arrays do not have the :func:`_param_shapes` of its metadata."""
     try:
         with np.load(filename) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             params = {name: data[name].copy() for name in PARAM_NAMES}
-        if meta.get("format") == "hedgeblend-checkpoint-v1":
-            return HedgerModel(
-                params=params,
-                hidden=int(meta["hidden"]),
-                n_layers=int(meta["n_layers"]),
-                seed=int(meta["seed"]),
-                loss_history=[float(x) for x in meta["loss_history"]],
-            )
+        if meta.get("format") != "hedgeblend-checkpoint-v1" or meta["input_dim"] != INPUT_DIM:
+            raise ValueError(f"format {meta.get('format')!r}, input_dim {meta.get('input_dim')}")
+        model = HedgerModel(
+            params=params,
+            hidden=int(meta["hidden"]),
+            n_layers=int(meta["n_layers"]),
+            seed=int(meta["seed"]),
+            loss_history=[float(x) for x in meta["loss_history"]],
+        )
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
             AttributeError) as exc:
         # ValueError: numpy refuses to unpickle a non-archive; bad JSON or numbers.
         raise ParameterError(f"{filename} is not a hedger checkpoint: {exc!r}") from exc
-    raise ParameterError(f"{filename} is not a hedger checkpoint")
+    expected = _param_shapes(INPUT_DIM, model.hidden)
+    wrong = [f"{name} {params[name].shape}, not {expected[name]}" for name in PARAM_NAMES
+             if params[name].shape != expected[name]]
+    if wrong:
+        raise ParameterError(f"{filename} does not hold a hedger of its metadata's hidden "
+                             f"{model.hidden}: {'; '.join(wrong)}")
+    return model

@@ -33,7 +33,6 @@ from .accounting import CostSpec, HedgeSchedule, PnLReport, compute_pnl, write_p
 from .blend import (
     OBJECTIVES,
     BlendFit,
-    BlendObjective,
     BlendParams,
     alpha_weight,
     blend_features,
@@ -66,6 +65,8 @@ from .threads import run_threads
 GBM_VOL = 0.2
 # Figure 2's heatmap grid: (moneyness bins, time bins).
 HEATMAP_BINS = (12, 8)
+# Paths per window of figure 1's rolling win rate, at most eval_paths.
+WINRATE_WINDOW = 500
 
 
 class _Stage:
@@ -266,7 +267,7 @@ def fit_blends(
     stop = threading.Event()
 
     def fit(kind: str) -> BlendFit:
-        objective = BlendObjective(kind=kind, a=config.train.risk_aversion, level=config.cvar_level)
+        objective = RiskSpec(kind, a=config.train.risk_aversion, level=config.cvar_level)
         return fit_blend(
             sub_paths, sub_ens, sub_bs, config.cost(), config.strike,
             objective, extended=config.extended_blend, seed=config.train.seed, stop=stop,
@@ -374,7 +375,7 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             reports_all["ensemble_mean"].pnl,
             reports_all["bs_delta_fixed"].pnl,
             ens.avg_disagreement,
-            min(config.winrate_window, config.eval_paths),
+            min(WINRATE_WINDOW, config.eval_paths),
         )
         ev.write_winrate_curve_csv(os.path.join(out_dir, "fig1_winrate.csv"), curve)
 

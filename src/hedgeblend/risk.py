@@ -20,26 +20,40 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def entropic_risk(pnl, a: float):
+def entropic_risk(pnl, a: float, grad=None):
     """(1/a) * log E[exp(-a * pnl)] over the last axis, with a max shift.
 
     The shift makes the objective evaluable on tail-heavy batches where
     exp(-a*pnl) would overflow. A 1-D input gives a float, a 2-D input one
-    value per row.
+    value per row. ``grad``, for a 1-D input only, receives d risk / d pnl:
+    minus the softmax weights of -a pnl, grouped as training's pinned
+    gradients (``tests/test_hedger.py``) were recorded.
     """
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
         raise EmptyInputError("entropic_risk of an empty vector")
     if a <= 0:
         raise ParameterError("risk aversion a must be positive")
-    x = -a * pnl
+    n = pnl.shape[-1]
+    x = pnl * (-a)
     m = x.max(axis=-1, keepdims=True)
-    return _scalar((m[..., 0] + np.log(np.mean(np.exp(x - m), axis=-1))) / a)
+    e = np.exp(x - m)
+    mean = e.sum(axis=-1) * (1.0 / n)
+    if grad is not None:
+        np.multiply(e, (1.0 / a) / mean * (1.0 / n), out=grad)
+        grad *= -a
+    return _scalar((np.log(mean) + m[..., 0]) * (1.0 / a))
 
 
-def cvar(pnl, level: float):
+def cvar(pnl, level: float, grad=None):
     """Mean of the k = ceil(level * n) smallest P&L values over the last axis
-    (no interpolation); a float for 1-D input, one value per row for 2-D."""
+    (no interpolation); a float for 1-D input, one value per row for 2-D.
+
+    ``grad``, for a 1-D input only, receives d cvar / d pnl with tail
+    membership frozen at the current values: 1/k on the k worst paths (every
+    path when k = n) and 0 elsewhere, the empirical expected-shortfall
+    subgradient.
+    """
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
         raise EmptyInputError("cvar of an empty vector")
@@ -47,41 +61,12 @@ def cvar(pnl, level: float):
         raise ParameterError(f"level must lie in (0, 1], got {level}")
     n = pnl.shape[-1]
     k = math.ceil(level * n)
+    if grad is not None:
+        grad.fill(0.0)
+        grad[np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)] = 1.0 / k
     if k >= n:
         return _scalar(pnl.mean(axis=-1))
     return _scalar(np.partition(pnl, k - 1, axis=-1)[..., :k].mean(axis=-1))
-
-
-def _objective_and_grad(pnl: np.ndarray, kind: str, g_pnl: np.ndarray, *,
-                        a: float = 1.0, level: float = 0.05) -> float:
-    """The loss to minimise over a P&L vector; writes d loss / d pnl into ``g_pnl``.
-
-    ``kind`` "entropic": :func:`entropic_risk`, shifted by its max, whose
-    gradient is minus the softmax weights of -a pnl. "cvar": minus
-    :func:`cvar`, the mean of the k = ceil(level n) worst paths; tail
-    membership is frozen at the current values, so the gradient is -1/k on
-    the tail and 0 elsewhere (the empirical expected-shortfall subgradient).
-    Both gradients are <= 0. Training maps the gradient through
-    ``accounting.HedgePnL.vjp`` into the LSTM's backward
-    (``autodiff.backward``); the blend fit through its own P&L. Products are
-    grouped as a reverse sweep of the expression groups them, the order in
-    which the training gradients that ``tests/test_hedger.py`` pins were
-    recorded, so those bits hold.
-    """
-    n = pnl.size
-    if kind == "entropic":
-        x = pnl * (-a)
-        m = float(x.max())
-        e = np.exp(x - m)
-        mean = e.sum() * (1.0 / n)
-        np.multiply(e, (1.0 / a) / mean * (1.0 / n), out=g_pnl)
-        g_pnl *= -a
-        return float((np.log(mean) + m) * (1.0 / a))
-    k = math.ceil(level * n)
-    tail = np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)
-    g_pnl.fill(0.0)
-    g_pnl[tail] = -(1.0 / k)
-    return float(-(pnl[tail].sum() * (1.0 / k)))
 
 
 def summary(pnl) -> tuple[float, float]:
@@ -96,32 +81,44 @@ def summary(pnl) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RiskSpec:
-    """A named risk metric with its parameters, usable as a bootstrap statistic."""
+    """A named risk metric with its parameters: a bootstrap statistic and, for
+    entropic risk and CVaR, a blend-fit objective (:meth:`loss`)."""
 
-    measure: str  # "entropic" | "cvar" | "mean" | "std"
+    kind: str  # "entropic" | "cvar" | "mean" | "std"
     a: float = 1.0
     level: float = 0.05
 
     def __post_init__(self):
-        if self.measure not in ("entropic", "cvar", "mean", "std"):
-            raise ParameterError(f"unknown risk measure {self.measure!r}")
-        if self.measure == "entropic" and self.a <= 0:
+        if self.kind not in ("entropic", "cvar", "mean", "std"):
+            raise ParameterError(f"unknown risk measure {self.kind!r}")
+        if self.kind == "entropic" and self.a <= 0:
             raise ParameterError("entropic risk requires a > 0")
-        if self.measure == "cvar" and not 0.0 < self.level <= 1.0:
+        if self.kind == "cvar" and not 0.0 < self.level <= 1.0:
             raise ParameterError("cvar level must lie in (0, 1]")
 
     @property
     def higher_is_better(self) -> bool:
-        return self.measure in ("cvar", "mean")
+        return self.kind in ("cvar", "mean")
+
+    def loss(self, pnl, grad) -> float:
+        """The value to minimise over a 1-D P&L; writes its gradient into
+        ``grad``: entropic risk, or minus CVaR with -1/k on the tail."""
+        if self.kind == "entropic":
+            return entropic_risk(pnl, self.a, grad)
+        if self.kind != "cvar":
+            raise ParameterError(f"{self.kind!r} is not an objective")
+        value = -cvar(pnl, self.level, grad)
+        np.negative(grad, out=grad)
+        return value
 
     def evaluate(self, pnl):
         """The metric over the last axis: a float for 1-D, one per row for 2-D."""
-        if self.measure == "entropic":
+        if self.kind == "entropic":
             return entropic_risk(pnl, self.a)
-        if self.measure == "cvar":
+        if self.kind == "cvar":
             return cvar(pnl, self.level)
         pnl = np.asarray(pnl, dtype=float)
-        if self.measure == "mean":
+        if self.kind == "mean":
             return _scalar(pnl.mean(axis=-1))
         if pnl.shape[-1] < 2:
             raise InsufficientDataError("std requires at least 2 observations")

@@ -161,6 +161,58 @@ class TestOneAccounting:
             assert np.array_equal(getattr(taken, f.name), getattr(direct, f.name)), f.name
 
 
+class TestHedgePnL:
+    """HedgePnL's forward and its VJP, which training maps d loss / d pnl through."""
+
+    @pytest.fixture
+    def random_case(self, rng_np):
+        n_paths, n_steps = 40, 12
+        spot = np.exp(rng_np.normal(0, 0.05, size=(n_paths, n_steps + 1)).cumsum(axis=1))
+        delta = rng_np.normal(0.3, 0.4, size=(n_paths, n_steps))
+        return spot, delta
+
+    @staticmethod
+    def numpy_pnl(spot, delta):
+        paths = make_paths(spot, maturity=0.5)
+        return compute_pnl(paths, HedgeSchedule(delta), CostSpec(5e-4), strike=1.0).pnl
+
+    def test_matches_compute_pnl(self, random_case):
+        spot, delta = random_case
+        account = HedgePnL(spot, 5e-4, 1.0)
+        assert np.allclose(account.pnl(delta), self.numpy_pnl(spot, delta), rtol=0, atol=1e-12)
+        flat = np.zeros_like(delta)  # unchanged positions: zero costs between entry and unwind
+        assert np.allclose(account.pnl(flat), self.numpy_pnl(spot, flat), rtol=0, atol=1e-12)
+
+    def test_vjp_matches_central_differences(self, random_case):
+        """The VJP of a fixed linear functional u . pnl, u of either sign,
+        against central differences of compute_pnl."""
+        spot, delta = random_case
+        h = 1e-6
+        u = np.random.default_rng(1).normal(size=delta.shape[0])
+        account = HedgePnL(spot, 5e-4, 1.0)
+        account.pnl(delta)
+        grad = account.vjp(u)
+        flat = delta.reshape(-1)
+        gen = np.random.default_rng(0)
+        for idx in gen.choice(flat.size, size=25, replace=False):
+            original = flat[idx]
+            flat[idx] = original + h
+            up = u @ self.numpy_pnl(spot, delta)
+            flat[idx] = original - h
+            down = u @ self.numpy_pnl(spot, delta)
+            flat[idx] = original
+            fd = (up - down) / (2 * h)
+            got = grad.reshape(-1)[idx]
+            assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got), 1e-3)
+
+    def test_float32_spot_keeps_float32(self, random_case):
+        spot, delta = random_case
+        account = HedgePnL(spot.astype(np.float32), 5e-4, 1.0)
+        pnl = account.pnl(delta.astype(np.float32))
+        assert pnl.dtype == np.float32
+        assert account.vjp(np.ones(pnl.size)).dtype == np.float32
+
+
 class TestTrades:
     def test_trades_include_entry_and_unwind(self):
         """Entry 0.5 at S=1.0, rebalance 0.2 at S=1.1, unwind 0.7 at S=1.2."""

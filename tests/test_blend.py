@@ -18,16 +18,15 @@ import pytest
 from hedgeblend import autodiff as ad
 from hedgeblend.accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from hedgeblend.blend import (
-    BlendObjective,
     BlendParams,
     blend_features,
     blend_schedules,
     fit_blend,
 )
 from hedgeblend.ensemble import EnsembleOutput
-from hedgeblend.errors import DimensionError, NumericalDivergenceError
+from hedgeblend.errors import DimensionError, NumericalDivergenceError, ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
-from hedgeblend.risk import _objective_and_grad, cvar, entropic_risk
+from hedgeblend.risk import RiskSpec, cvar, entropic_risk
 
 COST = CostSpec(5e-3)
 STRIKE = 1.0
@@ -53,7 +52,7 @@ def problem():
 
 def run_fit(problem, kind, extended, iterations=50, a=1.0):
     paths, ens, bs = problem
-    return fit_blend(paths, ens, bs, COST, STRIKE, BlendObjective(kind, a=a),
+    return fit_blend(paths, ens, bs, COST, STRIKE, RiskSpec(kind, a=a),
                      extended=extended, iterations=iterations, step_size=0.05)
 
 
@@ -152,7 +151,7 @@ def assert_gradients_match_central_differences(problem, objective, extended, mon
 @pytest.mark.parametrize("kind", ["entropic", "cvar"])
 @pytest.mark.parametrize("extended", [False, True])
 def test_gradient_matches_central_differences(problem, kind, extended, monkeypatch):
-    assert_gradients_match_central_differences(problem, BlendObjective(kind), extended,
+    assert_gradients_match_central_differences(problem, RiskSpec(kind), extended,
                                                monkeypatch)
 
 
@@ -161,7 +160,7 @@ def test_entropic_gradient_skips_paths_whose_weight_underflows(problem, extended
                                                                monkeypatch):
     """At a = 1e4 most softmax weights exp(-a (pnl - min pnl)) are exactly 0,
     so the backward runs on a few rows only; the gradient must not change."""
-    objective = BlendObjective("entropic", a=1e4)
+    objective = RiskSpec("entropic", a=1e4)
     checked = assert_gradients_match_central_differences(problem, objective, extended,
                                                          monkeypatch)
     for pnl in checked:
@@ -184,14 +183,14 @@ def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monk
     psi = ens.disagreement
     kinked = (paths, EnsembleOutput(HedgeSchedule(e), psi, psi.mean(axis=1)),
               HedgeSchedule(b))
-    (coefs, grad), = gradients_during_fit(kinked, BlendObjective(kind), False, monkeypatch,
+    (coefs, grad), = gradients_during_fit(kinked, RiskSpec(kind), False, monkeypatch,
                                           iterations=1)
     assert coefs == [0.0, 0.0]
     account = HedgePnL(paths.spot, COST.cost_rate, STRIKE)
     pnl = account.pnl((e + b) * 0.5)
     assert (account.changes[:, 3] == 0.0).all()
     g_pnl = np.empty_like(pnl)
-    _objective_and_grad(pnl, kind, g_pnl)
+    RiskSpec(kind).loss(pnl, g_pnl)
     g_z = account.vjp(g_pnl) * (b - e) * 0.25
     assert grad == pytest.approx([g_z.sum(), (g_z * psi).sum()], rel=1e-12, abs=0.0)
 
@@ -203,7 +202,7 @@ def test_reported_objective_equals_the_oracle(request, size, kind, extended):
     k steps, which must equal entropic_risk or -cvar of compute_pnl of the
     blended schedule: the fit's P&L is the reports' P&L."""
     problem = request.getfixturevalue(size)
-    objective = BlendObjective(kind)
+    objective = RiskSpec(kind)
     for k in (0, 1, 7, 30):
         params = run_fit(problem, kind, extended, iterations=k).params
         coefs = [c for c in params.to_dict().values() if c is not None]
@@ -227,9 +226,9 @@ def test_mismatched_shapes_raise(problem):
     paths, ens, bs = problem
     short = HedgeSchedule(bs.delta[:-1])
     with pytest.raises(DimensionError):
-        fit_blend(paths, ens, short, COST, STRIKE, BlendObjective("cvar"), iterations=1)
+        fit_blend(paths, ens, short, COST, STRIKE, RiskSpec("cvar"), iterations=1)
     with pytest.raises(DimensionError):
-        fit_blend(paths, ens.take(np.arange(10)), bs, COST, STRIKE, BlendObjective("cvar"),
+        fit_blend(paths, ens.take(np.arange(10)), bs, COST, STRIKE, RiskSpec("cvar"),
                   iterations=1)
 
 
@@ -238,7 +237,7 @@ def test_no_training_paths_raise(problem):
     none = np.arange(0)
     with pytest.raises(DimensionError, match="at least one training path"):
         fit_blend(paths.take(none), ens.take(none), bs.take(none), COST, STRIKE,
-                  BlendObjective("cvar"), iterations=1)
+                  RiskSpec("cvar"), iterations=1)
 
 
 def test_non_finite_objective_raises(problem):
@@ -247,4 +246,11 @@ def test_non_finite_objective_raises(problem):
     psi[3, 2] = np.nan
     broken = EnsembleOutput(ens.mean_hedge, psi, psi.mean(axis=1))
     with pytest.raises(NumericalDivergenceError, match="iteration 0"):
-        fit_blend(paths, broken, bs, COST, STRIKE, BlendObjective("entropic"), iterations=5)
+        fit_blend(paths, broken, bs, COST, STRIKE, RiskSpec("entropic"), iterations=5)
+
+
+@pytest.mark.parametrize("kind", ["mean", "std"])
+def test_a_risk_measure_that_is_not_an_objective_raises(problem, kind):
+    paths, ens, bs = problem
+    with pytest.raises(ParameterError, match=f"unknown blend objective '{kind}'"):
+        fit_blend(paths, ens, bs, COST, STRIKE, RiskSpec(kind), iterations=1)

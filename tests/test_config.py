@@ -77,9 +77,10 @@ class TestUnknownKeys:
         ({"heatmap_time_bins": 8}, "heatmap_time_bins"),
         ({"train": {"step_size": 1e-3}}, "step_size"),
         ({"train": {"adam_betas": [0.9, 0.999]}}, "adam_betas"),
+        ({"winrate_window": 500}, "winrate_window"),
     ], ids=["top", "train", "grid", "calibration", "workers", "zero-workers", "negative-workers",
             "objectives", "fixed-vol", "gbm-vol", "heatmap-moneyness-bins", "heatmap-time-bins",
-            "train-step-size", "train-adam-betas"])
+            "train-step-size", "train-adam-betas", "winrate-window"])
     def test_unknown_key_is_a_parameter_error(self, record, key):
         with pytest.raises(ParameterError, match=f"unknown .*keys: \\['{key}'\\]"):
             RunConfig.from_dict(record)
@@ -113,12 +114,11 @@ INVALID_FIELDS = [
     {"strike": -1.0},
     {"strike": 0.0},
     {"cost_rate": -0.001},
-    {"winrate_window": 0},
 ]
 INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "negative-eval-seed",
                "no-test-paths", "no-training-paths", "one-test-path", "one-training-path",
                "cvar-level-above-one", "zero-cvar-level", "negative-strike", "zero-strike",
-               "negative-cost-rate", "zero-winrate-window"]
+               "negative-cost-rate"]
 
 
 class TestValidation:
@@ -132,7 +132,6 @@ class TestValidation:
     def test_boundary_values_are_accepted(self):
         RunConfig(
             cost_rate=0.0,
-            winrate_window=1,
             train=TrainConfig(seed=0),
             eval_seeds=[0],
             bootstrap_resamples=evaluation.MIN_BOOTSTRAP_RESAMPLES,

@@ -23,7 +23,7 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend import hedger
-from hedgeblend.accounting import CostSpec
+from hedgeblend.accounting import CostSpec, compute_pnl
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 
@@ -219,6 +219,17 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch):
         assert saving
         assert not thread.is_alive()
         assert isinstance(exc, CancelledError)
+
+
+def test_sharded_loss_matches_the_entropic_formula(monkeypatch):
+    """The loss of a sharded float64 batch is the entropic risk, by the
+    direct formula, of the reports' P&L of the inference rollout."""
+    paths = heston_paths(40, seed=3, grid=PathGrid(n_steps=8, maturity=0.5))
+    model = hedger.init_model(4, hidden=4)
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    loss, _ = hedger._chunked_backward(model.params, paths, COST, STRIKE, 1.0, model.hidden)
+    pnl = compute_pnl(paths, hedger.forward_rollout(model, paths, STRIKE), COST, STRIKE).pnl
+    assert loss == pytest.approx(np.log(np.mean(np.exp(-pnl))), abs=1e-12)
 
 
 def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):

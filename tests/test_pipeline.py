@@ -19,14 +19,14 @@ import pytest
 
 from hedgeblend import accounting, blend, cli, ensemble, hedger, pipeline
 from hedgeblend.accounting import HedgeSchedule
-from hedgeblend.blend import BlendObjective, fit_blend, train_eval_split
+from hedgeblend.blend import fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
 from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import NumericalDivergenceError, ParameterError, StageError
 from hedgeblend.evaluation import file_sha256
 from hedgeblend.hedger import TrainConfig, init_model, save_model
-from hedgeblend.market import PathGrid
-from hedgeblend.risk import cvar
+from hedgeblend.market import PathGrid, simulate_gbm
+from hedgeblend.risk import RiskSpec, cvar, entropic_risk
 
 
 def mini_config() -> RunConfig:
@@ -37,7 +37,6 @@ def mini_config() -> RunConfig:
         eval_paths=100,
         bootstrap_resamples=100,
         mean_bootstrap_resamples=100,
-        winrate_window=50,
     )
 
 
@@ -202,8 +201,9 @@ class TestCliOnSavedRun:
         assert snapshot(out) == before
 
     @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "meta_without_hidden",
-                                        "meta_not_an_object"])
+                                        "meta_not_an_object", "meta_hidden_4", "meta_input_dim_5"])
     def test_malformed_checkpoint_is_a_validation_error(self, run_dir, tmp_path, capsys, damage):
+        """``meta_hidden_4`` says hidden 4 over the arrays of hidden 32."""
         out = copy_run(run_dir[0], tmp_path)
         member = os.path.join(out, "members", "member_1.npz")
         with open(member, "rb") as fh:
@@ -212,8 +212,13 @@ class TestCliOnSavedRun:
             with np.load(member) as data:
                 kept = {name: data[name] for name in data.files}
             meta = json.loads(bytes(kept["meta"]).decode())
-            del meta["hidden"]
-            meta = meta if damage == "meta_without_hidden" else list(meta)
+            edits = {"meta_hidden_4": ("hidden", 4), "meta_input_dim_5": ("input_dim", 5)}
+            if damage in edits:
+                key, value = edits[damage]
+                meta[key] = value
+            else:
+                del meta["hidden"]
+                meta = meta if damage == "meta_without_hidden" else list(meta)
             kept["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(member, **kept)
         else:
@@ -315,6 +320,61 @@ class TestStaleCheckpoints:
         assert os.listdir(tmp_path) == []
 
 
+class TestValidateGbm:
+    """validate_gbm and ``hedgeblend validate-gbm`` on the mini config."""
+
+    KEYS = {"delta_mae", "network_price", "analytic_price", "price_error", "threshold", "passed",
+            "final_training_loss", "epochs", "paths_per_epoch", "seed"}
+
+    @pytest.fixture(scope="class")
+    def validation(self, tmp_path_factory):
+        """(report, the hedger it trained, its output directory)."""
+        trained = []
+
+        def recording(*args, **kwargs):
+            trained.append(hedger.train_hedger(*args, **kwargs))
+            return trained[-1]
+
+        out = str(tmp_path_factory.mktemp("gbm"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "train_hedger", recording)
+            report = pipeline.validate_gbm(mini_config(), out_dir=out)
+        return report, trained[0], out
+
+    def test_report_keys_and_verdict(self, validation):
+        report, model, _ = validation
+        assert set(report) == self.KEYS
+        assert report["threshold"] == 0.06
+        assert report["passed"] == (report["delta_mae"] <= report["threshold"])
+        assert report["final_training_loss"] == model.loss_history[-1]
+
+    def test_written_report_equals_the_returned_one(self, validation):
+        report, _, out = validation
+        with open(os.path.join(out, "gbm_validation.json")) as fh:
+            assert json.load(fh) == report
+
+    def test_network_price_is_the_entropic_risk_of_the_rollouts_pnl(self, validation):
+        report, model, _ = validation
+        config = mini_config()
+        paths = simulate_gbm(pipeline.GBM_VOL, config.grid, config.eval_paths,
+                             seed=config.eval_seeds[0])
+        zero_cost = accounting.CostSpec(0.0)
+        schedule = hedger.forward_rollout(model, paths, config.strike)
+        pnl = accounting.compute_pnl(paths, schedule, zero_cost, config.strike).pnl
+        price = hedger.network_price(model, paths, zero_cost, config.strike)
+        assert price == report["network_price"] == entropic_risk(pnl, 1.0)
+
+    @pytest.mark.parametrize("threshold, code", [("1", cli.EXIT_OK), ("0", cli.EXIT_VALIDATION)])
+    def test_cli_exit_code_is_the_verdict(self, config_file, tmp_path, capsys, threshold, code):
+        out = tmp_path / "gbm"
+        args = ["validate-gbm", "--config", config_file, "--threshold", threshold,
+                "--out", str(out)]
+        assert cli.main(args) == code
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["passed"] == (code == cli.EXIT_OK)
+        assert json.loads((out / "gbm_validation.json").read_text()) == printed
+
+
 @pytest.fixture(scope="module")
 def blend_inputs(run_dir):
     """The fit_blend stage's inputs, rebuilt from the mini run's saved members:
@@ -359,8 +419,7 @@ class TestConcurrentBlendFits:
         fits = pipeline.fit_blends(config, paths, ens, bs, train_idx)
         assert tuple(fits) == blend.OBJECTIVES
         for kind in blend.OBJECTIVES:
-            objective = BlendObjective(kind=kind, a=config.train.risk_aversion,
-                                       level=config.cvar_level)
+            objective = RiskSpec(kind, a=config.train.risk_aversion, level=config.cvar_level)
             serial = fit_blend(
                 paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
                 config.cost(), config.strike, objective,
@@ -493,7 +552,7 @@ class TestInterruptibleBlendFits:
         stop.set()
         with pytest.raises(CancelledError, match="stopped at iteration 0"):
             fit_blend(paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
-                      config.cost(), config.strike, BlendObjective(kind="cvar"), stop=stop)
+                      config.cost(), config.strike, RiskSpec("cvar"), stop=stop)
 
 
 class TestExitCodes:

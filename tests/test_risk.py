@@ -88,6 +88,70 @@ class TestCvar:
         assert cvar(pnl + bump, level) >= cvar(pnl, level) - 1e-12
 
 
+def direct_entropic(pnl, a):
+    return np.log(np.mean(np.exp(-a * pnl))) / a
+
+
+class TestObjectiveGradients:
+    """The gradients ``grad=`` writes, which training and the blend fit
+    descend, and :meth:`RiskSpec.loss`, the blend fit's objective."""
+
+    def test_entropic_value_and_softmax_gradient(self, rng_np):
+        pnl = rng_np.normal(-0.05, 0.1, size=500)
+        g = np.empty_like(pnl)
+        value = entropic_risk(pnl, 1.3, grad=g)
+        assert value == pytest.approx(direct_entropic(pnl, 1.3), abs=1e-12)
+        x = -1.3 * pnl
+        weights = np.exp(x - x.max())
+        assert np.allclose(g, -weights / weights.sum(), atol=1e-15)
+        loss_g = np.empty_like(pnl)
+        assert RiskSpec("entropic", a=1.3).loss(pnl, loss_g) == value
+        assert loss_g.tobytes() == g.tobytes()
+
+    def test_gradient_is_negative_softmax(self, rng_np):
+        """The entropic gradient against central differences of the direct
+        formula; minus the softmax weights, so it sums to -1."""
+        pnl = rng_np.normal(0, 1, size=64)
+        h = 1e-6
+        fd = np.empty_like(pnl)
+        for i in range(pnl.size):
+            up, down = pnl.copy(), pnl.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (direct_entropic(up, 1.3) - direct_entropic(down, 1.3)) / (2 * h)
+        g = np.empty_like(pnl)
+        entropic_risk(pnl, 1.3, grad=g)
+        assert np.allclose(g, fd, atol=1e-8)
+        assert g.sum() == pytest.approx(-1.0, abs=1e-12)
+
+    def test_cvar_gradient_is_minus_one_over_k_on_the_tail(self, rng_np):
+        """cvar's gradient is 1/k on the k worst paths; the loss, minus CVaR,
+        has -1/k there."""
+        pnl = rng_np.normal(0, 1, size=40)
+        k = 4  # ceil(0.1 * 40)
+        tail = np.argsort(pnl)[:k]
+        expected = np.zeros_like(pnl)
+        expected[tail] = 1.0 / k
+        g = np.empty_like(pnl)
+        value = cvar(pnl, 0.1, grad=g)
+        assert np.array_equal(g, expected)
+        assert value == pytest.approx(pnl[tail].mean(), abs=1e-12)
+        assert RiskSpec("cvar", level=0.1).loss(pnl, g) == -value
+        assert np.array_equal(g, -expected)
+
+    def test_cvar_over_the_whole_sample_is_minus_the_mean(self, rng_np):
+        pnl = rng_np.normal(0, 1, size=10)
+        g = np.empty_like(pnl)
+        value = RiskSpec("cvar", level=0.95).loss(pnl, g)  # k = 10
+        assert value == pytest.approx(-pnl.mean(), abs=1e-12)
+        assert np.array_equal(g, np.full_like(pnl, -0.1))
+
+    @pytest.mark.parametrize("kind", ["mean", "std"])
+    def test_only_entropic_risk_and_cvar_are_objectives(self, kind):
+        with pytest.raises(ParameterError, match="is not an objective"):
+            RiskSpec(kind).loss(np.zeros(4), np.empty(4))
+
+
 class TestSummary:
     def test_constant(self):
         assert summary(np.array([1.0, 1.0, 1.0])) == (1.0, 0.0)
@@ -125,7 +189,7 @@ class TestRiskSpec:
         "spec",
         [RiskSpec("mean"), RiskSpec("std"), RiskSpec("cvar", level=0.1),
          RiskSpec("cvar", level=1.0), RiskSpec("entropic", a=2.0)],
-        ids=lambda spec: f"{spec.measure}",
+        ids=lambda spec: f"{spec.kind}",
     )
     def test_rows_of_a_matrix_match_vectors_exactly(self, spec, rng_np):
         samples = rng_np.normal(0.0, 0.3, size=(7, 50))
