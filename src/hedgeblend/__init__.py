@@ -38,7 +38,6 @@ from .hedger import (
     HedgerModel,
     TrainConfig,
     forward_rollout,
-    gradient_check,
     load_model,
     network_price,
     save_model,
@@ -50,7 +49,6 @@ from .market import (
     HestonParams,
     MarketPaths,
     PathGrid,
-    feller_satisfied,
     simulate_gbm,
     simulate_heston,
 )

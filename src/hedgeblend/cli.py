@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: validate-gbm, simulate, train-ensemble, full-pipeline,
-cross-calibration. ``--resume`` reruns every stage after training on the
+Subcommands: validate-gbm, full-pipeline, cross-calibration. The pipelines
+train the members; ``--resume`` reruns every stage after training on the
 members a directory already holds (see :mod:`hedgeblend.pipeline`). Exit
 codes: 0 success, 1 validation failure (a bad flag or config, a failed check,
 or a directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
@@ -17,7 +17,6 @@ import sys
 
 from .config import RunConfig
 from .errors import HedgeblendError, NumericalDivergenceError, StageError
-from .market import save_paths_npz, simulate_gbm, simulate_heston, write_paths_csv
 from . import pipeline
 
 EXIT_OK = 0
@@ -56,35 +55,6 @@ def cmd_validate_gbm(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    n_paths = config.eval_paths if args.paths is None else args.paths
-    if args.gbm:
-        paths = simulate_gbm(pipeline.GBM_VOL, config.grid, n_paths, seed=config.eval_seeds[0])
-    else:
-        paths = simulate_heston(
-            config.heston_params(), config.grid, n_paths, seed=config.eval_seeds[0]
-        )
-    if args.format == "csv":
-        with open(os.path.join(args.out, "paths.csv"), "w", newline="") as fh:
-            write_paths_csv(paths, fh)
-    else:
-        save_paths_npz(paths, os.path.join(args.out, "paths.npz"))
-    print(f"wrote {paths.n_paths} paths to {args.out}")
-    return EXIT_OK
-
-
-def cmd_train_ensemble(args) -> int:
-    config = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    config.save_json(os.path.join(args.out, "config.json"))
-    members = pipeline.train_members(config, args.out)
-    losses = [m.loss_history[-1] for m in members]
-    print(f"trained {len(members)} members; final losses {losses}")
-    return EXIT_OK
-
-
 def cmd_full_pipeline(args) -> int:
     config = _load_config(args, saved_run=args.resume)
     result = pipeline.full_pipeline(config, args.out, resume=args.resume)
@@ -114,17 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--threshold", type=float, default=0.06, help="max acceptable delta MAE")
     p.set_defaults(func=cmd_validate_gbm)
-
-    p = sub.add_parser("simulate", help="dump simulated paths for debugging")
-    _add_common(p)
-    p.add_argument("--paths", type=int, default=None, help="path count (default: eval_paths)")
-    p.add_argument("--format", choices=["npz", "csv"], default="npz")
-    p.add_argument("--gbm", action="store_true", help="simulate GBM instead of Heston")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train-ensemble", help="train members and save checkpoints")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_ensemble)
 
     for name, func, text in (
         ("full-pipeline", cmd_full_pipeline, "run every stage and export all artifacts"),

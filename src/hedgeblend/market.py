@@ -9,7 +9,6 @@ zero-rate martingale property up to discretisation error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +138,6 @@ class MarketPaths:
         )
 
 
-def feller_satisfied(params: HestonParams) -> bool:
-    """True when 2*kappa*theta > sigma_vv**2 (variance cannot reach zero)."""
-    return 2.0 * params.kappa * params.theta > params.sigma_vv**2
-
-
 def simulate_heston(
     params: HestonParams, grid: PathGrid, n_paths: int, seed: int
 ) -> MarketPaths:
@@ -210,34 +204,3 @@ def simulate(model, grid: PathGrid, n_paths: int, seed: int) -> MarketPaths:
         return simulate_gbm(model.vol, grid, n_paths, seed, s0=model.s0)
     raise ParameterError(f"unsupported market model: {type(model).__name__}")
 
-
-def write_paths_csv(paths: MarketPaths, file) -> None:
-    """Columnar debug dump: one row per (path_id, step, spot, variance)."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(["path_id", "step", "spot", "variance"])
-    for p in range(paths.n_paths):
-        for t in range(paths.n_steps + 1):
-            writer.writerow([p, t, f"{paths.spot[p, t]:.12g}", f"{paths.variance[p, t]:.12g}"])
-
-
-def save_paths_npz(paths: MarketPaths, filename: str) -> None:
-    """Binary dump with grid metadata; load back with :func:`load_paths_npz`."""
-    np.savez_compressed(
-        filename,
-        spot=paths.spot,
-        variance=paths.variance,
-        n_steps=paths.grid.n_steps,
-        maturity=paths.grid.maturity,
-        seed=paths.seed,
-    )
-
-
-def load_paths_npz(filename: str) -> MarketPaths:
-    data = np.load(filename)
-    grid = PathGrid(n_steps=int(data["n_steps"]), maturity=float(data["maturity"]))
-    return MarketPaths(
-        spot=data["spot"].copy(),
-        variance=data["variance"].copy(),
-        grid=grid,
-        seed=int(data["seed"]),
-    )

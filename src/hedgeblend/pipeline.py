@@ -61,7 +61,7 @@ from .market import GBMSpec, MarketPaths, simulate_gbm, simulate_heston
 from .risk import RiskSpec, cvar
 from .threads import run_threads
 
-# Volatility of the GBM market that validate_gbm and ``simulate --gbm`` use.
+# Volatility of the GBM market that validate_gbm uses.
 GBM_VOL = 0.2
 # Figure 2's heatmap grid: (moneyness bins, time bins).
 HEATMAP_BINS = (12, 8)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,14 @@ def small_paths(baseline, small_grid):
 @pytest.fixture
 def rng_np():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def default_sigint():
+    """Python's default SIGINT handler while the test runs, so that
+    ``_thread.interrupt_main`` raises KeyboardInterrupt even when pytest was
+    started with SIGINT ignored (as a job started with ``&`` from a
+    non-interactive shell is); the previous handler is restored after."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)

@@ -13,12 +13,12 @@ from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 STRIKE = 1.0
 
 
-def saving_rollout(params, n_paths, n_steps, hidden):
+def saving_rollout(params, n_paths, n_steps):
     """Hedge ratios of a saving forward on fresh Heston paths, and its state."""
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=n_steps, maturity=0.5),
                             n_paths, seed=4)
-    saved = hedger._workspaces(paths, hidden, params["w_out"].dtype)
-    return paths, hedger._infer(params, paths, STRIKE, hidden, saved=saved), saved
+    saved = hedger._workspaces(params, paths)
+    return paths, hedger._infer(params, paths, STRIKE, saved=saved), saved
 
 
 class TestLstmCell:
@@ -52,15 +52,14 @@ class TestLstmCell:
     def test_gradients_match_finite_differences(self):
         """backward against central differences of sum(g_delta * delta) in every
         parameter of a float64 two-layer, 4-unit hedger over 5 steps of 6 paths."""
-        hidden = 4
-        params = hedger.init_model(3, hidden=hidden).params
-        paths, _, saved = saving_rollout(params, 6, 5, hidden)
+        params = hedger.init_model(3, hidden=4).params
+        paths, _, saved = saving_rollout(params, 6, 5)
         g_delta = np.random.default_rng(2).normal(size=(6, 5))
         grads = ad.backward(params, saved, g_delta)
         assert len(grads) == len(hedger.PARAM_NAMES)
 
         def objective():
-            return float((g_delta * hedger._infer(params, paths, STRIKE, hidden)).sum())
+            return float((g_delta * hedger._infer(params, paths, STRIKE)).sum())
 
         step = 1e-6
         for name, grad in zip(hedger.PARAM_NAMES, grads):
@@ -82,7 +81,7 @@ class TestEngine:
     def test_backward_rejects_a_seed_of_the_wrong_shape(self, shape):
         """g_delta must have the (paths, steps) shape of the saved rollout's hedge ratios."""
         params = hedger.init_model(3, hidden=4).params
-        _, delta, saved = saving_rollout(params, 3, 4, 4)
+        _, delta, saved = saving_rollout(params, 3, 4)
         assert delta.shape == (3, 4)
         with pytest.raises(ValueError, match="seed gradient of shape"):
             ad.backward(params, saved, np.ones(shape))
@@ -92,7 +91,7 @@ class TestEngine:
         backward from a float32 g_delta gives float32 gradients."""
         model = hedger.init_model(3, hidden=4)
         params = {k: v.astype(np.float32) for k, v in model.params.items()}
-        _, delta, (inputs, cells) = saving_rollout(params, 3, 4, 4)
+        _, delta, (inputs, cells) = saving_rollout(params, 3, 4)
         assert {a.dtype for a in (delta, inputs, *cells)} == {np.dtype(np.float32)}
         grads = ad.backward(params, (inputs, cells), np.ones((3, 4), dtype=np.float32))
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}

@@ -177,7 +177,7 @@ class TestCliRejectsBeforeTraining:
         assert err.startswith(f"error: {what} must be a JSON object") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train-ensemble", "full-pipeline"])
+    @pytest.mark.parametrize("command", ["full-pipeline"])
     def test_negative_seed_flag(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert cli.main([command, "--seed", "-3", "--out", str(out)]) == cli.EXIT_VALIDATION

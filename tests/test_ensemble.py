@@ -283,7 +283,7 @@ def test_a_set_stop_event_cancels_the_rollout(paths):
         forward_rollout(float32_members(2)[0], paths, 1.0, stop=stop)
 
 
-def test_interrupt_main_stops_the_running_rollouts(monkeypatch):
+def test_interrupt_main_stops_the_running_rollouts(monkeypatch, default_sigint):
     """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (20 block rollouts and
     several seconds of work) raises within 0.3 s: the rollouts running then
     stop at their next step, none starts after it, and no rollout thread is

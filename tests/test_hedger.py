@@ -4,15 +4,17 @@ sharded epochs on threads, divergence, checkpoints; and the plain forward
 against the saving one.
 
 Every training gradient is the sharded one: each shard's LSTM rollout is
-backpropagated by ``autodiff.backward``, and the P&L and loss gradients are
-closed-form. The single-tape hashes pin a 300-path batch, which is one
-shard and so one tape on the calling thread; the chunked hashes pin the
-same batch in five shards, whose sums are added in shard order.
+backpropagated by ``autodiff.backward`` from the shard's own softmax, and
+the P&L and loss gradients are closed-form. The single-tape hashes pin a
+300-path batch, which is one shard and so one tape on the calling thread;
+the chunked hashes pin the same batch in five shards, whose gradients are
+weighted by their softmax mass and added in shard order.
 """
 
 import _thread
 import dataclasses
 import hashlib
+import json
 import threading
 import time
 import tracemalloc
@@ -22,9 +24,9 @@ import numpy as np
 import pytest
 
 from hedgeblend import autodiff as ad
-from hedgeblend import hedger
+from hedgeblend import hedger, rng
 from hedgeblend.accounting import CostSpec, compute_pnl
-from hedgeblend.errors import NumericalDivergenceError
+from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 
 COST = CostSpec(5e-4)
@@ -41,14 +43,51 @@ def parameters(dtype, seed=7, hidden=hedger.HIDDEN):
     return {k: v.astype(dtype) for k, v in model.params.items()}
 
 
-def saving_forward(params, paths, hidden=hedger.HIDDEN):
+def saving_forward(params, paths):
     """Hedge ratios of a full-batch saving forward, and the state it kept."""
-    saved = hedger._workspaces(paths, hidden, params["w_out"].dtype)
-    return hedger._infer(params, paths, STRIKE, hidden, saved=saved), saved
+    saved = hedger._workspaces(params, paths)
+    return hedger._infer(params, paths, STRIKE, saved=saved), saved
 
 
-def chunked_grads(params, paths, hidden=hedger.HIDDEN):
-    return hedger._chunked_backward(params, paths, COST, STRIKE, 1.0, hidden)[1]
+def chunked_grads(params, paths):
+    return hedger._chunked_backward(params, paths, COST, STRIKE, 1.0)[1]
+
+
+def gradient_check(model, paths, n_params_sampled=20, step=1e-5, a=1.0, seed=0):
+    """Max relative error of the training gradient against central finite
+    differences of ``hedger.training_loss``, in float64, over
+    ``n_params_sampled`` coordinates of the flattened parameter vector.
+    Raises NumericalDivergenceError if the loss on ``paths`` is not finite."""
+    params = {k: v.astype(np.float64) for k, v in model.params.items()}
+    loss, grads = hedger._chunked_backward(params, paths, COST, STRIKE, a)
+    if not np.isfinite(loss):
+        raise NumericalDivergenceError("gradient check: the loss is not finite")
+
+    sizes = [params[k].size for k in hedger.PARAM_NAMES]
+    total = sum(sizes)
+    gen = rng.generator(rng.derive_seed(seed, rng.TAG_SAMPLE))
+    coords = gen.choice(total, size=min(n_params_sampled, total), replace=False)
+
+    probe = hedger.HedgerModel(params=params, hidden=model.hidden, seed=model.seed)
+    worst = 0.0
+    for flat_index in np.sort(coords):
+        idx = int(flat_index)
+        for name, size, grad in zip(hedger.PARAM_NAMES, sizes, grads):
+            if idx < size:
+                break
+            idx -= size
+        grad_ad = grad.reshape(-1)[idx]
+        theta = probe.params[name].reshape(-1)
+        original = theta[idx]
+        theta[idx] = original + step
+        up = hedger.training_loss(probe, paths, COST, STRIKE, a)
+        theta[idx] = original - step
+        down = hedger.training_loss(probe, paths, COST, STRIKE, a)
+        theta[idx] = original
+        grad_fd = (up - down) / (2.0 * step)
+        rel = abs(grad_ad - grad_fd) / max(abs(grad_ad), abs(grad_fd), 1e-8)
+        worst = max(worst, rel)
+    return worst
 
 
 def sha256(arrays):
@@ -70,9 +109,9 @@ PINNED_GRADS = {
     ("float64", False):
         "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
     ("float32", True):
-        "070c30112523be4665267964b4cb15335a9887a7722a13d0610211ca7634be46",
+        "c8e396c7832d572be4002536a2afb6c88f227a96eac90a86991c60e2a52acd51",
     ("float64", True):
-        "ffed72851201798185b2133d4086752f336adb9954c7a4c1a2ce34bb0285ac95",
+        "2582c9f2bbd4b02978a70e6673bb2fadfeafc037b59252ac39dd65dc0fb92c2e",
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
@@ -100,27 +139,24 @@ def test_pinned_training_trajectory():
 
 def count_rollouts(monkeypatch, hold=0.0):
     """Wrap hedger._infer; count plain and saving shard rollouts, the threads
-    that make each kind, and the paths whose saved state is live between a
-    saving rollout and its backward on the same thread (the re-roll mode's
-    pass two). ``hold`` sleeps in each saving rollout, so that the threads
-    overlap."""
-    counts = {"plain": 0, "saving": 0, "live": 0, "peak": 0,
-              "threads": {"plain": set(), "saving": set()}}
+    that make the saving ones, and the paths whose saved state is live
+    between a saving rollout and its backward on the same thread. ``hold``
+    sleeps in each saving rollout, so that the threads overlap."""
+    counts = {"plain": 0, "saving": 0, "live": 0, "peak": 0, "threads": set()}
     lock, local = threading.Lock(), threading.local()
     infer, backward = hedger._infer, ad.backward
 
-    def counted_infer(params, paths, strike, hidden, **kwargs):
+    def counted_infer(params, paths, strike, **kwargs):
         saving = kwargs.get("saved") is not None
-        kind = "saving" if saving else "plain"
         with lock:
-            counts[kind] += 1
-            counts["threads"][kind].add(threading.get_ident())
+            counts["saving" if saving else "plain"] += 1
             if saving:
+                counts["threads"].add(threading.get_ident())
                 local.paths = paths.n_paths
                 counts["live"] += paths.n_paths
                 counts["peak"] = max(counts["peak"], counts["live"])
         time.sleep(hold if saving else 0.0)
-        return infer(params, paths, strike, hidden, **kwargs)
+        return infer(params, paths, strike, **kwargs)
 
     def counted_backward(params, saved, g_delta):
         grads = backward(params, saved, g_delta)
@@ -134,25 +170,41 @@ def count_rollouts(monkeypatch, hold=0.0):
     return counts
 
 
-@pytest.mark.parametrize("limit, plain", [(64, 0), (32, 4)], ids=["kept_tapes", "re_rolled"])
-def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, plain):
+@pytest.mark.parametrize("limit", [64, 32], ids=["uncapped", "tape_capped"])
+def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit):
     """64 paths x 8 steps, float64: the one-shard gradient against four
-    16-path shards, relative to each parameter's max|g|. At a 64-path tape
-    limit pass one's saved state is kept; at 32 pass one rolls the shards out
-    without saving and pass two rolls them out again, saving."""
+    16-path shards, each seeded with its own softmax and weighted by its
+    softmax mass, relative to each parameter's max|g|. Four usable CPUs: a
+    64-path tape limit runs the shards on four threads, a 32-path one on two.
+    Either way each shard is rolled out once, saving, and never without."""
     paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
     full = chunked_grads(parameters(np.float64), paths)
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    monkeypatch.setattr(hedger, "usable_cpus", lambda: 4)
     counts = count_rollouts(monkeypatch)
     sharded = chunked_grads(parameters(np.float64), paths)
-    assert (counts["plain"], counts["saving"]) == (plain, 4)
+    assert (counts["plain"], counts["saving"]) == (0, 4)
     for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
         assert g_shard.dtype == np.float64
         assert np.abs(g_shard - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
 
 
-@pytest.mark.parametrize("limit", [6144, 128], ids=["kept_tapes", "re_rolled"])
+def test_shard_weights_do_not_overflow_at_extreme_risk_aversion(monkeypatch):
+    """At a = 1e5 each shard's exp(a r_s) overflows float64 unless the
+    largest a r_k is subtracted first: four 16-path float64 shards still give
+    the one-shard loss, and its gradient within 1e-12 of each max|g|."""
+    paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
+    params = parameters(np.float64)
+    loss, full = hedger._chunked_backward(params, paths, COST, STRIKE, 1e5)
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    sharded_loss, sharded = hedger._chunked_backward(params, paths, COST, STRIKE, 1e5)
+    assert sharded_loss == loss
+    for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
+        assert np.abs(g_shard - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
+
+
+@pytest.mark.parametrize("limit", [6144, 128], ids=["uncapped", "tape_capped"])
 def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatch, limit):
     """300 float32 paths in five 64-path shards (the last one 44)."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
@@ -161,30 +213,29 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
     for cpus in (1, 2, 4):
         monkeypatch.setattr(hedger, "usable_cpus", lambda: cpus)
         loss, grads = hedger._chunked_backward(parameters(np.float32), paths_300, COST, STRIKE,
-                                               1.0, hedger.HIDDEN)
+                                               1.0)
         results.append((loss, sha256(grads)))
     assert results[0] == results[1] == results[2]
 
 
 def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     """16 usable CPUs, 160 paths in ten 16-path shards, a 48-path tape limit:
-    each pass runs on at most 3 threads, so at most 48 paths have saved state
-    at once. The passes use separate pools, whose threads need not share
-    idents."""
+    the shards run on at most 3 threads, each rolled out once, saving, and
+    backpropagated before its thread takes the next, so at most 48 paths
+    have saved state at once. No rollout runs without saving."""
     paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
     monkeypatch.setattr(hedger, "usable_cpus", lambda: 16)
     counts = count_rollouts(monkeypatch, hold=0.02)
     chunked_grads(parameters(np.float32), paths)
-    assert (counts["plain"], counts["saving"]) == (10, 10)
+    assert (counts["plain"], counts["saving"]) == (0, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 48
-    assert 1 <= len(counts["threads"]["plain"]) <= 3
-    assert 1 <= len(counts["threads"]["saving"]) <= 3
+    assert 1 <= len(counts["threads"]) <= 3
 
 
-def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch):
+def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_sigint):
     """Ctrl-C 0.2 s into the gradient of a 5,000 x 126 float32 epoch (two
     2,500-path shards rolled out, saving, on two threads, most of a second
     each) raises within 0.3 s: both saving rollouts stop at their next step,
@@ -227,7 +278,7 @@ def test_sharded_loss_matches_the_entropic_formula(monkeypatch):
     paths = heston_paths(40, seed=3, grid=PathGrid(n_steps=8, maturity=0.5))
     model = hedger.init_model(4, hidden=4)
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
-    loss, _ = hedger._chunked_backward(model.params, paths, COST, STRIKE, 1.0, model.hidden)
+    loss, _ = hedger._chunked_backward(model.params, paths, COST, STRIKE, 1.0)
     pnl = compute_pnl(paths, hedger.forward_rollout(model, paths, STRIKE), COST, STRIKE).pnl
     assert loss == pytest.approx(np.log(np.mean(np.exp(-pnl))), abs=1e-12)
 
@@ -244,7 +295,7 @@ def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
 def test_gradient_check_on_tiny_float64_model():
     model = hedger.init_model(3, hidden=4)
     paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
-    worst = hedger.gradient_check(model, paths, COST, STRIKE, n_params_sampled=40)
+    worst = gradient_check(model, paths, n_params_sampled=40)
     assert worst < 1e-3
 
 
@@ -253,7 +304,7 @@ def test_gradient_check_of_a_diverged_model_raises():
     model.params["w_out"][0, 0] = np.nan
     paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
     with pytest.raises(NumericalDivergenceError):
-        hedger.gradient_check(model, paths, COST, STRIKE)
+        gradient_check(model, paths)
 
 
 def test_tape_holds_at_most_six_hidden_widths_per_path_and_cell():
@@ -340,7 +391,24 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded.params[name].dtype == value.dtype
         assert np.array_equal(loaded.params[name], value), name
     assert loaded.loss_history == model.loss_history
-    assert (loaded.hidden, loaded.n_layers, loaded.seed) == (model.hidden, model.n_layers, model.seed)
+    assert (loaded.hidden, loaded.seed) == (model.hidden, model.seed)
+
+
+def test_a_checkpoint_of_another_depth_is_refused(tmp_path):
+    """Metadata whose n_layers is not N_LAYERS is refused, as a wrong
+    input_dim is, rather than loaded with its extra layers ignored."""
+    model = hedger.init_model(3, hidden=4)
+    filename = str(tmp_path / "member.npz")
+    hedger.save_model(model, filename)
+    with np.load(filename) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta["n_layers"] == hedger.N_LAYERS
+    meta["n_layers"] = 3
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(filename, **arrays)
+    with pytest.raises(ParameterError, match="is not a hedger checkpoint.*n_layers 3"):
+        hedger.load_model(filename)
 
 
 def model_in(dtype, seed=7):
@@ -367,7 +435,7 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
         head += model.params["b_out"]
         recomputed[:, t] = head[:, 0]
     assert recomputed.tobytes() == taped.tobytes()
-    delta = hedger._infer(model.params, paths, STRIKE, model.hidden)
+    delta = hedger._infer(model.params, paths, STRIKE)
     assert delta.dtype == taped.dtype and delta.shape == taped.shape == (n_paths, n_steps)
     assert delta.flags.c_contiguous
     assert delta.tobytes() == taped.tobytes()
@@ -379,8 +447,7 @@ def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
     """training_loss, a plain forward, is the loss of one-shard training."""
     for dtype in (np.float32, np.float64):
         model = model_in(dtype)
-        taped, _ = hedger._chunked_backward(model.params, paths_300, COST, STRIKE, 1.0,
-                                            model.hidden)
+        taped, _ = hedger._chunked_backward(model.params, paths_300, COST, STRIKE, 1.0)
         assert hedger.training_loss(model, paths_300, COST, STRIKE) == taped
 
 

@@ -9,13 +9,9 @@ from hedgeblend.market import (
     HestonParams,
     MarketPaths,
     PathGrid,
-    feller_satisfied,
-    load_paths_npz,
-    save_paths_npz,
     simulate,
     simulate_gbm,
     simulate_heston,
-    write_paths_csv,
 )
 
 
@@ -54,19 +50,6 @@ class TestParams:
         assert g.dt * g.n_steps == g.maturity
         assert g.times().shape == (127,)
         assert g.taus()[0] == 0.5 and g.taus()[-1] == pytest.approx(g.dt)
-
-
-class TestFeller:
-    def test_baseline_boundary_case_is_false(self, baseline):
-        # 2*2*0.04 = 0.16 vs 0.4^2 = 0.16: strict inequality fails
-        assert feller_satisfied(baseline) is False
-
-    def test_high_vol_of_vol_violates(self):
-        assert feller_satisfied(CALIBRATIONS["high_vov"]) is False
-
-    def test_low_vol_of_vol_satisfies(self):
-        p = HestonParams(kappa=2.0, theta=0.04, sigma_vv=0.1, rho=-0.7, v0=0.04)
-        assert feller_satisfied(p) is True
 
 
 class TestHeston:
@@ -176,27 +159,6 @@ class TestGBM:
 
 
 class TestExport:
-    def test_csv_dump_schema(self, baseline, small_grid, tmp_path):
-        paths = simulate_heston(baseline, small_grid, 3, seed=1)
-        target = tmp_path / "paths.csv"
-        with open(target, "w", newline="") as fh:
-            write_paths_csv(paths, fh)
-        lines = target.read_text().splitlines()
-        assert lines[0] == "path_id,step,spot,variance"
-        assert len(lines) == 1 + 3 * (small_grid.n_steps + 1)
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == 1.0 and float(first[3]) == 0.04
-
-    def test_npz_round_trip(self, baseline, small_grid, tmp_path):
-        paths = simulate_heston(baseline, small_grid, 5, seed=21)
-        target = tmp_path / "paths.npz"
-        save_paths_npz(paths, str(target))
-        loaded = load_paths_npz(str(target))
-        assert np.array_equal(loaded.spot, paths.spot)
-        assert np.array_equal(loaded.variance, paths.variance)
-        assert loaded.grid == paths.grid and loaded.seed == paths.seed
-
     def test_paths_are_read_only(self, baseline, small_grid):
         paths = simulate_heston(baseline, small_grid, 2, seed=1)
         with pytest.raises(ValueError):
@@ -223,3 +185,11 @@ class TestRngStreams:
         z = rng.path_normals(0, 200, 500).ravel()
         assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
         assert abs(z.std() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("gbm", [False, True])
+def test_zero_simulated_paths(baseline, small_grid, gbm):
+    """Zero paths is an EmptyInputError with its message, in either market."""
+    model = GBMSpec(vol=0.2) if gbm else baseline
+    with pytest.raises(EmptyInputError, match="^n_paths must be >= 1$"):
+        simulate(model, small_grid, 0, seed=1)

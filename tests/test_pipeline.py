@@ -276,14 +276,6 @@ class TestCliOnSavedRun:
         assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_VALIDATION
         assert os.path.join(out, "members", "training.json") in capsys.readouterr().err
 
-    def test_train_ensemble_then_resume_gives_the_fresh_manifest(self, run_dir, config_file,
-                                                                 tmp_path, monkeypatch):
-        out = str(tmp_path / "run")
-        assert cli.main(["train-ensemble", "--config", config_file, "--out", out]) == cli.EXIT_OK
-        forbid_training(monkeypatch)
-        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_OK
-        assert read_manifest(out) == read_manifest(run_dir[0])
-
     @pytest.mark.parametrize("with_config", [True, False], ids=["config", "saved-config"])
     def test_cross_calibration_resume_reuses_each_calibrations_members(self, config_file,
                                                                        tmp_path, monkeypatch,
@@ -509,7 +501,8 @@ def record_real_fits(monkeypatch) -> dict:
 
 
 class TestInterruptibleBlendFits:
-    def test_interrupt_main_ends_both_fits_within_a_second(self, large_blend_inputs, monkeypatch):
+    def test_interrupt_main_ends_both_fits_within_a_second(self, large_blend_inputs, monkeypatch,
+                                                           default_sigint):
         record = record_real_fits(monkeypatch)
         timer = threading.Timer(0.5, _thread.interrupt_main)
         started = time.perf_counter()
@@ -575,13 +568,6 @@ class TestExitCodes:
         """A resume of an empty directory: no training record."""
         assert cli.main(["full-pipeline", "--resume", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert os.path.join(str(tmp_path), "members", "training.json") in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("gbm", [False, True])
-    def test_zero_simulated_paths(self, tmp_path, capsys, gbm):
-        args = ["simulate", "--paths", "0", "--out", str(tmp_path)] + (["--gbm"] if gbm else [])
-        assert cli.main(args) == cli.EXIT_VALIDATION
-        assert "n_paths must be >= 1" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
