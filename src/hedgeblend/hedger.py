@@ -22,11 +22,10 @@ rows, with results identical to a serial full-batch loop.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
-the batch size. Each shard is rolled out once, saving, and backpropagated at
-once from its own softmax on a thread; the shard gradients are weighted by
-their share of the batch's exp(-a pnl) mass and summed in shard order, so a
-run's results do not depend on the CPU count, the thread count or the timing
-(see :func:`_chunked_backward`). An epoch of one shard runs on the calling
+the batch size. The shards are rolled out and backpropagated on threads,
+and their gradients are summed in shard order, so a run's results do not
+depend on the CPU count, the thread count or the timing (see
+:func:`_chunked_backward`). An epoch of one shard runs on the calling
 thread.
 """
 
@@ -55,12 +54,13 @@ N_LAYERS = 2
 
 # Most paths whose tape (the state a saving forward keeps for the backward)
 # is held at once, on any CPU count. Every epoch is rolled out in shards (see
-# SHARD_PATHS), each taped and backpropagated in one job that frees its tape
-# when it ends, on at most TAPE_BATCH_LIMIT // shard threads (see
-# _chunked_backward). The tape holds 650 bytes per path per LSTM cell in
-# float32 (5·H values and the step's inputs; tracemalloc, H = 32), 666 at the
-# backward's peak: 0.16 MB per path on the default 126-step grid (two
-# layers), so about 1.0 GB here.
+# SHARD_PATHS). An epoch of at most this many paths keeps its shards' tapes
+# from pass one for the backward; a larger one rolls its shards out without
+# saving and rolls them out again, saving, for the backward, on at most
+# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape holds
+# 650 bytes per path per LSTM cell in float32 (5·H values and the step's
+# inputs; tracemalloc, H = 32), 666 at the backward's peak: 0.16 MB per path
+# on the default 126-step grid (two layers), so about 1.0 GB here.
 TAPE_BATCH_LIMIT = 6144
 
 # Paths per training shard: every epoch of B paths is split into
@@ -292,11 +292,10 @@ def train_hedger(
 
     Every epoch of B paths goes through :func:`_chunked_backward`: it is
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
-    shards, each rolled out once and backpropagated on threads (one shard on
-    the calling thread), whose gradients are weighted by their softmax mass
-    and summed in shard order. The loss and the parameters do not depend on
-    the CPU count, and no more than ``TAPE_BATCH_LIMIT`` paths have their
-    tapes held at once.
+    shards, rolled out and backpropagated on threads (one shard on the
+    calling thread), whose gradients are summed in shard order. The loss and
+    the parameters do not depend on the CPU count, and no more than
+    ``TAPE_BATCH_LIMIT`` paths have their tapes held at once.
 
     Training runs in float32, gradients included (the rollout is the hot
     loop; the objective tolerances sit far above single precision); only the
@@ -334,77 +333,79 @@ def _chunked_backward(
     strike: float,
     a: float,
 ) -> tuple[float, list[np.ndarray] | None]:
-    """Full-batch entropic loss and gradient of sharded paths, in one pass on threads.
+    """Full-batch entropic loss and gradient of sharded paths, on threads.
 
     The one gradient of training: returns the loss and the gradients in
     ``PARAM_NAMES`` order, or the loss and None when it is not finite (NaN
     when a shard's hedge ratio is not). Every batch of B paths is split into
     ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a
-    batch of at most that many paths is one shard. One job per shard, in
-    order: the saving :func:`_infer` (which only reads the parameters), the
-    shard's P&L (``accounting.HedgePnL`` in the parameters' dtype), its risk
-    r_s = ``risk.entropic_risk`` of the P&L's float64 cast with g_s = d r_s /
-    d pnl, and at once ``autodiff.backward`` of the shard's tape from the
-    P&L's VJP of g_s, in the parameters' dtype. The job returns the P&L, r_s
-    and the gradients, so its tape is freed when it ends.
-
-    The loss is ``entropic_risk`` of the concatenated P&L's float64 cast.
-    The backward is linear in its seed, and the full batch's d loss / d pnl
-    on shard s is g_s times w_s, the shard's share of the batch's exp(-a
-    pnl) mass: w_s = n_s exp(a r_s) / sum_k n_k exp(a r_k), computed with the
-    largest a r_k subtracted (the streaming softmax of Milakov and
-    Gimelshein, 2018). The weighted shard gradients are summed in shard
-    order: the result equals one full-batch backward up to float rounding
-    and does not depend on the thread count or timing. One shard has w = 1.0
-    exactly, so its gradient is its backward's, bit for bit. float32
-    parameters give float32 gradients; only the loss, the risks, the g_s and
-    the weights are float64.
+    batch of at most that many paths is one shard. Each shard is rolled out
+    by :func:`_infer`, which only reads the parameters. Pass one gives every
+    shard's P&L (``accounting.HedgePnL`` in the parameters' dtype); the loss
+    and g = d loss / d pnl come from ``risk.entropic_risk`` on the
+    concatenated P&L's float64 cast. Pass two maps each shard's g through the
+    P&L's VJP to g_delta = d loss / d delta in the parameters' dtype, and
+    ``autodiff.backward`` sweeps the shard's saved state (its tape) back from
+    it. The shard gradients are summed in shard order: the result equals one
+    full-batch backward up to float summation order and does not depend on
+    the thread count or timing.
 
     The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
-    shard)`` threads, so at most ``TAPE_BATCH_LIMIT`` paths have their tapes
-    held at once, and one shard runs on the calling thread. A failing shard
-    or a Ctrl-C sets the ``run_threads`` stop event: shard rollouts that are
-    running stop at their next step, and shards not yet started are skipped;
-    a backward that has begun runs to its end.
+    shard)`` threads, so one shard runs on the calling thread. When ``B <=
+    TAPE_BATCH_LIMIT`` pass one is the saving forward and the backward reads
+    its tapes, the memory of one full-batch tape. Otherwise pass one rolls
+    the shards out without saving and pass two rolls each out again, saving,
+    so both passes count as tape passes and at most ``TAPE_BATCH_LIMIT``
+    paths have their tapes held at once. float32 parameters give float32
+    gradients; only the loss and g are float64.
+
+    A failing shard or a Ctrl-C sets both passes' ``run_threads`` stop
+    event: shard rollouts that are running stop at their next step, and
+    shards not yet started are skipped; a backward that has begun runs to
+    its end.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     n_threads = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
+    keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's saved state serves the backward
     stop = threading.Event()
     dtype = params["w_out"].dtype
 
-    def shard_job(shard):
+    def forward(shard, save):
         sub = paths.rows(*shard)
-        saved = _workspaces(params, sub)
+        saved = _workspaces(params, sub) if save else None
         delta = _infer(params, sub, strike, stop=stop, saved=saved)
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
-        pnl = account.pnl(delta)
-        g_pnl = np.empty(sub.n_paths)
-        risk = entropic_risk(pnl.astype(np.float64), a, grad=g_pnl)
-        return pnl, risk, ad.backward(params, saved, account.vjp(g_pnl))
+        return saved, account, account.pnl(delta)
 
     try:
-        jobs = run_threads(shard_job, shards, n_threads, stop=stop)
+        passes = run_threads(lambda shard: forward(shard, keep), shards, n_threads, stop=stop)
     except NumericalDivergenceError:  # a hedge ratio left the reals, and so did the loss
         return float("nan"), None
-    pnl, risks, grads = zip(*jobs)
-    loss = entropic_risk(np.concatenate(pnl).astype(np.float64), a)
+    pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
+    if not keep:
+        passes = None  # pass two rolls every shard out again, saving
+    g_pnl = np.empty(n_paths)
+    loss = entropic_risk(pnl.astype(np.float64), a, grad=g_pnl)
     if not np.isfinite(loss):
         return loss, None
-    x = a * np.array(risks)
-    mass = np.array([hi - lo for lo, hi in shards]) * np.exp(x - x.max())
-    weights = [float(w) for w in mass / mass.sum()]  # a numpy scalar would promote float32
-    return loss, [reduce(np.add, (g * w for g, w in zip(per_shard, weights)))
-                  for per_shard in zip(*grads)]
+
+    def shard_grads(k):
+        lo, hi = shards[k]
+        saved, account, _ = passes[k] if keep else forward(shards[k], True)
+        return ad.backward(params, saved, account.vjp(g_pnl[lo:hi]))
+
+    grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
+    return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
 
 
 def training_loss(
     model: HedgerModel, paths: MarketPaths, cost: CostSpec, strike: float, a: float = 1.0
 ) -> float:
     """Entropic training objective of the model on a fixed batch, rolled out by
-    :func:`_infer` without saving; equal bit for bit to the loss
-    :func:`_chunked_backward` returns."""
+    :func:`_infer` without saving; on one shard, equal bit for bit to the
+    loss :func:`_chunked_backward` returns."""
     delta = _infer(model.params, paths, strike)
     pnl = HedgePnL(paths.spot.astype(delta.dtype), cost.cost_rate, strike).pnl(delta)
     return entropic_risk(pnl.astype(np.float64), a)
