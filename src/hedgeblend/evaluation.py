@@ -217,13 +217,17 @@ def paired_bootstrap(
 ) -> BootstrapResult:
     """Resample paths with replacement; evaluate both strategies on the same
     draws and record the oriented metric difference (A minus B for
-    higher-is-better metrics, flipped otherwise)."""
+    higher-is-better metrics, flipped otherwise). The draws are made
+    ``block`` resamples at a time, which changes no result; ParameterError
+    names a ``block`` below 1."""
     pnl_a = np.asarray(pnl_a, dtype=float)
     pnl_b = np.asarray(pnl_b, dtype=float)
     if pnl_a.shape != pnl_b.shape:
         raise DimensionError("pnl vectors must have equal length")
     if resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ParameterError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
+    if block < 1:
+        raise ParameterError(f"block must be >= 1, got {block}")
     n = pnl_a.size
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_BOOTSTRAP))
 

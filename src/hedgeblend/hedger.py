@@ -57,7 +57,8 @@ N_LAYERS = 2
 # SHARD_PATHS). An epoch of at most this many paths keeps its shards' tapes
 # from pass one for the backward; a larger one rolls its shards out without
 # saving and rolls them out again, saving, for the backward, on at most
-# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward). The tape holds
+# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward): 4 threads of
+# 1,250-path shards, so on fewer CPUs the CPU count is the cap. The tape holds
 # 650 bytes per path per LSTM cell in float32 (5·H values and the step's
 # inputs; tracemalloc, H = 32), 666 at the backward's peak: 0.16 MB per path
 # on the default 126-step grid (two layers), so about 1.0 GB here.
@@ -66,13 +67,18 @@ TAPE_BATCH_LIMIT = 6144
 # Paths per training shard: every epoch of B paths is split into
 # ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, rolled out
 # and backpropagated on threads, or on the calling thread when there is one.
-# 2,500 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
-# shard counts that two threads share evenly. On a 2-vCPU host with one BLAS
-# thread, two 5,000-path epochs took 3.7 s in 2,500-path shards against
-# 3.9-4.8 s in 1,250-path and 4.2-4.3 s in 1,000-path ones (measured with the
-# earlier autodiff tape). ensemble.aggregate cuts its inference batches into
-# as many path blocks (aligned to 16 rows).
-SHARD_PATHS = 2500
+# 1,250 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
+# 4 and 16 shards, which 2 or 4 threads share evenly. An epoch above
+# TAPE_BATCH_LIMIT tapes one shard per thread at a time, so the shard size and
+# the thread count set its peak memory. On a 2-vCPU host with one BLAS thread
+# (perfbench, alternating pairs), two 20,000-path epochs (train_paper_batch)
+# peaked at 516-519 MB in 1,250-path shards against 909-912 MB in 2,500-path
+# ones, with median wall times of 18.9 s against 20.2 s (16 pairs); two
+# members' two 5,000-path epochs (train_desk), whose tapes are all kept,
+# peaked at 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs).
+# ensemble.aggregate's inference blocks are two shards long (see
+# ensemble._path_blocks).
+SHARD_PATHS = 1250
 
 # Training's Adam step size; its betas are autodiff.Adam's defaults.
 STEP_SIZE = 1e-3
@@ -103,7 +109,6 @@ class HedgerModel:
     """Trained (or freshly initialised) hedging network."""
 
     params: dict[str, np.ndarray]
-    hidden: int = HIDDEN
     seed: int = 0
     loss_history: list[float] = field(default_factory=list)
 
@@ -132,7 +137,7 @@ def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
             params[name] = np.zeros(shape)
             if name != "b_out":
                 params[name][hidden : 2 * hidden] = 1.0
-    return HedgerModel(params=params, hidden=hidden, seed=seed)
+    return HedgerModel(params=params, seed=seed)
 
 
 def _infer(
@@ -429,7 +434,7 @@ def save_model(model: HedgerModel, filename: str) -> None:
     meta = {
         "format": "hedgeblend-checkpoint-v1",
         "input_dim": INPUT_DIM,
-        "hidden": model.hidden,
+        "hidden": model.params["w_hh_0"].shape[0],
         "n_layers": N_LAYERS,
         "seed": model.seed,
         "loss_history": model.loss_history,
@@ -440,30 +445,33 @@ def save_model(model: HedgerModel, filename: str) -> None:
 def load_model(filename: str) -> HedgerModel:
     """Read a :func:`save_model` checkpoint; ParameterError names a file that
     is not a readable archive, lacks the metadata or a parameter array, whose
-    metadata's input_dim or n_layers is not this network's, or whose arrays
-    do not have the :func:`_param_shapes` of its metadata."""
+    metadata's input_dim or n_layers is not this network's or whose hidden is
+    not the width of its ``w_hh_0``, or whose arrays do not have the
+    :func:`_param_shapes` of that width."""
     try:
         with np.load(filename) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             params = {name: data[name].copy() for name in PARAM_NAMES}
+        width = params["w_hh_0"].shape[0]
         if (meta.get("format") != "hedgeblend-checkpoint-v1" or meta["input_dim"] != INPUT_DIM
-                or meta["n_layers"] != N_LAYERS):
+                or meta["n_layers"] != N_LAYERS or meta["hidden"] != width):
             raise ValueError(f"format {meta.get('format')!r}, input_dim {meta.get('input_dim')}, "
-                             f"n_layers {meta.get('n_layers')}")
+                             f"n_layers {meta.get('n_layers')}, hidden {meta.get('hidden')} "
+                             f"over arrays of width {width}")
         model = HedgerModel(
             params=params,
-            hidden=int(meta["hidden"]),
             seed=int(meta["seed"]),
             loss_history=[float(x) for x in meta["loss_history"]],
         )
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
-            AttributeError) as exc:
+            AttributeError, IndexError) as exc:
         # ValueError: numpy refuses to unpickle a non-archive; bad JSON or numbers.
+        # IndexError: a w_hh_0 that is a scalar.
         raise ParameterError(f"{filename} is not a hedger checkpoint: {exc!r}") from exc
-    expected = _param_shapes(INPUT_DIM, model.hidden)
+    expected = _param_shapes(INPUT_DIM, width)
     wrong = [f"{name} {params[name].shape}, not {expected[name]}" for name in PARAM_NAMES
              if params[name].shape != expected[name]]
     if wrong:
-        raise ParameterError(f"{filename} does not hold a hedger of its metadata's hidden "
-                             f"{model.hidden}: {'; '.join(wrong)}")
+        raise ParameterError(f"{filename} does not hold a hedger of width {width}: "
+                             f"{'; '.join(wrong)}")
     return model

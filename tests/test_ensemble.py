@@ -106,10 +106,10 @@ def test_aggregate_peak_stays_under_members_plus_three_schedules(monkeypatch):
 def test_path_blocks_depend_only_on_the_path_count():
     assert ensemble._path_blocks(10000) == [(0, 2496), (2496, 4992), (4992, 7488), (7488, 10000)]
     assert ensemble._path_blocks(1000) == [(0, 1000)]
-    assert ensemble._path_blocks(hedger.SHARD_PATHS) == [(0, hedger.SHARD_PATHS)]
+    assert ensemble._path_blocks(2 * hedger.SHARD_PATHS) == [(0, 2 * hedger.SHARD_PATHS)]
     for n_paths in (2501, 3000, 5003, 10000, 20001):
         blocks = ensemble._path_blocks(n_paths)
-        assert len(blocks) == -(-n_paths // hedger.SHARD_PATHS)
+        assert len(blocks) == -(-n_paths // (2 * hedger.SHARD_PATHS))
         assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
         assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
         assert all(lo % 16 == 0 and (hi - lo) % 16 == 0 for lo, hi in blocks[:-1])

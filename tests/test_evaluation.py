@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgeblend.errors import UndefinedCorrelationError
+from hedgeblend.errors import ParameterError, UndefinedCorrelationError
 from hedgeblend.evaluation import (
     MIN_BOOTSTRAP_RESAMPLES,
     N_QUINTILES,
@@ -64,6 +64,8 @@ def test_results_do_not_depend_on_the_block_size(pnl, metric, seed, resamples):
     results = [paired_bootstrap(a, b, metric, resamples=resamples, seed=seed, block=block)
                for block in (1, 7, 512)]
     assert results[0] == results[1] == results[2]
+    with pytest.raises(ParameterError, match="block must be >= 1, got 0"):
+        paired_bootstrap(a, b, metric, resamples=resamples, seed=seed, block=0)
 
 
 @st.composite

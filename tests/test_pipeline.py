@@ -201,19 +201,23 @@ class TestCliOnSavedRun:
         assert snapshot(out) == before
 
     @pytest.mark.parametrize("damage", ["truncated", "not_a_zip", "meta_without_hidden",
-                                        "meta_not_an_object", "meta_hidden_4", "meta_input_dim_5"])
+                                        "meta_not_an_object", "meta_hidden_4", "meta_input_dim_5",
+                                        "scalar_w_hh_0"])
     def test_malformed_checkpoint_is_a_validation_error(self, run_dir, tmp_path, capsys, damage):
-        """``meta_hidden_4`` says hidden 4 over the arrays of hidden 32."""
+        """``meta_hidden_4`` says hidden 4 over the arrays of hidden 32;
+        ``scalar_w_hh_0`` has no width to read."""
         out = copy_run(run_dir[0], tmp_path)
         member = os.path.join(out, "members", "member_1.npz")
         with open(member, "rb") as fh:
             raw = fh.read()
-        if damage.startswith("meta"):
+        if damage.startswith(("meta", "scalar")):
             with np.load(member) as data:
                 kept = {name: data[name] for name in data.files}
             meta = json.loads(bytes(kept["meta"]).decode())
             edits = {"meta_hidden_4": ("hidden", 4), "meta_input_dim_5": ("input_dim", 5)}
-            if damage in edits:
+            if damage == "scalar_w_hh_0":
+                kept["w_hh_0"] = np.float32(0.0)
+            elif damage in edits:
                 key, value = edits[damage]
                 meta[key] = value
             else:
@@ -569,6 +573,25 @@ class TestExitCodes:
         assert cli.main(["full-pipeline", "--resume", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert os.path.join(str(tmp_path), "members", "training.json") in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_out_is_a_regular_file(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("a file")
+        code = cli.main(["full-pipeline", "--config", config_file, "--out", str(out)])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out.read_text() == "a file"
+
+    def test_io_error_in_a_stage(self, config_file, tmp_path, capsys, monkeypatch):
+        def unwritable(*args, **kwargs):
+            raise PermissionError("pnl csv not writable")
+
+        monkeypatch.setattr(pipeline, "write_pnl_csv", unwritable)
+        code = cli.main(["full-pipeline", "--config", config_file, "--out", str(tmp_path)])
+        assert code == cli.EXIT_IO
+        assert "pnl csv not writable" in capsys.readouterr().err
+        assert (tmp_path / "FAILED").read_text().startswith("evaluate:")
 
 
 def test_members_load_in_index_order(tmp_path):
