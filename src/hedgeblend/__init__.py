@@ -12,7 +12,6 @@ from .accounting import (
     CostSpec,
     HedgeSchedule,
     PnLReport,
-    average_trade_size,
     compute_pnl,
     decompose_pnl,
 )
@@ -24,7 +23,6 @@ from .blend import (
     train_eval_split,
 )
 from .classical import (
-    VolMode,
     bs_delta,
     bs_delta_strategy,
     bs_gamma,

@@ -162,12 +162,6 @@ class HedgePnL:
         return out
 
 
-def average_trade_size(report: PnLReport) -> float:
-    """Mean |position change| over all paths and steps t=0..n: the mean of
-    the per-path ``trade_size``."""
-    return float(report.trade_size.mean())
-
-
 @dataclass
 class DecompositionRow:
     strategy: str

@@ -116,7 +116,6 @@ class BlendFit:
     params: BlendParams
     objective: RiskSpec
     trajectory: list[float]
-    extended: bool
     seed: int
 
     @property
@@ -129,7 +128,7 @@ class BlendFit:
                 "params": self.params.to_dict(),
                 "objective": {"kind": self.objective.kind, "a": self.objective.a,
                               "level": self.objective.level},
-                "extended": self.extended,
+                "extended": self.params.extended,
                 "seed": self.seed,
                 "final_objective": self.final_objective,
                 "trajectory": self.trajectory,
@@ -292,5 +291,4 @@ def fit_blend(
         moneyness_coef=float(coefs[2]) if extended else None,
         time_coef=float(coefs[3]) if extended else None,
     )
-    return BlendFit(params=params, objective=objective, trajectory=trajectory,
-                    extended=extended, seed=seed)
+    return BlendFit(params=params, objective=objective, trajectory=trajectory, seed=seed)

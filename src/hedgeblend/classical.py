@@ -6,7 +6,7 @@ so whole (paths x steps) schedules evaluate in one call per time step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import ndtr
@@ -14,32 +14,6 @@ from scipy.special import ndtr
 from .accounting import HedgeSchedule
 from .errors import BoundaryError, ParameterError
 from .market import MarketPaths
-
-
-@dataclass(frozen=True)
-class VolMode:
-    """Volatility input for a classical strategy.
-
-    Either a fixed estimate (the practitioner who never re-marks vol), or the
-    true instantaneous volatility sqrt(v_t) read off the simulated paths.
-    """
-
-    mode: str  # "fixed" | "true"
-    vol_value: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "true"):
-            raise ParameterError(f"unknown vol mode {self.mode!r}")
-        if self.mode == "fixed" and (self.vol_value is None or self.vol_value <= 0):
-            raise ParameterError("fixed vol mode requires vol_value > 0")
-
-    @classmethod
-    def fixed(cls, vol_value: float) -> "VolMode":
-        return cls(mode="fixed", vol_value=vol_value)
-
-    @classmethod
-    def true_instantaneous(cls) -> "VolMode":
-        return cls(mode="true")
 
 
 def _norm_pdf(x):
@@ -109,22 +83,26 @@ def bs_gamma(spot, strike, vol, tau):
     return out if out.ndim else float(out)
 
 
-def _vol_surface(paths: MarketPaths, vmode: VolMode) -> np.ndarray:
-    """Volatility at each (path, decision step) according to the mode."""
+def _vol_surface(paths: MarketPaths, vol: float | None) -> np.ndarray:
+    """Volatility at each (path, decision step): ``vol`` everywhere, or with
+    None the paths' instantaneous vol sqrt(v_t); ParameterError names a
+    ``vol`` that is not finite and positive."""
     n = paths.n_steps
-    if vmode.mode == "fixed":
-        return np.full((paths.n_paths, n), vmode.vol_value)
-    return np.sqrt(paths.variance[:, :n])
+    if vol is None:
+        return np.sqrt(paths.variance[:, :n])
+    if not (math.isfinite(vol) and vol > 0):
+        raise ParameterError(f"vol must be finite and positive, got {vol}")
+    return np.full((paths.n_paths, n), vol)
 
 
-def bs_delta_strategy(paths: MarketPaths, strike: float, vmode: VolMode) -> HedgeSchedule:
-    """Black-Scholes delta at every (path, step) with tau_t = T - t*dt."""
+def bs_delta_strategy(paths: MarketPaths, strike: float, vol: float | None) -> HedgeSchedule:
+    """Black-Scholes delta at every (path, step) with tau_t = T - t*dt, at a
+    fixed ``vol`` ("bs_delta_fixed") or, with None, the paths' instantaneous
+    vol ("bs_delta_true")."""
     n = paths.n_steps
     taus = paths.grid.taus()[None, :]
-    vol = _vol_surface(paths, vmode)
-    delta = bs_delta(paths.spot[:, :n], strike, vol, taus)
-    label = "bs_delta_fixed" if vmode.mode == "fixed" else "bs_delta_true"
-    return HedgeSchedule(delta, label)
+    delta = bs_delta(paths.spot[:, :n], strike, _vol_surface(paths, vol), taus)
+    return HedgeSchedule(delta, "bs_delta_true" if vol is None else "bs_delta_fixed")
 
 
 def ww_band_halfwidth(spot, strike, vol, tau, cost_rate, risk_aversion=1.0):
@@ -140,22 +118,23 @@ def ww_band_halfwidth(spot, strike, vol, tau, cost_rate, risk_aversion=1.0):
 def ww_strategy(
     paths: MarketPaths,
     strike: float,
-    vmode: VolMode,
+    vol: float | None,
     cost_rate: float,
     risk_aversion: float = 1.0,
 ) -> HedgeSchedule:
     """No-trade band strategy: hold inside the band, jump to the nearest edge.
 
     The band is centred on the Black-Scholes delta with the asymptotic
-    half-width; on the standard grid every decision time has tau >= dt, where
-    the formula is valid. Should a custom grid place a decision inside the
-    final step (tau < dt), the last valid band is reused.
+    half-width, both at ``vol`` as in :func:`bs_delta_strategy`; on the
+    standard grid every decision time has tau >= dt, where the formula is
+    valid. Should a custom grid place a decision inside the final step
+    (tau < dt), the last valid band is reused.
     """
     n = paths.n_paths
     n_steps = paths.n_steps
     dt = paths.grid.dt
     taus = paths.grid.taus()
-    vol = _vol_surface(paths, vmode)
+    vol = _vol_surface(paths, vol)
     spot = paths.spot
 
     delta = np.empty((n, n_steps))

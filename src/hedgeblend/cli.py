@@ -106,23 +106,14 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
         return args.func(args)
-    except StageError as exc:
+    except (HedgeblendError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.__cause__
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
         if isinstance(cause, NumericalDivergenceError):
             return EXIT_DIVERGENCE
         if isinstance(cause, OSError):
             return EXIT_IO
         return EXIT_VALIDATION
-    except NumericalDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (HedgeblendError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import rng
-from .accounting import PnLReport, average_trade_size, decompose_pnl
+from .accounting import PnLReport, decompose_pnl
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -29,6 +29,9 @@ from .risk import RiskSpec, cvar, summary
 N_QUINTILES = 5
 # Fewest resamples a paired bootstrap accepts; RunConfig checks it up front.
 MIN_BOOTSTRAP_RESAMPLES = 100
+# Resamples a paired bootstrap draws at once: bounds its index matrix to
+# BOOTSTRAP_BLOCK x n paths.
+BOOTSTRAP_BLOCK = 512
 
 
 @dataclass
@@ -213,28 +216,24 @@ def paired_bootstrap(
     metric: RiskSpec,
     resamples: int = 5000,
     seed: int = 0,
-    block: int = 512,
 ) -> BootstrapResult:
     """Resample paths with replacement; evaluate both strategies on the same
     draws and record the oriented metric difference (A minus B for
     higher-is-better metrics, flipped otherwise). The draws are made
-    ``block`` resamples at a time, which changes no result; ParameterError
-    names a ``block`` below 1."""
+    ``BOOTSTRAP_BLOCK`` resamples at a time, which changes no result."""
     pnl_a = np.asarray(pnl_a, dtype=float)
     pnl_b = np.asarray(pnl_b, dtype=float)
     if pnl_a.shape != pnl_b.shape:
         raise DimensionError("pnl vectors must have equal length")
     if resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ParameterError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
-    if block < 1:
-        raise ParameterError(f"block must be >= 1, got {block}")
     n = pnl_a.size
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_BOOTSTRAP))
 
     diffs = np.empty(resamples)
     done = 0
     while done < resamples:
-        m = min(block, resamples - done)
+        m = min(BOOTSTRAP_BLOCK, resamples - done)
         idx = gen.integers(0, n, size=(m, n))
         d = metric.evaluate(pnl_a[idx]) - metric.evaluate(pnl_b[idx])
         diffs[done : done + m] = d if metric.higher_is_better else -d
@@ -371,8 +370,8 @@ class TradeStatsRow:
 
 
 def write_trade_stats_csv(path: str, reports: list[PnLReport]) -> None:
-    rows = [TradeStatsRow(r.strategy_label, average_trade_size(r), float(r.transaction_costs.mean()))
-            for r in reports]
+    rows = [TradeStatsRow(r.strategy_label, float(r.trade_size.mean()),
+                          float(r.transaction_costs.mean())) for r in reports]
     write_rows_csv(path, TradeStatsRow, rows)
 
 

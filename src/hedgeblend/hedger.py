@@ -12,7 +12,7 @@ rollout by a hand-written backpropagation through time,
 ``autodiff.backward``, inside :func:`_chunked_backward`.
 
 One rollout, :func:`_infer`, serves inference and training. Inference
-(:func:`forward_rollout`, :func:`training_loss`) reuses its buffers at every
+(:func:`forward_rollout`) reuses its buffers at every
 step; training's saving forward keeps each step's gates and cell states,
 the tape that the backward reads (it recomputes tanh(c) and h from them),
 and gives the same hedge ratios bit for bit.
@@ -403,17 +403,6 @@ def _chunked_backward(
 
     grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
     return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
-
-
-def training_loss(
-    model: HedgerModel, paths: MarketPaths, cost: CostSpec, strike: float, a: float = 1.0
-) -> float:
-    """Entropic training objective of the model on a fixed batch, rolled out by
-    :func:`_infer` without saving; on one shard, equal bit for bit to the
-    loss :func:`_chunked_backward` returns."""
-    delta = _infer(model.params, paths, strike)
-    pnl = HedgePnL(paths.spot.astype(delta.dtype), cost.cost_rate, strike).pnl(delta)
-    return entropic_risk(pnl.astype(np.float64), a)
 
 
 def network_price(

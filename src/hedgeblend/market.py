@@ -23,7 +23,7 @@ class HestonParams:
 
     kappa: mean-reversion rate (1/years); theta: long-run variance;
     sigma_vv: volatility of variance; rho: spot/variance Brownian correlation;
-    v0: initial variance; s0: initial spot; rate: risk-free rate (0 throughout).
+    v0: initial variance; s0: initial spot. Rates are zero throughout.
     """
 
     kappa: float
@@ -32,7 +32,6 @@ class HestonParams:
     rho: float
     v0: float
     s0: float = 1.0
-    rate: float = 0.0
 
     def __post_init__(self):
         if not (self.kappa > 0 and self.theta > 0 and self.sigma_vv > 0):
@@ -84,10 +83,6 @@ class PathGrid:
     def dt(self) -> float:
         return self.maturity / self.n_steps
 
-    def times(self) -> np.ndarray:
-        """Grid times t_0=0 .. t_n=maturity, length n_steps+1."""
-        return np.arange(self.n_steps + 1) * self.dt
-
     def taus(self) -> np.ndarray:
         """Time to expiry at each hedge decision step t=0..n_steps-1."""
         return self.maturity - np.arange(self.n_steps) * self.dt
@@ -104,7 +99,6 @@ class MarketPaths:
     spot: np.ndarray
     variance: np.ndarray
     grid: PathGrid
-    seed: int
 
     def __post_init__(self):
         expected = (self.n_paths, self.grid.n_steps + 1)
@@ -125,16 +119,15 @@ class MarketPaths:
         return self.grid.n_steps
 
     def rows(self, lo: int, hi: int) -> "MarketPaths":
-        """Paths lo..hi-1 as views of these arrays (no copy, same grid/seed)."""
-        return MarketPaths(self.spot[lo:hi], self.variance[lo:hi], self.grid, self.seed)
+        """Paths lo..hi-1 as views of these arrays (no copy, same grid)."""
+        return MarketPaths(self.spot[lo:hi], self.variance[lo:hi], self.grid)
 
     def take(self, indices: np.ndarray) -> "MarketPaths":
-        """Subset of paths at the given indices (copies, same grid/seed)."""
+        """Subset of paths at the given indices (copies, same grid)."""
         return MarketPaths(
             spot=self.spot[indices].copy(),
             variance=self.variance[indices].copy(),
             grid=self.grid,
-            seed=self.seed,
         )
 
 
@@ -173,7 +166,7 @@ def simulate_heston(
         spot[:, t + 1] = np.exp(log_s)
         variance[:, t + 1] = np.maximum(v_latent, 0.0)
 
-    return MarketPaths(spot=spot, variance=variance, grid=grid, seed=seed)
+    return MarketPaths(spot=spot, variance=variance, grid=grid)
 
 
 def simulate_gbm(vol: float, grid: PathGrid, n_paths: int, seed: int, s0: float = 1.0) -> MarketPaths:
@@ -193,7 +186,7 @@ def simulate_gbm(vol: float, grid: PathGrid, n_paths: int, seed: int, s0: float 
     spot[:, 0] = s0
     spot[:, 1:] = np.exp(log_s)
     variance = np.full((n_paths, n + 1), vol**2)
-    return MarketPaths(spot=spot, variance=variance, grid=grid, seed=seed)
+    return MarketPaths(spot=spot, variance=variance, grid=grid)
 
 
 def simulate(model, grid: PathGrid, n_paths: int, seed: int) -> MarketPaths:

@@ -40,7 +40,7 @@ from .blend import (
     fit_blend,
     train_eval_split,
 )
-from .classical import VolMode, bs_delta_strategy, bs_price, ww_strategy
+from .classical import bs_delta_strategy, bs_price, ww_strategy
 from .config import RunConfig
 from .ensemble import (
     EnsembleOutput,
@@ -109,7 +109,7 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
 
     test_paths = simulate_gbm(GBM_VOL, config.grid, config.eval_paths, seed=config.eval_seeds[0])
     learned = forward_rollout(model, test_paths, config.strike)
-    reference = bs_delta_strategy(test_paths, config.strike, VolMode.fixed(GBM_VOL))
+    reference = bs_delta_strategy(test_paths, config.strike, GBM_VOL)
     mae = float(np.abs(learned.delta - reference.delta).mean())
 
     price = network_price(model, test_paths, zero_cost, config.strike, config.train.risk_aversion)
@@ -230,10 +230,10 @@ def _resumed_members(config: RunConfig, out_dir: str) -> list[HedgerModel]:
 
 
 def classical_schedules(config: RunConfig, paths: MarketPaths) -> dict:
-    fixed = VolMode.fixed(config.fixed_vol_value())
+    fixed = config.fixed_vol_value()
     return {
         "bs_delta_fixed": bs_delta_strategy(paths, config.strike, fixed),
-        "bs_delta_true": bs_delta_strategy(paths, config.strike, VolMode.true_instantaneous()),
+        "bs_delta_true": bs_delta_strategy(paths, config.strike, None),
         "whalley_wilmott": ww_strategy(
             paths, config.strike, fixed, config.cost_rate,
             risk_aversion=config.train.risk_aversion,
@@ -475,7 +475,7 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
         if seed != config.eval_seeds[0]:
             paths = simulate_eval_paths(config, seed=seed)
             ens = aggregate(members, paths, config.strike)
-            bs = bs_delta_strategy(paths, config.strike, VolMode.fixed(config.fixed_vol_value()))
+            bs = bs_delta_strategy(paths, config.strike, config.fixed_vol_value())
             schedules = strategy_schedules(
                 paths, ens, {"bs_delta_fixed": bs}, {"cvar": fits["cvar"].params}, config.strike
             )

@@ -84,12 +84,12 @@ class RiskSpec:
     """A named risk metric with its parameters: a bootstrap statistic and, for
     entropic risk and CVaR, a blend-fit objective (:meth:`loss`)."""
 
-    kind: str  # "entropic" | "cvar" | "mean" | "std"
+    kind: str  # "entropic" | "cvar" | "mean"
     a: float = 1.0
     level: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("entropic", "cvar", "mean", "std"):
+        if self.kind not in ("entropic", "cvar", "mean"):
             raise ParameterError(f"unknown risk measure {self.kind!r}")
         if self.kind == "entropic" and self.a <= 0:
             raise ParameterError("entropic risk requires a > 0")
@@ -117,9 +117,4 @@ class RiskSpec:
             return entropic_risk(pnl, self.a)
         if self.kind == "cvar":
             return cvar(pnl, self.level)
-        pnl = np.asarray(pnl, dtype=float)
-        if self.kind == "mean":
-            return _scalar(pnl.mean(axis=-1))
-        if pnl.shape[-1] < 2:
-            raise InsufficientDataError("std requires at least 2 observations")
-        return _scalar(pnl.std(axis=-1, ddof=1))
+        return _scalar(np.asarray(pnl, dtype=float).mean(axis=-1))

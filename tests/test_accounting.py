@@ -12,7 +12,6 @@ from hedgeblend.accounting import (
     HedgePnL,
     HedgeSchedule,
     PnLReport,
-    average_trade_size,
     compute_pnl,
     decompose_pnl,
     write_pnl_csv,
@@ -24,9 +23,7 @@ from hedgeblend.market import MarketPaths, PathGrid
 def make_paths(spot_rows: np.ndarray, maturity: float = 1.0) -> MarketPaths:
     spot = np.asarray(spot_rows, dtype=float)
     grid = PathGrid(n_steps=spot.shape[1] - 1, maturity=maturity)
-    return MarketPaths(
-        spot=spot, variance=np.zeros_like(spot), grid=grid, seed=0
-    )
+    return MarketPaths(spot=spot, variance=np.zeros_like(spot), grid=grid)
 
 
 class TestComputePnl:
@@ -222,9 +219,10 @@ class TestTrades:
         assert report.transaction_costs[0] == pytest.approx(
             5e-4 * (0.5 * 1.0 + 0.2 * 1.1 + 0.7 * 1.2), abs=1e-15)
 
+    # trade_stats.csv's average_trade_size is the mean of the per-path trade_size.
     def test_average_trade_size_zero_hedge(self, baseline_paths, cost):
         hedges = HedgeSchedule(np.zeros((baseline_paths.n_paths, baseline_paths.n_steps)))
-        assert average_trade_size(compute_pnl(baseline_paths, hedges, cost, 1.0)) == 0.0
+        assert compute_pnl(baseline_paths, hedges, cost, 1.0).trade_size.mean() == 0.0
 
     def test_average_trade_size_constant_hedge(self):
         n = 126
@@ -232,7 +230,7 @@ class TestTrades:
         report = compute_pnl(
             make_paths(spot), HedgeSchedule(np.full((3, n), 0.5)), CostSpec(0.0), 1.0
         )
-        assert average_trade_size(report) == pytest.approx(1.0 / (n + 1), abs=1e-15)
+        assert report.trade_size.mean() == pytest.approx(1.0 / (n + 1), abs=1e-15)
 
 
 class TestDecompose:

@@ -9,7 +9,6 @@ import pytest
 import hedgeblend
 from hedgeblend import classical
 from hedgeblend.classical import (
-    VolMode,
     bs_delta,
     bs_delta_strategy,
     bs_gamma,
@@ -33,7 +32,6 @@ def pinned_paths(spot_value: float, variance_value: float, n_steps: int = 126) -
         spot=np.full((1, n_steps + 1), spot_value),
         variance=np.full((1, n_steps + 1), variance_value),
         grid=grid,
-        seed=0,
     )
 
 
@@ -94,7 +92,7 @@ def test_bs_price_oracle():
 class TestDeltaStrategy:
     def test_pinned_atm_declines_toward_half(self):
         paths = pinned_paths(1.0, 0.04)
-        sched = bs_delta_strategy(paths, 1.0, VolMode.fixed(0.2))
+        sched = bs_delta_strategy(paths, 1.0, 0.2)
         deltas = sched.delta[0]
         assert np.all(deltas > 0.5)
         assert np.all(np.diff(deltas) < 0)
@@ -102,7 +100,7 @@ class TestDeltaStrategy:
 
     def test_all_otm_path_near_zero(self):
         paths = pinned_paths(0.5, 0.04)
-        sched = bs_delta_strategy(paths, 1.0, VolMode.fixed(0.2))
+        sched = bs_delta_strategy(paths, 1.0, 0.2)
         assert np.all(sched.delta < 0.05)
 
     def test_fixed_equals_true_on_constant_variance(self, baseline_paths):
@@ -110,17 +108,20 @@ class TestDeltaStrategy:
             spot=baseline_paths.spot.copy(),
             variance=np.full_like(baseline_paths.variance, 0.04),
             grid=baseline_paths.grid,
-            seed=0,
         )
-        fixed = bs_delta_strategy(const_var, 1.0, VolMode.fixed(0.2))
-        true = bs_delta_strategy(const_var, 1.0, VolMode.true_instantaneous())
+        fixed = bs_delta_strategy(const_var, 1.0, 0.2)
+        true = bs_delta_strategy(const_var, 1.0, None)
         assert np.array_equal(fixed.delta, true.delta)
+        assert (fixed.strategy_label, true.strategy_label) == ("bs_delta_fixed", "bs_delta_true")
 
-    def test_vol_mode_validation(self):
-        with pytest.raises(ParameterError):
-            VolMode.fixed(0.0)
-        with pytest.raises(ParameterError):
-            VolMode(mode="implied")
+    def test_vol_validation(self):
+        """A given vol must be finite and positive, for both strategies."""
+        paths = pinned_paths(1.0, 0.04, n_steps=4)
+        for vol in (0.0, -0.2, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="vol must be finite and positive"):
+                bs_delta_strategy(paths, 1.0, vol)
+            with pytest.raises(ParameterError, match="vol must be finite and positive"):
+                ww_strategy(paths, 1.0, vol, cost_rate=5e-4)
 
 
 class TestWwBand:
@@ -143,20 +144,19 @@ class TestWwBand:
 
 class TestWwStrategy:
     def test_zero_cost_equals_delta_strategy(self, baseline_paths):
-        vmode = VolMode.fixed(0.2)
-        ww = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=0.0)
-        bs = bs_delta_strategy(baseline_paths, 1.0, vmode)
+        vol = 0.2
+        ww = ww_strategy(baseline_paths, 1.0, vol, cost_rate=0.0)
+        bs = bs_delta_strategy(baseline_paths, 1.0, vol)
         assert np.allclose(ww.delta, bs.delta, atol=1e-14)
 
     def test_frozen_market_trades_at_most_once_after_entry(self):
         paths = pinned_paths(1.0, 0.04)
-        sched = ww_strategy(paths, 1.0, VolMode.fixed(0.2), cost_rate=5e-4)
+        sched = ww_strategy(paths, 1.0, 0.2, cost_rate=5e-4)
         moves = np.abs(np.diff(sched.delta[0])) > 1e-12
         assert moves.sum() <= 1
 
     def test_positions_stay_inside_band(self, baseline_paths):
-        vmode = VolMode.fixed(0.2)
-        sched = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=5e-4)
+        sched = ww_strategy(baseline_paths, 1.0, 0.2, cost_rate=5e-4)
         taus = baseline_paths.grid.taus()
         n = baseline_paths.n_steps
         for t in range(n):
@@ -171,15 +171,15 @@ class TestWwStrategy:
         return np.abs(np.diff(np.pad(schedule.delta, ((0, 0), (1, 1))), axis=1))
 
     def test_trades_less_volume_than_delta_hedging(self, baseline_paths):
-        vmode = VolMode.fixed(0.2)
-        ww = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=5e-4)
-        bs = bs_delta_strategy(baseline_paths, 1.0, vmode)
+        vol = 0.2
+        ww = ww_strategy(baseline_paths, 1.0, vol, cost_rate=5e-4)
+        bs = bs_delta_strategy(baseline_paths, 1.0, vol)
         assert self.trades(baseline_paths, ww).sum() < self.trades(baseline_paths, bs).sum()
 
     def test_trade_count_never_exceeds_delta_hedging(self, baseline_paths):
-        vmode = VolMode.fixed(0.2)
-        ww = ww_strategy(baseline_paths, 1.0, vmode, cost_rate=5e-4)
-        bs = bs_delta_strategy(baseline_paths, 1.0, vmode)
+        vol = 0.2
+        ww = ww_strategy(baseline_paths, 1.0, vol, cost_rate=5e-4)
+        bs = bs_delta_strategy(baseline_paths, 1.0, vol)
         count_ww = (self.trades(baseline_paths, ww) > 1e-12).sum(axis=1)
         count_bs = (self.trades(baseline_paths, bs) > 1e-12).sum(axis=1)
         assert np.all(count_ww <= count_bs)

@@ -67,6 +67,7 @@ class TestUnknownKeys:
         ({"train": {"no_such_key": 1}}, "no_such_key"),
         ({"grid": {"n_steps": 8, "maturity": 0.5, "no_such_key": 1}}, "no_such_key"),
         ({"calibration": {**CUSTOM_CALIBRATION, "no_such_key": 1}}, "no_such_key"),
+        ({"calibration": {**CUSTOM_CALIBRATION, "rate": 0.05}}, "rate"),
         ({"workers": 2}, "workers"),
         ({"workers": 0}, "workers"),
         ({"workers": -1}, "workers"),
@@ -78,9 +79,9 @@ class TestUnknownKeys:
         ({"train": {"step_size": 1e-3}}, "step_size"),
         ({"train": {"adam_betas": [0.9, 0.999]}}, "adam_betas"),
         ({"winrate_window": 500}, "winrate_window"),
-    ], ids=["top", "train", "grid", "calibration", "workers", "zero-workers", "negative-workers",
-            "objectives", "fixed-vol", "gbm-vol", "heatmap-moneyness-bins", "heatmap-time-bins",
-            "train-step-size", "train-adam-betas", "winrate-window"])
+    ], ids=["top", "train", "grid", "calibration", "calibration-rate", "workers", "zero-workers",
+            "negative-workers", "objectives", "fixed-vol", "gbm-vol", "heatmap-moneyness-bins",
+            "heatmap-time-bins", "train-step-size", "train-adam-betas", "winrate-window"])
     def test_unknown_key_is_a_parameter_error(self, record, key):
         with pytest.raises(ParameterError, match=f"unknown .*keys: \\['{key}'\\]"):
             RunConfig.from_dict(record)
@@ -114,11 +115,12 @@ INVALID_FIELDS = [
     {"strike": -1.0},
     {"strike": 0.0},
     {"cost_rate": -0.001},
+    {"calibration": {**CUSTOM_CALIBRATION, "rate": 0.05}},  # rates are zero throughout
 ]
 INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "negative-eval-seed",
                "no-test-paths", "no-training-paths", "one-test-path", "one-training-path",
                "cvar-level-above-one", "zero-cvar-level", "negative-strike", "zero-strike",
-               "negative-cost-rate"]
+               "negative-cost-rate", "calibration-rate"]
 
 
 class TestValidation:
@@ -195,3 +197,28 @@ class TestCliRejectsBeforeTraining:
     def test_help_exits_0(self, capsys):
         assert cli.main(["full-pipeline", "--help"]) == cli.EXIT_OK
         assert "--resume" in capsys.readouterr().out
+
+
+class TestCliOverrides:
+    """``cli._load_config`` on parsed arguments: --scale and --seed override
+    the config they are given, and nothing else."""
+
+    @staticmethod
+    def load(tmp_path, *flags):
+        args = cli.build_parser().parse_args(["full-pipeline", *flags, "--out", str(tmp_path)])
+        return cli._load_config(args)
+
+    def test_paper_scale(self, tmp_path):
+        paper = TrainConfig(epochs=500, paths_per_epoch=20_000, seed=RunConfig().train.seed)
+        assert self.load(tmp_path, "--scale", "paper") == RunConfig(train=paper)
+
+    def test_desk_scale_over_a_config_file(self, tmp_path):
+        config_file = tmp_path / "custom.json"
+        custom_config().save_json(str(config_file))  # 3 epochs x 128 paths
+        expected = custom_config()
+        expected.train = TrainConfig(epochs=100, paths_per_epoch=5_000, risk_aversion=2.0,
+                                     seed=11)
+        assert self.load(tmp_path, "--config", str(config_file), "--scale", "desk") == expected
+
+    def test_seed(self, tmp_path):
+        assert self.load(tmp_path, "--seed", "5") == RunConfig(train=TrainConfig(seed=5))

@@ -54,8 +54,9 @@ def chunked_grads(params, paths):
 
 def gradient_check(model, paths, n_params_sampled=20, step=1e-5, a=1.0, seed=0):
     """Max relative error of the training gradient against central finite
-    differences of ``hedger.training_loss``, in float64, over
-    ``n_params_sampled`` coordinates of the flattened parameter vector.
+    differences of ``hedger.network_price``, the entropic risk of the hedged
+    P&L, in float64, over ``n_params_sampled`` coordinates of the flattened
+    parameter vector.
     Raises NumericalDivergenceError if the loss on ``paths`` is not finite."""
     params = {k: v.astype(np.float64) for k, v in model.params.items()}
     loss, grads = hedger._chunked_backward(params, paths, COST, STRIKE, a)
@@ -79,9 +80,9 @@ def gradient_check(model, paths, n_params_sampled=20, step=1e-5, a=1.0, seed=0):
         theta = probe.params[name].reshape(-1)
         original = theta[idx]
         theta[idx] = original + step
-        up = hedger.training_loss(probe, paths, COST, STRIKE, a)
+        up = hedger.network_price(probe, paths, COST, STRIKE, a)
         theta[idx] = original - step
-        down = hedger.training_loss(probe, paths, COST, STRIKE, a)
+        down = hedger.network_price(probe, paths, COST, STRIKE, a)
         theta[idx] = original
         grad_fd = (up - down) / (2.0 * step)
         rel = abs(grad_ad - grad_fd) / max(abs(grad_ad), abs(grad_fd), 1e-8)
@@ -447,14 +448,6 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     assert delta.tobytes() == taped.tobytes()
     schedule = hedger.forward_rollout(model, paths, STRIKE).delta
     assert schedule.tobytes() == np.asarray(taped, dtype=float).tobytes()
-
-
-def test_training_loss_equals_the_taped_loss_bit_for_bit(paths_300):
-    """training_loss, a plain forward, is the loss of one-shard training."""
-    for dtype in (np.float32, np.float64):
-        model = model_in(dtype)
-        taped, _ = hedger._chunked_backward(model.params, paths_300, COST, STRIKE, 1.0)
-        assert hedger.training_loss(model, paths_300, COST, STRIKE) == taped
 
 
 @pytest.mark.parametrize("where, step", [("w_out", 0), ("spot", 5)])

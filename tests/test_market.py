@@ -19,7 +19,7 @@ class TestParams:
     def test_baseline_calibration_values(self):
         p = CALIBRATIONS["baseline"]
         assert (p.kappa, p.theta, p.sigma_vv, p.rho, p.v0) == (2.0, 0.04, 0.4, -0.7, 0.04)
-        assert p.s0 == 1.0 and p.rate == 0.0
+        assert p.s0 == 1.0
 
     def test_named_calibrations_share_common_parameters(self):
         for p in CALIBRATIONS.values():
@@ -48,7 +48,6 @@ class TestParams:
             PathGrid(n_steps=10, maturity=0.0)
         g = PathGrid(n_steps=126, maturity=0.5)
         assert g.dt * g.n_steps == g.maturity
-        assert g.times().shape == (127,)
         assert g.taus()[0] == 0.5 and g.taus()[-1] == pytest.approx(g.dt)
 
 
@@ -95,7 +94,7 @@ class TestHeston:
     def test_cir_mean_at_every_grid_point(self, baseline, grid):
         n = 10_000
         paths = simulate_heston(baseline, grid, n, seed=11)
-        times = grid.times()
+        times = np.arange(grid.n_steps + 1) * grid.dt
         target = baseline.theta + (baseline.v0 - baseline.theta) * np.exp(-baseline.kappa * times)
         for t in range(1, grid.n_steps + 1):
             band = 4.0 * paths.variance[:, t].std() / np.sqrt(n)
@@ -167,7 +166,7 @@ class TestExport:
     def test_shape_validation(self, small_grid):
         with pytest.raises(DimensionError):
             MarketPaths(
-                spot=np.ones((2, 5)), variance=np.ones((2, 5)), grid=small_grid, seed=0
+                spot=np.ones((2, 5)), variance=np.ones((2, 5)), grid=small_grid
             )
 
 

@@ -254,6 +254,15 @@ class TestCliOnSavedRun:
         assert trained == []
         assert snapshot(out) == before
 
+    def test_resume_at_another_scale_is_refused(self, run_dir, tmp_path, capsys, no_training):
+        """--scale changes the saved run's training record, so resuming refuses it."""
+        out = copy_run(run_dir[0], tmp_path)
+        before = snapshot(out)
+        code = cli.main(["full-pipeline", "--resume", "--scale", "paper", "--out", out])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.rstrip().endswith("in fields: train")
+        assert snapshot(out) == before
+
     def test_other_fields_may_change_on_resume(self, run_dir, tmp_path, no_training):
         """Fields outside the training record may change on resume."""
         out = copy_run(run_dir[0], tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgeblend.classical import VolMode, bs_delta_strategy
+from hedgeblend.classical import bs_delta_strategy
 from hedgeblend.accounting import CostSpec, compute_pnl
 from hedgeblend.errors import EmptyInputError, InsufficientDataError, ParameterError
 from hedgeblend.market import simulate_heston
@@ -146,7 +146,7 @@ class TestObjectiveGradients:
         assert value == pytest.approx(-pnl.mean(), abs=1e-12)
         assert np.array_equal(g, np.full_like(pnl, -0.1))
 
-    @pytest.mark.parametrize("kind", ["mean", "std"])
+    @pytest.mark.parametrize("kind", ["mean"])
     def test_only_entropic_risk_and_cvar_are_objectives(self, kind):
         with pytest.raises(ParameterError, match="is not an objective"):
             RiskSpec(kind).loss(np.zeros(4), np.empty(4))
@@ -168,7 +168,7 @@ class TestSummary:
 
     def test_baseline_delta_hedge_statistics(self, baseline, grid):
         paths = simulate_heston(baseline, grid, 3000, seed=99)
-        sched = bs_delta_strategy(paths, 1.0, VolMode.fixed(0.2))
+        sched = bs_delta_strategy(paths, 1.0, 0.2)
         report = compute_pnl(paths, sched, CostSpec(5e-4), 1.0)
         mean, std = summary(report.pnl)
         assert -0.06 <= mean <= -0.05
@@ -179,7 +179,6 @@ class TestRiskSpec:
     def test_dispatch(self):
         pnl = np.array([-1.0, 0.0, 2.0, 0.5])
         assert RiskSpec("mean").evaluate(pnl) == pytest.approx(pnl.mean())
-        assert RiskSpec("std").evaluate(pnl) == pytest.approx(pnl.std(ddof=1))
         assert RiskSpec("cvar", level=0.25).evaluate(pnl) == -1.0
         assert RiskSpec("entropic", a=1.0).evaluate(pnl) == pytest.approx(
             entropic_risk(pnl, 1.0)
@@ -187,7 +186,7 @@ class TestRiskSpec:
 
     @pytest.mark.parametrize(
         "spec",
-        [RiskSpec("mean"), RiskSpec("std"), RiskSpec("cvar", level=0.1),
+        [RiskSpec("mean"), RiskSpec("cvar", level=0.1),
          RiskSpec("cvar", level=1.0), RiskSpec("entropic", a=2.0)],
         ids=lambda spec: f"{spec.kind}",
     )
@@ -201,7 +200,6 @@ class TestRiskSpec:
     def test_orientation(self):
         assert RiskSpec("cvar").higher_is_better
         assert RiskSpec("mean").higher_is_better
-        assert not RiskSpec("std").higher_is_better
         assert not RiskSpec("entropic").higher_is_better
 
     def test_validation(self):
