@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .market import MarketPaths
 
 
@@ -29,7 +29,7 @@ class HedgeSchedule:
     def __post_init__(self):
         self.delta = np.asarray(self.delta, dtype=float)
         if self.delta.ndim != 2:
-            raise DimensionError(f"delta must be 2-D, got shape {self.delta.shape}")
+            raise ParameterError(f"delta must be 2-D, got shape {self.delta.shape}")
         if not np.isfinite(self.delta).all():
             raise ParameterError("hedge schedule contains non-finite entries")
 
@@ -97,7 +97,7 @@ def compute_pnl(
     if strike <= 0:
         raise ParameterError("strike must be positive")
     if hedges.delta.shape != (paths.n_paths, paths.n_steps):
-        raise DimensionError(
+        raise ParameterError(
             f"hedge schedule shape {hedges.delta.shape} does not match "
             f"paths ({paths.n_paths} x {paths.n_steps})"
         )
@@ -175,16 +175,21 @@ class DecompositionRow:
     diff_net: float = 0.0
 
 
+def check_same_paths(reports: list[PnLReport]) -> None:
+    """ParameterError unless there are reports and all were computed on the
+    same paths: equal path counts and equal payoffs."""
+    if not reports:
+        raise ParameterError("no reports")
+    for r in reports:
+        if r.n_paths != reports[0].n_paths:
+            raise ParameterError("reports cover different path counts")
+        if not np.array_equal(r.payoff, reports[0].payoff):
+            raise ParameterError("reports were not computed on the same paths")
+
+
 def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[DecompositionRow]:
     """Component means per strategy plus differences vs. the baseline report."""
-    if not reports:
-        raise DimensionError("decompose_pnl requires at least one report")
-    n = reports[0].n_paths
-    for r in reports:
-        if r.n_paths != n:
-            raise DimensionError("reports cover different path counts")
-        if not np.array_equal(r.payoff, reports[baseline].payoff):
-            raise DimensionError("reports were not computed on the same paths")
+    check_same_paths(reports)
     base = reports[baseline]
     rows = []
     for r in reports:

@@ -30,7 +30,7 @@ from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .autodiff import Adam
 from .ensemble import EnsembleOutput
-from .errors import DimensionError, NumericalDivergenceError, ParameterError
+from .errors import NumericalDivergenceError, ParameterError
 from .market import MarketPaths
 from .risk import RiskSpec
 
@@ -90,7 +90,7 @@ def blend_schedules(
 ) -> HedgeSchedule:
     """Pointwise convex combination (1 - alpha) * ensemble + alpha * BS."""
     if ens_mean.delta.shape != bs.delta.shape or ens_mean.delta.shape != psi.shape:
-        raise DimensionError(
+        raise ParameterError(
             f"shape mismatch: ensemble {ens_mean.delta.shape}, "
             f"bs {bs.delta.shape}, disagreement {psi.shape}"
         )
@@ -260,9 +260,9 @@ def fit_blend(
         raise ParameterError(f"unknown blend objective {objective.kind!r}")
     shape = (train_paths.n_paths, train_paths.n_steps)
     if shape[0] == 0:
-        raise DimensionError("fit_blend needs at least one training path")
+        raise ParameterError("fit_blend needs at least one training path")
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
-        raise DimensionError("ensemble/bs schedules do not match the training paths")
+        raise ParameterError("ensemble/bs schedules do not match the training paths")
 
     features = [ens.disagreement]
     if extended:

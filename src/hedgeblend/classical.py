@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .accounting import HedgeSchedule
-from .errors import BoundaryError, ParameterError
+from .errors import ParameterError
 from .market import MarketPaths
 
 
@@ -70,7 +70,7 @@ def bs_gamma(spot, strike, vol, tau):
     """Call gamma phi(d1) / (S * vol * sqrt(tau)); undefined at expiry."""
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
-        raise BoundaryError("gamma is undefined at expiry (tau must be > 0)")
+        raise ParameterError("gamma is undefined at expiry (tau must be > 0)")
     spot = np.asarray(spot, dtype=float)
     vol = np.asarray(vol, dtype=float)
     live = vol > 0
@@ -125,29 +125,20 @@ def ww_strategy(
     """No-trade band strategy: hold inside the band, jump to the nearest edge.
 
     The band is centred on the Black-Scholes delta with the asymptotic
-    half-width, both at ``vol`` as in :func:`bs_delta_strategy`; on the
-    standard grid every decision time has tau >= dt, where the formula is
-    valid. Should a custom grid place a decision inside the final step
-    (tau < dt), the last valid band is reused.
+    half-width, both at ``vol`` and tau_t = T - t*dt as in
+    :func:`bs_delta_strategy`; the half-width takes tau at least dt, which
+    tau_t falls below only by rounding, at the last decision.
     """
-    n = paths.n_paths
-    n_steps = paths.n_steps
-    dt = paths.grid.dt
-    taus = paths.grid.taus()
-    vol = _vol_surface(paths, vol)
-    spot = paths.spot
-
-    delta = np.empty((n, n_steps))
-    position = np.zeros(n)
-    center = np.zeros(n)
-    width = np.zeros(n)
-    for t in range(n_steps):
-        tau = taus[t]
-        if tau >= dt - 1e-15 or t == 0:
-            center = bs_delta(spot[:, t], strike, vol[:, t], tau)
-            width = ww_band_halfwidth(
-                spot[:, t], strike, vol[:, t], max(tau, dt), cost_rate, risk_aversion
-            )
-        position = np.clip(position, center - width, center + width)
+    n = paths.n_steps
+    taus = paths.grid.taus()[None, :]
+    spot, vol = paths.spot[:, :n], _vol_surface(paths, vol)
+    center = bs_delta(spot, strike, vol, taus)
+    width = ww_band_halfwidth(
+        spot, strike, vol, np.maximum(taus, paths.grid.dt), cost_rate, risk_aversion
+    )
+    delta = np.empty_like(center)
+    position = np.zeros(paths.n_paths)
+    for t in range(n):
+        position = np.clip(position, center[:, t] - width[:, t], center[:, t] + width[:, t])
         delta[:, t] = position
     return HedgeSchedule(delta, "whalley_wilmott")

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .accounting import CostSpec
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 from .evaluation import MIN_BOOTSTRAP_RESAMPLES
 from .hedger import TrainConfig
 from .market import CALIBRATIONS, HestonParams, PathGrid
@@ -66,6 +66,11 @@ class RunConfig:
     mean_bootstrap_resamples: int = 10000
 
     def __post_init__(self):
+        for name in ("ensemble_size", "eval_paths", "bootstrap_resamples",
+                     "mean_bootstrap_resamples"):
+            require_integer(name, getattr(self, name))
+        for i, seed in enumerate(self.eval_seeds):
+            require_integer(f"eval_seeds[{i}]", seed)
         if self.ensemble_size < 2:
             raise ParameterError("ensemble_size must be >= 2")
         if not 0.0 < self.train_fraction < 1.0:

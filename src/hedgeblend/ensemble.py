@@ -128,10 +128,8 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     stops the running ones at their next step; a failure is raised in member
     order.
     """
-    if len(members) == 0:
-        raise ParameterError("aggregate requires at least one member")
-    if len(members) == 1:
-        raise ParameterError("disagreement is undefined for a single member")
+    if len(members) < 2:
+        raise ParameterError(f"disagreement needs at least 2 members, got {len(members)}")
     blocks = _path_blocks(paths.n_paths)
     jobs = [(m, block) for m in range(len(members)) for block in blocks]
     deltas = np.empty((len(members), paths.n_paths, paths.n_steps))

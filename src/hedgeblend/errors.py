@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its integer check."""
+
+import numbers
 
 
 class HedgeblendError(Exception):
@@ -6,27 +8,13 @@ class HedgeblendError(Exception):
 
 
 class ParameterError(HedgeblendError, ValueError):
-    """An argument is outside its valid domain."""
+    """An argument is invalid: outside its domain, or of the wrong type or shape."""
 
 
-class DimensionError(HedgeblendError, ValueError):
-    """Array shapes are inconsistent with each other or with the grid."""
-
-
-class EmptyInputError(HedgeblendError, ValueError):
-    """An operation received no data."""
-
-
-class InsufficientDataError(HedgeblendError, ValueError):
-    """Too few observations for the requested statistic."""
-
-
-class BoundaryError(HedgeblendError, ValueError):
-    """A quantity was requested at a point where it is undefined (e.g. gamma at expiry)."""
-
-
-class UndefinedCorrelationError(HedgeblendError, ValueError):
-    """Correlation requested against a constant input."""
+def require_integer(name: str, value) -> None:
+    """ParameterError unless ``value`` is an integer: not a bool, nor a float like 100.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class NumericalDivergenceError(HedgeblendError, RuntimeError):

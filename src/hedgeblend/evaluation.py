@@ -16,13 +16,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import rng
-from .accounting import PnLReport, decompose_pnl
-from .errors import (
-    DimensionError,
-    EmptyInputError,
-    ParameterError,
-    UndefinedCorrelationError,
-)
+from .accounting import PnLReport, check_same_paths, decompose_pnl
+from .errors import ParameterError
 from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
 
@@ -43,17 +38,23 @@ class QuintileRow:
     n_paths: int
 
 
+def _per_path(*vectors) -> list[np.ndarray]:
+    """The vectors as float arrays; ParameterError unless their shapes are equal."""
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    if len({a.shape for a in arrays}) > 1:
+        raise ParameterError(f"per-path vectors differ in shape: {[a.shape for a in arrays]}")
+    return arrays
+
+
 def quintile_analysis(pnl_a, pnl_b, psi_bar) -> list[QuintileRow]:
     """Win rate of A over B within uncertainty quintiles, plus an overall row.
 
     Paths are sorted by psi_bar ascending (stable, so equal values keep path
     order) and split into five contiguous groups of near-equal size.
     """
-    pnl_a, pnl_b, psi_bar = (np.asarray(x, dtype=float) for x in (pnl_a, pnl_b, psi_bar))
-    if not pnl_a.shape == pnl_b.shape == psi_bar.shape:
-        raise DimensionError("pnl_a, pnl_b and psi_bar must have equal length")
+    pnl_a, pnl_b, psi_bar = _per_path(pnl_a, pnl_b, psi_bar)
     if pnl_a.size < N_QUINTILES:
-        raise EmptyInputError(f"need at least {N_QUINTILES} paths")
+        raise ParameterError(f"need at least {N_QUINTILES} paths")
 
     order = np.argsort(psi_bar, kind="stable")
     wins = (pnl_a > pnl_b)[order]
@@ -88,7 +89,7 @@ def rolling_winrate(pnl_a, pnl_b, psi_bar, window: int) -> np.ndarray:
 
     Returns an array of shape (n - window + 1, 2).
     """
-    pnl_a, pnl_b, psi_bar = (np.asarray(x, dtype=float) for x in (pnl_a, pnl_b, psi_bar))
+    pnl_a, pnl_b, psi_bar = _per_path(pnl_a, pnl_b, psi_bar)
     n = pnl_a.size
     if window < 1:
         raise ParameterError("window must be >= 1")
@@ -105,7 +106,7 @@ def rolling_winrate(pnl_a, pnl_b, psi_bar, window: int) -> np.ndarray:
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     # A constant's float std may be ~1e-17 rather than 0, so test the range.
     if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise UndefinedCorrelationError("correlation against a constant input")
+        raise ParameterError("correlation against a constant input")
     return float(np.corrcoef(x, y)[0, 1])
 
 
@@ -114,7 +115,7 @@ def uncertainty_correlations(psi_bar, paths: MarketPaths) -> tuple[float, float]
     with the time-average instantaneous volatility."""
     psi_bar = np.asarray(psi_bar, dtype=float)
     if psi_bar.size != paths.n_paths:
-        raise DimensionError("psi_bar length does not match path count")
+        raise ParameterError("psi_bar length does not match path count")
     final_moneyness = paths.spot[:, -1]
     avg_vol = np.sqrt(paths.variance).mean(axis=1)
     return _pearson(psi_bar, final_moneyness), _pearson(psi_bar, avg_vol)
@@ -142,7 +143,7 @@ def heatmap_data(
         raise ParameterError("bins must be >= 2")
     n = paths.n_steps
     if psi.shape != (paths.n_paths, n):
-        raise DimensionError("psi shape does not match paths")
+        raise ParameterError("psi shape does not match paths")
     moneyness = paths.spot[:, :n] / strike
 
     m_edges = np.linspace(moneyness.min(), moneyness.max(), moneyness_bins + 1)
@@ -177,14 +178,7 @@ class ComparisonRow:
 
 def strategy_comparison(reports: list[PnLReport], level: float = 0.05) -> list[ComparisonRow]:
     """Mean / std / CVaR table, one row per strategy, shared paths required."""
-    if not reports:
-        raise EmptyInputError("no reports to compare")
-    n = reports[0].n_paths
-    for r in reports:
-        if r.n_paths != n:
-            raise DimensionError("reports cover different path counts")
-        if not np.array_equal(r.payoff, reports[0].payoff):
-            raise DimensionError("reports were not computed on the same paths")
+    check_same_paths(reports)
     rows = []
     for r in reports:
         mean, std = summary(r.pnl)
@@ -221,10 +215,7 @@ def paired_bootstrap(
     draws and record the oriented metric difference (A minus B for
     higher-is-better metrics, flipped otherwise). The draws are made
     ``BOOTSTRAP_BLOCK`` resamples at a time, which changes no result."""
-    pnl_a = np.asarray(pnl_a, dtype=float)
-    pnl_b = np.asarray(pnl_b, dtype=float)
-    if pnl_a.shape != pnl_b.shape:
-        raise DimensionError("pnl vectors must have equal length")
+    pnl_a, pnl_b = _per_path(pnl_a, pnl_b)
     if resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ParameterError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
     n = pnl_a.size

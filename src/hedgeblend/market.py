@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DimensionError, EmptyInputError, ParameterError
+from .errors import ParameterError, require_integer
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class PathGrid:
     maturity: float
 
     def __post_init__(self):
+        require_integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ParameterError("n_steps must be >= 1")
         if self.maturity <= 0:
@@ -103,7 +104,7 @@ class MarketPaths:
     def __post_init__(self):
         expected = (self.n_paths, self.grid.n_steps + 1)
         if self.spot.shape != expected or self.variance.shape != expected:
-            raise DimensionError(
+            raise ParameterError(
                 f"spot/variance must have shape {expected}, got "
                 f"{self.spot.shape} and {self.variance.shape}"
             )
@@ -141,7 +142,7 @@ def simulate_heston(
     Deterministic for fixed (params, grid, n_paths, seed).
     """
     if n_paths < 1:
-        raise EmptyInputError("n_paths must be >= 1")
+        raise ParameterError("n_paths must be >= 1")
     n = grid.n_steps
     dt = grid.dt
 
@@ -171,10 +172,9 @@ def simulate_heston(
 
 def simulate_gbm(vol: float, grid: PathGrid, n_paths: int, seed: int, s0: float = 1.0) -> MarketPaths:
     """Zero-drift lognormal paths; the variance field is the constant vol**2."""
-    if vol <= 0:
-        raise ParameterError("vol must be positive")
+    GBMSpec(vol, s0)  # validates vol and s0
     if n_paths < 1:
-        raise EmptyInputError("n_paths must be >= 1")
+        raise ParameterError("n_paths must be >= 1")
     n = grid.n_steps
     dt = grid.dt
 

@@ -138,19 +138,15 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
 class PipelineResult:
     """Objects produced by a run, for callers that want more than the CSVs."""
 
-    config: RunConfig
     members: list[HedgerModel]
     eval_paths: MarketPaths
     ensemble: EnsembleOutput
-    train_idx: np.ndarray
     test_idx: np.ndarray
     fits: dict[str, BlendFit]
-    reports_all: dict[str, PnLReport]
     reports_test: dict[str, PnLReport]
     comparison: list[ev.ComparisonRow]
     bootstrap: list[tuple[str, str, ev.BootstrapResult]]
     quintiles: list[ev.QuintileRow]
-    correlations: tuple[float, float]
     manifest: dict
 
 
@@ -311,9 +307,9 @@ def strategy_schedules(
 def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> PipelineResult:
     """Run every stage and export all table/figure CSVs plus the manifest.
 
-    Each strategy's P&L is computed once, on all evaluation paths
-    (``reports_all``); its held-out report (``reports_test``, tables 4-5) is
-    the rows ``test_idx`` of it.
+    Each strategy's P&L is computed once, on all evaluation paths; its
+    held-out report (``reports_test``, tables 4-5) is the rows ``test_idx``
+    of it.
 
     With ``resume``, reuse the members saved in ``out_dir``. A training record
     that is missing or differs from ``config``, or a missing or unreadable
@@ -445,19 +441,15 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
 
     return PipelineResult(
-        config=config,
         members=members,
         eval_paths=eval_paths,
         ensemble=ens,
-        train_idx=train_idx,
         test_idx=test_idx,
         fits=fits,
-        reports_all=reports_all,
         reports_test=reports_test,
         comparison=comparison,
         bootstrap=bootstrap_entries,
         quintiles=quintiles,
-        correlations=correlations,
         manifest=manifest,
     )
 

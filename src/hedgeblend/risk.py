@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError, ParameterError
+from .errors import ParameterError
 
 
 def _scalar(value):
@@ -31,7 +31,7 @@ def entropic_risk(pnl, a: float, grad=None):
     """
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
-        raise EmptyInputError("entropic_risk of an empty vector")
+        raise ParameterError("entropic_risk of an empty vector")
     if a <= 0:
         raise ParameterError("risk aversion a must be positive")
     n = pnl.shape[-1]
@@ -56,7 +56,7 @@ def cvar(pnl, level: float, grad=None):
     """
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
-        raise EmptyInputError("cvar of an empty vector")
+        raise ParameterError("cvar of an empty vector")
     if not 0.0 < level <= 1.0:
         raise ParameterError(f"level must lie in (0, 1], got {level}")
     n = pnl.shape[-1]
@@ -73,9 +73,9 @@ def summary(pnl) -> tuple[float, float]:
     """(mean, sample standard deviation with n-1 denominator)."""
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
-        raise EmptyInputError("summary of an empty vector")
+        raise ParameterError("summary of an empty vector")
     if pnl.size < 2:
-        raise InsufficientDataError("std requires at least 2 observations")
+        raise ParameterError("std requires at least 2 observations")
     return float(pnl.mean()), float(pnl.std(ddof=1))
 
 
@@ -91,10 +91,7 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in ("entropic", "cvar", "mean"):
             raise ParameterError(f"unknown risk measure {self.kind!r}")
-        if self.kind == "entropic" and self.a <= 0:
-            raise ParameterError("entropic risk requires a > 0")
-        if self.kind == "cvar" and not 0.0 < self.level <= 1.0:
-            raise ParameterError("cvar level must lie in (0, 1]")
+        self.evaluate(np.zeros(1))  # validates a or level
 
     @property
     def higher_is_better(self) -> bool:

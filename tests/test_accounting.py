@@ -16,7 +16,7 @@ from hedgeblend.accounting import (
     decompose_pnl,
     write_pnl_csv,
 )
-from hedgeblend.errors import DimensionError, ParameterError
+from hedgeblend.errors import ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
 
 
@@ -52,7 +52,7 @@ class TestComputePnl:
 
     def test_shape_mismatch_rejected(self, baseline_paths, cost):
         bad = HedgeSchedule(np.zeros((baseline_paths.n_paths, 3)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             compute_pnl(baseline_paths, bad, cost, strike=1.0)
 
     def test_invalid_strike_rejected(self, baseline_paths, cost):
@@ -260,7 +260,7 @@ class TestDecompose:
             transaction_costs=full.transaction_costs[:10], payoff=full.payoff[:10],
             trade_size=full.trade_size[:10],
         )
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             decompose_pnl([full, short])
 
     def test_payoff_must_match_across_reports(self, baseline_paths):
@@ -268,7 +268,7 @@ class TestDecompose:
         a = self._report(delta, baseline_paths)
         b = self._report(delta, baseline_paths)
         b.payoff = b.payoff + 0.1
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             decompose_pnl([a, b])
 
 

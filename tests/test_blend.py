@@ -24,7 +24,7 @@ from hedgeblend.blend import (
     fit_blend,
 )
 from hedgeblend.ensemble import EnsembleOutput
-from hedgeblend.errors import DimensionError, NumericalDivergenceError, ParameterError
+from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
 from hedgeblend.risk import RiskSpec, cvar, entropic_risk
 
@@ -225,9 +225,9 @@ def test_fit_never_builds_a_tape(problem, monkeypatch):
 def test_mismatched_shapes_raise(problem):
     paths, ens, bs = problem
     short = HedgeSchedule(bs.delta[:-1])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError):
         fit_blend(paths, ens, short, COST, STRIKE, RiskSpec("cvar"), iterations=1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError):
         fit_blend(paths, ens.take(np.arange(10)), bs, COST, STRIKE, RiskSpec("cvar"),
                   iterations=1)
 
@@ -235,7 +235,7 @@ def test_mismatched_shapes_raise(problem):
 def test_no_training_paths_raise(problem):
     paths, ens, bs = problem
     none = np.arange(0)
-    with pytest.raises(DimensionError, match="at least one training path"):
+    with pytest.raises(ParameterError, match="at least one training path"):
         fit_blend(paths.take(none), ens.take(none), bs.take(none), COST, STRIKE,
                   RiskSpec("cvar"), iterations=1)
 

@@ -16,7 +16,7 @@ from hedgeblend.classical import (
     ww_band_halfwidth,
     ww_strategy,
 )
-from hedgeblend.errors import BoundaryError, ParameterError
+from hedgeblend.errors import ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
 
 # Frozen oracle values (high-precision normal CDF/PDF of hand-computed d1).
@@ -80,7 +80,7 @@ class TestBsGamma:
         assert np.all(gammas >= 0)
 
     def test_expiry_rejected(self):
-        with pytest.raises(BoundaryError):
+        with pytest.raises(ParameterError):
             bs_gamma(1.0, 1.0, 0.2, 0.0)
 
 
@@ -175,6 +175,31 @@ class TestWwStrategy:
         ww = ww_strategy(baseline_paths, 1.0, vol, cost_rate=5e-4)
         bs = bs_delta_strategy(baseline_paths, 1.0, vol)
         assert self.trades(baseline_paths, ww).sum() < self.trades(baseline_paths, bs).sum()
+
+    @staticmethod
+    def per_step_schedule(paths, vol, cost_rate):
+        """The oracle: the band rebuilt one decision step at a time, as
+        ww_strategy once did, reusing the last band at a decision with
+        tau < dt."""
+        n, dt, taus = paths.n_steps, paths.grid.dt, paths.grid.taus()
+        vols = np.sqrt(paths.variance[:, :n]) if vol is None else np.full((paths.n_paths, n), vol)
+        delta = np.empty((paths.n_paths, n))
+        position = np.zeros(paths.n_paths)
+        for t in range(n):
+            if taus[t] >= dt - 1e-15 or t == 0:
+                spot, tau = paths.spot[:, t], taus[t]
+                center = bs_delta(spot, 1.0, vols[:, t], tau)
+                width = ww_band_halfwidth(spot, 1.0, vols[:, t], max(tau, dt), cost_rate)
+            position = np.clip(position, center - width, center + width)
+            delta[:, t] = position
+        return delta
+
+    @pytest.mark.parametrize("vol", [0.2, None], ids=["fixed-vol", "true-vol"])
+    @pytest.mark.parametrize("batch", ["baseline_paths", "small_paths"])
+    def test_equals_the_per_step_band_bit_for_bit(self, request, batch, vol):
+        paths = request.getfixturevalue(batch)
+        sched = ww_strategy(paths, 1.0, vol, cost_rate=5e-4)
+        assert np.array_equal(sched.delta, self.per_step_schedule(paths, vol, 5e-4))
 
     def test_trade_count_never_exceeds_delta_hedging(self, baseline_paths):
         vol = 0.2

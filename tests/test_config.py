@@ -116,18 +116,33 @@ INVALID_FIELDS = [
     {"strike": 0.0},
     {"cost_rate": -0.001},
     {"calibration": {**CUSTOM_CALIBRATION, "rate": 0.05}},  # rates are zero throughout
+    # Counts and seeds must be integers; a float, even a whole one, or a bool is not.
+    {"eval_paths": 100.5},
+    {"eval_paths": 100.0},
+    {"ensemble_size": True},
+    {"grid": {"n_steps": 8.5, "maturity": 0.5}},
+    {"train": {**RunConfig().to_dict()["train"], "epochs": 1.5}},
+    {"train": {**RunConfig().to_dict()["train"], "paths_per_epoch": 64.0}},
+    {"train": {**RunConfig().to_dict()["train"], "seed": 7.0}},
+    {"eval_seeds": [99, 1.5]},
+    {"bootstrap_resamples": 5000.0},
+    {"mean_bootstrap_resamples": 1e4},
 ]
 INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "negative-eval-seed",
                "no-test-paths", "no-training-paths", "one-test-path", "one-training-path",
                "cvar-level-above-one", "zero-cvar-level", "negative-strike", "zero-strike",
-               "negative-cost-rate", "calibration-rate"]
+               "negative-cost-rate", "calibration-rate", "fractional-eval-paths",
+               "float-eval-paths", "bool-ensemble-size", "fractional-n-steps",
+               "fractional-epochs", "float-paths-per-epoch", "float-train-seed",
+               "fractional-eval-seed", "float-resamples", "float-mean-resamples"]
+NESTED = {"grid": PathGrid, "train": TrainConfig}
 
 
 class TestValidation:
     @pytest.mark.parametrize("fields", INVALID_FIELDS, ids=INVALID_IDS)
     def test_invalid_field_is_rejected_at_construction(self, fields):
         with pytest.raises(ParameterError):
-            RunConfig(**{k: TrainConfig(**v) if k == "train" else v for k, v in fields.items()})
+            RunConfig(**{k: NESTED[k](**v) if k in NESTED else v for k, v in fields.items()})
         with pytest.raises(ParameterError):
             RunConfig.from_dict({**RunConfig().to_dict(), **fields})
 
@@ -141,6 +156,20 @@ class TestValidation:
         )
         RunConfig(eval_paths=10, train_fraction=0.8)  # 8 training, 2 test paths
         RunConfig(eval_paths=10, train_fraction=0.2)  # 2 training, 8 test paths
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"eval_paths": 100.5}, "eval_paths must be an integer, got 100.5"),
+        ({"eval_seeds": [99, 1.5]}, r"eval_seeds\[1\] must be an integer, got 1.5"),
+        ({"train": {"epochs": 1.5}}, "epochs must be an integer, got 1.5"),
+        ({"grid": {"n_steps": True, "maturity": 0.5}}, "n_steps must be an integer, got True"),
+    ], ids=["eval-paths", "eval-seed", "epochs", "n-steps"])
+    def test_non_integer_count_names_the_field(self, fields, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RunConfig.from_dict(fields)
+
+    def test_numpy_integers_are_integers(self):
+        RunConfig(eval_paths=np.int64(100), eval_seeds=[np.int32(5)],
+                  grid=PathGrid(n_steps=np.int64(8), maturity=0.5))
 
     def test_bootstrap_uses_the_same_floor(self):
         pnl = np.linspace(-1.0, 1.0, 50)

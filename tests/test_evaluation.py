@@ -1,6 +1,6 @@
 """Property tests of the paired bootstrap and the uncertainty quintiles, and
-checks of the figure-1 win-rate curve, the figure-2 heatmap and the table-3
-correlations against direct computations."""
+checks of the figure-1 win-rate curve, the figure-2 heatmap, the table-3
+correlations and the table-4 comparison against direct computations."""
 
 from unittest import mock
 
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeblend import evaluation
-from hedgeblend.errors import UndefinedCorrelationError
+from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
+from hedgeblend.errors import ParameterError
 from hedgeblend.evaluation import (
     MIN_BOOTSTRAP_RESAMPLES,
     N_QUINTILES,
@@ -18,10 +19,11 @@ from hedgeblend.evaluation import (
     paired_bootstrap,
     quintile_analysis,
     rolling_winrate,
+    strategy_comparison,
     uncertainty_correlations,
 )
 from hedgeblend.market import MarketPaths, PathGrid
-from hedgeblend.risk import RiskSpec
+from hedgeblend.risk import RiskSpec, cvar, summary
 
 METRICS = [RiskSpec("mean"), RiskSpec("cvar", level=0.2), RiskSpec("entropic")]
 pnl_values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
@@ -159,6 +161,15 @@ def test_rolling_winrate_row_k_averages_sorted_paths_k_to_k_plus_window(rng_np, 
         assert win_rate == pytest.approx(wins[k : k + window].mean(), rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("lengths", [(10, 1, 10), (10, 10, 3)],
+                         ids=["one-value-pnl-b", "short-psi-bar"])
+def test_rolling_winrate_rejects_vectors_of_unequal_length(rng_np, lengths):
+    """Unequal vectors once broadcast, or built a curve from the shortest."""
+    pnl_a, pnl_b, psi = (rng_np.normal(size=n) for n in lengths)
+    with pytest.raises(ParameterError, match="per-path vectors differ in shape"):
+        rolling_winrate(pnl_a, pnl_b, psi, 2)
+
+
 def built_paths(rng_np, n_paths=20) -> MarketPaths:
     grid = PathGrid(n_steps=4, maturity=0.5)
     spot = rng_np.uniform(0.8, 1.2, size=(n_paths, grid.n_steps + 1))
@@ -176,5 +187,33 @@ def test_uncertainty_correlations_equal_corrcoef(rng_np):
 
 def test_constant_uncertainty_has_no_correlation(rng_np):
     paths = built_paths(rng_np)
-    with pytest.raises(UndefinedCorrelationError):
+    with pytest.raises(ParameterError):
         uncertainty_correlations(np.full(paths.n_paths, 0.03), paths)
+
+
+def compared_reports(rng_np, paths, labels=("b", "a", "c")):
+    """One report per label, each of random hedge ratios on ``paths``."""
+    shape = (paths.n_paths, paths.n_steps)
+    return [compute_pnl(paths, HedgeSchedule(rng_np.uniform(0.0, 1.0, size=shape), label),
+                        CostSpec(5e-4), 1.0) for label in labels]
+
+
+@pytest.mark.parametrize("level", [0.05, 0.25])
+def test_strategy_comparison_rows_are_summary_and_cvar_at_level_in_input_order(rng_np, level):
+    reports = compared_reports(rng_np, built_paths(rng_np, 40))
+    rows = strategy_comparison(reports, level=level)
+    assert [(r.strategy, r.mean_pnl, r.std_pnl, r.cvar) for r in rows] == [
+        (r.strategy_label, *summary(r.pnl), cvar(r.pnl, level)) for r in reports
+    ]
+    assert [r.strategy for r in rows] == ["b", "a", "c"]
+
+
+def test_strategy_comparison_refuses_no_reports_and_reports_on_other_paths(rng_np):
+    reports = compared_reports(rng_np, built_paths(rng_np, 40))
+    with pytest.raises(ParameterError, match="^no reports$"):
+        strategy_comparison([])
+    other, = compared_reports(rng_np, built_paths(rng_np, 40), labels=("other",))
+    with pytest.raises(ParameterError, match="not computed on the same paths"):
+        strategy_comparison([*reports, other])
+    with pytest.raises(ParameterError, match="different path counts"):
+        strategy_comparison([*reports, reports[0].take(np.arange(10))])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hedgeblend import rng
-from hedgeblend.errors import DimensionError, EmptyInputError, ParameterError
+from hedgeblend.errors import ParameterError
 from hedgeblend.market import (
     CALIBRATIONS,
     GBMSpec,
@@ -114,7 +114,7 @@ class TestHeston:
         assert corr < 0 and abs(corr) > 0.3
 
     def test_empty_input_rejected(self, baseline, small_grid):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterError):
             simulate_heston(baseline, small_grid, 0, seed=1)
 
     def test_take_subset(self, baseline, small_grid):
@@ -164,7 +164,7 @@ class TestExport:
             paths.spot[0, 0] = 2.0
 
     def test_shape_validation(self, small_grid):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError):
             MarketPaths(
                 spot=np.ones((2, 5)), variance=np.ones((2, 5)), grid=small_grid
             )
@@ -188,7 +188,7 @@ class TestRngStreams:
 
 @pytest.mark.parametrize("gbm", [False, True])
 def test_zero_simulated_paths(baseline, small_grid, gbm):
-    """Zero paths is an EmptyInputError with its message, in either market."""
+    """Zero paths is a ParameterError with its message, in either market."""
     model = GBMSpec(vol=0.2) if gbm else baseline
-    with pytest.raises(EmptyInputError, match="^n_paths must be >= 1$"):
+    with pytest.raises(ParameterError, match="^n_paths must be >= 1$"):
         simulate(model, small_grid, 0, seed=1)

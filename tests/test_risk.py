@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hedgeblend.classical import bs_delta_strategy
 from hedgeblend.accounting import CostSpec, compute_pnl
-from hedgeblend.errors import EmptyInputError, InsufficientDataError, ParameterError
+from hedgeblend.errors import ParameterError
 from hedgeblend.market import simulate_heston
 from hedgeblend.risk import RiskSpec, cvar, entropic_risk, summary
 
@@ -34,7 +34,7 @@ class TestEntropic:
         assert np.isfinite(value) and value == pytest.approx(2000.0 - np.log(2), rel=1e-9)
 
     def test_errors(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterError):
             entropic_risk(np.array([]), a=1.0)
         with pytest.raises(ParameterError):
             entropic_risk(np.array([1.0]), a=0.0)
@@ -70,7 +70,7 @@ class TestCvar:
         assert cvar(pnl, 1.0) == pytest.approx(pnl.mean())
 
     def test_errors(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterError):
             cvar(np.array([]), 0.05)
         with pytest.raises(ParameterError):
             cvar(np.array([1.0]), 0.0)
@@ -161,9 +161,9 @@ class TestSummary:
         assert mean == 1.0 and std == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ParameterError):
             summary(np.array([1.0]))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterError):
             summary(np.array([]))
 
     def test_baseline_delta_hedge_statistics(self, baseline, grid):
