@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 from .market import MarketPaths
 
 
@@ -52,6 +52,7 @@ class CostSpec:
     cost_rate: float
 
     def __post_init__(self):
+        require_real("cost_rate", self.cost_rate)
         if self.cost_rate < 0:
             raise ParameterError("cost_rate must be non-negative")
 

@@ -1,8 +1,8 @@
 """Uncertainty-weighted blending of the ensemble hedge with the BS delta.
 
 The blended ratio is (1 - alpha) * ensemble_mean + alpha * bs_delta with
-alpha = sigmoid(intercept + uncertainty_coef * disagreement [+ extended
-terms]). Coefficients are fitted by full-batch Adam (``autodiff.Adam``, which
+alpha = sigmoid(intercept + uncertainty_coef * disagreement), the paper's
+form. Coefficients are fitted by full-batch Adam (``autodiff.Adam``, which
 updates plain arrays) on precomputed hedges: only the blend weights move,
 never the underlying strategies. The fit's gradient is closed-form; no LSTM
 is rolled out or backpropagated. The objective and its gradient in the P&L
@@ -42,42 +42,18 @@ OBJECTIVES = ("entropic", "cvar")
 
 @dataclass
 class BlendParams:
-    """Sigmoid coefficients; moneyness/time terms only in the extended form."""
+    """Sigmoid coefficients: alpha = sigmoid(intercept + uncertainty_coef * psi)."""
 
     intercept: float = 0.0
     uncertainty_coef: float = 0.0
-    moneyness_coef: float | None = None
-    time_coef: float | None = None
-
-    @property
-    def extended(self) -> bool:
-        return self.moneyness_coef is not None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
-def blend_features(paths: MarketPaths, strike: float) -> tuple[np.ndarray, np.ndarray]:
-    """(moneyness S_t/K, time-to-expiry fraction tau_t/T) at decision steps."""
-    n = paths.n_steps
-    moneyness = paths.spot[:, :n] / strike
-    tau_frac = paths.grid.taus() / paths.grid.maturity
-    return moneyness, np.broadcast_to(tau_frac, (paths.n_paths, n)).copy()
-
-
-def alpha_weight(psi, params: BlendParams, features=None):
-    """Blending weight in (0,1); ``features`` = (moneyness, tau fraction)."""
+def alpha_weight(psi, params: BlendParams):
+    """Blending weight in (0,1) at disagreement ``psi``."""
     psi = np.asarray(psi, dtype=float)
     if np.any(psi < 0):
         raise ParameterError("disagreement must be non-negative")
-    z = params.intercept + params.uncertainty_coef * psi
-    if params.extended:
-        if features is None:
-            raise ParameterError("extended blend params require (moneyness, tau) features")
-        moneyness, tau_frac = features
-        z = z + params.moneyness_coef * np.asarray(moneyness) \
-            + params.time_coef * np.asarray(tau_frac)
-    out = expit(z)
+    out = expit(params.intercept + params.uncertainty_coef * psi)
     return out if out.ndim else float(out)
 
 
@@ -86,7 +62,6 @@ def blend_schedules(
     bs: HedgeSchedule,
     psi: np.ndarray,
     params: BlendParams,
-    features=None,
 ) -> HedgeSchedule:
     """Pointwise convex combination (1 - alpha) * ensemble + alpha * BS."""
     if ens_mean.delta.shape != bs.delta.shape or ens_mean.delta.shape != psi.shape:
@@ -94,7 +69,7 @@ def blend_schedules(
             f"shape mismatch: ensemble {ens_mean.delta.shape}, "
             f"bs {bs.delta.shape}, disagreement {psi.shape}"
         )
-    alpha = alpha_weight(psi, params, features)
+    alpha = alpha_weight(psi, params)
     delta = (1.0 - alpha) * ens_mean.delta + alpha * bs.delta
     return HedgeSchedule(delta, "blend")
 
@@ -116,7 +91,6 @@ class BlendFit:
     params: BlendParams
     objective: RiskSpec
     trajectory: list[float]
-    seed: int
 
     @property
     def final_objective(self) -> float:
@@ -125,11 +99,9 @@ class BlendFit:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "params": self.params.to_dict(),
+                "params": asdict(self.params),
                 "objective": {"kind": self.objective.kind, "a": self.objective.a,
                               "level": self.objective.level},
-                "extended": self.params.extended,
-                "seed": self.seed,
                 "final_objective": self.final_objective,
                 "trajectory": self.trajectory,
             },
@@ -154,28 +126,28 @@ class _BlendProblem:
     with dd_t = delta_t - delta_{t-1} the position changes t = 0..n of a book
     that starts and ends flat. Everything but t, delta and dd is fixed during
     a fit, so it is computed once, here. As dt/dz = (1 - t^2) / 2, the
-    gradient of sum(g pnl) in the coefficient of feature f (1 for the
-    intercept) is
+    gradient of sum(g pnl) in the intercept and in the coefficient of psi is
 
-        1/2 sum_i g_i rowdot(v, f)_i,  v = (half - t (t half)) w,
+        1/2 sum_i g_i rowdot(v, f)_i  with f = 1 and f = psi,
+        v = (half - t (t half)) w,
         w_t = dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}),  sgn(0) = 0,
 
     summed over the paths where g is nonzero only: every path for the entropic
     objective (bar softmax weights that underflow), the tail for CVaR.
 
     Every per-step array has n + 1 columns, like the position changes: the
-    arrays of n columns (mid, half, dS, the features) get a zero column n, so
+    arrays of n columns (mid, half, dS, psi) get a zero column n, so
     delta_n = 0 (the unwind) and column n adds nothing to the gains or the
     gradient. The hedges are stored row after row in one flat buffer
     behind a leading zero, so one subtraction of the buffer from itself,
     shifted by one, gives every position change.
     """
 
-    def __init__(self, spot, ens, bs, features, cost_rate: float, strike: float):
+    def __init__(self, spot, ens, bs, psi, cost_rate: float, strike: float):
         def padded(a):
             return np.pad(a, ((0, 0), (0, 1)))
 
-        self.features = [padded(feature) for feature in features]
+        self.psi = padded(psi)
         self.mid = padded((ens + bs) * 0.5)
         self.half = padded((bs - ens) * 0.5)
         self.d_spot = padded(np.diff(spot, axis=1))
@@ -185,15 +157,11 @@ class _BlendProblem:
         self.flat_delta = np.zeros(spot.size + 1)  # 0, then each row's delta_0 .. delta_n
 
     def pnl(self, coefs) -> np.ndarray:
-        """P&L per path at ``coefs`` (the intercept, then one per feature);
-        keeps t and the position changes for :meth:`grad`."""
+        """P&L per path at ``coefs`` (the intercept, then the coefficient of
+        psi); keeps t and the position changes for :meth:`grad`."""
         t, work = self.t, self.work
-        halved = [0.5 * c for c in coefs]  # z / 2, exactly
-        np.multiply(self.features[0], halved[1], out=t)
-        t += halved[0]
-        for coef, feature in zip(halved[2:], self.features[1:]):
-            np.multiply(feature, coef, out=work)
-            t += work
+        np.multiply(self.psi, 0.5 * coefs[1], out=t)  # z / 2, exactly
+        t += 0.5 * coefs[0]
         np.tanh(t, out=t)
         delta = self.flat_delta[1:].reshape(t.shape)
         np.multiply(t, self.half, out=delta)
@@ -221,8 +189,7 @@ class _BlendProblem:
         # which v = 0 there cancels.
         work.reshape(-1)[:-1] += signed_cost.reshape(-1)[1:]
         t *= work
-        sums = [t.sum(axis=1)] + [_rowdot(t, feature[rows]) for feature in self.features]
-        return [0.5 * (g @ s) for s in sums]
+        return [0.5 * (g @ t.sum(axis=1)), 0.5 * (g @ _rowdot(t, self.psi[rows]))]
 
 
 def fit_blend(
@@ -232,8 +199,6 @@ def fit_blend(
     cost: CostSpec,
     strike: float,
     objective: RiskSpec,
-    extended: bool = False,
-    seed: int = 0,
     iterations: int = FIT_ITERATIONS,
     step_size: float = FIT_STEP_SIZE,
     *,
@@ -251,9 +216,8 @@ def fit_blend(
     ``entropic_risk`` or ``-cvar`` of ``compute_pnl(blend_schedules(...))``
     within 1e-12 relative; the operations are ordered differently, so values
     agree to rounding, not bit for bit.
-    The fit itself is deterministic (coefficients start at the uninformative
-    50/50 blend); ``seed`` is recorded for provenance only. When ``stop`` is
-    set, checked once per iteration, the fit raises ``CancelledError``. An
+    The fit is deterministic, from the uninformative 50/50 blend. When ``stop``
+    is set, checked once per iteration, the fit raises ``CancelledError``. An
     ``objective`` whose kind is not one of ``OBJECTIVES`` is a ParameterError.
     """
     if objective.kind not in OBJECTIVES:
@@ -264,14 +228,11 @@ def fit_blend(
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
         raise ParameterError("ensemble/bs schedules do not match the training paths")
 
-    features = [ens.disagreement]
-    if extended:
-        features.extend(blend_features(train_paths, strike))
     problem = _BlendProblem(np.asarray(train_paths.spot, dtype=float), ens.mean_hedge.delta,
-                            bs.delta, features, cost.cost_rate, strike)
+                            bs.delta, ens.disagreement, cost.cost_rate, strike)
     g_pnl = np.empty(shape[0])
 
-    coefs = [np.zeros(()) for _ in range(1 + len(features))]
+    coefs = [np.zeros(()), np.zeros(())]
     adam = Adam(coefs, lr=step_size)
 
     trajectory: list[float] = []
@@ -285,10 +246,4 @@ def fit_blend(
         trajectory.append(value)
         adam.step(problem.grad(g_pnl))
 
-    params = BlendParams(
-        intercept=float(coefs[0]),
-        uncertainty_coef=float(coefs[1]),
-        moneyness_coef=float(coefs[2]) if extended else None,
-        time_coef=float(coefs[3]) if extended else None,
-    )
-    return BlendFit(params=params, objective=objective, trajectory=trajectory, seed=seed)
+    return BlendFit(BlendParams(float(coefs[0]), float(coefs[1])), objective, trajectory)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .accounting import CostSpec
-from .errors import ParameterError, require_integer
+from .errors import ParameterError, require_integer, require_real
 from .evaluation import MIN_BOOTSTRAP_RESAMPLES
 from .hedger import TrainConfig
 from .market import CALIBRATIONS, HestonParams, PathGrid
@@ -42,10 +42,12 @@ def _construct(cls, values: dict, what: str):
 class RunConfig:
     """Everything a pipeline run needs; serialisable to/from JSON.
 
-    Invalid values raise :class:`ParameterError` at construction, before any
-    work starts. Every run shares these constants, which are not settable:
-    the blend objectives ``blend.OBJECTIVES`` (entropic and CVaR, both always
-    fitted), the baselines' fixed volatility sqrt(theta) of the calibration
+    Invalid values, a bool or non-finite number in a real field among them,
+    raise :class:`ParameterError` at construction, before any work starts.
+    Every run shares these constants, which are not settable: the one blend
+    form sigmoid(intercept + uncertainty_coef * psi), the blend objectives
+    ``blend.OBJECTIVES`` (entropic and CVaR, both always fitted), the
+    baselines' fixed volatility sqrt(theta) of the calibration
     (:meth:`fixed_vol_value`), ``pipeline.GBM_VOL``, the heatmap's
     ``pipeline.HEATMAP_BINS``, figure 1's ``pipeline.WINRATE_WINDOW`` and
     training's Adam step ``hedger.STEP_SIZE`` with betas (0.9, 0.999).
@@ -57,7 +59,6 @@ class RunConfig:
     strike: float = 1.0
     ensemble_size: int = 5
     train: TrainConfig = field(default_factory=lambda: TrainConfig(seed=7))
-    extended_blend: bool = False
     train_fraction: float = 0.7
     eval_paths: int = 10000
     eval_seeds: list[int] = field(default_factory=lambda: [99, 123, 456])
@@ -71,6 +72,8 @@ class RunConfig:
             require_integer(name, getattr(self, name))
         for i, seed in enumerate(self.eval_seeds):
             require_integer(f"eval_seeds[{i}]", seed)
+        for name in ("strike", "train_fraction", "cvar_level"):
+            require_real(name, getattr(self, name))
         if self.ensemble_size < 2:
             raise ParameterError("ensemble_size must be >= 2")
         if not 0.0 < self.train_fraction < 1.0:

@@ -43,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
-from .errors import NumericalDivergenceError, ParameterError, require_integer
+from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
 from .market import MarketPaths, PathGrid, simulate
 from .risk import entropic_risk
 from .threads import run_threads, usable_cpus
@@ -98,6 +98,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "paths_per_epoch", "seed"):
             require_integer(name, getattr(self, name))
+        require_real("risk_aversion", self.risk_aversion)
         if self.epochs < 1 or self.paths_per_epoch < 1:
             raise ParameterError("epochs and paths_per_epoch must be >= 1")
         if self.risk_aversion <= 0:

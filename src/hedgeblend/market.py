@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ParameterError, require_integer
+from .errors import ParameterError, require_integer, require_real
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class HestonParams:
     s0: float = 1.0
 
     def __post_init__(self):
+        for name in ("kappa", "theta", "sigma_vv", "rho", "v0", "s0"):
+            require_real(name, getattr(self, name))
         if not (self.kappa > 0 and self.theta > 0 and self.sigma_vv > 0):
             raise ParameterError("kappa, theta and sigma_vv must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -52,6 +54,8 @@ class GBMSpec:
     s0: float = 1.0
 
     def __post_init__(self):
+        require_real("vol", self.vol)
+        require_real("s0", self.s0)
         if self.vol <= 0:
             raise ParameterError("vol must be positive")
         if self.s0 <= 0:
@@ -77,6 +81,7 @@ class PathGrid:
         require_integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ParameterError("n_steps must be >= 1")
+        require_real("maturity", self.maturity)
         if self.maturity <= 0:
             raise ParameterError("maturity must be positive")
 

@@ -35,7 +35,6 @@ from .blend import (
     BlendFit,
     BlendParams,
     alpha_weight,
-    blend_features,
     blend_schedules,
     fit_blend,
     train_eval_split,
@@ -265,8 +264,7 @@ def fit_blends(
     def fit(kind: str) -> BlendFit:
         objective = RiskSpec(kind, a=config.train.risk_aversion, level=config.cvar_level)
         return fit_blend(
-            sub_paths, sub_ens, sub_bs, config.cost(), config.strike,
-            objective, extended=config.extended_blend, seed=config.train.seed, stop=stop,
+            sub_paths, sub_ens, sub_bs, config.cost(), config.strike, objective, stop=stop
         )
 
     fits = run_threads(fit, OBJECTIVES, workers=len(OBJECTIVES), stop=stop)
@@ -282,22 +280,17 @@ def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> None:
 
 
 def strategy_schedules(
-    paths: MarketPaths,
     ens: EnsembleOutput,
     classical: dict[str, HedgeSchedule],
     params_by_kind: dict[str, BlendParams],
-    strike: float,
 ) -> dict[str, HedgeSchedule]:
     """Labelled schedules in table order: the ensemble mean, the classical
     strategies, then one blend of the ensemble with ``bs_delta_fixed`` per
-    objective. Moneyness and time features are built only for extended blends.
-    """
-    extended = any(params.extended for params in params_by_kind.values())
-    features = blend_features(paths, strike) if extended else None
+    objective."""
     schedules = {"ensemble_mean": ens.mean_hedge, **classical}
     for kind, params in params_by_kind.items():
         schedules[f"blend_{kind}"] = blend_schedules(
-            ens.mean_hedge, classical["bs_delta_fixed"], ens.disagreement, params, features
+            ens.mean_hedge, classical["bs_delta_fixed"], ens.disagreement, params
         )
     for name, sched in schedules.items():
         sched.strategy_label = name
@@ -349,9 +342,8 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         write_fits(out_dir, fits)
 
     with _Stage("evaluate", out_dir):
-        schedules = strategy_schedules(
-            eval_paths, ens, classical, {kind: fit.params for kind, fit in fits.items()}, strike
-        )
+        schedules = strategy_schedules(ens, classical,
+                                       {kind: fit.params for kind, fit in fits.items()})
         reports_all = {}
         reports_test = {}
         for name, sched in schedules.items():
@@ -415,10 +407,7 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
 
         psi_grid = np.linspace(0.0, max(float(ens.disagreement.max()), 1e-6), 101)
-        # Extended blends are drawn at the money, halfway to expiry.
-        at_the_money = (np.ones_like(psi_grid), np.full_like(psi_grid, 0.5))
-        curves = {kind: alpha_weight(psi_grid, fit.params, at_the_money)
-                  for kind, fit in fits.items()}
+        curves = {kind: alpha_weight(psi_grid, fit.params) for kind, fit in fits.items()}
         ev.write_blend_curves_csv(os.path.join(out_dir, "fig3_blend_curves.csv"), psi_grid, curves)
 
         ev.write_cvar_bars_csv(
@@ -468,9 +457,8 @@ def _seed_stability(config: RunConfig, members, fits, reports_all) -> list[list]
             paths = simulate_eval_paths(config, seed=seed)
             ens = aggregate(members, paths, config.strike)
             bs = bs_delta_strategy(paths, config.strike, config.fixed_vol_value())
-            schedules = strategy_schedules(
-                paths, ens, {"bs_delta_fixed": bs}, {"cvar": fits["cvar"].params}, config.strike
-            )
+            schedules = strategy_schedules(ens, {"bs_delta_fixed": bs},
+                                           {"cvar": fits["cvar"].params})
             reports = {
                 name: compute_pnl(paths, schedules[name], cost, config.strike)
                 for name in ("blend_cvar", "bs_delta_fixed")
@@ -497,11 +485,7 @@ def cross_calibration(config: RunConfig, out_dir: str, resume: bool = False) -> 
         boots = {(lbl, metric): res for lbl, metric, res in result.bootstrap}
         boot = boots["blend_cvar_vs_bs_delta_fixed", "cvar"]
         fit = result.fits["cvar"]
-        features = (
-            blend_features(result.eval_paths.take(result.test_idx), config.strike)
-            if fit.params.extended else None
-        )
-        alpha = alpha_weight(result.ensemble.disagreement[result.test_idx], fit.params, features)
+        alpha = alpha_weight(result.ensemble.disagreement[result.test_idx], fit.params)
         rows.append(
             {
                 "calibration": name,

@@ -17,12 +17,7 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend.accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
-from hedgeblend.blend import (
-    BlendParams,
-    blend_features,
-    blend_schedules,
-    fit_blend,
-)
+from hedgeblend.blend import BlendParams, blend_schedules, fit_blend
 from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
@@ -50,37 +45,33 @@ def problem():
     return synthetic_problem()
 
 
-def run_fit(problem, kind, extended, iterations=50, a=1.0):
+def run_fit(problem, kind, iterations=50, a=1.0):
     paths, ens, bs = problem
     return fit_blend(paths, ens, bs, COST, STRIKE, RiskSpec(kind, a=a),
-                     extended=extended, iterations=iterations, step_size=0.05)
+                     iterations=iterations, step_size=0.05)
 
 
 PINS = json.loads(Path(__file__).with_name("blend_pins.json").read_text())
 PIN_RTOL = 1e-12
-CASES = [(kind, extended) for kind in ("cvar", "entropic") for extended in (False, True)]
+KINDS = ["cvar", "entropic"]
+
+
+def coefficients(params: BlendParams) -> list[float]:
+    return [params.intercept, params.uncertainty_coef]
 
 
 def assert_matches_pin(fit, name):
     """The fit's coefficients and whole trajectory, the final objective
     included, equal the pin's within PIN_RTOL."""
     pin = PINS[name]
-    params = list(fit.params.to_dict().values())
-    assert [p is None for p in params] == [p is None for p in pin["params"]]
-    np.testing.assert_allclose([p for p in params if p is not None],
-                               [p for p in pin["params"] if p is not None],
-                               rtol=PIN_RTOL, atol=0.0)
+    np.testing.assert_allclose(coefficients(fit.params), pin["params"], rtol=PIN_RTOL, atol=0.0)
     assert len(fit.trajectory) == len(pin["trajectory"])
     np.testing.assert_allclose(fit.trajectory, pin["trajectory"], rtol=PIN_RTOL, atol=0.0)
 
 
-def pin_name(shape, kind, extended):
-    return f"{shape}/{kind}/{'extended' if extended else 'plain'}"
-
-
-@pytest.mark.parametrize("kind, extended", CASES)
-def test_trajectory_matches_the_taped_fit_exactly(problem, kind, extended):
-    assert_matches_pin(run_fit(problem, kind, extended), pin_name("64x8", kind, extended))
+@pytest.mark.parametrize("kind", KINDS)
+def test_trajectory_matches_the_taped_fit_exactly(problem, kind):
+    assert_matches_pin(run_fit(problem, kind), f"64x8/{kind}")
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +79,9 @@ def large_problem():
     return synthetic_problem(700, 126)
 
 
-@pytest.mark.parametrize("kind, extended", CASES)
-def test_large_fit_matches_the_pinned_trajectory(large_problem, kind, extended):
-    fit = run_fit(large_problem, kind, extended, iterations=300)
-    assert_matches_pin(fit, pin_name("700x126", kind, extended))
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_fit_matches_the_pinned_trajectory(large_problem, kind):
+    assert_matches_pin(run_fit(large_problem, kind, iterations=300), f"700x126/{kind}")
 
 
 def objective_at(problem, coefs, objective, tail=None):
@@ -101,9 +91,7 @@ def objective_at(problem, coefs, objective, tail=None):
     whose gradient the tail subgradient is.
     """
     paths, ens, bs = problem
-    params = BlendParams(*coefs)
-    features = blend_features(paths, STRIKE) if params.extended else None
-    schedule = blend_schedules(ens.mean_hedge, bs, ens.disagreement, params, features)
+    schedule = blend_schedules(ens.mean_hedge, bs, ens.disagreement, BlendParams(*coefs))
     pnl = compute_pnl(paths, schedule, COST, STRIKE).pnl
     if objective.kind == "entropic":
         return entropic_risk(pnl, objective.a), pnl
@@ -112,7 +100,7 @@ def objective_at(problem, coefs, objective, tail=None):
     return -pnl[tail].mean(), pnl
 
 
-def gradients_during_fit(problem, objective, extended, monkeypatch, iterations=8):
+def gradients_during_fit(problem, objective, monkeypatch, iterations=8):
     """(coefficients, gradient) handed to every Adam step of a short fit."""
     seen = []
     step = ad.Adam.step
@@ -123,17 +111,16 @@ def gradients_during_fit(problem, objective, extended, monkeypatch, iterations=8
 
     monkeypatch.setattr(ad.Adam, "step", recording_step)
     paths, ens, bs = problem
-    fit_blend(paths, ens, bs, COST, STRIKE, objective, extended=extended,
-              iterations=iterations, step_size=0.05)
+    fit_blend(paths, ens, bs, COST, STRIKE, objective, iterations=iterations, step_size=0.05)
     return seen
 
 
-def assert_gradients_match_central_differences(problem, objective, extended, monkeypatch):
+def assert_gradients_match_central_differences(problem, objective, monkeypatch):
     """Every third gradient of a short fit against central differences of the
     oracle objective; returns the P&L at each checked point."""
     h = 1e-6
     checked = []
-    for coefs, grad in gradients_during_fit(problem, objective, extended, monkeypatch)[::3]:
+    for coefs, grad in gradients_during_fit(problem, objective, monkeypatch)[::3]:
         _, pnl = objective_at(problem, coefs, objective)
         checked.append(pnl)
         k = math.ceil(objective.level * pnl.size)
@@ -149,26 +136,21 @@ def assert_gradients_match_central_differences(problem, objective, extended, mon
 
 
 @pytest.mark.parametrize("kind", ["entropic", "cvar"])
-@pytest.mark.parametrize("extended", [False, True])
-def test_gradient_matches_central_differences(problem, kind, extended, monkeypatch):
-    assert_gradients_match_central_differences(problem, RiskSpec(kind), extended,
-                                               monkeypatch)
+def test_gradient_matches_central_differences(problem, kind, monkeypatch):
+    assert_gradients_match_central_differences(problem, RiskSpec(kind), monkeypatch)
 
 
-@pytest.mark.parametrize("extended", [False, True])
-def test_entropic_gradient_skips_paths_whose_weight_underflows(problem, extended,
-                                                               monkeypatch):
+def test_entropic_gradient_skips_paths_whose_weight_underflows(problem, monkeypatch):
     """At a = 1e4 most softmax weights exp(-a (pnl - min pnl)) are exactly 0,
     so the backward runs on a few rows only; the gradient must not change."""
     objective = RiskSpec("entropic", a=1e4)
-    checked = assert_gradients_match_central_differences(problem, objective, extended,
-                                                         monkeypatch)
+    checked = assert_gradients_match_central_differences(problem, objective, monkeypatch)
     for pnl in checked:
         weights = np.exp(-objective.a * (pnl - pnl.min()))
         assert 0 < np.count_nonzero(weights) < pnl.size
-    fit = run_fit(problem, "entropic", extended, iterations=200, a=objective.a)
+    fit = run_fit(problem, "entropic", iterations=200, a=objective.a)
     assert np.isfinite(fit.trajectory).all()
-    assert np.isfinite([c for c in fit.params.to_dict().values() if c is not None]).all()
+    assert np.isfinite(coefficients(fit.params)).all()
 
 
 @pytest.mark.parametrize("kind", ["entropic", "cvar"])
@@ -183,8 +165,7 @@ def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monk
     psi = ens.disagreement
     kinked = (paths, EnsembleOutput(HedgeSchedule(e), psi, psi.mean(axis=1)),
               HedgeSchedule(b))
-    (coefs, grad), = gradients_during_fit(kinked, RiskSpec(kind), False, monkeypatch,
-                                          iterations=1)
+    (coefs, grad), = gradients_during_fit(kinked, RiskSpec(kind), monkeypatch, iterations=1)
     assert coefs == [0.0, 0.0]
     account = HedgePnL(paths.spot, COST.cost_rate, STRIKE)
     pnl = account.pnl((e + b) * 0.5)
@@ -196,17 +177,16 @@ def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monk
 
 
 @pytest.mark.parametrize("size", ["problem", "large_problem"])
-@pytest.mark.parametrize("kind, extended", CASES)
-def test_reported_objective_equals_the_oracle(request, size, kind, extended):
+@pytest.mark.parametrize("kind", KINDS)
+def test_reported_objective_equals_the_oracle(request, size, kind):
     """Iteration k of a fit reports the objective at the coefficients after
     k steps, which must equal entropic_risk or -cvar of compute_pnl of the
     blended schedule: the fit's P&L is the reports' P&L."""
     problem = request.getfixturevalue(size)
     objective = RiskSpec(kind)
     for k in (0, 1, 7, 30):
-        params = run_fit(problem, kind, extended, iterations=k).params
-        coefs = [c for c in params.to_dict().values() if c is not None]
-        reported = run_fit(problem, kind, extended, iterations=k + 1).trajectory[-1]
+        coefs = coefficients(run_fit(problem, kind, iterations=k).params)
+        reported = run_fit(problem, kind, iterations=k + 1).trajectory[-1]
         assert reported == pytest.approx(objective_at(problem, coefs, objective)[0],
                                          rel=1e-12, abs=0.0), k
 
@@ -219,7 +199,7 @@ def test_fit_never_builds_a_tape(problem, monkeypatch):
     monkeypatch.setattr(ad, "lstm_cell", no_tape)
     monkeypatch.setattr(ad, "backward", no_tape)
     for kind in ("entropic", "cvar"):
-        assert len(run_fit(problem, kind, extended=True, iterations=3).trajectory) == 3
+        assert len(run_fit(problem, kind, iterations=3).trajectory) == 3
 
 
 def test_mismatched_shapes_raise(problem):

@@ -21,7 +21,7 @@ def custom_config() -> RunConfig:
         calibration=dict(CUSTOM_CALIBRATION),
         grid=PathGrid(n_steps=16, maturity=0.25),
         train=TrainConfig(epochs=3, paths_per_epoch=128, risk_aversion=2.0, seed=11),
-        extended_blend=True,
+        strike=1.1,
         eval_seeds=[5, 6],
     )
 
@@ -79,9 +79,11 @@ class TestUnknownKeys:
         ({"train": {"step_size": 1e-3}}, "step_size"),
         ({"train": {"adam_betas": [0.9, 0.999]}}, "adam_betas"),
         ({"winrate_window": 500}, "winrate_window"),
+        ({"extended_blend": False}, "extended_blend"),
     ], ids=["top", "train", "grid", "calibration", "calibration-rate", "workers", "zero-workers",
             "negative-workers", "objectives", "fixed-vol", "gbm-vol", "heatmap-moneyness-bins",
-            "heatmap-time-bins", "train-step-size", "train-adam-betas", "winrate-window"])
+            "heatmap-time-bins", "train-step-size", "train-adam-betas", "winrate-window",
+            "extended-blend"])
     def test_unknown_key_is_a_parameter_error(self, record, key):
         with pytest.raises(ParameterError, match=f"unknown .*keys: \\['{key}'\\]"):
             RunConfig.from_dict(record)
@@ -127,6 +129,18 @@ INVALID_FIELDS = [
     {"eval_seeds": [99, 1.5]},
     {"bootstrap_resamples": 5000.0},
     {"mean_bootstrap_resamples": 1e4},
+    # Real-valued fields must be finite numbers; a bool or a string is not.
+    {"strike": True},
+    {"strike": float("nan")},
+    {"strike": "1.0"},
+    {"cost_rate": True},
+    {"strike": float("inf")},
+    {"cvar_level": "0.05"},
+    {"train": {**RunConfig().to_dict()["train"], "risk_aversion": True}},
+    {"train": {**RunConfig().to_dict()["train"], "risk_aversion": float("inf")}},
+    {"grid": {"n_steps": 8, "maturity": float("nan")}},
+    {"calibration": {**CUSTOM_CALIBRATION, "kappa": True}},
+    {"calibration": {**CUSTOM_CALIBRATION, "v0": float("inf")}},
 ]
 INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "negative-eval-seed",
                "no-test-paths", "no-training-paths", "one-test-path", "one-training-path",
@@ -134,7 +148,10 @@ INVALID_IDS = ["few-resamples", "few-mean-resamples", "negative-train-seed", "ne
                "negative-cost-rate", "calibration-rate", "fractional-eval-paths",
                "float-eval-paths", "bool-ensemble-size", "fractional-n-steps",
                "fractional-epochs", "float-paths-per-epoch", "float-train-seed",
-               "fractional-eval-seed", "float-resamples", "float-mean-resamples"]
+               "fractional-eval-seed", "float-resamples", "float-mean-resamples",
+               "bool-strike", "nan-strike", "string-strike", "bool-cost-rate",
+               "infinite-strike", "string-cvar-level", "bool-risk-aversion",
+               "infinite-risk-aversion", "nan-maturity", "bool-kappa", "infinite-v0"]
 NESTED = {"grid": PathGrid, "train": TrainConfig}
 
 
@@ -164,6 +181,18 @@ class TestValidation:
         ({"grid": {"n_steps": True, "maturity": 0.5}}, "n_steps must be an integer, got True"),
     ], ids=["eval-paths", "eval-seed", "epochs", "n-steps"])
     def test_non_integer_count_names_the_field(self, fields, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RunConfig.from_dict(fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"strike": True}, "strike must be a finite real number, got True"),
+        ({"cost_rate": "0.001"}, "cost_rate must be a finite real number, got '0.001'"),
+        ({"grid": {"n_steps": 8, "maturity": float("nan")}},
+         "maturity must be a finite real number, got nan"),
+        ({"calibration": {**CUSTOM_CALIBRATION, "kappa": True}},
+         "kappa must be a finite real number, got True"),
+    ], ids=["strike", "cost-rate", "maturity", "kappa"])
+    def test_non_real_value_names_the_field(self, fields, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             RunConfig.from_dict(fields)
 

@@ -41,6 +41,11 @@ class TestParams:
         with pytest.raises(ParameterError):
             HestonParams(**kwargs)
 
+    @pytest.mark.parametrize("vol", [True, float("nan"), float("inf"), "0.2"])
+    def test_gbm_spec_refuses_a_vol_that_is_not_a_finite_number(self, vol):
+        with pytest.raises(ParameterError, match="vol must be a finite real number"):
+            GBMSpec(vol=vol)
+
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             PathGrid(n_steps=0, maturity=0.5)

@@ -94,6 +94,15 @@ class TestFullPipeline:
         assert {"table4_comparison.csv", "table5_bootstrap.csv", "blend_cvar.json",
                 "seed_stability.csv"} <= set(os.listdir(out))
 
+    def test_blend_files_hold_the_two_coefficients_and_the_fit(self, run_dir):
+        for kind in blend.OBJECTIVES:
+            with open(os.path.join(run_dir[0], f"blend_{kind}.json")) as fh:
+                record = json.load(fh)
+            assert set(record) == {"params", "objective", "final_objective", "trajectory"}
+            assert set(record["params"]) == {"intercept", "uncertainty_coef"}
+            assert record["objective"]["kind"] == kind
+            assert record["final_objective"] == record["trajectory"][-1]
+
     def test_rerun_in_fresh_directory_is_byte_identical(self, run_dir, tmp_path):
         manifest = pipeline.full_pipeline(mini_config(), str(tmp_path)).manifest
         assert manifest == read_manifest(run_dir[0])
@@ -139,8 +148,8 @@ class TestFullPipeline:
         result = pipeline.full_pipeline(config, str(tmp_path))
         paths, test_idx = result.eval_paths, result.test_idx
         schedules = pipeline.strategy_schedules(
-            paths, result.ensemble, pipeline.classical_schedules(config, paths),
-            {kind: fit.params for kind, fit in result.fits.items()}, config.strike)
+            result.ensemble, pipeline.classical_schedules(config, paths),
+            {kind: fit.params for kind, fit in result.fits.items()})
         assert list(result.reports_test) == list(schedules)
         assert len(calls) == len(schedules) + 2 * (len(config.eval_seeds) - 1)
         for name, sched in schedules.items():
@@ -416,19 +425,16 @@ def record_fit_threads(monkeypatch) -> dict:
 
 
 class TestConcurrentBlendFits:
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_equal_to_serial_fits_byte_for_byte(self, blend_inputs, extended):
+    def test_equal_to_serial_fits_byte_for_byte(self, blend_inputs):
         paths, ens, bs, train_idx = blend_inputs
         config = mini_config()
-        config.extended_blend = extended
         fits = pipeline.fit_blends(config, paths, ens, bs, train_idx)
         assert tuple(fits) == blend.OBJECTIVES
         for kind in blend.OBJECTIVES:
             objective = RiskSpec(kind, a=config.train.risk_aversion, level=config.cvar_level)
             serial = fit_blend(
                 paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
-                config.cost(), config.strike, objective,
-                extended=extended, seed=config.train.seed,
+                config.cost(), config.strike, objective
             )
             assert fits[kind].to_json() == serial.to_json(), kind
 
