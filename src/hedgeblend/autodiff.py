@@ -4,7 +4,8 @@
 of inference and training. :func:`backward` is backpropagation through time
 by hand: from g_delta, the gradient of the loss in the hedge ratios (closed
 form, by ``accounting.HedgePnL`` and ``risk.entropic_risk``), it sweeps
-the steps in reverse over the gates and cell states a saving forward kept,
+the steps in reverse over the gates a saving forward kept, rebuilding the
+cell states one segment at a time from the forward's checkpoints and
 recomputing tanh(c) and h from them, and returns the parameter gradients.
 :class:`Adam` updates plain arrays (training's and the blend fit's).
 
@@ -15,6 +16,8 @@ g_delta give float32 gradients.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ParameterError
 
 
 def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
@@ -29,9 +32,9 @@ def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
     buffer; the bias is added, then tanh, and for the sigmoid gates +1 and
     ×0.5. Then c = f c_prev + i g, tanh_c = tanh(c) and h = o tanh(c).
 
-    ``c`` may be ``c_prev`` and ``tanh_c`` may be ``g``, so inference reuses
-    one set of buffers at every step; a saving forward hands step t's slices
-    of its workspaces for i, f, o, g and c instead (see ``hedger._infer``).
+    ``c`` may be ``c_prev`` and ``tanh_c`` may be ``g``, so every rollout
+    reuses one c per layer at every step; a saving forward hands step t's
+    slices of its gate workspace for i, f, o and g (see ``hedger._infer``).
     """
     for gate, w, b in zip((i, f, o, g), weights, biases):
         np.matmul(xh, w, out=gate)
@@ -47,23 +50,52 @@ def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
     np.multiply(o, tanh_c, out=h)
 
 
+def _cell_states(tape, segment: int) -> np.ndarray:
+    """Cell states of one segment of a layer's tape, rebuilt into its segment buffer.
+
+    ``tape`` is a layer's (gates, checkpoints, buffer) as a saving forward
+    kept them (see :func:`backward`). Segment s covers the steps s K to
+    min((s + 1) K, n_steps) - 1, K being the buffer's length; it starts from
+    checkpoint s - 1, or from zeros for s = 0, and runs the forward's own
+    operations, c = f c_prev, then += i g (``lstm_cell``), so each c has the
+    forward's bits. Returns the view of the buffer holding them, (steps, B, H).
+    """
+    gates, checkpoints, buffer = tape
+    i, f, _, g = gates
+    start = segment * len(buffer)
+    states = buffer[: min(len(buffer), gates.shape[1] - start)]
+    c_prev = checkpoints[segment - 1] if segment else np.zeros_like(buffer[0])
+    i_g = np.empty_like(buffer[0])
+    for t, c in enumerate(states, start):
+        np.multiply(c_prev, f[t], out=c)
+        np.multiply(i[t], g[t], out=i_g)
+        c += i_g
+        c_prev = c
+    return states
+
+
 def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[np.ndarray]:
     """Gradients of sum(g_delta * delta) in the parameters, in ``hedger.PARAM_NAMES`` order.
 
     ``saved`` is what a saving forward of the (B, n_steps) hedge ratios
     delta kept: the (n_steps, B, in) cell inputs of layer 0 (the step's
-    inputs and the previous hedge ratio), and per layer a (5, n_steps, B, H)
-    workspace of the gates i, f, o, g and the cell state c, in this order.
-    Per step, delta_t = h_top @ w_out + b_out.
+    inputs and the previous hedge ratio), and per layer a tape of three
+    arrays: the gates i, f, o and g, (4, n_steps, B, H); the cell state c at
+    the end of every segment of K steps but the last, (ceil(n_steps / K) -
+    1, B, H); and a (K, B, H) buffer the sweep rebuilds each segment's c
+    into (:func:`_cell_states`). Per step, delta_t = h_top @ w_out + b_out.
+    ParameterError refuses a g_delta of another shape than delta's, and a
+    tape whose step or path count is not g_delta's.
 
-    tanh(c) and h = o tanh(c) are recomputed as the forward computed them
-    (``np.tanh`` of the contiguous c slice, then ``np.multiply(o, tanh_c)``),
-    so they are its values bit for bit. Each is computed once per layer and
-    step: at step t the sweep makes step t-1's, whose h is step t's recurrent
-    input h_prev, and carries them to step t-1, in two (2, B, H) buffers per
-    layer that swap roles every step. So the working memory beyond the
-    saved state and the gradients is a few (B, 4H) and (B, H) arrays,
-    whatever n_steps.
+    The sweep needs c_{n-1}, c_{n-2}, …, c_0 in this order, so each segment
+    is rebuilt once per layer, when the sweep enters it. tanh(c) and h = o
+    tanh(c) are recomputed as the forward computed them (``np.tanh`` of the
+    contiguous c, then ``np.multiply(o, tanh_c)``), so they are its values
+    bit for bit. Each is computed once per layer and step: at step t the
+    sweep makes step t-1's, whose h is step t's recurrent input h_prev, and
+    carries them to step t-1, in two (2, B, H) buffers per layer that swap
+    roles every step. So the working memory beyond the saved state and the
+    gradients is a few (B, 4H) and (B, H) arrays, whatever n_steps.
 
     The sweep runs t = n-1 … 0, and within a step from the head down the
     layers. The gradient into c starts at zeros. Per cell, with dh and dc
@@ -76,19 +108,31 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     the first one taken as it is. The products are grouped as written, so
     the gradients keep the bits the tests pin.
     """
-    inputs, cells = saved
+    inputs, tapes = saved
     if g_delta.shape != inputs.shape[1::-1]:
-        raise ValueError(f"seed gradient of shape {g_delta.shape} for hedge ratios of "
-                         f"shape {inputs.shape[1::-1]}")
+        raise ParameterError(f"seed gradient of shape {g_delta.shape} for hedge ratios of "
+                             f"shape {inputs.shape[1::-1]}")
     n_paths, n = g_delta.shape
-    n_layers, hidden = len(cells), cells[0].shape[-1]
+    for gates, checkpoints, buffer in tapes:
+        if (gates.shape[1:3] != (n, n_paths) or buffer.shape[1] != n_paths
+                or checkpoints.shape[:2] != (-(-n // len(buffer)) - 1, n_paths)):
+            raise ParameterError(f"tape of shapes {gates.shape}, {checkpoints.shape}, "
+                                 f"{buffer.shape} for {n_paths} paths of {n} steps")
+    n_layers, hidden = len(tapes), tapes[0][0].shape[-1]
     # per layer [tanh(c), h] at step t (now) and at step t-1 (then)
-    now = [np.empty((2, n_paths, hidden), dtype=cells[k].dtype) for k in range(n_layers)]
+    now = [np.empty((2, n_paths, hidden), dtype=tapes[k][0].dtype) for k in range(n_layers)]
     then = [np.empty_like(buffer) for buffer in now]
+    rebuilt = [(None, None)] * n_layers  # per layer, the segment its buffer holds, and its c
+
+    def cell_state(k, t):
+        segment, offset = divmod(t, len(tapes[k][2]))
+        if rebuilt[k][0] != segment:
+            rebuilt[k] = segment, _cell_states(tapes[k], segment)
+        return rebuilt[k][1][offset]
 
     def recompute(k, t, into):
-        np.tanh(cells[k][4, t], out=into[0])
-        np.multiply(cells[k][2, t], into[0], out=into[1])
+        np.tanh(cell_state(k, t), out=into[0])
+        np.multiply(tapes[k][0][2, t], into[0], out=into[1])
 
     for k in range(n_layers):
         recompute(k, n - 1, now[k])
@@ -112,9 +156,9 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
         for k in range(n_layers - 1, -1, -1):
             if d_h[k] is not None:
                 dh = dh + d_h[k]
-            i, f, o, g, _ = cells[k][:, t]
+            i, f, o, g = tapes[k][0][:, t]
             tc = now[k][0]
-            c_prev, h_prev = (cells[k][4, t - 1], then[k][1]) if t else (zeros, zeros)
+            c_prev, h_prev = (cell_state(k, t - 1), then[k][1]) if t else (zeros, zeros)
             dc = d_c[k] + dh * o * (1.0 - tc**2)
             d_pre = np.empty((n_paths, 4 * hidden), dtype=g_delta.dtype)
             d_pre[:, :hidden] = dc * g * (i * (1.0 - i))

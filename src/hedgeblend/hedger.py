@@ -13,9 +13,10 @@ rollout by a hand-written backpropagation through time,
 
 One rollout, :func:`_infer`, serves inference and training. Inference
 (:func:`forward_rollout`) reuses its buffers at every
-step; training's saving forward keeps each step's gates and cell states,
-the tape that the backward reads (it recomputes tanh(c) and h from them),
-and gives the same hedge ratios bit for bit.
+step; training's saving forward keeps each step's gates and the cell state
+c at the end of every segment of ceil(sqrt(n_steps)) steps, the tape that
+the backward reads (it rebuilds c segment by segment from the gates, and
+recomputes tanh(c) and h), and gives the same hedge ratios bit for bit.
 ``ensemble.aggregate`` runs inference on threads, at most one per usable
 CPU, as (member, path-block) jobs whose blocks are cut at multiples of 16
 rows, with results identical to a serial full-batch loop.
@@ -31,7 +32,10 @@ thread.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import threading
 import zipfile
 from concurrent.futures import CancelledError
@@ -58,10 +62,11 @@ N_LAYERS = 2
 # from pass one for the backward; a larger one rolls its shards out without
 # saving and rolls them out again, saving, for the backward, on at most
 # TAPE_BATCH_LIMIT // shard threads (see _chunked_backward): 4 threads of
-# 1,250-path shards, so on fewer CPUs the CPU count is the cap. The tape holds
-# 650 bytes per path per LSTM cell in float32 (5·H values and the step's
-# inputs; tracemalloc, H = 32), 666 at the backward's peak: 0.16 MB per path
-# on the default 126-step grid (two layers), so about 1.0 GB here.
+# 1,250-path shards, so on fewer CPUs the CPU count is the cap. On the
+# default 126-step grid the tape holds 544 bytes per path per LSTM cell in
+# float32 (the gates' 4·H values, c at 10 segment ends, a 12-step segment
+# buffer and the step's inputs; tracemalloc, H = 32), 561 at the backward's
+# peak: 0.14 MB per path (two layers), so about 0.87 GB here.
 TAPE_BATCH_LIMIT = 6144
 
 # Paths per training shard: every epoch of B paths is split into
@@ -71,11 +76,14 @@ TAPE_BATCH_LIMIT = 6144
 # 4 and 16 shards, which 2 or 4 threads share evenly. An epoch above
 # TAPE_BATCH_LIMIT tapes one shard per thread at a time, so the shard size and
 # the thread count set its peak memory. On a 2-vCPU host with one BLAS thread
-# (perfbench, alternating pairs), two 20,000-path epochs (train_paper_batch)
+# (perfbench, alternating pairs), with a tape of 5.08·H values per path and
+# cell that kept every cell state, two 20,000-path epochs (train_paper_batch)
 # peaked at 516-519 MB in 1,250-path shards against 909-912 MB in 2,500-path
 # ones, with median wall times of 18.9 s against 20.2 s (16 pairs); two
 # members' two 5,000-path epochs (train_desk), whose tapes are all kept,
-# peaked at 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs).
+# peaked at 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs). With
+# the checkpointed tape (4.25·H) and 1,250-path shards, they peak at a median
+# of 441 MB and 769 MB (10 pairs each).
 # ensemble.aggregate's inference blocks are two shards long (see
 # ensemble._path_blocks).
 SHARD_PATHS = 1250
@@ -167,13 +175,16 @@ def _infer(
     RSS).
 
     ``saved``, when given, makes this the saving forward whose state
-    ``autodiff.backward`` reads: an (n_steps, B, INPUT_DIM) array that
-    receives each step's layer-0 inputs [x | delta_prev], and per layer a
-    (5, n_steps, B, H) workspace whose step-t slices the cell writes its i,
-    f, o, g and c into. tanh(c) goes into one scratch buffer reused at every
+    ``autodiff.backward`` reads (see :func:`_workspaces`): an (n_steps, B,
+    INPUT_DIM) array that receives each step's layer-0 inputs [x |
+    delta_prev], and per layer a (4, n_steps, B, H) workspace whose step-t
+    slices the cell writes its i, f, o and g into, and a checkpoint array
+    that receives a copy of c at the end of every segment of K steps but the
+    last, K being the length of the layer's segment buffer. c itself is
+    updated in place, tanh(c) goes into one scratch buffer reused at every
     step, and h straight into the operand, as in the plain forward; the
-    backward recomputes both from o and c. The values are those of the plain
-    forward, bit for bit.
+    backward rebuilds c from the checkpoints and the gates, and recomputes
+    tanh(c) and h. The values are those of the plain forward, bit for bit.
 
     The halving of the sigmoid, sigmoid(x) = (tanh(x/2) + 1) / 2, is folded
     into the i, f and o columns of the weights and bias once per call (see
@@ -235,10 +246,11 @@ def _infer(
                 ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
                              i, f, o, g, g, c[layer], h[layer])
             else:  # g, unused here, is the scratch that takes tanh(c)
-                state = saved[1][layer]
-                c_prev = state[4, t - 1] if t else c[layer]
-                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c_prev,
-                             *state[:4, t], g, state[4, t], h[layer])
+                gates, checkpoints, buffer = saved[1][layer]
+                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
+                             *gates[:, t], g, c[layer], h[layer])
+                if (t + 1) % len(buffer) == 0 and t + 1 < n:
+                    checkpoints[t // len(buffer)] = c[layer]
         np.matmul(h[-1], params["w_out"], out=head)
         head += params["b_out"]
         if not np.isfinite(head).all():
@@ -248,15 +260,39 @@ def _infer(
     return out
 
 
+def _segment_steps(n_steps: int) -> int:
+    """Steps per segment of a saving forward's cell-state checkpoints:
+    ceil(sqrt(n_steps)), so the checkpoints and the segment buffer hold
+    about 2 sqrt(n_steps) of the n_steps cell states."""
+    return math.isqrt(n_steps - 1) + 1
+
+
 def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
     """Empty state for a saving :func:`_infer` of ``paths``, in the
-    parameters' dtype: (n_steps, B, INPUT_DIM) inputs, and per layer (5,
-    n_steps, B, H) for i, f, o, g and c. tanh(c) and h = o tanh(c) are not
-    kept: ``autodiff.backward`` recomputes them from o and c, bit for bit."""
-    shape, dtype = (paths.n_steps, paths.n_paths), params["w_out"].dtype
-    return (np.empty((*shape, INPUT_DIM), dtype),
-            [np.empty((5, *shape, params["w_hh_0"].shape[0]), dtype)
-             for _ in range(N_LAYERS)])
+    parameters' dtype: (n_steps, B, INPUT_DIM) inputs, and per layer a tape
+    of three arrays, with K = :func:`_segment_steps`: (4, n_steps, B, H) for
+    the gates i, f, o and g; (ceil(n_steps / K) - 1, B, H) for c at the end
+    of every segment of K steps but the last; and the (K, B, H) buffer that
+    ``autodiff.backward`` rebuilds one segment's c into. So the tape holds
+    about 4·H + 2·H/sqrt(n_steps) values per path and cell, and the buffer,
+    held with it, keeps the backward's working memory flat in n_steps.
+    tanh(c) and h = o tanh(c) are not kept: the backward recomputes them
+    from o and the rebuilt c, bit for bit.
+
+    The layers' gates are one allocation. glibc maps a block above its
+    largest mmap threshold, 32 MiB, and returns it to the system when it is
+    freed, but a smaller mapped block, once freed, raises the threshold to
+    its size, so that later blocks below it stay in the heap. A 500-path
+    tape's gates are 31 MiB per layer: allocated per layer, they left
+    pipeline_tiny's later bodies peaking at 143.5 MB against 132.8 MB."""
+    n, n_paths = paths.n_steps, paths.n_paths
+    dtype, hidden, steps = params["w_out"].dtype, params["w_hh_0"].shape[0], _segment_steps(n)
+    gates = np.empty((N_LAYERS, 4, n, n_paths, hidden), dtype)
+    return (np.empty((n, n_paths, INPUT_DIM), dtype),
+            [(gates[k],
+              np.empty((-(-n // steps) - 1, n_paths, hidden), dtype),
+              np.empty((steps, n_paths, hidden), dtype))
+             for k in range(N_LAYERS)])
 
 
 def forward_rollout(
@@ -422,7 +458,14 @@ def network_price(
 
 
 def save_model(model: HedgerModel, filename: str) -> None:
-    """Checkpoint: flat parameter arrays plus a JSON metadata record."""
+    """Checkpoint: flat parameter arrays plus a JSON metadata record, in an
+    ``.npz`` archive written to ``filename`` as given (no suffix is added).
+
+    The archive is written to ``<filename>.tmp`` and then renamed over
+    ``filename`` (``os.replace``), so a write that fails or is interrupted
+    leaves an earlier checkpoint of that name as it was, and the temporary
+    file is removed. ``pipeline.train_members`` removes only ``member_*.npz``
+    files, which the temporary name never matches."""
     meta = {
         "format": "hedgeblend-checkpoint-v1",
         "input_dim": INPUT_DIM,
@@ -431,7 +474,15 @@ def save_model(model: HedgerModel, filename: str) -> None:
         "seed": model.seed,
         "loss_history": model.loss_history,
     }
-    np.savez(filename, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **model.params)
+    partial = f"{filename}.tmp"
+    try:
+        with open(partial, "wb") as fh:  # a path, unlike a file, would gain ".npz"
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **model.params)
+        os.replace(partial, filename)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
 
 
 def load_model(filename: str) -> HedgerModel:

@@ -8,6 +8,7 @@ from scipy.special import expit
 from hedgeblend import autodiff as ad
 from hedgeblend import hedger
 from hedgeblend.autodiff import Adam
+from hedgeblend.errors import ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 
 STRIKE = 1.0
@@ -83,17 +84,27 @@ class TestEngine:
         params = hedger.init_model(3, hidden=4).params
         _, delta, saved = saving_rollout(params, 3, 4)
         assert delta.shape == (3, 4)
-        with pytest.raises(ValueError, match="seed gradient of shape"):
+        with pytest.raises(ParameterError, match="seed gradient of shape"):
             ad.backward(params, saved, np.ones(shape))
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(3, 5), (2, 4)], ids=["steps", "paths"])
+    def test_backward_rejects_a_tape_of_another_rollout(self, n_paths, n_steps):
+        """Layer tapes whose step or path count is not the seed gradient's are refused."""
+        params = hedger.init_model(3, hidden=4).params
+        _, _, (inputs, _) = saving_rollout(params, 3, 4)
+        _, _, (_, other) = saving_rollout(params, n_paths, n_steps)
+        with pytest.raises(ParameterError, match="tape of shapes"):
+            ad.backward(params, (inputs, other), np.ones((3, 4)))
 
     def test_float32_graph_stays_float32(self):
         """float32 parameters: the saving forward keeps float32 state, and
         backward from a float32 g_delta gives float32 gradients."""
         model = hedger.init_model(3, hidden=4)
         params = {k: v.astype(np.float32) for k, v in model.params.items()}
-        _, delta, (inputs, cells) = saving_rollout(params, 3, 4)
-        assert {a.dtype for a in (delta, inputs, *cells)} == {np.dtype(np.float32)}
-        grads = ad.backward(params, (inputs, cells), np.ones((3, 4), dtype=np.float32))
+        _, delta, (inputs, tapes) = saving_rollout(params, 3, 4)
+        arrays = [delta, inputs, *(array for tape in tapes for array in tape)]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        grads = ad.backward(params, (inputs, tapes), np.ones((3, 4), dtype=np.float32))
         assert {g.dtype for g in grads} == {np.dtype(np.float32)}
 
 

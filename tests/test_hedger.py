@@ -298,23 +298,27 @@ def test_gradient_check_of_a_diverged_model_raises():
 
 def test_tape_holds_at_most_six_hidden_widths_per_path_and_cell():
     """Bytes a saving float32 forward holds when it returns: its hedge ratios
-    and the state the backward reads, 5·H values per path and cell (i, f, o,
-    g and c; the backward recomputes tanh(c) and h) plus the step's inputs."""
+    and the state the backward reads, 4·H values per path and cell (i, f, o
+    and g), c at the end of every segment of K = ceil(sqrt(n_steps)) steps
+    but the last and a K-step segment buffer (the backward rebuilds c and
+    recomputes tanh(c) and h), plus the step's inputs: at most 5·H on the
+    16-step grid (4.52·H) and 4.3·H on the 126-step grid (4.25·H)."""
     n_paths = 512
-    paths = heston_paths(n_paths, seed=3)
     params = parameters(np.float32)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        delta, saved = saving_forward(params, paths)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    cells = GRID.n_steps * hedger.N_LAYERS
-    values_per_path_cell = held / (4 * n_paths * cells)
-    assert 5 * hedger.HIDDEN <= values_per_path_cell <= 6 * hedger.HIDDEN
-    grads = ad.backward(params, saved, np.ones_like(delta))  # the state is complete
-    assert all(np.isfinite(g).all() for g in grads)
+    for grid, most in ((GRID, 5.0), (PathGrid(n_steps=126, maturity=0.5), 4.3)):
+        paths = heston_paths(n_paths, seed=3, grid=grid)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            delta, saved = saving_forward(params, paths)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = grid.n_steps * hedger.N_LAYERS
+        values_per_path_cell = held / (4 * n_paths * cells)
+        assert 4 * hedger.HIDDEN <= values_per_path_cell <= most * hedger.HIDDEN, grid
+        grads = ad.backward(params, saved, np.ones_like(delta))  # the state is complete
+        assert all(np.isfinite(g).all() for g in grads)
 
 
 def test_backward_working_memory_is_bounded_per_path_and_flat_in_the_steps():
@@ -383,6 +387,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.seed == model.seed
 
 
+def test_a_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    """An np.savez that raises partway through its archive leaves the earlier
+    member_0.npz byte for byte and no temporary file; the next save replaces
+    it, at the name as given, and leaves nothing else."""
+    filename = tmp_path / "member_0.npz"
+    hedger.save_model(hedger.init_model(3, hidden=4), str(filename))
+    before = filename.read_bytes()
+
+    def failing_savez(file, *args, **kwargs):
+        file.write(before[: len(before) // 2])
+        raise OSError(28, "No space left on device")
+
+    savez = np.savez
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="No space left"):
+        hedger.save_model(hedger.init_model(4, hidden=4), str(filename))
+    assert filename.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["member_0.npz"]
+    monkeypatch.setattr(np, "savez", savez)
+    hedger.save_model(hedger.init_model(4, hidden=4), str(tmp_path / "member_1"))
+    assert hedger.load_model(str(tmp_path / "member_1")).seed == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["member_0.npz", "member_1"]
+
+
 def test_a_checkpoint_of_another_depth_is_refused(tmp_path):
     """Metadata whose n_layers is not N_LAYERS is refused, as a wrong
     input_dim is, rather than loaded with its extra layers ignored."""
@@ -430,14 +458,18 @@ def model_in(dtype, seed=7):
 def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     """The plain forward, which reuses its buffers, gives the saving
     forward's hedge ratios bit for bit, and so does forward_rollout. So does
-    the head on the top layer's h = o tanh(c), recomputed from the saved
-    state as autodiff.backward recomputes it."""
+    the head on the top layer's h = o tanh(c), with c rebuilt segment by
+    segment from the saved state as autodiff.backward rebuilds it."""
     paths = heston_paths(n_paths, seed=n_paths, grid=PathGrid(n_steps=n_steps, maturity=0.5))
     model = model_in(np.dtype(dtype))
-    taped, (_, cells) = saving_forward(model.params, paths)
+    taped, (_, tapes) = saving_forward(model.params, paths)
+    gates, _, buffer = tapes[-1]
     recomputed = np.empty_like(taped)
     for t in range(n_steps):
-        h_top = np.multiply(cells[-1][2, t], np.tanh(cells[-1][4, t]))
+        segment, offset = divmod(t, len(buffer))
+        if offset == 0:
+            states = ad._cell_states(tapes[-1], segment)
+        h_top = np.multiply(gates[2, t], np.tanh(states[offset]))
         head = h_top @ model.params["w_out"]
         head += model.params["b_out"]
         recomputed[:, t] = head[:, 0]
@@ -448,6 +480,27 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     assert delta.tobytes() == taped.tobytes()
     schedule = hedger.forward_rollout(model, paths, STRIKE).delta
     assert schedule.tobytes() == np.asarray(taped, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 11, 12, 13, 126])
+def test_checkpointed_gradients_equal_those_of_a_tape_of_every_cell_state(
+        monkeypatch, dtype, n_steps):
+    """autodiff.backward's gradients, with c rebuilt in segments of
+    ceil(sqrt(n_steps)) steps, equal bit for bit those from a tape whose
+    segments are one step long, so that it checkpoints every c but the last:
+    a lone step, segments of one step, full segments only (12 steps in 3 of
+    4) and a last segment shorter than the rest (11, 13 and 126 steps)."""
+    params = parameters(np.dtype(dtype), hidden=8)
+    paths = heston_paths(9, seed=n_steps, grid=PathGrid(n_steps=n_steps, maturity=0.5))
+    g_delta = np.random.default_rng(n_steps).normal(size=(9, n_steps)).astype(dtype)
+    delta, saved = saving_forward(params, paths)
+    segmented = ad.backward(params, saved, g_delta)
+    monkeypatch.setattr(hedger, "_segment_steps", lambda n: 1)
+    every_step, every_saved = saving_forward(params, paths)
+    assert every_saved[1][0][1].shape == (n_steps - 1, 9, 8)
+    assert every_step.tobytes() == delta.tobytes()
+    assert sha256(ad.backward(params, every_saved, g_delta)) == sha256(segmented)
 
 
 @pytest.mark.parametrize("where, step", [("w_out", 0), ("spot", 5)])
