@@ -1,9 +1,10 @@
 """Uncertainty-aware hedging under stochastic volatility with trading costs.
 
-Simulate Heston/GBM markets, train an ensemble of recurrent hedgers through
-a differentiable P&L rollout, measure ensemble disagreement, blend with the
-Black-Scholes delta under entropic or CVaR objectives, and evaluate every
-strategy with quintile win rates, decompositions, and paired bootstrap tests.
+Simulate Heston markets (GBM is the calibration with zero vol-of-vol), train
+an ensemble of recurrent hedgers through a differentiable P&L rollout,
+measure ensemble disagreement, blend with the Black-Scholes delta under
+entropic or CVaR objectives, and evaluate every strategy with quintile win
+rates, decompositions, and paired bootstrap tests.
 """
 
 __version__ = "0.1.0"
@@ -43,11 +44,9 @@ from .hedger import (
 )
 from .market import (
     CALIBRATIONS,
-    GBMSpec,
     HestonParams,
     MarketPaths,
     PathGrid,
-    simulate_gbm,
     simulate_heston,
 )
 from .risk import RiskSpec, cvar, entropic_risk, summary

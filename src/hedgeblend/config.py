@@ -48,7 +48,8 @@ class RunConfig:
     form sigmoid(intercept + uncertainty_coef * psi), the blend objectives
     ``blend.OBJECTIVES`` (entropic and CVaR, both always fitted), the
     baselines' fixed volatility sqrt(theta) of the calibration
-    (:meth:`fixed_vol_value`), ``pipeline.GBM_VOL``, the heatmap's
+    (:meth:`fixed_vol_value`), the GBM market ``pipeline.GBM`` (the Heston
+    calibration with zero vol-of-vol at ``pipeline.GBM_VOL``), the heatmap's
     ``pipeline.HEATMAP_BINS``, figure 1's ``pipeline.WINRATE_WINDOW`` and
     training's Adam step ``hedger.STEP_SIZE`` with betas (0.9, 0.999).
     """

@@ -16,7 +16,7 @@ from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError
 from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
-from .market import MarketPaths, PathGrid
+from .market import HestonParams, MarketPaths, PathGrid
 from .threads import run_threads, usable_cpus
 
 
@@ -49,7 +49,7 @@ def member_seed(root_seed: int, index: int) -> int:
 def train_ensemble(
     m: int,
     config: TrainConfig,
-    market,
+    market: HestonParams,
     grid: PathGrid,
     cost: CostSpec,
     strike: float,
@@ -72,7 +72,7 @@ def train_ensemble(
     for i in range(m):
         try:
             members.append(train_hedger(replace(config, seed=member_seed(config.seed, i)),
-                                        market, grid, cost, strike, label=f"member {i}"))
+                                        market, grid, cost, strike))
         except NumericalDivergenceError as exc:
             raise NumericalDivergenceError(f"member {i} diverged: {exc}") from exc
     return members

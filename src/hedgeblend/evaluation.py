@@ -39,10 +39,14 @@ class QuintileRow:
 
 
 def _per_path(*vectors) -> list[np.ndarray]:
-    """The vectors as float arrays; ParameterError unless their shapes are equal."""
+    """The vectors as float arrays; ParameterError unless they are 1-D,
+    non-empty and of one shape."""
     arrays = [np.asarray(v, dtype=float) for v in vectors]
     if len({a.shape for a in arrays}) > 1:
         raise ParameterError(f"per-path vectors differ in shape: {[a.shape for a in arrays]}")
+    if arrays[0].ndim != 1 or arrays[0].size == 0:
+        raise ParameterError(
+            f"per-path vectors must be 1-D and non-empty, got shape {arrays[0].shape}")
     return arrays
 
 

@@ -48,7 +48,7 @@ from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
-from .market import MarketPaths, PathGrid, simulate
+from .market import HestonParams, MarketPaths, PathGrid, simulate_heston
 from .risk import entropic_risk
 from .threads import run_threads, usable_cpus
 
@@ -318,11 +318,10 @@ def forward_rollout(
 
 def train_hedger(
     config: TrainConfig,
-    market,
+    market: HestonParams,
     grid: PathGrid,
     cost: CostSpec,
     strike: float,
-    label: str = "",
     callback=None,
 ) -> HedgerModel:
     """Train one hedger; deterministic for a fixed config.
@@ -330,9 +329,8 @@ def train_hedger(
     Each epoch simulates a fresh batch (seed mixed from config.seed and the
     epoch index), rolls the network through it, and applies one Adam update
     of the entropic risk of terminal P&L, whose gradient in the hedge ratios
-    is closed-form. ``market`` is a HestonParams or GBMSpec. Raises
-    NumericalDivergenceError naming the epoch if the loss leaves the reals,
-    a non-finite hedge ratio included.
+    is closed-form. Raises NumericalDivergenceError naming the epoch if the
+    loss leaves the reals, a non-finite hedge ratio included.
 
     Every epoch of B paths goes through :func:`_chunked_backward`: it is
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
@@ -354,15 +352,13 @@ def train_hedger(
 
     a = config.risk_aversion
     for epoch in range(config.epochs):
-        paths = simulate(
+        paths = simulate_heston(
             market, grid, config.paths_per_epoch,
             seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch),
         )
         loss, grads = _chunked_backward(model.params, paths, cost, strike, a)
         if not np.isfinite(loss):
-            raise NumericalDivergenceError(
-                f"{label or 'hedger'}: training loss diverged at epoch {epoch}"
-            )
+            raise NumericalDivergenceError(f"hedger: training loss diverged at epoch {epoch}")
         adam.step(grads)
         model.loss_history.append(loss)
         if callback is not None:

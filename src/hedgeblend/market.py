@@ -1,10 +1,13 @@
-"""Risk-neutral market simulation: Heston stochastic volatility and GBM.
+"""Risk-neutral market simulation under Heston stochastic volatility.
 
-The Heston variance follows a full-truncation Euler scheme: the latent
+The variance follows a full-truncation Euler scheme: the latent
 (unfloored) variance state is propagated, its positive part enters the drift,
 the diffusion, and the spot update, and the stored variance path is floored
 at zero. Spot advances in log space, which preserves positivity and the
-zero-rate martingale property up to discretisation error.
+zero-rate martingale property up to discretisation error. Geometric
+Brownian motion is the calibration sigma_vv = 0 with v0 = theta = vol**2:
+the variance then stays at theta bit for bit, and each log-spot step is the
+exact GBM step.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ class HestonParams:
     """Heston model parameters under the risk-neutral measure.
 
     kappa: mean-reversion rate (1/years); theta: long-run variance;
-    sigma_vv: volatility of variance; rho: spot/variance Brownian correlation;
-    v0: initial variance; s0: initial spot. Rates are zero throughout.
+    sigma_vv: volatility of variance, 0 for a deterministic variance; rho:
+    spot/variance Brownian correlation; v0: initial variance; s0: initial
+    spot. Rates are zero throughout.
     """
 
     kappa: float
@@ -36,28 +40,14 @@ class HestonParams:
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma_vv", "rho", "v0", "s0"):
             require_real(name, getattr(self, name))
-        if not (self.kappa > 0 and self.theta > 0 and self.sigma_vv > 0):
-            raise ParameterError("kappa, theta and sigma_vv must be positive")
+        if not (self.kappa > 0 and self.theta > 0):
+            raise ParameterError("kappa and theta must be positive")
+        if self.sigma_vv < 0:
+            raise ParameterError("sigma_vv must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
         if self.v0 < 0:
             raise ParameterError("v0 must be non-negative")
-        if self.s0 <= 0:
-            raise ParameterError("s0 must be positive")
-
-
-@dataclass(frozen=True)
-class GBMSpec:
-    """Zero-drift geometric Brownian motion with constant volatility."""
-
-    vol: float
-    s0: float = 1.0
-
-    def __post_init__(self):
-        require_real("vol", self.vol)
-        require_real("s0", self.s0)
-        if self.vol <= 0:
-            raise ParameterError("vol must be positive")
         if self.s0 <= 0:
             raise ParameterError("s0 must be positive")
 
@@ -173,32 +163,3 @@ def simulate_heston(
         variance[:, t + 1] = np.maximum(v_latent, 0.0)
 
     return MarketPaths(spot=spot, variance=variance, grid=grid)
-
-
-def simulate_gbm(vol: float, grid: PathGrid, n_paths: int, seed: int, s0: float = 1.0) -> MarketPaths:
-    """Zero-drift lognormal paths; the variance field is the constant vol**2."""
-    GBMSpec(vol, s0)  # validates vol and s0
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
-    n = grid.n_steps
-    dt = grid.dt
-
-    z = rng.path_normals(seed, n_paths, n)
-    increments = -0.5 * vol**2 * dt + vol * np.sqrt(dt) * z
-    log_s = np.log(s0) + np.cumsum(increments, axis=1)
-
-    spot = np.empty((n_paths, n + 1))
-    spot[:, 0] = s0
-    spot[:, 1:] = np.exp(log_s)
-    variance = np.full((n_paths, n + 1), vol**2)
-    return MarketPaths(spot=spot, variance=variance, grid=grid)
-
-
-def simulate(model, grid: PathGrid, n_paths: int, seed: int) -> MarketPaths:
-    """Dispatch on the market model type (HestonParams or GBMSpec)."""
-    if isinstance(model, HestonParams):
-        return simulate_heston(model, grid, n_paths, seed)
-    if isinstance(model, GBMSpec):
-        return simulate_gbm(model.vol, grid, n_paths, seed, s0=model.s0)
-    raise ParameterError(f"unsupported market model: {type(model).__name__}")
-

@@ -56,12 +56,14 @@ from .hedger import (
     save_model,
     train_hedger,
 )
-from .market import GBMSpec, MarketPaths, simulate_gbm, simulate_heston
+from .market import HestonParams, MarketPaths, simulate_heston
 from .risk import RiskSpec, cvar
 from .threads import run_threads
 
-# Volatility of the GBM market that validate_gbm uses.
+# The GBM market that validate_gbm uses: Heston with zero vol-of-vol and
+# v0 = theta = GBM_VOL**2, so the variance never moves and kappa acts on nothing.
 GBM_VOL = 0.2
+GBM = HestonParams(kappa=2.0, theta=GBM_VOL**2, sigma_vv=0.0, rho=0.0, v0=GBM_VOL**2)
 # Figure 2's heatmap grid: (moneyness bins, time bins).
 HEATMAP_BINS = (12, 8)
 # Paths per window of figure 1's rolling win rate, at most eval_paths.
@@ -104,9 +106,9 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
     price and the analytic option price.
     """
     zero_cost = CostSpec(0.0)
-    model = train_hedger(config.train, GBMSpec(vol=GBM_VOL), config.grid, zero_cost, config.strike)
+    model = train_hedger(config.train, GBM, config.grid, zero_cost, config.strike)
 
-    test_paths = simulate_gbm(GBM_VOL, config.grid, config.eval_paths, seed=config.eval_seeds[0])
+    test_paths = simulate_heston(GBM, config.grid, config.eval_paths, seed=config.eval_seeds[0])
     learned = forward_rollout(model, test_paths, config.strike)
     reference = bs_delta_strategy(test_paths, config.strike, GBM_VOL)
     mae = float(np.abs(learned.delta - reference.delta).mean())

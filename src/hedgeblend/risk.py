@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 
 
 def _scalar(value):
@@ -32,6 +32,7 @@ def entropic_risk(pnl, a: float, grad=None):
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
         raise ParameterError("entropic_risk of an empty vector")
+    require_real("a", a)
     if a <= 0:
         raise ParameterError("risk aversion a must be positive")
     n = pnl.shape[-1]

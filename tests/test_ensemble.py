@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hedgeblend import ensemble, hedger, threads
-from hedgeblend.accounting import HedgeSchedule
+from hedgeblend.accounting import CostSpec, HedgeSchedule
 from hedgeblend.errors import NumericalDivergenceError
 from hedgeblend.hedger import forward_rollout, init_model
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
@@ -274,6 +274,27 @@ def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
     with pytest.raises(NumericalDivergenceError, match="member 0"):
         ensemble.aggregate(members, paths, 1.0)
     assert failed == [1, 0]
+
+
+def test_a_diverging_member_is_named_once(monkeypatch):
+    """A NaN spot in member 1's only batch: the error names member 1 once,
+    around the hedger's own message."""
+    simulate, batches = hedger.simulate_heston, []
+
+    def poisoned(*args, **kwargs):
+        paths = simulate(*args, **kwargs)
+        batches.append(paths)
+        if len(batches) == 2:
+            spot = paths.spot.copy()
+            spot[3, 5] = np.nan
+            paths = dataclasses.replace(paths, spot=spot)
+        return paths
+
+    monkeypatch.setattr(hedger, "simulate_heston", poisoned)
+    message = "^member 1 diverged: hedger: training loss diverged at epoch 0$"
+    with pytest.raises(NumericalDivergenceError, match=message):
+        ensemble.train_ensemble(2, hedger.TrainConfig(epochs=1, paths_per_epoch=32, seed=3),
+                                CALIBRATIONS["baseline"], GRID, CostSpec(5e-4), 1.0)
 
 
 def test_a_set_stop_event_cancels_the_rollout(paths):

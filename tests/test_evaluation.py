@@ -2,6 +2,7 @@
 checks of the figure-1 win-rate curve, the figure-2 heatmap, the table-3
 correlations and the table-4 comparison against direct computations."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,17 @@ def test_rolling_winrate_rejects_vectors_of_unequal_length(rng_np, lengths):
     pnl_a, pnl_b, psi = (rng_np.normal(size=n) for n in lengths)
     with pytest.raises(ParameterError, match="per-path vectors differ in shape"):
         rolling_winrate(pnl_a, pnl_b, psi, 2)
+
+
+@pytest.mark.parametrize("shape", [(10, 2), (0,)], ids=["2-D", "empty"])
+@pytest.mark.parametrize("analysis", [
+    lambda v: quintile_analysis(v, v, v),
+    lambda v: paired_bootstrap(v, v, RiskSpec("mean")),
+], ids=["quintile_analysis", "paired_bootstrap"])
+def test_vectors_that_are_not_one_value_per_path_are_refused(analysis, shape):
+    """2-D vectors once raised IndexError, and an empty bootstrap gave NaN bounds."""
+    with pytest.raises(ParameterError, match=re.escape(f"got shape {shape}")):
+        analysis(np.zeros(shape))
 
 
 def built_paths(rng_np, n_paths=20) -> MarketPaths:

@@ -354,7 +354,7 @@ def test_a_batch_that_leaves_the_reals_names_its_epoch(monkeypatch, shard):
     no later batch."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
     monkeypatch.setattr(hedger, "usable_cpus", lambda: 2)
-    simulate, batches = hedger.simulate, []
+    simulate, batches = hedger.simulate_heston, []
 
     def poisoned(*args, **kwargs):
         paths = simulate(*args, **kwargs)
@@ -365,7 +365,7 @@ def test_a_batch_that_leaves_the_reals_names_its_epoch(monkeypatch, shard):
             paths = dataclasses.replace(paths, spot=spot)
         return paths
 
-    monkeypatch.setattr(hedger, "simulate", poisoned)
+    monkeypatch.setattr(hedger, "simulate_heston", poisoned)
     message = "^hedger: training loss diverged at epoch 2$"
     with pytest.raises(NumericalDivergenceError, match=message):
         hedger.train_hedger(hedger.TrainConfig(epochs=5, paths_per_epoch=64, seed=5),

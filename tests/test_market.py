@@ -3,16 +3,8 @@ import pytest
 
 from hedgeblend import rng
 from hedgeblend.errors import ParameterError
-from hedgeblend.market import (
-    CALIBRATIONS,
-    GBMSpec,
-    HestonParams,
-    MarketPaths,
-    PathGrid,
-    simulate,
-    simulate_gbm,
-    simulate_heston,
-)
+from hedgeblend.market import CALIBRATIONS, HestonParams, MarketPaths, PathGrid, simulate_heston
+from hedgeblend.pipeline import GBM, GBM_VOL
 
 
 class TestParams:
@@ -35,16 +27,19 @@ class TestParams:
             dict(kappa=2.0, theta=0.04, sigma_vv=0.4, rho=-1.5, v0=0.04),
             dict(kappa=2.0, theta=0.04, sigma_vv=0.4, rho=-0.7, v0=-0.01),
             dict(kappa=2.0, theta=0.04, sigma_vv=0.4, rho=-0.7, v0=0.04, s0=0.0),
+            dict(kappa=2.0, theta=0.04, sigma_vv=-0.1, rho=-0.7, v0=0.04),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             HestonParams(**kwargs)
 
-    @pytest.mark.parametrize("vol", [True, float("nan"), float("inf"), "0.2"])
-    def test_gbm_spec_refuses_a_vol_that_is_not_a_finite_number(self, vol):
-        with pytest.raises(ParameterError, match="vol must be a finite real number"):
-            GBMSpec(vol=vol)
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf"), "0.2"])
+    def test_refuses_a_parameter_that_is_not_a_finite_number(self, value):
+        kwargs = dict(kappa=2.0, theta=0.04, sigma_vv=0.0, rho=0.0, v0=0.04)
+        for name in ("theta", "sigma_vv"):
+            with pytest.raises(ParameterError, match=f"^{name} must be a finite real number"):
+                HestonParams(**{**kwargs, name: value})
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
@@ -84,17 +79,17 @@ class TestHeston:
     def test_zero_vol_of_vol_limit_matches_ode(self, grid):
         # With v0 == theta the exact solution theta + (v0-theta)exp(-kt) is
         # constant and the Euler recursion preserves it exactly.
-        p = HestonParams(kappa=2.0, theta=0.04, sigma_vv=1e-30, rho=-0.7, v0=0.04)
+        p = HestonParams(kappa=2.0, theta=0.04, sigma_vv=0.0, rho=-0.7, v0=0.04)
         paths = simulate_heston(p, grid, 10, seed=1)
-        assert np.abs(paths.variance - 0.04).max() < 1e-12
+        assert np.all(paths.variance == 0.04)
 
     def test_zero_vol_of_vol_matches_euler_recursion_oracle(self, small_grid):
-        p = HestonParams(kappa=2.0, theta=0.04, sigma_vv=1e-30, rho=-0.7, v0=0.09)
+        p = HestonParams(kappa=2.0, theta=0.04, sigma_vv=0.0, rho=-0.7, v0=0.09)
         paths = simulate_heston(p, small_grid, 3, seed=1)
         v, dt = 0.09, small_grid.dt
         for t in range(1, small_grid.n_steps + 1):
             v = v + 2.0 * (0.04 - v) * dt
-            assert abs(paths.variance[0, t] - v) < 1e-12
+            assert np.all(paths.variance[:, t] == v)
 
     def test_cir_mean_at_every_grid_point(self, baseline, grid):
         n = 10_000
@@ -130,36 +125,43 @@ class TestHeston:
 
 
 class TestGBM:
+    """``pipeline.GBM``: Heston with zero vol-of-vol and v0 = theta = GBM_VOL**2."""
+
     def test_terminal_mean_and_log_variance(self, grid):
         n = 50_000
-        paths = simulate_gbm(0.2, grid, n, seed=2)
+        paths = simulate_heston(GBM, grid, n, seed=0)
         s_t = paths.spot[:, -1]
         assert abs(s_t.mean() - 1.0) < 3.0 * s_t.std() / np.sqrt(n)
         log_ret = np.log(s_t)
-        target = 0.2**2 * 0.5
-        # var of the sample variance of a normal: 2 sigma^4 / (n-1)
+        target = GBM_VOL**2 * grid.maturity
+        # The mean of N(-target/2, target), and the variance of the sample
+        # variance of a normal: 2 sigma^4 / (n-1).
+        assert abs(log_ret.mean() + 0.5 * target) < 3.0 * np.sqrt(target / n)
         se = np.sqrt(2.0 / (n - 1)) * target
         assert abs(log_ret.var(ddof=1) - target) < 3.0 * se
 
     def test_variance_field_is_constant_vol_squared(self, small_grid):
-        paths = simulate_gbm(0.3, small_grid, 5, seed=1)
-        assert np.all(paths.variance == 0.09)
+        paths = simulate_heston(GBM, small_grid, 5, seed=1)
+        assert np.all(paths.variance == GBM_VOL**2)
+
+    def test_log_spot_steps_are_exact_gbm_steps(self, small_grid):
+        """Each step of log spot is -vol^2 dt / 2 + vol sqrt(dt) z, z the
+        spot's normal, the first of the two each path draws per step."""
+        n, dt = 5, small_grid.dt
+        paths = simulate_heston(GBM, small_grid, n, seed=1)
+        z = rng.path_normals(1, n, 2 * small_grid.n_steps)[:, 0::2]
+        steps = -0.5 * GBM_VOL**2 * dt + GBM_VOL * np.sqrt(dt) * z
+        assert np.allclose(np.diff(np.log(paths.spot), axis=1), steps, rtol=0, atol=1e-14)
 
     def test_single_path_determinism(self, grid):
-        a = simulate_gbm(0.2, grid, 1, seed=123)
-        b = simulate_gbm(0.2, grid, 1, seed=123)
+        a = simulate_heston(GBM, grid, 1, seed=123)
+        b = simulate_heston(GBM, grid, 1, seed=123)
         assert np.array_equal(a.spot, b.spot)
 
-    def test_invalid_vol_rejected(self, small_grid):
-        with pytest.raises(ParameterError):
-            simulate_gbm(0.0, small_grid, 10, seed=1)
-
-    def test_dispatch(self, baseline, small_grid):
-        h = simulate(baseline, small_grid, 4, seed=9)
-        g = simulate(GBMSpec(vol=0.2), small_grid, 4, seed=9)
-        assert h.spot.shape == g.spot.shape == (4, 17)
-        with pytest.raises(ParameterError):
-            simulate("not a model", small_grid, 4, seed=9)
+    def test_invalid_vol_rejected(self):
+        vol = 0.0
+        with pytest.raises(ParameterError, match="^kappa and theta must be positive$"):
+            HestonParams(kappa=2.0, theta=vol**2, sigma_vv=0.0, rho=0.0, v0=vol**2)
 
 
 class TestExport:
@@ -191,9 +193,7 @@ class TestRngStreams:
         assert abs(z.std() - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("gbm", [False, True])
-def test_zero_simulated_paths(baseline, small_grid, gbm):
-    """Zero paths is a ParameterError with its message, in either market."""
-    model = GBMSpec(vol=0.2) if gbm else baseline
+def test_zero_simulated_paths(baseline, small_grid):
+    """Zero paths is a ParameterError with its message."""
     with pytest.raises(ParameterError, match="^n_paths must be >= 1$"):
-        simulate(model, small_grid, 0, seed=1)
+        simulate_heston(baseline, small_grid, 0, seed=1)

@@ -25,7 +25,7 @@ from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import NumericalDivergenceError, ParameterError, StageError
 from hedgeblend.evaluation import file_sha256
 from hedgeblend.hedger import TrainConfig, init_model, save_model
-from hedgeblend.market import PathGrid, simulate_gbm
+from hedgeblend.market import PathGrid, simulate_heston
 from hedgeblend.risk import RiskSpec, cvar, entropic_risk
 
 
@@ -370,8 +370,8 @@ class TestValidateGbm:
     def test_network_price_is_the_entropic_risk_of_the_rollouts_pnl(self, validation):
         report, model, _ = validation
         config = mini_config()
-        paths = simulate_gbm(pipeline.GBM_VOL, config.grid, config.eval_paths,
-                             seed=config.eval_seeds[0])
+        paths = simulate_heston(pipeline.GBM, config.grid, config.eval_paths,
+                                seed=config.eval_seeds[0])
         zero_cost = accounting.CostSpec(0.0)
         schedule = hedger.forward_rollout(model, paths, config.strike)
         pnl = accounting.compute_pnl(paths, schedule, zero_cost, config.strike).pnl

@@ -209,3 +209,8 @@ class TestRiskSpec:
             RiskSpec("entropic", a=-1.0)
         with pytest.raises(ParameterError):
             RiskSpec("cvar", level=0.0)
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), True])
+    def test_a_risk_aversion_that_is_not_a_finite_number_is_refused(self, a):
+        with pytest.raises(ParameterError, match="^a must be a finite real number"):
+            RiskSpec("entropic", a=a)
