@@ -52,9 +52,7 @@ class CostSpec:
     cost_rate: float
 
     def __post_init__(self):
-        require_real("cost_rate", self.cost_rate)
-        if self.cost_rate < 0:
-            raise ParameterError("cost_rate must be non-negative")
+        require_real("cost_rate", self.cost_rate, at_least=0)
 
 
 @dataclass
@@ -95,8 +93,7 @@ def compute_pnl(
     accounting training differentiates, in float64; the report keeps its
     per-path gains, costs and mean |position change|, not the per-step arrays.
     """
-    if strike <= 0:
-        raise ParameterError("strike must be positive")
+    require_real("strike", strike, above=0)
     if hedges.delta.shape != (paths.n_paths, paths.n_steps):
         raise ParameterError(
             f"hedge schedule shape {hedges.delta.shape} does not match "

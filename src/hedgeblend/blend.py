@@ -30,7 +30,7 @@ from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .autodiff import Adam
 from .ensemble import EnsembleOutput
-from .errors import NumericalDivergenceError, ParameterError
+from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
 from .market import MarketPaths
 from .risk import RiskSpec
 
@@ -76,8 +76,7 @@ def blend_schedules(
 
 def train_eval_split(paths: MarketPaths, train_fraction: float, seed: int):
     """Deterministic disjoint (train, eval) index split covering all paths."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError("train_fraction must lie in (0, 1)")
+    require_real("train_fraction", train_fraction, above=0, below=1)
     n = paths.n_paths
     perm = rng.generator(rng.derive_seed(seed, rng.TAG_SPLIT)).permutation(n)
     k = int(round(train_fraction * n))
@@ -222,6 +221,8 @@ def fit_blend(
     """
     if objective.kind not in OBJECTIVES:
         raise ParameterError(f"unknown blend objective {objective.kind!r}")
+    require_integer("iterations", iterations, minimum=1)
+    require_real("step_size", step_size, above=0)
     shape = (train_paths.n_paths, train_paths.n_steps)
     if shape[0] == 0:
         raise ParameterError("fit_blend needs at least one training path")

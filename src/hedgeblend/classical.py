@@ -6,13 +6,11 @@ so whole (paths x steps) schedules evaluate in one call per time step.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import ndtr
 
 from .accounting import HedgeSchedule
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 from .market import MarketPaths
 
 
@@ -90,8 +88,7 @@ def _vol_surface(paths: MarketPaths, vol: float | None) -> np.ndarray:
     n = paths.n_steps
     if vol is None:
         return np.sqrt(paths.variance[:, :n])
-    if not (math.isfinite(vol) and vol > 0):
-        raise ParameterError(f"vol must be finite and positive, got {vol}")
+    require_real("vol", vol, above=0)
     return np.full((paths.n_paths, n), vol)
 
 
@@ -107,8 +104,7 @@ def bs_delta_strategy(paths: MarketPaths, strike: float, vol: float | None) -> H
 
 def ww_band_halfwidth(spot, strike, vol, tau, cost_rate, risk_aversion=1.0):
     """Half-width (3 * c * gamma^2 * S / (2a))**(1/3) of the no-trade band."""
-    if risk_aversion <= 0:
-        raise ParameterError("risk_aversion must be positive")
+    require_real("risk_aversion", risk_aversion, above=0)
     gamma = bs_gamma(spot, strike, vol, tau)
     spot = np.asarray(spot, dtype=float)
     out = (3.0 * cost_rate * gamma**2 * spot / (2.0 * risk_aversion)) ** (1.0 / 3.0)

@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument("--resume", action="store_true",
                        help="reuse the members trained in <out>; exits 1 unless their training "
-                       "record matches the config's calibration, grid, cost_rate, strike, "
-                       "ensemble_size and train")
+                       f"record matches the config's {', '.join(pipeline.TRAINING_FIELDS)}")
         p.set_defaults(func=func)
     return parser
 

@@ -68,19 +68,15 @@ class RunConfig:
     mean_bootstrap_resamples: int = 10000
 
     def __post_init__(self):
-        for name in ("ensemble_size", "eval_paths", "bootstrap_resamples",
-                     "mean_bootstrap_resamples"):
-            require_integer(name, getattr(self, name))
+        for name, minimum in (("ensemble_size", 2), ("eval_paths", 10),
+                              ("bootstrap_resamples", MIN_BOOTSTRAP_RESAMPLES),
+                              ("mean_bootstrap_resamples", MIN_BOOTSTRAP_RESAMPLES)):
+            require_integer(name, getattr(self, name), minimum)
         for i, seed in enumerate(self.eval_seeds):
-            require_integer(f"eval_seeds[{i}]", seed)
-        for name in ("strike", "train_fraction", "cvar_level"):
-            require_real(name, getattr(self, name))
-        if self.ensemble_size < 2:
-            raise ParameterError("ensemble_size must be >= 2")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ParameterError("train_fraction must lie in (0, 1)")
-        if self.eval_paths < 10:
-            raise ParameterError("eval_paths must be >= 10")
+            require_integer(f"eval_seeds[{i}]", seed, minimum=0)
+        require_real("strike", self.strike, above=0)
+        require_real("train_fraction", self.train_fraction, above=0, below=1)
+        require_real("cvar_level", self.cvar_level, above=0, below=1)
         n_train = int(round(self.train_fraction * self.eval_paths))  # as train_eval_split
         if min(n_train, self.eval_paths - n_train) < 2:
             raise ParameterError(
@@ -90,15 +86,6 @@ class RunConfig:
             )
         if not self.eval_seeds:
             raise ParameterError("eval_seeds must be non-empty")
-        if min(self.eval_seeds) < 0:
-            raise ParameterError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
-        if not 0.0 < self.cvar_level < 1.0:
-            raise ParameterError(f"cvar_level must lie in (0, 1), got {self.cvar_level}")
-        if self.strike <= 0:
-            raise ParameterError(f"strike must be positive, got {self.strike}")
-        for name in ("bootstrap_resamples", "mean_bootstrap_resamples"):
-            if getattr(self, name) < MIN_BOOTSTRAP_RESAMPLES:
-                raise ParameterError(f"{name} must be >= {MIN_BOOTSTRAP_RESAMPLES}")
         self.cost()  # validates cost_rate
         self.heston_params()  # validates named/custom calibration
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
-from .errors import NumericalDivergenceError, ParameterError
+from .errors import NumericalDivergenceError, ParameterError, require_integer
 from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import HestonParams, MarketPaths, PathGrid
 from .threads import run_threads, usable_cpus
@@ -66,8 +66,7 @@ def train_ensemble(
     # Only perfbench/workloads.py passes workers; ROADMAP item 2 removes it.
     if workers != 1:
         raise ParameterError(f"workers must be 1, got {workers}")
-    if m < 2:
-        raise ParameterError("an ensemble needs at least 2 members")
+    require_integer("m", m, minimum=2)
     members = []
     for i in range(m):
         try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .accounting import PnLReport, check_same_paths, decompose_pnl
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
 
@@ -95,8 +95,7 @@ def rolling_winrate(pnl_a, pnl_b, psi_bar, window: int) -> np.ndarray:
     """
     pnl_a, pnl_b, psi_bar = _per_path(pnl_a, pnl_b, psi_bar)
     n = pnl_a.size
-    if window < 1:
-        raise ParameterError("window must be >= 1")
+    require_integer("window", window, minimum=1)
     if window > n:
         raise ParameterError(f"window {window} exceeds {n} paths")
     order = np.argsort(psi_bar, kind="stable")
@@ -143,8 +142,8 @@ def heatmap_data(
     strike: float = 1.0,
 ) -> HeatmapData:
     """Bin per-step disagreement by (moneyness, time step)."""
-    if moneyness_bins < 2 or time_bins < 2:
-        raise ParameterError("bins must be >= 2")
+    require_integer("moneyness_bins", moneyness_bins, minimum=2)
+    require_integer("time_bins", time_bins, minimum=2)
     n = paths.n_steps
     if psi.shape != (paths.n_paths, n):
         raise ParameterError("psi shape does not match paths")
@@ -220,8 +219,7 @@ def paired_bootstrap(
     higher-is-better metrics, flipped otherwise). The draws are made
     ``BOOTSTRAP_BLOCK`` resamples at a time, which changes no result."""
     pnl_a, pnl_b = _per_path(pnl_a, pnl_b)
-    if resamples < MIN_BOOTSTRAP_RESAMPLES:
-        raise ParameterError(f"resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}")
+    require_integer("resamples", resamples, minimum=MIN_BOOTSTRAP_RESAMPLES)
     n = pnl_a.size
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_BOOTSTRAP))
 

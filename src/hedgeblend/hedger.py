@@ -104,15 +104,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "paths_per_epoch", "seed"):
-            require_integer(name, getattr(self, name))
-        require_real("risk_aversion", self.risk_aversion)
-        if self.epochs < 1 or self.paths_per_epoch < 1:
-            raise ParameterError("epochs and paths_per_epoch must be >= 1")
-        if self.risk_aversion <= 0:
-            raise ParameterError("risk_aversion must be positive")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        require_integer("epochs", self.epochs, minimum=1)
+        require_integer("paths_per_epoch", self.paths_per_epoch, minimum=1)
+        require_integer("seed", self.seed, minimum=0)
+        require_real("risk_aversion", self.risk_aversion, above=0)
 
 
 @dataclass

@@ -38,18 +38,12 @@ class HestonParams:
     s0: float = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "theta", "sigma_vv", "rho", "v0", "s0"):
-            require_real(name, getattr(self, name))
-        if not (self.kappa > 0 and self.theta > 0):
-            raise ParameterError("kappa and theta must be positive")
-        if self.sigma_vv < 0:
-            raise ParameterError("sigma_vv must be non-negative")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.v0 < 0:
-            raise ParameterError("v0 must be non-negative")
-        if self.s0 <= 0:
-            raise ParameterError("s0 must be positive")
+        require_real("kappa", self.kappa, above=0)
+        require_real("theta", self.theta, above=0)
+        require_real("sigma_vv", self.sigma_vv, at_least=0)
+        require_real("rho", self.rho, at_least=-1, at_most=1)
+        require_real("v0", self.v0, at_least=0)
+        require_real("s0", self.s0, above=0)
 
 
 # Named calibrations; all share kappa=2, theta=0.04, v0=0.04.
@@ -68,12 +62,8 @@ class PathGrid:
     maturity: float
 
     def __post_init__(self):
-        require_integer("n_steps", self.n_steps)
-        if self.n_steps < 1:
-            raise ParameterError("n_steps must be >= 1")
-        require_real("maturity", self.maturity)
-        if self.maturity <= 0:
-            raise ParameterError("maturity must be positive")
+        require_integer("n_steps", self.n_steps, minimum=1)
+        require_real("maturity", self.maturity, above=0)
 
     @property
     def dt(self) -> float:
@@ -136,8 +126,7 @@ def simulate_heston(
     shock rho*z1 + sqrt(1-rho^2)*z2, giving exact increment correlation rho.
     Deterministic for fixed (params, grid, n_paths, seed).
     """
-    if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
+    require_integer("n_paths", n_paths, minimum=1)
     n = grid.n_steps
     dt = grid.dt
 

@@ -32,9 +32,7 @@ def entropic_risk(pnl, a: float, grad=None):
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
         raise ParameterError("entropic_risk of an empty vector")
-    require_real("a", a)
-    if a <= 0:
-        raise ParameterError("risk aversion a must be positive")
+    require_real("a", a, above=0)
     n = pnl.shape[-1]
     x = pnl * (-a)
     m = x.max(axis=-1, keepdims=True)
@@ -58,8 +56,7 @@ def cvar(pnl, level: float, grad=None):
     pnl = np.asarray(pnl, dtype=float)
     if pnl.size == 0:
         raise ParameterError("cvar of an empty vector")
-    if not 0.0 < level <= 1.0:
-        raise ParameterError(f"level must lie in (0, 1], got {level}")
+    require_real("level", level, above=0, at_most=1)
     n = pnl.shape[-1]
     k = math.ceil(level * n)
     if grad is not None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import require_integer
+
 # Purpose tags mixed into derived seeds. Values are arbitrary but frozen:
 # changing them changes every downstream stream.
 TAG_INIT = 1
@@ -24,14 +26,17 @@ TAG_EPOCH_PATHS = 2
 TAG_MEMBER = 3
 TAG_SPLIT = 4
 TAG_BOOTSTRAP = 5
-TAG_SAMPLE = 6
 
 # Smallest uniform passed to ndtri; keeps the mapped normal finite.
 _U_FLOOR = 2.0 ** -53
 
 
 def derive_seed(root: int, *indices: int) -> int:
-    """Mix a root seed and integer indices into an independent 128-bit seed."""
+    """Mix a root seed and integer indices, each a non-negative integer, into
+    an independent 128-bit seed."""
+    require_integer("seed", root, minimum=0)
+    for index in indices:
+        require_integer("seed index", index, minimum=0)
     words = np.random.SeedSequence([int(root), *[int(i) for i in indices]]).generate_state(4)
     out = 0
     for w in words:
@@ -40,7 +45,8 @@ def derive_seed(root: int, *indices: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Philox generator keyed by ``seed``."""
+    """Philox generator keyed by ``seed``, a non-negative integer."""
+    require_integer("seed", seed, minimum=0)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

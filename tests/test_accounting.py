@@ -60,6 +60,13 @@ class TestComputePnl:
         with pytest.raises(ParameterError):
             compute_pnl(baseline_paths, hedges, cost, strike=0.0)
 
+    @pytest.mark.parametrize("strike", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+    def test_a_strike_that_is_not_a_finite_number_is_refused(self, cost, strike):
+        """A NaN strike once gave NaN P&L, and True ran as strike 1."""
+        paths = make_paths([[1.0, 1.1]])
+        with pytest.raises(ParameterError, match=f"^strike must be a finite real number, got {strike}$"):
+            compute_pnl(paths, HedgeSchedule(np.zeros((1, 1))), cost, strike=strike)
+
     def test_non_finite_schedule_rejected(self):
         with pytest.raises(ParameterError):
             HedgeSchedule(np.array([[np.nan, 0.0]]))

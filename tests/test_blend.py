@@ -10,6 +10,7 @@ order of float operations, so it must reproduce them within 1e-12 relative.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend.accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
-from hedgeblend.blend import BlendParams, blend_schedules, fit_blend
+from hedgeblend.blend import BlendParams, blend_schedules, fit_blend, train_eval_split
 from hedgeblend.ensemble import EnsembleOutput
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import MarketPaths, PathGrid
@@ -181,11 +182,12 @@ def test_gradient_at_a_zero_position_change_takes_sgn_0_as_0(problem, kind, monk
 def test_reported_objective_equals_the_oracle(request, size, kind):
     """Iteration k of a fit reports the objective at the coefficients after
     k steps, which must equal entropic_risk or -cvar of compute_pnl of the
-    blended schedule: the fit's P&L is the reports' P&L."""
+    blended schedule: the fit's P&L is the reports' P&L. Step 0 is the
+    50/50 blend, zero coefficients."""
     problem = request.getfixturevalue(size)
     objective = RiskSpec(kind)
     for k in (0, 1, 7, 30):
-        coefs = coefficients(run_fit(problem, kind, iterations=k).params)
+        coefs = coefficients(run_fit(problem, kind, iterations=k).params) if k else [0.0, 0.0]
         reported = run_fit(problem, kind, iterations=k + 1).trajectory[-1]
         assert reported == pytest.approx(objective_at(problem, coefs, objective)[0],
                                          rel=1e-12, abs=0.0), k
@@ -210,6 +212,35 @@ def test_mismatched_shapes_raise(problem):
     with pytest.raises(ParameterError):
         fit_blend(paths, ens.take(np.arange(10)), bs, COST, STRIKE, RiskSpec("cvar"),
                   iterations=1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"iterations": 0}, "iterations must be >= 1, got 0"),
+    ({"iterations": 10.0}, "iterations must be an integer, got 10.0"),
+    ({"iterations": True}, "iterations must be an integer, got True"),
+    ({"step_size": -1.0}, "step_size must lie in (0, inf), got -1.0"),
+    ({"step_size": 0.0}, "step_size must lie in (0, inf), got 0.0"),
+    ({"step_size": float("nan")}, "step_size must be a finite real number, got nan"),
+], ids=["zero-iterations", "float-iterations", "bool-iterations", "negative-step",
+        "zero-step", "nan-step"])
+def test_a_bad_iteration_count_or_step_size_is_refused(problem, kwargs, message):
+    """Zero iterations once gave a fit whose to_json raised IndexError, and a
+    negative step climbed the objective."""
+    paths, ens, bs = problem
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        fit_blend(paths, ens, bs, COST, STRIKE, RiskSpec("cvar"),
+                  **{"iterations": 1, "step_size": 0.05, **kwargs})
+
+
+@pytest.mark.parametrize("fraction, message", [
+    (True, "must be a finite real number, got True"),
+    (float("nan"), "must be a finite real number, got nan"),
+    ("0.5", "must be a finite real number, got '0.5'"),
+    (1.0, "must lie in (0, 1), got 1.0"),
+], ids=["bool", "nan", "string", "one"])
+def test_a_train_fraction_outside_the_unit_interval_is_refused(problem, fraction, message):
+    with pytest.raises(ParameterError, match=f"^train_fraction {re.escape(message)}$"):
+        train_eval_split(problem[0], fraction, seed=0)
 
 
 def test_no_training_paths_raise(problem):

@@ -117,10 +117,14 @@ class TestDeltaStrategy:
     def test_vol_validation(self):
         """A given vol must be finite and positive, for both strategies."""
         paths = pinned_paths(1.0, 0.04, n_steps=4)
-        for vol in (0.0, -0.2, float("nan"), float("inf")):
-            with pytest.raises(ParameterError, match="vol must be finite and positive"):
+        for vol, message in ((0.0, r"lie in \(0, inf\), got 0.0"),
+                             (-0.2, r"lie in \(0, inf\), got -0.2"),
+                             (float("nan"), "be a finite real number, got nan"),
+                             (float("inf"), "be a finite real number, got inf"),
+                             (True, "be a finite real number, got True")):
+            with pytest.raises(ParameterError, match=f"^vol must {message}$"):
                 bs_delta_strategy(paths, 1.0, vol)
-            with pytest.raises(ParameterError, match="vol must be finite and positive"):
+            with pytest.raises(ParameterError, match=f"^vol must {message}$"):
                 ww_strategy(paths, 1.0, vol, cost_rate=5e-4)
 
 
@@ -140,6 +144,13 @@ class TestWwBand:
     def test_invalid_risk_aversion(self):
         with pytest.raises(ParameterError):
             ww_band_halfwidth(1.0, 1.0, 0.2, 0.5, cost_rate=5e-4, risk_aversion=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+    def test_a_risk_aversion_that_is_not_a_finite_number_is_refused(self, value):
+        """NaN once gave a NaN band, and True ran as 1.0."""
+        with pytest.raises(ParameterError,
+                           match=f"^risk_aversion must be a finite real number, got {value}$"):
+            ww_band_halfwidth(1.0, 1.0, 0.2, 0.5, cost_rate=5e-4, risk_aversion=value)
 
 
 class TestWwStrategy:

@@ -241,7 +241,7 @@ class TestCliRejectsBeforeTraining:
     def test_negative_seed_flag(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert cli.main([command, "--seed", "-3", "--out", str(out)]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -3")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--workers", "2"], ["--bogus"]], ids=["workers", "bogus"])
@@ -254,7 +254,9 @@ class TestCliRejectsBeforeTraining:
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["full-pipeline", "--help"]) == cli.EXIT_OK
-        assert "--resume" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--resume" in out
+        assert all(name in out for name in pipeline.TRAINING_FIELDS)
 
 
 class TestCliOverrides:

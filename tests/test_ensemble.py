@@ -16,8 +16,8 @@ import pytest
 
 from hedgeblend import ensemble, hedger, threads
 from hedgeblend.accounting import CostSpec, HedgeSchedule
-from hedgeblend.errors import NumericalDivergenceError
-from hedgeblend.hedger import forward_rollout, init_model
+from hedgeblend.errors import NumericalDivergenceError, ParameterError
+from hedgeblend.hedger import TrainConfig, forward_rollout, init_model
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
 
 GRID = PathGrid(n_steps=32, maturity=0.5)
@@ -274,6 +274,21 @@ def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
     with pytest.raises(NumericalDivergenceError, match="member 0"):
         ensemble.aggregate(members, paths, 1.0)
     assert failed == [1, 0]
+
+
+@pytest.mark.parametrize("m, message", [
+    (1, "m must be >= 2, got 1"),
+    (2.0, "m must be an integer, got 2.0"),
+    (True, "m must be an integer, got True"),
+], ids=["one", "float", "bool"])
+def test_a_member_count_that_is_not_an_integer_of_at_least_2_is_refused(monkeypatch, m, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("a member trained")
+
+    monkeypatch.setattr(ensemble, "train_hedger", fail)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        ensemble.train_ensemble(m, TrainConfig(), CALIBRATIONS["baseline"], GRID,
+                                CostSpec(5e-4), 1.0)
 
 
 def test_a_diverging_member_is_named_once(monkeypatch):

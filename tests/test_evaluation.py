@@ -182,6 +182,29 @@ def test_vectors_that_are_not_one_value_per_path_are_refused(analysis, shape):
         analysis(np.zeros(shape))
 
 
+FLAT_PATHS = MarketPaths(spot=np.ones((4, 3)), variance=np.ones((4, 3)),
+                         grid=PathGrid(n_steps=2, maturity=0.5))
+
+
+@pytest.mark.parametrize("analysis, message", [
+    (lambda v: paired_bootstrap(v, v, RiskSpec("mean"), resamples=5000.0),
+     "resamples must be an integer, got 5000.0"),
+    (lambda v: paired_bootstrap(v, v, RiskSpec("mean"), resamples=True),
+     "resamples must be an integer, got True"),
+    (lambda v: rolling_winrate(v, v, v, 2.0), "window must be an integer, got 2.0"),
+    (lambda v: rolling_winrate(v, v, v, True), "window must be an integer, got True"),
+    (lambda v: heatmap_data(np.zeros((4, 2)), FLAT_PATHS, 2.0, 2),
+     "moneyness_bins must be an integer, got 2.0"),
+    (lambda v: heatmap_data(np.zeros((4, 2)), FLAT_PATHS, 2, True),
+     "time_bins must be an integer, got True"),
+], ids=["float-resamples", "bool-resamples", "float-window", "bool-window",
+        "float-moneyness-bins", "bool-time-bins"])
+def test_a_count_that_is_not_an_integer_is_refused(analysis, message):
+    """Float counts and a bool window once raised numpy's TypeError."""
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        analysis(np.linspace(0.0, 1.0, 4))
+
+
 def built_paths(rng_np, n_paths=20) -> MarketPaths:
     grid = PathGrid(n_steps=4, maturity=0.5)
     spot = rng_np.uniform(0.8, 1.2, size=(n_paths, grid.n_steps + 1))

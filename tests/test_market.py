@@ -1,10 +1,30 @@
+import re
+
 import numpy as np
 import pytest
 
 from hedgeblend import rng
+from hedgeblend.blend import train_eval_split
 from hedgeblend.errors import ParameterError
+from hedgeblend.evaluation import paired_bootstrap
+from hedgeblend.hedger import init_model
 from hedgeblend.market import CALIBRATIONS, HestonParams, MarketPaths, PathGrid, simulate_heston
 from hedgeblend.pipeline import GBM, GBM_VOL
+from hedgeblend.risk import RiskSpec
+
+TINY_GRID = PathGrid(n_steps=4, maturity=0.5)
+# Each public function that takes a seed, and the name its refusal gives.
+SEED_TAKERS = {
+    "derive_seed": ("seed", rng.derive_seed),
+    "derive_seed-index": ("seed index", lambda seed: rng.derive_seed(0, seed)),
+    "generator": ("seed", rng.generator),
+    "simulate_heston": ("seed", lambda seed: simulate_heston(GBM, TINY_GRID, 2, seed)),
+    "init_model": ("seed", init_model),
+    "paired_bootstrap": ("seed", lambda seed: paired_bootstrap(
+        np.zeros(4), np.ones(4), RiskSpec("mean"), seed=seed)),
+    "train_eval_split": ("seed", lambda seed: train_eval_split(
+        simulate_heston(GBM, TINY_GRID, 4, 0), 0.5, seed)),
+}
 
 
 class TestParams:
@@ -160,7 +180,7 @@ class TestGBM:
 
     def test_invalid_vol_rejected(self):
         vol = 0.0
-        with pytest.raises(ParameterError, match="^kappa and theta must be positive$"):
+        with pytest.raises(ParameterError, match=r"^theta must lie in \(0, inf\), got 0.0$"):
             HestonParams(kappa=2.0, theta=vol**2, sigma_vv=0.0, rho=0.0, v0=vol**2)
 
 
@@ -187,13 +207,32 @@ class TestRngStreams:
         seeds = {rng.derive_seed(7, rng.TAG_MEMBER, i) for i in range(100)}
         assert len(seeds) == 100
 
+    @pytest.mark.parametrize("taker", SEED_TAKERS)
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        (-1, "must be >= 0, got -1"),
+    ], ids=["fractional", "bool", "negative"])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, taker, seed, message):
+        """1.5 and True were once accepted, as seed 1 where the seed is mixed, and
+        -1 raised numpy's ValueError."""
+        name, take = SEED_TAKERS[taker]
+        with pytest.raises(ParameterError, match=f"^{name} {message}$"):
+            take(seed)
+
     def test_normals_are_standard(self):
         z = rng.path_normals(0, 200, 500).ravel()
         assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
         assert abs(z.std() - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("n_paths", [2.0, True], ids=["float", "bool"])
+def test_a_path_count_that_is_not_an_integer_is_refused(n_paths):
+    with pytest.raises(ParameterError, match=re.escape(f"n_paths must be an integer, got {n_paths!r}")):
+        simulate_heston(GBM, TINY_GRID, n_paths, seed=1)
+
+
 def test_zero_simulated_paths(baseline, small_grid):
     """Zero paths is a ParameterError with its message."""
-    with pytest.raises(ParameterError, match="^n_paths must be >= 1$"):
+    with pytest.raises(ParameterError, match="^n_paths must be >= 1, got 0$"):
         simulate_heston(baseline, small_grid, 0, seed=1)

@@ -76,6 +76,8 @@ class TestCvar:
             cvar(np.array([1.0]), 0.0)
         with pytest.raises(ParameterError):
             cvar(np.array([1.0]), 1.5)
+        with pytest.raises(ParameterError, match="^level must be a finite real number, got True$"):
+            cvar(np.array([1.0]), True)  # once the mean: ceil(True * n) = n
 
     @given(pnl=pnl_vectors, c=st.floats(-3, 3, allow_nan=False), level=st.floats(0.05, 1))
     @settings(max_examples=200, deadline=None)
@@ -209,6 +211,8 @@ class TestRiskSpec:
             RiskSpec("entropic", a=-1.0)
         with pytest.raises(ParameterError):
             RiskSpec("cvar", level=0.0)
+        with pytest.raises(ParameterError, match="^level must be a finite real number, got True$"):
+            RiskSpec("cvar", level=True)
 
     @pytest.mark.parametrize("a", [float("nan"), float("inf"), True])
     def test_a_risk_aversion_that_is_not_a_finite_number_is_refused(self, a):
