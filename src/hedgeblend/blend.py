@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from concurrent.futures import CancelledError
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ from .ensemble import EnsembleOutput
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
 from .market import MarketPaths
 from .risk import RiskSpec
+from .threads import check_stopped
 
 FIT_ITERATIONS = 2000
 FIT_STEP_SIZE = 0.01
@@ -200,8 +199,6 @@ def fit_blend(
     objective: RiskSpec,
     iterations: int = FIT_ITERATIONS,
     step_size: float = FIT_STEP_SIZE,
-    *,
-    stop: threading.Event | None = None,
 ) -> BlendFit:
     """Fit the blend coefficients by Adam on the precomputed training batch.
 
@@ -215,14 +212,16 @@ def fit_blend(
     ``entropic_risk`` or ``-cvar`` of ``compute_pnl(blend_schedules(...))``
     within 1e-12 relative; the operations are ordered differently, so values
     agree to rounding, not bit for bit.
-    The fit is deterministic, from the uninformative 50/50 blend. When ``stop``
-    is set, checked once per iteration, the fit raises ``CancelledError``. An
-    ``objective`` whose kind is not one of ``OBJECTIVES`` is a ParameterError.
+    The fit is deterministic, from the uninformative 50/50 blend. On a
+    thread of a ``threads.run_threads`` call that is stopped, it raises
+    ``CancelledError`` at its next iteration. An ``objective`` whose kind is
+    not one of ``OBJECTIVES`` is a ParameterError.
     """
     if objective.kind not in OBJECTIVES:
         raise ParameterError(f"unknown blend objective {objective.kind!r}")
     require_integer("iterations", iterations, minimum=1)
     require_real("step_size", step_size, above=0)
+    require_real("strike", strike, above=0)
     shape = (train_paths.n_paths, train_paths.n_steps)
     if shape[0] == 0:
         raise ParameterError("fit_blend needs at least one training path")
@@ -238,8 +237,7 @@ def fit_blend(
 
     trajectory: list[float] = []
     for iteration in range(iterations):
-        if stop is not None and stop.is_set():
-            raise CancelledError(f"blend fit stopped at iteration {iteration}")
+        check_stopped("blend fit stopped at iteration %d", iteration)
         pnl = problem.pnl(coefs)
         value = objective.loss(pnl, g_pnl)
         if not math.isfinite(value):

@@ -104,6 +104,7 @@ def bs_delta_strategy(paths: MarketPaths, strike: float, vol: float | None) -> H
 
 def ww_band_halfwidth(spot, strike, vol, tau, cost_rate, risk_aversion=1.0):
     """Half-width (3 * c * gamma^2 * S / (2a))**(1/3) of the no-trade band."""
+    require_real("cost_rate", cost_rate, at_least=0)
     require_real("risk_aversion", risk_aversion, above=0)
     gamma = bs_gamma(spot, strike, vol, tau)
     spot = np.asarray(spot, dtype=float)

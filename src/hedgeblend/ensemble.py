@@ -7,7 +7,6 @@ sample standard deviation across members is well defined path by path.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError, require_integer
 from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import HestonParams, MarketPaths, PathGrid
-from .threads import run_threads, usable_cpus
+from .threads import run_threads
 
 
 @dataclass
@@ -114,32 +113,28 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     the block's paths, written into the block's rows of one (members,
     paths, steps) float64 array. Only the mean, the disagreement and its
     path average are returned; the disagreement's squared deviations are
-    computed in that array, which goes when this returns. The jobs
-    run in member-major order on ``min(jobs, usable CPUs)`` threads
-    (:func:`hedgeblend.threads.run_threads`), so 5 members on 2 CPUs leave
-    no CPU idle through a last round of whole members.
+    computed in that array, which goes when this returns. The jobs are one
+    :func:`hedgeblend.threads.run_threads` call in member-major order, at
+    most one thread per usable CPU, so 5 members on 2 CPUs leave no CPU idle
+    through a last round of whole members; a failure is raised, and a Ctrl-C
+    stops the rollouts, as that call states.
 
     Every output is identical bit for bit to the one computed from rolling
     the members out one after the other on the full batch: each block starts
     at a multiple of 16 rows and is a multiple of 16 long or runs to the end,
     which keeps every row's rounding (see :func:`hedgeblend.hedger._infer`).
-    A failing rollout or a Ctrl-C cancels the jobs that have not started and
-    stops the running ones at their next step; a failure is raised in member
-    order.
     """
     if len(members) < 2:
         raise ParameterError(f"disagreement needs at least 2 members, got {len(members)}")
     blocks = _path_blocks(paths.n_paths)
     jobs = [(m, block) for m in range(len(members)) for block in blocks]
     deltas = np.empty((len(members), paths.n_paths, paths.n_steps))
-    stop = threading.Event()
 
     def roll(job):
         m, (lo, hi) = job
-        return forward_rollout(members[m], paths.rows(lo, hi), strike,
-                               stop=stop, out=deltas[m, lo:hi])
+        return forward_rollout(members[m], paths.rows(lo, hi), strike, out=deltas[m, lo:hi])
 
-    run_threads(roll, jobs, workers=min(len(jobs), usable_cpus()), stop=stop)
+    run_threads(roll, jobs)
     mean = deltas.mean(axis=0)
     deltas -= mean  # std(axis=0, ddof=1), in place of a second (members, paths, steps) array
     np.square(deltas, out=deltas)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .accounting import PnLReport, check_same_paths, decompose_pnl
-from .errors import ParameterError, require_integer
+from .errors import ParameterError, require_integer, require_real
 from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
 
@@ -144,6 +144,7 @@ def heatmap_data(
     """Bin per-step disagreement by (moneyness, time step)."""
     require_integer("moneyness_bins", moneyness_bins, minimum=2)
     require_integer("time_bins", time_bins, minimum=2)
+    require_real("strike", strike, above=0)
     n = paths.n_steps
     if psi.shape != (paths.n_paths, n):
         raise ParameterError("psi shape does not match paths")

@@ -36,9 +36,7 @@ import contextlib
 import json
 import math
 import os
-import threading
 import zipfile
-from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -50,7 +48,7 @@ from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
 from .market import HestonParams, MarketPaths, PathGrid, simulate_heston
 from .risk import entropic_risk
-from .threads import run_threads, usable_cpus
+from .threads import check_stopped, run_threads
 
 INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
@@ -152,7 +150,6 @@ def _infer(
     strike: float,
     out: np.ndarray | None = None,
     *,
-    stop=None,
     saved=None,
 ) -> np.ndarray:
     """Hedge ratios (B, n_steps): the one rollout, of inference and training.
@@ -201,7 +198,7 @@ def _infer(
     ratios, cast to its dtype; otherwise one in the parameters' dtype is made.
     Raises NumericalDivergenceError naming the first step whose hedge ratio
     is not finite, and ``CancelledError`` at the next step once the
-    ``threading.Event`` ``stop``, when given, is set.
+    ``threads.run_threads`` call running it is stopped.
     """
     n_paths, n = paths.n_paths, paths.n_steps
     dtype, hidden = params["w_out"].dtype, params["w_hh_0"].shape[0]
@@ -228,8 +225,7 @@ def _infer(
         out = np.empty((n_paths, n), dtype=dtype)
 
     for t in range(n):
-        if stop is not None and stop.is_set():
-            raise CancelledError(f"rollout stopped at step {t}")
+        check_stopped("rollout stopped at step %d", t)
         np.divide(paths.spot[:, t], strike, out=column)
         operand[:, 0] = np.log(column, out=column)
         operand[:, 1] = taus[t]
@@ -291,7 +287,7 @@ def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
 
 
 def forward_rollout(
-    model: HedgerModel, paths: MarketPaths, strike: float, *, stop=None, out=None
+    model: HedgerModel, paths: MarketPaths, strike: float, *, out=None
 ) -> HedgeSchedule:
     """Inference-only rollout through :func:`_infer`; no saved state, no gradients.
 
@@ -301,13 +297,11 @@ def forward_rollout(
     it starts at a multiple of 4 rows and is a multiple of 4 long or runs to
     the end (see :func:`_infer`). ``out``, when given, is a float64 (B,
     n_steps) array, possibly a row view of a larger one, that receives the
-    hedge ratios and becomes the schedule's ``delta``; otherwise one is
-    made. A set ``stop`` event ends the rollout at its next step with
-    ``CancelledError``.
+    hedge ratios and becomes the schedule's ``delta``; otherwise one is made.
     """
     if out is None:
         out = np.empty((paths.n_paths, paths.n_steps))  # the schedule's float64, cast per step
-    _infer(model.params, paths, strike, out=out, stop=stop)
+    _infer(model.params, paths, strike, out=out)
     return HedgeSchedule(out, f"hedger_{model.seed}")
 
 
@@ -385,37 +379,31 @@ def _chunked_backward(
     full-batch backward up to float summation order and does not depend on
     the thread count or timing.
 
-    The shards run on ``min(shards, usable_cpus(), TAPE_BATCH_LIMIT //
-    shard)`` threads, so one shard runs on the calling thread. When ``B <=
-    TAPE_BATCH_LIMIT`` pass one is the saving forward and the backward reads
-    its tapes, the memory of one full-batch tape. Otherwise pass one rolls
-    the shards out without saving and pass two rolls each out again, saving,
-    so both passes count as tape passes and at most ``TAPE_BATCH_LIMIT``
-    paths have their tapes held at once. float32 parameters give float32
-    gradients; only the loss and g are float64.
-
-    A failing shard or a Ctrl-C sets both passes' ``run_threads`` stop
-    event: shard rollouts that are running stop at their next step, and
-    shards not yet started are skipped; a backward that has begun runs to
-    its end.
+    Each pass is one ``threads.run_threads`` call on at most
+    ``TAPE_BATCH_LIMIT // shard`` threads, so one shard runs on the calling
+    thread; when a pass is stopped, a backward that has begun runs to its
+    end. When ``B <= TAPE_BATCH_LIMIT`` pass one is the saving forward and
+    the backward reads its tapes, the memory of one full-batch tape.
+    Otherwise pass one rolls the shards out without saving and pass two
+    rolls each out again, saving, so both passes count as tape passes and at
+    most ``TAPE_BATCH_LIMIT`` paths have their tapes held at once. float32
+    parameters give float32 gradients; only the loss and g are float64.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    n_threads = min(len(shards), usable_cpus(), TAPE_BATCH_LIMIT // size)
     keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's saved state serves the backward
-    stop = threading.Event()
     dtype = params["w_out"].dtype
 
     def forward(shard, save):
         sub = paths.rows(*shard)
         saved = _workspaces(params, sub) if save else None
-        delta = _infer(params, sub, strike, stop=stop, saved=saved)
+        delta = _infer(params, sub, strike, saved=saved)
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
         return saved, account, account.pnl(delta)
 
     try:
-        passes = run_threads(lambda shard: forward(shard, keep), shards, n_threads, stop=stop)
+        passes = run_threads(lambda shard: forward(shard, keep), shards, TAPE_BATCH_LIMIT // size)
     except NumericalDivergenceError:  # a hedge ratio left the reals, and so did the loss
         return float("nan"), None
     pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
@@ -431,7 +419,7 @@ def _chunked_backward(
         saved, account, _ = passes[k] if keep else forward(shards[k], True)
         return ad.backward(params, saved, account.vjp(g_pnl[lo:hi]))
 
-    grads = run_threads(shard_grads, range(len(shards)), n_threads, stop=stop)
+    grads = run_threads(shard_grads, range(len(shards)), TAPE_BATCH_LIMIT // size)
     return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
 
 

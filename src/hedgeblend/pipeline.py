@@ -3,10 +3,10 @@
 Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte. The path shards of a large
 training epoch are backpropagated, and the ensemble members roll out,
-concurrently on at most as many threads as the process has usable CPUs,
-and the two blend objectives (``blend.OBJECTIVES``) are fitted
-concurrently, one thread each; all give results identical to running them
-one after the other. On a stage failure the run directory keeps whatever
+concurrently on at most as many threads as the process has usable CPUs
+(``threads.run_threads``), and so are the two blend objectives
+(``blend.OBJECTIVES``); all give results identical to running them one
+after the other. On a stage failure the run directory keeps whatever
 was already written plus a FAILED marker naming the stage. A marker left
 by an earlier run is removed when a run starts.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from .ensemble import (
     train_ensemble,
     write_path_uncertainty_csv,
 )
-from .errors import ParameterError, StageError
+from .errors import ParameterError, StageError, require_real
 from .hedger import (
     HedgerModel,
     forward_rollout,
@@ -103,8 +102,10 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
 
     Reports the mean absolute error of the learned hedge ratios vs. the
     analytic delta on fresh paths, and the gap between the indifference
-    price and the analytic option price.
+    price and the analytic option price. A threshold that is not a finite
+    number of at least 0 is refused before training.
     """
+    require_real("threshold", threshold, at_least=0)
     zero_cost = CostSpec(0.0)
     model = train_hedger(config.train, GBM, config.grid, zero_cost, config.strike)
 
@@ -248,28 +249,23 @@ def fit_blends(
     """Fit both blend objectives on the training subset; returns the fits in
     ``blend.OBJECTIVES`` order.
 
-    The objectives are fitted concurrently, one thread each. A fit owns its
-    buffers and its optimiser and only reads the shared training arrays, and
-    numpy releases the GIL inside its array operations, so the fits overlap
-    and their results are identical to fitting them one after the other.
-    When a fit fails or the caller is interrupted, the other fits stop at
-    their next iteration (``fit_blend``'s ``stop`` event). Once every fit has
-    ended, the first failing fit's own error, in objective order, is raised,
-    never the ``CancelledError`` of a fit that was stopped.
+    The objectives are fitted concurrently by one ``threads.run_threads``
+    call, one thread each (one after the other on the calling thread on a
+    one-CPU host), which states how a failing fit or a Ctrl-C stops the
+    others. A fit owns its buffers and its optimiser and only reads the
+    shared training arrays, and numpy releases the GIL inside its array
+    operations, so the fits overlap and their results are identical to
+    fitting them one after the other.
     """
     sub_paths = paths.take(train_idx)
     sub_ens = ens.take(train_idx)
     sub_bs = bs.take(train_idx)
 
-    stop = threading.Event()
-
     def fit(kind: str) -> BlendFit:
         objective = RiskSpec(kind, a=config.train.risk_aversion, level=config.cvar_level)
-        return fit_blend(
-            sub_paths, sub_ens, sub_bs, config.cost(), config.strike, objective, stop=stop
-        )
+        return fit_blend(sub_paths, sub_ens, sub_bs, config.cost(), config.strike, objective)
 
-    fits = run_threads(fit, OBJECTIVES, workers=len(OBJECTIVES), stop=stop)
+    fits = run_threads(fit, OBJECTIVES)
     return dict(zip(OBJECTIVES, fits))
 
 

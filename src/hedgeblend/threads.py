@@ -4,6 +4,10 @@ The (member, path-block) rollouts of an ensemble, the blend fits and the
 path shards of a training epoch run on threads: their work is numpy array operations, which
 release the GIL, and each job owns its buffers and only reads shared arrays,
 so results equal a serial loop's.
+
+This module alone decides how many threads run and when a job stops. The
+jobs' one checkpoint, :func:`check_stopped`, is called by ``hedger._infer``
+once per rollout step and by ``blend.fit_blend`` once per iteration.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
 # would not see one raised by ``_thread.interrupt_main``.
 POLL_SECONDS = 0.1
 
+# The stop event of the run_threads call whose job this thread is running.
+_job = threading.local()
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask), else all of them."""
@@ -25,35 +32,48 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_threads(fn, items, workers: int, stop: threading.Event | None = None) -> list:
-    """``[fn(item) for item in items]`` on at most ``workers`` threads, in item order.
+def check_stopped(message: str, *args) -> None:
+    """Raise ``CancelledError(message % args)`` once the :func:`run_threads`
+    call whose job runs on this thread is stopped; never outside such a job."""
+    stop = getattr(_job, "stop", None)
+    if stop is not None and stop.is_set():
+        raise CancelledError(message % args)
+
+
+def run_threads(fn, items, limit: int | None = None) -> list:
+    """``[fn(item) for item in items]`` on ``min(len(items), usable_cpus(),
+    limit)`` threads (no limit when None), in item order.
 
     The first exception, in a job or in the calling thread while it waits
-    (Ctrl-C included), sets ``stop``: queued jobs are cancelled, jobs not
-    yet started are skipped, and a running job that checks ``stop`` can end
-    early by raising ``CancelledError``. The call returns or raises once
-    every started job has ended. A job's own error is raised before the
-    ``CancelledError`` of a job that ``stop`` ended; among those, the first in
-    item order.
+    (Ctrl-C included), stops the call: queued jobs are cancelled, jobs not
+    yet started are skipped, and a running job that calls
+    :func:`check_stopped` ends early by raising ``CancelledError``. The call
+    returns or raises once every started job has ended. A job's own error is
+    raised before the ``CancelledError`` of a job that was stopped; among
+    those, the first in item order.
 
     With one worker the jobs run in item order on the calling thread and no
-    pool is made: a job that fails sets ``stop`` and the later jobs do not
+    pool is made: a job that fails stops the call and the later jobs do not
     run. This is for memory: the tiny pipeline's one-shard training epochs
     peaked at 272-365 MB RSS on a one-thread pool and at 234-235 MB on the
     calling thread (2 vCPUs, one BLAS thread).
     """
-    stop = threading.Event() if stop is None else stop
+    workers = min(len(items), usable_cpus(), len(items) if limit is None else limit)
+    stop = threading.Event()
 
     def job(item):
         if stop.is_set():
             raise CancelledError("skipped: an earlier job failed or the caller was interrupted")
+        outer, _job.stop = getattr(_job, "stop", None), stop
         try:
             return fn(item)
         except BaseException:
             stop.set()
             raise
+        finally:
+            _job.stop = outer
 
-    if workers == 1:
+    if workers <= 1:
         return [job(item) for item in items]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:

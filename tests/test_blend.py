@@ -221,15 +221,19 @@ def test_mismatched_shapes_raise(problem):
     ({"step_size": -1.0}, "step_size must lie in (0, inf), got -1.0"),
     ({"step_size": 0.0}, "step_size must lie in (0, inf), got 0.0"),
     ({"step_size": float("nan")}, "step_size must be a finite real number, got nan"),
+    ({"strike": float("nan")}, "strike must be a finite real number, got nan"),
+    ({"strike": -1.0}, "strike must lie in (0, inf), got -1.0"),
+    ({"strike": True}, "strike must be a finite real number, got True"),
 ], ids=["zero-iterations", "float-iterations", "bool-iterations", "negative-step",
-        "zero-step", "nan-step"])
-def test_a_bad_iteration_count_or_step_size_is_refused(problem, kwargs, message):
-    """Zero iterations once gave a fit whose to_json raised IndexError, and a
-    negative step climbed the objective."""
+        "zero-step", "nan-step", "nan-strike", "negative-strike", "bool-strike"])
+def test_a_bad_iteration_count_step_size_or_strike_is_refused(problem, kwargs, message):
+    """Zero iterations once gave a fit whose to_json raised IndexError, a
+    negative step climbed the objective, a NaN strike surfaced as
+    NumericalDivergenceError, and a negative or bool strike fitted."""
     paths, ens, bs = problem
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-        fit_blend(paths, ens, bs, COST, STRIKE, RiskSpec("cvar"),
-                  **{"iterations": 1, "step_size": 0.05, **kwargs})
+        fit_blend(paths, ens, bs, COST, **{"strike": STRIKE, "objective": RiskSpec("cvar"),
+                                           "iterations": 1, "step_size": 0.05, **kwargs})
 
 
 @pytest.mark.parametrize("fraction, message", [

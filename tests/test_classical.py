@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,17 @@ class TestWwBand:
         with pytest.raises(ParameterError,
                            match=f"^risk_aversion must be a finite real number, got {value}$"):
             ww_band_halfwidth(1.0, 1.0, 0.2, 0.5, cost_rate=5e-4, risk_aversion=value)
+
+    @pytest.mark.parametrize("value, message", [
+        (-5e-4, "must lie in [0, inf), got -0.0005"),
+        (True, "must be a finite real number, got True"),
+        (float("nan"), "must be a finite real number, got nan"),
+    ], ids=["negative", "bool", "nan"])
+    def test_a_cost_rate_that_is_not_a_finite_number_of_at_least_0_is_refused(self, value,
+                                                                               message):
+        """A negative rate once gave a NaN band, and True ran as 1.0."""
+        with pytest.raises(ParameterError, match=f"^cost_rate {re.escape(message)}$"):
+            ww_band_halfwidth(1.0, 1.0, 0.2, 0.5, cost_rate=value)
 
 
 class TestWwStrategy:

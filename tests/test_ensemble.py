@@ -4,7 +4,6 @@ import _thread
 import csv
 import dataclasses
 import io
-import os
 import sys
 import threading
 import time
@@ -49,7 +48,7 @@ def test_aggregate_equals_a_serial_loop_bit_for_bit(paths, monkeypatch, stress):
     members = float32_members(5)
     interval = sys.getswitchinterval()
     if stress:
-        monkeypatch.setattr(ensemble, "usable_cpus", lambda: len(members))
+        monkeypatch.setattr(threads, "usable_cpus", lambda: len(members))
         sys.setswitchinterval(1e-6)
     try:
         out = ensemble.aggregate(members, paths, 1.0)
@@ -89,7 +88,7 @@ def test_aggregate_peak_stays_under_members_plus_three_schedules(monkeypatch):
     and the disagreement, under (M + 3)·B·n float64 values. numpy's
     std(ddof=1) held a second (members, paths, steps) array for the
     deviations from the mean."""
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
     members = float32_members(5)
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
                             1000, seed=22)
@@ -141,7 +140,7 @@ def test_blocked_aggregate_equals_full_batch_rollouts_bit_for_bit(
     head's matrix-vector product (2,501 and 5,003 paths are not multiples of
     4) reproduce the full batch on any CPU count."""
     paths, members, serial = full_batch_rollouts(n_paths)
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
     rolled = []
 
     def counted(model, paths, strike, **kwargs):
@@ -157,7 +156,7 @@ def test_blocked_aggregate_equals_full_batch_rollouts_bit_for_bit(
     assert out.disagreement.tobytes() == stacked.std(axis=0, ddof=1).tobytes()
 
 
-def filled(model, paths, strike, *, stop=None, out=None):
+def filled(model, paths, strike, *, out=None):
     """A rollout stand-in that writes the member's seed into its block."""
     out[:] = float(model.seed)
     return HedgeSchedule(out, f"hedger_{model.seed}")
@@ -175,14 +174,14 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
 
     calls = []
 
-    def stand_in(model, paths, strike, *, stop=None, out=None):
+    def stand_in(model, paths, strike, *, out=None):
         """Records the calling thread and holds it, so that calls overlap."""
         calls.append((model.seed, paths.n_paths, threading.get_ident()))
         time.sleep(0.05)
         return filled(model, paths, strike, out=out)
 
     monkeypatch.setattr(threads, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     models = float32_members(members)
     out = ensemble.aggregate(models, paths, 1.0)
@@ -202,41 +201,18 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
     assert np.array_equal(out.disagreement, stacked.std(axis=0, ddof=1))
 
 
-def test_one_worker_runs_the_jobs_in_order_on_the_calling_thread():
-    """A failing job sets stop, and the jobs after it do not run."""
-    ran = []
-
-    def job(item):
-        ran.append((item, threading.get_ident()))
-        if item == 2:
-            raise ValueError("job 2")
-        return item
-
-    caller = threading.get_ident()
-    assert threads.run_threads(job, [0, 1], workers=1) == [0, 1]
-    stop = threading.Event()
-    with pytest.raises(ValueError, match="job 2"):
-        threads.run_threads(job, range(5), workers=1, stop=stop)
-    assert stop.is_set()
-    assert ran == [(item, caller) for item in (0, 1, 0, 1, 2)]
-
-
-def test_usable_cpus_is_the_affinity_mask():
-    assert threads.usable_cpus() == len(os.sched_getaffinity(0))
-
-
 def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
     """The job of member 0's first block raises KeyboardInterrupt once the
     next job (member 0's second block) runs on the second worker; the other
     eight jobs are then skipped or cancelled, never rolled out."""
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     members = float32_members(5)
     first, second = (hi - lo for lo, hi in ensemble._path_blocks(paths.n_paths))
     started = []
     second_running = threading.Event()
     interrupt = KeyboardInterrupt("stop")
 
-    def stand_in(model, paths, strike, *, stop=None, out=None):
+    def stand_in(model, paths, strike, *, out=None):
         job = (index_of(members, model), paths.n_paths)
         started.append(job)
         if job == (0, first):
@@ -256,12 +232,12 @@ def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
 def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
     """Member 1 fails first, while member 0's second block is still running;
     member 0's later failure is the one raised."""
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     members = float32_members(4)
     first, _ = ensemble._path_blocks(paths.n_paths)
     failed = []
 
-    def stand_in(model, paths, strike, *, stop=None, out=None):
+    def stand_in(model, paths, strike, *, out=None):
         index = index_of(members, model)
         if index == 0 and paths.n_paths == first[1] - first[0]:
             return filled(model, paths, strike, out=out)
@@ -312,30 +288,23 @@ def test_a_diverging_member_is_named_once(monkeypatch):
                                 CALIBRATIONS["baseline"], GRID, CostSpec(5e-4), 1.0)
 
 
-def test_a_set_stop_event_cancels_the_rollout(paths):
-    stop = threading.Event()
-    stop.set()
-    with pytest.raises(CancelledError, match="rollout stopped at step 0"):
-        forward_rollout(float32_members(2)[0], paths, 1.0, stop=stop)
-
-
 def test_interrupt_main_stops_the_running_rollouts(monkeypatch, default_sigint):
     """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (20 block rollouts and
     several seconds of work) raises within 0.3 s: the rollouts running then
     stop at their next step, none starts after it, and no rollout thread is
     left alive. Two usable CPUs, so that the rollouts run on pool threads
     on any host."""
-    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
                             10000, seed=22)
     members = float32_members(5)
     record = []
 
-    def recorded(model, paths, strike, *, stop=None, out=None):
+    def recorded(model, paths, strike, *, out=None):
         entry = [threading.current_thread(), None]
         record.append(entry)
         try:
-            return forward_rollout(model, paths, strike, stop=stop, out=out)
+            return forward_rollout(model, paths, strike, out=out)
         except BaseException as exc:
             entry[1] = exc
             raise

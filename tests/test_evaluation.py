@@ -147,6 +147,18 @@ class TestHeatmap:
                 if mask.any():
                     assert data.grid[ti, mi] == pytest.approx(psi[mask].mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("strike, message", [
+        (float("nan"), "must be a finite real number, got nan"),
+        (-1.0, "must lie in (0, inf), got -1.0"),
+        (True, "must be a finite real number, got True"),
+    ], ids=["nan", "negative", "bool"])
+    def test_a_strike_that_is_not_a_positive_number_is_refused(self, small_paths, strike,
+                                                                message):
+        """A NaN strike once gave NaN moneyness edges."""
+        psi = np.zeros((small_paths.n_paths, small_paths.n_steps))
+        with pytest.raises(ParameterError, match=f"^strike {re.escape(message)}$"):
+            heatmap_data(psi, small_paths, 12, 8, strike)
+
 
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_rolling_winrate_row_k_averages_sorted_paths_k_to_k_plus_window(rng_np, window):

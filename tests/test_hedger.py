@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from hedgeblend import autodiff as ad
-from hedgeblend import hedger, rng
+from hedgeblend import hedger, rng, threads
 from hedgeblend.accounting import CostSpec, compute_pnl
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
@@ -200,7 +200,7 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     results = []
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(hedger, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
         loss, grads = hedger._chunked_backward(parameters(np.float32), paths_300, COST, STRIKE,
                                                1.0)
         results.append((loss, sha256(grads)))
@@ -215,7 +215,7 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
-    monkeypatch.setattr(hedger, "usable_cpus", lambda: 16)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 16)
     counts = count_rollouts(monkeypatch, hold=0.02)
     chunked_grads(parameters(np.float32), paths)
     assert (counts["plain"], counts["saving"]) == (10, 10)
@@ -232,7 +232,7 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_si
     saving rollouts stop at their next step, the other two shards never
     start, and no shard thread is left alive. Two usable CPUs, so that the
     shards run on pool threads on any host."""
-    monkeypatch.setattr(hedger, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     paths = heston_paths(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
     record = []
     infer = hedger._infer
@@ -355,7 +355,7 @@ def test_a_batch_that_leaves_the_reals_names_its_epoch(monkeypatch, shard):
     meets it runs on the calling thread or on a pool thread, and simulates
     no later batch."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
-    monkeypatch.setattr(hedger, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     simulate, batches = hedger.simulate_heston, []
 
     def poisoned(*args, **kwargs):

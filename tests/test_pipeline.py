@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hedgeblend import accounting, blend, cli, ensemble, hedger, pipeline
+from hedgeblend import accounting, blend, cli, ensemble, hedger, pipeline, threads
 from hedgeblend.accounting import HedgeSchedule
 from hedgeblend.blend import fit_blend, train_eval_split
 from hedgeblend.config import RunConfig
@@ -388,6 +388,26 @@ class TestValidateGbm:
         assert printed["passed"] == (code == cli.EXIT_OK)
         assert json.loads((out / "gbm_validation.json").read_text()) == printed
 
+    @pytest.mark.parametrize("threshold, message", [
+        ("nan", "must be a finite real number, got nan"),
+        ("inf", "must be a finite real number, got inf"),
+        ("-0.1", "must lie in [0, inf), got -0.1"),
+    ], ids=["nan", "inf", "negative"])
+    def test_cli_refuses_a_bad_threshold_before_training(self, config_file, tmp_path, capsys,
+                                                         monkeypatch, threshold, message):
+        """argparse's float accepts each; a NaN once trained a hedger and
+        then failed its own verdict."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a hedger trained")
+
+        monkeypatch.setattr(pipeline, "train_hedger", fail)
+        out = tmp_path / "gbm"
+        args = ["validate-gbm", "--config", config_file, "--threshold", threshold,
+                "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: threshold {message}\n"
+        assert not (out / "gbm_validation.json").exists()
+
 
 @pytest.fixture(scope="module")
 def blend_inputs(run_dir):
@@ -406,13 +426,15 @@ def record_fit_threads(monkeypatch) -> dict:
     """Replace pipeline.fit_blend by a stand-in that records the calling
     thread per objective. Both stand-ins wait until the other has started,
     so the fits must overlap, and the CVaR one returns only after the
-    entropic one, so they finish against the ``blend.OBJECTIVES`` order."""
-    threads = {}
+    entropic one, so they finish against the ``blend.OBJECTIVES`` order. Two
+    usable CPUs, so that the fits run on pool threads on any host."""
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    fit_threads = {}
     both_started = threading.Barrier(2, timeout=30)
     entropic_done = threading.Event()
 
     def stand_in(paths, ens, bs, cost, strike, objective, **kwargs):
-        threads[objective.kind] = threading.get_ident()
+        fit_threads[objective.kind] = threading.get_ident()
         both_started.wait()
         if objective.kind == "cvar":
             assert entropic_done.wait(timeout=30)
@@ -421,7 +443,7 @@ def record_fit_threads(monkeypatch) -> dict:
         return objective.kind
 
     monkeypatch.setattr(pipeline, "fit_blend", stand_in)
-    return threads
+    return fit_threads
 
 
 class TestConcurrentBlendFits:
@@ -445,11 +467,25 @@ class TestConcurrentBlendFits:
         assert fits == {"entropic": "entropic", "cvar": "cvar"}
 
     def test_each_objective_fits_on_its_own_thread(self, blend_inputs, monkeypatch):
-        threads = record_fit_threads(monkeypatch)
+        fit_threads = record_fit_threads(monkeypatch)
         pipeline.fit_blends(mini_config(), *blend_inputs)
-        assert set(threads) == {"entropic", "cvar"}
-        assert threads["entropic"] != threads["cvar"]
-        assert threading.get_ident() not in threads.values()
+        assert set(fit_threads) == {"entropic", "cvar"}
+        assert fit_threads["entropic"] != fit_threads["cvar"]
+        assert threading.get_ident() not in fit_threads.values()
+
+    def test_one_cpu_fits_on_the_calling_thread_as_the_threads_do(self, blend_inputs,
+                                                                  monkeypatch):
+        """On one usable CPU the fits run one after the other on the calling
+        thread, and equal the fits made on two threads byte for byte."""
+        monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+        threaded = pipeline.fit_blends(mini_config(), *blend_inputs)
+        record = record_real_fits(monkeypatch)
+        monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
+        serial = pipeline.fit_blends(mini_config(), *blend_inputs)
+        assert {kind: thread for kind, (thread, _) in record.items()} == {
+            kind: threading.current_thread() for kind in blend.OBJECTIVES}
+        assert [fit.to_json() for fit in serial.values()] == [
+            fit.to_json() for fit in threaded.values()]
 
     def test_divergence_in_one_fit_fails_the_stage(self, config_file, tmp_path, monkeypatch):
         def cvar_diverges(paths, ens, bs, cost, strike, objective, **kwargs):
@@ -503,7 +539,9 @@ def large_blend_inputs():
 
 
 def record_real_fits(monkeypatch) -> dict:
-    """Wrap pipeline.fit_blend, recording each fit's thread and outcome."""
+    """Wrap pipeline.fit_blend, recording each fit's thread and outcome. Two
+    usable CPUs, so that the fits run on pool threads on any host."""
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     record = {}
 
     def wrapper(*args, **kwargs):
@@ -556,15 +594,6 @@ class TestInterruptibleBlendFits:
         assert not thread.is_alive()
         assert isinstance(exc, CancelledError)
         assert "stopped at iteration" in str(exc)
-
-    def test_a_set_stop_event_cancels_the_fit(self, blend_inputs):
-        paths, ens, bs, train_idx = blend_inputs
-        config = mini_config()
-        stop = threading.Event()
-        stop.set()
-        with pytest.raises(CancelledError, match="stopped at iteration 0"):
-            fit_blend(paths.take(train_idx), ens.take(train_idx), bs.take(train_idx),
-                      config.cost(), config.strike, RiskSpec("cvar"), stop=stop)
 
 
 class TestExitCodes:
