@@ -26,8 +26,12 @@ TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
 the batch size. The shards are rolled out and backpropagated on threads,
 and their gradients are summed in shard order, so a run's results do not
 depend on the CPU count, the thread count or the timing (see
-:func:`_chunked_backward`). An epoch of one shard runs on the calling
-thread.
+:func:`_chunked_backward`). An epoch of at most ``TAPE_BATCH_LIMIT`` paths
+keeps each shard's tape only from its rollout to its backward: one job per
+shard backpropagates the shard's own softmax as soon as the shard is rolled
+out, so one tape per thread is live, and the shard gradients are weighted
+by the shards' shares of the batch's exp(-a pnl) mass. A larger epoch rolls
+its shards out twice. An epoch of one shard runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,32 +60,37 @@ N_LAYERS = 2
 
 # Most paths whose tape (the state a saving forward keeps for the backward)
 # is held at once, on any CPU count. Every epoch is rolled out in shards (see
-# SHARD_PATHS). An epoch of at most this many paths keeps its shards' tapes
-# from pass one for the backward; a larger one rolls its shards out without
-# saving and rolls them out again, saving, for the backward, on at most
-# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward): 4 threads of
-# 1,250-path shards, so on fewer CPUs the CPU count is the cap. On the
-# default 126-step grid the tape holds 544 bytes per path per LSTM cell in
-# float32 (the gates' 4·H values, c at 10 segment ends, a 12-step segment
-# buffer and the step's inputs; tracemalloc, H = 32), 561 at the backward's
-# peak: 0.14 MB per path (two layers), so about 0.87 GB here.
+# SHARD_PATHS) on at most TAPE_BATCH_LIMIT // shard threads (see
+# _chunked_backward): 4 threads of 1,250-path shards, so on fewer CPUs the CPU
+# count is the cap. An epoch of at most this many paths backpropagates each
+# shard in the job that rolled it out, saving, so a thread holds one tape at a
+# time; a larger one rolls its shards out without saving and rolls them out
+# again, saving, for the backward. On the default 126-step grid the tape holds
+# 544 bytes per path per LSTM cell in float32 (the gates' 4·H values, c at 10
+# segment ends, a 12-step segment buffer and the step's inputs; tracemalloc,
+# H = 32), 561 at the backward's peak: 0.14 MB per path (two layers), about
+# 171 MB per 1,250-path shard. So the peak grows with the CPU count: two
+# members' two 5,000-path epochs (train_desk) peak at a median of 440 MB on a
+# 2-vCPU host, with two tapes live, and a host with 4 or more CPUs tapes all
+# four desk shards at once (about 770 MB).
 TAPE_BATCH_LIMIT = 6144
 
 # Paths per training shard: every epoch of B paths is split into
 # ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, rolled out
 # and backpropagated on threads, or on the calling thread when there is one.
 # 1,250 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
-# 4 and 16 shards, which 2 or 4 threads share evenly. An epoch above
-# TAPE_BATCH_LIMIT tapes one shard per thread at a time, so the shard size and
-# the thread count set its peak memory. On a 2-vCPU host with one BLAS thread
-# (perfbench, alternating pairs), with a tape of 5.08·H values per path and
-# cell that kept every cell state, two 20,000-path epochs (train_paper_batch)
-# peaked at 516-519 MB in 1,250-path shards against 909-912 MB in 2,500-path
-# ones, with median wall times of 18.9 s against 20.2 s (16 pairs); two
-# members' two 5,000-path epochs (train_desk), whose tapes are all kept,
-# peaked at 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs). With
-# the checkpointed tape (4.25·H) and 1,250-path shards, they peak at a median
-# of 441 MB and 769 MB (10 pairs each).
+# 4 and 16 shards, which 2 or 4 threads share evenly. Each thread tapes one
+# shard at a time, so the shard size and the thread count set the peak
+# memory. On a 2-vCPU host with one BLAS thread (perfbench, alternating
+# pairs), with a tape of 5.08·H values per path and cell that kept every cell
+# state, two 20,000-path epochs (train_paper_batch) peaked at 516-519 MB in
+# 1,250-path shards against 909-912 MB in 2,500-path ones, with median wall
+# times of 18.9 s against 20.2 s (16 pairs); two members' two 5,000-path
+# epochs (train_desk), whose tapes were all kept for a second pass, peaked at
+# 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs). With the
+# checkpointed tape (4.25·H) and 1,250-path shards, they peak at a median of
+# 441 MB and, one tape per thread, 440 MB (769 MB with all four desk tapes
+# kept).
 # ensemble.aggregate's inference blocks are two shards long (see
 # ensemble._path_blocks).
 SHARD_PATHS = 1250
@@ -324,8 +333,13 @@ def train_hedger(
     Every epoch of B paths goes through :func:`_chunked_backward`: it is
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
     shards, rolled out and backpropagated on threads (one shard on the
-    calling thread), whose gradients are summed in shard order. The loss and
-    the parameters do not depend on the CPU count, and no more than
+    calling thread). When ``B <= TAPE_BATCH_LIMIT`` each shard is
+    backpropagated from its own softmax as soon as it is rolled out, and the
+    shard gradients are weighted by the shards' shares of the batch's
+    exp(-a pnl) mass; a larger epoch backpropagates re-rolled shards from the
+    full batch's softmax. Either way the shard gradients are summed in shard
+    order and equal one full-batch backward up to float rounding. The loss
+    and the parameters do not depend on the CPU count, and no more than
     ``TAPE_BATCH_LIMIT`` paths have their tapes held at once.
 
     Training runs in float32, gradients included (the rollout is the hot
@@ -369,30 +383,44 @@ def _chunked_backward(
     when a shard's hedge ratio is not). Every batch of B paths is split into
     ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a
     batch of at most that many paths is one shard. Each shard is rolled out
-    by :func:`_infer`, which only reads the parameters. Pass one gives every
-    shard's P&L (``accounting.HedgePnL`` in the parameters' dtype); the loss
-    and g = d loss / d pnl come from ``risk.entropic_risk`` on the
-    concatenated P&L's float64 cast. Pass two maps each shard's g through the
-    P&L's VJP to g_delta = d loss / d delta in the parameters' dtype, and
-    ``autodiff.backward`` sweeps the shard's saved state (its tape) back from
-    it. The shard gradients are summed in shard order: the result equals one
-    full-batch backward up to float summation order and does not depend on
-    the thread count or timing.
+    by :func:`_infer`, which only reads the parameters, and its P&L is
+    ``accounting.HedgePnL``'s in the parameters' dtype. The loss is
+    ``risk.entropic_risk`` of the concatenated P&L's float64 cast. A seed g
+    = d loss / d pnl is mapped through the shard P&L's VJP to g_delta = d
+    loss / d delta in the parameters' dtype, and ``autodiff.backward``
+    sweeps the shard's saved state (its tape) back from it.
+
+    When ``B <= TAPE_BATCH_LIMIT`` each shard's job is one pass: the saving
+    forward, the shard's risk r_s = ``entropic_risk`` of its P&L's float64
+    cast with g_s = d r_s / d pnl, and at once the backward from g_s, so its
+    tape is freed when the job ends. The backward is linear in its seed, and
+    the full batch's d loss / d pnl on shard s is g_s times w_s, the shard's
+    share of the batch's exp(-a pnl) mass: w_s = n_s exp(a r_s) / sum_k n_k
+    exp(a r_k), computed with the largest a r_k + log n_k subtracted (the
+    streaming softmax of Milakov and Gimelshein, 2018), so a shard whose
+    weight leaves float64's range gets 0. The weighted shard gradients are
+    summed in shard order: the result equals one full-batch backward up to
+    float rounding. One shard has w = 1.0 exactly, so its gradient is its
+    backward's, bit for bit.
+
+    Otherwise pass one rolls the shards out without saving and gives g from
+    the concatenated P&L, and pass two rolls each shard out again, saving,
+    and backpropagates g's rows, so both passes count as tape passes. The
+    shard gradients are summed in shard order: the result equals one
+    full-batch backward up to float summation order.
 
     Each pass is one ``threads.run_threads`` call on at most
-    ``TAPE_BATCH_LIMIT // shard`` threads, so one shard runs on the calling
-    thread; when a pass is stopped, a backward that has begun runs to its
-    end. When ``B <= TAPE_BATCH_LIMIT`` pass one is the saving forward and
-    the backward reads its tapes, the memory of one full-batch tape.
-    Otherwise pass one rolls the shards out without saving and pass two
-    rolls each out again, saving, so both passes count as tape passes and at
-    most ``TAPE_BATCH_LIMIT`` paths have their tapes held at once. float32
-    parameters give float32 gradients; only the loss and g are float64.
+    ``TAPE_BATCH_LIMIT // shard`` threads, so at most ``TAPE_BATCH_LIMIT``
+    paths have their tapes held at once, one shard runs on the calling
+    thread, and the result does not depend on the thread count or timing;
+    when a pass is stopped, a backward that has begun runs to its end.
+    float32 parameters give float32 gradients; only the loss, the risks, the
+    seeds and the weights are float64.
     """
     n_paths = paths.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    keep = n_paths <= TAPE_BATCH_LIMIT  # pass one's saved state serves the backward
+    one_pass = n_paths <= TAPE_BATCH_LIMIT
     dtype = params["w_out"].dtype
 
     def forward(shard, save):
@@ -402,24 +430,38 @@ def _chunked_backward(
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
         return saved, account, account.pnl(delta)
 
+    def taped_shard(shard):  # its tape is freed when it returns
+        saved, account, shard_pnl = forward(shard, True)
+        g_shard = np.empty(len(shard_pnl))
+        risk = entropic_risk(shard_pnl.astype(np.float64), a, grad=g_shard)
+        return shard_pnl, risk, ad.backward(params, saved, account.vjp(g_shard))
+
+    limit = TAPE_BATCH_LIMIT // size  # threads: at most TAPE_BATCH_LIMIT paths taped at once
     try:
-        passes = run_threads(lambda shard: forward(shard, keep), shards, TAPE_BATCH_LIMIT // size)
+        if one_pass:
+            pnls, risks, grads = zip(*run_threads(taped_shard, shards, limit))
+        else:
+            pnls = run_threads(lambda shard: forward(shard, False)[2], shards, limit)
     except NumericalDivergenceError:  # a hedge ratio left the reals, and so did the loss
         return float("nan"), None
-    pnl = np.concatenate([shard_pnl for *_, shard_pnl in passes])
-    if not keep:
-        passes = None  # pass two rolls every shard out again, saving
-    g_pnl = np.empty(n_paths)
-    loss = entropic_risk(pnl.astype(np.float64), a, grad=g_pnl)
+    pnl = np.concatenate(pnls).astype(np.float64)
+    g_pnl = None if one_pass else np.empty(n_paths)
+    loss = entropic_risk(pnl, a, grad=g_pnl)
     if not np.isfinite(loss):
         return loss, None
 
-    def shard_grads(k):
-        lo, hi = shards[k]
-        saved, account, _ = passes[k] if keep else forward(shards[k], True)
-        return ad.backward(params, saved, account.vjp(g_pnl[lo:hi]))
+    if one_pass:
+        x = a * np.array(risks) + np.log([hi - lo for lo, hi in shards])
+        mass = np.exp(x - x.max())
+        weights = [float(w) for w in mass / mass.sum()]  # a numpy scalar would promote float32
+        return loss, [reduce(np.add, (g * w for g, w in zip(per_shard, weights)))
+                      for per_shard in zip(*grads)]
 
-    grads = run_threads(shard_grads, range(len(shards)), TAPE_BATCH_LIMIT // size)
+    def shard_grads(shard):  # pass two rolls the shard out again, saving
+        saved, account, _ = forward(shard, True)
+        return ad.backward(params, saved, account.vjp(g_pnl[slice(*shard)]))
+
+    grads = run_threads(shard_grads, shards, limit)
     return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
 
 

@@ -7,7 +7,11 @@ Every training gradient is the sharded one: each shard's LSTM rollout is
 backpropagated by ``autodiff.backward``, and the P&L and loss gradients are
 closed-form. The single-tape hashes pin a 300-path batch, which is one
 shard and so one tape on the calling thread; the chunked hashes pin the
-same batch in five shards, whose sums are added in shard order.
+same batch in five shards above a 64-path tape limit, each rolled out
+twice and backpropagated from the full batch's softmax, whose sums are
+added in shard order. An epoch within the tape limit backpropagates each
+shard from its own softmax and weights the shard gradients, so it equals
+one tape up to float rounding.
 """
 
 import _thread
@@ -24,9 +28,10 @@ import pytest
 
 from hedgeblend import autodiff as ad
 from hedgeblend import hedger, rng, threads
-from hedgeblend.accounting import CostSpec, compute_pnl
+from hedgeblend.accounting import CostSpec, HedgePnL, compute_pnl
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
+from hedgeblend.risk import entropic_risk
 
 COST = CostSpec(5e-4)
 STRIKE = 1.0
@@ -140,34 +145,36 @@ def test_pinned_training_trajectory():
 
 
 def count_rollouts(monkeypatch, hold=0.0):
-    """Wrap hedger._infer; count plain and saving shard rollouts, the threads
-    that make each kind, and the paths whose saved state is live between a
-    saving rollout and its backward on the same thread (the re-roll mode's
-    pass two). ``hold`` sleeps in each saving rollout, so that the threads
+    """Wrap hedger._infer and autodiff.backward; count plain and saving shard
+    rollouts, the threads that make each kind, the paths whose saved state
+    is live from its saving rollout to the end of its backward, and the
+    backwards that run on another thread than the rollout whose state they
+    read. ``hold`` sleeps in each saving rollout, so that the threads
     overlap."""
-    counts = {"plain": 0, "saving": 0, "live": 0, "peak": 0,
+    counts = {"plain": 0, "saving": 0, "live": 0, "peak": 0, "moved": 0,
               "threads": {"plain": set(), "saving": set()}}
-    lock, local = threading.Lock(), threading.local()
+    lock, tapes = threading.Lock(), {}  # id of a live saved state -> (paths, thread)
     infer, backward = hedger._infer, ad.backward
 
     def counted_infer(params, paths, strike, **kwargs):
-        saving = kwargs.get("saved") is not None
-        kind = "saving" if saving else "plain"
+        saved = kwargs.get("saved")
+        kind = "plain" if saved is None else "saving"
         with lock:
             counts[kind] += 1
             counts["threads"][kind].add(threading.get_ident())
-            if saving:
-                local.paths = paths.n_paths
+            if saved is not None:
+                tapes[id(saved)] = (paths.n_paths, threading.get_ident())
                 counts["live"] += paths.n_paths
                 counts["peak"] = max(counts["peak"], counts["live"])
-        time.sleep(hold if saving else 0.0)
+        time.sleep(0.0 if saved is None else hold)
         return infer(params, paths, strike, **kwargs)
 
     def counted_backward(params, saved, g_delta):
         grads = backward(params, saved, g_delta)
         with lock:
-            counts["live"] -= getattr(local, "paths", 0)
-            local.paths = 0
+            n_paths, thread = tapes.pop(id(saved))
+            counts["live"] -= n_paths
+            counts["moved"] += thread != threading.get_ident()
         return grads
 
     monkeypatch.setattr(hedger, "_infer", counted_infer)
@@ -175,21 +182,36 @@ def count_rollouts(monkeypatch, hold=0.0):
     return counts
 
 
+@pytest.mark.parametrize("a", [1.0, 1e4], ids=["a1", "a1e4"])
 @pytest.mark.parametrize("limit, plain", [(64, 0), (32, 4)], ids=["kept_tapes", "re_rolled"])
-def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, plain):
+def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, limit, plain, a):
     """64 paths x 8 steps, float64: the one-shard gradient against four
-    16-path shards, relative to each parameter's max|g|. At a 64-path tape
-    limit pass one's saved state is kept; at 32 pass one rolls the shards out
-    without saving and pass two rolls them out again, saving."""
+    16-path shards, relative to each parameter's max|g|, and the loss against
+    the entropic risk of the concatenated P&L, bit for bit. At a 64-path tape
+    limit each shard is backpropagated from its own softmax as soon as it is
+    rolled out, and the shard gradients are weighted by the shards' shares
+    of the batch's exp(-a pnl) mass; at 32 pass one rolls the shards out
+    without saving and pass two rolls them out again, saving, and
+    backpropagates the full batch's softmax. At a = 1e4 the shards' a·risk
+    lie more than 745 apart, so the weight of the shard of least risk, exp
+    of that difference, underflows to 0, and exp of an unshifted a·risk
+    (about 2,500) would overflow."""
     paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
-    full = chunked_grads(parameters(np.float64), paths)
+    params = parameters(np.float64)
+    pnl = HedgePnL(paths.spot, COST.cost_rate, STRIKE).pnl(hedger._infer(params, paths, STRIKE))
+    risks = [entropic_risk(pnl[lo : lo + 16], a) for lo in range(0, 64, 16)]
+    spread = a * (max(risks) - min(risks))
+    assert spread > 745 if a > 1 else spread < 1
+    full = hedger._chunked_backward(params, paths, COST, STRIKE, a)[1]
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     counts = count_rollouts(monkeypatch)
-    sharded = chunked_grads(parameters(np.float64), paths)
+    loss, sharded = hedger._chunked_backward(params, paths, COST, STRIKE, a)
     assert (counts["plain"], counts["saving"]) == (plain, 4)
+    assert loss == entropic_risk(pnl, a)
     for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
         assert g_shard.dtype == np.float64
+        assert np.isfinite(g_shard).all(), name
         assert np.abs(g_shard - g_full).max() <= 1e-12 * np.abs(g_full).max(), name
 
 
@@ -223,6 +245,23 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     assert 16 <= counts["peak"] <= 48
     assert 1 <= len(counts["threads"]["plain"]) <= 3
     assert 1 <= len(counts["threads"]["saving"]) <= 3
+
+
+def test_a_kept_tape_epoch_tapes_one_shard_per_thread(monkeypatch):
+    """Two usable CPUs, 160 paths in ten 16-path shards, the default tape
+    limit: each shard's job rolls the shard out, saving, and backpropagates
+    it on the same thread before the next shard starts, so at most two
+    shards' tapes are live at once (keeping every tape for a second pass
+    held all 160 paths' tapes)."""
+    paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    counts = count_rollouts(monkeypatch, hold=0.02)
+    chunked_grads(parameters(np.float32), paths)
+    assert (counts["plain"], counts["saving"]) == (0, 10)
+    assert counts["live"] == 0
+    assert 16 <= counts["peak"] <= 32
+    assert counts["moved"] == 0
 
 
 def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_sigint):
