@@ -14,7 +14,6 @@ from .accounting import (
     HedgeSchedule,
     PnLReport,
     compute_pnl,
-    decompose_pnl,
 )
 from .blend import (
     BlendParams,
@@ -52,6 +51,7 @@ from .market import (
 from .risk import RiskSpec, cvar, entropic_risk, summary
 from .evaluation import (
     BootstrapResult,
+    decompose_pnl,
     paired_bootstrap,
     quintile_analysis,
     rolling_winrate,

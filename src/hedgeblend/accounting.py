@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, require_real
+from .evaluation import csv_text
 from .market import MarketPaths
 
 
@@ -32,14 +33,6 @@ class HedgeSchedule:
             raise ParameterError(f"delta must be 2-D, got shape {self.delta.shape}")
         if not np.isfinite(self.delta).all():
             raise ParameterError("hedge schedule contains non-finite entries")
-
-    @property
-    def n_paths(self) -> int:
-        return self.delta.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.delta.shape[1]
 
     def take(self, indices: np.ndarray) -> "HedgeSchedule":
         return HedgeSchedule(self.delta[indices].copy(), self.strategy_label)
@@ -160,57 +153,8 @@ class HedgePnL:
         return out
 
 
-@dataclass
-class DecompositionRow:
-    strategy: str
-    mean_gains: float
-    mean_costs: float
-    mean_payoff: float
-    mean_net: float
-    diff_gains: float = 0.0
-    diff_costs: float = 0.0
-    diff_payoff: float = 0.0
-    diff_net: float = 0.0
-
-
-def check_same_paths(reports: list[PnLReport]) -> None:
-    """ParameterError unless there are reports and all were computed on the
-    same paths: equal path counts and equal payoffs."""
-    if not reports:
-        raise ParameterError("no reports")
-    for r in reports:
-        if r.n_paths != reports[0].n_paths:
-            raise ParameterError("reports cover different path counts")
-        if not np.array_equal(r.payoff, reports[0].payoff):
-            raise ParameterError("reports were not computed on the same paths")
-
-
-def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[DecompositionRow]:
-    """Component means per strategy plus differences vs. the baseline report."""
-    check_same_paths(reports)
-    base = reports[baseline]
-    rows = []
-    for r in reports:
-        rows.append(
-            DecompositionRow(
-                strategy=r.strategy_label,
-                mean_gains=float(r.hedge_gains.mean()),
-                mean_costs=float(r.transaction_costs.mean()),
-                mean_payoff=float(r.payoff.mean()),
-                mean_net=float(r.pnl.mean()),
-                diff_gains=float(r.hedge_gains.mean() - base.hedge_gains.mean()),
-                diff_costs=float(r.transaction_costs.mean() - base.transaction_costs.mean()),
-                diff_payoff=float(r.payoff.mean() - base.payoff.mean()),
-                diff_net=float(r.pnl.mean() - base.pnl.mean()),
-            )
-        )
-    return rows
-
-
 def write_pnl_csv(report: PnLReport, file) -> None:
     """Per-path export: path_id, pnl, gains, costs, payoff; one write of the whole file."""
     columns = (report.pnl, report.hedge_gains, report.transaction_costs, report.payoff)
-    file.write("path_id,pnl,hedge_gains,transaction_costs,payoff\n" + "".join(
-        f"{p},{pnl:.12g},{gains:.12g},{costs:.12g},{payoff:.12g}\n"
-        for p, (pnl, gains, costs, payoff) in enumerate(zip(*(c.tolist() for c in columns)))
-    ))
+    file.write(csv_text(["path_id", "pnl", "hedge_gains", "transaction_costs", "payoff"],
+                        zip(range(report.n_paths), *(c.tolist() for c in columns))))

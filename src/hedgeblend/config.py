@@ -13,7 +13,7 @@ import numpy as np
 
 from .accounting import CostSpec
 from .errors import ParameterError, require_integer, require_real
-from .evaluation import MIN_BOOTSTRAP_RESAMPLES
+from .evaluation import MIN_BOOTSTRAP_RESAMPLES, write_json
 from .hedger import TrainConfig
 from .market import CALIBRATIONS, HestonParams, PathGrid
 
@@ -133,6 +133,4 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())

@@ -14,6 +14,7 @@ import numpy as np
 from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError, require_integer
+from .evaluation import csv_text
 from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import HestonParams, MarketPaths, PathGrid
 from .threads import run_threads
@@ -150,6 +151,5 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
 
 def write_path_uncertainty_csv(output: EnsembleOutput, file) -> None:
     """Per-path summary: path_id, avg_disagreement; one write of the whole file."""
-    file.write("path_id,avg_disagreement\n" + "".join(
-        f"{p},{value:.12g}\n" for p, value in enumerate(output.avg_disagreement.tolist())
-    ))
+    file.write(csv_text(["path_id", "avg_disagreement"],
+                        enumerate(output.avg_disagreement.tolist())))

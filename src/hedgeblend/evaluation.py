@@ -1,25 +1,33 @@
-"""Statistical evaluation: win rates, uncertainty drivers, bootstrap tests.
+"""Statistical evaluation, and the one writer of tables and JSON records.
 
-All analyses are pure functions of their inputs; CSV emitters format floats
-with a fixed precision so identical inputs reproduce identical bytes.
-Win is strict inequality throughout: ties count against the candidate.
+The analyses (quintile win rates, uncertainty drivers, the P&L
+decomposition, paired bootstrap tests) are pure functions of their inputs;
+win is strict inequality throughout, so ties count against the candidate.
+
+Every CSV artifact of a run is formatted by :func:`csv_text`, floats to 12
+significant digits, and every JSON record is written by :func:`write_json`,
+with sorted keys, so identical inputs reproduce identical bytes. The one
+exception is a blend fit's record, which keeps its own key order
+(``blend.BlendFit.to_json``).
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng
-from .accounting import PnLReport, check_same_paths, decompose_pnl
 from .errors import ParameterError, require_integer, require_real
 from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
+
+if TYPE_CHECKING:
+    from .accounting import PnLReport
 
 N_QUINTILES = 5
 # Fewest resamples a paired bootstrap accepts; RunConfig checks it up front.
@@ -172,6 +180,18 @@ def heatmap_data(
     )
 
 
+def check_same_paths(reports: list[PnLReport]) -> None:
+    """ParameterError unless there are reports and all were computed on the
+    same paths: equal path counts and equal payoffs."""
+    if not reports:
+        raise ParameterError("no reports")
+    for r in reports:
+        if r.n_paths != reports[0].n_paths:
+            raise ParameterError("reports cover different path counts")
+        if not np.array_equal(r.payoff, reports[0].payoff):
+            raise ParameterError("reports were not computed on the same paths")
+
+
 @dataclass
 class ComparisonRow:
     strategy: str
@@ -187,6 +207,41 @@ def strategy_comparison(reports: list[PnLReport], level: float = 0.05) -> list[C
     for r in reports:
         mean, std = summary(r.pnl)
         rows.append(ComparisonRow(r.strategy_label, mean, std, cvar(r.pnl, level)))
+    return rows
+
+
+@dataclass
+class DecompositionRow:
+    strategy: str
+    mean_gains: float
+    mean_costs: float
+    mean_payoff: float
+    mean_net: float
+    diff_gains: float = 0.0
+    diff_costs: float = 0.0
+    diff_payoff: float = 0.0
+    diff_net: float = 0.0
+
+
+def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[DecompositionRow]:
+    """Component means per strategy plus differences vs. the baseline report."""
+    check_same_paths(reports)
+    base = reports[baseline]
+    rows = []
+    for r in reports:
+        rows.append(
+            DecompositionRow(
+                strategy=r.strategy_label,
+                mean_gains=float(r.hedge_gains.mean()),
+                mean_costs=float(r.transaction_costs.mean()),
+                mean_payoff=float(r.payoff.mean()),
+                mean_net=float(r.pnl.mean()),
+                diff_gains=float(r.hedge_gains.mean() - base.hedge_gains.mean()),
+                diff_costs=float(r.transaction_costs.mean() - base.transaction_costs.mean()),
+                diff_payoff=float(r.payoff.mean() - base.payoff.mean()),
+                diff_net=float(r.pnl.mean() - base.pnl.mean()),
+            )
+        )
     return rows
 
 
@@ -243,108 +298,72 @@ def paired_bootstrap(
     )
 
 
-# -- CSV / manifest emitters ----------------------------------------------------
+# -- CSV / JSON writers ---------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+def csv_text(header: list[str], rows) -> str:
+    """The header line, then one line per row, every line ending in ``\\n``.
+
+    Floats are written to 12 significant digits in ``g`` format and other
+    values as ``str``; a row that is not a list or a tuple is a dataclass
+    and gives its fields in order. Nothing is quoted, so no value may hold
+    a comma.
+    """
+    lines = [",".join(header)]
+    lines += [",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
+                        for v in (row if isinstance(row, (list, tuple)) else astuple(row))])
+              for row in rows]
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
-def write_rows_csv(path: str, header: list[str] | type, rows: list) -> None:
-    """One CSV line per row; a dataclass row gives its fields in order, and a
-    dataclass type as ``header`` names the columns after its fields."""
-    if isinstance(header, type):
-        header = [f.name for f in fields(header)]
+def write_rows_csv(path: str, header: list[str], rows) -> None:
+    """Write :func:`csv_text` of ``header`` and ``rows`` to ``path``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if is_dataclass(row):
-                row = [getattr(row, f.name) for f in fields(row)]
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(csv_text(header, rows))
 
 
-def write_quintiles_csv(path: str, rows: list[QuintileRow]) -> None:
-    write_rows_csv(
-        path,
-        ["quintile", "win_rate", "mean_advantage", "avg_uncertainty", "n_paths"],
-        rows,
-    )
-
-
-def write_winrate_curve_csv(path: str, curve: np.ndarray) -> None:
-    write_rows_csv(
-        path,
-        ["window_mean_uncertainty", "win_rate"],
-        [[float(u), float(w)] for u, w in curve],
-    )
-
-
-def write_correlations_csv(path: str, corr_moneyness: float, corr_vol: float) -> None:
-    write_rows_csv(
-        path,
-        ["characteristic", "correlation_with_uncertainty"],
-        [["final_moneyness", corr_moneyness], ["average_volatility", corr_vol]],
-    )
-
-
-@dataclass
-class HeatmapRow:
-    time_bin: int
-    moneyness_bin: int
-    time_center: float
-    moneyness_center: float
-    mean_disagreement: float
-    count: int
+def write_json(path: str, record: dict) -> None:
+    """Write ``record`` to ``path`` as JSON: 2-space indent, sorted keys and a
+    final newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_heatmap_csv(path: str, data: HeatmapData) -> None:
     """Populated bins only: absent bins are omitted rather than zero-filled."""
     t_mid = (data.time_edges[:-1] + data.time_edges[1:]) / 2
     m_mid = (data.moneyness_edges[:-1] + data.moneyness_edges[1:]) / 2
-    rows = [
-        HeatmapRow(int(ti), int(mi), float(t_mid[ti]), float(m_mid[mi]),
-                   float(data.grid[ti, mi]), int(data.counts[ti, mi]))
-        for ti, mi in zip(*np.nonzero(data.counts))
-    ]
-    write_rows_csv(path, HeatmapRow, rows)
+    write_rows_csv(
+        path,
+        ["time_bin", "moneyness_bin", "time_center", "moneyness_center",
+         "mean_disagreement", "count"],
+        [[int(ti), int(mi), float(t_mid[ti]), float(m_mid[mi]),
+          float(data.grid[ti, mi]), int(data.counts[ti, mi])]
+         for ti, mi in zip(*np.nonzero(data.counts))],
+    )
 
 
-def _cvar_column(level: float) -> str:
+def cvar_column(level: float) -> str:
     """The CVaR column's name: ``cvar_5pct`` at level 0.05."""
     return f"cvar_{100 * level:g}pct"
 
 
 def write_comparison_csv(path: str, rows: list[ComparisonRow], level: float = 0.05) -> None:
-    write_rows_csv(path, ["strategy", "mean_pnl", "std_pnl", _cvar_column(level)], rows)
-
-
-@dataclass
-class BootstrapRow:
-    comparison: str
-    metric: str
-    mean_diff: float
-    mean_diff_bps: float
-    ci_low: float
-    ci_high: float
-    ci_low_bps: float
-    ci_high_bps: float
-    win_fraction: float
-    significant: int
-    resamples: int
+    write_rows_csv(path, ["strategy", "mean_pnl", "std_pnl", cvar_column(level)], rows)
 
 
 def write_bootstrap_csv(path: str, entries: list[tuple[str, str, BootstrapResult]]) -> None:
     """Rows of (comparison label, metric, result); diffs also given in bps."""
-    rows = [
-        BootstrapRow(label, metric, r.mean_diff, r.mean_diff * 1e4, r.ci_low, r.ci_high,
-                     r.ci_low * 1e4, r.ci_high * 1e4, r.win_fraction, int(r.significant),
-                     r.resamples)
-        for label, metric, r in entries
-    ]
-    write_rows_csv(path, BootstrapRow, rows)
+    write_rows_csv(
+        path,
+        ["comparison", "metric", "mean_diff", "mean_diff_bps", "ci_low", "ci_high",
+         "ci_low_bps", "ci_high_bps", "win_fraction", "significant", "resamples"],
+        [[label, metric, r.mean_diff, r.mean_diff * 1e4, r.ci_low, r.ci_high,
+          r.ci_low * 1e4, r.ci_high * 1e4, r.win_fraction, int(r.significant), r.resamples]
+         for label, metric, r in entries],
+    )
 
 
 def write_decomposition_csv(path: str, reports: list[PnLReport], baseline: int = 0) -> None:
@@ -356,33 +375,13 @@ def write_decomposition_csv(path: str, reports: list[PnLReport], baseline: int =
     )
 
 
-@dataclass
-class TradeStatsRow:
-    strategy: str
-    average_trade_size: float
-    mean_transaction_costs: float
-
-
 def write_trade_stats_csv(path: str, reports: list[PnLReport]) -> None:
-    rows = [TradeStatsRow(r.strategy_label, float(r.trade_size.mean()),
-                          float(r.transaction_costs.mean())) for r in reports]
-    write_rows_csv(path, TradeStatsRow, rows)
-
-
-def write_blend_curves_csv(path: str, psi_grid: np.ndarray, curves: dict[str, np.ndarray]) -> None:
-    """alpha(psi) samples for each fitted objective."""
-    names = sorted(curves)
-    rows = [
-        [float(psi_grid[i])] + [float(curves[name][i]) for name in names]
-        for i in range(psi_grid.size)
-    ]
-    write_rows_csv(path, ["disagreement"] + [f"alpha_{n}" for n in names], rows)
-
-
-def write_cvar_bars_csv(path: str, entries: list[tuple[str, str, float]],
-                        level: float = 0.05) -> None:
-    """(calibration, strategy, cvar) rows for bar-chart data."""
-    write_rows_csv(path, ["calibration", "strategy", _cvar_column(level)], entries)
+    write_rows_csv(
+        path,
+        ["strategy", "average_trade_size", "mean_transaction_costs"],
+        [[r.strategy_label, float(r.trade_size.mean()), float(r.transaction_costs.mean())]
+         for r in reports],
+    )
 
 
 def file_sha256(path: str) -> str:
@@ -401,7 +400,5 @@ def write_manifest(path: str, config_record: dict, artifact_dir: str) -> dict:
         if os.path.isfile(full) and not name.endswith("manifest.json"):
             artifacts[name] = file_sha256(full)
     manifest = {"config": config_record, "artifacts": artifacts}
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return manifest

@@ -130,9 +130,7 @@ def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "gbm_validation.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ev.write_json(os.path.join(out_dir, "gbm_validation.json"), report)
     return report
 
 
@@ -192,9 +190,7 @@ def train_members(config: RunConfig, out_dir: str | None = None) -> list[HedgerM
         for name in os.listdir(member_dir):
             if name.startswith("member_") and name.endswith(".npz") and name not in saved:
                 os.remove(os.path.join(member_dir, name))
-        with open(record_file, "w") as fh:
-            json.dump(_training_record(config), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ev.write_json(record_file, _training_record(config))
     return members
 
 
@@ -355,7 +351,11 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             reports_all["bs_delta_fixed"].pnl,
             ens.avg_disagreement,
         )
-        ev.write_quintiles_csv(os.path.join(out_dir, "table2_quintiles.csv"), quintiles)
+        ev.write_rows_csv(
+            os.path.join(out_dir, "table2_quintiles.csv"),
+            ["quintile", "win_rate", "mean_advantage", "avg_uncertainty", "n_paths"],
+            quintiles,
+        )
 
         curve = ev.rolling_winrate(
             reports_all["ensemble_mean"].pnl,
@@ -363,11 +363,14 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             ens.avg_disagreement,
             min(WINRATE_WINDOW, config.eval_paths),
         )
-        ev.write_winrate_curve_csv(os.path.join(out_dir, "fig1_winrate.csv"), curve)
+        ev.write_rows_csv(os.path.join(out_dir, "fig1_winrate.csv"),
+                          ["window_mean_uncertainty", "win_rate"], curve.tolist())
 
         correlations = ev.uncertainty_correlations(ens.avg_disagreement, eval_paths)
-        ev.write_correlations_csv(
-            os.path.join(out_dir, "table3_correlations.csv"), *correlations
+        ev.write_rows_csv(
+            os.path.join(out_dir, "table3_correlations.csv"),
+            ["characteristic", "correlation_with_uncertainty"],
+            zip(("final_moneyness", "average_volatility"), correlations),
         )
 
         heatmap = ev.heatmap_data(ens.disagreement, eval_paths, *HEATMAP_BINS, strike)
@@ -405,13 +408,19 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
 
         psi_grid = np.linspace(0.0, max(float(ens.disagreement.max()), 1e-6), 101)
-        curves = {kind: alpha_weight(psi_grid, fit.params) for kind, fit in fits.items()}
-        ev.write_blend_curves_csv(os.path.join(out_dir, "fig3_blend_curves.csv"), psi_grid, curves)
+        kinds = sorted(fits)
+        ev.write_rows_csv(
+            os.path.join(out_dir, "fig3_blend_curves.csv"),
+            ["disagreement"] + [f"alpha_{kind}" for kind in kinds],
+            np.column_stack(
+                [psi_grid] + [alpha_weight(psi_grid, fits[kind].params) for kind in kinds]
+            ).tolist(),
+        )
 
-        ev.write_cvar_bars_csv(
+        ev.write_rows_csv(
             os.path.join(out_dir, "fig4_cvar_bars.csv"),
+            ["calibration", "strategy", ev.cvar_column(config.cvar_level)],
             [(label, row.strategy, row.cvar) for row in comparison],
-            level=config.cvar_level,
         )
 
     with _Stage("seed_stability", out_dir):

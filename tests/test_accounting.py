@@ -13,7 +13,6 @@ from hedgeblend.accounting import (
     HedgeSchedule,
     PnLReport,
     compute_pnl,
-    decompose_pnl,
     write_pnl_csv,
 )
 from hedgeblend.errors import ParameterError
@@ -238,45 +237,6 @@ class TestTrades:
             make_paths(spot), HedgeSchedule(np.full((3, n), 0.5)), CostSpec(0.0), 1.0
         )
         assert report.trade_size.mean() == pytest.approx(1.0 / (n + 1), abs=1e-15)
-
-
-class TestDecompose:
-    def _report(self, delta, paths, cost_rate=5e-4, label=""):
-        hedges = HedgeSchedule(delta, label)
-        return compute_pnl(paths, hedges, CostSpec(cost_rate), 1.0)
-
-    def test_identical_strategies_have_zero_differences(self, baseline_paths):
-        delta = np.full((baseline_paths.n_paths, baseline_paths.n_steps), 0.4)
-        rows = decompose_pnl(
-            [self._report(delta, baseline_paths, label="a"),
-             self._report(delta, baseline_paths, label="b")]
-        )
-        assert rows[1].diff_gains == 0 and rows[1].diff_costs == 0
-        assert rows[1].diff_payoff == 0 and rows[1].diff_net == 0
-
-    def test_zero_cost_spec_zeroes_cost_column(self, baseline_paths, rng_np):
-        delta = rng_np.normal(0, 0.3, size=(baseline_paths.n_paths, baseline_paths.n_steps))
-        rows = decompose_pnl([self._report(delta, baseline_paths, cost_rate=0.0)])
-        assert rows[0].mean_costs == 0.0
-
-    def test_path_count_mismatch_rejected(self, baseline_paths):
-        delta = np.zeros((baseline_paths.n_paths, baseline_paths.n_steps))
-        full = self._report(delta, baseline_paths)
-        short = PnLReport(
-            pnl=full.pnl[:10], hedge_gains=full.hedge_gains[:10],
-            transaction_costs=full.transaction_costs[:10], payoff=full.payoff[:10],
-            trade_size=full.trade_size[:10],
-        )
-        with pytest.raises(ParameterError):
-            decompose_pnl([full, short])
-
-    def test_payoff_must_match_across_reports(self, baseline_paths):
-        delta = np.zeros((baseline_paths.n_paths, baseline_paths.n_steps))
-        a = self._report(delta, baseline_paths)
-        b = self._report(delta, baseline_paths)
-        b.payoff = b.payoff + 0.1
-        with pytest.raises(ParameterError):
-            decompose_pnl([a, b])
 
 
 def test_pnl_csv_export(tmp_path, baseline_paths, cost):

@@ -1,8 +1,10 @@
-"""Property tests of the paired bootstrap and the uncertainty quintiles, and
+"""Property tests of the paired bootstrap and the uncertainty quintiles;
 checks of the figure-1 win-rate curve, the figure-2 heatmap, the table-3
-correlations and the table-4 comparison against direct computations."""
+correlations, the table-4 comparison and the table-6 decomposition against
+direct computations; and the exact bytes of the CSV and JSON writers."""
 
 import re
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeblend import evaluation
-from hedgeblend.accounting import CostSpec, HedgeSchedule, compute_pnl
+from hedgeblend.accounting import CostSpec, HedgeSchedule, PnLReport, compute_pnl
 from hedgeblend.errors import ParameterError
 from hedgeblend.evaluation import (
     MIN_BOOTSTRAP_RESAMPLES,
     N_QUINTILES,
+    csv_text,
+    decompose_pnl,
     heatmap_data,
     paired_bootstrap,
     quintile_analysis,
@@ -264,3 +268,73 @@ def test_strategy_comparison_refuses_no_reports_and_reports_on_other_paths(rng_n
         strategy_comparison([*reports, other])
     with pytest.raises(ParameterError, match="different path counts"):
         strategy_comparison([*reports, reports[0].take(np.arange(10))])
+
+
+class TestDecompose:
+    def _report(self, delta, paths, cost_rate=5e-4, label=""):
+        hedges = HedgeSchedule(delta, label)
+        return compute_pnl(paths, hedges, CostSpec(cost_rate), 1.0)
+
+    def test_identical_strategies_have_zero_differences(self, baseline_paths):
+        delta = np.full((baseline_paths.n_paths, baseline_paths.n_steps), 0.4)
+        rows = decompose_pnl(
+            [self._report(delta, baseline_paths, label="a"),
+             self._report(delta, baseline_paths, label="b")]
+        )
+        assert rows[1].diff_gains == 0 and rows[1].diff_costs == 0
+        assert rows[1].diff_payoff == 0 and rows[1].diff_net == 0
+
+    def test_zero_cost_spec_zeroes_cost_column(self, baseline_paths, rng_np):
+        delta = rng_np.normal(0, 0.3, size=(baseline_paths.n_paths, baseline_paths.n_steps))
+        rows = decompose_pnl([self._report(delta, baseline_paths, cost_rate=0.0)])
+        assert rows[0].mean_costs == 0.0
+
+    def test_path_count_mismatch_rejected(self, baseline_paths):
+        delta = np.zeros((baseline_paths.n_paths, baseline_paths.n_steps))
+        full = self._report(delta, baseline_paths)
+        short = PnLReport(
+            pnl=full.pnl[:10], hedge_gains=full.hedge_gains[:10],
+            transaction_costs=full.transaction_costs[:10], payoff=full.payoff[:10],
+            trade_size=full.trade_size[:10],
+        )
+        with pytest.raises(ParameterError):
+            decompose_pnl([full, short])
+
+    def test_payoff_must_match_across_reports(self, baseline_paths):
+        delta = np.zeros((baseline_paths.n_paths, baseline_paths.n_steps))
+        a = self._report(delta, baseline_paths)
+        b = self._report(delta, baseline_paths)
+        b.payoff = b.payoff + 0.1
+        with pytest.raises(ParameterError):
+            decompose_pnl([a, b])
+
+
+@dataclass
+class FormatRow:
+    label: str
+    value: float
+    count: int
+
+
+def test_csv_text_writes_floats_as_12g_and_other_values_as_str():
+    rows = [
+        [1 / 3, 2.5e-20, 7],
+        ("x", 123456789.0123456, -0.0),
+        FormatRow("row", 0.1 + 0.2, 3),
+    ]
+    assert csv_text(["a", "b", "c"], rows) == (
+        "a,b,c\n"
+        "0.333333333333,2.5e-20,7\n"
+        "x,123456789.012,-0\n"
+        "row,0.3,3\n"
+    )
+    assert csv_text(["a"], []) == "a\n"
+
+
+def test_write_json_sorts_keys_indents_by_two_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "record.json"
+    evaluation.write_json(str(path), {"b": [1, 2.5], "a": {"d": True, "c": None}})
+    assert path.read_text() == (
+        '{\n  "a": {\n    "c": null,\n    "d": true\n  },\n'
+        '  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )

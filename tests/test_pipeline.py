@@ -123,6 +123,38 @@ class TestFullPipeline:
             assert last_column(run_dir[0], name) == "cvar_5pct"
             assert last_column(str(tmp_path), name) == "cvar_10pct"
 
+    def test_every_csv_has_its_pinned_header(self, run_dir):
+        pnl = "path_id,pnl,hedge_gains,transaction_costs,payoff"
+        headers = {
+            "ensemble_uncertainty.csv": "path_id,avg_disagreement",
+            "fig1_winrate.csv": "window_mean_uncertainty,win_rate",
+            "fig2_heatmap.csv":
+                "time_bin,moneyness_bin,time_center,moneyness_center,mean_disagreement,count",
+            "fig3_blend_curves.csv": "disagreement,alpha_cvar,alpha_entropic",
+            "fig4_cvar_bars.csv": "calibration,strategy,cvar_5pct",
+            "pnl_ensemble_mean.csv": pnl,
+            "pnl_bs_delta_fixed.csv": pnl,
+            "pnl_bs_delta_true.csv": pnl,
+            "pnl_whalley_wilmott.csv": pnl,
+            "pnl_blend_entropic.csv": pnl,
+            "pnl_blend_cvar.csv": pnl,
+            "seed_stability.csv": "seed,blend_cvar,bs_delta_cvar,improvement_bps",
+            "table2_quintiles.csv": "quintile,win_rate,mean_advantage,avg_uncertainty,n_paths",
+            "table3_correlations.csv": "characteristic,correlation_with_uncertainty",
+            "table4_comparison.csv": "strategy,mean_pnl,std_pnl,cvar_5pct",
+            "table5_bootstrap.csv": "comparison,metric,mean_diff,mean_diff_bps,ci_low,ci_high,"
+                                    "ci_low_bps,ci_high_bps,win_fraction,significant,resamples",
+            "table6_decomposition.csv": "strategy,mean_hedge_gains,mean_transaction_costs,"
+                                        "mean_payoff,mean_net_pnl,diff_gains,diff_costs,"
+                                        "diff_payoff,diff_net",
+            "trade_stats.csv": "strategy,average_trade_size,mean_transaction_costs",
+        }
+        out = run_dir[0]
+        assert sorted(name for name in os.listdir(out) if name.endswith(".csv")) == sorted(headers)
+        for name, header in headers.items():
+            with open(os.path.join(out, name)) as fh:
+                assert fh.readline() == header + "\n", name
+
     def test_interrupt_propagates_and_marks_the_stage(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
