@@ -154,7 +154,14 @@ class HedgePnL:
 
 
 def write_pnl_csv(report: PnLReport, file) -> None:
-    """Per-path export: path_id, pnl, gains, costs, payoff; one write of the whole file."""
-    columns = (report.pnl, report.hedge_gains, report.transaction_costs, report.payoff)
+    """Per-path export: path_id, pnl, gains, costs, payoff; one write of the whole file.
+
+    The rows come from a generator, which drops the four columns' Python
+    floats when it is exhausted, before :func:`csv_text` joins the lines (a
+    zip over them stops at its first input and keeps the rest alive)."""
+    def rows():
+        columns = (report.pnl, report.hedge_gains, report.transaction_costs, report.payoff)
+        yield from zip(range(report.n_paths), *(c.tolist() for c in columns))
+
     file.write(csv_text(["path_id", "pnl", "hedge_gains", "transaction_costs", "payoff"],
-                        zip(range(report.n_paths), *(c.tolist() for c in columns))))
+                        rows()))

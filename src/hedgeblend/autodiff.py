@@ -9,6 +9,10 @@ cell states one segment at a time from the forward's checkpoints and
 recomputing tanh(c) and h from them, and returns the parameter gradients.
 :class:`Adam` updates plain arrays (training's and the blend fit's).
 
+The state is feature-major: a cell's input, gates, c and h hold one column
+per path, (features, B), so a step's four gates are one (4H, K) @ (K, B)
+GEMM and every element-wise op runs over rows B values long, the layout of
+cuDNN's recurrent kernels (Appleyard, Kočiský and Blunsom, 2016).
 Everything stays in the parameters' dtype: float32 parameters, state and
 g_delta give float32 gradients.
 """
@@ -20,29 +24,38 @@ import numpy as np
 from .errors import ParameterError
 
 
-def lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tanh_c, c, h) -> None:
-    """One LSTM step of B paths, written into the (B, H) buffers it is handed.
+def lstm_cell(xh, weight, c_prev, gates, tanh_c, c, h) -> None:
+    """One LSTM step of B paths, written into the buffers it is handed.
 
-    ``xh`` is the (B, in + H) cell input, the previous hidden state last.
-    ``weights`` and ``biases`` hold, per gate in the order i, f, o, g, its
-    columns of the stacked weight [w_ih; w_hh] and of the bias, contiguous,
-    with the sigmoid gates' columns halved: sigmoid(x) = (tanh(x / 2) + 1) /
-    2, and halving is exact and commutes with the rounding of every product,
-    FMA and sum (barring subnormals). Each gate is its own GEMM into its
-    buffer; the bias is added, then tanh, and for the sigmoid gates +1 and
-    ×0.5. Then c = f c_prev + i g, tanh_c = tanh(c) and h = o tanh(c).
+    ``xh`` is the (K, B) cell input: the layer's input, the previous hidden
+    state, then a row of ones. ``weight`` is the (4H, K) transposed stacked
+    weight [w_ih; w_hh; b].T, the bias its last column, with the rows of the
+    sigmoid gates i, f and o halved: sigmoid(x) = (tanh(x / 2) + 1) / 2, and
+    halving is exact and commutes with the rounding of every product, FMA
+    and sum (barring subnormals). One GEMM writes the (4H, B) ``gates``, rows
+    i, f, o, g, bias included; then tanh, and over the 3H sigmoid rows +1
+    and ×0.5. Then, on (H, B) row blocks, c = f c_prev + i g, tanh_c =
+    tanh(c) and h = o tanh(c).
 
-    ``c`` may be ``c_prev`` and ``tanh_c`` may be ``g``, so every rollout
-    reuses one c per layer at every step; a saving forward hands step t's
-    slices of its gate workspace for i, f, o and g (see ``hedger._infer``).
+    OpenBLAS sums each output of a GEMM over K in order, so the bias, the
+    last term, is one rounded addition to the rounded sum of the others: the
+    bits of a GEMM followed by a separate bias add, which costs a pass over
+    the gates about as long as the GEMM's. (Float32 hedge ratios recorded
+    with a GEMM per gate and a separate bias add kept their bits at batches
+    of 64, 128, 500, 1,000, 2,496, 2,512 and 5,000 paths, not at 1, 7, 129
+    or 200, where OpenBLAS computes a small product otherwise.) A zero
+    weight against another row of ones adds an exact zero.
+
+    ``c`` may be ``c_prev`` and ``tanh_c`` may be the g rows of ``gates``,
+    so every rollout reuses one c per layer at every step; a saving forward
+    hands step t of its gate tape as ``gates`` (see ``hedger._infer``).
     """
-    for gate, w, b in zip((i, f, o, g), weights, biases):
-        np.matmul(xh, w, out=gate)
-        gate += b
-        np.tanh(gate, out=gate)
-    for gate in (i, f, o):
-        gate += 1.0
-        gate *= 0.5
+    np.matmul(weight, xh, out=gates)
+    np.tanh(gates, out=gates)
+    i, f, o, g = gates.reshape(4, len(c), -1)
+    sigmoids = gates[: 3 * len(c)]
+    sigmoids += 1.0
+    sigmoids *= 0.5
     np.multiply(c_prev, f, out=c)
     np.multiply(i, g, out=tanh_c)
     c += tanh_c
@@ -58,17 +71,17 @@ def _cell_states(tape, segment: int) -> np.ndarray:
     min((s + 1) K, n_steps) - 1, K being the buffer's length; it starts from
     checkpoint s - 1, or from zeros for s = 0, and runs the forward's own
     operations, c = f c_prev, then += i g (``lstm_cell``), so each c has the
-    forward's bits. Returns the view of the buffer holding them, (steps, B, H).
+    forward's bits. Returns the view of the buffer holding them, (steps, H, B).
     """
     gates, checkpoints, buffer = tape
-    i, f, _, g = gates
     start = segment * len(buffer)
-    states = buffer[: min(len(buffer), gates.shape[1] - start)]
+    states = buffer[: min(len(buffer), len(gates) - start)]
     c_prev = checkpoints[segment - 1] if segment else np.zeros_like(buffer[0])
     i_g = np.empty_like(buffer[0])
     for t, c in enumerate(states, start):
-        np.multiply(c_prev, f[t], out=c)
-        np.multiply(i[t], g[t], out=i_g)
+        i, f, _, g = gates[t].reshape(4, len(c), -1)
+        np.multiply(c_prev, f, out=c)
+        np.multiply(i, g, out=i_g)
         c += i_g
         c_prev = c
     return states
@@ -78,14 +91,14 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     """Gradients of sum(g_delta * delta) in the parameters, in ``hedger.PARAM_NAMES`` order.
 
     ``saved`` is what a saving forward of the (B, n_steps) hedge ratios
-    delta kept: the (n_steps, B, in) cell inputs of layer 0 (the step's
-    inputs and the previous hedge ratio), and per layer a tape of three
-    arrays: the gates i, f, o and g, (4, n_steps, B, H); the cell state c at
-    the end of every segment of K steps but the last, (ceil(n_steps / K) -
-    1, B, H); and a (K, B, H) buffer the sweep rebuilds each segment's c
-    into (:func:`_cell_states`). Per step, delta_t = h_top @ w_out + b_out.
-    ParameterError refuses a g_delta of another shape than delta's, and a
-    tape whose step or path count is not g_delta's.
+    delta kept, feature-major: the (n_steps, in, B) cell inputs of layer 0
+    (the step's inputs and the previous hedge ratio), and per layer a tape of
+    three arrays: the gates, (n_steps, 4H, B), rows i, f, o and g; the cell
+    state c at the end of every segment of K steps but the last,
+    (ceil(n_steps / K) - 1, H, B); and a (K, H, B) buffer the sweep rebuilds
+    each segment's c into (:func:`_cell_states`). Per step, delta_t = h_top.T
+    @ w_out + b_out. ParameterError refuses a g_delta of another shape than
+    delta's, and a tape whose step or path count is not g_delta's.
 
     The sweep needs c_{n-1}, c_{n-2}, …, c_0 in this order, so each segment
     is rebuilt once per layer, when the sweep enters it. tanh(c) and h = o
@@ -93,34 +106,35 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     contiguous c, then ``np.multiply(o, tanh_c)``), so they are its values
     bit for bit. Each is computed once per layer and step: at step t the
     sweep makes step t-1's, whose h is step t's recurrent input h_prev, and
-    carries them to step t-1, in two (2, B, H) buffers per layer that swap
+    carries them to step t-1, in two (2, H, B) buffers per layer that swap
     roles every step. So the working memory beyond the saved state and the
-    gradients is a few (B, 4H) and (B, H) arrays, whatever n_steps.
+    gradients is a few (4H, B) and (H, B) arrays, whatever n_steps.
 
     The sweep runs t = n-1 … 0, and within a step from the head down the
     layers. The gradient into c starts at zeros. Per cell, with dh and dc
     the incoming gradients:
-    dc += dh o (1 - tanh²c); d_pre = [dc g i(1-i) | dc c_prev f(1-f) |
-    dh tanh(c) o(1-o) | dc i (1-g²)]; the input's gradient is d_pre @ [w_ih;
-    w_hh].T, c_prev's is dc f, and the stacked weight's is one xh.T @ d_pre
-    GEMM on the contiguous xh = [input | h_prev], split into w_ih and w_hh at
-    the end. Each weight's per-step gradients are summed from t = n-1 down,
-    the first one taken as it is. The products are grouped as written, so
-    the gradients keep the bits the tests pin.
+    dc += dh o (1 - tanh²c); d_pre = [dc g i(1-i); dc c_prev f(1-f);
+    dh tanh(c) o(1-o); dc i (1-g²)], one (4H, B) block; the input's gradient
+    is [w_ih; w_hh] @ d_pre, c_prev's is dc f, and the stacked weight's is
+    one xh @ d_pre.T GEMM on the contiguous xh = [input; h_prev], split into
+    w_ih and w_hh at the end, and the bias's is d_pre.sum(axis=1). Each
+    weight's per-step gradients are summed from t = n-1 down, the first one
+    taken as it is. The products are grouped as written, so the gradients
+    keep the bits the tests pin.
     """
     inputs, tapes = saved
-    if g_delta.shape != inputs.shape[1::-1]:
+    if g_delta.shape != (inputs.shape[2], len(inputs)):
         raise ParameterError(f"seed gradient of shape {g_delta.shape} for hedge ratios of "
-                             f"shape {inputs.shape[1::-1]}")
+                             f"shape {(inputs.shape[2], len(inputs))}")
     n_paths, n = g_delta.shape
     for gates, checkpoints, buffer in tapes:
-        if (gates.shape[1:3] != (n, n_paths) or buffer.shape[1] != n_paths
-                or checkpoints.shape[:2] != (-(-n // len(buffer)) - 1, n_paths)):
+        if (gates.shape[::2] != (n, n_paths) or buffer.shape[2] != n_paths
+                or checkpoints.shape[::2] != (-(-n // len(buffer)) - 1, n_paths)):
             raise ParameterError(f"tape of shapes {gates.shape}, {checkpoints.shape}, "
                                  f"{buffer.shape} for {n_paths} paths of {n} steps")
-    n_layers, hidden = len(tapes), tapes[0][0].shape[-1]
+    n_layers, hidden = len(tapes), tapes[0][2].shape[1]
     # per layer [tanh(c), h] at step t (now) and at step t-1 (then)
-    now = [np.empty((2, n_paths, hidden), dtype=tapes[k][0].dtype) for k in range(n_layers)]
+    now = [np.empty((2, hidden, n_paths), dtype=tapes[k][0].dtype) for k in range(n_layers)]
     then = [np.empty_like(buffer) for buffer in now]
     rebuilt = [(None, None)] * n_layers  # per layer, the segment its buffer holds, and its c
 
@@ -132,14 +146,14 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
 
     def recompute(k, t, into):
         np.tanh(cell_state(k, t), out=into[0])
-        np.multiply(tapes[k][0][2, t], into[0], out=into[1])
+        np.multiply(tapes[k][0][t, 2 * hidden : 3 * hidden], into[0], out=into[1])
 
     for k in range(n_layers):
         recompute(k, n - 1, now[k])
     stacked = [np.concatenate([params[f"w_ih_{k}"], params[f"w_hh_{k}"]])
                for k in range(n_layers)]
     w_out = params["w_out"]
-    zeros = np.zeros((n_paths, hidden), dtype=g_delta.dtype)
+    zeros = np.zeros((hidden, n_paths), dtype=g_delta.dtype)
     d_c = [zeros] * n_layers  # into c_k[t], from step t+1
     d_h = [None] * n_layers  # into h_k[t] through step t+1's recurrent input
     d_delta = None  # into delta[t] through step t+1's input
@@ -149,32 +163,33 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
         if t:
             for k in range(n_layers):
                 recompute(k, t - 1, then[k])
-        d_head = g_delta[:, t : t + 1]
+        d_head = g_delta[:, t]
         d_head = d_head.copy() if d_delta is None else d_head + d_delta
-        parts = [None] * (2 * n_layers) + [now[-1][1].T @ d_head, d_head.sum(axis=0)]
-        dh = d_head @ w_out.T
+        parts = [None] * (2 * n_layers) + [(now[-1][1] @ d_head)[:, None],
+                                           d_head.sum(keepdims=True)]
+        dh = w_out * d_head  # (H, 1) times the (B,) row: the (H, B) outer product
         for k in range(n_layers - 1, -1, -1):
             if d_h[k] is not None:
                 dh = dh + d_h[k]
-            i, f, o, g = tapes[k][0][:, t]
+            i, f, o, g = tapes[k][0][t].reshape(4, hidden, n_paths)
             tc = now[k][0]
             c_prev, h_prev = (cell_state(k, t - 1), then[k][1]) if t else (zeros, zeros)
             dc = d_c[k] + dh * o * (1.0 - tc**2)
-            d_pre = np.empty((n_paths, 4 * hidden), dtype=g_delta.dtype)
-            d_pre[:, :hidden] = dc * g * (i * (1.0 - i))
-            d_pre[:, hidden : 2 * hidden] = dc * c_prev * (f * (1.0 - f))
-            d_pre[:, 2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))
-            d_pre[:, 3 * hidden :] = dc * i * (1.0 - g**2)
-            d_xh = d_pre @ stacked[k].T
+            d_pre = np.empty((4 * hidden, n_paths), dtype=g_delta.dtype)
+            d_pre[:hidden] = dc * g * (i * (1.0 - i))
+            d_pre[hidden : 2 * hidden] = dc * c_prev * (f * (1.0 - f))
+            d_pre[2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))
+            d_pre[3 * hidden :] = dc * i * (1.0 - g**2)
+            d_xh = stacked[k] @ d_pre
             below = inputs[t] if k == 0 else now[k - 1][1]
-            xh = np.concatenate([below, h_prev], axis=1)
-            parts[2 * k : 2 * k + 2] = xh.T @ d_pre, d_pre.sum(axis=0)
+            xh = np.concatenate([below, h_prev])
+            parts[2 * k : 2 * k + 2] = xh @ d_pre.T, d_pre.sum(axis=1)
             d_c[k] = dc * f
-            d_h[k] = d_xh[:, below.shape[1] :]
+            d_h[k] = d_xh[len(below) :]
             if k:
-                dh = d_xh[:, :hidden]
+                dh = d_xh[:hidden]
             else:
-                d_delta = d_xh[:, below.shape[1] - 1 : below.shape[1]]
+                d_delta = d_xh[len(below) - 1]
         now, then = then, now
         if totals is None:
             totals = parts

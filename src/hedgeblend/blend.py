@@ -138,7 +138,9 @@ class _BlendProblem:
     delta_n = 0 (the unwind) and column n adds nothing to the gains or the
     gradient. The hedges are stored row after row in one flat buffer
     behind a leading zero, so one subtraction of the buffer from itself,
-    shifted by one, gives every position change.
+    shifted by one, gives every position change; once the gains are summed
+    the buffer takes the trade sizes |dd|. t half is kept in ``work`` for
+    :meth:`grad`, which then uses ``work`` as its scratch.
     """
 
     def __init__(self, spot, ens, bs, psi, cost_rate: float, strike: float):
@@ -155,21 +157,23 @@ class _BlendProblem:
         self.flat_delta = np.zeros(spot.size + 1)  # 0, then each row's delta_0 .. delta_n
 
     def pnl(self, coefs) -> np.ndarray:
-        """P&L per path at ``coefs`` (the intercept, then the coefficient of
-        psi); keeps t and the position changes for :meth:`grad`."""
-        t, work = self.t, self.work
+        """P&L per path at the (2,) ``coefs`` (the intercept, then the
+        coefficient of psi); keeps t, t half and the position changes for
+        :meth:`grad`."""
+        t, t_half = self.t, self.work
         np.multiply(self.psi, 0.5 * coefs[1], out=t)  # z / 2, exactly
         t += 0.5 * coefs[0]
         np.tanh(t, out=t)
+        np.multiply(t, self.half, out=t_half)
         delta = self.flat_delta[1:].reshape(t.shape)
-        np.multiply(t, self.half, out=delta)
-        delta += self.mid
+        np.add(t_half, self.mid, out=delta)
         np.subtract(self.flat_delta[1:], self.flat_delta[:-1], out=self.changes.reshape(-1))
-        trades = np.abs(self.changes, out=work)
-        return _rowdot(delta, self.d_spot) - _rowdot(self.cost_spot, trades) - self.payoff
+        gains = _rowdot(delta, self.d_spot)
+        trades = np.abs(self.changes, out=delta)
+        return gains - _rowdot(self.cost_spot, trades) - self.payoff
 
-    def grad(self, g_pnl: np.ndarray) -> list:
-        """d sum(g_pnl pnl) / d coefs at the last :meth:`pnl` call."""
+    def grad(self, g_pnl: np.ndarray) -> np.ndarray:
+        """d sum(g_pnl pnl) / d coefs at the last :meth:`pnl` call, a (2,) array."""
         rows = np.flatnonzero(g_pnl)
         if rows.size == g_pnl.size:
             rows = slice(None)  # views: the backward overwrites the buffers
@@ -179,15 +183,14 @@ class _BlendProblem:
         np.copysign(self.cost_spot[rows], signed_cost, out=signed_cost)
         if zero.any():
             signed_cost[zero] = 0.0
-        np.multiply(t, half, out=work)
-        t *= work
+        t *= work  # t (t half)
         np.subtract(half, t, out=t)
         np.subtract(self.d_spot[rows], signed_cost, out=work)
         # + c S_{t+1} sgn(dd_{t+1}); column n takes the next row's first term,
         # which v = 0 there cancels.
         work.reshape(-1)[:-1] += signed_cost.reshape(-1)[1:]
         t *= work
-        return [0.5 * (g @ t.sum(axis=1)), 0.5 * (g @ _rowdot(t, self.psi[rows]))]
+        return np.array([0.5 * (g @ t.sum(axis=1)), 0.5 * (g @ _rowdot(t, self.psi[rows]))])
 
 
 def fit_blend(
@@ -232,8 +235,8 @@ def fit_blend(
                             bs.delta, ens.disagreement, cost.cost_rate, strike)
     g_pnl = np.empty(shape[0])
 
-    coefs = [np.zeros(()), np.zeros(())]
-    adam = Adam(coefs, lr=step_size)
+    coefs = np.zeros(2)
+    adam = Adam([coefs], lr=step_size)
 
     trajectory: list[float] = []
     for iteration in range(iterations):
@@ -243,6 +246,6 @@ def fit_blend(
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
-        adam.step(problem.grad(g_pnl))
+        adam.step([problem.grad(g_pnl)])
 
     return BlendFit(BlendParams(float(coefs[0]), float(coefs[1])), objective, trajectory)

@@ -78,8 +78,10 @@ def train_ensemble(
 
 
 # Path blocks start at multiples of this many rows, so that every row keeps
-# its place in the row groups of OpenBLAS's matrix-vector product, which
-# rounds a trailing group of 1-3 rows differently (see hedger._infer).
+# its place in the row groups of OpenBLAS's matrix-vector product (the head),
+# which rounds a trailing group of 1-3 rows differently, and in the path
+# panels of its gate GEMM, which rounds a trailing partial panel differently
+# (see hedger._infer).
 _BLOCK_ALIGN = 16
 
 

@@ -11,8 +11,10 @@ forward is also the reports' ``compute_pnl``), the loss by
 rollout by a hand-written backpropagation through time,
 ``autodiff.backward``, inside :func:`_chunked_backward`.
 
-One rollout, :func:`_infer`, serves inference and training. Inference
-(:func:`forward_rollout`) reuses its buffers at every
+One rollout, :func:`_infer`, serves inference and training. Its state is
+feature-major, (features, paths), so each layer's step is one GEMM for the
+four gates and element-wise ops over whole rows (``autodiff.lstm_cell``).
+Inference (:func:`forward_rollout`) reuses its buffers at every
 step; training's saving forward keeps each step's gates and the cell state
 c at the end of every segment of ceil(sqrt(n_steps)) steps, the tape that
 the backward reads (it rebuilds c segment by segment from the gates, and
@@ -24,14 +26,15 @@ rows, with results identical to a serial full-batch loop.
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
 the batch size. The shards are rolled out and backpropagated on threads,
-and their gradients are summed in shard order, so a run's results do not
-depend on the CPU count, the thread count or the timing (see
-:func:`_chunked_backward`). An epoch of at most ``TAPE_BATCH_LIMIT`` paths
-keeps each shard's tape only from its rollout to its backward: one job per
-shard backpropagates the shard's own softmax as soon as the shard is rolled
-out, so one tape per thread is live, and the shard gradients are weighted
-by the shards' shares of the batch's exp(-a pnl) mass. A larger epoch rolls
-its shards out twice. An epoch of one shard runs on the calling thread.
+and their gradients are summed in shard order, so for a given number of
+BLAS threads a run's results do not depend on the CPU count, the thread
+count or the timing (see :func:`_chunked_backward`). An epoch of at most
+``TAPE_BATCH_LIMIT`` paths keeps each shard's tape only from its rollout
+to its backward: one job per shard backpropagates the shard's own softmax
+as soon as the shard is rolled out, so one tape per thread is live, and the
+shard gradients are weighted by the shards' shares of the batch's exp(-a
+pnl) mass. A larger epoch rolls its shards out twice. An epoch of one shard
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ N_LAYERS = 2
 # shard in the job that rolled it out, saving, so a thread holds one tape at a
 # time; a larger one rolls its shards out without saving and rolls them out
 # again, saving, for the backward. On the default 126-step grid the tape holds
-# 544 bytes per path per LSTM cell in float32 (the gates' 4·H values, c at 10
-# segment ends, a 12-step segment buffer and the step's inputs; tracemalloc,
-# H = 32), 561 at the backward's peak: 0.14 MB per path (two layers), about
+# 544 bytes per path per LSTM cell in float32 (feature-major arrays, one
+# column per path: the gates' 4·H values, c at 10 segment ends, a 12-step
+# segment buffer and the step's inputs; tracemalloc, H = 32), 561 at the
+# backward's peak: 0.14 MB per path (two layers), about
 # 171 MB per 1,250-path shard. So the peak grows with the CPU count: two
 # members' two 5,000-path epochs (train_desk) peak at a median of 440 MB on a
 # 2-vCPU host, with two tapes live, and a host with 4 or more CPUs tapes all
@@ -163,45 +167,61 @@ def _infer(
 ) -> np.ndarray:
     """Hedge ratios (B, n_steps): the one rollout, of inference and training.
 
-    Per layer and step it calls ``autodiff.lstm_cell``. Without ``saved``
-    every buffer is allocated once per call and overwritten at each step:
-    one GEMM operand buffer [x | delta_prev | h_0 | h_1], of which layer 0
-    reads the columns [x | delta_prev | h_0] and layer 1 the columns [h_0 |
-    h_1], so each h is written once, straight into it; per layer the cell
-    state c; shared by the layers, the gates i, f, o, g, with tanh(c)
-    written over g; one float64 column for the step's inputs, computed and
-    then cast; and the (B, n_steps) output. So no (n_steps, B) input array
-    and no large float64 temporary is ever held, and a worker thread's
-    malloc arena does not keep them after the call (``aggregate``'s peak
-    RSS).
+    The state is feature-major, one column per path. Per layer and step it
+    calls ``autodiff.lstm_cell``, whose one GEMM makes the layer's four
+    gates, bias included. Without ``saved`` every buffer is allocated once
+    per call and overwritten at each step: one GEMM operand with rows [x |
+    delta_prev | h_0 | 1 | h_1 | 1], of which layer 0 reads the rows [x |
+    delta_prev | h_0 | 1] and layer 1 the rows [h_0 | 1 | h_1 | 1], so
+    each h is written once, straight into it, and a layer's last row is its
+    own row of ones, against its weight's bias column (layer 1's weight has
+    a zero column against layer 0's); per layer the (H, B) cell
+    state c; shared by the layers, one (4H, B) gate buffer, with tanh(c)
+    written over its g rows and, for the head, the top h copied into its i
+    rows as a (B, H) array; one float64 row for the step's inputs, computed
+    and then cast; and the (B, n_steps) output. So no (n_steps, B) input
+    array and no large float64 temporary is ever held, and a worker
+    thread's malloc arena does not keep them after the call (``aggregate``'s
+    peak RSS).
 
     ``saved``, when given, makes this the saving forward whose state
-    ``autodiff.backward`` reads (see :func:`_workspaces`): an (n_steps, B,
-    INPUT_DIM) array that receives each step's layer-0 inputs [x |
-    delta_prev], and per layer a (4, n_steps, B, H) workspace whose step-t
-    slices the cell writes its i, f, o and g into, and a checkpoint array
-    that receives a copy of c at the end of every segment of K steps but the
+    ``autodiff.backward`` reads (see :func:`_workspaces`): an (n_steps,
+    INPUT_DIM, B) array that receives each step's layer-0 inputs [x |
+    delta_prev], and per layer an (n_steps, 4H, B) gate tape whose step t
+    the cell's GEMM writes straight into, and a checkpoint array that
+    receives a copy of c at the end of every segment of K steps but the
     last, K being the length of the layer's segment buffer. c itself is
     updated in place, tanh(c) goes into one scratch buffer reused at every
     step, and h straight into the operand, as in the plain forward; the
     backward rebuilds c from the checkpoints and the gates, and recomputes
     tanh(c) and h. The values are those of the plain forward, bit for bit.
 
-    The halving of the sigmoid, sigmoid(x) = (tanh(x/2) + 1) / 2, is folded
-    into the i, f and o columns of the weights and bias once per call (see
-    ``autodiff.lstm_cell``). Then c = f c + i g, h = o tanh(c), and the head
-    h @ w_out + b_out.
+    Each layer's weight is built once per call: the transposed stack [w_ih;
+    w_hh; b].T, (4H, INPUT_DIM + H + 1) for layer 0 and (4H, 2H + 2) for
+    layer 1, with the halving of the sigmoid, sigmoid(x) = (tanh(x/2) + 1) /
+    2, folded into its i, f and o rows (see ``autodiff.lstm_cell``). Then c
+    = f c + i g, h = o tanh(c), and the head h @ w_out + b_out on the (B, H)
+    copy of the top h.
 
-    A gate's columns do not depend on the other columns (the per-gate GEMMs
-    rely on this; the gradients ``tests/test_hedger.py`` pins, recorded when
-    one GEMM made all four gates, check it), and a row's bits do not depend
-    on the other rows, with one exception: OpenBLAS's matrix-vector product,
-    which the head h @ w_out is, takes the rows in groups of 4 and rounds a
-    trailing group of 1-3 rows differently (numpy's one-row GEMM is such a
-    product too). Row blocks of 1, 2, 7, 250 and 1,250 paths did not reproduce the full
-    batch's hedge ratios; a block whose length is a multiple of 4, or that
-    starts at a multiple of 4 and runs to the batch's end, does. So
-    ``ensemble.aggregate``'s blocks start at multiples of 16 rows.
+    A path's bits depend on the other paths only through OpenBLAS's tiling
+    of the two products. The head h @ w_out, a matrix-vector product, takes
+    the rows in groups of 4 and rounds a trailing group of 1-3 rows
+    differently (numpy's one-row GEMM is such a product too): row blocks of
+    1, 2, 7, 250 and 1,250 paths did not reproduce the full batch's hedge
+    ratios. The gate GEMM takes the paths in panels and rounds a trailing
+    partial panel, and a small product, differently: a column block of a
+    float32 (4H, K) @ (K, B) product whose length is 1-8 modulo 16 did not
+    reproduce the full product's columns when it was about 210 paths or
+    fewer, and a float64 block did not whenever its length was not a
+    multiple of 8. A block that starts at a multiple of 16 reproduces them
+    when it is a multiple of 16 long, and when it runs to the batch's end
+    it did at every length tried from 267 paths up (in float64 not at 59);
+    ``ensemble.aggregate``'s blocks are cut so, and are either the whole
+    batch or over 1,200 paths long. With more than one BLAS thread, OpenBLAS
+    also splits a GEMM's paths among its threads, so the float64 hedge
+    ratios of a batch whose length is not a multiple of 8 depend on the
+    BLAS thread count; the float32 ones did not at any batch tried (300,
+    1,250 and 5,000 paths).
 
     ``out``, when given, is a (B, n_steps) array that receives the hedge
     ratios, cast to its dtype; otherwise one in the parameters' dtype is made.
@@ -212,51 +232,56 @@ def _infer(
     n_paths, n = paths.n_paths, paths.n_steps
     dtype, hidden = params["w_out"].dtype, params["w_hh_0"].shape[0]
     taus = paths.grid.taus().astype(dtype)
-    columns = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]  # i, f, o, g
-    scales = (0.5, 0.5, 0.5, 1.0)  # the sigmoid's halving, folded in
-    weights, biases = [], []  # per layer, one contiguous block per gate
-    for layer in range(N_LAYERS):
-        stacked = np.concatenate([params[f"w_ih_{layer}"], params[f"w_hh_{layer}"]], axis=0)
-        weights.append([stacked[:, cols] * scale for cols, scale in zip(columns, scales)])
-        biases.append([params[f"b_{layer}"][cols] * scale for cols, scale in zip(columns, scales)])
-    operand = np.zeros((n_paths, INPUT_DIM + N_LAYERS * hidden), dtype=dtype)
-    h = [operand[:, INPUT_DIM + k * hidden : INPUT_DIM + (k + 1) * hidden]
-         for k in range(N_LAYERS)]
-    reads = [operand[:, : INPUT_DIM + hidden]] + [
-        operand[:, INPUT_DIM + (k - 1) * hidden : INPUT_DIM + (k + 1) * hidden]
-        for k in range(1, N_LAYERS)
-    ]
-    c = [np.zeros((n_paths, hidden), dtype=dtype) for _ in range(N_LAYERS)]
-    i, f, o, g = (np.empty((n_paths, hidden), dtype=dtype) for _ in range(4))
+    halves = np.repeat(np.array([0.5, 0.5, 0.5, 1.0], dtype), hidden)[:, None]  # i, f, o, g
+    starts = [INPUT_DIM + k * (hidden + 1) for k in range(N_LAYERS)]  # each h's first row
+    operand = np.zeros((starts[-1] + hidden + 1, n_paths), dtype=dtype)
+    weights, reads, h = [], [], []
+    for k, start in enumerate(starts):
+        w_ih = params[f"w_ih_{k}"]
+        if k:  # a zero column against h_{k-1}'s ones row
+            w_ih = np.concatenate([w_ih, np.zeros((1, 4 * hidden), dtype)])
+        stacked = np.concatenate([w_ih, params[f"w_hh_{k}"], params[f"b_{k}"][None]])
+        weights.append(stacked.T.copy() * halves)  # C-contiguous (4H, K), the bias last
+        operand[start + hidden] = 1.0
+        reads.append(operand[starts[k - 1] if k else 0 : start + hidden + 1])
+        h.append(operand[start : start + hidden])
+    c = [np.zeros((hidden, n_paths), dtype=dtype) for _ in range(N_LAYERS)]
+    # The plain rollout's gates; a saving forward writes its gates into its
+    # tape, so there this buffer is only scratch. In both, tanh(c) goes over
+    # the g rows and the head's (B, H) copy of the top h over the i rows,
+    # which are dead once the top cell has run.
+    gates = np.empty((4 * hidden, n_paths), dtype=dtype)
+    scratch, h_top = gates[3 * hidden :], gates[:hidden].reshape(n_paths, hidden)
     head = np.empty((n_paths, 1), dtype=dtype)
-    column = np.empty(n_paths)  # one step's float64 input, before its cast
+    row = np.empty(n_paths)  # one step's float64 input, before its cast
     if out is None:
         out = np.empty((n_paths, n), dtype=dtype)
 
     for t in range(n):
         check_stopped("rollout stopped at step %d", t)
-        np.divide(paths.spot[:, t], strike, out=column)
-        operand[:, 0] = np.log(column, out=column)
-        operand[:, 1] = taus[t]
-        operand[:, 2] = np.sqrt(paths.variance[:, t], out=column)
+        np.divide(paths.spot[:, t], strike, out=row)
+        operand[0] = np.log(row, out=row)
+        operand[1] = taus[t]
+        operand[2] = np.sqrt(paths.variance[:, t], out=row)
         if saved is not None:
-            saved[0][t] = operand[:, :INPUT_DIM]
+            saved[0][t] = operand[:INPUT_DIM]
         for layer in range(N_LAYERS):
             if saved is None:
-                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
-                             i, f, o, g, g, c[layer], h[layer])
-            else:  # g, unused here, is the scratch that takes tanh(c)
-                gates, checkpoints, buffer = saved[1][layer]
-                ad.lstm_cell(reads[layer], weights[layer], biases[layer], c[layer],
-                             *gates[:, t], g, c[layer], h[layer])
+                ad.lstm_cell(reads[layer], weights[layer], c[layer],
+                             gates, scratch, c[layer], h[layer])
+            else:
+                tape, checkpoints, buffer = saved[1][layer]
+                ad.lstm_cell(reads[layer], weights[layer], c[layer],
+                             tape[t], scratch, c[layer], h[layer])
                 if (t + 1) % len(buffer) == 0 and t + 1 < n:
                     checkpoints[t // len(buffer)] = c[layer]
-        np.matmul(h[-1], params["w_out"], out=head)
+        h_top[...] = h[-1].T
+        np.matmul(h_top, params["w_out"], out=head)
         head += params["b_out"]
         if not np.isfinite(head).all():
             raise NumericalDivergenceError(f"non-finite hedge ratio at step {t}")
         out[:, t] = head[:, 0]
-        operand[:, INPUT_DIM - 1] = head[:, 0]
+        operand[INPUT_DIM - 1] = head[:, 0]
     return out
 
 
@@ -268,11 +293,12 @@ def _segment_steps(n_steps: int) -> int:
 
 
 def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
-    """Empty state for a saving :func:`_infer` of ``paths``, in the
-    parameters' dtype: (n_steps, B, INPUT_DIM) inputs, and per layer a tape
-    of three arrays, with K = :func:`_segment_steps`: (4, n_steps, B, H) for
-    the gates i, f, o and g; (ceil(n_steps / K) - 1, B, H) for c at the end
-    of every segment of K steps but the last; and the (K, B, H) buffer that
+    """Empty state for a saving :func:`_infer` of ``paths``, feature-major
+    and in the parameters' dtype: (n_steps, INPUT_DIM, B) inputs, and per
+    layer a tape of three arrays, with K = :func:`_segment_steps`:
+    (n_steps, 4H, B) for the gates, rows i, f, o and g, each step's block
+    written by one GEMM; (ceil(n_steps / K) - 1, H, B) for c at the end of
+    every segment of K steps but the last; and the (K, H, B) buffer that
     ``autodiff.backward`` rebuilds one segment's c into. So the tape holds
     about 4·H + 2·H/sqrt(n_steps) values per path and cell, and the buffer,
     held with it, keeps the backward's working memory flat in n_steps.
@@ -287,11 +313,11 @@ def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
     pipeline_tiny's later bodies peaking at 143.5 MB against 132.8 MB."""
     n, n_paths = paths.n_steps, paths.n_paths
     dtype, hidden, steps = params["w_out"].dtype, params["w_hh_0"].shape[0], _segment_steps(n)
-    gates = np.empty((N_LAYERS, 4, n, n_paths, hidden), dtype)
-    return (np.empty((n, n_paths, INPUT_DIM), dtype),
+    gates = np.empty((N_LAYERS, n, 4 * hidden, n_paths), dtype)
+    return (np.empty((n, INPUT_DIM, n_paths), dtype),
             [(gates[k],
-              np.empty((-(-n // steps) - 1, n_paths, hidden), dtype),
-              np.empty((steps, n_paths, hidden), dtype))
+              np.empty((-(-n // steps) - 1, hidden, n_paths), dtype),
+              np.empty((steps, hidden, n_paths), dtype))
              for k in range(N_LAYERS)])
 
 
@@ -303,8 +329,8 @@ def forward_rollout(
     Reads the model and allocates its own buffers, so concurrent calls on
     threads are safe (``ensemble.aggregate`` makes one per member and block
     of paths). A block of paths gives the full batch's rows bit for bit when
-    it starts at a multiple of 4 rows and is a multiple of 4 long or runs to
-    the end (see :func:`_infer`). ``out``, when given, is a float64 (B,
+    it starts at a multiple of 16 rows and is a multiple of 16 long or runs
+    to the end (see :func:`_infer`). ``out``, when given, is a float64 (B,
     n_steps) array, possibly a row view of a larger one, that receives the
     hedge ratios and becomes the schedule's ``delta``; otherwise one is made.
     """

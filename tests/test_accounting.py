@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,3 +277,32 @@ def test_pnl_csv_equals_the_csv_writer_output(dtype):
     fh = io.StringIO()
     write_pnl_csv(report, fh)
     assert fh.getvalue() == csv_writer_pnl(report)
+
+
+class CountingSink:
+    """A file that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_pnl_csv_releases_its_columns_before_the_join():
+    """tracemalloc peak of a 10,000-path export, whose text is about 0.7 MB:
+    2.5 MB when the columns' Python floats are dropped before the lines are
+    joined, 3.2 MB when they were kept alive through the join."""
+    gen = np.random.default_rng(5)
+    columns = [gen.normal(0.0, 0.1, 10_000) for _ in range(4)]
+    report = PnLReport(*columns, trade_size=np.zeros(10_000), strategy_label="x")
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_pnl_csv(report, sink)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 600_000
+    assert peak <= 2_800_000

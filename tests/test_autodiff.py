@@ -28,26 +28,26 @@ class TestLstmCell:
         inference's aliasing (c is c_prev, tanh(c) over g) gives the same c and h."""
         gen = np.random.default_rng(1)
         B, inp, H = 4, 3, 5
-        xh = gen.normal(size=(B, inp + H))
-        c_prev = gen.normal(size=(B, H))
+        xh = np.concatenate([gen.normal(size=(inp + H, B)), np.ones((1, B))])
+        c_prev = gen.normal(size=(H, B))
         w = gen.normal(size=(inp + H, 4 * H))
         b = gen.normal(size=4 * H)
-        scales = (0.5, 0.5, 0.5, 1.0)
-        weights = [w[:, k * H : (k + 1) * H] * s for k, s in enumerate(scales)]
-        biases = [b[k * H : (k + 1) * H] * s for k, s in enumerate(scales)]
-        i, f, o, g, tc, c, h = np.empty((7, B, H))
-        ad.lstm_cell(xh, weights, biases, c_prev, i, f, o, g, tc, c, h)
+        halves = np.repeat([0.5, 0.5, 0.5, 1.0], H)[:, None]
+        weight = np.concatenate([w, b[None]]).T * halves
+        gates, tc, c, h = np.empty((4 * H, B)), np.empty((H, B)), np.empty((H, B)), np.empty((H, B))
+        ad.lstm_cell(xh, weight, c_prev, gates, tc, c, h)
+        i, f, o, g = gates.reshape(4, H, B)
 
-        pre = xh @ w + b
-        i_ref, f_ref, o_ref = (expit(pre[:, k * H : (k + 1) * H]) for k in range(3))
-        g_ref = np.tanh(pre[:, 3 * H :])
+        pre = w.T @ xh[:-1] + b[:, None]
+        i_ref, f_ref, o_ref = (expit(pre[k * H : (k + 1) * H]) for k in range(3))
+        g_ref = np.tanh(pre[3 * H :])
         c_ref = f_ref * c_prev + i_ref * g_ref
         for got, ref in ((i, i_ref), (f, f_ref), (o, o_ref), (g, g_ref), (c, c_ref),
                          (tc, np.tanh(c_ref)), (h, o_ref * np.tanh(c_ref))):
             assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
-        c_reused, gates, h_reused = c_prev.copy(), np.empty((4, B, H)), np.empty((B, H))
-        ad.lstm_cell(xh, weights, biases, c_reused, *gates, gates[3], c_reused, h_reused)
+        c_reused, gates, h_reused = c_prev.copy(), np.empty((4 * H, B)), np.empty((H, B))
+        ad.lstm_cell(xh, weight, c_reused, gates, gates[3 * H :], c_reused, h_reused)
         assert c_reused.tobytes() == c.tobytes() and h_reused.tobytes() == h.tobytes()
 
     def test_gradients_match_finite_differences(self):

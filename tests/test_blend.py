@@ -106,8 +106,9 @@ def gradients_during_fit(problem, objective, monkeypatch, iterations=8):
     seen = []
     step = ad.Adam.step
 
-    def recording_step(self, grads):
-        seen.append(([float(p) for p in self.params], [float(g) for g in grads]))
+    def recording_step(self, grads):  # the fit's one (2,) array of coefficients
+        (coefs,), (grad,) = self.params, grads
+        seen.append((coefs.tolist(), grad.tolist()))
         step(self, grads)
 
     monkeypatch.setattr(ad.Adam, "step", recording_step)

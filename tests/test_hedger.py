@@ -18,10 +18,14 @@ import _thread
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import CancelledError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,28 +116,47 @@ def paths_300():
 # (dtype, chunked) -> sha256 of the parameter gradients in PARAM_NAMES order
 PINNED_GRADS = {
     ("float32", False):
-        "55535d0c7f27f192612dea886cc34e9585f5e31bfa711ac8b8781b8fc2031428",
+        "aca3d8881106f5afb92e36bc8b1b89079a8eb507f2bb5d046a680cf9316b8abd",
     ("float64", False):
-        "3d773913a09fccc95b3d35d999d8850c236b2b2abbf4852af0a13572aa4c6b8d",
+        "ac08f3f05e1c95c14457e98b565ee76cec01d0549701c502f74602f866fdc5d8",
     ("float32", True):
-        "070c30112523be4665267964b4cb15335a9887a7722a13d0610211ca7634be46",
+        "0233e20195ec8044823e9e1d3c730161d593cd67f7cf40bfcee0b77d16d44fbd",
     ("float64", True):
-        "ffed72851201798185b2133d4086752f336adb9954c7a4c1a2ce34bb0285ac95",
+        "0e8401a469ff57764f10c2c50aee00154576071b2a1d00f10c748b32792f120f",
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
-    "81aa3d5421a1866b9294e761cc9fbf5fe26349b3bafa434db749d3fa741ce692",
-    "6a5ae6a9b51f53b83874f88321248fb1c2e15b975a66692e9d2e4d607a1ee7e5",
+    "b7e4df60671bfddada4e3b8191f0ee8df5e51c4343b4b264d811708d0064ecac",
+    "c34bb627bc51f4806d57eadb4247878a1af7745a4078868835ee3a3908d03e57",
 )
+
+
+PINNED_GRADS_CODE = """
+import sys
+import numpy as np
+import test_hedger as t
+dtype, chunked = sys.argv[1:]
+if chunked == "True":
+    t.hedger.TAPE_BATCH_LIMIT = 64
+print(t.sha256(t.chunked_grads(t.parameters(np.dtype(dtype)), t.heston_paths(300))))
+"""
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["single_tape", "chunked"])
-def test_pinned_gradients(paths_300, monkeypatch, dtype, chunked):
-    params = parameters(np.dtype(dtype))
-    if chunked:
-        monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 64)
-    assert sha256(chunked_grads(params, paths_300)) == PINNED_GRADS[dtype, chunked]
+def test_pinned_gradients(dtype, chunked):
+    """The 300-path batch's gradients, computed in a fresh interpreter with
+    one BLAS thread, as CI and perfbench run. A multi-threaded OpenBLAS
+    splits a GEMM's paths among its threads, and in float64 a split that
+    leaves a partial panel of paths rounds those paths otherwise, so the
+    float64 single-tape gradient depends on the BLAS thread count."""
+    path = [str(Path(hedger.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", PINNED_GRADS_CODE, dtype, str(chunked)],
+                            capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert result.stdout.strip() == PINNED_GRADS[dtype, chunked]
 
 
 def test_pinned_training_trajectory():
@@ -505,13 +528,14 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     model = model_in(np.dtype(dtype))
     taped, (_, tapes) = saving_forward(model.params, paths)
     gates, _, buffer = tapes[-1]
+    o_rows = slice(2 * hedger.HIDDEN, 3 * hedger.HIDDEN)
     recomputed = np.empty_like(taped)
     for t in range(n_steps):
         segment, offset = divmod(t, len(buffer))
         if offset == 0:
             states = ad._cell_states(tapes[-1], segment)
-        h_top = np.multiply(gates[2, t], np.tanh(states[offset]))
-        head = h_top @ model.params["w_out"]
+        h_top = np.multiply(gates[t, o_rows], np.tanh(states[offset]))
+        head = h_top.T.copy() @ model.params["w_out"]  # the (B, H) copy the head reads
         head += model.params["b_out"]
         recomputed[:, t] = head[:, 0]
     assert recomputed.tobytes() == taped.tobytes()
@@ -521,6 +545,29 @@ def test_kernel_equals_the_tape_bit_for_bit(dtype, n_steps, n_paths):
     assert delta.tobytes() == taped.tobytes()
     schedule = hedger.forward_rollout(model, paths, STRIKE).delta
     assert schedule.tobytes() == np.asarray(taped, dtype=float).tobytes()
+
+
+# n_paths -> sha256 of the float32 seed-7 model's hedge ratios on 126 steps,
+# from forward_rollout (the schedule's float64) and from a saving forward
+# (float32), recorded with per-gate (B, H) GEMMs before the state became
+# feature-major
+PINNED_FORWARD = {
+    500: ("459a8c3a128811a71e4565316765ca57dadd5a8d53a78b97da0b2d98a650e3f2",
+          "2eb60b44aa5f286d2762fa6d93ed042a09af9db1e8ea5be9169451accbf85f87"),
+    2512: ("601392894c1905354d15c7066e3557ee79c016f23510c4529d2fd8824652ddce",
+           "417e00145632dec4c96056503c2730243ef1c2e0b10f331f2aef9cc38f9db4d6"),
+}
+
+
+@pytest.mark.parametrize("n_paths", sorted(PINNED_FORWARD))
+def test_pinned_forward(n_paths):
+    """A float32 model's hedge ratios keep their bits: 500 paths, and 2,512,
+    the last of aggregate's 10,000-path blocks."""
+    paths = heston_paths(n_paths, seed=n_paths, grid=PathGrid(n_steps=126, maturity=0.5))
+    model = model_in(np.float32)
+    plain = hedger.forward_rollout(model, paths, STRIKE).delta
+    taped, _ = saving_forward(model.params, paths)
+    assert (sha256([plain]), sha256([taped])) == PINNED_FORWARD[n_paths]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -539,7 +586,7 @@ def test_checkpointed_gradients_equal_those_of_a_tape_of_every_cell_state(
     segmented = ad.backward(params, saved, g_delta)
     monkeypatch.setattr(hedger, "_segment_steps", lambda n: 1)
     every_step, every_saved = saving_forward(params, paths)
-    assert every_saved[1][0][1].shape == (n_steps - 1, 9, 8)
+    assert every_saved[1][0][1].shape == (n_steps - 1, 8, 9)
     assert every_step.tobytes() == delta.tobytes()
     assert sha256(ad.backward(params, every_saved, g_delta)) == sha256(segmented)
 
