@@ -95,11 +95,10 @@ def _path_blocks(n_paths: int) -> list[tuple[int, int]]:
 
     A block is two training shards long because an inference rollout keeps
     no tape, and shorter blocks cost time on threads: on a 2-vCPU host with
-    one BLAS thread, aggregating 5 members over 10,000 x 126 paths took
-    3.4-4.2 s in 2,500-row blocks and 4.2-4.9 s in 1,250-row ones (5 runs
-    each, alternating), most likely because the threads' rollouts then make
-    twice as many numpy calls per path and hand the GIL over at each. On one
-    thread the 1,250-row blocks were the faster, 5.7-6.6 s against 6.3-7.1 s.
+    one BLAS thread, aggregating 5 float32 members over 10,000 x 126 paths
+    on two threads took a median 1.89 s in 2,500-row blocks and 2.04 s in
+    1,250-row ones (9 runs each), while on one thread the 1,250-row blocks
+    were the faster, 3.24 s against 3.40 s.
     """
     count = -(-n_paths // (2 * SHARD_PATHS))
     size = n_paths // count // _BLOCK_ALIGN * _BLOCK_ALIGN

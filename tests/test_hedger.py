@@ -290,7 +290,7 @@ def test_a_kept_tape_epoch_tapes_one_shard_per_thread(monkeypatch):
 def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_sigint):
     """Ctrl-C 0.1 s into the gradient of a 5,000 x 126 float32 epoch (four
     1,250-path shards rolled out, saving, two at a time on two threads,
-    0.28-0.51 s each on a 2-vCPU host) raises within 0.3 s: both running
+    0.17-0.27 s each on a 2-vCPU host) raises within 0.3 s: both running
     saving rollouts stop at their next step, the other two shards never
     start, and no shard thread is left alive. Two usable CPUs, so that the
     shards run on pool threads on any host."""
