@@ -77,14 +77,18 @@ class PnLReport:
         )
 
 
+PNL_BLOCK_ROWS = 2048  # rows per HedgePnL in compute_pnl, which bounds its four (rows, n+1) buffers
+
+
 def compute_pnl(
     paths: MarketPaths, hedges: HedgeSchedule, cost: CostSpec, strike: float
 ) -> PnLReport:
     """Terminal P&L of a short call hedged with ``hedges`` on ``paths``.
 
-    Validates the inputs, then runs the forward of :class:`HedgePnL`, the
-    accounting training differentiates, in float64; the report keeps its
-    per-path gains, costs and mean |position change|, not the per-step arrays.
+    Validates the inputs, then runs the forward of :class:`HedgePnL` in
+    float64 on blocks of ``PNL_BLOCK_ROWS`` paths, which change no bit, as
+    each path's values depend only on its own row. The report keeps the
+    per-path gains, costs and mean |position change|.
     """
     require_real("strike", strike, above=0)
     if hedges.delta.shape != (paths.n_paths, paths.n_steps):
@@ -92,65 +96,77 @@ def compute_pnl(
             f"hedge schedule shape {hedges.delta.shape} does not match "
             f"paths ({paths.n_paths} x {paths.n_steps})"
         )
-    account = HedgePnL(np.asarray(paths.spot, dtype=float), cost.cost_rate, strike)
-    pnl = account.pnl(hedges.delta)
-    return PnLReport(
-        pnl=pnl,
-        hedge_gains=account.gains,
-        transaction_costs=account.costs,
-        payoff=account.payoff,
-        trade_size=np.abs(account.changes, out=account.changes).mean(axis=1),
-        strategy_label=hedges.strategy_label,
-    )
+    spot = np.asarray(paths.spot, dtype=float)
+    report = PnLReport(*np.empty((5, paths.n_paths)), strategy_label=hedges.strategy_label)
+    for lo in range(0, paths.n_paths, PNL_BLOCK_ROWS):
+        rows = slice(lo, lo + PNL_BLOCK_ROWS)
+        account = HedgePnL(spot[rows], cost.cost_rate, strike)
+        report.pnl[rows] = account.pnl(hedges.delta[rows])
+        report.hedge_gains[rows], report.transaction_costs[rows] = account.gains, account.costs
+        report.payoff[rows], report.trade_size[rows] = account.payoff, account.trades.mean(axis=1)
+        del account  # so that the next block's buffers can take its memory
+    return report
 
 
 class HedgePnL:
-    """P&L of (B, n) hedge arrays on fixed (B, n+1) spots, and its VJP.
+    """P&L of hedges on fixed (B, n+1) spots, and its derivative in the hedges.
 
-    The one accounting of the reports (:func:`compute_pnl` runs its forward)
-    and of hedger training, which also runs its VJP: its output g_delta is
-    where the LSTM's hand-written backward (``autodiff.backward``) starts.
-    Costs sum |change| * (c S). It works in the dtype of ``spot``, which it
-    keeps, with two (B, n+1) buffers allocated once and reused by every call. (The blend fit
-    differentiates in its own coefficients instead; see
-    ``blend._BlendProblem``.)
+    The one accounting: :func:`compute_pnl` runs its forward, training maps
+    d loss / d pnl through :meth:`vjp` into ``autodiff.backward``, and the
+    blend fit chains :meth:`weights` through its coefficients. It works in
+    the dtype of ``spot`` and computes once dS_t (0 at t = n), c S_t and the
+    payoff. :attr:`delta` is a (B, n+1) view, column n (the unwind) 0, of one
+    flat buffer holding the hedges row after row behind a leading zero, so
+    one shifted subtraction of the buffer from itself gives every position
+    change dd_t = delta_t - delta_{t-1}, t = 0..n. :meth:`pnl` then writes
+    |dd| (:attr:`trades`) over it: a caller that writes :attr:`delta` writes
+    all of it.
     """
 
     def __init__(self, spot: np.ndarray, cost_rate: float, strike: float):
-        self.spot, self.cost_rate = spot, cost_rate
+        self.d_spot = np.zeros_like(spot)
+        np.subtract(spot[:, 1:], spot[:, :-1], out=self.d_spot[:, :-1])
+        self.cost_spot = cost_rate * spot
         self.payoff = np.maximum(spot[:, -1] - strike, 0.0)
-        self.changes = np.empty_like(spot)  # dd_t = delta_t - delta_{t-1}, t = 0..n
-        self._work = np.empty_like(spot)  # scratch of pnl and vjp
+        self._flat = np.zeros(spot.size + 1, dtype=spot.dtype)
+        self.delta = self._flat[1:].reshape(spot.shape)
+        self.changes = np.empty_like(spot)
 
-    def pnl(self, delta: np.ndarray) -> np.ndarray:
-        """P&L per path; keeps the per-path ``gains`` and ``costs``, and the
-        position changes for :meth:`vjp`."""
-        n, spot, work, changes = delta.shape[1], self.spot, self._work, self.changes
-        np.subtract(spot[:, 1:], spot[:, :-1], out=work[:, :n])  # dS_t
-        work[:, :n] *= delta
-        self.gains = work[:, :n].sum(axis=1)
-        changes[:, 0] = delta[:, 0]
-        np.subtract(delta[:, 1:], delta[:, :-1], out=changes[:, 1:n])
-        np.subtract(0.0, delta[:, -1], out=changes[:, n])
-        np.multiply(spot, self.cost_rate, out=work)
-        work *= changes
-        self.costs = np.abs(work, out=work).sum(axis=1)  # |dd| c S, as c S >= 0
+    def pnl(self, delta: np.ndarray | None = None) -> np.ndarray:
+        """P&L per path of the (B, n) hedges ``delta``, or of :attr:`delta` as
+        it stands; keeps the per-path ``gains`` and ``costs``, and the position
+        changes for :meth:`weights`."""
+        if delta is not None:
+            self.delta[:, :-1] = delta
+            self.delta[:, -1] = 0.0
+        np.subtract(self._flat[1:], self._flat[:-1], out=self.changes.reshape(-1))
+        self.gains = np.einsum("ij,ij->i", self.delta, self.d_spot)
+        self.trades = np.abs(self.changes, out=self.delta)
+        self.costs = np.einsum("ij,ij->i", self.cost_spot, self.trades)
         return self.gains - self.costs - self.payoff
 
+    def weights(self, rows=slice(None)) -> np.ndarray:
+        """d pnl / d delta_t = dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}),
+        sgn(0) = 0, at the last :meth:`pnl` call, on the paths ``rows``.
+
+        A (rows, n+1) array whose column n is no derivative. A slice (every
+        row by default) writes it over the position changes and c S sgn(dd)
+        over the spent hedge buffer, valid until the next :meth:`pnl`; an
+        index array gives new arrays.
+        """
+        changes = self.changes[rows]
+        # Not in place: np.sign writing over its input ran 7x slower.
+        signed_cost = np.sign(changes, out=self.delta[rows] if isinstance(rows, slice) else None)
+        signed_cost *= self.cost_spot[rows]
+        weights = np.subtract(self.d_spot[rows], signed_cost, out=changes)
+        weights.reshape(-1)[:-1] += signed_cost.reshape(-1)[1:]
+        return weights
+
     def vjp(self, g_pnl: np.ndarray) -> np.ndarray:
-        """d sum(g_pnl * pnl) / d delta_t = g (dS_t - c S_t sgn(dd_t) + c S_{t+1}
-        sgn(dd_{t+1})) at the last :meth:`pnl` call, sgn(0) = 0, as a new
-        array of the buffers' dtype."""
-        spot, part = self.spot, self._work
-        np.multiply(spot, self.cost_rate, out=part)
-        np.copysign(part, self.changes, out=part)
-        part[self.changes == 0.0] = 0.0
-        part *= -g_pnl[:, None]
-        out = np.subtract(spot[:, 1:], spot[:, :-1])  # dS_t
-        out *= g_pnl[:, None]
-        out += part[:, :-1]
-        out -= part[:, 1:]
-        return out
+        """d sum(g_pnl * pnl) / d delta at the last :meth:`pnl` call, as a new
+        (B, n) array of the buffers' dtype."""
+        weights = self.weights()[:, :-1]
+        return np.multiply(weights, g_pnl[:, None], out=np.empty_like(weights))
 
 
 def write_pnl_csv(report: PnLReport, file) -> None:

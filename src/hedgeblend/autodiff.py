@@ -3,7 +3,7 @@
 :func:`lstm_cell` is the one cell step of ``hedger._infer``, the one rollout
 of inference and training. :func:`backward` is backpropagation through time
 by hand: from g_delta, the gradient of the loss in the hedge ratios (closed
-form, by ``accounting.HedgePnL`` and ``risk.entropic_risk``), it sweeps
+form, by ``accounting.HedgePnL.vjp`` and ``risk.entropic_risk``), it sweeps
 the steps in reverse over the gates a saving forward kept, rebuilding the
 cell states one segment at a time from the forward's checkpoints and
 recomputing tanh(c) and h from them, and returns the parameter gradients.

@@ -7,12 +7,12 @@ updates plain arrays) on precomputed hedges: only the blend weights move,
 never the underlying strategies. The fit's gradient is closed-form; no LSTM
 is rolled out or backpropagated. The objective and its gradient in the P&L
 (entropic softmax weights or the CVaR tail subgradient) come from
-``risk.RiskSpec.loss``, whose entropic case is training's loss; the P&L is
-differentiated in the blend coefficients directly, by the fit's own kernel
-(:class:`_BlendProblem`), which computes once what stays fixed during the
-fit. Its P&L equals ``accounting.compute_pnl``'s, and the objectives it
-reports equal ``risk.entropic_risk`` and ``-risk.cvar`` of that P&L, within
-1e-12 relative.
+``risk.RiskSpec.loss``, whose entropic case is training's loss; the P&L and
+its derivative in the hedges come from ``accounting.HedgePnL``, the
+accounting of the reports and of training, chained through the blend
+coefficients by :func:`fit_blend`. The objectives it reports equal
+``risk.entropic_risk`` and ``-risk.cvar`` of ``accounting.compute_pnl``'s
+P&L within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import rng
-from .accounting import CostSpec, HedgeSchedule
+from .accounting import CostSpec, HedgePnL, HedgeSchedule
 from .autodiff import Adam
 from .ensemble import EnsembleOutput
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
@@ -107,92 +107,6 @@ class BlendFit:
         )
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-class _BlendProblem:
-    """The blended P&L as a function of the blend coefficients, and its gradient.
-
-    With t = tanh(z / 2), alpha = (1 + t) / 2 and the blended hedge is
-    delta = mid + t half, where mid = (ens + bs) / 2 and half = (bs - ens) / 2.
-    The P&L of :func:`accounting.compute_pnl` is
-
-        pnl = rowdot(delta, dS) - rowdot(c S, |dd|) - (S_n - K)^+,
-
-    with dd_t = delta_t - delta_{t-1} the position changes t = 0..n of a book
-    that starts and ends flat. Everything but t, delta and dd is fixed during
-    a fit, so it is computed once, here. As dt/dz = (1 - t^2) / 2, the
-    gradient of sum(g pnl) in the intercept and in the coefficient of psi is
-
-        1/2 sum_i g_i rowdot(v, f)_i  with f = 1 and f = psi,
-        v = (half - t (t half)) w,
-        w_t = dS_t - c S_t sgn(dd_t) + c S_{t+1} sgn(dd_{t+1}),  sgn(0) = 0,
-
-    summed over the paths where g is nonzero only: every path for the entropic
-    objective (bar softmax weights that underflow), the tail for CVaR.
-
-    Every per-step array has n + 1 columns, like the position changes: the
-    arrays of n columns (mid, half, dS, psi) get a zero column n, so
-    delta_n = 0 (the unwind) and column n adds nothing to the gains or the
-    gradient. The hedges are stored row after row in one flat buffer
-    behind a leading zero, so one subtraction of the buffer from itself,
-    shifted by one, gives every position change; once the gains are summed
-    the buffer takes the trade sizes |dd|. t half is kept in ``work`` for
-    :meth:`grad`, which then uses ``work`` as its scratch.
-    """
-
-    def __init__(self, spot, ens, bs, psi, cost_rate: float, strike: float):
-        def padded(a):
-            return np.pad(a, ((0, 0), (0, 1)))
-
-        self.psi = padded(psi)
-        self.mid = padded((ens + bs) * 0.5)
-        self.half = padded((bs - ens) * 0.5)
-        self.d_spot = padded(np.diff(spot, axis=1))
-        self.payoff = np.maximum(spot[:, -1] - strike, 0.0)
-        self.cost_spot = cost_rate * spot
-        self.t, self.work, self.changes = (np.empty_like(spot) for _ in range(3))
-        self.flat_delta = np.zeros(spot.size + 1)  # 0, then each row's delta_0 .. delta_n
-
-    def pnl(self, coefs) -> np.ndarray:
-        """P&L per path at the (2,) ``coefs`` (the intercept, then the
-        coefficient of psi); keeps t, t half and the position changes for
-        :meth:`grad`."""
-        t, t_half = self.t, self.work
-        np.multiply(self.psi, 0.5 * coefs[1], out=t)  # z / 2, exactly
-        t += 0.5 * coefs[0]
-        np.tanh(t, out=t)
-        np.multiply(t, self.half, out=t_half)
-        delta = self.flat_delta[1:].reshape(t.shape)
-        np.add(t_half, self.mid, out=delta)
-        np.subtract(self.flat_delta[1:], self.flat_delta[:-1], out=self.changes.reshape(-1))
-        gains = _rowdot(delta, self.d_spot)
-        trades = np.abs(self.changes, out=delta)
-        return gains - _rowdot(self.cost_spot, trades) - self.payoff
-
-    def grad(self, g_pnl: np.ndarray) -> np.ndarray:
-        """d sum(g_pnl pnl) / d coefs at the last :meth:`pnl` call, a (2,) array."""
-        rows = np.flatnonzero(g_pnl)
-        if rows.size == g_pnl.size:
-            rows = slice(None)  # views: the backward overwrites the buffers
-        g, t, half, work = g_pnl[rows], self.t[rows], self.half[rows], self.work[rows]
-        signed_cost = self.changes[rows]
-        zero = signed_cost == 0.0
-        np.copysign(self.cost_spot[rows], signed_cost, out=signed_cost)
-        if zero.any():
-            signed_cost[zero] = 0.0
-        t *= work  # t (t half)
-        np.subtract(half, t, out=t)
-        np.subtract(self.d_spot[rows], signed_cost, out=work)
-        # + c S_{t+1} sgn(dd_{t+1}); column n takes the next row's first term,
-        # which v = 0 there cancels.
-        work.reshape(-1)[:-1] += signed_cost.reshape(-1)[1:]
-        t *= work
-        return np.array([0.5 * (g @ t.sum(axis=1)), 0.5 * (g @ _rowdot(t, self.psi[rows]))])
-
-
 def fit_blend(
     train_paths: MarketPaths,
     ens: EnsembleOutput,
@@ -208,17 +122,16 @@ def fit_blend(
     All hedge ratios and disagreement values are held fixed; each iteration
     evaluates the blended P&L and the objective at the current coefficients,
     then steps them along the closed-form gradient: G = d obj / d pnl from
-    ``objective.loss`` (the CVaR tail subgradient included), then
-    d obj / d coefficient from :class:`_BlendProblem`, which differentiates
-    the P&L in the coefficients directly and only on the paths where G is
-    nonzero. The objective it reports at given coefficients equals
-    ``entropic_risk`` or ``-cvar`` of ``compute_pnl(blend_schedules(...))``
-    within 1e-12 relative; the operations are ordered differently, so values
-    agree to rounding, not bit for bit.
-    The fit is deterministic, from the uninformative 50/50 blend. On a
-    thread of a ``threads.run_threads`` call that is stopped, it raises
-    ``CancelledError`` at its next iteration. An ``objective`` whose kind is
-    not one of ``OBJECTIVES`` is a ParameterError.
+    ``objective.loss`` (the CVaR tail subgradient included), chained, on the
+    paths where G is nonzero only, through ``HedgePnL.weights`` and the
+    blended hedge mid + t half (t = tanh(z / 2), mid = (ens + bs) / 2, half =
+    (bs - ens) / 2), whose derivative in z is half (1 - t^2) / 2. The
+    objective it reports equals ``entropic_risk`` or ``-cvar`` of
+    ``compute_pnl(blend_schedules(...))`` within 1e-12 relative, as that
+    rounds the blended hedge otherwise. The fit is deterministic, from the
+    uninformative 50/50 blend. On a thread of a ``threads.run_threads`` call
+    that is stopped, it raises ``CancelledError`` at its next iteration. An
+    ``objective`` whose kind is not one of ``OBJECTIVES`` is a ParameterError.
     """
     if objective.kind not in OBJECTIVES:
         raise ParameterError(f"unknown blend objective {objective.kind!r}")
@@ -231,9 +144,31 @@ def fit_blend(
     if ens.mean_hedge.delta.shape != shape or bs.delta.shape != shape:
         raise ParameterError("ensemble/bs schedules do not match the training paths")
 
-    problem = _BlendProblem(np.asarray(train_paths.spot, dtype=float), ens.mean_hedge.delta,
-                            bs.delta, ens.disagreement, cost.cost_rate, strike)
+    spot = np.asarray(train_paths.spot, dtype=float)
+    account = HedgePnL(spot, cost.cost_rate, strike)
+    ens_delta, bs_delta = ens.mean_hedge.delta, bs.delta
+    # Column n is 0 in each, so the blended hedge's unwind column is too.
+    mid, half, psi = (np.pad(a, ((0, 0), (0, 1))) for a in (
+        (ens_delta + bs_delta) * 0.5, (bs_delta - ens_delta) * 0.5, ens.disagreement))
+    t, t_half = np.empty_like(spot), np.empty_like(spot)
     g_pnl = np.empty(shape[0])
+
+    def blended_pnl(coefs):  # keeps t and t half for grad
+        np.multiply(psi, 0.5 * coefs[1], out=t)  # z / 2, exactly
+        np.tanh(np.add(t, 0.5 * coefs[0], out=t), out=t)
+        np.multiply(t, half, out=t_half)
+        np.add(t_half, mid, out=account.delta)
+        return account.pnl()
+
+    def grad():  # d sum(g_pnl pnl) / d coefs, on the paths where g_pnl is nonzero
+        rows = np.flatnonzero(g_pnl)
+        if rows.size == g_pnl.size:
+            rows = slice(None)  # views: the gradient overwrites the buffers
+        g, v = g_pnl[rows], t[rows]
+        v *= t_half[rows]
+        np.subtract(half[rows], v, out=v)  # d delta / d (z / 2) = half (1 - t^2)
+        v *= account.weights(rows)
+        return np.array([0.5 * (g @ v.sum(axis=1)), 0.5 * (g @ np.einsum("ij,ij->i", v, psi[rows]))])
 
     coefs = np.zeros(2)
     adam = Adam([coefs], lr=step_size)
@@ -241,11 +176,10 @@ def fit_blend(
     trajectory: list[float] = []
     for iteration in range(iterations):
         check_stopped("blend fit stopped at iteration %d", iteration)
-        pnl = problem.pnl(coefs)
-        value = objective.loss(pnl, g_pnl)
+        value = objective.loss(blended_pnl(coefs), g_pnl)
         if not math.isfinite(value):
             raise NumericalDivergenceError(f"blend objective diverged at iteration {iteration}")
         trajectory.append(value)
-        adam.step([problem.grad(g_pnl)])
+        adam.step([grad()])
 
     return BlendFit(BlendParams(float(coefs[0]), float(coefs[1])), objective, trajectory)

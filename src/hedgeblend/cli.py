@@ -5,6 +5,9 @@ train the members; ``--resume`` reruns every stage after training on the
 members a directory already holds (see :mod:`hedgeblend.pipeline`). Exit
 codes: 0 success, 1 validation failure (a bad flag or config, a failed check,
 or a directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
+
+A rerun reproduces a run's artifacts byte for byte only under the same BLAS
+thread count (``OPENBLAS_NUM_THREADS``), which the CLI leaves as it finds it.
 """
 
 from __future__ import annotations

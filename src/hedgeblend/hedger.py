@@ -5,8 +5,8 @@ scalar head emitting an unconstrained hedge ratio. At each step the network
 sees (log moneyness, time to expiry, instantaneous vol, previous hedge) and
 carries hidden state across the path. Training minimises the entropic risk
 of terminal P&L, transaction costs included. The P&L and the loss are
-differentiated in closed form: the P&L by ``accounting.HedgePnL`` (whose
-forward is also the reports' ``compute_pnl``), the loss by
+differentiated in closed form: the P&L by ``accounting.HedgePnL`` (the
+one accounting, which the reports and the blend fit run too), the loss by
 ``risk.entropic_risk`` (the blend fit's entropic objective too), and the LSTM
 rollout by a hand-written backpropagation through time,
 ``autodiff.backward``, inside :func:`_chunked_backward`.
@@ -412,8 +412,9 @@ def _chunked_backward(
     by :func:`_infer`, which only reads the parameters, and its P&L is
     ``accounting.HedgePnL``'s in the parameters' dtype. The loss is
     ``risk.entropic_risk`` of the concatenated P&L's float64 cast. A seed g
-    = d loss / d pnl is mapped through the shard P&L's VJP to g_delta = d
-    loss / d delta in the parameters' dtype, and ``autodiff.backward``
+    = d loss / d pnl is mapped through the shard P&L's VJP (``HedgePnL.vjp``,
+    g times the ``HedgePnL.weights`` the blend fit also chains) to g_delta =
+    d loss / d delta in the parameters' dtype, and ``autodiff.backward``
     sweeps the shard's saved state (its tape) back from it.
 
     When ``B <= TAPE_BATCH_LIMIT`` each shard's job is one pass: the saving

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgeblend.accounting import (
+    PNL_BLOCK_ROWS,
     CostSpec,
     HedgePnL,
     HedgeSchedule,
@@ -156,6 +157,34 @@ class TestOneAccounting:
         assert {name: a.shape for name, a in arrays.items()} == {
             name: (paths.n_paths,) for name in arrays}
 
+    def test_row_blocks_change_no_bit(self):
+        """compute_pnl runs HedgePnL on blocks of PNL_BLOCK_ROWS paths; on two
+        whole blocks and a partial one, every field equals one whole-batch
+        HedgePnL's, bit for bit."""
+        paths, delta = self.random_case(3, n_paths=2 * PNL_BLOCK_ROWS + 7)
+        report = compute_pnl(paths, HedgeSchedule(delta), CostSpec(5e-4), 1.0)
+        account = HedgePnL(paths.spot, 5e-4, 1.0)
+        whole = {"pnl": account.pnl(delta), "hedge_gains": account.gains,
+                 "transaction_costs": account.costs, "payoff": account.payoff,
+                 "trade_size": account.trades.mean(axis=1)}
+        for name, value in whole.items():
+            assert getattr(report, name).tobytes() == value.tobytes(), name
+
+    def test_row_blocks_bound_the_memory(self):
+        """tracemalloc peak of one compute_pnl on 10,000 x 126 paths: 20.7 MB
+        when it held two (B, n+1) buffers, 8.8 MB with the blocks' four, and
+        about 17 MB if one block's buffers outlived the next block's."""
+        paths, delta = self.random_case(4, n_paths=10_000, n_steps=126)
+        hedges, cost = HedgeSchedule(delta), CostSpec(5e-4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            compute_pnl(paths, hedges, cost, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_000_000
+
     def test_take_equals_the_report_of_those_rows_bit_for_bit(self):
         paths, delta = self.random_case(1)
         rows = np.array([7, 0, 199, 42, 42])
@@ -208,6 +237,20 @@ class TestHedgePnL:
             fd = (up - down) / (2 * h)
             got = grad.reshape(-1)[idx]
             assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got), 1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_weights_of_an_index_array_equal_those_rows_of_all_rows(self, random_case, dtype):
+        """The CVaR blend fit takes the weights of its tail, an index array;
+        training's VJP takes every row's, written into the spent buffers.
+        Column n is no derivative, and the two differ there."""
+        spot, delta = (a.astype(dtype) for a in random_case)
+        delta[:, 3] = delta[:, 2]  # sgn(0) = 0 at a step without a trade
+        account = HedgePnL(spot, 5e-4, 1.0)
+        tail = np.argsort(account.pnl(delta))[:7]
+        subset = account.weights(tail)
+        every = account.weights()
+        assert subset.dtype == every.dtype == dtype
+        assert subset[:, :-1].tobytes() == every[tail, :-1].tobytes()
 
     def test_float32_spot_keeps_float32(self, random_case):
         spot, delta = random_case

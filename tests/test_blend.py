@@ -4,7 +4,8 @@
 trajectory. The 64 x 8 fits were recorded when the fit still differentiated
 the blended P&L on the autodiff tape, the 700 x 126 fits from the fit that
 differentiated it through ``accounting.HedgePnL`` (commit a655e7b). The fit
-now differentiates the P&L in the coefficients directly, in a different
+still runs on ``HedgePnL``, but forms the blended hedge as mid + t half and
+chains ``HedgePnL.weights`` through the coefficients itself, a different
 order of float operations, so it must reproduce them within 1e-12 relative.
 """
 
