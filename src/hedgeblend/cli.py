@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (HedgeblendError, json.JSONDecodeError, OSError) as exc:
+    except (HedgeblendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, StageError) else exc
         if isinstance(cause, NumericalDivergenceError):

@@ -6,14 +6,13 @@ Scales: "desk" trains 100 epochs x 5,000 paths per member, "paper" 500 x
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .accounting import CostSpec
 from .errors import ParameterError, require_integer, require_real
-from .evaluation import MIN_BOOTSTRAP_RESAMPLES, write_json
+from .evaluation import MIN_BOOTSTRAP_RESAMPLES, read_json, write_json
 from .hedger import TrainConfig
 from .market import CALIBRATIONS, HestonParams, PathGrid
 
@@ -129,8 +128,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the JSON file ``path``; a file that is not JSON is a
+        ParameterError naming it."""
+        return cls.from_dict(read_json(path))
 
     def save_json(self, path: str) -> None:
         write_json(path, self.to_dict())

@@ -1,6 +1,6 @@
 """Statistical evaluation, and the one writer of tables and JSON records.
 
-The analyses (quintile win rates, uncertainty drivers, the P&L
+The analyses (quintile win rates, uncertainty drivers, the heatmap, the P&L
 decomposition, paired bootstrap tests) are pure functions of their inputs;
 win is strict inequality throughout, so ties count against the candidate.
 
@@ -8,7 +8,8 @@ Every CSV artifact of a run is formatted by :func:`csv_text`, floats to 12
 significant digits, and every JSON record is written by :func:`write_json`,
 with sorted keys, so identical inputs reproduce identical bytes. The one
 exception is a blend fit's record, which keeps its own key order
-(``blend.BlendFit.to_json``).
+(``blend.BlendFit.to_json``). :func:`read_json` reads a config or a
+training record back.
 """
 
 from __future__ import annotations
@@ -132,24 +133,20 @@ def uncertainty_correlations(psi_bar, paths: MarketPaths) -> tuple[float, float]
     return _pearson(psi_bar, final_moneyness), _pearson(psi_bar, avg_vol)
 
 
-@dataclass
-class HeatmapData:
-    """Mean disagreement per (time bin, moneyness bin); empty bins are NaN."""
-
-    grid: np.ndarray  # (time_bins, moneyness_bins), NaN where unpopulated
-    counts: np.ndarray
-    moneyness_edges: np.ndarray
-    time_edges: np.ndarray  # step-index edges
-
-
 def heatmap_data(
     psi: np.ndarray,
     paths: MarketPaths,
     moneyness_bins: int,
     time_bins: int,
     strike: float = 1.0,
-) -> HeatmapData:
-    """Bin per-step disagreement by (moneyness, time step)."""
+) -> list[list]:
+    """Figure 2's rows: per-step disagreement binned by (time step, moneyness).
+
+    One row per populated bin, in time-major order: ``[time_bin,
+    moneyness_bin, time_center, moneyness_center, mean_disagreement,
+    count]``. The moneyness edges split the observed range of spot / strike
+    evenly, the time edges the step indices.
+    """
     require_integer("moneyness_bins", moneyness_bins, minimum=2)
     require_integer("time_bins", time_bins, minimum=2)
     require_real("strike", strike, above=0)
@@ -170,14 +167,14 @@ def heatmap_data(
     flat = t_idx.ravel() * moneyness_bins + m_idx.ravel()
     counts = np.bincount(flat, minlength=time_bins * moneyness_bins)
     sums = np.bincount(flat, weights=psi.ravel(), minlength=time_bins * moneyness_bins)
-    with np.errstate(invalid="ignore"):
-        grid = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return HeatmapData(
-        grid=grid.reshape(time_bins, moneyness_bins),
-        counts=counts.reshape(time_bins, moneyness_bins),
-        moneyness_edges=m_edges,
-        time_edges=t_edges,
-    )
+    t_mid = (t_edges[:-1] + t_edges[1:]) / 2
+    m_mid = (m_edges[:-1] + m_edges[1:]) / 2
+    rows = []
+    for b in np.flatnonzero(counts):
+        ti, mi = divmod(int(b), moneyness_bins)
+        rows.append([ti, mi, float(t_mid[ti]), float(m_mid[mi]),
+                     float(sums[b] / counts[b]), int(counts[b])])
+    return rows
 
 
 def check_same_paths(reports: list[PnLReport]) -> None:
@@ -210,39 +207,15 @@ def strategy_comparison(reports: list[PnLReport], level: float = 0.05) -> list[C
     return rows
 
 
-@dataclass
-class DecompositionRow:
-    strategy: str
-    mean_gains: float
-    mean_costs: float
-    mean_payoff: float
-    mean_net: float
-    diff_gains: float = 0.0
-    diff_costs: float = 0.0
-    diff_payoff: float = 0.0
-    diff_net: float = 0.0
-
-
-def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[DecompositionRow]:
-    """Component means per strategy plus differences vs. the baseline report."""
+def decompose_pnl(reports: list[PnLReport], baseline: int = 0) -> list[list]:
+    """Table 6's rows: per report, its label, the means of its hedge gains,
+    transaction costs, payoff and net P&L, then those four means minus the
+    baseline report's."""
     check_same_paths(reports)
-    base = reports[baseline]
-    rows = []
-    for r in reports:
-        rows.append(
-            DecompositionRow(
-                strategy=r.strategy_label,
-                mean_gains=float(r.hedge_gains.mean()),
-                mean_costs=float(r.transaction_costs.mean()),
-                mean_payoff=float(r.payoff.mean()),
-                mean_net=float(r.pnl.mean()),
-                diff_gains=float(r.hedge_gains.mean() - base.hedge_gains.mean()),
-                diff_costs=float(r.transaction_costs.mean() - base.transaction_costs.mean()),
-                diff_payoff=float(r.payoff.mean() - base.payoff.mean()),
-                diff_net=float(r.pnl.mean() - base.pnl.mean()),
-            )
-        )
-    return rows
+    means = [[float(c.mean()) for c in (r.hedge_gains, r.transaction_costs, r.payoff, r.pnl)]
+             for r in reports]
+    return [[r.strategy_label, *m, *(x - b for x, b in zip(m, means[baseline]))]
+            for r, m in zip(reports, means)]
 
 
 @dataclass
@@ -323,26 +296,22 @@ def write_rows_csv(path: str, header: list[str], rows) -> None:
         fh.write(csv_text(header, rows))
 
 
+def read_json(path: str):
+    """The JSON value in the file ``path``; ParameterError naming a file that
+    does not decode or does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError
+            raise ParameterError(f"{path} is not a JSON file: {exc}") from None
+
+
 def write_json(path: str, record: dict) -> None:
     """Write ``record`` to ``path`` as JSON: 2-space indent, sorted keys and a
     final newline."""
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_heatmap_csv(path: str, data: HeatmapData) -> None:
-    """Populated bins only: absent bins are omitted rather than zero-filled."""
-    t_mid = (data.time_edges[:-1] + data.time_edges[1:]) / 2
-    m_mid = (data.moneyness_edges[:-1] + data.moneyness_edges[1:]) / 2
-    write_rows_csv(
-        path,
-        ["time_bin", "moneyness_bin", "time_center", "moneyness_center",
-         "mean_disagreement", "count"],
-        [[int(ti), int(mi), float(t_mid[ti]), float(m_mid[mi]),
-          float(data.grid[ti, mi]), int(data.counts[ti, mi])]
-         for ti, mi in zip(*np.nonzero(data.counts))],
-    )
 
 
 def cvar_column(level: float) -> str:
@@ -393,7 +362,9 @@ def file_sha256(path: str) -> str:
 
 
 def write_manifest(path: str, config_record: dict, artifact_dir: str) -> dict:
-    """Run manifest: full configuration plus a hash of every artifact."""
+    """Run manifest: the full configuration plus the SHA-256 of every file
+    directly in ``artifact_dir`` but the manifest; files in subdirectories,
+    such as the checkpoints in ``members/``, are not hashed."""
     artifacts = {}
     for name in sorted(os.listdir(artifact_dir)):
         full = os.path.join(artifact_dir, name)

@@ -85,16 +85,9 @@ TAPE_BATCH_LIMIT = 6144
 # 1,250 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
 # 4 and 16 shards, which 2 or 4 threads share evenly. Each thread tapes one
 # shard at a time, so the shard size and the thread count set the peak
-# memory. On a 2-vCPU host with one BLAS thread (perfbench, alternating
-# pairs), with a tape of 5.08·H values per path and cell that kept every cell
-# state, two 20,000-path epochs (train_paper_batch) peaked at 516-519 MB in
-# 1,250-path shards against 909-912 MB in 2,500-path ones, with median wall
-# times of 18.9 s against 20.2 s (16 pairs); two members' two 5,000-path
-# epochs (train_desk), whose tapes were all kept for a second pass, peaked at
-# 896 MB against 908 MB, in 7.5 s against 7.8 s (10 pairs). With the
-# checkpointed tape (4.25·H) and 1,250-path shards, they peak at a median of
-# 441 MB and, one tape per thread, 440 MB (769 MB with all four desk tapes
-# kept).
+# memory: on a 2-vCPU host with one BLAS thread (perfbench), two
+# 20,000-path epochs (train_paper_batch) and two members' two 5,000-path
+# epochs (train_desk) each peak at about 440 MB.
 # ensemble.aggregate's inference blocks are two shards long (see
 # ensemble._path_blocks).
 SHARD_PATHS = 1250

@@ -24,7 +24,6 @@ run does. Reuse is opt-in because the record does not name the code version.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -72,32 +71,21 @@ HEATMAP_BINS = (12, 8)
 WINRATE_WINDOW = 500
 
 
-class _Stage:
-    """Context manager that tags failures with the stage name.
+@contextlib.contextmanager
+def _stage(name: str, out_dir: str):
+    """Tag a failure with the stage name.
 
     Any exit by exception writes the FAILED marker; errors are re-raised as
     StageError, while KeyboardInterrupt and other non-errors pass unchanged.
     """
-
-    def __init__(self, name: str, out_dir: str):
-        self.name = name
-        self.out_dir = out_dir
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is None:
-            return False
-        marker = os.path.join(self.out_dir, "FAILED")
-        try:
-            with open(marker, "w") as fh:
-                fh.write(f"{self.name}: {exc}\n")
-        except OSError:
-            pass
-        if not isinstance(exc, Exception):
-            return False
-        raise StageError(self.name, str(exc)) from exc
+    try:
+        yield
+    except BaseException as exc:
+        with contextlib.suppress(OSError), open(os.path.join(out_dir, "FAILED"), "w") as fh:
+            fh.write(f"{name}: {exc}\n")
+        if isinstance(exc, Exception):
+            raise StageError(name, str(exc)) from exc
+        raise
 
 
 def validate_gbm(config: RunConfig, threshold: float = 0.06, out_dir: str | None = None) -> dict:
@@ -211,13 +199,15 @@ def load_members(out_dir: str, count: int) -> list[HedgerModel]:
 
 def _resumed_members(config: RunConfig, out_dir: str) -> list[HedgerModel]:
     """The saved members, if the directory's training record matches ``config``;
-    else a ParameterError naming the differing fields or the missing file."""
+    else a ParameterError naming the differing fields, or the record if it is
+    missing or not a JSON object."""
     record_file = os.path.join(out_dir, "members", "training.json")
     if not os.path.isfile(record_file):
         raise ParameterError(f"cannot resume: {record_file} is missing, so no training "
                              "finished in this directory")
-    with open(record_file) as fh:
-        record = json.load(fh)
+    record = ev.read_json(record_file)
+    if not isinstance(record, dict):
+        raise ParameterError(f"cannot resume: {record_file} is not a JSON object")
     wanted = _training_record(config)
     differing = [name for name in TRAINING_FIELDS if record.get(name) != wanted[name]]
     if differing:
@@ -268,14 +258,6 @@ def fit_blends(
     return dict(zip(OBJECTIVES, fits))
 
 
-def write_fits(out_dir: str, fits: dict[str, BlendFit]) -> None:
-    """Write each fit to ``blend_<objective>.json``."""
-    for kind, fit in fits.items():
-        with open(os.path.join(out_dir, f"blend_{kind}.json"), "w") as fh:
-            fh.write(fit.to_json())
-            fh.write("\n")
-
-
 def strategy_schedules(
     ens: EnsembleOutput,
     classical: dict[str, HedgeSchedule],
@@ -314,31 +296,33 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
     strike = config.strike
     label = config.calibration if isinstance(config.calibration, str) else "custom"
 
-    with _Stage("simulate", out_dir):
+    with _stage("simulate", out_dir):
         eval_paths = simulate_eval_paths(config)
 
     if not resume:
-        with _Stage("train", out_dir):
+        with _stage("train", out_dir):
             members = train_members(config, out_dir)
 
-    with _Stage("aggregate", out_dir):
+    with _stage("aggregate", out_dir):
         ens = aggregate(members, eval_paths, strike)
         with open(os.path.join(out_dir, "ensemble_uncertainty.csv"), "w", newline="") as fh:
             write_path_uncertainty_csv(ens, fh)
 
-    with _Stage("classical", out_dir):
+    with _stage("classical", out_dir):
         classical = classical_schedules(config, eval_paths)
 
-    with _Stage("split", out_dir):
+    with _stage("split", out_dir):
         train_idx, test_idx = train_eval_split(
             eval_paths, config.train_fraction, seed=config.eval_seeds[0]
         )
 
-    with _Stage("fit_blend", out_dir):
+    with _stage("fit_blend", out_dir):
         fits = fit_blends(config, eval_paths, ens, classical["bs_delta_fixed"], train_idx)
-        write_fits(out_dir, fits)
+        for kind, fit in fits.items():
+            with open(os.path.join(out_dir, f"blend_{kind}.json"), "w") as fh:
+                fh.write(fit.to_json() + "\n")
 
-    with _Stage("evaluate", out_dir):
+    with _stage("evaluate", out_dir):
         schedules = strategy_schedules(ens, classical,
                                        {kind: fit.params for kind, fit in fits.items()})
         reports_all = {}
@@ -376,8 +360,12 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             zip(("final_moneyness", "average_volatility"), correlations),
         )
 
-        heatmap = ev.heatmap_data(ens.disagreement, eval_paths, *HEATMAP_BINS, strike)
-        ev.write_heatmap_csv(os.path.join(out_dir, "fig2_heatmap.csv"), heatmap)
+        ev.write_rows_csv(
+            os.path.join(out_dir, "fig2_heatmap.csv"),
+            ["time_bin", "moneyness_bin", "time_center", "moneyness_center",
+             "mean_disagreement", "count"],
+            ev.heatmap_data(ens.disagreement, eval_paths, *HEATMAP_BINS, strike),
+        )
 
         comparison = ev.strategy_comparison(list(reports_test.values()), level=config.cvar_level)
         ev.write_comparison_csv(
@@ -385,20 +373,16 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
         )
 
         cvar_spec = RiskSpec("cvar", level=config.cvar_level)
-        bootstrap_entries = []
-        for rival in ("bs_delta_fixed", "whalley_wilmott"):
-            res = ev.paired_bootstrap(
-                reports_test["blend_cvar"].pnl, reports_test[rival].pnl,
-                cvar_spec, resamples=config.bootstrap_resamples,
-                seed=config.eval_seeds[0],
+        bootstrap_entries = [
+            (f"blend_cvar_vs_{rival}", spec.kind, ev.paired_bootstrap(
+                reports_test["blend_cvar"].pnl, reports_test[rival].pnl, spec,
+                resamples=resamples, seed=config.eval_seeds[0]))
+            for rival, spec, resamples in (
+                ("bs_delta_fixed", cvar_spec, config.bootstrap_resamples),
+                ("whalley_wilmott", cvar_spec, config.bootstrap_resamples),
+                ("bs_delta_fixed", RiskSpec("mean"), config.mean_bootstrap_resamples),
             )
-            bootstrap_entries.append((f"blend_cvar_vs_{rival}", "cvar", res))
-        res = ev.paired_bootstrap(
-            reports_test["blend_cvar"].pnl, reports_test["bs_delta_fixed"].pnl,
-            RiskSpec("mean"), resamples=config.mean_bootstrap_resamples,
-            seed=config.eval_seeds[0],
-        )
-        bootstrap_entries.append(("blend_cvar_vs_bs_delta_fixed", "mean", res))
+        ]
         ev.write_bootstrap_csv(os.path.join(out_dir, "table5_bootstrap.csv"), bootstrap_entries)
 
         ev.write_decomposition_csv(
@@ -426,7 +410,7 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             [(label, row.strategy, row.cvar) for row in comparison],
         )
 
-    with _Stage("seed_stability", out_dir):
+    with _stage("seed_stability", out_dir):
         seed_rows = _seed_stability(config, members, fits, reports_all)
         ev.write_rows_csv(
             os.path.join(out_dir, "seed_stability.csv"),
@@ -434,7 +418,7 @@ def full_pipeline(config: RunConfig, out_dir: str, resume: bool = False) -> Pipe
             seed_rows,
         )
 
-    with _Stage("report", out_dir):
+    with _stage("report", out_dir):
         manifest = ev.write_manifest(
             os.path.join(out_dir, "manifest.json"), config.to_dict(), out_dir
         )

@@ -1,4 +1,7 @@
+import _thread
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -69,3 +72,30 @@ def default_sigint():
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     yield
     signal.signal(signal.SIGINT, previous)
+
+
+@pytest.fixture
+def interrupt_when_running(monkeypatch, default_sigint):
+    """``arm(module, jobs)`` wraps ``module.check_stopped`` so that
+    ``_thread.interrupt_main()`` fires once ``jobs`` threads have each passed
+    checkpoint 2 (a rollout's step, a blend fit's iteration), so the Ctrl-C
+    always lands while those jobs run. It returns a list that receives the
+    ``time.perf_counter()`` of the moment it fires."""
+
+    def arm(module, jobs: int) -> list[float]:
+        fired, passed, lock = [], set(), threading.Lock()
+        check = module.check_stopped
+
+        def checked(message, index):
+            if index > 2 and not fired:
+                with lock:
+                    passed.add(threading.current_thread())
+                    if len(passed) == jobs and not fired:
+                        fired.append(time.perf_counter())
+                        _thread.interrupt_main()
+            check(message, index)
+
+        monkeypatch.setattr(module, "check_stopped", checked)
+        return fired
+
+    return arm

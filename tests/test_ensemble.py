@@ -1,6 +1,5 @@
 """The concurrent (member, path-block) rollouts of ``aggregate``."""
 
-import _thread
 import csv
 import dataclasses
 import io
@@ -288,12 +287,12 @@ def test_a_diverging_member_is_named_once(monkeypatch):
                                 CALIBRATIONS["baseline"], GRID, CostSpec(5e-4), 1.0)
 
 
-def test_interrupt_main_stops_the_running_rollouts(monkeypatch, default_sigint):
-    """Ctrl-C 0.3 s into a 5 x 10,000 x 126 aggregate (20 block rollouts and
-    several seconds of work) raises within 0.3 s: the rollouts running then
-    stop at their next step, none starts after it, and no rollout thread is
-    left alive. Two usable CPUs, so that the rollouts run on pool threads
-    on any host."""
+def test_interrupt_main_stops_the_running_rollouts(monkeypatch, interrupt_when_running):
+    """Ctrl-C once the first two of a 5 x 10,000 x 126 aggregate's 20 block
+    rollouts (several seconds of work) have passed step 2 raises within
+    0.3 s: the rollouts running then stop at their next step, none starts
+    after it, and no rollout thread is left alive. Two usable CPUs, so that
+    the rollouts run on pool threads on any host."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=126, maturity=0.5),
                             10000, seed=22)
@@ -310,15 +309,10 @@ def test_interrupt_main_stops_the_running_rollouts(monkeypatch, default_sigint):
             raise
 
     monkeypatch.setattr(ensemble, "forward_rollout", recorded)
-    timer = threading.Timer(0.3, _thread.interrupt_main)
-    started = time.perf_counter()
-    timer.start()
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            ensemble.aggregate(members, paths, 1.0)
-    finally:
-        timer.join(timeout=5)
-    assert time.perf_counter() - started - 0.3 < 0.3
+    fired = interrupt_when_running(hedger, jobs=2)
+    with pytest.raises(KeyboardInterrupt):
+        ensemble.aggregate(members, paths, 1.0)
+    assert time.perf_counter() - fired[0] < 0.3
     assert 0 < len(record) < 20
     for thread, exc in record:
         assert not thread.is_alive()

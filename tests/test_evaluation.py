@@ -123,33 +123,38 @@ class TestHeatmap:
         return psi, heatmap_data(psi, small_paths, 12, 8, self.STRIKE)
 
     def test_counts_cover_every_path_step(self, small_paths, heatmap):
-        _, data = heatmap
-        assert data.counts.shape == data.grid.shape == (8, 12)
-        assert data.counts.sum() == small_paths.n_paths * small_paths.n_steps
+        _, rows = heatmap
+        assert sum(row[5] for row in rows) == small_paths.n_paths * small_paths.n_steps
 
-    def test_nan_exactly_in_the_empty_bins(self, heatmap):
-        _, data = heatmap
-        empty = data.counts == 0
-        assert empty.any() and not empty.all()
-        assert np.array_equal(np.isnan(data.grid), empty)
+    def test_empty_bins_have_no_row(self, heatmap):
+        """Rows are the populated bins only, each once, in time-major order."""
+        _, rows = heatmap
+        bins = [(row[0], row[1]) for row in rows]
+        assert bins == sorted(bins) and len(set(bins)) == len(bins)
+        assert 0 < len(rows) < 8 * 12
+        assert all(row[5] > 0 for row in rows)
 
     def test_each_bin_is_the_masked_mean(self, small_paths, heatmap):
-        psi, data = heatmap
+        psi, rows = heatmap
         n = small_paths.n_steps
         moneyness = small_paths.spot[:, :n] / self.STRIKE
         steps = np.broadcast_to(np.arange(n), moneyness.shape)
         m_edges = np.linspace(moneyness.min(), moneyness.max(), 13)
         t_edges = np.linspace(0, n, 9)
-        assert np.array_equal(data.moneyness_edges, m_edges)
-        assert np.array_equal(data.time_edges, t_edges)
+        by_bin = {(row[0], row[1]): row for row in rows}
         for ti in range(8):
             in_time = (steps >= t_edges[ti]) & (steps < t_edges[ti + 1])
             for mi in range(12):
                 upper = moneyness <= m_edges[-1] if mi == 11 else moneyness < m_edges[mi + 1]
                 mask = in_time & (moneyness >= m_edges[mi]) & upper
-                assert data.counts[ti, mi] == mask.sum()
-                if mask.any():
-                    assert data.grid[ti, mi] == pytest.approx(psi[mask].mean(), rel=1e-12)
+                if not mask.any():
+                    assert (ti, mi) not in by_bin
+                    continue
+                _, _, t_center, m_center, mean, count = by_bin[ti, mi]
+                assert t_center == (t_edges[ti] + t_edges[ti + 1]) / 2
+                assert m_center == (m_edges[mi] + m_edges[mi + 1]) / 2
+                assert count == mask.sum()
+                assert mean == pytest.approx(psi[mask].mean(), rel=1e-12)
 
     @pytest.mark.parametrize("strike, message", [
         (float("nan"), "must be a finite real number, got nan"),
@@ -281,13 +286,26 @@ class TestDecompose:
             [self._report(delta, baseline_paths, label="a"),
              self._report(delta, baseline_paths, label="b")]
         )
-        assert rows[1].diff_gains == 0 and rows[1].diff_costs == 0
-        assert rows[1].diff_payoff == 0 and rows[1].diff_net == 0
+        assert [row[0] for row in rows] == ["a", "b"]
+        assert rows[1][5:] == [0.0, 0.0, 0.0, 0.0]
+
+    def test_rows_are_the_component_means_and_their_differences(self, baseline_paths,
+                                                                rng_np):
+        shape = (baseline_paths.n_paths, baseline_paths.n_steps)
+        reports = [self._report(rng_np.uniform(0.0, 1.0, size=shape), baseline_paths,
+                                label=label) for label in ("a", "b", "c")]
+        rows = decompose_pnl(reports, baseline=1)
+        for row, r in zip(rows, reports):
+            assert row[:5] == [r.strategy_label, float(r.hedge_gains.mean()),
+                               float(r.transaction_costs.mean()), float(r.payoff.mean()),
+                               float(r.pnl.mean())]
+            assert row[4] == pytest.approx(row[1] - row[2] - row[3], abs=1e-12)
+            assert row[5:] == [x - b for x, b in zip(row[1:5], rows[1][1:5])]
 
     def test_zero_cost_spec_zeroes_cost_column(self, baseline_paths, rng_np):
         delta = rng_np.normal(0, 0.3, size=(baseline_paths.n_paths, baseline_paths.n_steps))
         rows = decompose_pnl([self._report(delta, baseline_paths, cost_rate=0.0)])
-        assert rows[0].mean_costs == 0.0
+        assert rows[0][2] == 0.0
 
     def test_path_count_mismatch_rejected(self, baseline_paths):
         delta = np.zeros((baseline_paths.n_paths, baseline_paths.n_steps))

@@ -14,7 +14,6 @@ shard from its own softmax and weights the shard gradients, so it equals
 one tape up to float rounding.
 """
 
-import _thread
 import dataclasses
 import hashlib
 import json
@@ -287,13 +286,13 @@ def test_a_kept_tape_epoch_tapes_one_shard_per_thread(monkeypatch):
     assert counts["moved"] == 0
 
 
-def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_sigint):
-    """Ctrl-C 0.1 s into the gradient of a 5,000 x 126 float32 epoch (four
-    1,250-path shards rolled out, saving, two at a time on two threads,
-    0.17-0.27 s each on a 2-vCPU host) raises within 0.3 s: both running
-    saving rollouts stop at their next step, the other two shards never
-    start, and no shard thread is left alive. Two usable CPUs, so that the
-    shards run on pool threads on any host."""
+def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_when_running):
+    """Ctrl-C once both running shards of a 5,000 x 126 float32 epoch's
+    gradient (four 1,250-path shards rolled out, saving, two at a time on two
+    threads, 0.17-0.27 s each on a 2-vCPU host) have passed step 2 raises
+    within 0.3 s: both saving rollouts stop at their next step, the other two
+    shards never start, and no shard thread is left alive. Two usable CPUs,
+    so that the shards run on pool threads on any host."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     paths = heston_paths(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
     record = []
@@ -309,15 +308,10 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, default_si
             raise
 
     monkeypatch.setattr(hedger, "_infer", recorded)
-    timer = threading.Timer(0.1, _thread.interrupt_main)
-    started = time.perf_counter()
-    timer.start()
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            chunked_grads(parameters(np.float32), paths)
-    finally:
-        timer.join(timeout=5)
-    assert time.perf_counter() - started - 0.1 < 0.3
+    fired = interrupt_when_running(hedger, jobs=2)
+    with pytest.raises(KeyboardInterrupt):
+        chunked_grads(parameters(np.float32), paths)
+    assert time.perf_counter() - fired[0] < 0.3
     assert len(record) == 2
     for thread, saving, exc in record:
         assert saving

@@ -5,7 +5,6 @@ paths, 100 bootstrap resamples) takes about a second and backs the
 reproducibility, CLI, resume and concurrent blend-fit checks.
 """
 
-import _thread
 import json
 import os
 import shutil
@@ -591,19 +590,14 @@ def record_real_fits(monkeypatch) -> dict:
 
 class TestInterruptibleBlendFits:
     def test_interrupt_main_ends_both_fits_within_a_second(self, large_blend_inputs, monkeypatch,
-                                                           default_sigint):
+                                                           interrupt_when_running):
+        """Ctrl-C once both fits have passed iteration 2 ends both within a
+        second."""
         record = record_real_fits(monkeypatch)
-        timer = threading.Timer(0.5, _thread.interrupt_main)
-        started = time.perf_counter()
-        timer.start()
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                pipeline.fit_blends(*large_blend_inputs)
-        finally:
-            timer.join(timeout=5)
-        assert not timer.is_alive()
-        waited = time.perf_counter() - started - 0.5
-        assert waited < 1.0
+        fired = interrupt_when_running(blend, jobs=2)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.fit_blends(*large_blend_inputs)
+        assert time.perf_counter() - fired[0] < 1.0
         assert set(record) == {"entropic", "cvar"}
         for thread, exc in record.values():
             assert not thread.is_alive()
@@ -634,6 +628,36 @@ class TestExitCodes:
         config.write_text(json.dumps({"no_such_key": 1}))
         code = cli.main(["full-pipeline", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("content", [b'{"eval_paths": 100, "grid": {"n_st',
+                                         b"\x89PNG\r\n\x1a\n\x00\xff\xfe\x00"],
+                             ids=["truncated", "binary"])
+    def test_a_config_that_is_not_json(self, tmp_path, capsys, content):
+        """A binary config file once ended in a UnicodeDecodeError traceback."""
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        out = tmp_path / "X"
+        code = cli.main(["full-pipeline", "--config", str(config), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config} is not a JSON file: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [('{"train": ', "is not a JSON file: "),
+                                                  ("[1]", "is not a JSON object")],
+                             ids=["truncated", "list"])
+    def test_a_training_record_that_is_not_a_json_object(self, run_dir, tmp_path, capsys,
+                                                          content, message):
+        """A list once ended in an AttributeError traceback."""
+        out = copy_run(run_dir[0], tmp_path)
+        record = os.path.join(out, "members", "training.json")
+        with open(record, "w") as fh:
+            fh.write(content)
+        assert cli.main(["full-pipeline", "--resume", "--out", out]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{record} {message}" in err
 
     def test_divergence(self, config_file, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
