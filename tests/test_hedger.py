@@ -112,16 +112,48 @@ def paths_300():
     return heston_paths(300)
 
 
-# (dtype, chunked) -> sha256 of the parameter gradients in PARAM_NAMES order
+# (dtype, chunked) -> sha256 of each parameter's gradient, in PARAM_NAMES order
 PINNED_GRADS = {
-    ("float32", False):
-        "42175cd9845d7deb560e0057cf0b8f2a1a30c7d5295cb6105d89f82db34cc905",
-    ("float64", False):
-        "2773ea70a61fc129eb3d8bc6c5bffee4e45b782aed81d3b081c4c692c61a0f4f",
-    ("float32", True):
-        "5620b95ad8a5d762d387e31561d17528e7ee9ccc980f564db838301f3b22988e",
-    ("float64", True):
-        "cfbb3e5fb2394a2f835473e57162f6fdb6d6320225522084146bec8407fc2272",
+    ("float32", False): (
+        "7fa31a499c9071f8c06bb0d81aa4fce87b30cefc92d1d12ab64b4369256e1c1d",  # w_ih_0
+        "74ddad47a03747500eb54ee83dbe989d6d8ec98b95723777a1ef12499a507d81",  # w_hh_0
+        "214ebc084cbef8b76336408c00441f6067a2f828a52c557fa5e853fb235f7c64",  # b_0
+        "77ff3e5d7bb27e93e7dc1503573912824b57a89049499c0d32aba47416d9b9c4",  # w_ih_1
+        "1ad11195482fb7a568b9321f8ec0482fa03d38a9f0a7810c05bab103361879a2",  # w_hh_1
+        "e6dea7128a4180cf7048a027ec143c1aa3fca29c99bd9fc55a3a3f0b2e7788f2",  # b_1
+        "c91d552526a48cacc9cc9009436423d7da294c7b7fcafecae09953d7674c6494",  # w_out
+        "0c0be6339c30760935396f04f4fde003fa6f8fb86b8724b842882fe54f89ae75",  # b_out
+    ),
+    ("float64", False): (
+        "e31f647e019e95f62455c3d1e72b80587fbc1a194d3ea29e8b3e3dffe1c4733d",  # w_ih_0
+        "bcc55f514ca6222dbdb8b09487f5db9dd6652bbe7391a0949d9f7095a2b29135",  # w_hh_0
+        "e8164ea38f6061ee97f5e4e72399040be58283ff180007b9c0554d746a0fd49d",  # b_0
+        "492c9f412cfa003873e8a56e691790bd410364f3837cc9af812ed3b283926873",  # w_ih_1
+        "360afd5a3a4cdb1ebbfd6b796452b4e4ab4f42ca1698fc54395a28ee35d6bfd0",  # w_hh_1
+        "0650e3abbbb681e3d7703780173cb7c6a3da28482d2568140d3a670aa219f3a9",  # b_1
+        "16807e5c1f93b2665fc67e7fae247873f792c4e7333fccf7441e01beb4c10130",  # w_out
+        "d92de2aa3a349803a1c24f5c03897b14547920144d5378457ce800ba6dd1688a",  # b_out
+    ),
+    ("float32", True): (
+        "9dffc962256a80c0caf8d1350a1260daee69b41c01fb9931677d96eb32c4311f",  # w_ih_0
+        "6a4c7a68cde98405eeed9f17f5ca24acc2276ae178041fc1d804176bbd686c86",  # w_hh_0
+        "da7ec2eea324ce349bc23f10c839c2122208223bb66b2531dd056b2e70a447e6",  # b_0
+        "0a5c2b6e4b68359b3187ad07c80eea0921becc4b5f8667d71b1f7be9a8647463",  # w_ih_1
+        "12b8693fc5326381cba84429c56114cc691b6fcb02a63db37aa3328d8efd0412",  # w_hh_1
+        "d78692cb6162d7f1f5a796aa90f10b0d49a5036f723989cd0f0312af78feb819",  # b_1
+        "248c70c9211616caa38d02f70a0b42da5ad055d3bf3b1a79b180e90147d1d0c1",  # w_out
+        "0c0be6339c30760935396f04f4fde003fa6f8fb86b8724b842882fe54f89ae75",  # b_out
+    ),
+    ("float64", True): (
+        "2b1d74058398e30bd783a4f32fa00bf0ff7dd8d7fe064eea3e093cfa225cf7a8",  # w_ih_0
+        "f527df47d589c63fa7e4e91d0e0857d833ad5805a64776162bc72920d8dbb883",  # w_hh_0
+        "3d46f10d9794c5eaaf9267620cfdd33d610b7cc3dbfb5317b11e2b3876fbf122",  # b_0
+        "2ece2275b9782d0c962de39642a5d396cc5a9cdb2d2f9c8f10f2b058b67f70ec",  # w_ih_1
+        "9107a9473a960ae1ded63782d75e425f791117b1d3f5048107474a992bfad957",  # w_hh_1
+        "500de5580091b1ed8194157df8412b81dcd8126eff176f9718e41a26b499d1a9",  # b_1
+        "7544ebbdf90d5e7335dfaaa0e7f4c61c7bc6bb0dd2796c61f7bc2c5f615d35cd",  # w_out
+        "d92de2aa3a349803a1c24f5c03897b14547920144d5378457ce800ba6dd1688a",  # b_out
+    ),
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
@@ -137,7 +169,8 @@ import test_hedger as t
 dtype, chunked = sys.argv[1:]
 if chunked == "True":
     t.hedger.TAPE_BATCH_LIMIT = 64
-print(t.sha256(t.chunked_grads(t.parameters(np.dtype(dtype)), t.heston_paths(300))))
+print(*(t.sha256([g]) for g in t.chunked_grads(t.parameters(np.dtype(dtype)),
+                                                  t.heston_paths(300))))
 """
 
 
@@ -155,7 +188,9 @@ def test_pinned_gradients(dtype, chunked):
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     result = subprocess.run([sys.executable, "-c", PINNED_GRADS_CODE, dtype, str(chunked)],
                             capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert result.stdout.strip() == PINNED_GRADS[dtype, chunked]
+    names = hedger.PARAM_NAMES
+    assert (dict(zip(names, result.stdout.split()))
+            == dict(zip(names, PINNED_GRADS[dtype, chunked])))
 
 
 def test_pinned_training_trajectory():
