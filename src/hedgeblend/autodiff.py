@@ -13,8 +13,10 @@ The state is feature-major: a cell's input, gates, c and h hold one column
 per path, (features, B), so a step's four gates are one (4H, K) @ (K, B)
 GEMM and every element-wise op runs over rows B values long, the layout of
 cuDNN's recurrent kernels (Appleyard, Kočiský and Blunsom, 2016).
-Everything stays in the parameters' dtype: float32 parameters, state and
-g_delta give float32 gradients.
+The backward keeps that layout: per layer and step, one GEMM against the
+forward's operand [input; h_prev; 1] gives the weight's gradient and, as
+its last row, the bias's. Everything stays in the parameters' dtype:
+float32 parameters, state and g_delta give float32 gradients.
 """
 
 from __future__ import annotations
@@ -115,12 +117,26 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     the incoming gradients:
     dc += dh o (1 - tanh²c); d_pre = [dc g i(1-i); dc c_prev f(1-f);
     dh tanh(c) o(1-o); dc i (1-g²)], one (4H, B) block; the input's gradient
-    is [w_ih; w_hh] @ d_pre, c_prev's is dc f, and the stacked weight's is
-    one xh @ d_pre.T GEMM on the contiguous xh = [input; h_prev], split into
-    w_ih and w_hh at the end, and the bias's is d_pre.sum(axis=1). Each
-    weight's per-step gradients are summed from t = n-1 down, the first one
-    taken as it is. The products are grouped as written, so the gradients
-    keep the bits the tests pin.
+    is [w_ih; w_hh] @ d_pre, c_prev's is dc f, and the weight's and the
+    bias's are one xh @ d_pre.T GEMM against xh = [input; h_prev; 1], the
+    forward's operand layout, whose row of ones makes the bias's gradient
+    the product's last row. Each layer's per-step products are summed from
+    t = n-1 down, the first one taken as it is, and split into w_ih, w_hh
+    and b at the end.
+
+    Every operation of a cell writes into a buffer allocated once per call:
+    per layer xh, its gradient (whose h rows, summed in place with the
+    recurrent gradient, are the dh of the layer below) and the two
+    weight-gradient blocks; shared by the layers the head's dh, dc, d_pre
+    and the gates' slopes, s(1-s) made once over the 3H sigmoid rows and
+    1-g² over the g rows, so that d_pre is four products and one
+    multiplication by the slopes. The products keep their
+    grouping: (dh o)(1 - tanh²c) + the incoming dc, (dc g)(i(1-i)), (dc
+    c_prev)(f(1-f)), (dh tanh c)(o(1-o)) and (dc i)(1-g²), each slope
+    computed as (1-s)s, and a product of two rounded values does not depend
+    on their order. So every gradient but the LSTM biases' keeps the bits of
+    the written-out form; the biases', summed over the paths in the GEMM's
+    order rather than pairwise by ``sum``, differ from it by float rounding.
     """
     inputs, tapes = saved
     if g_delta.shape != (inputs.shape[2], len(inputs)):
@@ -132,7 +148,7 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
                 or checkpoints.shape[::2] != (-(-n // len(buffer)) - 1, n_paths)):
             raise ParameterError(f"tape of shapes {gates.shape}, {checkpoints.shape}, "
                                  f"{buffer.shape} for {n_paths} paths of {n} steps")
-    n_layers, hidden = len(tapes), tapes[0][2].shape[1]
+    n_layers, hidden, dtype = len(tapes), tapes[0][2].shape[1], g_delta.dtype
     # per layer [tanh(c), h] at step t (now) and at step t-1 (then)
     now = [np.empty((2, hidden, n_paths), dtype=tapes[k][0].dtype) for k in range(n_layers)]
     then = [np.empty_like(buffer) for buffer in now]
@@ -152,12 +168,22 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
         recompute(k, n - 1, now[k])
     stacked = [np.concatenate([params[f"w_ih_{k}"], params[f"w_hh_{k}"]])
                for k in range(n_layers)]
+    inputs_of = [len(params[f"w_ih_{k}"]) for k in range(n_layers)]
     w_out = params["w_out"]
-    zeros = np.zeros((hidden, n_paths), dtype=g_delta.dtype)
-    d_c = [zeros] * n_layers  # into c_k[t], from step t+1
+    # Per layer, allocated once: the operand [input; h_prev; 1], the gradient
+    # into its first two blocks, and the step's and the summed d[w_ih; w_hh; b].
+    xh = [np.ones((len(w) + 1, n_paths), dtype=dtype) for w in stacked]
+    d_xh = [np.empty((len(w), n_paths), dtype=dtype) for w in stacked]
+    parts = [np.empty((len(w) + 1, 4 * hidden), dtype=dtype) for w in stacked]
+    totals = [np.empty_like(part) for part in parts]
+    # Shared by the layers: the head's dh, the cell's dc, d_pre and the slopes.
+    d_top, dc, slope_c = (np.empty((hidden, n_paths), dtype=dtype) for _ in range(3))
+    d_pre, slopes = (np.empty((4 * hidden, n_paths), dtype=dtype) for _ in range(2))
+    zeros = np.zeros((hidden, n_paths), dtype=dtype)  # c_prev and h_prev at t = 0
+    d_c = [np.zeros_like(zeros) for _ in range(n_layers)]  # into c_k[t], from step t+1
     d_h = [None] * n_layers  # into h_k[t] through step t+1's recurrent input
     d_delta = None  # into delta[t] through step t+1's input
-    totals = None  # per layer d[w_ih; w_hh] and d b, then d w_out and d b_out
+    head = None  # d w_out and d b_out
 
     for t in range(n - 1, -1, -1):
         if t:
@@ -165,42 +191,51 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
                 recompute(k, t - 1, then[k])
         d_head = g_delta[:, t]
         d_head = d_head.copy() if d_delta is None else d_head + d_delta
-        parts = [None] * (2 * n_layers) + [(now[-1][1] @ d_head)[:, None],
-                                           d_head.sum(keepdims=True)]
-        dh = w_out * d_head  # (H, 1) times the (B,) row: the (H, B) outer product
+        head_parts = [(now[-1][1] @ d_head)[:, None], d_head.sum(keepdims=True)]
+        dh = np.multiply(w_out, d_head, out=d_top)  # (H, 1) times the (B,) row
         for k in range(n_layers - 1, -1, -1):
             if d_h[k] is not None:
-                dh = dh + d_h[k]
-            i, f, o, g = tapes[k][0][t].reshape(4, hidden, n_paths)
+                dh += d_h[k]
+            gates = tapes[k][0][t]
+            i, f, o, g = gates.reshape(4, hidden, n_paths)
             tc = now[k][0]
-            c_prev, h_prev = (cell_state(k, t - 1), then[k][1]) if t else (zeros, zeros)
-            dc = d_c[k] + dh * o * (1.0 - tc**2)
-            d_pre = np.empty((4 * hidden, n_paths), dtype=g_delta.dtype)
-            d_pre[:hidden] = dc * g * (i * (1.0 - i))
-            d_pre[hidden : 2 * hidden] = dc * c_prev * (f * (1.0 - f))
-            d_pre[2 * hidden : 3 * hidden] = dh * tc * (o * (1.0 - o))
-            d_pre[3 * hidden :] = dc * i * (1.0 - g**2)
-            d_xh = stacked[k] @ d_pre
-            below = inputs[t] if k == 0 else now[k - 1][1]
-            xh = np.concatenate([below, h_prev])
-            parts[2 * k : 2 * k + 2] = xh @ d_pre.T, d_pre.sum(axis=1)
-            d_c[k] = dc * f
-            d_h[k] = d_xh[len(below) :]
-            if k:
-                dh = d_xh[:hidden]
+            np.multiply(tc, tc, out=slope_c)
+            np.subtract(1.0, slope_c, out=slope_c)
+            np.multiply(dh, o, out=dc)
+            dc *= slope_c
+            dc += d_c[k]
+            np.multiply(dc, g, out=d_pre[:hidden])
+            np.multiply(dc, cell_state(k, t - 1) if t else zeros, out=d_pre[hidden : 2 * hidden])
+            np.multiply(dh, tc, out=d_pre[2 * hidden : 3 * hidden])
+            np.multiply(dc, i, out=d_pre[3 * hidden :])
+            np.subtract(1.0, gates[: 3 * hidden], out=slopes[: 3 * hidden])
+            slopes[: 3 * hidden] *= gates[: 3 * hidden]
+            np.multiply(g, g, out=slopes[3 * hidden :])
+            np.subtract(1.0, slopes[3 * hidden :], out=slopes[3 * hidden :])
+            d_pre *= slopes
+            np.matmul(stacked[k], d_pre, out=d_xh[k])
+            below = inputs_of[k]
+            xh[k][:below] = inputs[t] if k == 0 else now[k - 1][1]
+            xh[k][below:-1] = then[k][1] if t else zeros
+            if t == n - 1:
+                np.matmul(xh[k], d_pre.T, out=totals[k])
             else:
-                d_delta = d_xh[len(below) - 1]
+                totals[k] += np.matmul(xh[k], d_pre.T, out=parts[k])
+            np.multiply(dc, f, out=d_c[k])
+            d_h[k], dh = d_xh[k][below:], d_xh[k][:hidden]  # dh into the layer below
+            if k == 0:
+                d_delta = d_xh[k][below - 1]
         now, then = then, now
-        if totals is None:
-            totals = parts
+        if head is None:
+            head = head_parts
         else:
-            for total, part in zip(totals, parts):
+            for total, part in zip(head, head_parts):
                 total += part
 
     grads = []
-    for k in range(n_layers):
-        grads += [*np.split(totals[2 * k], [params[f"w_ih_{k}"].shape[0]]), totals[2 * k + 1]]
-    return grads + totals[2 * n_layers :]
+    for below, total in zip(inputs_of, totals):
+        grads += [total[:below], total[below:-1], total[-1]]
+    return grads + head
 
 
 class Adam:

@@ -7,7 +7,9 @@ codes: 0 success, 1 validation failure (a bad flag or config, a failed check,
 or a directory that cannot be resumed), 2 numerical divergence, 3 I/O error.
 
 A rerun reproduces a run's artifacts byte for byte only under the same BLAS
-thread count (``OPENBLAS_NUM_THREADS``), which the CLI leaves as it finds it.
+thread count (``OPENBLAS_NUM_THREADS``), which the CLI leaves as it finds it:
+training's hedge ratios and gradients, the LSTM biases' included, come from
+OpenBLAS GEMMs over the paths, whose split among its threads rounds them.
 """
 
 from __future__ import annotations

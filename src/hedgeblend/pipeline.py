@@ -4,7 +4,9 @@ Every stage is seeded from the run configuration, so a rerun with the same
 config reproduces every artifact byte for byte under the same BLAS thread
 count (``OPENBLAS_NUM_THREADS``; CI and ``perfbench`` set 1): training's
 GEMMs split their paths among the BLAS threads, and the split rounds some
-gradients and hedge ratios otherwise. The path shards of a large
+gradients and hedge ratios otherwise; the LSTM biases' gradients, too, are
+sums over the paths in OpenBLAS, the last row of the weight-gradient GEMM
+(``autodiff.backward``). The path shards of a large
 training epoch are backpropagated, and the ensemble members roll out,
 concurrently on at most as many threads as the process has usable CPUs
 (``threads.run_threads``), and so are the two blend objectives

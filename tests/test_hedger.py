@@ -15,6 +15,7 @@ one tape up to float rounding.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -117,48 +118,48 @@ PINNED_GRADS = {
     ("float32", False): (
         "7fa31a499c9071f8c06bb0d81aa4fce87b30cefc92d1d12ab64b4369256e1c1d",  # w_ih_0
         "74ddad47a03747500eb54ee83dbe989d6d8ec98b95723777a1ef12499a507d81",  # w_hh_0
-        "214ebc084cbef8b76336408c00441f6067a2f828a52c557fa5e853fb235f7c64",  # b_0
+        "4f423893ce6abead0632026b5aee099765d29c30097722cf04b8f25741b6bc03",  # b_0
         "77ff3e5d7bb27e93e7dc1503573912824b57a89049499c0d32aba47416d9b9c4",  # w_ih_1
         "1ad11195482fb7a568b9321f8ec0482fa03d38a9f0a7810c05bab103361879a2",  # w_hh_1
-        "e6dea7128a4180cf7048a027ec143c1aa3fca29c99bd9fc55a3a3f0b2e7788f2",  # b_1
+        "bc62f1d94132481500f737920914779d91cc49bbe472c627258e94fc23c698ad",  # b_1
         "c91d552526a48cacc9cc9009436423d7da294c7b7fcafecae09953d7674c6494",  # w_out
         "0c0be6339c30760935396f04f4fde003fa6f8fb86b8724b842882fe54f89ae75",  # b_out
     ),
     ("float64", False): (
         "e31f647e019e95f62455c3d1e72b80587fbc1a194d3ea29e8b3e3dffe1c4733d",  # w_ih_0
         "bcc55f514ca6222dbdb8b09487f5db9dd6652bbe7391a0949d9f7095a2b29135",  # w_hh_0
-        "e8164ea38f6061ee97f5e4e72399040be58283ff180007b9c0554d746a0fd49d",  # b_0
+        "50259cb3c0cefca5583b7703a55667052bc129ee3e212af059cac54099970ed3",  # b_0
         "492c9f412cfa003873e8a56e691790bd410364f3837cc9af812ed3b283926873",  # w_ih_1
         "360afd5a3a4cdb1ebbfd6b796452b4e4ab4f42ca1698fc54395a28ee35d6bfd0",  # w_hh_1
-        "0650e3abbbb681e3d7703780173cb7c6a3da28482d2568140d3a670aa219f3a9",  # b_1
+        "0667df706cec71e8c9e97cd02f380c661897d15f7adcd3aae002c97af4dbec6f",  # b_1
         "16807e5c1f93b2665fc67e7fae247873f792c4e7333fccf7441e01beb4c10130",  # w_out
         "d92de2aa3a349803a1c24f5c03897b14547920144d5378457ce800ba6dd1688a",  # b_out
     ),
     ("float32", True): (
         "9dffc962256a80c0caf8d1350a1260daee69b41c01fb9931677d96eb32c4311f",  # w_ih_0
         "6a4c7a68cde98405eeed9f17f5ca24acc2276ae178041fc1d804176bbd686c86",  # w_hh_0
-        "da7ec2eea324ce349bc23f10c839c2122208223bb66b2531dd056b2e70a447e6",  # b_0
+        "e304955c355e9b80f1519d79d1510f31ff54a35c8f2ca597678f2b347f3f1c7d",  # b_0
         "0a5c2b6e4b68359b3187ad07c80eea0921becc4b5f8667d71b1f7be9a8647463",  # w_ih_1
         "12b8693fc5326381cba84429c56114cc691b6fcb02a63db37aa3328d8efd0412",  # w_hh_1
-        "d78692cb6162d7f1f5a796aa90f10b0d49a5036f723989cd0f0312af78feb819",  # b_1
+        "cfc9ea13beccf23c00d4b2a99c16e6f349e03e6b98b5cc29db593073a78cc7c9",  # b_1
         "248c70c9211616caa38d02f70a0b42da5ad055d3bf3b1a79b180e90147d1d0c1",  # w_out
         "0c0be6339c30760935396f04f4fde003fa6f8fb86b8724b842882fe54f89ae75",  # b_out
     ),
     ("float64", True): (
         "2b1d74058398e30bd783a4f32fa00bf0ff7dd8d7fe064eea3e093cfa225cf7a8",  # w_ih_0
         "f527df47d589c63fa7e4e91d0e0857d833ad5805a64776162bc72920d8dbb883",  # w_hh_0
-        "3d46f10d9794c5eaaf9267620cfdd33d610b7cc3dbfb5317b11e2b3876fbf122",  # b_0
+        "41b316ba7e364d2a62fb3fe897be4d18362d91c2e8c804d7b5a06d8c2d889d6c",  # b_0
         "2ece2275b9782d0c962de39642a5d396cc5a9cdb2d2f9c8f10f2b058b67f70ec",  # w_ih_1
         "9107a9473a960ae1ded63782d75e425f791117b1d3f5048107474a992bfad957",  # w_hh_1
-        "500de5580091b1ed8194157df8412b81dcd8126eff176f9718e41a26b499d1a9",  # b_1
+        "e4c883e1430bc873b8553513ec1eadd881780eabefdf8637dab1f66dba377889",  # b_1
         "7544ebbdf90d5e7335dfaaa0e7f4c61c7bc6bb0dd2796c61f7bc2c5f615d35cd",  # w_out
         "d92de2aa3a349803a1c24f5c03897b14547920144d5378457ce800ba6dd1688a",  # b_out
     ),
 }
 # sha256 of the parameters and of the loss history after 4 float32 epochs
 PINNED_TRAINED = (
-    "b7023fe24ac4f1c06daa2190ca2a8cd6c74795d3d759c1b1af256f27ca74ae68",
-    "a2e68d991c4e1a7a70df81191404295a99a704796acfd6d951369c68a8f01441",
+    "e1aad4867d2bc1acb0220937527b10afe9be47ae84150cb71beef74859c7b737",
+    "ca9bf9c7af69a48eb736721538b173211288a28d76e005082e0f38fb75c309e0",
 )
 
 
@@ -284,6 +285,88 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
                                                1.0)
         results.append((loss, sha256(grads)))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
+def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
+    """300 float32 paths in five 64-path shards (the last one 44) on two
+    usable CPUs, whose tapes pass from shard to shard within the call: tapes
+    filled with NaN before every saving forward give the gradient of tapes
+    zeroed as fresh memory, and of tapes as the last shard left them, bit
+    for bit, so no shard reads what another wrote. Each call allocates at
+    most one tape per thread, min(shards, usable CPUs, TAPE_BATCH_LIMIT //
+    shard), each one of the first shard's length."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    infer, workspaces, allocations = hedger._infer, hedger._workspaces, []
+
+    def allocating(params, paths):
+        allocations.append(paths.n_paths)
+        return workspaces(params, paths)
+
+    def filling(value):
+        def rollout(params, paths, strike, out=None, *, saved=None):
+            if saved is not None and value is not None:
+                for array in (saved[0], *(array for tape in saved[1] for array in tape)):
+                    array.fill(value)
+            return infer(params, paths, strike, out, saved=saved)
+        return rollout
+
+    monkeypatch.setattr(hedger, "_workspaces", allocating)
+    results = []
+    for value in (0.0, np.nan, None):
+        allocations.clear()
+        monkeypatch.setattr(hedger, "_infer", filling(value))
+        results.append(sha256(chunked_grads(parameters(np.float32), paths_300)))
+        assert 1 <= len(allocations) <= min(5, 2, limit // 64)
+        assert set(allocations) == {64}
+    assert results[0] == results[1] == results[2]
+
+
+def test_no_two_running_shards_share_a_tape(paths_300, monkeypatch):
+    """Stress: 300 paths in 19 shards of 16 on 8 threads, more than the
+    host's CPUs, with a 10 µs thread switch interval. No tape is handed to
+    a shard while another shard's forward or backward holds it, a call
+    allocates at most 8 tapes, and the gradient is the one thread's bit
+    for bit."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
+    infer, backward, workspaces = hedger._infer, ad.backward, hedger._workspaces
+    lock, held, clashes, allocations = threading.Lock(), set(), [], []
+
+    def address(saved):
+        return saved[0].__array_interface__["data"][0]
+
+    def holding(params, paths, strike, out=None, *, saved=None):
+        if saved is not None:
+            with lock:
+                clashes.append(address(saved) in held)
+                held.add(address(saved))
+        return infer(params, paths, strike, out, saved=saved)
+
+    def releasing(params, saved, g_delta):
+        grads = backward(params, saved, g_delta)
+        with lock:
+            held.remove(address(saved))
+        return grads
+
+    monkeypatch.setattr(hedger, "_infer", holding)
+    monkeypatch.setattr(ad, "backward", releasing)
+    monkeypatch.setattr(hedger, "_workspaces",
+                        lambda *args: allocations.append(1) or workspaces(*args))
+    results = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+        allocations.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results.append(sha256(chunked_grads(parameters(np.float32), paths_300)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(allocations) <= cpus
+    assert len(clashes) == 38 and not any(clashes)
+    assert results[0] == results[1]
 
 
 def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
@@ -478,6 +561,23 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.params[name], value), name
     assert loaded.loss_history == model.loss_history
     assert loaded.seed == model.seed
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("damage", ["truncated", "not_a_zip"])
+def test_a_file_that_is_not_an_archive_is_refused_and_closed(tmp_path, damage):
+    """A checkpoint cut in half still starts as a zip archive, so np.load
+    hands its file to a zip reader that fails; a file that is no zip at all
+    np.load refuses. load_model names either in a ParameterError and leaves
+    no file open, which would warn once collected."""
+    model = hedger.init_model(3, hidden=4)
+    filename = tmp_path / "member_1.npz"
+    hedger.save_model(model, str(filename))
+    raw = filename.read_bytes()
+    filename.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"not a checkpoint")
+    with pytest.raises(ParameterError, match="is not a hedger checkpoint"):
+        hedger.load_model(str(filename))
+    gc.collect()
 
 
 def test_a_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
