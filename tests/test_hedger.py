@@ -325,11 +325,11 @@ def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
 
 
 def test_no_two_running_shards_share_a_tape(paths_300, monkeypatch):
-    """Stress: 300 paths in 19 shards of 16 on 8 threads, more than the
-    host's CPUs, with a 10 µs thread switch interval. No tape is handed to
-    a shard while another shard's forward or backward holds it, a call
-    allocates at most 8 tapes, and the gradient is the one thread's bit
-    for bit."""
+    """Stress: 300 paths in 19 shards of 16 on 8 threads, more than a
+    2- or 4-CPU host runs at once, with a 10 µs thread switch interval.
+    No tape is handed to a shard while another shard's forward or backward
+    holds it, a call allocates at most 8 tapes, and the gradient is the one
+    thread's bit for bit."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     infer, backward, workspaces = hedger._infer, ad.backward, hedger._workspaces
     lock, held, clashes, allocations = threading.Lock(), set(), [], []
