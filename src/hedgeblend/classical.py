@@ -29,22 +29,29 @@ def bs_delta(spot, strike, vol, tau):
     """Call delta N(d1); at expiry (or zero vol) the exercise indicator.
 
     d1 = (log(S/K) + vol^2 * tau / 2) / (vol * sqrt(tau)); the S == K tie at
-    the boundary returns 0.5.
+    the boundary returns 0.5. d1 and then N(d1) are computed in place in the
+    result, and the indicator only where an entry is not live.
     """
     spot = np.asarray(spot, dtype=float)
     vol = np.asarray(vol, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ParameterError("tau must be non-negative")
-    indicator = np.where(spot > strike, 1.0, np.where(spot == strike, 0.5, 0.0))
     live = (tau > 0) & (vol > 0)
-    if not live.any():
-        return indicator if indicator.ndim else float(indicator)
-    safe_vol = np.where(live, vol, 1.0)
-    safe_tau = np.where(live, tau, 1.0)
-    with np.errstate(divide="ignore"):
-        value = ndtr(_d1(spot, strike, safe_vol, safe_tau))
-    out = np.where(live, value, indicator)
+    out = np.empty(np.broadcast_shapes(spot.shape, np.shape(strike), live.shape))
+    if live.any():
+        if not live.all():  # 1.0 keeps the d1 of an entry that is not live finite
+            vol = np.where(vol > 0, vol, 1.0)
+            tau = np.where(tau > 0, tau, 1.0)
+        with np.errstate(divide="ignore"):
+            np.log(np.divide(spot, strike, out=out), out=out)
+        out += 0.5 * vol**2 * tau
+        out /= vol * np.sqrt(tau)
+        ndtr(out, out=out)
+    if not live.all():
+        dead = ~np.broadcast_to(live, out.shape)
+        s, k = np.broadcast_to(spot, out.shape)[dead], np.broadcast_to(strike, out.shape)[dead]
+        out[dead] = np.where(s > k, 1.0, np.where(s == k, 0.5, 0.0))
     return out if out.ndim else float(out)
 
 
@@ -129,13 +136,15 @@ def ww_strategy(
     n = paths.n_steps
     taus = paths.grid.taus()[None, :]
     spot, vol = paths.spot[:, :n], _vol_surface(paths, vol)
-    center = bs_delta(spot, strike, vol, taus)
-    width = ww_band_halfwidth(
+    # Step-major copies, so that each step's clip runs on contiguous rows.
+    center = np.ascontiguousarray(bs_delta(spot, strike, vol, taus).T)
+    width = np.ascontiguousarray(ww_band_halfwidth(
         spot, strike, vol, np.maximum(taus, paths.grid.dt), cost_rate, risk_aversion
-    )
+    ).T)
+    lower = center - width
+    upper = np.add(center, width, out=center)
     delta = np.empty_like(center)
     position = np.zeros(paths.n_paths)
     for t in range(n):
-        position = np.clip(position, center[:, t] - width[:, t], center[:, t] + width[:, t])
-        delta[:, t] = position
-    return HedgeSchedule(delta, "whalley_wilmott")
+        position = np.clip(position, lower[t], upper[t], out=delta[t])
+    return HedgeSchedule(np.ascontiguousarray(delta.T), "whalley_wilmott")

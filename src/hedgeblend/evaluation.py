@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import rng
+from . import rng, threads
 from .errors import ParameterError, require_integer, require_real
 from .market import MarketPaths
 from .risk import RiskSpec, cvar, summary
@@ -33,9 +33,10 @@ if TYPE_CHECKING:
 N_QUINTILES = 5
 # Fewest resamples a paired bootstrap accepts; RunConfig checks it up front.
 MIN_BOOTSTRAP_RESAMPLES = 100
-# Resamples a paired bootstrap draws at once: bounds its index matrix to
-# BOOTSTRAP_BLOCK x n paths.
-BOOTSTRAP_BLOCK = 512
+# Resamples a paired bootstrap draws at once. A block is evaluated while the
+# next is drawn, so two blocks bound its index matrices to 2 x BOOTSTRAP_BLOCK
+# x n paths.
+BOOTSTRAP_BLOCK = 256
 
 
 @dataclass
@@ -246,21 +247,25 @@ def paired_bootstrap(
     """Resample paths with replacement; evaluate both strategies on the same
     draws and record the oriented metric difference (A minus B for
     higher-is-better metrics, flipped otherwise). The draws are made
-    ``BOOTSTRAP_BLOCK`` resamples at a time, which changes no result."""
+    ``BOOTSTRAP_BLOCK`` resamples at a time on the calling thread, and each
+    block's metrics are evaluated on a worker while the next block is drawn
+    (``threads.run_overlapped``), which changes no result."""
     pnl_a, pnl_b = _per_path(pnl_a, pnl_b)
     require_integer("resamples", resamples, minimum=MIN_BOOTSTRAP_RESAMPLES)
     n = pnl_a.size
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_BOOTSTRAP))
-
     diffs = np.empty(resamples)
-    done = 0
-    while done < resamples:
-        m = min(BOOTSTRAP_BLOCK, resamples - done)
-        idx = gen.integers(0, n, size=(m, n))
-        d = metric.evaluate(pnl_a[idx]) - metric.evaluate(pnl_b[idx])
-        diffs[done : done + m] = d if metric.higher_is_better else -d
-        done += m
 
+    def blocks():
+        for start in range(0, resamples, BOOTSTRAP_BLOCK):
+            yield start, gen.integers(0, n, size=(min(BOOTSTRAP_BLOCK, resamples - start), n))
+
+    def evaluate(block):
+        start, idx = block
+        d = metric.evaluate(pnl_a[idx]) - metric.evaluate(pnl_b[idx])
+        diffs[start : start + len(idx)] = d if metric.higher_is_better else -d
+
+    threads.run_overlapped(evaluate, blocks())
     lo, hi = np.percentile(diffs, [2.5, 97.5])
     return BootstrapResult(
         mean_diff=float(diffs.mean()),
@@ -277,15 +282,23 @@ def paired_bootstrap(
 def csv_text(header: list[str], rows) -> str:
     """The header line, then one line per row, every line ending in ``\\n``.
 
-    Floats are written to 12 significant digits in ``g`` format and other
-    values as ``str``; a row that is not a list or a tuple is a dataclass
-    and gives its fields in order. Nothing is quoted, so no value may hold
-    a comma.
+    Floats (subclasses too) are written to 12 significant digits in ``g``
+    format and other values as ``str``; a row that is not a list or a tuple
+    is a dataclass and gives its fields in order. Each row is formatted by
+    one %-format string, made once per tuple of value types. Nothing is
+    quoted, so no value may hold a comma.
     """
+    formats = {}
     lines = [",".join(header)]
-    lines += [",".join([f"{v:.12g}" if isinstance(v, float) else str(v)
-                        for v in (row if isinstance(row, (list, tuple)) else astuple(row))])
-              for row in rows]
+    for row in rows:
+        if not isinstance(row, tuple):
+            row = tuple(row) if isinstance(row, list) else astuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.12g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % row)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

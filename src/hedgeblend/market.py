@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, threads
 from .errors import ParameterError, require_integer, require_real
 
 
@@ -117,6 +117,13 @@ class MarketPaths:
         )
 
 
+# Paths per job of a simulation: the row blocks run on threads, each drawing
+# its own rows of the one stream (rng.path_normals), so a batch of at most
+# this many paths runs on the calling thread. Even, so that every block
+# starts where the stream may be entered.
+SIM_BLOCK_ROWS = 2500
+
+
 def simulate_heston(
     params: HestonParams, grid: PathGrid, n_paths: int, seed: int
 ) -> MarketPaths:
@@ -124,31 +131,44 @@ def simulate_heston(
 
     Two independent normals per step drive the spot (z1) and the variance
     shock rho*z1 + sqrt(1-rho^2)*z2, giving exact increment correlation rho.
-    Deterministic for fixed (params, grid, n_paths, seed).
+    Deterministic for fixed (params, grid, n_paths, seed), and row p depends
+    only on (params, grid, seed, p).
+
+    The paths are simulated in blocks of ``SIM_BLOCK_ROWS`` rows, on one
+    ``threads.run_threads`` call. Every array is allocated here and a block
+    writes only its own rows: blocks that allocated their own normals, which
+    the worker threads' malloc arenas then keep, raised the peak RSS of the
+    evaluation pass over 10,000 paths from 202 to 209 MB (2-vCPU host, one
+    BLAS thread, two runs each).
     """
     require_integer("n_paths", n_paths, minimum=1)
     n = grid.n_steps
     dt = grid.dt
-
-    z = rng.path_normals(seed, n_paths, 2 * n).reshape(n_paths, n, 2)
-    z_spot = z[:, :, 0]
-    z_var = params.rho * z_spot + np.sqrt(1.0 - params.rho**2) * z[:, :, 1]
-
+    sqrt_dt = np.sqrt(dt)
+    rho_bar = np.sqrt(1.0 - params.rho**2)
+    normals = np.empty((n_paths, 2 * n))
     spot = np.empty((n_paths, n + 1))
     variance = np.empty((n_paths, n + 1))
-    log_s = np.full(n_paths, np.log(params.s0))
-    v_latent = np.full(n_paths, params.v0)
-    spot[:, 0] = params.s0
-    variance[:, 0] = params.v0
 
-    sqrt_dt = np.sqrt(dt)
-    for t in range(n):
-        v_pos = np.maximum(v_latent, 0.0)
-        vol_dt = np.sqrt(v_pos) * sqrt_dt
-        log_s += -0.5 * v_pos * dt + vol_dt * z_spot[:, t]
-        v_latent = v_latent + params.kappa * (params.theta - v_pos) * dt \
-            + params.sigma_vv * vol_dt * z_var[:, t]
-        spot[:, t + 1] = np.exp(log_s)
-        variance[:, t + 1] = np.maximum(v_latent, 0.0)
+    def block(lo):
+        hi = min(lo + SIM_BLOCK_ROWS, n_paths)
+        z = rng.path_normals(seed, hi - lo, 2 * n, first_row=lo, out=normals[lo:hi])
+        z_spot, z_var = z[:, 0::2], z[:, 1::2]
+        z_var *= rho_bar  # the variance shock rho*z1 + rho_bar*z2, in z2's place
+        z_var += params.rho * z_spot
+        s, v = spot[lo:hi], variance[lo:hi]
+        log_s = np.full(hi - lo, np.log(params.s0))
+        v_latent = np.full(hi - lo, params.v0)
+        s[:, 0] = params.s0
+        v[:, 0] = params.v0
+        for t in range(n):
+            v_pos = np.maximum(v_latent, 0.0)
+            vol_dt = np.sqrt(v_pos) * sqrt_dt
+            log_s += -0.5 * v_pos * dt + vol_dt * z_spot[:, t]
+            v_latent = v_latent + params.kappa * (params.theta - v_pos) * dt \
+                + params.sigma_vv * vol_dt * z_var[:, t]
+            s[:, t + 1] = np.exp(log_s)
+            v[:, t + 1] = np.maximum(v_latent, 0.0)
 
+    threads.run_threads(block, range(0, n_paths, SIM_BLOCK_ROWS))
     return MarketPaths(spot=spot, variance=variance, grid=grid)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import require_integer
+from .errors import ParameterError, require_integer
 
 # Purpose tags mixed into derived seeds. Values are arbitrary but frozen:
 # changing them changes every downstream stream.
@@ -50,13 +50,28 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def path_normals(seed: int, n_paths: int, draws_per_path: int) -> np.ndarray:
-    """Standard normal draws of shape (n_paths, draws_per_path).
+def path_normals(
+    seed: int, n_paths: int, draws_per_path: int, first_row: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Standard normal draws of shape (n_paths, draws_per_path): rows
+    ``first_row`` .. ``first_row + n_paths - 1`` of the stream, written into
+    ``out`` when it is given.
 
     Row p is a pure function of (seed, p, draws_per_path): each path owns a
     contiguous block of the Philox counter, so extending n_paths appends rows
-    without disturbing existing ones.
+    without disturbing existing ones. Philox makes four draws per counter
+    step, so a block of rows may start where that block's first draw,
+    ``first_row * draws_per_path``, is a multiple of four (every even row when
+    draws_per_path is even): the generator's counter is advanced to it, and
+    the rows equal those of one draw from row 0. Blocks drawn this way may
+    be filled on separate threads. ParameterError for any other first row.
     """
-    u = generator(seed).random((n_paths, draws_per_path))
+    require_integer("first_row", first_row, minimum=0)
+    if first_row * draws_per_path % 4:
+        raise ParameterError(
+            f"first_row * draws_per_path must be a multiple of 4, got {first_row} * {draws_per_path}")
+    gen = generator(seed)
+    gen.bit_generator.advance(first_row * draws_per_path // 4)
+    u = gen.random((n_paths, draws_per_path), out=out)
     np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)

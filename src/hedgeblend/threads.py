@@ -1,9 +1,12 @@
 """Thread pools whose jobs stop early when one fails or the caller is interrupted.
 
-The (member, path-block) rollouts of an ensemble, the blend fits and the
-path shards of a training epoch run on threads: their work is numpy array operations, which
-release the GIL, and each job owns its buffers and only reads shared arrays,
-so results equal a serial loop's.
+The (member, path-block) rollouts of an ensemble, the blend fits, the
+path shards of a training epoch and the row blocks of a Heston simulation
+run on threads (:func:`run_threads`), and a paired bootstrap evaluates each
+block of resamples on a worker while the calling thread draws the next one
+(:func:`run_overlapped`). Their work is numpy array operations, which
+release the GIL, and each job writes only its own buffers or rows and only
+reads shared arrays, so results equal a serial loop's.
 
 This module alone decides how many threads run and when a job stops. The
 jobs' one checkpoint, :func:`check_stopped`, is called by ``hedger._infer``
@@ -40,6 +43,25 @@ def check_stopped(message: str, *args) -> None:
         raise CancelledError(message % args)
 
 
+def _stoppable(fn, stop: threading.Event):
+    """``fn`` as a job of the call that owns ``stop``: skipped once ``stop`` is
+    set, setting it when ``fn`` fails, and the target of :func:`check_stopped`
+    on its thread while it runs."""
+    def job(item):
+        if stop.is_set():
+            raise CancelledError("skipped: an earlier job failed or the caller was interrupted")
+        outer, _job.stop = getattr(_job, "stop", None), stop
+        try:
+            return fn(item)
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            _job.stop = outer
+
+    return job
+
+
 def run_threads(fn, items, limit: int | None = None) -> list:
     """``[fn(item) for item in items]`` on ``min(len(items), usable_cpus(),
     limit)`` threads (no limit when None), in item order.
@@ -60,27 +82,13 @@ def run_threads(fn, items, limit: int | None = None) -> list:
     """
     workers = min(len(items), usable_cpus(), len(items) if limit is None else limit)
     stop = threading.Event()
-
-    def job(item):
-        if stop.is_set():
-            raise CancelledError("skipped: an earlier job failed or the caller was interrupted")
-        outer, _job.stop = getattr(_job, "stop", None), stop
-        try:
-            return fn(item)
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            _job.stop = outer
-
+    job = _stoppable(fn, stop)
     if workers <= 1:
         return [job(item) for item in items]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(job, item) for item in items]
-        pending = futures
-        while pending:
-            pending = wait(pending, timeout=POLL_SECONDS).not_done
+        _wait(futures)
         errors = [e for e in (f.exception() for f in futures) if e is not None]
         if errors:
             raise next((e for e in errors if not isinstance(e, CancelledError)), errors[0])
@@ -90,3 +98,45 @@ def run_threads(fn, items, limit: int | None = None) -> list:
         raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_overlapped(fn, items) -> list:
+    """``[fn(item) for item in items]``, with ``fn`` on one worker thread while
+    the calling thread makes the next item, in item order.
+
+    ``items`` is an iterator advanced on the calling thread only, so a
+    serial stream, such as a generator's draws, keeps its order; at most one
+    item is made ahead of the ``fn`` call that runs. The first exception, in
+    ``fn`` or in the calling thread while it makes an item or waits (Ctrl-C
+    included), stops the call as in :func:`run_threads`: no further item is
+    made, and a running ``fn`` that calls :func:`check_stopped` ends early by
+    raising ``CancelledError``. The call returns or raises once ``fn`` has
+    ended. With one usable CPU, ``fn`` runs on the calling thread and no pool
+    is made: the plain loop.
+    """
+    stop = threading.Event()
+    job = _stoppable(fn, stop)
+    if usable_cpus() <= 1:
+        return [job(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=1)
+    futures = []
+    try:
+        for item in items:
+            if futures:
+                _wait(futures[-1:])
+                futures[-1].result()  # raises the call's error before the next item
+            futures.append(pool.submit(job, item))
+        _wait(futures[-1:])
+        return [f.result() for f in futures]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _wait(futures) -> None:
+    """Return once ``futures`` are done, waiting at most POLL_SECONDS at a
+    time, so that a Ctrl-C reaches the calling thread while jobs run."""
+    while futures:
+        futures = wait(futures, timeout=POLL_SECONDS).not_done

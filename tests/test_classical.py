@@ -52,6 +52,25 @@ class TestBsDelta:
         assert bs_delta(1.2, 1.0, 0.0, 0.3) == 1.0
         assert bs_delta(0.8, 1.0, 0.0, 0.3) == 0.0
 
+    def test_equals_the_closed_form_bit_for_bit_on_a_mixed_grid(self):
+        """Live entries give ndtr of d1 grouped as (log(S/K) + 0.5 vol^2 tau)
+        / (vol sqrt(tau)); entries at expiry or at zero vol, the indicator,
+        0.5 at S == K. Spot 0 is a live entry whose d1 is -inf."""
+        gen = np.random.default_rng(3)
+        spot = gen.uniform(0.5, 1.5, (8, 8))
+        spot[0, 0] = spot[3, 3] = 1.0  # a tie at expiry and a live one
+        spot[5, 5] = 0.0
+        vol = np.where(gen.uniform(size=(8, 8)) < 0.2, 0.0, gen.uniform(0.05, 0.6, (8, 8)))
+        tau = np.linspace(0.0, 0.5, 8)
+        live = (tau > 0) & (vol > 0)
+        safe_vol, safe_tau = np.where(live, vol, 1.0), np.where(live, tau, 1.0)
+        with np.errstate(divide="ignore"):
+            d1 = (np.log(spot / 1.0) + 0.5 * safe_vol**2 * safe_tau) / (safe_vol * np.sqrt(safe_tau))
+        indicator = np.where(spot > 1.0, 1.0, np.where(spot == 1.0, 0.5, 0.0))
+        want = np.where(live, classical.ndtr(d1), indicator)
+        assert not live.all() and live.any() and (want == 0.5).any()
+        assert np.array_equal(bs_delta(spot, 1.0, vol, tau), want)
+
     def test_monotone_in_spot_and_bounded(self):
         spots = np.linspace(0.2, 3.0, 400)
         deltas = bs_delta(spots, 1.0, 0.2, 0.25)

@@ -78,6 +78,19 @@ def test_results_do_not_depend_on_the_block_size(pnl, metric, seed, resamples):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+def test_results_do_not_depend_on_the_cpu_count(monkeypatch, metric):
+    """Three blocks of resamples, evaluated on the calling thread with one
+    CPU and on a worker, overlapped with the draws, with two."""
+    gen = np.random.default_rng(8)
+    a, b = gen.normal(size=300), gen.normal(size=300)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation.threads, "usable_cpus", lambda: cpus)
+        results.append(paired_bootstrap(a, b, metric, resamples=600, seed=4))
+    assert results[0] == results[1]
+
+
 @st.composite
 def quintile_inputs(draw):
     n = draw(st.integers(min_value=N_QUINTILES, max_value=80))

@@ -1,9 +1,10 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from hedgeblend import rng
+from hedgeblend import market, rng, threads
 from hedgeblend.blend import train_eval_split
 from hedgeblend.errors import ParameterError
 from hedgeblend.evaluation import paired_bootstrap
@@ -203,6 +204,20 @@ class TestRngStreams:
         b = rng.path_normals(42, 50, 8)
         assert np.array_equal(a, b[:10])
 
+    @pytest.mark.parametrize("first_row, k", [(2, 8), (4, 7), (3, 4), (6, 2)])
+    def test_a_block_of_rows_equals_those_rows_of_one_draw(self, first_row, k):
+        whole = rng.path_normals(42, first_row + 5, k)
+        out = np.empty((5, k))
+        block = rng.path_normals(42, 5, k, first_row=first_row, out=out)
+        assert block is out
+        assert np.array_equal(block, whole[first_row:])
+
+    @pytest.mark.parametrize("first_row, k", [(1, 2), (3, 6), (2, 7)])
+    def test_a_block_that_starts_inside_a_counter_step_is_refused(self, first_row, k):
+        message = f"^first_row \\* draws_per_path must be a multiple of 4, got {first_row} \\* {k}$"
+        with pytest.raises(ParameterError, match=message):
+            rng.path_normals(42, 5, k, first_row=first_row)
+
     def test_derived_seeds_distinct(self):
         seeds = {rng.derive_seed(7, rng.TAG_MEMBER, i) for i in range(100)}
         assert len(seeds) == 100
@@ -236,3 +251,35 @@ def test_zero_simulated_paths(baseline, small_grid):
     """Zero paths is a ParameterError with its message."""
     with pytest.raises(ParameterError, match="^n_paths must be >= 1, got 0$"):
         simulate_heston(baseline, small_grid, 0, seed=1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 2501])
+def test_row_blocks_equal_the_one_block_simulation(monkeypatch, baseline, n_paths, cpus):
+    """An odd step count, so that a row's draws fill no whole number of
+    Philox counter steps; 2,501 paths are a full block and a one-row block."""
+    grid = PathGrid(n_steps=7, maturity=0.5)
+    with monkeypatch.context() as m:
+        m.setattr(market, "SIM_BLOCK_ROWS", 10**9)
+        whole = simulate_heston(baseline, grid, n_paths, seed=11)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+    blocks = simulate_heston(baseline, grid, n_paths, seed=11)
+    assert np.array_equal(blocks.spot, whole.spot)
+    assert np.array_equal(blocks.variance, whole.variance)
+
+
+def test_many_row_blocks_on_more_threads_than_cpus_equal_one_block(monkeypatch, baseline):
+    """Two-row blocks on eight threads, with the interpreter switching
+    threads every microsecond: each block writes only its own rows."""
+    grid = PathGrid(n_steps=5, maturity=0.5)
+    whole = simulate_heston(baseline, grid, 41, seed=5)
+    monkeypatch.setattr(market, "SIM_BLOCK_ROWS", 2)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocks = simulate_heston(baseline, grid, 41, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(blocks.spot, whole.spot)
+    assert np.array_equal(blocks.variance, whole.variance)

@@ -122,3 +122,123 @@ def test_a_stopped_call_cancels_a_rollout_and_a_fit_at_their_next_checkpoint(mon
     assert raised == {"rollout": "rollout stopped at step 0",
                       "fit": "blend fit stopped at iteration 0"}
     threads.check_stopped("never raised outside a job")
+
+
+def overlapped_record(monkeypatch, cpus, fail_at=None, make_error_at=None):
+    """Run ``run_overlapped`` over items 0..5 on ``cpus`` usable CPUs and
+    record, per item, the thread that made it and the number of ``fn``
+    calls then ended, and per call, the thread that ran it. ``fn`` raises
+    ValueError at item ``fail_at``; making item ``make_error_at`` raises
+    KeyError, once the call of the item before it is running."""
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+    made, ran, ended = [], [], []
+    running = threading.Event()
+
+    def items():
+        for k in range(6):
+            if k == make_error_at:
+                running.wait(10)
+                raise KeyError(f"item {k}")
+            made.append((k, threading.get_ident(), len(ended)))
+            yield k
+
+    def fn(k):
+        ran.append((k, threading.get_ident()))
+        try:
+            if k == fail_at:
+                raise ValueError(f"call {k}")
+            if make_error_at is not None and k == make_error_at - 1:
+                running.set()
+                wait_until_stopped()
+            return 10 * k
+        finally:
+            ended.append(k)
+
+    try:
+        return threads.run_overlapped(fn, items()), made, ran
+    except Exception as exc:
+        return exc, made, ran
+
+
+def test_an_overlapped_call_returns_in_order_with_at_most_one_item_made_ahead(monkeypatch):
+    """Every item is made on the calling thread and every call runs on one
+    worker; item k is made only once the call of item k - 2 has ended."""
+    results, made, ran = overlapped_record(monkeypatch, cpus=2)
+    caller = threading.get_ident()
+    assert results == [10 * k for k in range(6)]
+    assert [(k, ident) for k, ident, _ in made] == [(k, caller) for k in range(6)]
+    assert all(ended >= k - 1 for k, _, ended in made)
+    assert [k for k, _ in ran] == list(range(6))
+    assert len({ident for _, ident in ran}) == 1 and caller not in {ident for _, ident in ran}
+
+
+def test_an_overlapped_call_raises_the_error_of_a_call_and_makes_no_further_item(monkeypatch):
+    """Item 3 is made while the call of item 2 runs; once that call has
+    failed, no item is made and no call starts."""
+    error, made, ran = overlapped_record(monkeypatch, cpus=2, fail_at=2)
+    assert isinstance(error, ValueError) and str(error) == "call 2"
+    assert [k for k, _, _ in made] == [0, 1, 2, 3]
+    assert [k for k, _ in ran] == [0, 1, 2]
+    threads.check_stopped("raised after the call")
+
+
+def test_an_error_making_an_item_stops_the_running_call(monkeypatch):
+    """The running call ends at its checkpoint, and the maker's error is the
+    one raised once it has ended."""
+    error, made, ran = overlapped_record(monkeypatch, cpus=2, make_error_at=3)
+    assert isinstance(error, KeyError) and str(error) == "'item 3'"
+    assert [k for k, _ in ran] == [0, 1, 2]
+
+
+def test_with_one_cpu_an_overlapped_call_is_the_plain_loop(monkeypatch):
+    """No pool is made and every item and call stays on the calling thread;
+    a failing call ends the loop before the next item is made."""
+    pools = []
+
+    class Spy(threads.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", Spy)
+    caller = threading.get_ident()
+    results, made, ran = overlapped_record(monkeypatch, cpus=1)
+    assert results == [10 * k for k in range(6)]
+    assert {ident for _, ident, _ in made} == {ident for _, ident in ran} == {caller}
+    error, made, ran = overlapped_record(monkeypatch, cpus=1, fail_at=2)
+    assert isinstance(error, ValueError)
+    assert [k for k, _, _ in made] == [0, 1, 2]
+    assert pools == []
+
+
+def test_interrupt_main_stops_an_overlapped_call(monkeypatch, interrupt_when_running):
+    """Ctrl-C once the worker's call has passed checkpoint 2 raises within
+    0.3 s: the call stops at its next checkpoint, no further item is made,
+    and the worker thread is not left alive."""
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    made, record = [], []
+
+    def items():
+        for k in range(3):
+            made.append(k)
+            yield k
+
+    def fn(k):
+        entry = [threading.current_thread(), None]
+        record.append(entry)
+        try:
+            for step in range(10_000):
+                threads.check_stopped("overlapped call stopped at step %d", step)
+                time.sleep(0.001)
+        except BaseException as exc:
+            entry[1] = exc
+            raise
+
+    fired = interrupt_when_running(threads, jobs=1)
+    with pytest.raises(KeyboardInterrupt):
+        threads.run_overlapped(fn, items())
+    assert time.perf_counter() - fired[0] < 0.3
+    assert made == [0, 1] and len(record) == 1
+    thread, exc = record[0]
+    assert not thread.is_alive()
+    assert isinstance(exc, CancelledError)
