@@ -113,16 +113,19 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     gradients is a few (4H, B) and (H, B) arrays, whatever n_steps.
 
     The sweep runs t = n-1 … 0, and within a step from the head down the
-    layers. The gradient into c starts at zeros. Per cell, with dh and dc
-    the incoming gradients:
+    layers. Every sum it carries starts at zeros, so that each step, the
+    first included, runs one code path: the gradients into c, into each h
+    through the next step's recurrent input and into delta through the next
+    step's input, the head's gradients and each layer's weight gradient;
+    0 + x is x but for the sign of a zero x, so no pinned gradient moved.
+    Per cell, with dh and dc the incoming gradients:
     dc += dh o (1 - tanh²c); d_pre = [dc g i(1-i); dc c_prev f(1-f);
     dh tanh(c) o(1-o); dc i (1-g²)], one (4H, B) block; the input's gradient
     is [w_ih; w_hh] @ d_pre, c_prev's is dc f, and the weight's and the
     bias's are one xh @ d_pre.T GEMM against xh = [input; h_prev; 1], the
     forward's operand layout, whose row of ones makes the bias's gradient
     the product's last row. Each layer's per-step products are summed from
-    t = n-1 down, the first one taken as it is, and split into w_ih, w_hh
-    and b at the end.
+    t = n-1 down and split into w_ih, w_hh and b at the end.
 
     Every operation of a cell writes into a buffer allocated once per call:
     per layer xh, its gradient (whose h rows, summed in place with the
@@ -175,27 +178,26 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
     xh = [np.ones((len(w) + 1, n_paths), dtype=dtype) for w in stacked]
     d_xh = [np.empty((len(w), n_paths), dtype=dtype) for w in stacked]
     parts = [np.empty((len(w) + 1, 4 * hidden), dtype=dtype) for w in stacked]
-    totals = [np.empty_like(part) for part in parts]
+    totals = [np.zeros_like(part) for part in parts]
     # Shared by the layers: the head's dh, the cell's dc, d_pre and the slopes.
     d_top, dc, slope_c = (np.empty((hidden, n_paths), dtype=dtype) for _ in range(3))
     d_pre, slopes = (np.empty((4 * hidden, n_paths), dtype=dtype) for _ in range(2))
     zeros = np.zeros((hidden, n_paths), dtype=dtype)  # c_prev and h_prev at t = 0
     d_c = [np.zeros_like(zeros) for _ in range(n_layers)]  # into c_k[t], from step t+1
-    d_h = [None] * n_layers  # into h_k[t] through step t+1's recurrent input
-    d_delta = None  # into delta[t] through step t+1's input
-    head = None  # d w_out and d b_out
+    d_h = [zeros] * n_layers  # into h_k[t] through step t+1's recurrent input
+    d_delta = zeros[0]  # into delta[t] through step t+1's input
+    d_w_out, d_b_out = np.zeros_like(w_out, dtype=dtype), np.zeros(1, dtype=dtype)
 
     for t in range(n - 1, -1, -1):
         if t:
             for k in range(n_layers):
                 recompute(k, t - 1, then[k])
-        d_head = g_delta[:, t]
-        d_head = d_head.copy() if d_delta is None else d_head + d_delta
-        head_parts = [(now[-1][1] @ d_head)[:, None], d_head.sum(keepdims=True)]
+        d_head = g_delta[:, t] + d_delta
+        d_w_out += (now[-1][1] @ d_head)[:, None]
+        d_b_out += d_head.sum(keepdims=True)
         dh = np.multiply(w_out, d_head, out=d_top)  # (H, 1) times the (B,) row
         for k in range(n_layers - 1, -1, -1):
-            if d_h[k] is not None:
-                dh += d_h[k]
+            dh += d_h[k]
             gates = tapes[k][0][t]
             i, f, o, g = gates.reshape(4, hidden, n_paths)
             tc = now[k][0]
@@ -217,25 +219,17 @@ def backward(params: dict[str, np.ndarray], saved, g_delta: np.ndarray) -> list[
             below = inputs_of[k]
             xh[k][:below] = inputs[t] if k == 0 else now[k - 1][1]
             xh[k][below:-1] = then[k][1] if t else zeros
-            if t == n - 1:
-                np.matmul(xh[k], d_pre.T, out=totals[k])
-            else:
-                totals[k] += np.matmul(xh[k], d_pre.T, out=parts[k])
+            totals[k] += np.matmul(xh[k], d_pre.T, out=parts[k])
             np.multiply(dc, f, out=d_c[k])
             d_h[k], dh = d_xh[k][below:], d_xh[k][:hidden]  # dh into the layer below
             if k == 0:
                 d_delta = d_xh[k][below - 1]
         now, then = then, now
-        if head is None:
-            head = head_parts
-        else:
-            for total, part in zip(head, head_parts):
-                total += part
 
     grads = []
     for below, total in zip(inputs_of, totals):
         grads += [total[:below], total[below:-1], total[-1]]
-    return grads + head
+    return grads + [d_w_out, d_b_out]
 
 
 class Adam:

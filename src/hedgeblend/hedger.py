@@ -25,18 +25,19 @@ rows, with results identical to a serial full-batch loop.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
-the batch size. The shards are rolled out and backpropagated on threads,
-and their gradients are summed in shard order, so for a given number of
-BLAS threads a run's results do not depend on the CPU count, the thread
-count or the timing (see :func:`_chunked_backward`). An epoch of at most
-``TAPE_BATCH_LIMIT`` paths uses each shard's tape only from its rollout
-to its backward: one job per shard backpropagates the shard's own softmax
-as soon as the shard is rolled out, and the shard gradients are weighted
-by the shards' shares of the batch's exp(-a pnl) mass. A larger epoch
-rolls its shards out twice. Either way a finished shard hands its tape to
-the next one of the epoch, so an epoch allocates at most one tape per
-thread, and frees them when it ends. An epoch of one shard runs on the
-calling thread.
+the batch size. Each shard's gradient comes from one job on a thread: it
+rolls the shard out saving into a tape, backpropagates it at once and
+hands the tape to the next shard of the epoch, so an epoch allocates at
+most one tape per thread, and frees them when it ends. The job seeds the
+backward from the shard's own softmax in an epoch of at most
+``TAPE_BATCH_LIMIT`` paths, whose shard gradients are then weighted by the
+shards' shares of the batch's exp(-a pnl) mass; a larger epoch first rolls
+its shards out without a tape for the batch's seed, and the job
+backpropagates that seed's rows. The weighted shard gradients are summed in
+shard order, so for a given number of BLAS threads a run's results do not
+depend on the CPU count, the thread count or the timing (see
+:func:`_chunked_backward`). An epoch of one shard runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -249,6 +250,7 @@ def _infer(
     scratch, h_top = gates[3 * hidden :], gates[:hidden].reshape(n_paths, hidden)
     head = np.empty((n_paths, 1), dtype=dtype)
     row = np.empty(n_paths)  # one step's float64 input, before its cast
+    tapes = [None] * N_LAYERS if saved is None else saved[1]
     if out is None:
         out = np.empty((n_paths, n), dtype=dtype)
 
@@ -260,16 +262,11 @@ def _infer(
         operand[2] = np.sqrt(paths.variance[:, t], out=row)
         if saved is not None:
             saved[0][t] = operand[:INPUT_DIM]
-        for layer in range(N_LAYERS):
-            if saved is None:
-                ad.lstm_cell(reads[layer], weights[layer], c[layer],
-                             gates, scratch, c[layer], h[layer])
-            else:
-                tape, checkpoints, buffer = saved[1][layer]
-                ad.lstm_cell(reads[layer], weights[layer], c[layer],
-                             tape[t], scratch, c[layer], h[layer])
-                if (t + 1) % len(buffer) == 0 and t + 1 < n:
-                    checkpoints[t // len(buffer)] = c[layer]
+        for layer, tape in enumerate(tapes):
+            ad.lstm_cell(reads[layer], weights[layer], c[layer],
+                         gates if tape is None else tape[0][t], scratch, c[layer], h[layer])
+            if tape is not None and (t + 1) % len(tape[2]) == 0 and t + 1 < n:
+                tape[1][t // len(tape[2])] = c[layer]
         h_top[...] = h[-1].T
         np.matmul(h_top, params["w_out"], out=head)
         head += params["b_out"]
@@ -370,12 +367,13 @@ def train_hedger(
 
     Every epoch of B paths goes through :func:`_chunked_backward`: it is
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
-    shards, rolled out and backpropagated on threads (one shard on the
-    calling thread). When ``B <= TAPE_BATCH_LIMIT`` each shard is
-    backpropagated from its own softmax as soon as it is rolled out, and the
-    shard gradients are weighted by the shards' shares of the batch's
-    exp(-a pnl) mass; a larger epoch backpropagates re-rolled shards from the
-    full batch's softmax. Either way the shard gradients are summed in shard
+    shards, each rolled out, saving, and backpropagated at once by one job
+    on a thread (one shard on the calling thread). When ``B <=
+    TAPE_BATCH_LIMIT`` the job seeds the backward from the shard's own
+    softmax, and the shard gradients are weighted by the shards' shares of
+    the batch's exp(-a pnl) mass; a larger epoch is first rolled out without
+    a tape for the full batch's softmax, whose rows seed the jobs, with
+    weights 1.0. Either way the weighted shard gradients are summed in shard
     order and equal one full-batch backward up to float rounding. The loss
     and the parameters do not depend on the CPU count, and no more than
     ``TAPE_BATCH_LIMIT`` paths have their tapes held at once.
@@ -429,24 +427,25 @@ def _chunked_backward(
     d loss / d delta in the parameters' dtype, and ``autodiff.backward``
     sweeps the shard's saved state (its tape) back from it.
 
-    When ``B <= TAPE_BATCH_LIMIT`` each shard's job is one pass: the saving
-    forward, the shard's risk r_s = ``entropic_risk`` of its P&L's float64
-    cast with g_s = d r_s / d pnl, and at once the backward from g_s, so its
-    tape is free for the next shard when the job ends. The backward is
-    linear in its seed, and the full batch's d loss / d pnl on shard s is
-    g_s times w_s, the shard's share of the batch's exp(-a pnl) mass: w_s =
-    n_s exp(a r_s) / sum_k n_k exp(a r_k), computed with the largest a r_k
-    + log n_k subtracted (the streaming softmax of Milakov and Gimelshein,
-    2018), so a shard whose weight leaves float64's range gets 0. The
-    weighted shard gradients are summed in shard order: the result equals
-    one full-batch backward up to float rounding. One shard has w = 1.0
-    exactly, so its gradient is its backward's, bit for bit.
+    Every shard's gradient g_s comes from one job, ``taped(shard, g_pnl)``:
+    it takes a tape, rolls the shard out saving into it, backpropagates the
+    rows of ``g_pnl`` or, when that is None, the shard's own softmax, and
+    hands the tape on. The result is sum_s w_s g_s, summed in shard order.
 
-    Otherwise pass one rolls the shards out without saving and gives g from
-    the concatenated P&L, and pass two rolls each shard out again, saving,
-    and backpropagates g's rows, so both passes count as tape passes. The
-    shard gradients are summed in shard order: the result equals one
-    full-batch backward up to float summation order.
+    When ``B <= TAPE_BATCH_LIMIT`` each shard's job has no ``g_pnl``: the
+    shard's risk r_s = ``entropic_risk`` of its P&L's float64 cast gives the
+    seed d r_s / d pnl. The backward is linear in its seed, and the full
+    batch's d loss / d pnl on shard s is that seed times w_s, the shard's
+    share of the batch's exp(-a pnl) mass: w_s = n_s exp(a r_s) / sum_k n_k
+    exp(a r_k), computed with the largest a r_k + log n_k subtracted (the
+    streaming softmax of Milakov and Gimelshein, 2018), so a shard whose
+    weight leaves float64's range gets 0. The result equals one full-batch
+    backward up to float rounding; one shard has w = 1.0 exactly, so its
+    gradient is its backward's, bit for bit. Otherwise pass one rolls the
+    shards out without a tape for g_pnl, of the concatenated P&L, and pass
+    two runs each shard's job with it, w_s = 1.0 (g times 1.0 is g), so
+    both passes count as tape passes and the result equals one full-batch
+    backward up to float summation order.
 
     Each pass is one ``threads.run_threads`` call on at most
     ``TAPE_BATCH_LIMIT // shard`` threads, so at most ``TAPE_BATCH_LIMIT``
@@ -478,36 +477,34 @@ def _chunked_backward(
     dtype = params["w_out"].dtype
     spare = []  # tapes of finished shards, for the next; list.pop and .append are atomic
 
-    def forward(shard, save):
+    def rollout(shard, tape=None):  # saving into the tape when one is given
         sub = paths.rows(*shard)
-        tape = saved = None
-        if save:
-            try:
-                tape = spare.pop()
-            except IndexError:
-                tape = _workspaces(params, paths.rows(*shards[0]))
-            saved = _narrowed(tape, sub.n_paths)
+        saved = None if tape is None else _narrowed(tape, sub.n_paths)
         delta = _infer(params, sub, strike, saved=saved)
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
-        return tape, saved, account, account.pnl(delta)
+        return saved, account, account.pnl(delta)
 
-    def backward(tape, saved, g_delta):  # then hands the tape to the next shard
-        grads = ad.backward(params, saved, g_delta)
-        spare.append(tape)
-        return grads
-
-    def taped_shard(shard):
-        tape, saved, account, shard_pnl = forward(shard, True)
-        g_shard = np.empty(len(shard_pnl))
-        risk = entropic_risk(shard_pnl.astype(np.float64), a, grad=g_shard)
-        return shard_pnl, risk, backward(tape, saved, account.vjp(g_shard))
+    def taped(shard, g_pnl=None):  # seeded from g_pnl's rows, or the shard's own softmax
+        try:
+            tape = spare.pop()
+        except IndexError:
+            tape = _workspaces(params, paths.rows(*shards[0]))
+        saved, account, shard_pnl = rollout(shard, tape)
+        if g_pnl is None:
+            g = np.empty(len(shard_pnl))
+            risk = entropic_risk(shard_pnl.astype(np.float64), a, grad=g)
+        else:
+            g, risk = g_pnl[slice(*shard)], None
+        grads = ad.backward(params, saved, account.vjp(g))
+        spare.append(tape)  # hands the tape to the next shard
+        return shard_pnl, risk, grads
 
     limit = TAPE_BATCH_LIMIT // size  # threads: at most TAPE_BATCH_LIMIT paths taped at once
     try:
         if one_pass:
-            pnls, risks, grads = zip(*run_threads(taped_shard, shards, limit))
+            pnls, risks, grads = zip(*run_threads(taped, shards, limit))
         else:
-            pnls = run_threads(lambda shard: forward(shard, False)[3], shards, limit)
+            pnls = run_threads(lambda shard: rollout(shard)[2], shards, limit)
     except NumericalDivergenceError:  # a hedge ratio left the reals, and so did the loss
         return float("nan"), None
     pnl = np.concatenate(pnls).astype(np.float64)
@@ -515,20 +512,15 @@ def _chunked_backward(
     loss = entropic_risk(pnl, a, grad=g_pnl)
     if not np.isfinite(loss):
         return loss, None
-
     if one_pass:
         x = a * np.array(risks) + np.log([hi - lo for lo, hi in shards])
         mass = np.exp(x - x.max())
         weights = [float(w) for w in mass / mass.sum()]  # a numpy scalar would promote float32
-        return loss, [reduce(np.add, (g * w for g, w in zip(per_shard, weights)))
-                      for per_shard in zip(*grads)]
-
-    def shard_grads(shard):  # pass two rolls the shard out again, saving
-        tape, saved, account, _ = forward(shard, True)
-        return backward(tape, saved, account.vjp(g_pnl[slice(*shard)]))
-
-    grads = run_threads(shard_grads, shards, limit)
-    return loss, [reduce(np.add, per_shard) for per_shard in zip(*grads)]
+    else:
+        _, _, grads = zip(*run_threads(lambda shard: taped(shard, g_pnl), shards, limit))
+        weights = [1.0] * len(shards)
+    return loss, [reduce(np.add, (g * w for g, w in zip(per_shard, weights)))
+                  for per_shard in zip(*grads)]
 
 
 def network_price(

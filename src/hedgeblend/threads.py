@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 # Longest wait between checks for a Ctrl-C while the jobs run: a blocked wait
 # would not see one raised by ``_thread.interrupt_main``.
@@ -85,19 +86,13 @@ def run_threads(fn, items, limit: int | None = None) -> list:
     job = _stoppable(fn, stop)
     if workers <= 1:
         return [job(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
+    with _pool(workers, stop) as pool:
         futures = [pool.submit(job, item) for item in items]
         _wait(futures)
         errors = [e for e in (f.exception() for f in futures) if e is not None]
         if errors:
             raise next((e for e in errors if not isinstance(e, CancelledError)), errors[0])
         return [f.result() for f in futures]
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_overlapped(fn, items) -> list:
@@ -118,9 +113,8 @@ def run_overlapped(fn, items) -> list:
     job = _stoppable(fn, stop)
     if usable_cpus() <= 1:
         return [job(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=1)
     futures = []
-    try:
+    with _pool(1, stop) as pool:
         for item in items:
             if futures:
                 _wait(futures[-1:])
@@ -128,11 +122,25 @@ def run_overlapped(fn, items) -> list:
             futures.append(pool.submit(job, item))
         _wait(futures[-1:])
         return [f.result() for f in futures]
+
+
+@contextmanager
+def _pool(workers: int, stop: threading.Event):
+    """A thread pool for one call: the call's first exception sets ``stop``,
+    and on exit the pool is shut down and every worker joined, also one whose
+    start a Ctrl-C interrupted before the pool registered it."""
+    started = []
+    pool = ThreadPoolExecutor(workers,
+                              initializer=lambda: started.append(threading.current_thread()))
+    try:
+        yield pool
     except BaseException:
         stop.set()
         raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        for thread in started:
+            thread.join()
 
 
 def _wait(futures) -> None:

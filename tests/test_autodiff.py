@@ -50,12 +50,14 @@ class TestLstmCell:
         ad.lstm_cell(xh, weight, c_reused, gates, gates[3 * H :], c_reused, h_reused)
         assert c_reused.tobytes() == c.tobytes() and h_reused.tobytes() == h.tobytes()
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_gradients_match_finite_differences(self, n_steps):
         """backward against central differences of sum(g_delta * delta) in every
-        parameter of a float64 two-layer, 4-unit hedger over 5 steps of 6 paths."""
+        parameter of a float64 two-layer, 4-unit hedger over 1 or 5 steps of 6
+        paths; on one step the sweep's first step is also its last."""
         params = hedger.init_model(3, hidden=4).params
-        paths, _, saved = saving_rollout(params, 6, 5)
-        g_delta = np.random.default_rng(2).normal(size=(6, 5))
+        paths, _, saved = saving_rollout(params, 6, n_steps)
+        g_delta = np.random.default_rng(2).normal(size=(6, n_steps))
         grads = ad.backward(params, saved, g_delta)
         assert len(grads) == len(hedger.PARAM_NAMES)
 

@@ -283,3 +283,25 @@ def test_closed_forms_equal_the_scipy_stats_oracle_bit_for_bit():
     edges = np.array([-np.inf, -40.0, -0.0, 0.0, 40.0, np.inf, np.nan])
     assert classical.ndtr(edges).tobytes() == norm.cdf(edges).tobytes()
     assert np.array_equal(classical._norm_pdf(edges), norm.pdf(edges), equal_nan=True)
+
+
+@pytest.mark.parametrize("vol", [0.2, None], ids=["fixed-vol", "true-vol"])
+def test_each_closed_form_computes_d1_once(monkeypatch, small_paths, vol):
+    """bs_delta, bs_gamma, bs_price and ww_strategy each evaluate d1 in one
+    call of the shared ``_d1``; the band takes its centre and its width from
+    the same d1."""
+    d1, calls = classical._d1, []
+
+    def counted(*args):
+        calls.append(args)
+        return d1(*args)
+
+    monkeypatch.setattr(classical, "_d1", counted)
+    spot = small_paths.spot[:, :4]
+    for closed_form in (bs_delta, bs_gamma, bs_price):
+        calls.clear()
+        closed_form(spot, 1.0, 0.2, 0.25)
+        assert len(calls) == 1
+    calls.clear()
+    ww_strategy(small_paths, 1.0, vol, cost_rate=5e-4)
+    assert len(calls) == 1

@@ -167,9 +167,9 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
     pools = []
 
     class Spy(threads.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
     calls = []
 

@@ -410,7 +410,10 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_
     threads, 0.17-0.27 s each on a 2-vCPU host) have passed step 2 raises
     within 0.3 s: both saving rollouts stop at their next step, the other two
     shards never start, and no shard thread is left alive. Two usable CPUs,
-    so that the shards run on pool threads on any host."""
+    so that the shards run on pool threads on any host. Once the Ctrl-C has
+    fired, each step takes 2 ms more, so that on a fast host the rollouts
+    are still running when the main thread's next poll (up to
+    ``threads.POLL_SECONDS`` later) sees it."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     paths = heston_paths(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
     record = []
@@ -427,6 +430,14 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_
 
     monkeypatch.setattr(hedger, "_infer", recorded)
     fired = interrupt_when_running(hedger, jobs=2)
+    check = hedger.check_stopped
+
+    def paced(message, index):
+        check(message, index)
+        if fired:
+            time.sleep(0.002)
+
+    monkeypatch.setattr(hedger, "check_stopped", paced)
     with pytest.raises(KeyboardInterrupt):
         chunked_grads(parameters(np.float32), paths)
     assert time.perf_counter() - fired[0] < 0.3
