@@ -30,14 +30,14 @@ rolls the shard out saving into a tape, backpropagates it at once and
 hands the tape to the next shard of the epoch, so an epoch allocates at
 most one tape per thread, and frees them when it ends. The job seeds the
 backward from the shard's own softmax in an epoch of at most
-``TAPE_BATCH_LIMIT`` paths, whose shard gradients are then weighted by the
-shards' shares of the batch's exp(-a pnl) mass; a larger epoch first rolls
-its shards out without a tape for the batch's seed, and the job
-backpropagates that seed's rows. The weighted shard gradients are summed in
-shard order, so for a given number of BLAS threads a run's results do not
-depend on the CPU count, the thread count or the timing (see
-:func:`_chunked_backward`). An epoch of one shard runs on the calling
-thread.
+``TAPE_BATCH_LIMIT`` paths (20,000, the paper epoch, so every shipped scale),
+whose shard gradients are then weighted by the shards' shares of the batch's
+exp(-a pnl) mass; a larger epoch first rolls its shards out without a tape
+for the batch's seed, and the job backpropagates that seed's rows. The
+weighted shard gradients are summed in shard order, so for a given number of
+BLAS threads a run's results do not depend on the CPU count, the thread
+count or the timing (see :func:`_chunked_backward`). An epoch of one shard
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -64,23 +64,26 @@ INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
 N_LAYERS = 2
 
-# Most paths whose tape (the state a saving forward keeps for the backward)
-# is held at once, on any CPU count. Every epoch is rolled out in shards (see
-# SHARD_PATHS) on at most TAPE_BATCH_LIMIT // shard threads (see
-# _chunked_backward): 4 threads of 1,250-path shards, so on fewer CPUs the CPU
-# count is the cap. An epoch of at most this many paths backpropagates each
-# shard in the job that rolled it out, saving, so a thread holds one tape at a
-# time; a larger one rolls its shards out without saving and rolls them out
-# again, saving, for the backward. On the default 126-step grid the tape holds
-# 544 bytes per path per LSTM cell in float32 (feature-major arrays, one
-# column per path: the gates' 4·H values, c at 10 segment ends, a 12-step
-# segment buffer and the step's inputs; tracemalloc, H = 32), 561 at the
-# backward's peak: 0.14 MB per path (two layers), about
-# 171 MB per 1,250-path shard. So the peak grows with the CPU count: two
-# members' two 5,000-path epochs (train_desk) peak at a median of 440 MB on a
-# 2-vCPU host, with two tapes live, and a host with 4 or more CPUs tapes all
-# four desk shards at once (about 770 MB).
-TAPE_BATCH_LIMIT = 6144
+# Largest epoch that takes one pass, and most paths whose tape (the state a
+# saving forward keeps for the backward) is held at once, on any CPU count.
+# Every epoch is rolled out in shards (see SHARD_PATHS) on at most
+# TAPE_BATCH_LIMIT // shard threads (see _chunked_backward): 16 threads of
+# 1,250-path shards, so on fewer CPUs the CPU count is the cap. 20,000 paths
+# is the paper epoch (config.SCALES["paper"]), so every shipped scale
+# backpropagates each shard in the job that rolled it out, saving, and a
+# thread holds one tape at a time; a larger epoch rolls its shards out
+# without saving and rolls them out again, saving, for the backward. On the
+# default 126-step grid the tape holds 544 bytes per path per LSTM cell in
+# float32 (feature-major arrays, one column per path: the gates' 4·H values,
+# c at 10 segment ends, a 12-step segment buffer and the step's inputs;
+# tracemalloc, H = 32), 561 at the backward's peak: 0.14 MB per path (two
+# layers), about 171 MB per 1,250-path shard. So the peak grows with the CPU
+# count, up to min(CPUs, shards) tapes: two members' two 5,000-path epochs
+# (train_desk) and two 20,000-path epochs (train_paper_batch) each peak at a
+# median of about 440 MB on a 2-vCPU host, with two tapes live; a host with
+# 4 or more CPUs tapes all four desk shards at once (about 770 MB), and a
+# paper epoch tapes min(CPUs, 16) shards at once, about 2.7 GB at 16.
+TAPE_BATCH_LIMIT = 20000
 
 # Paths per training shard: every epoch of B paths is split into
 # ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT)) contiguous shards, rolled out
@@ -369,14 +372,17 @@ def train_hedger(
     split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
     shards, each rolled out, saving, and backpropagated at once by one job
     on a thread (one shard on the calling thread). When ``B <=
-    TAPE_BATCH_LIMIT`` the job seeds the backward from the shard's own
+    TAPE_BATCH_LIMIT`` (20,000 paths, the paper epoch, so at every scale in
+    ``config.SCALES``) the job seeds the backward from the shard's own
     softmax, and the shard gradients are weighted by the shards' shares of
     the batch's exp(-a pnl) mass; a larger epoch is first rolled out without
     a tape for the full batch's softmax, whose rows seed the jobs, with
     weights 1.0. Either way the weighted shard gradients are summed in shard
     order and equal one full-batch backward up to float rounding. The loss
-    and the parameters do not depend on the CPU count, and no more than
-    ``TAPE_BATCH_LIMIT`` paths have their tapes held at once.
+    and the parameters do not depend on the CPU count; each thread holds one
+    shard's tape at a time, on at most ``TAPE_BATCH_LIMIT // SHARD_PATHS``
+    threads, so no more than ``TAPE_BATCH_LIMIT`` paths have their tapes
+    held at once.
 
     Training runs in float32, gradients included (the rollout is the hot
     loop; the objective tolerances sit far above single precision); only the
@@ -432,7 +438,8 @@ def _chunked_backward(
     rows of ``g_pnl`` or, when that is None, the shard's own softmax, and
     hands the tape on. The result is sum_s w_s g_s, summed in shard order.
 
-    When ``B <= TAPE_BATCH_LIMIT`` each shard's job has no ``g_pnl``: the
+    When ``B <= TAPE_BATCH_LIMIT`` (every epoch of ``config.SCALES``, the
+    20,000-path paper epoch included) each shard's job has no ``g_pnl``: the
     shard's risk r_s = ``entropic_risk`` of its P&L's float64 cast gives the
     seed d r_s / d pnl. The backward is linear in its seed, and the full
     batch's d loss / d pnl on shard s is that seed times w_s, the shard's
@@ -441,19 +448,21 @@ def _chunked_backward(
     streaming softmax of Milakov and Gimelshein, 2018), so a shard whose
     weight leaves float64's range gets 0. The result equals one full-batch
     backward up to float rounding; one shard has w = 1.0 exactly, so its
-    gradient is its backward's, bit for bit. Otherwise pass one rolls the
-    shards out without a tape for g_pnl, of the concatenated P&L, and pass
-    two runs each shard's job with it, w_s = 1.0 (g times 1.0 is g), so
-    both passes count as tape passes and the result equals one full-batch
-    backward up to float summation order.
+    gradient is its backward's, bit for bit. Otherwise (a custom epoch of
+    more than 20,000 paths) pass one rolls the shards out without a tape
+    for g_pnl, of the concatenated P&L, and pass two runs each shard's job
+    with it, w_s = 1.0 (g times 1.0 is g), so both passes count as tape
+    passes and the result equals one full-batch backward up to float
+    summation order.
 
     Each pass is one ``threads.run_threads`` call on at most
-    ``TAPE_BATCH_LIMIT // shard`` threads, so at most ``TAPE_BATCH_LIMIT``
-    paths have their tapes held at once, one shard runs on the calling
-    thread, and the result does not depend on the thread count or timing;
-    when a pass is stopped, a backward that has begun runs to its end.
-    float32 parameters give float32 gradients; only the loss, the risks, the
-    seeds and the weights are float64.
+    ``TAPE_BATCH_LIMIT // shard`` threads (16 of 1,250 paths; fewer CPUs
+    cap it lower), so at most ``TAPE_BATCH_LIMIT`` paths have their tapes
+    held at once, one shard runs on the calling thread, and the result does
+    not depend on the thread count or timing; when a pass is stopped, a
+    backward that has begun runs to its end. float32 parameters give float32
+    gradients; only the loss, the risks, the seeds and the weights are
+    float64.
 
     Tapes pass from shard to shard within the call: a shard whose backward
     has ended puts its tape on the call's free list, and the next shard to

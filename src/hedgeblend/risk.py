@@ -47,6 +47,9 @@ def entropic_risk(pnl, a: float, grad=None):
 def cvar(pnl, level: float, grad=None):
     """Mean of the k = ceil(level * n) smallest P&L values over the last axis
     (no interpolation); a float for 1-D input, one value per row for 2-D.
+    level * n is rounded to 9 decimals first, so that float error in the
+    product adds no path (0.07 * 100 is 7.000000000000001, and 7% of 100
+    paths is 7), and k is at least 1.
 
     ``grad``, for a 1-D input only, receives d cvar / d pnl with tail
     membership frozen at the current values: 1/k on the k worst paths (every
@@ -58,7 +61,7 @@ def cvar(pnl, level: float, grad=None):
         raise ParameterError("cvar of an empty vector")
     require_real("level", level, above=0, at_most=1)
     n = pnl.shape[-1]
-    k = math.ceil(level * n)
+    k = max(1, math.ceil(round(level * n, 9)))
     if grad is not None:
         grad.fill(0.0)
         grad[np.argpartition(pnl, k - 1)[:k] if k < n else slice(None)] = 1.0 / k

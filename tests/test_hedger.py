@@ -18,6 +18,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 
 from hedgeblend import autodiff as ad
-from hedgeblend import hedger, rng, threads
+from hedgeblend import config, hedger, rng, threads
 from hedgeblend.accounting import CostSpec, HedgePnL, compute_pnl
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
@@ -402,6 +403,18 @@ def test_a_kept_tape_epoch_tapes_one_shard_per_thread(monkeypatch):
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 32
     assert counts["moved"] == 0
+
+
+def test_the_paper_epoch_takes_one_pass(monkeypatch):
+    """The 20,000-path paper epoch, at the default tape limit, rolls each of
+    its 16 shards out once, saving, and never without a tape: it is no
+    larger than TAPE_BATCH_LIMIT."""
+    n_paths = config.SCALES["paper"]["paths_per_epoch"]
+    paths = heston_paths(n_paths, seed=13, grid=PathGrid(n_steps=2, maturity=0.5))
+    counts = count_rollouts(monkeypatch)
+    chunked_grads(parameters(np.float32), paths)
+    assert (counts["plain"], counts["saving"]) == (0, math.ceil(n_paths / hedger.SHARD_PATHS))
+    assert counts["live"] == 0
 
 
 def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_when_running):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,26 @@ class TestCvar:
     def test_full_level_is_mean(self):
         pnl = np.array([3.0, -1.0, 2.0])
         assert cvar(pnl, 1.0) == pytest.approx(pnl.mean())
+
+    @pytest.mark.parametrize("n", [100, 200, 300, 1100])
+    def test_a_decimal_level_takes_its_share_of_paths(self, n):
+        """7% of n paths is 0.07 n of them, though 0.07 * 100 is
+        7.000000000000001 in floats, whose ceil took an eighth path."""
+        k = 7 * n // 100
+        g = np.empty(n)
+        assert cvar(np.arange(float(n)), 0.07, grad=g) == (k - 1) / 2
+        assert np.count_nonzero(g) == k
+
+    def test_the_five_percent_tail_is_ceil_of_its_share_up_to_paper_scale(self):
+        """At the default level 0.05, k = ceil(0.05 n) for every n up to the
+        20,000-path paper epoch: the mean of the ramp 0..k-1 is (k - 1) / 2."""
+        ramp = np.arange(20000.0)
+        moved = [n for n in range(1, 20001)
+                 if cvar(ramp[:n], 0.05) != (math.ceil(0.05 * n) - 1) / 2]
+        assert moved == []
+
+    def test_a_tiny_level_takes_one_path(self):
+        assert cvar(np.array([2.0, -1.0, 3.0]), 1e-12) == -1.0
 
     def test_errors(self):
         with pytest.raises(ParameterError):
