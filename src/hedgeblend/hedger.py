@@ -25,12 +25,14 @@ rows, with results identical to a serial full-batch loop.
 
 Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
 TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
-the batch size. Each shard's gradient comes from one job on a thread: it
-rolls the shard out saving into a tape, backpropagates it at once and
-hands the tape to the next shard of the epoch, so an epoch allocates at
-most one tape per thread, and frees them when it ends. The job seeds the
-backward from the shard's own softmax in an epoch of at most
-``TAPE_BATCH_LIMIT`` paths (20,000, the paper epoch, so every shipped scale),
+the batch size. An epoch is a seed (``market.HestonBatch``), not arrays:
+each shard's gradient comes from one job on a thread, which simulates the
+shard's own rows, rolls them out saving into a tape, backpropagates it at
+once and hands the tape to the next shard of the epoch, so no array of the
+whole epoch's paths exists, and an epoch allocates at most one tape per
+thread and frees them when it ends. The job seeds the backward from the
+shard's own softmax in an epoch of at most ``TAPE_BATCH_LIMIT`` paths
+(20,000, the paper epoch, so every shipped scale),
 whose shard gradients are then weighted by the shards' shares of the batch's
 exp(-a pnl) mass; a larger epoch first rolls its shards out without a tape
 for the batch's seed, and the job backpropagates that seed's rows. The
@@ -56,7 +58,7 @@ from . import autodiff as ad
 from . import rng
 from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
-from .market import HestonParams, MarketPaths, PathGrid, simulate_heston
+from .market import HestonBatch, HestonParams, MarketPaths, PathGrid
 from .risk import entropic_risk
 from .threads import check_stopped, run_threads
 
@@ -77,12 +79,14 @@ N_LAYERS = 2
 # float32 (feature-major arrays, one column per path: the gates' 4·H values,
 # c at 10 segment ends, a 12-step segment buffer and the step's inputs;
 # tracemalloc, H = 32), 561 at the backward's peak: 0.14 MB per path (two
-# layers), about 171 MB per 1,250-path shard. So the peak grows with the CPU
-# count, up to min(CPUs, shards) tapes: two members' two 5,000-path epochs
-# (train_desk) and two 20,000-path epochs (train_paper_batch) each peak at a
-# median of about 440 MB on a 2-vCPU host, with two tapes live; a host with
-# 4 or more CPUs tapes all four desk shards at once (about 770 MB), and a
-# paper epoch tapes min(CPUs, 16) shards at once, about 2.7 GB at 16.
+# layers), about 171 MB per 1,250-path shard, against 5 MB for the float64
+# normals, spot and variance that the shard's job simulates. So the peak
+# grows with the CPU count, up to min(CPUs, shards) tapes: on a 2-vCPU host,
+# with two tapes live, two members' two 5,000-path epochs (train_desk) peak
+# at about 400 MB and two 20,000-path epochs (train_paper_batch) at about
+# 404 MB, also where one process trains several times; a host with 4 or
+# more CPUs tapes all four desk shards at once (741 MB at 4 usable CPUs),
+# and a paper epoch tapes min(CPUs, 16) shards at once, about 2.7 GB at 16.
 TAPE_BATCH_LIMIT = 20000
 
 # Paths per training shard: every epoch of B paths is split into
@@ -92,8 +96,11 @@ TAPE_BATCH_LIMIT = 20000
 # 4 and 16 shards, which 2 or 4 threads share evenly. Each thread tapes one
 # shard at a time, so the shard size and the thread count set the peak
 # memory: on a 2-vCPU host with one BLAS thread (perfbench), two
-# 20,000-path epochs (train_paper_batch) and two members' two 5,000-path
-# epochs (train_desk) each peak at about 440 MB.
+# 20,000-path epochs (train_paper_batch) peak at about 404 MB and two
+# members' two 5,000-path epochs (train_desk) at about 400 MB. Each
+# shard's job simulates the shard's rows (market.HestonBatch), so every
+# shard starts at a multiple of this size, which is even, like
+# market.SIM_BLOCK_ROWS, so that the random stream may be entered there.
 # ensemble.aggregate's inference blocks are two shards long (see
 # ensemble._path_blocks).
 SHARD_PATHS = 1250
@@ -287,9 +294,11 @@ def _segment_steps(n_steps: int) -> int:
     return math.isqrt(n_steps - 1) + 1
 
 
-def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
-    """Empty state for a saving :func:`_infer` of ``paths``, feature-major
-    and in the parameters' dtype: (n_steps, INPUT_DIM, B) inputs, and per
+def _workspaces(params: dict[str, np.ndarray], n_paths: int, n_steps: int) -> tuple:
+    """Empty state for a saving :func:`_infer` of B = ``n_paths`` paths of
+    ``n_steps`` steps, feature-major and in the parameters' dtype; sized from
+    the two counts, so a tape is made before any shard's paths are
+    simulated. (n_steps, INPUT_DIM, B) inputs, and per
     layer a tape of three arrays, with K = :func:`_segment_steps`:
     (n_steps, 4H, B) for the gates, rows i, f, o and g, each step's block
     written by one GEMM; (ceil(n_steps / K) - 1, H, B) for c at the end of
@@ -310,12 +319,12 @@ def _workspaces(params: dict[str, np.ndarray], paths: MarketPaths) -> tuple:
     :func:`_chunked_backward` allocates one state per thread and hands it
     from shard to shard within the call, so a state is written over by
     the saving forwards of several shards."""
-    n, n_paths = paths.n_steps, paths.n_paths
-    dtype, hidden, steps = params["w_out"].dtype, params["w_hh_0"].shape[0], _segment_steps(n)
-    gates = np.empty((N_LAYERS, n, 4 * hidden, n_paths), dtype)
-    return (np.empty((n, INPUT_DIM, n_paths), dtype),
+    dtype, hidden = params["w_out"].dtype, params["w_hh_0"].shape[0]
+    steps = _segment_steps(n_steps)
+    gates = np.empty((N_LAYERS, n_steps, 4 * hidden, n_paths), dtype)
+    return (np.empty((n_steps, INPUT_DIM, n_paths), dtype),
             [(gates[k],
-              np.empty((-(-n // steps) - 1, hidden, n_paths), dtype),
+              np.empty((-(-n_steps // steps) - 1, hidden, n_paths), dtype),
               np.empty((steps, hidden, n_paths), dtype))
              for k in range(N_LAYERS)])
 
@@ -362,27 +371,32 @@ def train_hedger(
 ) -> HedgerModel:
     """Train one hedger; deterministic for a fixed config.
 
-    Each epoch simulates a fresh batch (seed mixed from config.seed and the
+    Each epoch trains on a fresh batch (seed mixed from config.seed and the
     epoch index), rolls the network through it, and applies one Adam update
     of the entropic risk of terminal P&L, whose gradient in the hedge ratios
     is closed-form. Raises NumericalDivergenceError naming the epoch if the
     loss leaves the reals, a non-finite hedge ratio included.
 
-    Every epoch of B paths goes through :func:`_chunked_backward`: it is
-    split into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous
-    shards, each rolled out, saving, and backpropagated at once by one job
-    on a thread (one shard on the calling thread). When ``B <=
-    TAPE_BATCH_LIMIT`` (20,000 paths, the paper epoch, so at every scale in
-    ``config.SCALES``) the job seeds the backward from the shard's own
-    softmax, and the shard gradients are weighted by the shards' shares of
-    the batch's exp(-a pnl) mass; a larger epoch is first rolled out without
-    a tape for the full batch's softmax, whose rows seed the jobs, with
-    weights 1.0. Either way the weighted shard gradients are summed in shard
-    order and equal one full-batch backward up to float rounding. The loss
-    and the parameters do not depend on the CPU count; each thread holds one
-    shard's tape at a time, on at most ``TAPE_BATCH_LIMIT // SHARD_PATHS``
-    threads, so no more than ``TAPE_BATCH_LIMIT`` paths have their tapes
-    held at once.
+    Every epoch of B paths goes through :func:`_chunked_backward` as a
+    ``market.HestonBatch``, the batch's seed: it is split into ``ceil(B /
+    min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards, each simulated,
+    rolled out, saving, and backpropagated at once by one job on a thread (one
+    shard on the calling thread). The shards' rows are those of
+    ``simulate_heston`` of the batch, bit for bit, but no array of the whole
+    batch is made: two 20,000-path epochs peaked at 440 MB with the batch
+    simulated before its shards and at 404 MB without it (2-vCPU host, one
+    BLAS thread), and at 477 MB against 404 MB when one process trains three
+    times. When ``B <= TAPE_BATCH_LIMIT`` (20,000 paths, the paper epoch, so
+    at every scale in ``config.SCALES``) the job seeds the backward from the
+    shard's own softmax, and the shard gradients are weighted by the shards'
+    shares of the batch's exp(-a pnl) mass; a larger epoch is first rolled out
+    without a tape for the full batch's softmax, whose rows seed the jobs,
+    with weights 1.0. Either way the weighted shard gradients are summed in
+    shard order and equal one full-batch backward up to float rounding. The
+    loss and the parameters do not depend on the CPU count; each thread holds
+    one shard's tape at a time, on at most ``TAPE_BATCH_LIMIT // SHARD_PATHS``
+    threads, so no more than ``TAPE_BATCH_LIMIT`` paths have their tapes held
+    at once.
 
     Training runs in float32, gradients included (the rollout is the hot
     loop; the objective tolerances sit far above single precision); only the
@@ -397,11 +411,9 @@ def train_hedger(
 
     a = config.risk_aversion
     for epoch in range(config.epochs):
-        paths = simulate_heston(
-            market, grid, config.paths_per_epoch,
-            seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch),
-        )
-        loss, grads = _chunked_backward(model.params, paths, cost, strike, a)
+        batch = HestonBatch(market, grid, config.paths_per_epoch,
+                            seed=rng.derive_seed(config.seed, rng.TAG_EPOCH_PATHS, epoch))
+        loss, grads = _chunked_backward(model.params, batch, cost, strike, a)
         if not np.isfinite(loss):
             raise NumericalDivergenceError(f"hedger: training loss diverged at epoch {epoch}")
         adam.step(grads)
@@ -413,7 +425,7 @@ def train_hedger(
 
 def _chunked_backward(
     params: dict[str, np.ndarray],
-    paths: MarketPaths,
+    paths: MarketPaths | HestonBatch,
     cost: CostSpec,
     strike: float,
     a: float,
@@ -422,16 +434,21 @@ def _chunked_backward(
 
     The one gradient of training: returns the loss and the gradients in
     ``PARAM_NAMES`` order, or the loss and None when it is not finite (NaN
-    when a shard's hedge ratio is not). Every batch of B paths is split into
+    when a shard's hedge ratio is not). ``paths`` is simulated paths or a
+    ``market.HestonBatch``, whose ``rows`` simulates them: a shard's rows are
+    taken with ``paths.rows`` by the job that rolls the shard out, so a seeded
+    batch is simulated a shard at a time, on the shards' threads, and gives
+    the simulated batch's loss and gradients bit for bit (in a two-pass epoch
+    each shard is simulated twice). Every batch of B paths is split into
     ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a
-    batch of at most that many paths is one shard. Each shard is rolled out
-    by :func:`_infer`, which only reads the parameters, and its P&L is
+    batch of at most that many paths is one shard. Each shard is rolled out by
+    :func:`_infer`, which only reads the parameters, and its P&L is
     ``accounting.HedgePnL``'s in the parameters' dtype. The loss is
-    ``risk.entropic_risk`` of the concatenated P&L's float64 cast. A seed g
-    = d loss / d pnl is mapped through the shard P&L's VJP (``HedgePnL.vjp``,
-    g times the ``HedgePnL.weights`` the blend fit also chains) to g_delta =
-    d loss / d delta in the parameters' dtype, and ``autodiff.backward``
-    sweeps the shard's saved state (its tape) back from it.
+    ``risk.entropic_risk`` of the concatenated P&L's float64 cast. A seed g =
+    d loss / d pnl is mapped through the shard P&L's VJP (``HedgePnL.vjp``, g
+    times the ``HedgePnL.weights`` the blend fit also chains) to g_delta = d
+    loss / d delta in the parameters' dtype, and ``autodiff.backward`` sweeps
+    the shard's saved state (its tape) back from it.
 
     Every shard's gradient g_s comes from one job, ``taped(shard, g_pnl)``:
     it takes a tape, rolls the shard out saving into it, backpropagates the
@@ -472,7 +489,8 @@ def _chunked_backward(
     shard takes a :func:`_narrowed` view of it). The list goes when the call
     returns, so no tape outlives its epoch: kept across a whole training,
     two idle tapes sat through each next epoch's simulation, and two
-    20,000-path epochs (train_paper_batch) peaked at 555 MB against 442 MB.
+    20,000-path epochs (train_paper_batch) peaked at 555 MB against 442 MB
+    (both with the epoch simulated before its shards ran).
     A saving forward writes every value its backward reads, so what a tape
     held before changes no bit; reusing it spares the first touch of fresh
     pages: a float32 1,250-path saving forward took 109-121 ms on a fresh
@@ -487,7 +505,7 @@ def _chunked_backward(
     spare = []  # tapes of finished shards, for the next; list.pop and .append are atomic
 
     def rollout(shard, tape=None):  # saving into the tape when one is given
-        sub = paths.rows(*shard)
+        sub = paths.rows(*shard)  # a HestonBatch simulates the shard here
         saved = None if tape is None else _narrowed(tape, sub.n_paths)
         delta = _infer(params, sub, strike, saved=saved)
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
@@ -497,7 +515,7 @@ def _chunked_backward(
         try:
             tape = spare.pop()
         except IndexError:
-            tape = _workspaces(params, paths.rows(*shards[0]))
+            tape = _workspaces(params, min(size, n_paths), paths.n_steps)
         saved, account, shard_pnl = rollout(shard, tape)
         if g_pnl is None:
             g = np.empty(len(shard_pnl))

@@ -124,6 +124,37 @@ class MarketPaths:
 SIM_BLOCK_ROWS = 2500
 
 
+def _write_rows(
+    params: HestonParams, grid: PathGrid, seed: int, lo: int,
+    normals: np.ndarray, spot: np.ndarray, variance: np.ndarray,
+) -> None:
+    """Rows lo .. lo + len(spot) - 1 of the batch that ``seed`` simulates,
+    written into the caller's ``normals`` (len(spot), 2 n_steps), ``spot``
+    and ``variance`` (len(spot), n_steps + 1): the one simulation, of
+    :func:`simulate_heston` and of :meth:`HestonBatch.rows`. ``lo`` must be
+    a row where the stream may be entered (``rng.path_normals``)."""
+    n, n_rows = grid.n_steps, len(spot)
+    dt = grid.dt
+    sqrt_dt = np.sqrt(dt)
+    rho_bar = np.sqrt(1.0 - params.rho**2)
+    z = rng.path_normals(seed, n_rows, 2 * n, first_row=lo, out=normals)
+    z_spot, z_var = z[:, 0::2], z[:, 1::2]
+    z_var *= rho_bar  # the variance shock rho*z1 + rho_bar*z2, in z2's place
+    z_var += params.rho * z_spot
+    log_s = np.full(n_rows, np.log(params.s0))
+    v_latent = np.full(n_rows, params.v0)
+    spot[:, 0] = params.s0
+    variance[:, 0] = params.v0
+    for t in range(n):
+        v_pos = np.maximum(v_latent, 0.0)
+        vol_dt = np.sqrt(v_pos) * sqrt_dt
+        log_s += -0.5 * v_pos * dt + vol_dt * z_spot[:, t]
+        v_latent = v_latent + params.kappa * (params.theta - v_pos) * dt \
+            + params.sigma_vv * vol_dt * z_var[:, t]
+        spot[:, t + 1] = np.exp(log_s)
+        variance[:, t + 1] = np.maximum(v_latent, 0.0)
+
+
 def simulate_heston(
     params: HestonParams, grid: PathGrid, n_paths: int, seed: int
 ) -> MarketPaths:
@@ -135,40 +166,58 @@ def simulate_heston(
     only on (params, grid, seed, p).
 
     The paths are simulated in blocks of ``SIM_BLOCK_ROWS`` rows, on one
-    ``threads.run_threads`` call. Every array is allocated here and a block
-    writes only its own rows: blocks that allocated their own normals, which
-    the worker threads' malloc arenas then keep, raised the peak RSS of the
-    evaluation pass over 10,000 paths from 202 to 209 MB (2-vCPU host, one
-    BLAS thread, two runs each).
+    ``threads.run_threads`` call, each by the row writer that
+    :meth:`HestonBatch.rows` shares. Every array is allocated here and a
+    block writes only its own rows: blocks that allocated their own normals,
+    which the worker threads' malloc arenas then keep, raised the peak RSS
+    of the evaluation pass over 10,000 paths from 202 to 209 MB (2-vCPU
+    host, one BLAS thread, two runs each).
     """
     require_integer("n_paths", n_paths, minimum=1)
     n = grid.n_steps
-    dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
-    rho_bar = np.sqrt(1.0 - params.rho**2)
     normals = np.empty((n_paths, 2 * n))
     spot = np.empty((n_paths, n + 1))
     variance = np.empty((n_paths, n + 1))
 
     def block(lo):
-        hi = min(lo + SIM_BLOCK_ROWS, n_paths)
-        z = rng.path_normals(seed, hi - lo, 2 * n, first_row=lo, out=normals[lo:hi])
-        z_spot, z_var = z[:, 0::2], z[:, 1::2]
-        z_var *= rho_bar  # the variance shock rho*z1 + rho_bar*z2, in z2's place
-        z_var += params.rho * z_spot
-        s, v = spot[lo:hi], variance[lo:hi]
-        log_s = np.full(hi - lo, np.log(params.s0))
-        v_latent = np.full(hi - lo, params.v0)
-        s[:, 0] = params.s0
-        v[:, 0] = params.v0
-        for t in range(n):
-            v_pos = np.maximum(v_latent, 0.0)
-            vol_dt = np.sqrt(v_pos) * sqrt_dt
-            log_s += -0.5 * v_pos * dt + vol_dt * z_spot[:, t]
-            v_latent = v_latent + params.kappa * (params.theta - v_pos) * dt \
-                + params.sigma_vv * vol_dt * z_var[:, t]
-            s[:, t + 1] = np.exp(log_s)
-            v[:, t + 1] = np.maximum(v_latent, 0.0)
+        rows = slice(lo, min(lo + SIM_BLOCK_ROWS, n_paths))
+        _write_rows(params, grid, seed, lo, normals[rows], spot[rows], variance[rows])
 
     threads.run_threads(block, range(0, n_paths, SIM_BLOCK_ROWS))
     return MarketPaths(spot=spot, variance=variance, grid=grid)
+
+
+@dataclass(frozen=True)
+class HestonBatch:
+    """The batch ``simulate_heston(params, grid, n_paths, seed)`` returns,
+    held as its seed: :meth:`rows` simulates a range of its rows when asked,
+    so no array of the whole batch exists. Training hands one to
+    ``hedger._chunked_backward``, whose shard jobs each simulate their own
+    rows; it has the ``n_paths``, ``n_steps``, ``grid`` and ``rows`` that
+    job reads of a ``MarketPaths``."""
+
+    params: HestonParams
+    grid: PathGrid
+    n_paths: int
+    seed: int
+
+    def __post_init__(self):
+        require_integer("n_paths", self.n_paths, minimum=1)
+
+    @property
+    def n_steps(self) -> int:
+        return self.grid.n_steps
+
+    def rows(self, lo: int, hi: int) -> MarketPaths:
+        """Paths lo..hi-1, equal bit for bit to those rows of
+        :func:`simulate_heston`'s batch, in arrays of their own. ``lo`` must
+        be a row where the stream may be entered: any row on an even-step
+        grid, an even row otherwise (``rng.path_normals``)."""
+        if not 0 <= lo < hi <= self.n_paths:
+            raise ParameterError(f"rows must satisfy 0 <= lo < hi <= {self.n_paths}, "
+                                 f"got {lo}, {hi}")
+        n = self.grid.n_steps
+        spot, variance = np.empty((hi - lo, n + 1)), np.empty((hi - lo, n + 1))
+        _write_rows(self.params, self.grid, self.seed, lo,
+                    np.empty((hi - lo, 2 * n)), spot, variance)
+        return MarketPaths(spot=spot, variance=variance, grid=self.grid)

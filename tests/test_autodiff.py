@@ -18,7 +18,7 @@ def saving_rollout(params, n_paths, n_steps):
     """Hedge ratios of a saving forward on fresh Heston paths, and its state."""
     paths = simulate_heston(CALIBRATIONS["baseline"], PathGrid(n_steps=n_steps, maturity=0.5),
                             n_paths, seed=4)
-    saved = hedger._workspaces(params, paths)
+    saved = hedger._workspaces(params, paths.n_paths, paths.n_steps)
     return paths, hedger._infer(params, paths, STRIKE, saved=saved), saved
 
 

@@ -16,7 +16,7 @@ from hedgeblend import ensemble, hedger, threads
 from hedgeblend.accounting import CostSpec, HedgeSchedule
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.hedger import TrainConfig, forward_rollout, init_model
-from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
+from hedgeblend.market import CALIBRATIONS, HestonBatch, PathGrid, simulate_heston
 
 GRID = PathGrid(n_steps=32, maturity=0.5)
 
@@ -269,18 +269,22 @@ def test_a_member_count_that_is_not_an_integer_of_at_least_2_is_refused(monkeypa
 def test_a_diverging_member_is_named_once(monkeypatch):
     """A NaN spot in member 1's only batch: the error names member 1 once,
     around the hedger's own message."""
-    simulate, batches = hedger.simulate_heston, []
+    batches = []
+
+    class Poisoned(HestonBatch):
+        def rows(self, lo, hi):
+            paths = super().rows(lo, hi)
+            if lo <= 3 < hi:
+                spot = paths.spot.copy()
+                spot[3 - lo, 5] = np.nan
+                paths = dataclasses.replace(paths, spot=spot)
+            return paths
 
     def poisoned(*args, **kwargs):
-        paths = simulate(*args, **kwargs)
-        batches.append(paths)
-        if len(batches) == 2:
-            spot = paths.spot.copy()
-            spot[3, 5] = np.nan
-            paths = dataclasses.replace(paths, spot=spot)
-        return paths
+        batches.append((Poisoned if len(batches) == 1 else HestonBatch)(*args, **kwargs))
+        return batches[-1]
 
-    monkeypatch.setattr(hedger, "simulate_heston", poisoned)
+    monkeypatch.setattr(hedger, "HestonBatch", poisoned)
     message = "^member 1 diverged: hedger: training loss diverged at epoch 0$"
     with pytest.raises(NumericalDivergenceError, match=message):
         ensemble.train_ensemble(2, hedger.TrainConfig(epochs=1, paths_per_epoch=32, seed=3),

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from hedgeblend import autodiff as ad
-from hedgeblend import config, hedger, rng, threads
+from hedgeblend import config, hedger, market, rng, threads
 from hedgeblend.accounting import CostSpec, HedgePnL, compute_pnl
 from hedgeblend.errors import NumericalDivergenceError, ParameterError
 from hedgeblend.market import CALIBRATIONS, PathGrid, simulate_heston
@@ -56,7 +56,7 @@ def parameters(dtype, seed=7, hidden=hedger.HIDDEN):
 
 def saving_forward(params, paths):
     """Hedge ratios of a full-batch saving forward, and the state it kept."""
-    saved = hedger._workspaces(params, paths)
+    saved = hedger._workspaces(params, paths.n_paths, paths.n_steps)
     return hedger._infer(params, paths, STRIKE, saved=saved), saved
 
 
@@ -203,6 +203,20 @@ def test_pinned_training_trajectory():
     assert (params, losses) == PINNED_TRAINED
 
 
+def poisoned_batch(*args, row, **kwargs):
+    """A ``market.HestonBatch`` whose path ``row`` has a NaN spot at step 5."""
+    class Poisoned(market.HestonBatch):
+        def rows(self, lo, hi):
+            paths = super().rows(lo, hi)
+            if lo <= row < hi:
+                spot = paths.spot.copy()
+                spot[row - lo, 5] = np.nan
+                paths = dataclasses.replace(paths, spot=spot)
+            return paths
+
+    return Poisoned(*args, **kwargs)
+
+
 def count_rollouts(monkeypatch, hold=0.0):
     """Wrap hedger._infer and autodiff.backward; count plain and saving shard
     rollouts, the threads that make each kind, the paths whose saved state
@@ -288,6 +302,60 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatc
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
+def test_a_seeded_batch_gives_the_simulated_batch_gradient(paths_300, monkeypatch, limit, cpus):
+    """300 float32 paths in five 64-path shards (the last one 44), each shard
+    simulated by its own job from a ``market.HestonBatch`` (twice in the
+    two-pass epoch): the loss and every gradient array equal those of the
+    simulated batch, bit for bit."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+    params = parameters(np.float32)
+    batch = market.HestonBatch(CALIBRATIONS["baseline"], GRID, 300, seed=2026)
+    loss, grads = hedger._chunked_backward(params, paths_300, COST, STRIKE, 1.0)
+    seeded_loss, seeded = hedger._chunked_backward(params, batch, COST, STRIKE, 1.0)
+    assert seeded_loss == loss
+    for name, g, g_seeded in zip(hedger.PARAM_NAMES, grads, seeded):
+        assert np.array_equal(g_seeded, g), name
+
+
+@pytest.mark.parametrize("limit, passes", [(hedger.TAPE_BATCH_LIMIT, 1), (128, 2), (32, 2)],
+                         ids=["one_pass", "two_pass", "two_pass_small_limit"])
+def test_training_simulates_only_shards(monkeypatch, limit, passes):
+    """Two 300-path epochs in 64-path shards on two usable CPUs:
+    ``train_hedger`` never calls ``simulate_heston``, and each call of the row
+    writer covers at most min(SHARD_PATHS, TAPE_BATCH_LIMIT) rows, so no
+    array of a whole epoch's paths is made. A one-pass epoch simulates each
+    of its rows once; a two-pass epoch, whose shards are rolled out twice,
+    twice."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    write, calls = market._write_rows, []  # list.append is atomic
+
+    def spying(params, grid, seed, lo, normals, spot, variance):
+        calls.append((seed, lo, len(spot)))
+        write(params, grid, seed, lo, normals, spot, variance)
+
+    def simulating(*args, **kwargs):
+        raise AssertionError("training called simulate_heston")
+
+    monkeypatch.setattr(market, "_write_rows", spying)
+    monkeypatch.setattr(market, "simulate_heston", simulating)
+    hedger.train_hedger(hedger.TrainConfig(epochs=2, paths_per_epoch=300, seed=5),
+                        CALIBRATIONS["baseline"], GRID, COST, STRIKE)
+    assert max(n_rows for _, _, n_rows in calls) <= min(64, limit)
+    seeds = [rng.derive_seed(5, rng.TAG_EPOCH_PATHS, epoch) for epoch in range(2)]
+    assert {seed for seed, _, _ in calls} == set(seeds)
+    for seed in seeds:
+        simulated = np.zeros(300, dtype=int)
+        for _, lo, n_rows in (call for call in calls if call[0] == seed):
+            simulated[lo : lo + n_rows] += 1
+        assert (simulated == passes).all()
+
+
 @pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
 def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
     """300 float32 paths in five 64-path shards (the last one 44) on two
@@ -302,9 +370,9 @@ def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     infer, workspaces, allocations = hedger._infer, hedger._workspaces, []
 
-    def allocating(params, paths):
-        allocations.append(paths.n_paths)
-        return workspaces(params, paths)
+    def allocating(params, n_paths, n_steps):
+        allocations.append(n_paths)
+        return workspaces(params, n_paths, n_steps)
 
     def filling(value):
         def rollout(params, paths, strike, out=None, *, saved=None):
@@ -554,18 +622,14 @@ def test_a_batch_that_leaves_the_reals_names_its_epoch(monkeypatch, shard):
     no later batch."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", shard)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
-    simulate, batches = hedger.simulate_heston, []
+    batches = []
 
     def poisoned(*args, **kwargs):
-        paths = simulate(*args, **kwargs)
-        batches.append(paths)
-        if len(batches) == 3:
-            spot = paths.spot.copy()
-            spot[37, 5] = np.nan
-            paths = dataclasses.replace(paths, spot=spot)
-        return paths
+        batches.append(poisoned_batch(*args, row=37, **kwargs) if len(batches) == 2
+                       else market.HestonBatch(*args, **kwargs))
+        return batches[-1]
 
-    monkeypatch.setattr(hedger, "simulate_heston", poisoned)
+    monkeypatch.setattr(hedger, "HestonBatch", poisoned)
     message = "^hedger: training loss diverged at epoch 2$"
     with pytest.raises(NumericalDivergenceError, match=message):
         hedger.train_hedger(hedger.TrainConfig(epochs=5, paths_per_epoch=64, seed=5),

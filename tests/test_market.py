@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from hedgeblend import market, rng, threads
+from hedgeblend import hedger, market, rng, threads
 from hedgeblend.blend import train_eval_split
 from hedgeblend.errors import ParameterError
 from hedgeblend.evaluation import paired_bootstrap
@@ -283,3 +283,33 @@ def test_many_row_blocks_on_more_threads_than_cpus_equal_one_block(monkeypatch, 
         sys.setswitchinterval(interval)
     assert np.array_equal(blocks.spot, whole.spot)
     assert np.array_equal(blocks.variance, whole.variance)
+
+
+@pytest.mark.parametrize("n_steps", [7, 126])
+@pytest.mark.parametrize("params", [CALIBRATIONS["baseline"], GBM], ids=["baseline", "gbm"])
+def test_a_seeded_batch_gives_the_simulated_rows(params, n_steps):
+    """2,501 paths in training's shards, the last of one path: each shard's
+    rows equal those rows of the whole simulation bit for bit, on an odd and
+    an even step count."""
+    grid = PathGrid(n_steps=n_steps, maturity=0.5)
+    whole = simulate_heston(params, grid, 2501, seed=11)
+    batch = market.HestonBatch(params, grid, 2501, seed=11)
+    assert (batch.n_paths, batch.n_steps, batch.grid) == (2501, n_steps, grid)
+    for lo in range(0, 2501, hedger.SHARD_PATHS):
+        hi = min(lo + hedger.SHARD_PATHS, 2501)
+        rows = batch.rows(lo, hi)
+        assert rows.grid == grid
+        assert np.array_equal(rows.spot, whole.spot[lo:hi])
+        assert np.array_equal(rows.variance, whole.variance[lo:hi])
+
+
+@pytest.mark.parametrize("lo, hi", [(-2, 4), (4, 4), (6, 4), (0, 11)])
+def test_a_seeded_batch_refuses_rows_outside_it(lo, hi):
+    batch = market.HestonBatch(GBM, TINY_GRID, 10, seed=1)
+    with pytest.raises(ParameterError, match=f"^rows must satisfy 0 <= lo < hi <= 10, got {lo}, {hi}$"):
+        batch.rows(lo, hi)
+
+
+def test_a_seeded_batch_refuses_a_path_count_below_one():
+    with pytest.raises(ParameterError, match="^n_paths must be >= 1, got 0$"):
+        market.HestonBatch(GBM, TINY_GRID, 0, seed=1)
