@@ -15,9 +15,9 @@ from . import rng
 from .accounting import CostSpec, HedgeSchedule
 from .errors import NumericalDivergenceError, ParameterError, require_integer
 from .evaluation import csv_text
-from .hedger import SHARD_PATHS, HedgerModel, TrainConfig, forward_rollout, train_hedger
+from .hedger import HedgerModel, TrainConfig, forward_rollout, train_hedger
 from .market import HestonParams, MarketPaths, PathGrid
-from .threads import run_threads
+from .threads import row_blocks, run_threads
 
 
 @dataclass
@@ -77,45 +77,16 @@ def train_ensemble(
     return members
 
 
-# Path blocks start at multiples of this many rows, so that every row keeps
-# its place in the row groups of OpenBLAS's matrix-vector product (the head),
-# which rounds a trailing group of 1-3 rows differently, and in the path
-# panels of its gate GEMM, which rounds a trailing partial panel differently
-# (see hedger._infer).
-_BLOCK_ALIGN = 16
-
-
-def _path_blocks(n_paths: int) -> list[tuple[int, int]]:
-    """``ceil(n_paths / (2 * SHARD_PATHS))`` contiguous (lo, hi) row blocks.
-
-    Every block but the last holds the same multiple of 16 rows and the last
-    takes the remainder (10,000 paths: 2,496 + 2,496 + 2,496 + 2,512), so the
-    blocks depend only on the path count and a batch of at most ``2 *
-    SHARD_PATHS`` paths is one block.
-
-    A block is two training shards long because an inference rollout keeps
-    no tape, and shorter blocks cost time on threads: on a 2-vCPU host with
-    one BLAS thread, aggregating 5 float32 members over 10,000 x 126 paths
-    on two threads took a median 1.89 s in 2,500-row blocks and 2.04 s in
-    1,250-row ones (9 runs each), while on one thread the 1,250-row blocks
-    were the faster, 3.24 s against 3.40 s.
-    """
-    count = -(-n_paths // (2 * SHARD_PATHS))
-    size = n_paths // count // _BLOCK_ALIGN * _BLOCK_ALIGN
-    bounds = [k * size for k in range(count)] + [n_paths]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> EnsembleOutput:
     """Per-step ensemble mean and sample-std disagreement on shared paths.
 
     The paths are cut into row blocks that depend only on their count
-    (:func:`_path_blocks`), and each (member, block) pair is one job: a
-    :func:`hedgeblend.hedger.forward_rollout` of the member on a row view of
-    the block's paths, written into the block's rows of one (members,
-    paths, steps) float64 array. Only the mean, the disagreement and its
-    path average are returned; the disagreement's squared deviations are
-    computed in that array, which goes when this returns. The jobs are one
+    (:func:`hedgeblend.threads.row_blocks`), and each (member, block) pair
+    is one job: a :func:`hedgeblend.hedger.forward_rollout` of the member on
+    a row view of the block's paths, written into the block's rows of one
+    (members, paths, steps) float64 array. Only the mean, the disagreement
+    and its path average are returned; the disagreement's squared deviations
+    are computed in that array, which goes when this returns. The jobs are one
     :func:`hedgeblend.threads.run_threads` call in member-major order, at
     most one thread per usable CPU, so 5 members on 2 CPUs leave no CPU idle
     through a last round of whole members; a failure is raised, and a Ctrl-C
@@ -128,7 +99,7 @@ def aggregate(members: list[HedgerModel], paths: MarketPaths, strike: float) -> 
     """
     if len(members) < 2:
         raise ParameterError(f"disagreement needs at least 2 members, got {len(members)}")
-    blocks = _path_blocks(paths.n_paths)
+    blocks = row_blocks(paths.n_paths)
     jobs = [(m, block) for m in range(len(members)) for block in blocks]
     deltas = np.empty((len(members), paths.n_paths, paths.n_steps))
 

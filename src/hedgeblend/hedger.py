@@ -20,22 +20,23 @@ c at the end of every segment of ceil(sqrt(n_steps)) steps, the tape that
 the backward reads (it rebuilds c segment by segment from the gates, and
 recomputes tanh(c) and h), and gives the same hedge ratios bit for bit.
 ``ensemble.aggregate`` runs inference on threads, at most one per usable
-CPU, as (member, path-block) jobs whose blocks are cut at multiples of 16
-rows, with results identical to a serial full-batch loop.
+CPU, as (member, row-block) jobs whose blocks (``threads.row_blocks``) are
+cut at multiples of 16 rows, with results identical to a serial full-batch
+loop.
 
-Every epoch of B paths is split into ``ceil(B / min(SHARD_PATHS,
-TAPE_BATCH_LIMIT))`` contiguous path shards, a count that depends only on
-the batch size. An epoch is a seed (``market.HestonBatch``), not arrays:
-each shard's gradient comes from one job on a thread, which simulates the
-shard's own rows, rolls them out saving into a tape, backpropagates it at
-once and hands the tape to the next shard of the epoch, so no array of the
-whole epoch's paths exists, and an epoch allocates at most one tape per
-thread and frees them when it ends. The job seeds the backward from the
-shard's own softmax in an epoch of at most ``TAPE_BATCH_LIMIT`` paths
-(20,000, the paper epoch, so every shipped scale),
-whose shard gradients are then weighted by the shards' shares of the batch's
-exp(-a pnl) mass; a larger epoch first rolls its shards out without a tape
-for the batch's seed, and the job backpropagates that seed's rows. The
+Every epoch of B paths is a seed (``market.HestonBatch``), not arrays, split
+into ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous path
+shards, a count that depends only on the batch size. Each shard's gradient
+comes from one job on a thread, which simulates the shard's own rows, rolls
+them out saving into a tape, backpropagates it at once and hands the tape to
+the next shard of the epoch, so no array of the whole epoch's paths exists,
+and an epoch allocates at most one tape per thread and frees them when it
+ends. The job seeds the backward from the shard's own softmax in an epoch
+of at most ``TAPE_BATCH_LIMIT`` paths (20,000, the paper epoch, so every
+shipped scale), whose shard gradients are then weighted by the shards'
+shares of the batch's exp(-a pnl) mass; a larger epoch first rolls its
+shards out without a tape for the batch's seed, and the job backpropagates
+that seed's rows. The
 weighted shard gradients are summed in shard order, so for a given number of
 BLAS threads a run's results do not depend on the CPU count, the thread
 count or the timing (see :func:`_chunked_backward`). An epoch of one shard
@@ -60,7 +61,7 @@ from .accounting import CostSpec, HedgePnL, HedgeSchedule, compute_pnl
 from .errors import NumericalDivergenceError, ParameterError, require_integer, require_real
 from .market import HestonBatch, HestonParams, MarketPaths, PathGrid
 from .risk import entropic_risk
-from .threads import check_stopped, run_threads
+from .threads import BLOCK_ROWS, check_stopped, run_threads
 
 INPUT_DIM = 4  # log_moneyness, tau, inst_vol, prev_delta
 HIDDEN = 32
@@ -81,12 +82,13 @@ N_LAYERS = 2
 # tracemalloc, H = 32), 561 at the backward's peak: 0.14 MB per path (two
 # layers), about 171 MB per 1,250-path shard, against 5 MB for the float64
 # normals, spot and variance that the shard's job simulates. So the peak
-# grows with the CPU count, up to min(CPUs, shards) tapes: on a 2-vCPU host,
-# with two tapes live, two members' two 5,000-path epochs (train_desk) peak
-# at about 400 MB and two 20,000-path epochs (train_paper_batch) at about
-# 404 MB, also where one process trains several times; a host with 4 or
-# more CPUs tapes all four desk shards at once (741 MB at 4 usable CPUs),
-# and a paper epoch tapes min(CPUs, 16) shards at once, about 2.7 GB at 16.
+# grows with the CPU count, up to min(CPUs, shards) tapes: on a 2-vCPU host
+# with one BLAS thread (perfbench), with two tapes live, two members' two
+# 5,000-path epochs (train_desk) peak at about 400 MB and two 20,000-path
+# epochs (train_paper_batch) at about 404 MB, also where one process trains
+# several times; a host with 4 or more CPUs tapes all four desk shards at
+# once (741 MB at 4 usable CPUs), and a paper epoch tapes min(CPUs, 16)
+# shards at once, about 2.7 GB at 16.
 TAPE_BATCH_LIMIT = 20000
 
 # Paths per training shard: every epoch of B paths is split into
@@ -95,15 +97,11 @@ TAPE_BATCH_LIMIT = 20000
 # 1,250 splits the 5,000-path desk epoch and the 20,000-path paper epoch into
 # 4 and 16 shards, which 2 or 4 threads share evenly. Each thread tapes one
 # shard at a time, so the shard size and the thread count set the peak
-# memory: on a 2-vCPU host with one BLAS thread (perfbench), two
-# 20,000-path epochs (train_paper_batch) peak at about 404 MB and two
-# members' two 5,000-path epochs (train_desk) at about 400 MB. Each
-# shard's job simulates the shard's rows (market.HestonBatch), so every
-# shard starts at a multiple of this size, which is even, like
-# market.SIM_BLOCK_ROWS, so that the random stream may be entered there.
-# ensemble.aggregate's inference blocks are two shards long (see
-# ensemble._path_blocks).
-SHARD_PATHS = 1250
+# memory (see TAPE_BATCH_LIMIT). Half a threads.row_blocks block, so that a
+# shard's job simulates the shard's rows (market.HestonBatch.rows) as one
+# block, on its own thread, and every shard starts at an even row, where the
+# random stream may be entered.
+SHARD_PATHS = BLOCK_ROWS // 2
 
 # Training's Adam step size; its betas are autodiff.Adam's defaults.
 STEP_SIZE = 1e-3
@@ -136,9 +134,9 @@ class HedgerModel:
     loss_history: list[float] = field(default_factory=list)
 
 
-def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple]:
+def _param_shapes(hidden: int) -> dict[str, tuple]:
     """The shape of each parameter array, in ``PARAM_NAMES`` order."""
-    shapes, in_dim = {}, input_dim
+    shapes, in_dim = {}, INPUT_DIM
     for layer in range(N_LAYERS):
         shapes[f"w_ih_{layer}"] = (in_dim, 4 * hidden)
         shapes[f"w_hh_{layer}"] = (hidden, 4 * hidden)
@@ -152,7 +150,7 @@ def init_model(seed: int, hidden: int = HIDDEN) -> HedgerModel:
     order; zero biases but the LSTM forget gates', which are 1."""
     gen = rng.generator(rng.derive_seed(seed, rng.TAG_INIT))
     params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(INPUT_DIM, hidden).items():
+    for name, shape in _param_shapes(hidden).items():
         if name.startswith("w_"):
             k = 1.0 / np.sqrt(shape[0])  # the fan-in
             params[name] = gen.uniform(-k, k, size=shape)
@@ -383,11 +381,9 @@ def train_hedger(
     rolled out, saving, and backpropagated at once by one job on a thread (one
     shard on the calling thread). The shards' rows are those of
     ``simulate_heston`` of the batch, bit for bit, but no array of the whole
-    batch is made: two 20,000-path epochs peaked at 440 MB with the batch
-    simulated before its shards and at 404 MB without it (2-vCPU host, one
-    BLAS thread), and at 477 MB against 404 MB when one process trains three
-    times. When ``B <= TAPE_BATCH_LIMIT`` (20,000 paths, the paper epoch, so
-    at every scale in ``config.SCALES``) the job seeds the backward from the
+    batch is made (see ``TAPE_BATCH_LIMIT`` for the peak memory). When
+    ``B <= TAPE_BATCH_LIMIT`` (20,000 paths, the paper epoch, so at every
+    scale in ``config.SCALES``) the job seeds the backward from the
     shard's own softmax, and the shard gradients are weighted by the shards'
     shares of the batch's exp(-a pnl) mass; a larger epoch is first rolled out
     without a tape for the full batch's softmax, whose rows seed the jobs,
@@ -425,20 +421,18 @@ def train_hedger(
 
 def _chunked_backward(
     params: dict[str, np.ndarray],
-    paths: MarketPaths | HestonBatch,
+    batch: HestonBatch,
     cost: CostSpec,
     strike: float,
     a: float,
 ) -> tuple[float, list[np.ndarray] | None]:
-    """Full-batch entropic loss and gradient of sharded paths, on threads.
+    """Full-batch entropic loss and gradient of a sharded batch, on threads.
 
     The one gradient of training: returns the loss and the gradients in
     ``PARAM_NAMES`` order, or the loss and None when it is not finite (NaN
-    when a shard's hedge ratio is not). ``paths`` is simulated paths or a
-    ``market.HestonBatch``, whose ``rows`` simulates them: a shard's rows are
-    taken with ``paths.rows`` by the job that rolls the shard out, so a seeded
-    batch is simulated a shard at a time, on the shards' threads, and gives
-    the simulated batch's loss and gradients bit for bit (in a two-pass epoch
+    when a shard's hedge ratio is not). A shard's rows are simulated with
+    ``batch.rows`` by the job that rolls the shard out, so the batch is
+    simulated a shard at a time, on the shards' threads (in a two-pass epoch
     each shard is simulated twice). Every batch of B paths is split into
     ``ceil(B / min(SHARD_PATHS, TAPE_BATCH_LIMIT))`` contiguous shards; a
     batch of at most that many paths is one shard. Each shard is rolled out by
@@ -487,17 +481,13 @@ def _chunked_backward(
     :func:`_workspaces` when the list is empty, so a call allocates at most
     one tape per thread, each of the first shard's length (a shorter last
     shard takes a :func:`_narrowed` view of it). The list goes when the call
-    returns, so no tape outlives its epoch: kept across a whole training,
-    two idle tapes sat through each next epoch's simulation, and two
-    20,000-path epochs (train_paper_batch) peaked at 555 MB against 442 MB
-    (both with the epoch simulated before its shards ran).
-    A saving forward writes every value its backward reads, so what a tape
-    held before changes no bit; reusing it spares the first touch of fresh
-    pages: a float32 1,250-path saving forward took 109-121 ms on a fresh
-    tape and 92-97 ms on a reused one (medians of 7, one BLAS thread, a
-    2-vCPU host).
+    returns, so no tape outlives its epoch. A saving forward writes every
+    value its backward reads, so what a tape held before changes no bit;
+    reusing it spares the first touch of fresh pages: a float32 1,250-path
+    saving forward took 109-121 ms on a fresh tape and 92-97 ms on a reused
+    one (medians of 7, one BLAS thread, a 2-vCPU host).
     """
-    n_paths = paths.n_paths
+    n_paths = batch.n_paths
     size = min(SHARD_PATHS, TAPE_BATCH_LIMIT)
     shards = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     one_pass = n_paths <= TAPE_BATCH_LIMIT
@@ -505,7 +495,7 @@ def _chunked_backward(
     spare = []  # tapes of finished shards, for the next; list.pop and .append are atomic
 
     def rollout(shard, tape=None):  # saving into the tape when one is given
-        sub = paths.rows(*shard)  # a HestonBatch simulates the shard here
+        sub = batch.rows(*shard)  # simulates the shard here
         saved = None if tape is None else _narrowed(tape, sub.n_paths)
         delta = _infer(params, sub, strike, saved=saved)
         account = HedgePnL(sub.spot.astype(dtype), cost.cost_rate, strike)
@@ -515,7 +505,7 @@ def _chunked_backward(
         try:
             tape = spare.pop()
         except IndexError:
-            tape = _workspaces(params, min(size, n_paths), paths.n_steps)
+            tape = _workspaces(params, min(size, n_paths), batch.n_steps)
         saved, account, shard_pnl = rollout(shard, tape)
         if g_pnl is None:
             g = np.empty(len(shard_pnl))
@@ -619,7 +609,7 @@ def load_model(filename: str) -> HedgerModel:
         # ValueError: numpy refuses to unpickle a non-archive; bad JSON or numbers.
         # IndexError: a w_hh_0 that is a scalar.
         raise ParameterError(f"{filename} is not a hedger checkpoint: {exc!r}") from exc
-    expected = _param_shapes(INPUT_DIM, width)
+    expected = _param_shapes(width)
     wrong = [f"{name} {params[name].shape}, not {expected[name]}" for name in PARAM_NAMES
              if params[name].shape != expected[name]]
     if wrong:

@@ -117,22 +117,15 @@ class MarketPaths:
         )
 
 
-# Paths per job of a simulation: the row blocks run on threads, each drawing
-# its own rows of the one stream (rng.path_normals), so a batch of at most
-# this many paths runs on the calling thread. Even, so that every block
-# starts where the stream may be entered.
-SIM_BLOCK_ROWS = 2500
-
-
 def _write_rows(
     params: HestonParams, grid: PathGrid, seed: int, lo: int,
     normals: np.ndarray, spot: np.ndarray, variance: np.ndarray,
 ) -> None:
     """Rows lo .. lo + len(spot) - 1 of the batch that ``seed`` simulates,
     written into the caller's ``normals`` (len(spot), 2 n_steps), ``spot``
-    and ``variance`` (len(spot), n_steps + 1): the one simulation, of
-    :func:`simulate_heston` and of :meth:`HestonBatch.rows`. ``lo`` must be
-    a row where the stream may be entered (``rng.path_normals``)."""
+    and ``variance`` (len(spot), n_steps + 1): a row block of
+    :meth:`HestonBatch.rows`, the one simulation. ``lo`` must be a row where
+    the stream may be entered (``rng.path_normals``)."""
     n, n_rows = grid.n_steps, len(spot)
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
@@ -158,43 +151,24 @@ def _write_rows(
 def simulate_heston(
     params: HestonParams, grid: PathGrid, n_paths: int, seed: int
 ) -> MarketPaths:
-    """Simulate Heston paths with a full-truncation Euler scheme.
+    """Simulate Heston paths with a full-truncation Euler scheme: all
+    ``n_paths`` rows of ``HestonBatch(params, grid, n_paths, seed)``.
 
     Two independent normals per step drive the spot (z1) and the variance
     shock rho*z1 + sqrt(1-rho^2)*z2, giving exact increment correlation rho.
     Deterministic for fixed (params, grid, n_paths, seed), and row p depends
     only on (params, grid, seed, p).
-
-    The paths are simulated in blocks of ``SIM_BLOCK_ROWS`` rows, on one
-    ``threads.run_threads`` call, each by the row writer that
-    :meth:`HestonBatch.rows` shares. Every array is allocated here and a
-    block writes only its own rows: blocks that allocated their own normals,
-    which the worker threads' malloc arenas then keep, raised the peak RSS
-    of the evaluation pass over 10,000 paths from 202 to 209 MB (2-vCPU
-    host, one BLAS thread, two runs each).
     """
-    require_integer("n_paths", n_paths, minimum=1)
-    n = grid.n_steps
-    normals = np.empty((n_paths, 2 * n))
-    spot = np.empty((n_paths, n + 1))
-    variance = np.empty((n_paths, n + 1))
-
-    def block(lo):
-        rows = slice(lo, min(lo + SIM_BLOCK_ROWS, n_paths))
-        _write_rows(params, grid, seed, lo, normals[rows], spot[rows], variance[rows])
-
-    threads.run_threads(block, range(0, n_paths, SIM_BLOCK_ROWS))
-    return MarketPaths(spot=spot, variance=variance, grid=grid)
+    return HestonBatch(params, grid, n_paths, seed).rows(0, n_paths)
 
 
 @dataclass(frozen=True)
 class HestonBatch:
-    """The batch ``simulate_heston(params, grid, n_paths, seed)`` returns,
-    held as its seed: :meth:`rows` simulates a range of its rows when asked,
-    so no array of the whole batch exists. Training hands one to
-    ``hedger._chunked_backward``, whose shard jobs each simulate their own
-    rows; it has the ``n_paths``, ``n_steps``, ``grid`` and ``rows`` that
-    job reads of a ``MarketPaths``."""
+    """A batch of Heston paths held as its seed. :meth:`rows`, the one
+    simulation, simulates a range of its rows when asked:
+    :func:`simulate_heston` asks for all of them, and the shard jobs of
+    ``hedger._chunked_backward`` each for their own shard's, so no array of a
+    whole training epoch exists."""
 
     params: HestonParams
     grid: PathGrid
@@ -209,15 +183,36 @@ class HestonBatch:
         return self.grid.n_steps
 
     def rows(self, lo: int, hi: int) -> MarketPaths:
-        """Paths lo..hi-1, equal bit for bit to those rows of
-        :func:`simulate_heston`'s batch, in arrays of their own. ``lo`` must
-        be a row where the stream may be entered: any row on an even-step
-        grid, an even row otherwise (``rng.path_normals``)."""
+        """Paths lo..hi-1 of the batch, in arrays of their own; row p depends
+        only on (params, grid, seed, p). ``lo`` must be a row where the
+        stream may be entered: any row on an even-step grid, an even row
+        otherwise (``rng.path_normals``).
+
+        The rows are cut by ``threads.row_blocks`` and the blocks written by
+        :func:`_write_rows` on one ``threads.run_threads`` call, so a range
+        of at most ``threads.BLOCK_ROWS`` rows is simulated on the calling
+        thread. Every array is allocated here, on the calling thread, and a
+        block writes only its own rows: blocks that allocated their own
+        normals, which the worker threads' malloc arenas then keep, raised
+        the peak RSS of the evaluation pass over 10,000 paths from 202 to 209
+        MB (2-vCPU host, one BLAS thread, two runs each). The normals, which
+        go when this returns, are allocated after spot and variance, which
+        stay: allocated first, they raised the peak RSS of two 20,000-path
+        training epochs (train_paper_batch) from 402.6-404.7 to 405.3-406.7
+        MB and of the evaluation pass from 199.8-200.6 to 201.5-202.0 MB
+        (same host, 6 to 24 runs each).
+        """
         if not 0 <= lo < hi <= self.n_paths:
             raise ParameterError(f"rows must satisfy 0 <= lo < hi <= {self.n_paths}, "
                                  f"got {lo}, {hi}")
         n = self.grid.n_steps
         spot, variance = np.empty((hi - lo, n + 1)), np.empty((hi - lo, n + 1))
-        _write_rows(self.params, self.grid, self.seed, lo,
-                    np.empty((hi - lo, 2 * n)), spot, variance)
+        normals = np.empty((hi - lo, 2 * n))  # after spot and variance (see above)
+
+        def block(bounds):
+            rows = slice(*bounds)
+            _write_rows(self.params, self.grid, self.seed, lo + bounds[0],
+                        normals[rows], spot[rows], variance[rows])
+
+        threads.run_threads(block, threads.row_blocks(hi - lo))
         return MarketPaths(spot=spot, variance=variance, grid=self.grid)

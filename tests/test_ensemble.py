@@ -101,19 +101,6 @@ def test_aggregate_peak_stays_under_members_plus_three_schedules(monkeypatch):
     assert peak <= (len(members) + 3) * paths.n_paths * paths.n_steps * 8
 
 
-def test_path_blocks_depend_only_on_the_path_count():
-    assert ensemble._path_blocks(10000) == [(0, 2496), (2496, 4992), (4992, 7488), (7488, 10000)]
-    assert ensemble._path_blocks(1000) == [(0, 1000)]
-    assert ensemble._path_blocks(2 * hedger.SHARD_PATHS) == [(0, 2 * hedger.SHARD_PATHS)]
-    for n_paths in (2501, 3000, 5003, 10000, 20001):
-        blocks = ensemble._path_blocks(n_paths)
-        assert len(blocks) == -(-n_paths // (2 * hedger.SHARD_PATHS))
-        assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
-        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
-        assert all(lo % 16 == 0 and (hi - lo) % 16 == 0 for lo, hi in blocks[:-1])
-        assert blocks[-1][0] % 16 == 0
-
-
 @pytest.fixture(scope="module")
 def full_batch_rollouts():
     """n_paths -> (paths, members, serial full-batch schedules), made once."""
@@ -148,7 +135,7 @@ def test_blocked_aggregate_equals_full_batch_rollouts_bit_for_bit(
 
     monkeypatch.setattr(ensemble, "forward_rollout", counted)
     out = ensemble.aggregate(members, paths, 1.0)
-    blocks = ensemble._path_blocks(n_paths)
+    blocks = threads.row_blocks(n_paths)
     assert sorted(rolled) == sorted([hi - lo for lo, hi in blocks] * len(members))
     stacked = np.stack([h.delta for h in serial])
     assert out.mean_hedge.delta.tobytes() == stacked.mean(axis=0).tobytes()
@@ -184,7 +171,7 @@ def test_pool_never_has_more_workers_than_usable_cpus(paths, monkeypatch, member
     monkeypatch.setattr(ensemble, "forward_rollout", stand_in)
     models = float32_members(members)
     out = ensemble.aggregate(models, paths, 1.0)
-    blocks = ensemble._path_blocks(paths.n_paths)
+    blocks = threads.row_blocks(paths.n_paths)
     assert len(blocks) == 2
     workers = min(members * len(blocks), cpus)
     if workers == 1:  # no pool: every rollout runs on the calling thread
@@ -206,7 +193,7 @@ def test_interrupt_in_a_rollout_starts_no_further_rollouts(paths, monkeypatch):
     eight jobs are then skipped or cancelled, never rolled out."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     members = float32_members(5)
-    first, second = (hi - lo for lo, hi in ensemble._path_blocks(paths.n_paths))
+    first, second = (hi - lo for lo, hi in threads.row_blocks(paths.n_paths))
     started = []
     second_running = threading.Event()
     interrupt = KeyboardInterrupt("stop")
@@ -233,7 +220,7 @@ def test_failing_rollout_is_raised_in_member_order(paths, monkeypatch):
     member 0's later failure is the one raised."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     members = float32_members(4)
-    first, _ = ensemble._path_blocks(paths.n_paths)
+    first, _ = threads.row_blocks(paths.n_paths)
     failed = []
 
     def stand_in(model, paths, strike, *, out=None):

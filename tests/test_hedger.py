@@ -49,6 +49,11 @@ def heston_paths(n_paths, seed=2026, grid=GRID):
     return simulate_heston(CALIBRATIONS["baseline"], grid, n_paths, seed=seed)
 
 
+def heston_batch(n_paths, seed=2026, grid=GRID):
+    """The seed of ``heston_paths(n_paths, seed, grid)``, as training takes it."""
+    return market.HestonBatch(CALIBRATIONS["baseline"], grid, n_paths, seed=seed)
+
+
 def parameters(dtype, seed=7, hidden=hedger.HIDDEN):
     model = hedger.init_model(seed, hidden=hidden)
     return {k: v.astype(dtype) for k, v in model.params.items()}
@@ -60,20 +65,21 @@ def saving_forward(params, paths):
     return hedger._infer(params, paths, STRIKE, saved=saved), saved
 
 
-def chunked_grads(params, paths):
-    return hedger._chunked_backward(params, paths, COST, STRIKE, 1.0)[1]
+def chunked_grads(params, batch):
+    return hedger._chunked_backward(params, batch, COST, STRIKE, 1.0)[1]
 
 
-def gradient_check(model, paths, n_params_sampled=20, step=1e-5, a=1.0, seed=0):
-    """Max relative error of the training gradient against central finite
-    differences of ``hedger.network_price``, the entropic risk of the hedged
-    P&L, in float64, over ``n_params_sampled`` coordinates of the flattened
-    parameter vector.
-    Raises NumericalDivergenceError if the loss on ``paths`` is not finite."""
+def gradient_check(model, batch, n_params_sampled=20, step=1e-5, a=1.0, seed=0):
+    """Max relative error of the training gradient on ``batch`` against
+    central finite differences of ``hedger.network_price``, the entropic
+    risk of the hedged P&L on the batch's paths, in float64, over
+    ``n_params_sampled`` coordinates of the flattened parameter vector.
+    Raises NumericalDivergenceError if the loss on ``batch`` is not finite."""
     params = {k: v.astype(np.float64) for k, v in model.params.items()}
-    loss, grads = hedger._chunked_backward(params, paths, COST, STRIKE, a)
+    loss, grads = hedger._chunked_backward(params, batch, COST, STRIKE, a)
     if not np.isfinite(loss):
         raise NumericalDivergenceError("gradient check: the loss is not finite")
+    paths = batch.rows(0, batch.n_paths)
 
     sizes = [params[k].size for k in hedger.PARAM_NAMES]
     total = sum(sizes)
@@ -172,7 +178,7 @@ dtype, chunked = sys.argv[1:]
 if chunked == "True":
     t.hedger.TAPE_BATCH_LIMIT = 64
 print(*(t.sha256([g]) for g in t.chunked_grads(t.parameters(np.dtype(dtype)),
-                                                  t.heston_paths(300))))
+                                                  t.heston_batch(300))))
 """
 
 
@@ -269,17 +275,18 @@ def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, 
     lie more than 745 apart, so the weight of the shard of least risk, exp
     of that difference, underflows to 0, and exp of an unshifted a·risk
     (about 2,500) would overflow."""
-    paths = heston_paths(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
+    batch = heston_batch(64, seed=11, grid=PathGrid(n_steps=8, maturity=0.5))
+    paths = batch.rows(0, 64)
     params = parameters(np.float64)
     pnl = HedgePnL(paths.spot, COST.cost_rate, STRIKE).pnl(hedger._infer(params, paths, STRIKE))
     risks = [entropic_risk(pnl[lo : lo + 16], a) for lo in range(0, 64, 16)]
     spread = a * (max(risks) - min(risks))
     assert spread > 745 if a > 1 else spread < 1
-    full = hedger._chunked_backward(params, paths, COST, STRIKE, a)[1]
+    full = hedger._chunked_backward(params, batch, COST, STRIKE, a)[1]
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     counts = count_rollouts(monkeypatch)
-    loss, sharded = hedger._chunked_backward(params, paths, COST, STRIKE, a)
+    loss, sharded = hedger._chunked_backward(params, batch, COST, STRIKE, a)
     assert (counts["plain"], counts["saving"]) == (plain, 4)
     assert loss == entropic_risk(pnl, a)
     for name, g_full, g_shard in zip(hedger.PARAM_NAMES, full, sharded):
@@ -289,36 +296,17 @@ def test_sharded_gradient_equals_single_tape_up_to_summation_order(monkeypatch, 
 
 
 @pytest.mark.parametrize("limit", [6144, 128], ids=["kept_tapes", "re_rolled"])
-def test_sharded_gradient_does_not_depend_on_the_cpu_count(paths_300, monkeypatch, limit):
+def test_sharded_gradient_does_not_depend_on_the_cpu_count(monkeypatch, limit):
     """300 float32 paths in five 64-path shards (the last one 44)."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
     results = []
     for cpus in (1, 2, 4):
         monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
-        loss, grads = hedger._chunked_backward(parameters(np.float32), paths_300, COST, STRIKE,
-                                               1.0)
+        loss, grads = hedger._chunked_backward(parameters(np.float32), heston_batch(300), COST,
+                                               STRIKE, 1.0)
         results.append((loss, sha256(grads)))
     assert results[0] == results[1] == results[2]
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
-def test_a_seeded_batch_gives_the_simulated_batch_gradient(paths_300, monkeypatch, limit, cpus):
-    """300 float32 paths in five 64-path shards (the last one 44), each shard
-    simulated by its own job from a ``market.HestonBatch`` (twice in the
-    two-pass epoch): the loss and every gradient array equal those of the
-    simulated batch, bit for bit."""
-    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
-    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
-    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
-    params = parameters(np.float32)
-    batch = market.HestonBatch(CALIBRATIONS["baseline"], GRID, 300, seed=2026)
-    loss, grads = hedger._chunked_backward(params, paths_300, COST, STRIKE, 1.0)
-    seeded_loss, seeded = hedger._chunked_backward(params, batch, COST, STRIKE, 1.0)
-    assert seeded_loss == loss
-    for name, g, g_seeded in zip(hedger.PARAM_NAMES, grads, seeded):
-        assert np.array_equal(g_seeded, g), name
 
 
 @pytest.mark.parametrize("limit, passes", [(hedger.TAPE_BATCH_LIMIT, 1), (128, 2), (32, 2)],
@@ -357,7 +345,7 @@ def test_training_simulates_only_shards(monkeypatch, limit, passes):
 
 
 @pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
-def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
+def test_a_reused_tape_changes_no_bit(monkeypatch, limit):
     """300 float32 paths in five 64-path shards (the last one 44) on two
     usable CPUs, whose tapes pass from shard to shard within the call: tapes
     filled with NaN before every saving forward give the gradient of tapes
@@ -387,13 +375,13 @@ def test_a_reused_tape_changes_no_bit(paths_300, monkeypatch, limit):
     for value in (0.0, np.nan, None):
         allocations.clear()
         monkeypatch.setattr(hedger, "_infer", filling(value))
-        results.append(sha256(chunked_grads(parameters(np.float32), paths_300)))
+        results.append(sha256(chunked_grads(parameters(np.float32), heston_batch(300))))
         assert 1 <= len(allocations) <= min(5, 2, limit // 64)
         assert set(allocations) == {64}
     assert results[0] == results[1] == results[2]
 
 
-def test_no_two_running_shards_share_a_tape(paths_300, monkeypatch):
+def test_no_two_running_shards_share_a_tape(monkeypatch):
     """Stress: 300 paths in 19 shards of 16 on 8 threads, more than a
     2- or 4-CPU host runs at once, with a 10 µs thread switch interval.
     No tape is handed to a shard while another shard's forward or backward
@@ -430,7 +418,7 @@ def test_no_two_running_shards_share_a_tape(paths_300, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results.append(sha256(chunked_grads(parameters(np.float32), paths_300)))
+            results.append(sha256(chunked_grads(parameters(np.float32), heston_batch(300))))
         finally:
             sys.setswitchinterval(interval)
         assert len(allocations) <= cpus
@@ -443,12 +431,12 @@ def test_at_most_tape_batch_limit_paths_are_taped_at_once(monkeypatch):
     each pass runs on at most 3 threads, so at most 48 paths have saved state
     at once. The passes use separate pools, whose threads need not share
     idents."""
-    paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
+    batch = heston_batch(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", 48)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 16)
     counts = count_rollouts(monkeypatch, hold=0.02)
-    chunked_grads(parameters(np.float32), paths)
+    chunked_grads(parameters(np.float32), batch)
     assert (counts["plain"], counts["saving"]) == (10, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 48
@@ -462,11 +450,11 @@ def test_a_kept_tape_epoch_tapes_one_shard_per_thread(monkeypatch):
     it on the same thread before the next shard starts, so at most two
     shards' tapes are live at once (keeping every tape for a second pass
     held all 160 paths' tapes)."""
-    paths = heston_paths(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
+    batch = heston_batch(160, seed=12, grid=PathGrid(n_steps=4, maturity=0.5))
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     counts = count_rollouts(monkeypatch, hold=0.02)
-    chunked_grads(parameters(np.float32), paths)
+    chunked_grads(parameters(np.float32), batch)
     assert (counts["plain"], counts["saving"]) == (0, 10)
     assert counts["live"] == 0
     assert 16 <= counts["peak"] <= 32
@@ -478,9 +466,9 @@ def test_the_paper_epoch_takes_one_pass(monkeypatch):
     its 16 shards out once, saving, and never without a tape: it is no
     larger than TAPE_BATCH_LIMIT."""
     n_paths = config.SCALES["paper"]["paths_per_epoch"]
-    paths = heston_paths(n_paths, seed=13, grid=PathGrid(n_steps=2, maturity=0.5))
+    batch = heston_batch(n_paths, seed=13, grid=PathGrid(n_steps=2, maturity=0.5))
     counts = count_rollouts(monkeypatch)
-    chunked_grads(parameters(np.float32), paths)
+    chunked_grads(parameters(np.float32), batch)
     assert (counts["plain"], counts["saving"]) == (0, math.ceil(n_paths / hedger.SHARD_PATHS))
     assert counts["live"] == 0
 
@@ -496,7 +484,7 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_
     are still running when the main thread's next poll (up to
     ``threads.POLL_SECONDS`` later) sees it."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
-    paths = heston_paths(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
+    batch = heston_batch(5000, seed=13, grid=PathGrid(n_steps=126, maturity=0.5))
     record = []
     infer = hedger._infer
 
@@ -520,7 +508,7 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_
 
     monkeypatch.setattr(hedger, "check_stopped", paced)
     with pytest.raises(KeyboardInterrupt):
-        chunked_grads(parameters(np.float32), paths)
+        chunked_grads(parameters(np.float32), batch)
     assert time.perf_counter() - fired[0] < 0.3
     assert len(record) == 2
     for thread, saving, exc in record:
@@ -532,36 +520,37 @@ def test_interrupt_main_stops_the_running_shard_rollouts(monkeypatch, interrupt_
 def test_sharded_loss_matches_the_entropic_formula(monkeypatch):
     """The loss of a sharded float64 batch is the entropic risk, by the
     direct formula, of the reports' P&L of the inference rollout."""
-    paths = heston_paths(40, seed=3, grid=PathGrid(n_steps=8, maturity=0.5))
+    batch = heston_batch(40, seed=3, grid=PathGrid(n_steps=8, maturity=0.5))
+    paths = batch.rows(0, 40)
     model = hedger.init_model(4, hidden=4)
     monkeypatch.setattr(hedger, "SHARD_PATHS", 16)
-    loss, _ = hedger._chunked_backward(model.params, paths, COST, STRIKE, 1.0)
+    loss, _ = hedger._chunked_backward(model.params, batch, COST, STRIKE, 1.0)
     pnl = compute_pnl(paths, hedger.forward_rollout(model, paths, STRIKE), COST, STRIKE).pnl
     assert loss == pytest.approx(np.log(np.mean(np.exp(-pnl))), abs=1e-12)
 
 
-def test_float32_shards_give_float32_gradients(paths_300, monkeypatch):
+def test_float32_shards_give_float32_gradients(monkeypatch):
     """The shards backpropagate float32 weights, so every parameter's
     gradient is float32."""
     monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
-    grads = chunked_grads(parameters(np.float32), paths_300)
+    grads = chunked_grads(parameters(np.float32), heston_batch(300))
     assert len(grads) == len(hedger.PARAM_NAMES)
     assert {g.dtype for g in grads} == {np.dtype(np.float32)}
 
 
 def test_gradient_check_on_tiny_float64_model():
     model = hedger.init_model(3, hidden=4)
-    paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
-    worst = gradient_check(model, paths, n_params_sampled=40)
+    batch = heston_batch(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
+    worst = gradient_check(model, batch, n_params_sampled=40)
     assert worst < 1e-3
 
 
 def test_gradient_check_of_a_diverged_model_raises():
     model = hedger.init_model(3, hidden=4)
     model.params["w_out"][0, 0] = np.nan
-    paths = heston_paths(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
+    batch = heston_batch(32, seed=5, grid=PathGrid(n_steps=6, maturity=0.5))
     with pytest.raises(NumericalDivergenceError):
-        gradient_check(model, paths)
+        gradient_check(model, batch)
 
 
 def test_tape_holds_at_most_six_hidden_widths_per_path_and_cell():

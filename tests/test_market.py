@@ -257,10 +257,11 @@ def test_zero_simulated_paths(baseline, small_grid):
 @pytest.mark.parametrize("n_paths", [1, 2, 3, 2501])
 def test_row_blocks_equal_the_one_block_simulation(monkeypatch, baseline, n_paths, cpus):
     """An odd step count, so that a row's draws fill no whole number of
-    Philox counter steps; 2,501 paths are a full block and a one-row block."""
+    Philox counter steps; 2,501 paths are two blocks, of 1,248 and 1,253
+    rows."""
     grid = PathGrid(n_steps=7, maturity=0.5)
     with monkeypatch.context() as m:
-        m.setattr(market, "SIM_BLOCK_ROWS", 10**9)
+        m.setattr(threads, "BLOCK_ROWS", 10**9)
         whole = simulate_heston(baseline, grid, n_paths, seed=11)
     monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
     blocks = simulate_heston(baseline, grid, n_paths, seed=11)
@@ -269,16 +270,18 @@ def test_row_blocks_equal_the_one_block_simulation(monkeypatch, baseline, n_path
 
 
 def test_many_row_blocks_on_more_threads_than_cpus_equal_one_block(monkeypatch, baseline):
-    """Two-row blocks on eight threads, with the interpreter switching
-    threads every microsecond: each block writes only its own rows."""
+    """161 paths in six blocks (five of 16 rows and one of 81) on eight
+    threads, with the interpreter switching threads every microsecond: each
+    block writes only its own rows."""
     grid = PathGrid(n_steps=5, maturity=0.5)
-    whole = simulate_heston(baseline, grid, 41, seed=5)
-    monkeypatch.setattr(market, "SIM_BLOCK_ROWS", 2)
+    whole = simulate_heston(baseline, grid, 161, seed=5)
+    monkeypatch.setattr(threads, "BLOCK_ROWS", 32)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 8)
+    assert len(threads.row_blocks(161)) == 6
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        blocks = simulate_heston(baseline, grid, 41, seed=5)
+        blocks = simulate_heston(baseline, grid, 161, seed=5)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(blocks.spot, whole.spot)
@@ -301,6 +304,20 @@ def test_a_seeded_batch_gives_the_simulated_rows(params, n_steps):
         assert rows.grid == grid
         assert np.array_equal(rows.spot, whole.spot[lo:hi])
         assert np.array_equal(rows.variance, whole.variance[lo:hi])
+
+
+def test_a_seeded_batch_writes_each_block_of_a_row_range_at_its_own_rows(monkeypatch, baseline):
+    """Rows 64..199 of a 300-path batch on a 7-step grid, in five blocks of
+    32-row cuts on two threads: each block is simulated from its own first
+    row of the batch, so the range equals those rows of the whole batch."""
+    grid = PathGrid(n_steps=7, maturity=0.5)
+    batch = market.HestonBatch(baseline, grid, 300, seed=11)
+    monkeypatch.setattr(threads, "BLOCK_ROWS", 32)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    assert len(threads.row_blocks(200 - 64)) == 5
+    whole, rows = batch.rows(0, 300), batch.rows(64, 200)
+    assert np.array_equal(rows.spot, whole.spot[64:200])
+    assert np.array_equal(rows.variance, whole.variance[64:200])
 
 
 @pytest.mark.parametrize("lo, hi", [(-2, 4), (4, 4), (6, 4), (0, 11)])

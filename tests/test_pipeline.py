@@ -168,7 +168,7 @@ class TestFullPipeline:
         computed once per seed: the held-out report equals compute_pnl on the
         held-out rows, field by field and bit for bit."""
         config = replace(mini_config(), eval_paths=2600)
-        assert len(ensemble._path_blocks(config.eval_paths)) == 2
+        assert len(threads.row_blocks(config.eval_paths)) == 2
         calls = []
 
         def counted(*args):

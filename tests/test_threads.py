@@ -1,5 +1,5 @@
 """``threads.run_threads``: its worker count, its calling-thread mode and the
-checkpoint that stops a job of a stopped call."""
+checkpoint that stops a job of a stopped call; ``threads.row_blocks``' cut."""
 
 import _thread
 import os
@@ -21,6 +21,24 @@ from hedgeblend.risk import RiskSpec
 
 def test_usable_cpus_is_the_affinity_mask():
     assert threads.usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_row_blocks_depend_only_on_the_path_count(monkeypatch):
+    """Blocks start at multiples of 16 rows and every block but the last is
+    a multiple of 16 long; at 32 rows per block or more none is empty."""
+    assert threads.row_blocks(10000) == [(0, 2496), (2496, 4992), (4992, 7488), (7488, 10000)]
+    assert threads.row_blocks(1000) == [(0, 1000)]
+    assert threads.row_blocks(threads.BLOCK_ROWS) == [(0, threads.BLOCK_ROWS)]
+    for n_paths in (2501, 3000, 5003, 10000, 20001):
+        blocks = threads.row_blocks(n_paths)
+        assert len(blocks) == -(-n_paths // threads.BLOCK_ROWS)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(lo % 16 == 0 and (hi - lo) % 16 == 0 for lo, hi in blocks[:-1])
+        assert blocks[-1][0] % 16 == 0
+    monkeypatch.setattr(threads, "BLOCK_ROWS", 32)
+    for n_paths in range(1, 400):
+        assert all(hi > lo for lo, hi in threads.row_blocks(n_paths)), n_paths
 
 
 @pytest.mark.parametrize("items, cpus, limit, workers", [
