@@ -309,6 +309,26 @@ def test_sharded_gradient_does_not_depend_on_the_cpu_count(monkeypatch, limit):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("limit", [hedger.TAPE_BATCH_LIMIT, 64], ids=["one_pass", "two_pass"])
+def test_a_seeded_batch_gives_the_simulated_batch_gradient(paths_300, monkeypatch, limit, cpus):
+    """300 float32 paths in five 64-path shards (the last one 44), each shard
+    simulated by its own job from ``heston_batch(300)`` (twice in the
+    two-pass epoch): the loss and every gradient array equal those of the
+    same batch simulated whole by ``simulate_heston``, whose shards are views
+    of its arrays (``MarketPaths.rows``, the interface ``HestonBatch.rows``
+    shares), bit for bit."""
+    monkeypatch.setattr(hedger, "SHARD_PATHS", 64)
+    monkeypatch.setattr(hedger, "TAPE_BATCH_LIMIT", limit)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+    params = parameters(np.float32)
+    loss, grads = hedger._chunked_backward(params, paths_300, COST, STRIKE, 1.0)
+    seeded_loss, seeded = hedger._chunked_backward(params, heston_batch(300), COST, STRIKE, 1.0)
+    assert seeded_loss == loss
+    for name, g, g_seeded in zip(hedger.PARAM_NAMES, grads, seeded):
+        assert np.array_equal(g_seeded, g), name
+
+
 @pytest.mark.parametrize("limit, passes", [(hedger.TAPE_BATCH_LIMIT, 1), (128, 2), (32, 2)],
                          ids=["one_pass", "two_pass", "two_pass_small_limit"])
 def test_training_simulates_only_shards(monkeypatch, limit, passes):
